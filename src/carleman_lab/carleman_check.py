@@ -158,14 +158,12 @@ def _conjugation_factors(
     psi = weight.psi(grid.points.reshape(-1, 2)).reshape(grid.shape)
     beta = params.alpha - np.exp(params.lam * psi)
     tau = _time_factor(params, np.asarray(times, dtype=float))
-    out = np.empty((len(times),) + grid.shape)
-    for n in range(len(times)):
-        log_f = -params.s * beta * tau[n] + log_shift
-        np.minimum(log_f, _LOG_CLIP, out=log_f)
-        f = np.exp(log_f)
-        f[log_f < _LOG_FLUSH] = 0.0
-        out[n] = f
-    return out
+    log_f = -params.s * beta * tau[:, None, None] + log_shift
+    np.minimum(log_f, _LOG_CLIP, out=log_f)
+    flushed = log_f < _LOG_FLUSH
+    f = np.exp(log_f, out=log_f)
+    f[flushed] = 0.0
+    return f
 
 
 def conjugate(
@@ -264,18 +262,22 @@ def apply_P2(
         grid.shape
     )
     a2d = a_nodes.reshape(grid.shape)
-    tau = _time_factor(params, field.times)
-    tau_prime = 2.0 * np.asarray(field.times, dtype=float) * tau**2
-    out = np.empty_like(np.asarray(field.values, dtype=complex))
-    h = grid.h
-    for n in range(field.nt):
-        wn = field.values[n]
-        wy, wx = np.gradient(wn, h, edge_order=2)
-        out[n] = (
-            1j * params.s * tau_prime[n] * beta * wn
-            + 2.0 * params.s * tau[n] * a2d * (gbx * wx + gby * wy)
-            + params.s * tau[n] * div_ab * wn
-        )
+    tau = _time_factor(params, field.times)[:, None, None]
+    tau_prime = 2.0 * np.asarray(field.times, dtype=float)[:, None, None] * tau**2
+    s = params.s
+    vals = field.values
+    # the stacked terms reuse the gradient buffers, so at most three
+    # complex (nt, ny, nx) temporaries are alive at once
+    wy, wx = np.gradient(vals, grid.h, axis=(1, 2), edge_order=2)
+    transport = np.add(
+        np.multiply(gbx, wx, out=wx), np.multiply(gby, wy, out=wy), out=wx
+    )
+    np.multiply(2.0 * s * tau * a2d, transport, out=transport)
+    divergence = np.multiply(s * tau * div_ab, vals, out=wy)
+    out = 1j * s * tau_prime * beta
+    np.multiply(out, vals, out=out)
+    out += transport
+    out += divergence
     return SpaceTimeField(grid=grid, times=field.times, values=out)
 
 
@@ -299,19 +301,13 @@ def weighted_norm_sq(
     if region is not None:
         cell = cell * np.asarray(region, dtype=float)
     tau = _time_factor(params, field.times)
-    dens1 = np.empty(field.nt)
-    dens2 = np.empty(field.nt)
-    h = grid.h
-    for n in range(field.nt):
-        wn = field.values[n]
-        wy, wx = np.gradient(wn, h, edge_order=2)
-        theta = e_lp * tau[n]
-        dens1[n] = np.sum(cell * theta**3 * (wn.real**2 + wn.imag**2))
-        dens2[n] = np.sum(
-            cell
-            * theta
-            * (wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2)
-        )
+    vals = field.values
+    theta = e_lp * tau[:, None, None]
+    dens1 = np.sum(cell * theta**3 * (vals.real**2 + vals.imag**2), axis=(1, 2))
+    wy, wx = np.gradient(vals, grid.h, axis=(1, 2), edge_order=2)
+    grad_sq = wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2
+    del wx, wy
+    dens2 = np.sum(cell * theta * grad_sq, axis=(1, 2))
     term1 = params.s**3 * params.lam**4 * np.trapezoid(dens1, field.times)
     term2 = params.s * params.lam * np.trapezoid(dens2, field.times)
     return float(term1 + term2)
@@ -429,10 +425,11 @@ def carleman_ratio(
     for wgt in weights:
         fac = _conjugation_factors(wgt, params, grid, v.times, log_shift=shift)
         wfield = SpaceTimeField(grid=grid, times=v.times, values=v.values * fac)
-        p1 = apply_P1(wfield, wgt, params, coeff)
-        p2 = apply_P2(wfield, wgt, params, coeff)
-        lhs += _space_time_l2_sq(grid, v.times, p1.values)
-        lhs += _space_time_l2_sq(grid, v.times, p2.values)
+        # each operator stack is reduced and dropped before the next is built
+        for part in (apply_P1, apply_P2):
+            lhs += _space_time_l2_sq(
+                grid, v.times, part(wfield, wgt, params, coeff).values
+            )
         lhs += weighted_norm_sq(wfield, wgt, params)
         rhs_residual += _space_time_l2_sq(grid, v.times, lv.values * fac)
         rhs_boundary += _boundary_term(

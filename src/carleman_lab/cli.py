@@ -195,14 +195,13 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
 
 
 def run_carleman_sweep(cfg, out_dir: Path) -> int:
-    layout = cfgmod.build_layout(cfg)
     grid = cfgmod.build_grid(cfg)
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     q = cfgmod.real_profile(cfg.physics.p, grid)
 
     try:
         pair = wt.build_epsilon_pair(
-            layout, cfg.geometry.x1, cfg.geometry.x2,
+            grid.layout, cfg.geometry.x1, cfg.geometry.x2,
             cfg.physics.a1, cfg.physics.a2, M2=cfg.carleman.M2,
         )
     except wt.JumpSignError as exc:

@@ -64,6 +64,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -220,6 +221,8 @@ class _Section:
             val = float(raw)
         except ValueError:
             raise ConfigError(f"{self.path(key)}: not a number: {raw!r}") from None
+        if not math.isfinite(val):
+            raise ConfigError(f"{self.path(key)}: must be finite, got {raw!r}")
         if positive and not val > 0.0:
             raise ConfigError(f"{self.path(key)}: must be positive, got {val}")
         return val
@@ -244,6 +247,8 @@ class _Section:
             vals = tuple(float(tok) for tok in raw.split())
         except ValueError:
             raise ConfigError(f"{self.path(key)}: not a number list: {raw!r}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{self.path(key)}: numbers must be finite, got {raw!r}")
         if count is not None and len(vals) != count:
             raise ConfigError(
                 f"{self.path(key)}: expected {count} numbers, got {len(vals)}"

@@ -217,21 +217,26 @@ def _polar_hessian_entries(rho, d1, d2):
     return h11, h12, h22
 
 
+def _polar_to_cartesian(c, s, h11, h12, h22):
+    """Rotate (radial, tangential) Hessian entries into the Cartesian frame;
+    (c, s) is the unit radial direction.  Shape (..., 2, 2)."""
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0] = c * c * h11 - 2.0 * c * s * h12 + s * s * h22
+    out[..., 0, 1] = c * s * (h11 - h22) + (c * c - s * s) * h12
+    out[..., 1, 0] = out[..., 0, 1]
+    out[..., 1, 1] = s * s * h11 + 2.0 * c * s * h12 + c * c * h22
+    return out
+
+
 def gauge_hessian(interface: RadialInterface, x):
     """Cartesian Hessian of mu^2 at x, shape (..., 2, 2)."""
     rel, r, theta = _relative(interface, x)
     rho = interface.rho(theta)
     d1 = interface.rho_d1(theta)
     d2 = interface.rho_d2(theta)
-    h11, h12, h22 = _polar_hessian_entries(rho, d1, d2)
-    c = rel[..., 0] / r
-    s = rel[..., 1] / r
-    out = np.empty(np.shape(theta) + (2, 2))
-    out[..., 0, 0] = c * c * h11 - 2.0 * c * s * h12 + s * s * h22
-    out[..., 0, 1] = c * s * (h11 - h22) + (c * c - s * s) * h12
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 1] = s * s * h11 + 2.0 * c * s * h12 + c * c * h22
-    return out
+    return _polar_to_cartesian(
+        rel[..., 0] / r, rel[..., 1] / r, *_polar_hessian_entries(rho, d1, d2)
+    )
 
 
 def smallest_eigenvalue_2x2(mats):

@@ -312,6 +312,9 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
 # --------------------------------------------------------------------------
 # reconstruction
 
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+GRAD_TOL = 1e-10  # stop once |grad| <= GRAD_TOL * max(1, initial misfit)
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -354,22 +357,20 @@ def reconstruct(
     max_iter: int = 100,
     *,
     q_ref=None,
-    step_rule: str = "barzilai-borwein",
-    grad_tol: float = 1e-10,
     max_backtracks: int = 30,
-    armijo: float = 1e-4,
 ):
     """Gradient descent on the misfit with monotone (Armijo) acceptance.
 
-    step_rule "barzilai-borwein" rescales the step from the last accepted
-    pair of iterates; "fixed-scale" restarts each line search from the
-    linear-model step.  Returns a ReconstructionResult, or a
-    StalledReconstruction instance (an Exception, returned rather than
-    raised) when no acceptable step exists; the partial result rides along
-    in its .result attribute.
+    The first line search starts from the linear-model step misfit /
+    |grad|^2, later ones from the Barzilai-Borwein step of the last accepted
+    pair of iterates (the last accepted step when that pair shows no
+    positive curvature); each halves its step up to max_backtracks times
+    until the ARMIJO decrease holds.  Stops when |grad| falls below
+    GRAD_TOL (relative to the initial misfit) or after max_iter steps.
+    Returns a ReconstructionResult, or a StalledReconstruction instance
+    (an Exception, returned rather than raised) when no acceptable step
+    exists; the partial result rides along in its .result attribute.
     """
-    if step_rule not in ("barzilai-borwein", "fixed-scale"):
-        raise ValueError(f"unknown step rule: {step_rule!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     q = _check_q(q0, instance).copy()
@@ -378,7 +379,7 @@ def reconstruct(
     value, grad = misfit_and_gradient(q, instance, beta, ref)
     initial = value
     gnorm = float(np.linalg.norm(grad))
-    floor = grad_tol * max(1.0, initial)
+    floor = GRAD_TOL * max(1.0, initial)
 
     def result(iterations, reason, converged):
         return ReconstructionResult(
@@ -395,14 +396,12 @@ def reconstruct(
     prev_q = None
     prev_grad = None
     for it in range(1, max_iter + 1):
-        if step_rule == "barzilai-borwein" and prev_q is not None:
+        if prev_q is not None:
             dq = q - prev_q
             dg = grad - prev_grad
             denom = float(np.sum(dq * dg))
             if denom > 0.0:
                 step = float(np.sum(dq * dq)) / denom
-        elif step_rule == "fixed-scale":
-            step = value / (gnorm * gnorm)
 
         accepted = False
         t = step
@@ -411,7 +410,7 @@ def reconstruct(
             if np.max(np.abs(trial)) > instance.q_bound:
                 trial = np.clip(trial, -instance.q_bound, instance.q_bound)
             trial_value = misfit(trial, instance, beta, ref)
-            if trial_value <= value - armijo * t * gnorm * gnorm:
+            if trial_value <= value - ARMIJO * t * gnorm * gnorm:
                 accepted = True
                 break
             t *= 0.5

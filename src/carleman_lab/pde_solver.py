@@ -170,20 +170,21 @@ def _coefficient_nodes(grid: Grid2D, coeff: PiecewiseCoefficient) -> np.ndarray:
     return coeff.at(grid.points.reshape(-1, 2)).reshape(grid.shape)
 
 
+_FACES = (("east", (0, 1)), ("west", (0, -1)), ("north", (1, 0)), ("south", (-1, 0)))
+
+
 def face_coefficients(grid: Grid2D, coeff: PiecewiseCoefficient) -> dict:
     """Harmonic-mean coefficients on the four faces of each interior node.
 
     Returned arrays have shape (ny - 2, nx - 2); keys are 'east', 'west',
     'north', 'south'.  Where both adjacent nodes lie on the same side of
     the interface the face value equals that side's coefficient exactly.
+    These are the face values of the flux matrix.
     """
     a = _coefficient_nodes(grid, coeff)
     c = a[1:-1, 1:-1]
     out = {}
-    for key, (dj, di) in (
-        ("east", (0, 1)), ("west", (0, -1)),
-        ("north", (1, 0)), ("south", (-1, 0)),
-    ):
+    for key, (dj, di) in _FACES:
         q = a[1 + dj : a.shape[0] - 1 + dj, 1 + di : a.shape[1] - 1 + di]
         out[key] = 2.0 * c * q / (c + q)
     return out
@@ -192,19 +193,16 @@ def face_coefficients(grid: Grid2D, coeff: PiecewiseCoefficient) -> dict:
 def _assemble_flux_matrix(grid: Grid2D, coeff: PiecewiseCoefficient):
     """Sparse div(a grad .) over all nodes, rows only for interior nodes."""
     ny, nx = grid.shape
-    a = _coefficient_nodes(grid, coeff)
+    faces = face_coefficients(grid, coeff)
     ids = np.arange(nx * ny).reshape(ny, nx)
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1))
-    rows_2d = ids[jj, ii]
+    rows_2d = ids[1:-1, 1:-1]
     inv_h2 = 1.0 / grid.h**2
     rows, cols, vals = [], [], []
     diag = np.zeros(rows_2d.shape)
-    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        a_p = a[jj, ii]
-        a_q = a[jj + dj, ii + di]
-        a_face = 2.0 * a_p * a_q / (a_p + a_q)
+    for key, (dj, di) in _FACES:
+        a_face = faces[key]
         rows.append(rows_2d.ravel())
-        cols.append(ids[jj + dj, ii + di].ravel())
+        cols.append((rows_2d + dj * nx + di).ravel())
         vals.append((a_face * inv_h2).ravel())
         diag -= a_face * inv_h2
     rows.append(rows_2d.ravel())
@@ -250,20 +248,6 @@ class SchrodingerOperator:
         n = self.a_matrix.shape[0]
         plus = sparse.identity(n, format="csr") - (0.5j * dt) * self.a_matrix
         self._lu = splu(plus.tocsc())
-
-    def apply_spatial(self, u_full: np.ndarray,
-                      include_potential: bool = True) -> np.ndarray:
-        """div(a grad u) (+ p u) at interior nodes, zero on boundary rows."""
-        u_flat = np.asarray(u_full, dtype=complex).reshape(-1)
-        res = self.k_int @ u_flat[self.grid.interior_ids]
-        res = res + self.k_bnd @ u_flat[self.grid.boundary_ids]
-        if include_potential:
-            res = res + self.grid.gather_interior(self.potential) * u_flat[
-                self.grid.interior_ids
-            ]
-        out = np.zeros(u_flat.shape, dtype=complex)
-        out[self.grid.interior_ids] = res
-        return out.reshape(self.grid.shape)
 
     def apply_plus(self, v: np.ndarray) -> np.ndarray:
         return v - (0.5j * self.dt) * (self.a_matrix @ v)
@@ -535,38 +519,26 @@ def trace_operator(grid: Grid2D, coeff: PiecewiseCoefficient):
     normals, weights, C) with trace = C @ u.ravel().
     """
     ny, nx = grid.shape
-    ids = np.arange(nx * ny).reshape(ny, nx)
     b_ids = grid.boundary_ids
     normals = grid.boundary_normals
     pts = grid.boundary_points
     a_b = coeff.at(pts)
     inv2h = 1.0 / (2.0 * grid.h)
+    k = np.arange(b_ids.size)
+    j_of, i_of = np.divmod(b_ids, nx)
     rows, cols, vals = [], [], []
-    flat = ids.ravel()
-    j_of = b_ids // nx
-    i_of = b_ids % nx
-    for k in range(b_ids.size):
-        i, j = int(i_of[k]), int(j_of[k])
-        nu = normals[k]
-        amp = a_b[k]
-        if abs(nu[0]) > 1e-14:
-            step = 1 if i == 0 else -1  # one-sided into the domain
-            sgn = -step  # derivative orientation factor
-            c0, c1, c2 = -3.0, 4.0, -1.0
-            for m, cval in enumerate((c0, c1, c2)):
-                rows.append(k)
-                cols.append(flat[ids[j, i + step * m]])
-                vals.append(amp * nu[0] * (-sgn) * cval * inv2h)
-        if abs(nu[1]) > 1e-14:
-            step = 1 if j == 0 else -1
-            sgn = -step
-            c0, c1, c2 = -3.0, 4.0, -1.0
-            for m, cval in enumerate((c0, c1, c2)):
-                rows.append(k)
-                cols.append(flat[ids[j + step * m, i]])
-                vals.append(amp * nu[1] * (-sgn) * cval * inv2h)
+    for axis, pos, stride in ((0, i_of, 1), (1, j_of, nx)):
+        sel = np.abs(normals[:, axis]) > 1e-14
+        # one-sided into the domain; the step doubles as the orientation
+        # factor of the derivative along the normal
+        step = np.where(pos[sel] == 0, 1, -1)
+        for m, cval in enumerate((-3.0, 4.0, -1.0)):
+            rows.append(k[sel])
+            cols.append(b_ids[sel] + step * (m * stride))
+            vals.append(a_b[sel] * normals[sel, axis] * step * cval * inv2h)
     C = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(b_ids.size, nx * ny)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(b_ids.size, nx * ny),
     ).tocsr()
     weights = np.full(b_ids.size, grid.h)
     return pts, normals, weights, C

@@ -36,6 +36,8 @@ from .geometry import (
     RadialInterface,
     RectangularDomain,
     TWO_PI,
+    _polar_hessian_entries,
+    _polar_to_cartesian,
     distance_extrema,
     certify_strong_convexity,
     gauge,
@@ -127,11 +129,11 @@ class TransmissionWeight:
         """Common value of both branches on the interface."""
         return self.coeff.a2 + self.M1
 
-    def _abar(self, side: int) -> float:
-        return self.coeff.a2 if side == OMEGA1 else self.coeff.a1
+    def _abar(self, side):
+        return np.where(side == OMEGA1, self.coeff.a2, self.coeff.a1)
 
-    def _offset(self, side: int) -> float:
-        return self.M1 if side == OMEGA1 else self.M2
+    def _offset(self, side):
+        return np.where(side == OMEGA1, self.M1, self.M2)
 
     def side_of(self, pts):
         return self.coeff.layout.classify(pts)
@@ -158,38 +160,34 @@ class TransmissionWeight:
         hess = None
         if want_hessian:
             d2 = self.interface.rho_d2(theta)
-            base = 2.0 / (rho * rho)
-            h11 = base
-            h12 = base * (-d1 / rho)
-            h22 = base * (3.0 * d1 * d1 - rho * d2 + rho * rho) / (rho * rho)
-            c, s = er[..., 0], er[..., 1]
-            hess = np.empty(np.shape(r) + (2, 2))
-            hess[..., 0, 0] = c * c * h11 - 2 * c * s * h12 + s * s * h22
-            hess[..., 0, 1] = c * s * (h11 - h22) + (c * c - s * s) * h12
-            hess[..., 1, 0] = hess[..., 0, 1]
-            hess[..., 1, 1] = s * s * h11 + 2 * c * s * h12 + c * c * h22
+            hess = _polar_to_cartesian(
+                er[..., 0], er[..., 1], *_polar_hessian_entries(rho, d1, d2)
+            )
         return r, r_safe, er, mu2, grad, hess
 
     # dead zone: eta and its derivatives vanish for r <= r_inner, so every
     # formula below is evaluated with the singular factors masked out there.
+    # side is one label (OMEGA1 or 2) applied to every point, or a label
+    # array shaped like the points; psi/grad/hessian/laplacian pass the
+    # classified sides so each point runs its own branch once.
 
-    def psi_side(self, pts, side: int):
+    def psi_side(self, pts, side):
         r, _, _, mu2, _, _ = self._mu2_data(pts, want_hessian=False)
         eta = self.cutoff.value(r)
         out = self._abar(side) * eta * mu2 + self._offset(side)
         return np.where(r <= self.cutoff.r_inner, self._offset(side), out)
 
-    def grad_side(self, pts, side: int):
+    def grad_side(self, pts, side):
         r, _, er, mu2, gmu2, _ = self._mu2_data(pts, want_hessian=False)
         eta = self.cutoff.value(r)
         deta = self.cutoff.d1(r)
-        g = self._abar(side) * (
+        g = self._abar(side)[..., None] * (
             eta[..., None] * gmu2 + (mu2 * deta)[..., None] * er
         )
         dead = r <= self.cutoff.r_inner
         return np.where(dead[..., None], 0.0, g)
 
-    def hessian_side(self, pts, side: int):
+    def hessian_side(self, pts, side):
         r, r_safe, er, mu2, gmu2, hmu2 = self._mu2_data(pts, want_hessian=True)
         eta = self.cutoff.value(r)
         deta = self.cutoff.d1(r)
@@ -201,7 +199,7 @@ class TransmissionWeight:
         hess_eta = d2eta[..., None, None] * er_er + (deta / r_safe)[
             ..., None, None
         ] * (eye - er_er)
-        h = self._abar(side) * (
+        h = self._abar(side)[..., None, None] * (
             eta[..., None, None] * hmu2
             + deta[..., None, None] * outer_sym
             + mu2[..., None, None] * hess_eta
@@ -209,31 +207,21 @@ class TransmissionWeight:
         dead = r <= self.cutoff.r_inner
         return np.where(dead[..., None, None], 0.0, h)
 
-    def laplacian_side(self, pts, side: int):
+    def laplacian_side(self, pts, side):
         h = self.hessian_side(pts, side)
         return h[..., 0, 0] + h[..., 1, 1]
 
-    def _dispatch(self, pts, fn):
-        side = self.side_of(pts)
-        v1 = fn(pts, OMEGA1)
-        v2 = fn(pts, 2)
-        mask = side == OMEGA1
-        extra = v1.ndim - mask.ndim
-        if extra:
-            mask = mask.reshape(mask.shape + (1,) * extra)
-        return np.where(mask, v1, v2)
-
     def psi(self, pts):
-        return self._dispatch(pts, self.psi_side)
+        return self.psi_side(pts, self.side_of(pts))
 
     def grad(self, pts):
-        return self._dispatch(pts, self.grad_side)
+        return self.grad_side(pts, self.side_of(pts))
 
     def hessian(self, pts):
-        return self._dispatch(pts, self.hessian_side)
+        return self.hessian_side(pts, self.side_of(pts))
 
     def laplacian(self, pts):
-        return self._dispatch(pts, self.laplacian_side)
+        return self.laplacian_side(pts, self.side_of(pts))
 
 
 def _as_layout(domain, pad_factor: float = 0.6) -> DomainLayout:

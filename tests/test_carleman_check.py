@@ -198,6 +198,46 @@ class TestSplitOperators:
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.0, f"identity order {order:.2f} ({errs})"
 
+    def test_stacked_evaluation_equals_slice_by_slice(self):
+        # P2 and the weighted norm act on the whole time stack at once; the
+        # per-time-slice loop below performs the same arithmetic, so the
+        # results must agree bit for bit
+        layout, grid, coeff, pair, params = small_problem()
+        v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=6)
+        w, s, lam = pair.w1, params.s, params.lam
+        pts = grid.points.reshape(-1, 2)
+        e_lp = np.exp(lam * w.psi(pts)).reshape(grid.shape)
+        gpsi = w.grad(pts).reshape(grid.shape + (2,))
+        g2 = gpsi[..., 0] ** 2 + gpsi[..., 1] ** 2
+        lap = w.laplacian(pts).reshape(grid.shape)
+        a = coeff.at(pts).reshape(grid.shape)
+        div_ab = -a * lam * e_lp * (lam * g2 + lap)
+        cell = cc._cell_weights(grid)
+        tau = wt._time_factor(params, v.times)
+        p2 = np.empty_like(v.values)
+        dens = np.empty((2, v.nt))
+        for n, wn in enumerate(v.values):
+            wy, wx = np.gradient(wn, grid.h, edge_order=2)
+            transport = (-lam * e_lp * gpsi[..., 0]) * wx + (
+                -lam * e_lp * gpsi[..., 1]
+            ) * wy
+            p2[n] = (
+                1j * s * (2.0 * v.times[n] * tau[n] ** 2) * (params.alpha - e_lp) * wn
+                + 2.0 * s * tau[n] * a * transport
+                + s * tau[n] * div_ab * wn
+            )
+            theta = e_lp * tau[n]
+            dens[0, n] = np.sum(cell * theta**3 * (wn.real**2 + wn.imag**2))
+            dens[1, n] = np.sum(
+                cell * theta * (wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2)
+            )
+        assert np.array_equal(cc.apply_P2(v, w, params, coeff).values, p2)
+        norm = (
+            s**3 * lam**4 * np.trapezoid(dens[0], v.times)
+            + s * lam * np.trapezoid(dens[1], v.times)
+        )
+        assert cc.weighted_norm_sq(v, w, params) == float(norm)
+
 
 def space_time_l2(grid, times, values):
     dt = times[1] - times[0]

@@ -61,6 +61,16 @@ def write_cfg(tmp_path, name="exp.ini", **overrides):
     return path
 
 
+# (field path, line in TMPL, non-finite replacement)
+NON_FINITE = [
+    ("physics.T", "T = 0.1", "T = inf"),
+    ("physics.a1", "a1 = 2.0", "a1 = inf"),
+    ("inverse.beta", "beta = 1e-6", "beta = nan"),
+    ("inverse.noise", "noise = 0.0", "noise = inf"),
+    ("carleman.s", "s = 10 20", "s = 10 nan"),
+]
+
+
 def load_json(path):
     return json.loads(path.read_text())
 
@@ -91,6 +101,19 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: physics.T")
+
+    @pytest.mark.parametrize("key, old, new", NON_FINITE,
+                             ids=[case[0] for case in NON_FINITE])
+    def test_non_finite_number_names_its_key(self, tmp_path, capsys,
+                                             key, old, new):
+        path = tmp_path / "bad.ini"
+        text = TMPL.format(**DEFAULTS)
+        assert f"\n{old}\n" in text
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        code = cli.main(["invert", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
     def test_negative_n_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

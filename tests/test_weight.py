@@ -209,6 +209,20 @@ class TestOvalWeightDerivatives:
                     f"side {side} axis {k}"
                 )
 
+    def test_evaluators_equal_their_side_branch_exactly(self):
+        # center (0.15, -0.1), a dead-zone point and a ramp point lie inside
+        # the cutoff ball of radius 0.45; the samples cover both sides
+        ball = np.array([[0.15, -0.1], [0.25, -0.1], [0.15, 0.2]])
+        pts = np.vstack([self.sample_points(), ball])
+        side = self.w.side_of(pts)
+        assert set(np.unique(side)) == {1, 2}
+        for name in ("psi", "grad", "hessian", "laplacian"):
+            full = getattr(self.w, name)(pts)
+            for lab in (1, 2):
+                branch = getattr(self.w, f"{name}_side")(pts, lab)
+                mask = side == lab
+                assert np.array_equal(full[mask], branch[mask]), (name, lab)
+
     def test_hessian_symmetry(self):
         pts = self.sample_points()
         hess = self.w.hessian(pts)

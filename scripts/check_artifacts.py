@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Rerun the subcommands behind the tracked artifacts and compare bytes.
+
+Each subcommand runs on its shipped config into a fresh temporary
+directory; every artifact it writes must equal the tracked copy under
+out/ byte for byte.  Prints one line per artifact and exits 1 if any
+differs or is missing, 0 otherwise.  Takes no arguments:
+
+    PYTHONPATH=src python3 scripts/check_artifacts.py
+"""
+
+import filecmp
+import sys
+import tempfile
+from pathlib import Path
+
+from carleman_lab import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (subcommand, config, tracked directory, artifacts)
+RUNS = (
+    ("carleman-sweep", "configs/carleman.ini", "out/carleman",
+     ("carleman_rows.csv", "carleman_table.csv", "carleman_summary.json",
+      "carleman_ratios.svg")),
+    ("invert", "configs/default.ini", "out/default",
+     ("invert.json", "invert.csv")),
+    ("stability", "configs/default.ini", "out/default",
+     ("stability_records.csv", "stability_summary.json",
+      "stability_scatter.svg")),
+)
+
+
+def main() -> int:
+    bad = []
+    for subcommand, config, tracked, names in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            code = cli.main([subcommand, "--config", str(ROOT / config),
+                             "--output-dir", tmp])
+            if code != 0:
+                print(f"FAILED {subcommand} exited {code}")
+                bad.append(subcommand)
+                continue
+            for name in names:
+                ref = ROOT / tracked / name
+                new = Path(tmp) / name
+                same = (ref.is_file() and new.is_file()
+                        and filecmp.cmp(ref, new, shallow=False))
+                print(f"{'same' if same else 'DIFFERS'} {tracked}/{name}")
+                if not same:
+                    bad.append(f"{tracked}/{name}")
+    if bad:
+        print("artifacts differ: " + ", ".join(bad))
+        return 1
+    print("all artifacts byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,6 +37,7 @@ components therefore carry that common normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -115,8 +116,127 @@ class SweepResult:
         return {"sup_ratio": self.sup_ratio, "stabilized": self.stabilized}
 
 
+class _GradedField:
+    """A conjugated stack w whose spatial gradient is computed once.
+
+    carleman_ratio hands one instance first to weighted_norm_sq, whose
+    first read computes the gradient (after its gradient-free term, as a
+    plain field would), and then to apply_P2, which builds its terms in
+    the gradient buffers and so must be the last reader.
+    """
+
+    def __init__(self, w: SpaceTimeField):
+        self.w = w
+
+    @cached_property
+    def gradient(self) -> tuple:
+        return _spatial_gradient(self.w)
+
+
 def _as_field(w) -> SpaceTimeField:
-    return w.w if isinstance(w, ConjugatedField) else w
+    return w.w if isinstance(w, (ConjugatedField, _GradedField)) else w
+
+
+def _spatial_gradient(w):
+    """(d/dy, d/dx) of the stack, shared when w is a _GradedField."""
+    if isinstance(w, _GradedField):
+        return w.gradient
+    field = _as_field(w)
+    return np.gradient(field.values, field.grid.h, axis=(1, 2), edge_order=2)
+
+
+class _OnGrid:
+    """Field-independent data of one object on one grid, built on first use.
+
+    Instances belong to the caller that creates them; ``of`` reuses one
+    built for the same grid object and builds a fresh one otherwise, so
+    data built for one grid is never served for another.
+    """
+
+    def __init__(self, source, grid: Grid2D):
+        self.source = source
+        self.grid = grid
+
+    @classmethod
+    def of(cls, obj, grid: Grid2D):
+        if isinstance(obj, cls):
+            if obj.grid is grid:
+                return obj
+            obj = obj.source
+        return cls(obj, grid)
+
+
+class CoefficientOnGrid(_OnGrid):
+    """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
+    the boundary trace operator (points, normals, weights, C)."""
+
+    @cached_property
+    def at_nodes(self) -> np.ndarray:
+        return self.source.at(self.grid.points.reshape(-1, 2))
+
+    @cached_property
+    def flux(self) -> tuple:
+        return _assemble_flux_matrix(self.grid, self.source)
+
+    @cached_property
+    def trace(self) -> tuple:
+        return trace_operator(self.grid, self.source)
+
+
+class WeightOnGrid(_OnGrid):
+    """psi, grad psi, |grad psi|^2 and lap psi at the nodes, flattened, and
+    the Sigma_+ mask of the boundary nodes with psi on Sigma_+."""
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self.source.psi(self.grid.points.reshape(-1, 2))
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.source.grad(self.grid.points.reshape(-1, 2))
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.grad, self.grad)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return self.source.laplacian(self.grid.points.reshape(-1, 2))
+
+    @cached_property
+    def sigma(self) -> tuple:
+        pts = self.grid.boundary_points
+        mask = sigma_plus(self.source, pts, self.grid.boundary_normals)
+        return mask, self.source.psi(pts[mask])
+
+
+class PairOnGrid(_OnGrid):
+    """An epsilon pair on one grid: the coefficient data (the estimate uses
+    the first weight's coefficient for both weights) and each weight's data.
+
+    ``residual`` keeps L v of the last field asked for, so a caller that
+    visits all (s, lambda) of one field in a row computes it once per field
+    and holds one field's residual at a time.
+    """
+
+    def __init__(self, pair: EpsilonPair, grid: Grid2D):
+        super().__init__(pair, grid)
+        self.coeff = CoefficientOnGrid(pair.w1.coeff, grid)
+        self.weights = (WeightOnGrid(pair.w1, grid), WeightOnGrid(pair.w2, grid))
+        self._last = None
+
+    def residual(self, v: SpaceTimeField, q) -> SpaceTimeField:
+        last = self._last
+        if last is None or last[0] is not v or last[1] is not q:
+            self._last = None  # drop the previous field's residual first
+            self._last = (v, q, apply_transmission_operator(v, self.coeff, q))
+        return self._last[2]
+
+
+def _on_grid(weight, a, grid: Grid2D):
+    """The weight's grid data and that of a (default: the weight's own)."""
+    gw = WeightOnGrid.of(weight, grid)
+    return gw, CoefficientOnGrid.of(a if a is not None else gw.source.coeff, grid)
 
 
 def _require_time_resolution(field: SpaceTimeField):
@@ -144,7 +264,7 @@ def _potential_on(grid: Grid2D, q) -> np.ndarray:
 
 
 def _conjugation_factors(
-    weight: TransmissionWeight,
+    weight: Union[TransmissionWeight, WeightOnGrid],
     params: CarlemanParams,
     grid: Grid2D,
     times: np.ndarray,
@@ -155,7 +275,7 @@ def _conjugation_factors(
     Evaluated in log space; exponents are clipped high so a malformed
     alpha (phi < 0 somewhere) yields huge finite factors instead of inf.
     """
-    psi = weight.psi(grid.points.reshape(-1, 2)).reshape(grid.shape)
+    psi = WeightOnGrid.of(weight, grid).psi.reshape(grid.shape)
     beta = params.alpha - np.exp(params.lam * psi)
     tau = _time_factor(params, np.asarray(times, dtype=float))
     log_f = -params.s * beta * tau[:, None, None] + log_shift
@@ -181,48 +301,52 @@ def _apply_flux(grid: Grid2D, k_int, k_bnd, values: np.ndarray) -> np.ndarray:
     flat = values.reshape(nt, -1)
     res = (k_int @ flat[:, grid.interior_ids].T).T
     res += (k_bnd @ flat[:, grid.boundary_ids].T).T
-    out = np.zeros_like(flat)
+    out = np.empty_like(flat)
     out[:, grid.interior_ids] = res
+    out[:, grid.boundary_ids] = 0.0
     return out.reshape(values.shape)
 
 
 def apply_transmission_operator(
-    v: SpaceTimeField, coeff: PiecewiseCoefficient, potential
+    v: SpaceTimeField,
+    coeff: Union[PiecewiseCoefficient, CoefficientOnGrid],
+    potential,
 ) -> SpaceTimeField:
     """L v = i v' + div(a grad v) + q v with the solver's flux stencils."""
     _require_time_resolution(v)
     grid = v.grid
-    k_int, k_bnd = _assemble_flux_matrix(grid, coeff)
-    dvdt = np.gradient(v.values, v.dt, axis=0, edge_order=2)
-    flux = _apply_flux(grid, k_int, k_bnd, v.values)
-    qa = _potential_on(grid, potential)
-    vals = 1j * dvdt + flux + qa[None, :, :] * v.values
+    k_int, k_bnd = CoefficientOnGrid.of(coeff, grid).flux
+    # a sweep keeps L v for all (s, lambda) of a field, so it is built in
+    # its first buffer: left above the temporaries, it would keep their
+    # heap memory resident
+    vals = np.gradient(v.values, v.dt, axis=0, edge_order=2).astype(
+        complex, copy=False
+    )
+    np.multiply(1j, vals, out=vals)
+    vals += _apply_flux(grid, k_int, k_bnd, v.values)
+    vals += _potential_on(grid, potential)[None, :, :] * v.values
     return SpaceTimeField(grid=grid, times=v.times, values=vals)
 
 
 def apply_P1(
     w,
-    weight: TransmissionWeight,
+    weight: Union[TransmissionWeight, WeightOnGrid],
     params: CarlemanParams,
-    a: Optional[PiecewiseCoefficient] = None,
+    a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
 ) -> SpaceTimeField:
     """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w."""
     field = _as_field(w)
     _require_time_resolution(field)
     grid = field.grid
-    coeff = a if a is not None else weight.coeff
-    k_int, k_bnd = _assemble_flux_matrix(grid, coeff)
+    gw, gc = _on_grid(weight, a, grid)
+    k_int, k_bnd = gc.flux
     dwdt = np.gradient(field.values, field.dt, axis=0, edge_order=2)
     flux = _apply_flux(grid, k_int, k_bnd, field.values)
-    pts = grid.points.reshape(-1, 2)
-    gpsi = weight.grad(pts)
-    g2 = np.einsum("ij,ij->i", gpsi, gpsi)
-    e_lp = np.exp(params.lam * weight.psi(pts))
-    a_nodes = coeff.at(pts)
+    e_lp = np.exp(params.lam * gw.psi)
     # |grad phi|^2 = lam^2 e^{2 lam psi} |grad psi|^2 tau(t)^2
-    space = (params.s**2 * params.lam**2 * a_nodes * e_lp**2 * g2).reshape(
-        grid.shape
-    )
+    space = (
+        params.s**2 * params.lam**2 * gc.at_nodes * e_lp**2 * gw.grad_sq
+    ).reshape(grid.shape)
     tau = _time_factor(params, field.times)
     vals = (
         1j * dwdt
@@ -234,9 +358,9 @@ def apply_P1(
 
 def apply_P2(
     w,
-    weight: TransmissionWeight,
+    weight: Union[TransmissionWeight, WeightOnGrid],
     params: CarlemanParams,
-    a: Optional[PiecewiseCoefficient] = None,
+    a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
 ) -> SpaceTimeField:
     """P2 w = i s phi' w + 2 s a grad phi . grad w + s div(a grad phi) w."""
     field = _as_field(w)
@@ -245,22 +369,18 @@ def apply_P2(
         zeros = np.zeros_like(np.asarray(field.values, dtype=complex))
         return SpaceTimeField(grid=grid, times=field.times, values=zeros)
     _require_time_resolution(field)
-    coeff = a if a is not None else weight.coeff
-    pts = grid.points.reshape(-1, 2)
-    psi = weight.psi(pts)
-    e_lp = np.exp(params.lam * psi)
-    gpsi = weight.grad(pts)
-    lap = weight.laplacian(pts)
-    a_nodes = coeff.at(pts)
-    g2 = np.einsum("ij,ij->i", gpsi, gpsi)
+    gw, gc = _on_grid(weight, a, grid)
+    e_lp = np.exp(params.lam * gw.psi)
+    gpsi = gw.grad
+    a_nodes = gc.at_nodes
     beta = (params.alpha - e_lp).reshape(grid.shape)
     # grad phi = tau grad beta with grad beta = -lam e^{lam psi} grad psi
     gbx = (-params.lam * e_lp * gpsi[:, 0]).reshape(grid.shape)
     gby = (-params.lam * e_lp * gpsi[:, 1]).reshape(grid.shape)
     # div(a grad beta) = -a lam e^{lam psi} (lam |grad psi|^2 + lap psi)
-    div_ab = (-a_nodes * params.lam * e_lp * (params.lam * g2 + lap)).reshape(
-        grid.shape
-    )
+    div_ab = (
+        -a_nodes * params.lam * e_lp * (params.lam * gw.grad_sq + gw.laplacian)
+    ).reshape(grid.shape)
     a2d = a_nodes.reshape(grid.shape)
     tau = _time_factor(params, field.times)[:, None, None]
     tau_prime = 2.0 * np.asarray(field.times, dtype=float)[:, None, None] * tau**2
@@ -268,7 +388,7 @@ def apply_P2(
     vals = field.values
     # the stacked terms reuse the gradient buffers, so at most three
     # complex (nt, ny, nx) temporaries are alive at once
-    wy, wx = np.gradient(vals, grid.h, axis=(1, 2), edge_order=2)
+    wy, wx = _spatial_gradient(w)
     transport = np.add(
         np.multiply(gbx, wx, out=wx), np.multiply(gby, wy, out=wy), out=wx
     )
@@ -295,7 +415,7 @@ def weighted_norm_sq(
     """
     field = _as_field(w)
     grid = field.grid
-    psi = weight.psi(grid.points.reshape(-1, 2)).reshape(grid.shape)
+    psi = WeightOnGrid.of(weight, grid).psi.reshape(grid.shape)
     e_lp = np.exp(params.lam * psi)
     cell = _cell_weights(grid)
     if region is not None:
@@ -304,7 +424,7 @@ def weighted_norm_sq(
     vals = field.values
     theta = e_lp * tau[:, None, None]
     dens1 = np.sum(cell * theta**3 * (vals.real**2 + vals.imag**2), axis=(1, 2))
-    wy, wx = np.gradient(vals, grid.h, axis=(1, 2), edge_order=2)
+    wy, wx = _spatial_gradient(w)
     grad_sq = wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2
     del wx, wy
     dens2 = np.sum(cell * theta * grad_sq, axis=(1, 2))
@@ -320,15 +440,16 @@ def _space_time_l2_sq(grid: Grid2D, times: np.ndarray, values: np.ndarray) -> fl
 
 
 def _common_log_shift(
-    weights: Sequence[TransmissionWeight], params: CarlemanParams, grid: Grid2D
+    weights: Sequence[Union[TransmissionWeight, WeightOnGrid]],
+    params: CarlemanParams,
+    grid: Grid2D,
 ) -> float:
     """s * phi_ref with phi_ref <= min phi over the pair and the grid."""
     if params.s == 0.0:
         return 0.0
     beta_min = np.inf
-    pts = grid.points.reshape(-1, 2)
     for wgt in weights:
-        e = np.exp(params.lam * wgt.psi(pts))
+        e = np.exp(params.lam * WeightOnGrid.of(wgt, grid).psi)
         beta_min = min(beta_min, float((params.alpha - e).min()))
     if np.isfinite(params.psi_sup):
         beta_min = min(
@@ -365,21 +486,19 @@ def assemble_report(
 def _boundary_term(
     wvals: np.ndarray,
     times: np.ndarray,
-    weight: TransmissionWeight,
+    weight: WeightOnGrid,
     params: CarlemanParams,
-    tr_pts: np.ndarray,
-    tr_normals: np.ndarray,
-    tr_weights: np.ndarray,
-    tr_matrix,
+    coeff: CoefficientOnGrid,
 ) -> float:
     """s lam int over Sigma_+ of theta |a dw/dnu|^2."""
-    mask = sigma_plus(weight, tr_pts, tr_normals)
+    mask, psi_plus = weight.sigma
     if not mask.any():
         return 0.0
+    _, _, tr_weights, tr_matrix = coeff.trace
     nt = len(times)
     flat = wvals.reshape(nt, -1)
     flux = (tr_matrix @ flat.T).T[:, mask]
-    e_lp = np.exp(params.lam * weight.psi(tr_pts[mask]))
+    e_lp = np.exp(params.lam * psi_plus)
     tau = _time_factor(params, np.asarray(times, dtype=float))
     per_t = (
         (flux.real**2 + flux.imag**2) * (e_lp * tr_weights[mask])[None, :]
@@ -401,7 +520,7 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
 
 def carleman_ratio(
     v: SpaceTimeField,
-    weight_pair: EpsilonPair,
+    weight_pair: Union[EpsilonPair, PairOnGrid],
     params: CarlemanParams,
     q,
 ) -> CarlemanReport:
@@ -410,37 +529,37 @@ def carleman_ratio(
     v must be a member of the discrete test class: zero Dirichlet trace,
     finite residual L v, and a computable boundary flux.  The report
     components carry one common positive normalization (see module notes);
-    the ratio is exact.
+    the ratio is exact.  A PairOnGrid built for v's grid lends its
+    field-independent data (and L v, when v was its last field).
     """
     _require_time_resolution(v)
     grid = v.grid
-    weights = (weight_pair.w1, weight_pair.w2)
-    coeff = weights[0].coeff
-    lv = apply_transmission_operator(v, coeff, q)
-    shift = _common_log_shift(weights, params, grid)
-    tr_pts, tr_normals, tr_weights, tr_matrix = trace_operator(grid, coeff)
+    on_grid = PairOnGrid.of(weight_pair, grid)
+    lv = on_grid.residual(v, q)
+    shift = _common_log_shift(on_grid.weights, params, grid)
+    coeff = on_grid.coeff
     lhs = 0.0
     rhs_residual = 0.0
     rhs_boundary = 0.0
-    for wgt in weights:
+    for wgt in on_grid.weights:
         fac = _conjugation_factors(wgt, params, grid, v.times, log_shift=shift)
         wfield = SpaceTimeField(grid=grid, times=v.times, values=v.values * fac)
         # each operator stack is reduced and dropped before the next is built
-        for part in (apply_P1, apply_P2):
-            lhs += _space_time_l2_sq(
-                grid, v.times, part(wfield, wgt, params, coeff).values
-            )
-        lhs += weighted_norm_sq(wfield, wgt, params)
+        lhs += _space_time_l2_sq(
+            grid, v.times, apply_P1(wfield, wgt, params, coeff).values
+        )
+        graded = _GradedField(wfield)
+        # the norm reads the gradient before apply_P2 overwrites it; the
+        # sum keeps the order P1, P2, norm
+        norm = weighted_norm_sq(graded, wgt, params)
+        lhs += _space_time_l2_sq(
+            grid, v.times, apply_P2(graded, wgt, params, coeff).values
+        )
+        del graded
+        lhs += norm
         rhs_residual += _space_time_l2_sq(grid, v.times, lv.values * fac)
         rhs_boundary += _boundary_term(
-            wfield.values,
-            v.times,
-            wgt,
-            params,
-            tr_pts,
-            tr_normals,
-            tr_weights,
-            tr_matrix,
+            wfield.values, v.times, wgt, params, coeff
         )
     return assemble_report(lhs, rhs_residual, rhs_boundary, params.s, params.lam)
 
@@ -462,6 +581,9 @@ def constant_sweep(
     clamped at |t| = T - delta_t with the standard delta_t = T / 64.
     Stabilization means every consecutive relative change of the per-s sup
     over the upper half of the s-range stays below 10 percent.
+    Fields are visited one at a time, each over every (s, lambda), so the
+    pair's grid data is built once and L v once per field; rows come out
+    in (s, lambda, field) order.
     """
     fields = list(test_fields)
     if not fields:
@@ -483,37 +605,47 @@ def constant_sweep(
     elif delta_t is None:
         delta_t = T / 64.0
 
+    s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
+    fitted = []
+    tail = 0.0
+    for s, lam in s_lam:
+        params = fit_carleman_params(
+            weight_pair.w1,
+            s,
+            lam,
+            float(T),
+            delta_t=float(delta_t),
+            partner=weight_pair.w2,
+            n_grid=n_grid,
+        )
+        tail = max(tail, clamp_tail_bound(params))
+        fitted.append(params)
+
+    reports = [[None] * len(fields) for _ in fitted]
+    on_grid = weight_pair
+    for fid, fld in enumerate(fields):
+        on_grid = PairOnGrid.of(on_grid, fld.grid)
+        for k, params in enumerate(fitted):
+            reports[k][fid] = carleman_ratio(fld, on_grid, params, q)
+
     rows = []
     table = []
-    tail = 0.0
-    for s in s_values:
-        for lam in lam_values:
-            params = fit_carleman_params(
-                weight_pair.w1,
-                float(s),
-                float(lam),
-                float(T),
-                delta_t=float(delta_t),
-                partner=weight_pair.w2,
-                n_grid=n_grid,
+    for (s, lam), per_field in zip(s_lam, reports):
+        best = 0.0
+        for fid, rep in enumerate(per_field):
+            rows.append(
+                {
+                    "field_id": fid,
+                    "s": s,
+                    "lambda": lam,
+                    "lhs": rep.lhs,
+                    "rhs_residual": rep.rhs_residual,
+                    "rhs_boundary": rep.rhs_boundary,
+                    "ratio": rep.ratio,
+                }
             )
-            tail = max(tail, clamp_tail_bound(params))
-            best = 0.0
-            for fid, fld in enumerate(fields):
-                rep = carleman_ratio(fld, weight_pair, params, q)
-                rows.append(
-                    {
-                        "field_id": fid,
-                        "s": float(s),
-                        "lambda": float(lam),
-                        "lhs": rep.lhs,
-                        "rhs_residual": rep.rhs_residual,
-                        "rhs_boundary": rep.rhs_boundary,
-                        "ratio": rep.ratio,
-                    }
-                )
-                best = max(best, rep.ratio)
-            table.append({"s": float(s), "lambda": float(lam), "max_ratio": best})
+            best = max(best, rep.ratio)
+        table.append({"s": s, "lambda": lam, "max_ratio": best})
 
     s_sorted = sorted({float(s) for s in s_values})
     sups = [

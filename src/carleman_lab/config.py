@@ -191,6 +191,17 @@ def forward_hash(cfg: ExperimentConfig) -> str:
 # low-level readers
 
 
+def _finite(token: str, path: str) -> float:
+    """token as a finite float, or a ConfigError naming the field path."""
+    try:
+        val = float(token)
+    except ValueError:
+        raise ConfigError(f"{path}: not a number: {token!r}") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {token!r}")
+    return val
+
+
 class _Section:
     """Reads one INI section with field-path errors and typo detection."""
 
@@ -217,12 +228,7 @@ class _Section:
         raw = self.get(key, required=required)
         if raw is None:
             return default
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.path(key)}: not a number: {raw!r}") from None
-        if not math.isfinite(val):
-            raise ConfigError(f"{self.path(key)}: must be finite, got {raw!r}")
+        val = _finite(raw, self.path(key))
         if positive and not val > 0.0:
             raise ConfigError(f"{self.path(key)}: must be positive, got {val}")
         return val
@@ -243,12 +249,7 @@ class _Section:
         raw = self.get(key, required=required)
         if raw is None:
             return default
-        try:
-            vals = tuple(float(tok) for tok in raw.split())
-        except ValueError:
-            raise ConfigError(f"{self.path(key)}: not a number list: {raw!r}") from None
-        if not all(map(math.isfinite, vals)):
-            raise ConfigError(f"{self.path(key)}: numbers must be finite, got {raw!r}")
+        vals = tuple(_finite(tok, self.path(key)) for tok in raw.split())
         if count is not None and len(vals) != count:
             raise ConfigError(
                 f"{self.path(key)}: expected {count} numbers, got {len(vals)}"
@@ -283,10 +284,7 @@ def _check_profile(spec: str, path: str, complex_ok: bool) -> str:
             f"{path}: profile {kind!r} takes {want} numbers, got {len(args)}"
         )
     for tok in args:
-        try:
-            float(tok)
-        except ValueError:
-            raise ConfigError(f"{path}: not a number: {tok!r}") from None
+        _finite(tok, path)
     return " ".join(spec.split())
 
 
@@ -294,21 +292,22 @@ def _parse_outer(sec: _Section) -> tuple:
     raw = sec.get("outer", required=True)
     tokens = raw.split()
     kind = tokens[0]
+    path = sec.path("outer")
     if kind == "rect":
         if len(tokens) != 5:
-            raise ConfigError(f"{sec.path('outer')}: rect takes 4 numbers")
-        xmin, xmax, ymin, ymax = (float(t) for t in tokens[1:])
+            raise ConfigError(f"{path}: rect takes 4 numbers")
+        xmin, xmax, ymin, ymax = (_finite(t, path) for t in tokens[1:])
         if not (xmax > xmin and ymax > ymin):
-            raise ConfigError(f"{sec.path('outer')}: degenerate rectangle")
+            raise ConfigError(f"{path}: degenerate rectangle")
         return ("rect", xmin, xmax, ymin, ymax)
     if kind == "disk":
         if len(tokens) != 4:
-            raise ConfigError(f"{sec.path('outer')}: disk takes cx cy r")
-        cx, cy, r = (float(t) for t in tokens[1:])
+            raise ConfigError(f"{path}: disk takes cx cy r")
+        cx, cy, r = (_finite(t, path) for t in tokens[1:])
         if not r > 0.0:
-            raise ConfigError(f"{sec.path('outer')}: radius must be positive")
+            raise ConfigError(f"{path}: radius must be positive")
         return ("disk", cx, cy, r)
-    raise ConfigError(f"{sec.path('outer')}: unknown outer kind {kind!r}")
+    raise ConfigError(f"{path}: unknown outer kind {kind!r}")
 
 
 def _parse_interface(sec: _Section) -> tuple:
@@ -316,29 +315,31 @@ def _parse_interface(sec: _Section) -> tuple:
     tokens = raw.split()
     kind = tokens[0]
     path = sec.path("interface")
-    try:
-        if kind == "disk":
-            if len(tokens) not in (2, 4):
-                raise ConfigError(f"{path}: disk takes R [CX CY]")
-            r = float(tokens[1])
-            cx, cy = (float(t) for t in tokens[2:4]) if len(tokens) == 4 else (0.0, 0.0)
-            if not r > 0.0:
-                raise ConfigError(f"{path}: radius must be positive")
-            return ("disk", r, cx, cy)
-        if kind == "fourier":
-            if len(tokens) not in (3, 5):
-                raise ConfigError(f"{path}: fourier takes C0 K:EPS[,K:EPS...] [CX CY]")
-            c0 = float(tokens[1])
-            harmonics = []
-            for item in tokens[2].split(","):
-                k_str, _, eps_str = item.partition(":")
-                harmonics.append((int(k_str), float(eps_str)))
-            cx, cy = (float(t) for t in tokens[3:5]) if len(tokens) == 5 else (0.0, 0.0)
-            return ("fourier", c0, tuple(harmonics), cx, cy)
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"{path}: malformed numbers in {raw!r}") from None
+    if kind == "disk":
+        if len(tokens) not in (2, 4):
+            raise ConfigError(f"{path}: disk takes R [CX CY]")
+        r, cx, cy = _finite(tokens[1], path), 0.0, 0.0
+        if len(tokens) == 4:
+            cx, cy = (_finite(t, path) for t in tokens[2:4])
+        if not r > 0.0:
+            raise ConfigError(f"{path}: radius must be positive")
+        return ("disk", r, cx, cy)
+    if kind == "fourier":
+        if len(tokens) not in (3, 5):
+            raise ConfigError(f"{path}: fourier takes C0 K:EPS[,K:EPS...] [CX CY]")
+        c0 = _finite(tokens[1], path)
+        harmonics = []
+        for item in tokens[2].split(","):
+            k_str, _, eps_str = item.partition(":")
+            try:
+                k = int(k_str)
+            except ValueError:
+                raise ConfigError(f"{path}: not an integer: {k_str!r}") from None
+            harmonics.append((k, _finite(eps_str, path)))
+        cx, cy = 0.0, 0.0
+        if len(tokens) == 5:
+            cx, cy = (_finite(t, path) for t in tokens[3:5])
+        return ("fourier", c0, tuple(harmonics), cx, cy)
     raise ConfigError(f"{path}: unknown interface kind {kind!r}")
 
 

@@ -74,11 +74,6 @@ class PiecewiseCoefficient:
         side = self.layout.classify(pts)
         return np.where(side == OMEGA1, self.a1, self.a2)
 
-    def abar_at(self, pts):
-        """Coefficient of the opposite side, the factor entering the weight."""
-        side = self.layout.classify(pts)
-        return np.where(side == OMEGA1, self.a2, self.a1)
-
 
 @dataclass(frozen=True)
 class Cutoff:

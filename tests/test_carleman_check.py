@@ -238,6 +238,29 @@ class TestSplitOperators:
         )
         assert cc.weighted_norm_sq(v, w, params) == float(norm)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_residual_equals_its_formula_bit_for_bit(self, dtype):
+        # L v is built in place in one buffer; the operations and their
+        # order are those of the one-expression formula below
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        times = clamped_times(params, 4)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((times.size,) + grid.shape).astype(dtype)
+        if dtype is complex:
+            values += 1j * rng.standard_normal(values.shape)
+        q = 0.3 + grid.points[..., 0]
+        got = cc.apply_transmission_operator(
+            pde.SpaceTimeField(grid=grid, times=times, values=values), coeff, q
+        ).values
+        k_int, k_bnd = pde._assemble_flux_matrix(grid, coeff)
+        dvdt = np.gradient(values, times[1] - times[0], axis=0, edge_order=2)
+        want = (
+            1j * dvdt
+            + cc._apply_flux(grid, k_int, k_bnd, values)
+            + q[None, :, :] * values
+        )
+        assert np.array_equal(got, want)
+
 
 def space_time_l2(grid, times, values):
     dt = times[1] - times[0]
@@ -462,6 +485,55 @@ class TestSweep:
         assert out.q_inf == pytest.approx(float(np.max(np.abs(q))))
         assert isinstance(out.stabilized, bool)
         assert np.isfinite(out.sup_ratio)
+
+    def sweep_inputs(self, nx, M2):
+        layout, grid, coeff, pair, params = small_problem(nx=nx, M2=M2)
+        pts = grid.points
+        q = 0.3 + 0.1 * np.sin(pts[..., 0])
+        fields = [
+            solved_clamped_field(grid, coeff, q, params, n_half=6, seed=2),
+            bump_envelope_field(grid, params, (0.2, 0.1), 0.35, 1.0, n_half=6),
+        ]
+        return fields, pair, q, params.T
+
+    def test_rows_equal_standalone_ratios_in_s_lambda_field_order(self):
+        fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        s_values, lam_values = [10.0, 20.0], [1.5]
+        out = cc.constant_sweep(fields, s_values, lam_values, pair, q, T=T)
+        expected = []
+        for s in s_values:
+            for lam in lam_values:
+                params = wt.fit_carleman_params(
+                    pair.w1, s, lam, T, delta_t=T / 64.0, partner=pair.w2
+                )
+                for fid, fld in enumerate(fields):
+                    rep = cc.carleman_ratio(fld, pair, params, q)
+                    expected.append({
+                        "field_id": fid, "s": s, "lambda": lam,
+                        "lhs": rep.lhs, "rhs_residual": rep.rhs_residual,
+                        "rhs_boundary": rep.rhs_boundary, "ratio": rep.ratio,
+                    })
+        assert [(r["s"], r["field_id"]) for r in out.rows] == [
+            (10.0, 0), (10.0, 1), (20.0, 0), (20.0, 1)
+        ]
+        assert all(r["rhs_boundary"] > 0.0 for r in out.rows)
+        assert out.rows == expected
+
+    def run_sweep(self, nx, M2):
+        fields, pair, q, T = self.sweep_inputs(nx=nx, M2=M2)
+        return cc.constant_sweep(fields, [10.0, 20.0], [1.5], pair, q, T=T).rows
+
+    def test_back_to_back_sweeps_equal_each_sweep_alone(self):
+        # each sweep has its own grid and weight pair: nothing built for one
+        # sweep may be served to the next, also once the objects of the
+        # previous sweep are freed and their ids reused
+        alone_b = self.run_sweep(17, 0.2)
+        first_a = self.run_sweep(13, 0.1)
+        then_b = self.run_sweep(17, 0.2)
+        then_a = self.run_sweep(13, 0.1)
+        assert then_b == alone_b
+        assert then_a == first_a
+        assert first_a != alone_b
 
 
 class TestSuiteBuilder:

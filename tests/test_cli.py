@@ -68,6 +68,11 @@ NON_FINITE = [
     ("inverse.beta", "beta = 1e-6", "beta = nan"),
     ("inverse.noise", "noise = 0.0", "noise = inf"),
     ("carleman.s", "s = 10 20", "s = 10 nan"),
+    ("physics.p", "p = sine 1.0 0.4", "p = constant inf"),
+    ("physics.y0", "y0 = cosine 2.0 0.5", "y0 = cosine nan 0.5"),
+    ("inverse.q0", "q0 = constant 1.3", "q0 = constant inf"),
+    ("geometry.outer", "outer = rect -1.0 1.0 -1.0 1.0",
+     "outer = rect -1.0 inf -1.0 1.0"),
 ]
 
 

@@ -101,9 +101,17 @@ class TestErrors:
          "geometry.outer"),
         ("outer = rect -1.0 1.0 -1.0 1.0", "outer = hexagon 1.0",
          "geometry.outer"),
+        ("outer = rect -1.0 1.0 -1.0 1.0", "outer = rect -1.1 x -1.1 1.1",
+         "geometry.outer"),
+        ("outer = rect -1.0 1.0 -1.0 1.0", "outer = disk 0.0 0.0 inf",
+         "geometry.outer"),
         ("interface = disk 0.5", "interface = disk -0.5",
          "geometry.interface"),
         ("interface = disk 0.5", "interface = fourier 0.5 3-0.02",
+         "geometry.interface"),
+        ("interface = disk 0.5", "interface = fourier 0.5 3:inf",
+         "geometry.interface"),
+        ("interface = disk 0.5", "interface = disk 0.5 nan 0.0",
          "geometry.interface"),
     ])
     def test_field_path_in_message(self, tmp_path, old, new, path):

@@ -42,7 +42,9 @@ class TestPiecewiseCoefficient:
         coeff = wt.PiecewiseCoefficient(2.0, 1.0, unit_disk_layout())
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.5, 0.0], [0.0, -1.8]])
         assert np.allclose(coeff.at(pts), [2.0, 2.0, 1.0, 1.0])
-        assert np.allclose(coeff.abar_at(pts), [1.0, 1.0, 2.0, 2.0])
+        # the weight takes the coefficient of the opposite side
+        w = wt.build_weight(coeff.layout, (0.0, 0.0), 2.0, 1.0)
+        assert np.allclose(w._abar(w.side_of(pts)), [1.0, 1.0, 2.0, 2.0])
 
     def test_positivity_required(self):
         layout = unit_disk_layout()

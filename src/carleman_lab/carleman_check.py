@@ -43,13 +43,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .pde_solver import (
+    CoefficientOnGrid,
     Grid2D,
     SolverError,
     SpaceTimeField,
-    _assemble_flux_matrix,
+    _OnGrid,
     extend_time,
     solve_forward,
-    trace_operator,
 )
 from .weight import (
     CarlemanParams,
@@ -143,44 +143,6 @@ def _spatial_gradient(w):
         return w.gradient
     field = _as_field(w)
     return np.gradient(field.values, field.grid.h, axis=(1, 2), edge_order=2)
-
-
-class _OnGrid:
-    """Field-independent data of one object on one grid, built on first use.
-
-    Instances belong to the caller that creates them; ``of`` reuses one
-    built for the same grid object and builds a fresh one otherwise, so
-    data built for one grid is never served for another.
-    """
-
-    def __init__(self, source, grid: Grid2D):
-        self.source = source
-        self.grid = grid
-
-    @classmethod
-    def of(cls, obj, grid: Grid2D):
-        if isinstance(obj, cls):
-            if obj.grid is grid:
-                return obj
-            obj = obj.source
-        return cls(obj, grid)
-
-
-class CoefficientOnGrid(_OnGrid):
-    """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
-    the boundary trace operator (points, normals, weights, C)."""
-
-    @cached_property
-    def at_nodes(self) -> np.ndarray:
-        return self.source.at(self.grid.points.reshape(-1, 2))
-
-    @cached_property
-    def flux(self) -> tuple:
-        return _assemble_flux_matrix(self.grid, self.source)
-
-    @cached_property
-    def trace(self) -> tuple:
-        return trace_operator(self.grid, self.source)
 
 
 class WeightOnGrid(_OnGrid):
@@ -708,6 +670,7 @@ def build_test_suite(
         delta_t = T / 64.0
     t_max = T - delta_t
     rng = np.random.default_rng(seed)
+    on_grid = CoefficientOnGrid.of(coeff, grid)  # one flux matrix for all solves
     pts = grid.points
     interface = grid.layout.interface
     cx, cy = interface.center
@@ -725,7 +688,7 @@ def build_test_suite(
         amp = rng.uniform(0.5, 1.5)
         r2 = (pts[..., 0] - c[0]) ** 2 + (pts[..., 1] - c[1]) ** 2
         y0 = 1j * amp * np.exp(-r2 / width**2)
-        fwd = solve_forward(grid, coeff, q, y0, 0.0, t_max, n_steps)
+        fwd = solve_forward(grid, on_grid, q, y0, 0.0, t_max, n_steps)
         fields.append(extend_time(fwd, "real_R0", kind="solution"))
     times = np.linspace(-t_max, t_max, 2 * n_steps + 1)
     for _ in range(n_manufactured):

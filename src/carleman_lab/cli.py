@@ -344,7 +344,7 @@ def run_stability(cfg, out_dir: Path) -> int:
         xs = [r.trace_distance for r in finite]
         ys = [r.potential_distance for r in finite]
         slope = intercept = None
-        if len(finite) >= 2:
+        if np.isfinite(sweep.loglog_slope):
             slope, intercept = np.polyfit(np.log10(xs), np.log10(ys), 1)
         label = "certified" if sweep.certified else "uncertified"
         outputs.write_svg(

@@ -42,7 +42,7 @@ Schema (all keys shown; optional ones may be omitted):
     noise = FLOAT          relative trace noise level
     q0 = PROFILE           initial guess for reconstruction
     r_lower = FLOAT        lower bound required of |y0|
-    q_bound = FLOAT        sup-norm box for potentials (inf allowed)
+    q_bound = FLOAT        sup-norm box for potentials, >= 0 (inf: no box)
 
     [output]
     directory = PATH
@@ -431,6 +431,11 @@ def load_config(path) -> ExperimentConfig:
         q_bound = float(q_bound_raw)
     except ValueError:
         raise ConfigError(f"inverse.q_bound: not a number: {q_bound_raw!r}") from None
+    # inf switches the box off; nan would switch it off silently
+    if not q_bound >= 0.0:
+        raise ConfigError(
+            f"inverse.q_bound: must be nonnegative or inf, got {q_bound_raw!r}"
+        )
     inverse = InverseBlock(
         beta=isec.floatval("beta", default=1e-6),
         max_iter=isec.intval("max_iter", default=100, minimum=0),

@@ -32,12 +32,12 @@ import numpy as np
 
 from .pde_solver import (
     BoundaryTrace,
+    CoefficientOnGrid,
     Grid2D,
     SchrodingerOperator,
     h1l2_boundary_norm,
     neumann_trace,
     solve_forward,
-    trace_operator,
 )
 from .weight import PiecewiseCoefficient, build_weight, verify_hypotheses
 
@@ -61,9 +61,27 @@ class StalledReconstruction(Exception):
 # problem instances
 
 
+class InstanceOnGrid(CoefficientOnGrid):
+    """The instance coefficient's grid data plus one slot for the forward
+    solve of the last line-search trial.
+
+    ``last`` is None or (a copy of the trial potential, its operator with
+    the LU, its field, its conormal trace).  The copy, not the caller's
+    array, is the key, so a potential changed in place since is a miss.
+    """
+
+    def __init__(self, coeff: PiecewiseCoefficient, grid: Grid2D):
+        super().__init__(coeff, grid)
+        self.last = None
+
+
 @dataclass(frozen=True, eq=False)
 class InverseProblemInstance:
-    """One synthetic measurement: geometry, true potential, and its trace."""
+    """One synthetic measurement: geometry, true potential, and its trace.
+
+    on_grid holds the flux and trace stencils of coeff on grid, built once
+    for every solve on the instance.
+    """
 
     grid: Grid2D
     coeff: PiecewiseCoefficient
@@ -80,6 +98,7 @@ class InverseProblemInstance:
     y0_imaginary: bool
     p_inf: float
     q_bound: float
+    on_grid: InstanceOnGrid
 
 
 def _on_grid(grid: Grid2D, data, dtype=float, name="field") -> np.ndarray:
@@ -148,9 +167,10 @@ def make_instance(
                 f"Dirichlet data at t=0 differs from y0 on the rim by {gap:.3e}"
             )
 
-    field = solve_forward(grid, coeff, p_full, y0_full, 0.0, T, n_steps,
+    on_grid = InstanceOnGrid(coeff, grid)
+    field = solve_forward(grid, on_grid, p_full, y0_full, 0.0, T, n_steps,
                           boundary=boundary)
-    clean = neumann_trace(field, coeff)
+    clean = neumann_trace(field, on_grid)
     data = clean
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
@@ -164,7 +184,7 @@ def make_instance(
         T=float(T), n_steps=int(n_steps), data=data, clean_data=clean,
         noise_level=float(noise_level), seed=int(seed), r_lower=float(r_lower),
         y0_imaginary=y0_imaginary, p_inf=float(np.max(np.abs(p_full))),
-        q_bound=float(q_bound),
+        q_bound=float(q_bound), on_grid=on_grid,
     )
 
 
@@ -208,12 +228,28 @@ def _check_q(q, instance: InverseProblemInstance) -> np.ndarray:
     return q
 
 
-def _forward_field(q: np.ndarray, instance: InverseProblemInstance,
-                   operator: Optional[SchrodingerOperator] = None):
-    return solve_forward(
-        instance.grid, instance.coeff, q, instance.y0, 0.0, instance.T,
-        instance.n_steps, boundary=instance.boundary, operator=operator,
+def _forward(q: np.ndarray, instance: InverseProblemInstance, keep: bool):
+    """(operator, field, trace) of the forward solve at a checked q.
+
+    Served from the instance's slot when q equals the stored potential bit
+    for bit.  Otherwise the slot is emptied before the new factorization,
+    so at most one LU and one field are alive while it is built, and the
+    new solve is stored when keep is set.
+    """
+    on_grid = instance.on_grid
+    if on_grid.last is not None and on_grid.last[0].tobytes() == q.tobytes():
+        return on_grid.last[1:]
+    on_grid.last = None  # the only reference: this frees the old LU and field
+    op = SchrodingerOperator(instance.grid, on_grid, q,
+                             instance.T / instance.n_steps)
+    field = solve_forward(
+        instance.grid, on_grid, q, instance.y0, 0.0, instance.T,
+        instance.n_steps, boundary=instance.boundary, operator=op,
     )
+    trace = neumann_trace(field, on_grid)
+    if keep:
+        on_grid.last = (q.copy(), op, field, trace)
+    return op, field, trace
 
 
 def _data_misfit(trace: BoundaryTrace, data: BoundaryTrace) -> float:
@@ -231,10 +267,13 @@ def _regularizer(q, q_ref, beta, h):
 def misfit(q, instance: InverseProblemInstance, beta: float = 0.0,
            q_ref=None) -> float:
     """0.5 ||a2 dnu y(q) - d||^2 in discrete H1(0,T; L2 boundary) plus
-    0.5 beta ||q - q_ref||^2 in discrete L2 over the grid."""
+    0.5 beta ||q - q_ref||^2 in discrete L2 over the grid.
+
+    The solve is kept on the instance, so a misfit_and_gradient at the
+    same q (the accepted line-search trial) does not repeat it."""
     q = _check_q(q, instance)
     ref = np.zeros(instance.grid.shape) if q_ref is None else np.asarray(q_ref, float)
-    tr = neumann_trace(_forward_field(q, instance), instance.coeff)
+    _, _, tr = _forward(q, instance, keep=True)
     return _data_misfit(tr, instance.data) + _regularizer(
         q, ref, beta, instance.grid.h
     )
@@ -267,7 +306,8 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     """Return (value, gradient) of the misfit at q.
 
     One forward solve and one adjoint solve sharing a single LU
-    factorization.  The gradient is with respect to the nodal values of q
+    factorization; the forward solve is the last misfit's when that was
+    at the same q.  The gradient is with respect to the nodal values of q
     under the discrete L2 pairing sum_j grad_j delta_j (plain sum, so it
     feeds finite-difference checks directly).
     """
@@ -275,9 +315,7 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     grid = instance.grid
     ref = np.zeros(grid.shape) if q_ref is None else np.asarray(q_ref, float)
     dt = instance.T / instance.n_steps
-    op = SchrodingerOperator(grid, instance.coeff, q, dt)
-    field = _forward_field(q, instance, operator=op)
-    tr = neumann_trace(field, instance.coeff)
+    op, field, tr = _forward(q, instance, keep=False)
     value = _data_misfit(tr, instance.data) + _regularizer(q, ref, beta, grid.h)
 
     # derivative of the trace functional with respect to each time slice
@@ -288,7 +326,7 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     rdot = D @ residual
     z = tau[:, None] * residual + D.T @ (tau[:, None] * rdot)
     z = z * tr.weights[None, :]
-    _, _, _, C = trace_operator(grid, instance.coeff)
+    _, _, _, C = instance.on_grid.trace
     C_int = C[:, grid.interior_ids]
     rho = (C_int.T @ z.T).T                              # (nt, n_interior)
 
@@ -482,7 +520,7 @@ def trace_distance(instance: InverseProblemInstance, q) -> float:
     """Discrete H1(0,T; L2 boundary) distance between the conormal trace
     of y(q) and the noiseless trace of the true potential."""
     q = _check_q(q, instance)
-    tr = neumann_trace(_forward_field(q, instance), instance.coeff)
+    _, _, tr = _forward(q, instance, keep=False)
     diff = dataclasses.replace(tr, values=tr.values - instance.clean_data.values)
     return h1l2_boundary_norm(diff)
 
@@ -552,7 +590,10 @@ def stability_sweep(
 
     Zero-amplitude perturbations are skipped (both distances vanish, the
     ratio is undefined).  Perturbed potentials are clipped to the
-    instance sup-norm bound when one is configured.
+    instance sup-norm bound when one is configured.  The log-log slope is
+    nan when the finite records have fewer than two distinct trace
+    distances (a tight bound can clip every perturbation to one
+    potential): no line is fitted to a single point.
     """
     if n_perturbations < 0:
         raise ValueError("n_perturbations must be nonnegative")
@@ -593,7 +634,7 @@ def stability_sweep(
         empirical_C = max(r.ratio for r in records)
     else:
         empirical_C = float("nan")
-    if len(finite) >= 2:
+    if len({r.trace_distance for r in finite}) >= 2:
         slope = float(np.polyfit(
             np.log([r.trace_distance for r in finite]),
             np.log([r.potential_distance for r in finite]),

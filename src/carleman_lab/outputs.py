@@ -8,19 +8,21 @@ mapping under ``"_meta"``; SVG carries it in a leading XML comment.
 
 Forward solves are cached as ``cache/forward-<hash16>.npz`` inside the
 output directory; the stored hash is checked on load so a stale cache
-is never silently reused.
+is never silently reused, and a file that cannot be read back is a miss,
+recomputed and overwritten like any other.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .pde_solver import Grid2D, SpaceTimeField
+from .pde_solver import Grid2D, SolverError, SpaceTimeField
 
 
 def make_meta(cfg_hash: str, subcommand: str, **extra) -> dict:
@@ -110,14 +112,18 @@ def save_field_cache(path, field: SpaceTimeField, key: str) -> Path:
 
 
 def load_field_cache(path, grid: Grid2D, key: str) -> Optional[SpaceTimeField]:
+    """The cached field, or None on a miss: no file, another key, or a file
+    that does not read back as a field on this grid."""
     path = Path(path)
     if not path.exists():
         return None
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["key"]) != key:
-            return None
-        times = data["times"]
-        values = data["values"]
-    if values.shape[1:] != grid.shape:
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["key"]) != key:
+                return None
+            times = data["times"]
+            values = data["values"]
+        return SpaceTimeField(grid=grid, times=times, values=values)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+            SolverError):
         return None
-    return SpaceTimeField(grid=grid, times=times, values=values)

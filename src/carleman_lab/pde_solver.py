@@ -218,6 +218,53 @@ def _assemble_flux_matrix(grid: Grid2D, coeff: PiecewiseCoefficient):
     return k_int.tocsr(), k_bnd.tocsr()
 
 
+class _OnGrid:
+    """Field-independent data of one object on one grid, built on first use.
+
+    Instances belong to the caller that creates them; ``of`` reuses one
+    built for the same grid object and builds a fresh one otherwise, so
+    data built for one grid is never served for another.
+    """
+
+    def __init__(self, source, grid: Grid2D):
+        self.source = source
+        self.grid = grid
+
+    @classmethod
+    def of(cls, obj, grid: Grid2D):
+        if isinstance(obj, cls):
+            if obj.grid is grid:
+                return obj
+            obj = obj.source
+        return cls(obj, grid)
+
+
+class CoefficientOnGrid(_OnGrid):
+    """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
+    the boundary trace operator (points, normals, weights, C).
+
+    SchrodingerOperator, the solves and neumann_trace take this form in
+    place of the plain coefficient; built once and passed along, it makes
+    the stencils once per grid instead of once per solve.  Nothing here
+    depends on the potential.
+    """
+
+    @cached_property
+    def at_nodes(self) -> np.ndarray:
+        return self.source.at(self.grid.points.reshape(-1, 2))
+
+    @cached_property
+    def flux(self) -> tuple:
+        return _assemble_flux_matrix(self.grid, self.source)
+
+    @cached_property
+    def trace(self) -> tuple:
+        return trace_operator(self.grid, self.source)
+
+
+Coefficient = Union[PiecewiseCoefficient, CoefficientOnGrid]
+
+
 class SchrodingerOperator:
     """Spatial operator plus the factored Cayley step for a fixed dt.
 
@@ -226,12 +273,13 @@ class SchrodingerOperator:
     and solve_minus inverts its conjugate transpose with the same LU.
     """
 
-    def __init__(self, grid: Grid2D, coeff: PiecewiseCoefficient,
+    def __init__(self, grid: Grid2D, coeff: Coefficient,
                  potential: ArrayLike, dt: float):
         if dt <= 0.0:
             raise InvalidStep("dt must be positive")
+        on_grid = CoefficientOnGrid.of(coeff, grid)
         self.grid = grid
-        self.coeff = coeff
+        self.coeff = on_grid.source
         self.dt = float(dt)
         p_full = _eval_on(grid.points.reshape(-1, 2), potential)
         if callable(potential):
@@ -242,7 +290,7 @@ class SchrodingerOperator:
                 f"potential shape {p_full.shape} does not match grid {grid.shape}"
             )
         self.potential = p_full
-        self.k_int, self.k_bnd = _assemble_flux_matrix(grid, coeff)
+        self.k_int, self.k_bnd = on_grid.flux
         p_int = grid.gather_interior(p_full)
         self.a_matrix = (self.k_int + sparse.diags(p_int)).tocsr()
         n = self.a_matrix.shape[0]
@@ -307,7 +355,7 @@ class SpaceTimeField:
 
 def solve_forward(
     grid: Grid2D,
-    coeff: PiecewiseCoefficient,
+    coeff: Coefficient,
     potential: ArrayLike,
     y0: ArrayLike,
     t0: float,
@@ -361,7 +409,7 @@ def solve_forward(
 
 def solve_linearized(
     grid: Grid2D,
-    coeff: PiecewiseCoefficient,
+    coeff: Coefficient,
     potential: ArrayLike,
     f: ArrayLike,
     r: Callable,
@@ -391,7 +439,7 @@ def solve_linearized(
 
 def solve_time_derivative(
     grid: Grid2D,
-    coeff: PiecewiseCoefficient,
+    coeff: Coefficient,
     potential: ArrayLike,
     f: ArrayLike,
     r_prime: Callable,
@@ -544,10 +592,10 @@ def trace_operator(grid: Grid2D, coeff: PiecewiseCoefficient):
     return pts, normals, weights, C
 
 
-def neumann_trace(field: SpaceTimeField, coeff: PiecewiseCoefficient) -> BoundaryTrace:
+def neumann_trace(field: SpaceTimeField, coeff: Coefficient) -> BoundaryTrace:
     if field.nt < 3:
         raise InvalidTrace("trace extraction needs at least 3 time levels")
-    pts, normals, weights, C = trace_operator(field.grid, coeff)
+    pts, normals, weights, C = CoefficientOnGrid.of(coeff, field.grid).trace
     flat = field.values.reshape(field.nt, -1)
     values = (C @ flat.T).T
     return BoundaryTrace(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, caching, determinism."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -120,6 +121,16 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
+    @pytest.mark.parametrize("subcommand", ["invert", "stability"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_q_bound_names_its_key(self, tmp_path, capsys,
+                                           subcommand, value):
+        cfg = write_cfg(tmp_path, r_lower=f"0.5\nq_bound = {value}")
+        code = cli.main([subcommand, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: inverse.q_bound:")
+
     def test_negative_n_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         code = cli.main(["stability", "--config", str(cfg), "--n", "-2"])
@@ -213,6 +224,21 @@ class TestSolveForward:
                          "--output-dir", str(out)]) == 0
         doc = load_json(out / "forward_summary.json")
         assert doc["cached"] is False  # different forward hash, fresh solve
+
+    def test_corrupt_cache_is_recomputed(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        argv = ["solve-forward", "--config", str(cfg), "--output-dir", str(out)]
+        assert cli.main(argv) == 0
+        first = load_json(out / "forward_summary.json")
+        (cache,) = (out / "cache").glob("forward-*.npz")
+        cache.write_bytes(b"garbage" * 100)
+
+        assert cli.main(argv) == 0
+        assert load_json(out / "forward_summary.json") == first  # cached=False
+        assert cli.main(argv) == 0  # the rewritten file serves the next run
+        assert load_json(out / "forward_summary.json")["cached"] is True
+        assert "config error" not in capsys.readouterr().err
 
 
 class TestOutputResolution:
@@ -312,6 +338,24 @@ class TestStability:
         assert len(lines) == 4 + 1 + 2  # meta comments, header, two records
         svg = (out / "stability_scatter.svg").read_text()
         ET.fromstring(svg[svg.index("<svg"):])
+
+    def test_clipped_records_report_no_slope(self, tmp_path, capsys):
+        # q_bound = 0 clips every perturbed potential to zero, so all
+        # records coincide and there is no line to fit through them
+        cfg = write_cfg(tmp_path, r_lower="0.5\nq_bound = 0")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["stability", "--config", str(cfg),
+                             "--output-dir", str(out)])
+        assert code == 0
+        assert caught == []
+        assert "slope=nan" in capsys.readouterr().out
+        rows = (out / "stability_records.csv").read_text().splitlines()[5:]
+        assert len(rows) == 3 and len({r.split(",", 1)[1] for r in rows}) == 1
+        assert load_json(out / "stability_summary.json")["loglog_slope"] == "nan"
+        svg = (out / "stability_scatter.svg").read_text()
+        assert "<polyline" not in svg and "slope" not in svg
 
     def test_negative_control_reports_uncertified(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, a1="1.0", a2="2.0")

@@ -152,11 +152,21 @@ class TestErrors:
             ("noise = -0.1", "inverse.noise"),
             ("beta = -1.0", "inverse.beta"),
             ("q_bound = lots", "inverse.q_bound"),
+            ("q_bound = nan", "inverse.q_bound"),
+            ("q_bound = -1", "inverse.q_bound"),
+            ("q_bound = -inf", "inverse.q_bound"),
         ]:
             text = BASE + f"\n[inverse]\n{extra}\n"
             with pytest.raises(ConfigError) as err:
                 cfgmod.load_config(write_config(tmp_path, text))
             assert str(err.value).startswith(path)
+
+    @pytest.mark.parametrize("value, expected", [("inf", np.inf), ("0", 0.0),
+                                                 ("2.5", 2.5)])
+    def test_q_bound_accepts_inf_and_zero(self, tmp_path, value, expected):
+        text = BASE + f"\n[inverse]\nq_bound = {value}\n"
+        cfg = cfgmod.load_config(write_config(tmp_path, text))
+        assert cfg.inverse.q_bound == expected
 
     def test_unparseable_ini(self, tmp_path):
         with pytest.raises(ConfigError, match="not parseable"):

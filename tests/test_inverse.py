@@ -10,6 +10,9 @@ Oracles:
     log-log axes, local linearity of the measurement map).
 """
 
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -279,7 +282,92 @@ class TestReconstruct:
         assert errors[0.01] <= 0.12
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSolveReuse:
+    """Stencils are built once per instance, and the gradient at the
+    accepted line-search trial reuses that trial's solve."""
+
+    def test_stencils_built_once_per_instance(self, monkeypatch):
+        flux = count_calls(monkeypatch, pde, "_assemble_flux_matrix")
+        trace = count_calls(monkeypatch, pde, "trace_operator")
+        inst = make_instance()
+        res = inv.reconstruct(inst, inst.p_true - 0.2, beta=1e-6, max_iter=4)
+        assert res.iterations == 4
+        assert len(flux) == 1 and len(trace) == 1
+
+    def test_one_operator_per_trial_plus_the_start(self, monkeypatch):
+        inst = make_instance()
+        ops = count_calls(monkeypatch, pde.SchrodingerOperator, "__init__")
+        trials = count_calls(monkeypatch, inv, "misfit")
+        res = inv.reconstruct(inst, inst.p_true - 0.2, beta=1e-6, max_iter=8)
+        assert res.iterations == 8
+        assert len(trials) > res.iterations  # some trials backtracked
+        assert len(ops) == 1 + len(trials)
+
+    def test_stored_solve_released_before_the_next_factorization(
+            self, monkeypatch):
+        # the LU lives outside Python's heap: two alive at once raise the
+        # peak resident memory of a reconstruction
+        inst = make_instance()
+        q = inst.p_true + 0.1
+        inv.misfit(q, inst)
+        inv.misfit_and_gradient(q, inst)  # served from the stored solve
+        stored = weakref.ref(inst.on_grid.last[1])
+        alive = []
+        init = pde.SchrodingerOperator.__init__
+
+        def checked(self, *args, **kwargs):
+            alive.append(stored() is not None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pde.SchrodingerOperator, "__init__", checked)
+        inv.misfit(q + 0.1, inst)
+        assert alive == [False]
+
+    def gradients(self, mutate):
+        inst, fresh = make_instance(), make_instance()
+        q = inst.p_true + 0.3 * smooth_direction(inst.grid, 5)
+        ref = np.zeros(inst.grid.shape)
+        inv.misfit(q, inst, beta=1e-3, q_ref=ref)
+        if mutate:
+            q += 0.1 * smooth_direction(inst.grid, 6)  # same array, new values
+        got = inv.misfit_and_gradient(q, inst, beta=1e-3, q_ref=ref)
+        want = inv.misfit_and_gradient(q, fresh, beta=1e-3, q_ref=ref)
+        return got, want
+
+    @pytest.mark.parametrize("mutate", [False, True])
+    def test_gradient_after_misfit_equals_a_fresh_instance(self, monkeypatch,
+                                                           mutate):
+        ops = count_calls(monkeypatch, pde.SchrodingerOperator, "__init__")
+        (v_got, g_got), (v_want, g_want) = self.gradients(mutate)
+        # two instances, one trial, then one solve per gradient unless the
+        # trial's was reused
+        assert len(ops) == 2 + 1 + (2 if mutate else 1)
+        assert v_got == v_want
+        assert np.array_equal(g_got, g_want)
+
+
 class TestStability:
+    def test_clipped_records_give_no_slope(self):
+        inst = make_instance(nx=13, n_steps=8, q_bound=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = inv.stability_sweep(inst, n_perturbations=3, seed=3)
+        assert len({r.trace_distance for r in out.records}) == 1
+        assert np.isnan(out.loglog_slope)
+
     def test_sweep_structure_and_slope(self):
         inst = make_instance(nx=17, n_steps=12)
         out = inv.stability_sweep(

@@ -4,6 +4,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from carleman_lab import geometry as geo
 from carleman_lab import outputs, svgplot
@@ -132,3 +133,19 @@ class TestCache:
         outputs.save_field_cache(path, field, "c" * 64)
         other = pde.Grid2D.from_layout(grid.layout, 11)
         assert outputs.load_field_cache(path, other, "c" * 64) is None
+
+    @pytest.mark.parametrize("damage", ["garbage", "empty", "truncated",
+                                        "missing_array"])
+    def test_unreadable_file_is_a_miss(self, tmp_path, damage):
+        grid, field = small_field()
+        path = outputs.cache_path(tmp_path, "d" * 64)
+        outputs.save_field_cache(path, field, "d" * 64)
+        if damage == "garbage":
+            path.write_bytes(b"not a cache file\n" * 8)
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:200])
+        else:
+            np.savez_compressed(path, times=field.times, key=np.array("d" * 64))
+        assert outputs.load_field_cache(path, grid, "d" * 64) is None

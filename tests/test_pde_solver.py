@@ -148,6 +148,24 @@ class TestOperator:
         rhs = np.vdot(u, self.op.apply_minus(v))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_on_grid_coefficient_shares_stencils_and_bits(self):
+        on_grid = pde.CoefficientOnGrid(self.coeff, self.grid)
+        ops = [pde.SchrodingerOperator(self.grid, on_grid, self.potential, 0.01)
+               for _ in range(2)]
+        assert ops[0].k_int is ops[1].k_int is on_grid.flux[0]
+        assert ops[0].coeff is self.coeff
+        y0 = bump_ic(self.grid.points).astype(complex)
+        fields = [
+            pde.solve_forward(self.grid, c, self.potential, y0, 0.0, 0.04, 4)
+            for c in (self.coeff, on_grid)
+        ]
+        assert np.array_equal(fields[0].values, fields[1].values)
+        traces = [pde.neumann_trace(fields[1], c) for c in (self.coeff, on_grid)]
+        assert np.array_equal(traces[0].values, traces[1].values)
+        # a form built for another grid is rebuilt, never served
+        other = pde.Grid2D.from_layout(self.layout, 17)
+        assert pde.CoefficientOnGrid.of(on_grid, other).grid is other
+
     def test_validation(self):
         with pytest.raises(pde.InvalidStep):
             pde.SchrodingerOperator(self.grid, self.coeff, self.potential, dt=0.0)

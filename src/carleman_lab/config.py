@@ -179,10 +179,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def forward_hash(cfg: ExperimentConfig) -> str:
-    """Hash of only the blocks a forward solve depends on."""
+    """Hash of only the keys a forward solve depends on: the physics block
+    and the domain, not the weight centres x0, x1, x2."""
     flat = cfg.flat()
-    keys = [k for k in sorted(flat)
-            if k.startswith("geometry.") or k.startswith("physics.")]
+    keys = [k for k in sorted(flat) if k.startswith("physics.")
+            or k in ("geometry.outer", "geometry.interface")]
     text = "\n".join(f"{k}={flat[k]}" for k in keys)
     return hashlib.sha256(text.encode()).hexdigest()
 

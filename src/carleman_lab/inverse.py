@@ -351,7 +351,7 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
 # reconstruction
 
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
-GRAD_TOL = 1e-10  # stop once |grad| <= GRAD_TOL * max(1, initial misfit)
+GRAD_RTOL = 1e-4  # stop once |grad| <= GRAD_RTOL * |grad| at the initial guess
 
 
 @dataclass(frozen=True)
@@ -403,8 +403,8 @@ def reconstruct(
     |grad|^2, later ones from the Barzilai-Borwein step of the last accepted
     pair of iterates (the last accepted step when that pair shows no
     positive curvature); each halves its step up to max_backtracks times
-    until the ARMIJO decrease holds.  Stops when |grad| falls below
-    GRAD_TOL (relative to the initial misfit) or after max_iter steps.
+    until the ARMIJO decrease holds.  Stops when |grad| has fallen to
+    GRAD_RTOL times its value at q0, or after max_iter steps.
     Returns a ReconstructionResult, or a StalledReconstruction instance
     (an Exception, returned rather than raised) when no acceptable step
     exists; the partial result rides along in its .result attribute.
@@ -417,7 +417,7 @@ def reconstruct(
     value, grad = misfit_and_gradient(q, instance, beta, ref)
     initial = value
     gnorm = float(np.linalg.norm(grad))
-    floor = GRAD_TOL * max(1.0, initial)
+    floor = GRAD_RTOL * gnorm
 
     def result(iterations, reason, converged):
         return ReconstructionResult(
@@ -427,7 +427,7 @@ def reconstruct(
             grad_norm=gnorm, converged=converged, stop_reason=reason,
         )
 
-    if gnorm <= floor or initial == 0.0:
+    if gnorm == 0.0 or initial == 0.0:
         return result(0, "gradient below tolerance at the initial guess", True)
 
     step = value / (gnorm * gnorm)          # linear-model scale

@@ -5,16 +5,19 @@ version.  Nothing time- or host-dependent goes into the files, so a
 fixed config and seed reproduce them byte for byte.  CSV uses ``#
 key=value`` comment lines before the column header; JSON nests the same
 mapping under ``"_meta"``; SVG carries it in a leading XML comment.
+Each file is written to a temporary file beside it and moved into place,
+so a failed write leaves the previous file as it was.
 
 Forward solves are cached as ``cache/forward-<hash16>.npz`` inside the
-output directory; the stored hash is checked on load so a stale cache
-is never silently reused, and a file that cannot be read back is a miss,
-recomputed and overwritten like any other.
+output directory; the stored hash and package version are checked on
+load so a stale cache is never silently reused, and a file that cannot
+be read back is a miss, recomputed and overwritten like any other.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from pathlib import Path
 from typing import Optional
@@ -43,15 +46,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, meta: dict, columns, rows) -> Path:
+def _write_atomic(path, write) -> Path:
+    """Call write(f) on a new binary file beside path, then move that file
+    onto path; on any failure the file is removed and path is untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _write_text(path, text: str) -> Path:
+    data = text.encode()
+    return _write_atomic(path, lambda f: f.write(data))
+
+
+def write_csv(path, meta: dict, columns, rows) -> Path:
     lines = [f"# {key}={_fmt(val)}" for key, val in meta.items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def jsonable(value):
@@ -76,21 +97,16 @@ def jsonable(value):
 
 
 def write_json(path, meta: dict, payload: dict) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = dict(jsonable(payload))
     doc["_meta"] = jsonable(meta)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
+    return _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_svg(path, meta: dict, svg_text: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     comment = " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
-    body = svg_text.replace("<svg", f"<!-- {comment} -->\n<svg", 1)
-    path.write_text(body)
-    return path
+    return _write_text(
+        path, svg_text.replace("<svg", f"<!-- {comment} -->\n<svg", 1)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -102,24 +118,21 @@ def cache_path(output_dir, key: str) -> Path:
 
 
 def save_field_cache(path, field: SpaceTimeField, key: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path, times=field.times, values=field.values,
+    return _write_atomic(path, lambda f: np.savez_compressed(
+        f, times=field.times, values=field.values,
         key=np.array(key), version=np.array(__version__),
-    )
-    return path
+    ))
 
 
 def load_field_cache(path, grid: Grid2D, key: str) -> Optional[SpaceTimeField]:
-    """The cached field, or None on a miss: no file, another key, or a file
-    that does not read back as a field on this grid."""
+    """The cached field, or None on a miss: no file, another key or package
+    version, or a file that does not read back as a field on this grid."""
     path = Path(path)
     if not path.exists():
         return None
     try:
         with np.load(path, allow_pickle=False) as data:
-            if str(data["key"]) != key:
+            if str(data["key"]) != key or str(data["version"]) != __version__:
                 return None
             times = data["times"]
             values = data["values"]

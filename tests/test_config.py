@@ -187,6 +187,20 @@ class TestHash:
         assert cfgmod.config_hash(base) != cfgmod.config_hash(tweaked)
         assert cfgmod.forward_hash(base) == cfgmod.forward_hash(tweaked)
 
+    def test_weight_centres_skip_forward_hash(self, tmp_path):
+        base = cfgmod.load_config(write_config(tmp_path))
+        text = BASE.replace("interface = disk 0.5\n",
+                            "interface = disk 0.5\nx1 = -0.2 0.1\n")
+        tweaked = cfgmod.load_config(write_config(tmp_path, text))
+        assert cfgmod.config_hash(base) != cfgmod.config_hash(tweaked)
+        assert cfgmod.forward_hash(base) == cfgmod.forward_hash(tweaked)
+
+    def test_domain_change_moves_forward_hash(self, tmp_path):
+        base = cfgmod.load_config(write_config(tmp_path))
+        text = amend(BASE, "interface = disk 0.5", "interface = disk 0.4")
+        tweaked = cfgmod.load_config(write_config(tmp_path, text))
+        assert cfgmod.forward_hash(base) != cfgmod.forward_hash(tweaked)
+
     def test_physics_change_moves_both_hashes(self, tmp_path):
         base = cfgmod.load_config(write_config(tmp_path))
         text = amend(BASE, "a2 = 1.0", "a2 = 1.5")

@@ -12,14 +12,20 @@ Oracles:
 
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from carleman_lab import cli
+from carleman_lab import config as cfgmod
 from carleman_lab import geometry as geo
 from carleman_lab import inverse as inv
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
+
+
+DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
 
 
 def make_layout(half=1.0, radius=0.5, n=64):
@@ -280,6 +286,39 @@ class TestReconstruct:
             errors[noise] = result.relative_error
         assert errors[0.0] <= 0.01
         assert errors[0.01] <= 0.12
+
+    @staticmethod
+    def default_run(y0_scale=1.0, beta_scale=1.0):
+        # the invert subcommand on configs/default.ini, optionally with y0
+        # and beta scaled
+        cfg = cfgmod.load_config(DEFAULT_INI)
+        inst = cli._build_instance(cfg)
+        if y0_scale != 1.0:
+            inst = inv.make_instance(
+                inst.grid, inst.coeff, inst.p_true, y0_scale * inst.y0,
+                inst.T, inst.n_steps, r_lower=inst.r_lower,
+            )
+        q0 = cfgmod.real_profile(cfg.inverse.q0, inst.grid)
+        return inv.reconstruct(inst, q0, beta=beta_scale * cfg.inverse.beta,
+                               max_iter=cfg.inverse.max_iter)
+
+    def test_default_config_stops_at_the_error_floor(self):
+        res = self.default_run()
+        assert res.stop_reason == "gradient below tolerance"
+        assert res.converged
+        assert res.iterations <= 25
+        assert abs(res.relative_error - 0.073574) <= 1e-5
+
+    def test_stop_is_relative_to_the_initial_gradient(self):
+        # y0 x2 and beta x4 scale misfit and gradient by exactly 4, so the
+        # iterates match bit for bit and only an absolute floor would move
+        # the stop
+        base = self.default_run()
+        scaled = self.default_run(y0_scale=2.0, beta_scale=4.0)
+        assert scaled.initial_misfit == 4.0 * base.initial_misfit
+        assert scaled.stop_reason == base.stop_reason == "gradient below tolerance"
+        assert scaled.iterations == base.iterations
+        assert scaled.relative_error == base.relative_error
 
 
 def count_calls(monkeypatch, owner, name):

@@ -1,5 +1,6 @@
 """Artifact writers: deterministic bytes, metadata, cache, and SVG shape."""
 
+import errno
 import json
 import xml.etree.ElementTree as ET
 
@@ -134,6 +135,13 @@ class TestCache:
         other = pde.Grid2D.from_layout(grid.layout, 11)
         assert outputs.load_field_cache(path, other, "c" * 64) is None
 
+    def test_other_version_is_a_miss(self, tmp_path, monkeypatch):
+        grid, field = small_field()
+        path = outputs.cache_path(tmp_path, "e" * 64)
+        outputs.save_field_cache(path, field, "e" * 64)
+        monkeypatch.setattr(outputs, "__version__", "0.0.0-other")
+        assert outputs.load_field_cache(path, grid, "e" * 64) is None
+
     @pytest.mark.parametrize("damage", ["garbage", "empty", "truncated",
                                         "missing_array"])
     def test_unreadable_file_is_a_miss(self, tmp_path, damage):
@@ -149,3 +157,55 @@ class TestCache:
         else:
             np.savez_compressed(path, times=field.times, key=np.array("d" * 64))
         assert outputs.load_field_cache(path, grid, "d" * 64) is None
+
+
+class _DiskFull:
+    """A file whose writes store half their bytes, then fail."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "csv": lambda path: outputs.write_csv(path, META, ("v",), [(1.0,)]),
+        "json": lambda path: outputs.write_json(path, META, {"v": 1.0}),
+        "svg": lambda path: outputs.write_svg(
+            path, META, svgplot.lines([("a", [1.0, 2.0], [1.0, 2.0])])),
+        "npz": lambda path: outputs.save_field_cache(
+            path, small_field()[1], "k" * 64),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                             kind):
+        path = tmp_path / f"artifact.{kind}"
+        path.write_bytes(b"previous contents\n")
+        monkeypatch.setattr(outputs, "open",
+                            lambda *a, **k: _DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            self.WRITERS[kind](path)
+        assert path.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_write_replaces_the_old_file(self, tmp_path, kind):
+        path = tmp_path / f"artifact.{kind}"
+        path.write_bytes(b"previous contents\n")
+        assert self.WRITERS[kind](path) == path
+        assert path.read_bytes() != b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -71,15 +71,6 @@ class InequalityViolation(Exception):
 
 
 @dataclass(frozen=True)
-class ConjugatedField:
-    """w = e^{-s phi} v together with the weight and parameters used."""
-
-    w: SpaceTimeField
-    weight: TransmissionWeight
-    params: CarlemanParams
-
-
-@dataclass(frozen=True)
 class CarlemanReport:
     """Both sides of the estimate for one field at one (s, lambda)."""
 
@@ -134,7 +125,7 @@ class _GradedField:
 
 
 def _as_field(w) -> SpaceTimeField:
-    return w.w if isinstance(w, (ConjugatedField, _GradedField)) else w
+    return w.w if isinstance(w, _GradedField) else w
 
 
 def _spatial_gradient(w):
@@ -248,15 +239,6 @@ def _conjugation_factors(
     return f
 
 
-def conjugate(
-    v: SpaceTimeField, weight: TransmissionWeight, params: CarlemanParams
-) -> ConjugatedField:
-    """w = e^{-s phi} v pointwise on the clamped time interval."""
-    fac = _conjugation_factors(weight, params, v.grid, v.times)
-    w = SpaceTimeField(grid=v.grid, times=v.times, values=v.values * fac)
-    return ConjugatedField(w=w, weight=weight, params=params)
-
-
 def _apply_flux(grid: Grid2D, k_int, k_bnd, values: np.ndarray) -> np.ndarray:
     """div(a grad .) slice by slice; boundary rows are zero."""
     nt = values.shape[0]
@@ -363,25 +345,14 @@ def apply_P2(
     return SpaceTimeField(grid=grid, times=field.times, values=out)
 
 
-def weighted_norm_sq(
-    w,
-    weight,
-    params: CarlemanParams,
-    region: Optional[np.ndarray] = None,
-) -> float:
-    """s^3 lam^4 int theta^3 |w|^2 + s lam int theta |grad w|^2 over region.
-
-    region is a boolean node mask (None means the whole rectangle); the
-    value is additive over disjoint region partitions because the mask
-    weights a fixed trapezoidal quadrature.
-    """
+def weighted_norm_sq(w, weight, params: CarlemanParams) -> float:
+    """s^3 lam^4 int theta^3 |w|^2 + s lam int theta |grad w|^2 over the
+    rectangle, by the trapezoidal rule in space and time."""
     field = _as_field(w)
     grid = field.grid
     psi = WeightOnGrid.of(weight, grid).psi.reshape(grid.shape)
     e_lp = np.exp(params.lam * psi)
     cell = _cell_weights(grid)
-    if region is not None:
-        cell = cell * np.asarray(region, dtype=float)
     tau = _time_factor(params, field.times)
     vals = field.values
     theta = e_lp * tau[:, None, None]
@@ -689,7 +660,7 @@ def build_test_suite(
         r2 = (pts[..., 0] - c[0]) ** 2 + (pts[..., 1] - c[1]) ** 2
         y0 = 1j * amp * np.exp(-r2 / width**2)
         fwd = solve_forward(grid, on_grid, q, y0, 0.0, t_max, n_steps)
-        fields.append(extend_time(fwd, "real_R0", kind="solution"))
+        fields.append(extend_time(fwd))
     times = np.linspace(-t_max, t_max, 2 * n_steps + 1)
     for _ in range(n_manufactured):
         c = (

@@ -79,6 +79,12 @@ def _build_instance(cfg):
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
+    lo = float(np.min(np.abs(y0)))
+    if lo < cfg.inverse.r_lower:
+        raise ConfigError(
+            f"inverse.r_lower: initial state must satisfy min|y0| >= "
+            f"{cfg.inverse.r_lower}, got {lo:.3e}"
+        )
     return inv.make_instance(
         grid, coeff, p, y0, cfg.physics.T, cfg.physics.n_steps,
         boundary=_boundary_from_spec(cfg, grid),
@@ -118,12 +124,17 @@ def _effective_m2(cfg) -> float:
 
 def run_weight_verify(cfg, out_dir: Path) -> int:
     layout = cfgmod.build_layout(cfg)
-    w = wt.build_weight(
-        layout, cfg.geometry.x0, cfg.physics.a1, cfg.physics.a2,
-        M2=_effective_m2(cfg),
-        cutoff_radii=cfg.carleman.cutoff,
-        enforce_jump_sign=False,
-    )
+    try:
+        w = wt.build_weight(
+            layout, cfg.geometry.x0, cfg.physics.a1, cfg.physics.a2,
+            M2=_effective_m2(cfg),
+            cutoff_radii=cfg.carleman.cutoff,
+            enforce_jump_sign=False,
+        )
+    except wt.CutoffError as exc:
+        raise ConfigError(f"carleman.cutoff: {exc}") from None
+    except geo.GeometryError as exc:
+        raise ConfigError(f"geometry.x0: {exc}") from None
     report = wt.verify_hypotheses(w, grid_resolution=128)
     payload = report.as_dict()
     meta = outputs.make_meta(cfgmod.config_hash(cfg), "weight-verify")
@@ -285,6 +296,10 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
 def run_invert(cfg, out_dir: Path) -> int:
     instance = _build_instance(cfg)
     q0 = cfgmod.real_profile(cfg.inverse.q0, instance.grid)
+    try:
+        inv._check_q(q0, instance)
+    except ValueError as exc:
+        raise ConfigError(f"inverse.q0: {exc}") from None
     res = inv.reconstruct(
         instance, q0, beta=cfg.inverse.beta, max_iter=cfg.inverse.max_iter
     )

@@ -5,7 +5,7 @@ into geometry, grids, and field profiles.
 Schema (all keys shown; optional ones may be omitted):
 
     [geometry]
-    outer     = rect XMIN XMAX YMIN YMAX   | disk CX CY R
+    outer     = rect XMIN XMAX YMIN YMAX   (the outer domain is a rectangle)
     interface = disk R [CX CY]             | fourier C0 K:EPS[,K:EPS...] [CX CY]
     x0        = X Y        weight center for single-weight operations
     x1        = X Y        epsilon-pair centers for the sweep
@@ -27,18 +27,18 @@ Schema (all keys shown; optional ones may be omitted):
     lambda  = FLOAT...     list of lambda values
     M2      = FLOAT        outer weight offset
     delta_t = FLOAT        weight time margin; default T/64
-    cutoff  = R1 R2        optional dead-zone radii
+    cutoff  = R1 R2        optional dead-zone radii, 0 < R1 < R2
     n_fields = INT         test suite size (half solved, half manufactured)
     n_half  = INT          forward steps per half time axis for the suite
     n_grid  = INT          headroom scan resolution for alpha
-    seed    = INT          suite randomness
+    seed    = INT          suite randomness, >= 0
 
     [inverse]
     beta = FLOAT           Tikhonov weight
     max_iter = INT
     n_perturbations = INT
-    amplitudes = LO HI     log-spaced perturbation sizes
-    seed = INT
+    amplitudes = LO HI     log-spaced perturbation sizes, 0 < LO <= HI
+    seed = INT             >= 0
     noise = FLOAT          relative trace noise level
     q0 = PROFILE           initial guess for reconstruction
     r_lower = FLOAT        lower bound required of |y0|
@@ -86,7 +86,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class GeometryBlock:
-    outer: tuple          # ("rect", xmin, xmax, ymin, ymax) | ("disk", cx, cy, r)
+    outer: tuple          # ("rect", xmin, xmax, ymin, ymax)
     interface: tuple      # ("disk", r, cx, cy) | ("fourier", c0, ((k, eps), ...), cx, cy)
     x0: tuple
     x1: tuple
@@ -294,21 +294,14 @@ def _parse_outer(sec: _Section) -> tuple:
     tokens = raw.split()
     kind = tokens[0]
     path = sec.path("outer")
-    if kind == "rect":
-        if len(tokens) != 5:
-            raise ConfigError(f"{path}: rect takes 4 numbers")
-        xmin, xmax, ymin, ymax = (_finite(t, path) for t in tokens[1:])
-        if not (xmax > xmin and ymax > ymin):
-            raise ConfigError(f"{path}: degenerate rectangle")
-        return ("rect", xmin, xmax, ymin, ymax)
-    if kind == "disk":
-        if len(tokens) != 4:
-            raise ConfigError(f"{path}: disk takes cx cy r")
-        cx, cy, r = (_finite(t, path) for t in tokens[1:])
-        if not r > 0.0:
-            raise ConfigError(f"{path}: radius must be positive")
-        return ("disk", cx, cy, r)
-    raise ConfigError(f"{path}: unknown outer kind {kind!r}")
+    if kind != "rect":
+        raise ConfigError(f"{path}: unknown outer kind {kind!r}")
+    if len(tokens) != 5:
+        raise ConfigError(f"{path}: rect takes 4 numbers")
+    xmin, xmax, ymin, ymax = (_finite(t, path) for t in tokens[1:])
+    if not (xmax > xmin and ymax > ymin):
+        raise ConfigError(f"{path}: degenerate rectangle")
+    return ("rect", xmin, xmax, ymin, ymax)
 
 
 def _parse_interface(sec: _Section) -> tuple:
@@ -376,7 +369,7 @@ def load_config(path) -> ExperimentConfig:
     T = psec.floatval("T", required=True, positive=True)
     dt = psec.floatval("dt", required=True, positive=True)
     steps = T / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         raise ConfigError(
             f"physics.dt: T/dt must be an integer number of steps, got {steps}"
         )
@@ -408,7 +401,7 @@ def load_config(path) -> ExperimentConfig:
         n_fields=csec.intval("n_fields", default=10, minimum=1),
         n_half=csec.intval("n_half", default=16, minimum=2),
         n_grid=csec.intval("n_grid", default=192, minimum=16),
-        seed=csec.intval("seed", default=0),
+        seed=csec.intval("seed", default=0, minimum=0),
     )
     for s_val in carleman.s:
         if s_val < 0.0:
@@ -418,12 +411,21 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"carleman.lambda: values must be positive, got {lam}")
     if carleman.delta_t is not None and not carleman.delta_t < T:
         raise ConfigError("carleman.delta_t: must be smaller than physics.T")
+    cutoff = carleman.cutoff
+    if cutoff is not None and not 0.0 < cutoff[0] < cutoff[1]:
+        raise ConfigError(
+            "carleman.cutoff: radii must satisfy 0 < r_inner < r_outer, "
+            f"got {cutoff[0]} {cutoff[1]}"
+        )
     csec.finish()
 
     isec = _Section(parser, "inverse")
     amplitudes = isec.floats("amplitudes", count=2, default=(1e-3, 1e-1))
-    if amplitudes[0] < 0.0 or amplitudes[1] < 0.0:
-        raise ConfigError("inverse.amplitudes: must be nonnegative")
+    if not 0.0 < amplitudes[0] <= amplitudes[1]:
+        raise ConfigError(
+            "inverse.amplitudes: need 0 < LO <= HI, "
+            f"got {amplitudes[0]} {amplitudes[1]}"
+        )
     noise = isec.floatval("noise", default=0.0)
     if noise < 0.0:
         raise ConfigError("inverse.noise: must be nonnegative")
@@ -442,7 +444,7 @@ def load_config(path) -> ExperimentConfig:
         max_iter=isec.intval("max_iter", default=100, minimum=0),
         n_perturbations=isec.intval("n_perturbations", default=30, minimum=0),
         amplitudes=amplitudes,
-        seed=isec.intval("seed", default=7),
+        seed=isec.intval("seed", default=7, minimum=0),
         noise=noise,
         q0=_check_profile(isec.get("q0", default="constant 1.0"), "inverse.q0", False),
         r_lower=isec.floatval("r_lower", default=0.5, positive=True),
@@ -475,6 +477,8 @@ def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
                     output_dir: Optional[str] = None) -> ExperimentConfig:
     """Resolve CLI flags into a new config (so the hash reflects them)."""
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("--seed: must be nonnegative")
         cfg = dataclasses.replace(
             cfg,
             carleman=dataclasses.replace(cfg.carleman, seed=seed),
@@ -500,12 +504,7 @@ def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
 
 
 def build_layout(cfg: ExperimentConfig) -> geo.DomainLayout:
-    outer_spec = cfg.geometry.outer
-    if outer_spec[0] == "rect":
-        outer = geo.RectangularDomain(*outer_spec[1:])
-    else:
-        _, cx, cy, r = outer_spec
-        outer = geo.DiskDomain((cx, cy), r)
+    outer = geo.RectangularDomain(*cfg.geometry.outer[1:])
     iface_spec = cfg.geometry.interface
     try:
         if iface_spec[0] == "disk":
@@ -522,10 +521,6 @@ def build_layout(cfg: ExperimentConfig) -> geo.DomainLayout:
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid2D:
-    if cfg.geometry.outer[0] != "rect":
-        raise ConfigError(
-            "geometry.outer: grid-based subcommands need a rectangular outer domain"
-        )
     layout = build_layout(cfg)
     try:
         return Grid2D.from_layout(layout, cfg.physics.nx, cfg.physics.ny)

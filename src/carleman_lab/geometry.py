@@ -9,9 +9,8 @@ certified by a dense scan of the polar curvature
 
     kappa = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2).
 
-The outer domain is a rectangle or a disk; DomainLayout ties the two
-together and classifies points into the inner region, the outer region,
-or an interface band.
+The outer domain is a rectangle; DomainLayout ties it to the interface
+and classifies points into the inner or the outer region.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ TWO_PI = 2.0 * np.pi
 # region labels used by DomainLayout.classify
 OMEGA1 = 1
 OMEGA2 = 2
-INTERFACE_BAND = 0
 
 _CENTER_EPS = 1e-12
 
@@ -249,30 +247,6 @@ def smallest_eigenvalue_2x2(mats):
     return mean - radius
 
 
-def hessian_lower_bound(
-    interface: RadialInterface,
-    annulus: tuple[float, float],
-    n_scan: int = 2048,
-) -> float:
-    """Min over the gauge annulus of the smallest mu^2-Hessian eigenvalue."""
-    mu_min, mu_max = annulus
-    if not (0.0 < mu_min <= mu_max):
-        raise ValueError("annulus must satisfy 0 < mu_min <= mu_max")
-    if mu_min == mu_max:
-        levels = np.array([mu_min])
-    else:
-        levels = np.linspace(mu_min, mu_max, 5)
-    thetas = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-    rho = interface.rho(thetas)
-    u = np.stack((np.cos(thetas), np.sin(thetas)), axis=-1)
-    best = np.inf
-    for mu in levels:
-        pts = interface.center + (mu * rho)[:, None] * u
-        eig = smallest_eigenvalue_2x2(gauge_hessian(interface, pts))
-        best = min(best, float(np.min(eig)))
-    return best
-
-
 def distance_extrema(interface: RadialInterface, point) -> tuple[float, float]:
     """(min, max) distance from a point to the interface curve.
 
@@ -397,64 +371,6 @@ class RectangularDomain:
             [x - self.xmin, self.xmax - x, y - self.ymin, self.ymax - y]
         )
 
-    def boundary_samples(self, n: int):
-        """n points on the boundary with outward normals and arc weights."""
-        lx = self.xmax - self.xmin
-        ly = self.ymax - self.ymin
-        perimeter = 2.0 * (lx + ly)
-        s = perimeter * (np.arange(n) + 0.5) / n
-        pts = np.empty((n, 2))
-        nrm = np.empty((n, 2))
-        for i, si in enumerate(s):
-            if si < lx:
-                pts[i] = (self.xmin + si, self.ymin)
-                nrm[i] = (0.0, -1.0)
-            elif si < lx + ly:
-                pts[i] = (self.xmax, self.ymin + (si - lx))
-                nrm[i] = (1.0, 0.0)
-            elif si < 2 * lx + ly:
-                pts[i] = (self.xmax - (si - lx - ly), self.ymax)
-                nrm[i] = (0.0, 1.0)
-            else:
-                pts[i] = (self.xmin, self.ymax - (si - 2 * lx - ly))
-                nrm[i] = (-1.0, 0.0)
-        weights = np.full(n, perimeter / n)
-        return pts, nrm, weights
-
-
-@dataclass(frozen=True)
-class DiskDomain:
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise GeometryError("disk radius must be positive")
-
-    @property
-    def bounds(self):
-        cx, cy = self.center
-        r = self.radius
-        return cx - r, cx + r, cy - r, cy + r
-
-    def contains(self, pts, margin: float = 0.0):
-        pts = np.asarray(pts, dtype=float)
-        cx, cy = self.center
-        r = np.hypot(pts[..., 0] - cx, pts[..., 1] - cy)
-        return r <= self.radius - margin
-
-    def boundary_clearance(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        cx, cy = self.center
-        return self.radius - np.hypot(pts[..., 0] - cx, pts[..., 1] - cy)
-
-    def boundary_samples(self, n: int):
-        ang = TWO_PI * (np.arange(n) + 0.5) / n
-        nrm = np.stack((np.cos(ang), np.sin(ang)), axis=-1)
-        pts = np.asarray(self.center, dtype=float) + self.radius * nrm
-        weights = np.full(n, TWO_PI * self.radius / n)
-        return pts, nrm, weights
-
 
 @dataclass(frozen=True)
 class DomainLayout:
@@ -462,7 +378,7 @@ class DomainLayout:
     sit strictly inside the outer domain (which keeps the outer region
     connected for the supported star-shaped curves)."""
 
-    outer: RectangularDomain | DiskDomain
+    outer: RectangularDomain
     interface: RadialInterface
     clearance: float = field(init=False)
 
@@ -477,13 +393,10 @@ class DomainLayout:
     def gauge(self, pts):
         return gauge(self.interface, pts)
 
-    def classify(self, pts, band: float = 0.0):
-        """OMEGA1 / OMEGA2 / INTERFACE_BAND labels by the gauge value."""
+    def classify(self, pts):
+        """OMEGA1 / OMEGA2 labels by the gauge value."""
         mu = _gauge_filled(self.interface, pts)
-        out = np.where(mu <= 1.0, OMEGA1, OMEGA2).astype(np.int8)
-        if band > 0.0:
-            out = np.where(np.abs(mu - 1.0) <= band, INTERFACE_BAND, out)
-        return out
+        return np.where(mu <= 1.0, OMEGA1, OMEGA2).astype(np.int8)
 
     def contains(self, pts, margin: float = 0.0):
         return self.outer.contains(pts, margin=margin)

@@ -437,100 +437,19 @@ def solve_linearized(
     )
 
 
-def solve_time_derivative(
-    grid: Grid2D,
-    coeff: Coefficient,
-    potential: ArrayLike,
-    f: ArrayLike,
-    r_prime: Callable,
-    r0: ArrayLike,
-    t0: float,
-    t1: float,
-    n_steps: int,
-    operator: Optional[SchrodingerOperator] = None,
-    r: Optional[Callable] = None,
-    consistency_tol: float = 1e-2,
-) -> SpaceTimeField:
-    """Solve the equation satisfied by the time derivative of the
-    linearized field: same operator, source f dR/dt, initial value
-    v(t0) = -i f R(., t0) imposed exactly.
-
-    f and R(., t0) are expected real valued.  When the full modulator r is
-    supplied, the result is cross-checked against central time differences
-    of the linearized solve; a relative mismatch above consistency_tol
-    raises SolverError (a coarse sanity gate, not a convergence claim).
-    """
-    pts = grid.points.reshape(-1, 2)
-    f_full = np.asarray(_eval_on(pts, f), dtype=complex).reshape(grid.shape)
-    r0_full = np.asarray(_eval_on(pts, r0), dtype=complex).reshape(grid.shape)
-    for name, arr in (("f", f_full), ("r0", r0_full)):
-        if np.max(np.abs(arr.imag)) > 1e-12 * max(np.max(np.abs(arr)), 1e-300):
-            raise SolverError(f"{name} must be real valued")
-    v0 = -1.0j * f_full * r0_full
-    f_int = grid.gather_interior(f_full)
-
-    def source(int_pts, t):
-        return f_int * np.asarray(r_prime(int_pts, t), dtype=complex)
-
-    v = solve_forward(
-        grid, coeff, potential, v0, t0, t1, n_steps,
-        source=source, operator=operator,
-    )
-    if r is not None:
-        u = solve_linearized(
-            grid, coeff, potential, f, r, t0, t1, n_steps, operator=operator
-        )
-        mismatch = time_derivative_mismatch(v, u)
-        if mismatch > consistency_tol:
-            raise SolverError(
-                f"time-derivative solve disagrees with d/dt of the "
-                f"linearized solve: relative mismatch {mismatch:.3e}"
-            )
-    return v
-
-
-def time_derivative_mismatch(v: SpaceTimeField, u: SpaceTimeField) -> float:
-    """Relative gap between v and central time differences of u on the
-    interior time nodes; O(dt^2) when v solves the derivative equation."""
-    dt = u.dt
-    du = (u.values[2:] - u.values[:-2]) / (2.0 * dt)
-    gap = np.max(np.abs(v.values[1:-1] - du))
-    scale = max(float(np.max(np.abs(v.values))), 1e-300)
-    return float(gap / scale)
-
-
-def extend_time(field: SpaceTimeField, mode: str, kind: str = "solution",
-                rtol: float = 1e-12) -> SpaceTimeField:
-    """Reflect a field from [0, T] onto [-T, T].
-
-    mode 'real_R0' (the t = 0 modulator is real): solutions extend
-    odd-conjugate (v(-t) = -conj v(t), needs Re v(0) = 0) and sources
-    even-conjugate (R(-t) = conj R(t), needs Im R(0) = 0).
-    mode 'imaginary_R0': the roles swap.
-    """
-    if mode not in ("real_R0", "imaginary_R0"):
-        raise ValueError(f"unknown extension mode {mode!r}")
-    if kind not in ("solution", "source"):
-        raise ValueError(f"unknown extension kind {kind!r}")
+def extend_time(field: SpaceTimeField) -> SpaceTimeField:
+    """Reflect a solution from [0, T] onto [-T, T] by the odd-conjugate rule
+    v(-t) = -conj v(t), which a solution whose t = 0 modulator is real
+    satisfies; needs Re v(0) = 0."""
     if abs(field.t0) > 1e-12:
         raise ExtensionError("extension requires a field starting at t = 0")
-    odd_conjugate = (mode == "real_R0") == (kind == "solution")
-    v0 = field.values[0]
     scale = float(np.max(np.abs(field.values))) or 1.0
-    if odd_conjugate:
-        mismatch = float(np.max(np.abs(v0.real)))
-        if mismatch > rtol * scale:
-            raise ExtensionError(
-                f"odd-conjugate extension needs Re v(0) = 0, got {mismatch:.3e}"
-            )
-    else:
-        mismatch = float(np.max(np.abs(v0.imag)))
-        if mismatch > rtol * scale:
-            raise ExtensionError(
-                f"even-conjugate extension needs Im v(0) = 0, got {mismatch:.3e}"
-            )
-    sign = -1.0 if odd_conjugate else 1.0
-    mirrored = sign * np.conj(field.values[-1:0:-1])
+    mismatch = float(np.max(np.abs(field.values[0].real)))
+    if mismatch > 1e-12 * scale:
+        raise ExtensionError(
+            f"odd-conjugate extension needs Re v(0) = 0, got {mismatch:.3e}"
+        )
+    mirrored = -np.conj(field.values[-1:0:-1])
     times = np.concatenate([-field.times[-1:0:-1], field.times])
     values = np.concatenate([mirrored, field.values], axis=0)
     return SpaceTimeField(grid=field.grid, times=times, values=values)
@@ -612,11 +531,6 @@ def h1l2_boundary_norm(trace: BoundaryTrace) -> float:
     g = trace.values
     dg = np.gradient(g, trace.times, axis=0, edge_order=2)
     density = (np.abs(g) ** 2 + np.abs(dg) ** 2) @ trace.weights
-    return float(np.sqrt(np.trapezoid(density, trace.times)))
-
-
-def l2_time_boundary_norm(trace: BoundaryTrace) -> float:
-    density = (np.abs(trace.values) ** 2) @ trace.weights
     return float(np.sqrt(np.trapezoid(density, trace.times)))
 
 

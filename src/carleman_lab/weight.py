@@ -54,6 +54,10 @@ class DegeneratePair(Exception):
     """The two weight centers coincide (or nearly so)."""
 
 
+class CutoffError(GeometryError):
+    """The cutoff radii are out of order or the ball does not fit."""
+
+
 class TimeSingular(Exception):
     """Time-weight evaluation outside the clamped interval."""
 
@@ -89,7 +93,7 @@ class Cutoff:
 
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer):
-            raise GeometryError("cutoff radii must satisfy 0 < r_inner < r_outer")
+            raise CutoffError("cutoff radii must satisfy 0 < r_inner < r_outer")
 
     def _u(self, r):
         w = self.r_outer - self.r_inner
@@ -219,13 +223,15 @@ class TransmissionWeight:
         return self.laplacian_side(pts, self.side_of(pts))
 
 
-def _as_layout(domain, pad_factor: float = 0.6) -> DomainLayout:
+def _as_layout(domain) -> DomainLayout:
+    """A layout as given, or a bare interface padded by 0.6 of its largest
+    radius inside a bounding rectangle."""
     if isinstance(domain, DomainLayout):
         return domain
     if isinstance(domain, RadialInterface):
         thetas = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
         pts = domain.point(thetas)
-        pad = pad_factor * float(np.max(domain.rho_samples))
+        pad = 0.6 * float(np.max(domain.rho_samples))
         outer = RectangularDomain(
             float(pts[:, 0].min() - pad),
             float(pts[:, 0].max() + pad),
@@ -237,14 +243,13 @@ def _as_layout(domain, pad_factor: float = 0.6) -> DomainLayout:
 
 
 def build_weight(
-    domain,
+    layout: DomainLayout,
     x0,
     a1: float,
     a2: float,
     M2: float = 1.0,
     cutoff_radii: Optional[tuple[float, float]] = None,
     *,
-    n_resample: int | None = None,
     enforce_jump_sign: bool = True,
 ) -> TransmissionWeight:
     """Construct the piecewise weight centered at x0.
@@ -254,7 +259,6 @@ def build_weight(
     offsets, x0 strictly inside the inner region, and the cutoff ball
     strictly inside as well.
     """
-    layout = _as_layout(domain)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("coefficients must be positive")
     if enforce_jump_sign and not a1 > a2:
@@ -270,17 +274,15 @@ def build_weight(
         mu0 = 0.0
     if mu0 >= 1.0:
         raise GeometryError("weight center must lie strictly inside the inner region")
-    recentred = resample_from_center(iface, x0, n_samples=n_resample)
+    recentred = resample_from_center(iface, x0)
     alpha0 = recentred.min_radius()
     if cutoff_radii is None:
         r_outer = 0.25 * alpha0
         r_inner = 0.5 * r_outer
     else:
         r_inner, r_outer = map(float, cutoff_radii)
-        if not (0.0 < r_inner < r_outer):
-            raise GeometryError("cutoff radii must satisfy 0 < r_inner < r_outer")
         if r_outer >= alpha0:
-            raise GeometryError(
+            raise CutoffError(
                 "cutoff ball must sit strictly inside the inner region "
                 f"(r_outer={r_outer} >= {alpha0})"
             )
@@ -358,10 +360,6 @@ def _time_factor(params: CarlemanParams, t):
     if np.any(np.abs(t) > params.T - params.delta_t + 1e-12):
         raise TimeSingular("time weight evaluated outside the clamped interval")
     return 1.0 / ((params.T - t) * (params.T + t))
-
-
-def eval_theta(weight: TransmissionWeight, params: CarlemanParams, x, t):
-    return np.exp(params.lam * weight.psi(x)) * _time_factor(params, t)
 
 
 def eval_phi(weight: TransmissionWeight, params: CarlemanParams, x, t):
@@ -541,6 +539,7 @@ def build_epsilon_pair(
     d = |x1 - x2| / 2, alpha_k = dist(x_k, interface), D_k the max distance,
     and each weight carries the cutoff radii (eps / 2, eps).  The pair
     domination condition (H5) is verified by a grid scan over each ball.
+    domain is a DomainLayout or a bare RadialInterface.
     """
     layout = _as_layout(domain)
     iface = layout.interface

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: exit codes, artifacts, caching, determinism."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carleman_lab import cli
 
@@ -130,6 +137,21 @@ class TestErrorPaths:
                          "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: inverse.q_bound:")
+
+    @pytest.mark.parametrize("subcommand, section, key, value, named", [
+        ("invert", "inverse", "r_lower", "5", "inverse.r_lower"),
+        ("stability", "inverse", "r_lower", "5", "inverse.r_lower"),
+        ("invert", "inverse", "q_bound", "0.5", "inverse.q0"),
+        ("weight-verify", "carleman", "cutoff", "0.2 0.6", "carleman.cutoff"),
+    ])
+    def test_geometry_dependent_errors_name_their_key(
+            self, tmp_path, capsys, subcommand, section, key, value, named):
+        path = tmp_path / "bad.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), section, key, value))
+        code = cli.main([subcommand, "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}: ")
 
     def test_negative_n_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -367,3 +389,75 @@ class TestStability:
         doc = load_json(out / "stability_summary.json")
         assert doc["certified"] is False
         assert doc["hypothesis_report"]["records"]["H2"]["ok"] is False
+
+
+# hostile input: one key of the template (or a flag) set to drawn tokens
+HOSTILE_TOKENS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "junk", "1:x")
+TEMPLATE_KEYS = [
+    (section, line.split(" = ")[0], line.split(" = ")[1])
+    for section, body in re.findall(r"\[(\w+)\]\n([^[]*)", TMPL.format(**DEFAULTS))
+    for line in body.strip().splitlines()
+    if " = " in line and not line.startswith("directory")
+]
+FLAGS = [("", "--seed", ""), ("", "--n", "")]
+
+
+def set_key(text, section, key, value):
+    """text with section.key set to value, replacing or adding the line."""
+    head, sep, rest = text.partition(f"[{section}]\n")
+    lines = rest.split("\n")
+    for i, line in enumerate(lines):
+        if line.startswith(f"{key} = "):
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        lines.insert(0, f"{key} = {value}")
+    return head + sep + "\n".join(lines)
+
+
+@st.composite
+def mutations(draw):
+    section, key, value = draw(st.sampled_from(TEMPLATE_KEYS + FLAGS))
+    if not section:  # flags take integers, anything else is a usage error
+        return section, key, draw(st.sampled_from(("-1", "0", "-7")))
+    tokens = value.split()
+    if len(tokens) > 1 and draw(st.booleans()):
+        return section, key, " ".join(reversed(tokens))
+    i = draw(st.integers(0, len(tokens) - 1))
+    tokens[i] = draw(st.sampled_from(HOSTILE_TOKENS))
+    return section, key, " ".join(tokens)
+
+
+class TestHostileInput:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mutation=mutations())
+    @example(mutation=("carleman", "seed", "-1"))
+    @example(mutation=("inverse", "seed", "-1"))
+    @example(mutation=("", "--seed", "-1"))
+    @example(mutation=("carleman", "cutoff", "0.5 0.2"))
+    @example(mutation=("carleman", "cutoff", "0.2 0.6"))  # ball leaves the disk
+    @example(mutation=("inverse", "amplitudes", "0 1e-1"))
+    @example(mutation=("inverse", "r_lower", "5"))
+    @example(mutation=("inverse", "q_bound", "0.5"))  # below q0 = constant 1.3
+    @example(mutation=("geometry", "outer", "disk 0.0 0.0 2.0"))
+    def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
+        section, key, value = mutation
+        text = TMPL.format(**DEFAULTS)
+        flags = [key, value] if not section else []
+        if section:
+            text = set_key(text, section, key, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.ini"
+            path.write_text(text)
+            for sub in cli.HANDLERS:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main([sub, "--config", str(path), "--output-dir",
+                                     str(Path(tmp) / sub), *flags])
+                assert code in (0, 2, 3), (sub, mutation)
+                if code == 2:
+                    assert re.match(
+                        r"config error: ([a-z]+\.\w+|--[a-z]+): ", err.getvalue()
+                    ), (sub, mutation, err.getvalue())
+

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from carleman_lab import cli
 from carleman_lab import config as cfgmod
 from carleman_lab.config import ConfigError
 
@@ -63,12 +64,15 @@ class TestLoad:
         assert cfg.inverse.q_bound == np.inf
 
     def test_disk_outer_and_fourier_interface(self, tmp_path):
+        # the outer domain is a rectangle only; the interface may be a disk
+        # or a Fourier curve
         text = amend(BASE, "outer = rect -1.0 1.0 -1.0 1.0",
                      "outer = disk 0.0 0.0 2.0")
-        text = amend(text, "interface = disk 0.5",
+        with pytest.raises(ConfigError, match=r"^geometry\.outer: "):
+            cfgmod.load_config(write_config(tmp_path, text))
+        text = amend(BASE, "interface = disk 0.5",
                      "interface = fourier 0.5 3:0.02,5:0.01")
         cfg = cfgmod.load_config(write_config(tmp_path, text))
-        assert cfg.geometry.outer == ("disk", 0.0, 0.0, 2.0)
         kind, c0, harmonics, cx, cy = cfg.geometry.interface
         assert kind == "fourier" and c0 == 0.5
         assert harmonics == ((3, 0.02), (5, 0.01))
@@ -89,6 +93,7 @@ class TestErrors:
         ("T = 0.5", "", "physics.T"),
         ("dt = 0.125", "dt = 0.13", "physics.dt"),
         ("dt = 0.125", "dt = 0.5", "physics.dt"),
+        ("dt = 0.125", "dt = 1e-320", "physics.dt"),  # T/dt overflows
         ("a1 = 2.0", "a1 = -2.0", "physics.a1"),
         ("a1 = 2.0", "a1 = two", "physics.a1"),
         ("p = sine 1.0 0.4", "p = wiggle 1.0", "physics.p"),
@@ -140,6 +145,9 @@ class TestErrors:
             ("s = 10 -20", "carleman.s"),
             ("lambda = 0", "carleman.lambda"),
             ("delta_t = 0.5", "carleman.delta_t"),
+            ("seed = -1", "carleman.seed"),
+            ("cutoff = 0.5 0.2", "carleman.cutoff"),
+            ("cutoff = 0 0.2", "carleman.cutoff"),
         ]:
             text = BASE + f"\n[carleman]\n{extra}\n"
             with pytest.raises(ConfigError) as err:
@@ -149,6 +157,9 @@ class TestErrors:
     def test_inverse_values_are_validated(self, tmp_path):
         for extra, path in [
             ("amplitudes = -1e-3 1e-1", "inverse.amplitudes"),
+            ("amplitudes = 0 1e-1", "inverse.amplitudes"),
+            ("amplitudes = 1e-1 1e-3", "inverse.amplitudes"),
+            ("seed = -1", "inverse.seed"),
             ("noise = -0.1", "inverse.noise"),
             ("beta = -1.0", "inverse.beta"),
             ("q_bound = lots", "inverse.q_bound"),
@@ -237,6 +248,11 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="--n"):
             cfgmod.apply_overrides(cfg, n=-1)
 
+    def test_negative_seed_is_rejected(self, tmp_path):
+        cfg = cfgmod.load_config(write_config(tmp_path))
+        with pytest.raises(ConfigError, match=r"^--seed: "):
+            cfgmod.apply_overrides(cfg, seed=-1)
+
     def test_output_dir_override(self, tmp_path):
         cfg = cfgmod.load_config(write_config(tmp_path))
         out = cfgmod.apply_overrides(cfg, output_dir="alt")
@@ -252,12 +268,17 @@ class TestBuilders:
         grid = cfgmod.build_grid(cfg)
         assert grid.shape == (17, 17)
 
-    def test_grid_requires_rect_outer(self, tmp_path):
+    def test_grid_requires_rect_outer(self, tmp_path, capsys):
+        # every subcommand rejects a disk outer domain at load
         text = amend(BASE, "outer = rect -1.0 1.0 -1.0 1.0",
                      "outer = disk 0.0 0.0 2.0")
-        cfg = cfgmod.load_config(write_config(tmp_path, text))
-        with pytest.raises(ConfigError, match="rectangular"):
-            cfgmod.build_grid(cfg)
+        path = str(write_config(tmp_path, text))
+        for sub in cli.HANDLERS:
+            code = cli.main([sub, "--config", path,
+                             "--output-dir", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: geometry.outer: ")
 
     def test_interface_outside_outer_is_config_error(self, tmp_path):
         text = amend(BASE, "interface = disk 0.5", "interface = disk 1.5")

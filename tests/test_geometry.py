@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carleman_lab import geometry as geo
+from carleman_lab import pde_solver as pde
 
 
 def oval_rho(theta, c2=0.1, c3=0.0):
@@ -208,45 +209,6 @@ class TestGaugeHessian:
         assert geo.certify_strong_convexity(iface)[1]
 
 
-class TestHessianLowerBound:
-    def test_disk_value(self):
-        iface = geo.disk_interface(1.0, n=32)
-        got = geo.hessian_lower_bound(iface, (0.2, 2.0))
-        np.testing.assert_allclose(got, 2.0, atol=1e-9)
-        iface2 = geo.disk_interface(2.0, n=32)
-        np.testing.assert_allclose(
-            geo.hessian_lower_bound(iface2, (0.5, 1.0)), 0.5, atol=1e-9
-        )
-
-    def test_brute_force_scan_oracle(self):
-        iface = oval_interface(n=256)
-        got = geo.hessian_lower_bound(iface, (0.2, 2.0), n_scan=2048)
-        assert got > 0
-        # 200x200 point scan over the bounding box of the outer level set
-        lim = 2.0 * 1.1  # rho <= 1.1
-        xs = np.linspace(-lim, lim, 200)
-        pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
-        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-6]
-        mu = geo.gauge(iface, pts)
-        sel = pts[(mu >= 0.2) & (mu <= 2.0)]
-        brute = float(
-            np.min(geo.smallest_eigenvalue_2x2(geo.gauge_hessian(iface, sel)))
-        )
-        np.testing.assert_allclose(got, brute, rtol=5e-3)
-
-    def test_degenerate_annulus(self):
-        iface = oval_interface(n=64)
-        got = geo.hessian_lower_bound(iface, (1.0, 1.0))
-        assert np.isfinite(got) and got > 0
-
-    def test_invalid_annulus(self):
-        iface = geo.disk_interface(1.0, n=32)
-        with pytest.raises(ValueError):
-            geo.hessian_lower_bound(iface, (0.5, 0.2))
-        with pytest.raises(ValueError):
-            geo.hessian_lower_bound(iface, (0.0, 1.0))
-
-
 class TestEigenHelper:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -318,13 +280,6 @@ class TestLayout:
         pts = np.array([[0.2, 0.1], [1.5, 0.0], [0.0, 0.999], [0.0, 1.001]])
         out = layout.classify(pts)
         assert list(out) == [geo.OMEGA1, geo.OMEGA2, geo.OMEGA1, geo.OMEGA2]
-        banded = layout.classify(pts, band=0.01)
-        assert list(banded) == [
-            geo.OMEGA1,
-            geo.OMEGA2,
-            geo.INTERFACE_BAND,
-            geo.INTERFACE_BAND,
-        ]
 
     def test_strict_containment_required(self):
         with pytest.raises(geo.GeometryError):
@@ -333,29 +288,26 @@ class TestLayout:
             )
         with pytest.raises(geo.GeometryError):
             geo.DomainLayout(
-                geo.DiskDomain((0.0, 0.0), 1.05),
+                geo.RectangularDomain(-3, 3, -1.05, 1.05),
                 geo.disk_interface(1.1, n=32),
             )
 
     def test_clearance_value(self):
         layout = geo.DomainLayout(
-            geo.DiskDomain((0.0, 0.0), 3.0), geo.disk_interface(1.0, n=32)
+            geo.RectangularDomain(-3, 3, -2.5, 3), geo.disk_interface(1.0, n=32)
         )
-        np.testing.assert_allclose(layout.clearance, 2.0, atol=1e-9)
+        np.testing.assert_allclose(layout.clearance, 1.5, atol=1e-9)
 
     def test_rect_boundary_samples(self):
-        dom = geo.RectangularDomain(-1.0, 1.0, -0.5, 0.5)
-        pts, nrm, w = dom.boundary_samples(120)
-        np.testing.assert_allclose(w.sum(), 6.0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(nrm, axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(dom.boundary_clearance(pts), 0.0, atol=1e-12)
-
-    def test_disk_boundary_samples(self):
-        dom = geo.DiskDomain((1.0, -2.0), 3.0)
-        pts, nrm, w = dom.boundary_samples(256)
-        np.testing.assert_allclose(w.sum(), 2 * np.pi * 3.0, atol=1e-9)
-        rel = pts - np.array([1.0, -2.0])
-        np.testing.assert_allclose(np.hypot(rel[:, 0], rel[:, 1]), 3.0, atol=1e-12)
+        # the grid's boundary nodes, the rectangle's boundary samples, have
+        # zero clearance and the interior nodes positive clearance
+        layout = geo.DomainLayout(
+            geo.RectangularDomain(-1.0, 1.0, -0.5, 0.5), geo.disk_interface(0.3, n=32)
+        )
+        grid = pde.Grid2D.from_layout(layout, 41)
+        clear = layout.outer.boundary_clearance(grid.points.reshape(-1, 2))
+        np.testing.assert_allclose(clear[grid.boundary_ids], 0.0, atol=1e-12)
+        assert np.all(clear[grid.interior_ids] > 0.0)
 
 
 if __name__ == "__main__":

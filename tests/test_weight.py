@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carleman_lab import geometry as geo
+from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
 
 
@@ -272,11 +273,6 @@ class TestBuildWeight:
         with pytest.raises(geo.GeometryError):
             wt.build_weight(layout, (0.0, 0.0), 2.0, 1.0, cutoff_radii=(0.5, 0.2))
 
-    def test_accepts_bare_interface(self):
-        w = wt.build_weight(geo.disk_interface(1.0), (0.0, 0.0), 2.0, 1.0)
-        assert isinstance(w.coeff.layout, geo.DomainLayout)
-        assert w.coeff.layout.outer.contains(np.array([[1.3, 1.3]]))[0]
-
     def test_coefficients_must_be_positive(self):
         with pytest.raises(ValueError):
             wt.build_weight(unit_disk_layout(), (0.0, 0.0), -2.0, 1.0)
@@ -308,20 +304,23 @@ class TestTimeWeights:
             assert np.all(phi > 0.0)
 
     def test_theta_identity_and_symmetry(self):
+        # theta = exp(lam psi) * time factor, with the factor even in t
         pts = np.array([[0.3, 0.2], [1.1, -0.4]])
         t = 0.7
-        th_plus = wt.eval_theta(self.w, self.params, pts, t)
-        th_minus = wt.eval_theta(self.w, self.params, pts, -t)
-        assert np.allclose(th_plus, th_minus)
-        expect = np.exp(self.params.lam * self.w.psi(pts)) / (1.0 - t * t)
-        assert np.allclose(th_plus, expect, rtol=1e-12)
+        tau = wt._time_factor(self.params, t)
+        assert tau == wt._time_factor(self.params, -t)
+        assert tau == pytest.approx(1.0 / (1.0 - t * t), rel=1e-12)
+        assert np.array_equal(
+            wt.eval_phi(self.w, self.params, pts, t),
+            wt.eval_phi(self.w, self.params, pts, -t),
+        )
 
     def test_time_clamp(self):
         pts = np.array([[0.3, 0.2]])
         edge = self.params.T - self.params.delta_t
-        wt.eval_theta(self.w, self.params, pts, edge)  # works at the clamp
+        wt.eval_phi(self.w, self.params, pts, edge)  # works at the clamp
         with pytest.raises(wt.TimeSingular):
-            wt.eval_theta(self.w, self.params, pts, edge + 1e-6)
+            wt._time_factor(self.params, edge + 1e-6)
         with pytest.raises(wt.TimeSingular):
             wt.eval_phi(self.w, self.params, pts, -(edge + 1e-6))
 
@@ -464,6 +463,14 @@ class TestEpsilonPair:
                 unit_disk_layout(), (1.5, 0.0), (0.3, 0.0), 2.0, 1.0
             )
 
+    def test_accepts_bare_interface(self):
+        pair = wt.build_epsilon_pair(
+            geo.disk_interface(1.0), (-0.3, 0.0), (0.3, 0.0), 2.0, 1.0
+        )
+        layout = pair.w1.coeff.layout
+        assert isinstance(layout, geo.DomainLayout)
+        assert layout.outer.contains(np.array([[1.3, 1.3]]))[0]
+
     def test_oversized_safety_rejected(self):
         with pytest.raises(geo.GeometryError):
             wt.build_epsilon_pair(
@@ -472,11 +479,18 @@ class TestEpsilonPair:
             )
 
 
+def grid_boundary(layout, nx):
+    """Boundary nodes and outward normals of a grid, the samples Sigma_+ is
+    taken over in the Carleman check."""
+    grid = pde.Grid2D.from_layout(layout, nx)
+    return grid.boundary_points, grid.boundary_normals
+
+
 class TestSigmaPlus:
     def test_centered_disk_whole_boundary(self):
         layout = unit_disk_layout()
         w = wt.build_weight(layout, (0.0, 0.0), 2.0, 1.0)
-        pts, nrm, _ = layout.outer.boundary_samples(256)
+        pts, nrm = grid_boundary(layout, 65)
         mask = wt.sigma_plus(w, pts, nrm)
         assert mask.all()
         # flipping the normals empties the observed set
@@ -494,7 +508,7 @@ class TestSigmaPlus:
             geo.RectangularDomain(-2.4, 2.4, -1.3, 1.3), iface
         )
         w = wt.build_weight(layout, (0.0, 0.75), 2.0, 1.0)
-        pts, nrm, _ = layout.outer.boundary_samples(1024)
+        pts, nrm = grid_boundary(layout, 193)
         mask = wt.sigma_plus(w, pts, nrm)
         assert mask.any() and not mask.all()
         assert mask.sum() > 0.9 * mask.size
@@ -508,7 +522,7 @@ class TestSigmaPlus:
             geo.RectangularDomain(-2.4, 2.4, -1.3, 1.3), iface
         )
         w = wt.build_weight(layout, (0.0, 0.75), 2.0, 1.0)
-        pts, nrm, _ = layout.outer.boundary_samples(512)
+        pts, nrm = grid_boundary(layout, 97)
         mask = wt.sigma_plus(w, pts, nrm)
         h = 1e-7
         slope = (w.psi(pts + h * nrm) - w.psi(pts - h * nrm)) / (2 * h)
@@ -555,7 +569,7 @@ def test_time_weight_identities_property(lam, t, px, py):
     w = wt.build_weight(unit_disk_layout(), (0.0, 0.0), 2.0, 1.0)
     params = wt.fit_carleman_params(w, s=1.0, lam=lam, T=1.0, delta_t=0.1)
     pts = np.array([[px, py]])
-    theta = wt.eval_theta(w, params, pts, t)
+    theta = np.exp(params.lam * w.psi(pts)) * wt._time_factor(params, t)
     phi = wt.eval_phi(w, params, pts, t)
     assert theta[0] > 0.0 and phi[0] > 0.0
     # theta + phi = alpha / ((T - t)(T + t)) pointwise

@@ -31,24 +31,31 @@ RUNS = (
 )
 
 
+def compare_run(subcommand, config, tracked, names) -> list:
+    """Run subcommand on config into a fresh temporary directory and
+    return the artifacts among names that differ from their tracked copy
+    or are missing ([subcommand] if it exits non-zero); prints one line
+    per artifact."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cli.main([subcommand, "--config", str(ROOT / config),
+                         "--output-dir", tmp])
+        if code != 0:
+            print(f"FAILED {subcommand} exited {code}")
+            return [subcommand]
+        bad = []
+        for name in names:
+            ref = ROOT / tracked / name
+            new = Path(tmp) / name
+            same = (ref.is_file() and new.is_file()
+                    and filecmp.cmp(ref, new, shallow=False))
+            print(f"{'same' if same else 'DIFFERS'} {tracked}/{name}")
+            if not same:
+                bad.append(f"{tracked}/{name}")
+        return bad
+
+
 def main() -> int:
-    bad = []
-    for subcommand, config, tracked, names in RUNS:
-        with tempfile.TemporaryDirectory() as tmp:
-            code = cli.main([subcommand, "--config", str(ROOT / config),
-                             "--output-dir", tmp])
-            if code != 0:
-                print(f"FAILED {subcommand} exited {code}")
-                bad.append(subcommand)
-                continue
-            for name in names:
-                ref = ROOT / tracked / name
-                new = Path(tmp) / name
-                same = (ref.is_file() and new.is_file()
-                        and filecmp.cmp(ref, new, shallow=False))
-                print(f"{'same' if same else 'DIFFERS'} {tracked}/{name}")
-                if not same:
-                    bad.append(f"{tracked}/{name}")
+    bad = [name for run in RUNS for name in compare_run(*run)]
     if bad:
         print("artifacts differ: " + ", ".join(bad))
         return 1

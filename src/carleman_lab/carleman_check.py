@@ -56,9 +56,9 @@ from .weight import (
     EpsilonPair,
     PiecewiseCoefficient,
     TransmissionWeight,
+    _delta_t,
     _time_factor,
     fit_carleman_params,
-    sigma_plus,
 )
 
 FLUSH_THRESHOLD = 1e-300
@@ -158,9 +158,9 @@ class WeightOnGrid(_OnGrid):
 
     @cached_property
     def sigma(self) -> tuple:
-        pts = self.grid.boundary_points
-        mask = sigma_plus(self.source, pts, self.grid.boundary_normals)
-        return mask, self.source.psi(pts[mask])
+        ids = self.grid.boundary_ids
+        mask = np.einsum("ij,ij->i", self.grad[ids], self.grid.boundary_normals) > 0.0
+        return mask, self.psi[ids][mask]
 
 
 class PairOnGrid(_OnGrid):
@@ -195,25 +195,6 @@ def _on_grid(weight, a, grid: Grid2D):
 def _require_time_resolution(field: SpaceTimeField):
     if field.nt < 3:
         raise SolverError("need at least 3 time levels for time derivatives")
-
-
-def _cell_weights(grid: Grid2D) -> np.ndarray:
-    """Tensor trapezoid quadrature weights, shape (ny, nx)."""
-    wx = np.ones(grid.nx)
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny)
-    wy[0] = wy[-1] = 0.5
-    return grid.h * grid.h * np.outer(wy, wx)
-
-
-def _potential_on(grid: Grid2D, q) -> np.ndarray:
-    if callable(q):
-        vals = np.asarray(q(grid.points.reshape(-1, 2)), dtype=float)
-        return vals.reshape(grid.shape)
-    arr = np.asarray(q, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.shape, float(arr))
-    return arr.reshape(grid.shape)
 
 
 def _conjugation_factors(
@@ -251,25 +232,34 @@ def _apply_flux(grid: Grid2D, k_int, k_bnd, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+def _schrodinger_stack(
+    w: SpaceTimeField, coeff: CoefficientOnGrid, potential: np.ndarray
+) -> SpaceTimeField:
+    """i w' + div(a grad w) + V w with the solver's flux stencils; V is
+    potential, broadcast against the (nt, ny, nx) stack."""
+    _require_time_resolution(w)
+    # a sweep keeps L v for all (s, lambda) of a field, so the stack is
+    # built in its first buffer: left above the temporaries, it would keep
+    # their heap memory resident
+    vals = np.gradient(w.values, w.dt, axis=0, edge_order=2).astype(
+        complex, copy=False
+    )
+    np.multiply(1j, vals, out=vals)
+    vals += _apply_flux(w.grid, *coeff.flux, w.values)
+    vals += potential * w.values
+    return SpaceTimeField(grid=w.grid, times=w.times, values=vals)
+
+
 def apply_transmission_operator(
     v: SpaceTimeField,
     coeff: Union[PiecewiseCoefficient, CoefficientOnGrid],
     potential,
 ) -> SpaceTimeField:
     """L v = i v' + div(a grad v) + q v with the solver's flux stencils."""
-    _require_time_resolution(v)
     grid = v.grid
-    k_int, k_bnd = CoefficientOnGrid.of(coeff, grid).flux
-    # a sweep keeps L v for all (s, lambda) of a field, so it is built in
-    # its first buffer: left above the temporaries, it would keep their
-    # heap memory resident
-    vals = np.gradient(v.values, v.dt, axis=0, edge_order=2).astype(
-        complex, copy=False
+    return _schrodinger_stack(
+        v, CoefficientOnGrid.of(coeff, grid), grid.sample(potential)[None, :, :]
     )
-    np.multiply(1j, vals, out=vals)
-    vals += _apply_flux(grid, k_int, k_bnd, v.values)
-    vals += _potential_on(grid, potential)[None, :, :] * v.values
-    return SpaceTimeField(grid=grid, times=v.times, values=vals)
 
 
 def apply_P1(
@@ -278,26 +268,20 @@ def apply_P1(
     params: CarlemanParams,
     a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
 ) -> SpaceTimeField:
-    """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w."""
+    """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w: the Schrodinger
+    stack with the potential s^2 a |grad phi|^2."""
     field = _as_field(w)
-    _require_time_resolution(field)
     grid = field.grid
     gw, gc = _on_grid(weight, a, grid)
-    k_int, k_bnd = gc.flux
-    dwdt = np.gradient(field.values, field.dt, axis=0, edge_order=2)
-    flux = _apply_flux(grid, k_int, k_bnd, field.values)
     e_lp = np.exp(params.lam * gw.psi)
     # |grad phi|^2 = lam^2 e^{2 lam psi} |grad psi|^2 tau(t)^2
     space = (
         params.s**2 * params.lam**2 * gc.at_nodes * e_lp**2 * gw.grad_sq
     ).reshape(grid.shape)
     tau = _time_factor(params, field.times)
-    vals = (
-        1j * dwdt
-        + flux
-        + space[None, :, :] * (tau**2)[:, None, None] * field.values
+    return _schrodinger_stack(
+        field, gc, space[None, :, :] * (tau**2)[:, None, None]
     )
-    return SpaceTimeField(grid=grid, times=field.times, values=vals)
 
 
 def apply_P2(
@@ -352,7 +336,7 @@ def weighted_norm_sq(w, weight, params: CarlemanParams) -> float:
     grid = field.grid
     psi = WeightOnGrid.of(weight, grid).psi.reshape(grid.shape)
     e_lp = np.exp(params.lam * psi)
-    cell = _cell_weights(grid)
+    cell = grid.cell_weights
     tau = _time_factor(params, field.times)
     vals = field.values
     theta = e_lp * tau[:, None, None]
@@ -367,7 +351,7 @@ def weighted_norm_sq(w, weight, params: CarlemanParams) -> float:
 
 
 def _space_time_l2_sq(grid: Grid2D, times: np.ndarray, values: np.ndarray) -> float:
-    cell = _cell_weights(grid)
+    cell = grid.cell_weights
     per = np.tensordot(values.real**2 + values.imag**2, cell, axes=([1, 2], [0, 1]))
     return float(np.trapezoid(per, times))
 
@@ -504,16 +488,16 @@ def constant_sweep(
     weight_pair: EpsilonPair,
     q,
     *,
-    T: Optional[float] = None,
+    T: float,
     delta_t: Optional[float] = None,
     n_grid: int = 192,
 ) -> SweepResult:
     """Max-over-fields ratio per (s, lambda) plus sup and stabilization.
 
-    T and delta_t default to the field time grid: the fields are assumed
-    clamped at |t| = T - delta_t with the standard delta_t = T / 64.
-    Stabilization means every consecutive relative change of the per-s sup
-    over the upper half of the s-range stays below 10 percent.
+    The fields are assumed clamped at |t| = T - delta_t (delta_t defaults
+    to T / 64, as in fit_carleman_params).  Stabilization means every
+    consecutive relative change of the per-s sup over the upper half of
+    the s-range stays below 10 percent.
     Fields are visited one at a time, each over every (s, lambda), so the
     pair's grid data is built once and L v once per field; rows come out
     in (s, lambda, field) order.
@@ -528,16 +512,6 @@ def constant_sweep(
             q_inf=0.0,
             tail_bound=0.0,
         )
-    if T is None:
-        t_max = float(np.max(np.abs(fields[0].times)))
-        if delta_t is None:
-            T = t_max * 64.0 / 63.0
-            delta_t = T / 64.0
-        else:
-            T = t_max + delta_t
-    elif delta_t is None:
-        delta_t = T / 64.0
-
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
     fitted = []
     tail = 0.0
@@ -547,7 +521,7 @@ def constant_sweep(
             s,
             lam,
             float(T),
-            delta_t=float(delta_t),
+            delta_t=delta_t,
             partner=weight_pair.w2,
             n_grid=n_grid,
         )
@@ -590,7 +564,7 @@ def constant_sweep(
         for a, b in zip(upper, upper[1:])
     )
     sup_ratio = max((e["max_ratio"] for e in table), default=0.0)
-    q_inf = float(np.max(np.abs(_potential_on(fields[0].grid, q))))
+    q_inf = float(np.max(np.abs(fields[0].grid.sample(q))))
     return SweepResult(
         rows=rows,
         table=table,
@@ -637,9 +611,7 @@ def build_test_suite(
     satisfy; manufactured fields are interior bumps times smooth compactly
     supported time envelopes, exercising the residual term.
     """
-    if delta_t is None:
-        delta_t = T / 64.0
-    t_max = T - delta_t
+    t_max = T - _delta_t(T, delta_t)
     rng = np.random.default_rng(seed)
     on_grid = CoefficientOnGrid.of(coeff, grid)  # one flux matrix for all solves
     pts = grid.points

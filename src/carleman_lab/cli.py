@@ -63,7 +63,7 @@ def resolve_output_dir(cfg, cli_dir) -> Path:
     return configured
 
 
-def _boundary_from_spec(cfg, grid):
+def _boundary_from_spec(cfg, grid, y0):
     if cfg.physics.h == "zero":
         nb = grid.boundary_points.shape[0]
 
@@ -71,7 +71,7 @@ def _boundary_from_spec(cfg, grid):
             return np.zeros(nb, dtype=complex)
 
         return boundary
-    return None  # "initial": rim values of y0 held constant, built downstream
+    return inv._rim_data(grid, y0)  # "initial": y0's rim values held
 
 
 def _build_instance(cfg):
@@ -87,7 +87,7 @@ def _build_instance(cfg):
         )
     return inv.make_instance(
         grid, coeff, p, y0, cfg.physics.T, cfg.physics.n_steps,
-        boundary=_boundary_from_spec(cfg, grid),
+        boundary=_boundary_from_spec(cfg, grid, y0),
         noise_level=cfg.inverse.noise, seed=cfg.inverse.seed,
         r_lower=cfg.inverse.r_lower, q_bound=cfg.inverse.q_bound,
     )
@@ -155,13 +155,7 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
-    boundary = _boundary_from_spec(cfg, grid)
-    if boundary is None:
-        rim = y0.ravel()[grid.boundary_ids]
-
-        def boundary(pts, t, _vals=rim):
-            return _vals
-
+    boundary = _boundary_from_spec(cfg, grid, y0)
     fkey = cfgmod.forward_hash(cfg)
     cache_file = outputs.cache_path(out_dir, fkey)
     field = outputs.load_field_cache(cache_file, grid, fkey)
@@ -210,6 +204,11 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     q = cfgmod.real_profile(cfg.physics.p, grid)
 
+    for key in ("x1", "x2"):
+        try:
+            wt._check_center(grid.layout.interface, getattr(cfg.geometry, key))
+        except geo.GeometryError as exc:
+            raise ConfigError(f"geometry.{key}: {exc}") from None
     try:
         pair = wt.build_epsilon_pair(
             grid.layout, cfg.geometry.x1, cfg.geometry.x2,
@@ -221,6 +220,11 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
             "a1": cfg.physics.a1,
             "a2": cfg.physics.a2,
         }) from None
+    except geo.GeometryError as exc:
+        # each centre is inside on its own, so what failed (distinct
+        # centres, ball fit, domination) depends on both; x2 is named as
+        # the centre placed against x1
+        raise ConfigError(f"geometry.x2: {exc}") from None
     reports = {}
     for name, w in (("w1", pair.w1), ("w2", pair.w2)):
         report = wt.verify_hypotheses(w, grid_resolution=128)

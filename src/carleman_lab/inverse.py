@@ -101,17 +101,15 @@ class InverseProblemInstance:
     on_grid: InstanceOnGrid
 
 
-def _on_grid(grid: Grid2D, data, dtype=float, name="field") -> np.ndarray:
-    if callable(data):
-        out = data(grid.points)
-    else:
-        out = np.asarray(data)
-        if out.ndim == 0:
-            out = np.full(grid.shape, complex(out) if dtype is complex else float(out))
-    out = np.asarray(out, dtype=dtype)
-    if out.shape != grid.shape:
-        raise ValueError(f"{name} must have grid shape {grid.shape}, got {out.shape}")
-    return out
+def _rim_data(grid: Grid2D, y0: np.ndarray) -> Callable:
+    """Dirichlet data holding the rim values of the (ny, nx) state y0 at
+    every time."""
+    rim = y0.ravel()[grid.boundary_ids]
+
+    def boundary(pts, t):
+        return rim
+
+    return boundary
 
 
 def make_instance(
@@ -138,8 +136,8 @@ def make_instance(
         raise ValueError("r_lower must be positive")
     if n_steps < 2:
         raise ValueError("need at least 2 time steps for a usable trace")
-    p_full = _on_grid(grid, p, float, "potential")
-    y0_full = _on_grid(grid, y0, complex, "initial state")
+    p_full = grid.sample(p)
+    y0_full = grid.sample(y0, complex)
 
     lo = float(np.min(np.abs(y0_full)))
     if lo < r_lower:
@@ -155,11 +153,11 @@ def make_instance(
     else:
         raise ValueError("initial state must be real or purely imaginary")
 
-    rim0 = y0_full.ravel()[grid.boundary_ids]
+    rim = _rim_data(grid, y0_full)
     if boundary is None:
-        def boundary(pts, t, _vals=rim0):
-            return _vals
+        boundary = rim
     else:
+        rim0 = rim(grid.boundary_points, 0.0)
         given = np.asarray(boundary(grid.boundary_points, 0.0), dtype=complex)
         gap = float(np.max(np.abs(given - rim0)))
         if gap > 1e-8 * max(1.0, float(np.max(np.abs(rim0)))):

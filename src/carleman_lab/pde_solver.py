@@ -143,6 +143,34 @@ class Grid2D:
     def boundary_points(self) -> np.ndarray:
         return self.points.reshape(-1, 2)[self.boundary_ids]
 
+    @cached_property
+    def cell_weights(self) -> np.ndarray:
+        """Tensor trapezoid quadrature weights, shape (ny, nx)."""
+        wx = np.ones(self.nx)
+        wx[0] = wx[-1] = 0.5
+        wy = np.ones(self.ny)
+        wy[0] = wy[-1] = 0.5
+        return self.h * self.h * np.outer(wy, wx)
+
+    def sample(self, data: ArrayLike, dtype=float) -> np.ndarray:
+        """data at every node as a (ny, nx) array of dtype.
+
+        A callable is passed the (N, 2) node points and must return one
+        value per node; a scalar fills the grid; an array must have the
+        grid shape or one value per node in flattened order.
+        """
+        out = np.asarray(
+            data(self.points.reshape(-1, 2)) if callable(data) else data,
+            dtype=dtype,
+        )
+        if out.ndim == 0:
+            return np.full(self.shape, out)
+        if out.shape not in (self.shape, (self.nx * self.ny,)):
+            raise SolverError(
+                f"profile shape {out.shape} does not match grid {self.shape}"
+            )
+        return out.reshape(self.shape)
+
     def gather_interior(self, u_full: np.ndarray) -> np.ndarray:
         return u_full.reshape(-1)[self.interior_ids]
 
@@ -158,22 +186,10 @@ class Grid2D:
         return float(self.h * np.linalg.norm(np.asarray(u_full).ravel()))
 
 
-def _eval_on(pts: np.ndarray, data: ArrayLike, t: Optional[float] = None):
-    if callable(data):
-        out = data(pts) if t is None else data(pts, t)
-    else:
-        out = data
-    return np.asarray(out)
-
-
-def _coefficient_nodes(grid: Grid2D, coeff: PiecewiseCoefficient) -> np.ndarray:
-    return coeff.at(grid.points.reshape(-1, 2)).reshape(grid.shape)
-
-
 _FACES = (("east", (0, 1)), ("west", (0, -1)), ("north", (1, 0)), ("south", (-1, 0)))
 
 
-def face_coefficients(grid: Grid2D, coeff: PiecewiseCoefficient) -> dict:
+def face_coefficients(grid: Grid2D, coeff: Coefficient) -> dict:
     """Harmonic-mean coefficients on the four faces of each interior node.
 
     Returned arrays have shape (ny - 2, nx - 2); keys are 'east', 'west',
@@ -181,7 +197,7 @@ def face_coefficients(grid: Grid2D, coeff: PiecewiseCoefficient) -> dict:
     the interface the face value equals that side's coefficient exactly.
     These are the face values of the flux matrix.
     """
-    a = _coefficient_nodes(grid, coeff)
+    a = CoefficientOnGrid.of(coeff, grid).at_nodes.reshape(grid.shape)
     c = a[1:-1, 1:-1]
     out = {}
     for key, (dj, di) in _FACES:
@@ -190,7 +206,7 @@ def face_coefficients(grid: Grid2D, coeff: PiecewiseCoefficient) -> dict:
     return out
 
 
-def _assemble_flux_matrix(grid: Grid2D, coeff: PiecewiseCoefficient):
+def _assemble_flux_matrix(grid: Grid2D, coeff: Coefficient):
     """Sparse div(a grad .) over all nodes, rows only for interior nodes."""
     ny, nx = grid.shape
     faces = face_coefficients(grid, coeff)
@@ -241,7 +257,8 @@ class _OnGrid:
 
 class CoefficientOnGrid(_OnGrid):
     """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
-    the boundary trace operator (points, normals, weights, C).
+    the boundary trace operator (points, normals, weights, C); both
+    stencils read a from at_nodes, so it is classified once per grid.
 
     SchrodingerOperator, the solves and neumann_trace take this form in
     place of the plain coefficient; built once and passed along, it makes
@@ -255,11 +272,11 @@ class CoefficientOnGrid(_OnGrid):
 
     @cached_property
     def flux(self) -> tuple:
-        return _assemble_flux_matrix(self.grid, self.source)
+        return _assemble_flux_matrix(self.grid, self)
 
     @cached_property
     def trace(self) -> tuple:
-        return trace_operator(self.grid, self.source)
+        return trace_operator(self.grid, self)
 
 
 Coefficient = Union[PiecewiseCoefficient, CoefficientOnGrid]
@@ -281,17 +298,9 @@ class SchrodingerOperator:
         self.grid = grid
         self.coeff = on_grid.source
         self.dt = float(dt)
-        p_full = _eval_on(grid.points.reshape(-1, 2), potential)
-        if callable(potential):
-            p_full = p_full.reshape(grid.shape)
-        p_full = np.asarray(p_full, dtype=float)
-        if p_full.shape != grid.shape:
-            raise SolverError(
-                f"potential shape {p_full.shape} does not match grid {grid.shape}"
-            )
-        self.potential = p_full
+        self.potential = grid.sample(potential)
         self.k_int, self.k_bnd = on_grid.flux
-        p_int = grid.gather_interior(p_full)
+        p_int = grid.gather_interior(self.potential)
         self.a_matrix = (self.k_int + sparse.diags(p_int)).tocsr()
         n = self.a_matrix.shape[0]
         plus = sparse.identity(n, format="csr") - (0.5j * dt) * self.a_matrix
@@ -379,9 +388,7 @@ def solve_forward(
     times = t0 + dt * np.arange(n_steps + 1)
     int_pts = grid.points.reshape(-1, 2)[grid.interior_ids]
     bnd_pts = grid.boundary_points
-
-    u0_full = _eval_on(grid.points.reshape(-1, 2), y0)
-    u0_full = np.asarray(u0_full, dtype=complex).reshape(grid.shape)
+    u0_full = grid.sample(y0, complex)
 
     def g_at(t):
         if source is None:
@@ -423,10 +430,7 @@ def solve_linearized(
     This is the equation satisfied by the first-order difference of two
     forward solutions whose potentials differ by f.
     """
-    f_full = np.asarray(
-        _eval_on(grid.points.reshape(-1, 2), f), dtype=complex
-    ).reshape(grid.shape)
-    f_int = grid.gather_interior(f_full)
+    f_int = grid.gather_interior(grid.sample(f, complex))
 
     def source(int_pts, t):
         return f_int * np.asarray(r(int_pts, t), dtype=complex)
@@ -478,7 +482,7 @@ class BoundaryTrace:
         return float(self.times[1] - self.times[0])
 
 
-def trace_operator(grid: Grid2D, coeff: PiecewiseCoefficient):
+def trace_operator(grid: Grid2D, coeff: Coefficient):
     """Sparse map from a full grid slice to a dnu(u) at boundary nodes.
 
     One-sided three-point (second order) stencils per axis; corner nodes
@@ -489,7 +493,7 @@ def trace_operator(grid: Grid2D, coeff: PiecewiseCoefficient):
     b_ids = grid.boundary_ids
     normals = grid.boundary_normals
     pts = grid.boundary_points
-    a_b = coeff.at(pts)
+    a_b = CoefficientOnGrid.of(coeff, grid).at_nodes[b_ids]
     inv2h = 1.0 / (2.0 * grid.h)
     k = np.arange(b_ids.size)
     j_of, i_of = np.divmod(b_ids, nx)

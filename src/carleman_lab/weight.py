@@ -50,7 +50,7 @@ class JumpSignError(Exception):
     """The coefficient jump has the wrong sign for the certified weight."""
 
 
-class DegeneratePair(Exception):
+class DegeneratePair(GeometryError):
     """The two weight centers coincide (or nearly so)."""
 
 
@@ -242,6 +242,17 @@ def _as_layout(domain) -> DomainLayout:
     raise TypeError("domain must be a DomainLayout or RadialInterface")
 
 
+def _check_center(interface: RadialInterface, x) -> None:
+    """Raise GeometryError unless x lies strictly inside the inner region;
+    the interface center, where the gauge tends to 0, is inside."""
+    try:
+        mu = float(gauge(interface, x))
+    except GaugeSingular:
+        return
+    if mu >= 1.0:
+        raise GeometryError("weight center must lie strictly inside the inner region")
+
+
 def build_weight(
     layout: DomainLayout,
     x0,
@@ -268,12 +279,7 @@ def build_weight(
         raise ValueError("weight offsets must be positive")
     x0 = np.asarray(x0, dtype=float)
     iface = layout.interface
-    try:
-        mu0 = float(gauge(iface, x0))
-    except GaugeSingular:
-        mu0 = 0.0
-    if mu0 >= 1.0:
-        raise GeometryError("weight center must lie strictly inside the inner region")
+    _check_center(iface, x0)
     recentred = resample_from_center(iface, x0)
     alpha0 = recentred.min_radius()
     if cutoff_radii is None:
@@ -331,6 +337,11 @@ def psi_grid_max(weight: TransmissionWeight, n_grid: int = 192) -> float:
     return float(np.max(weight.psi(pts)))
 
 
+def _delta_t(T: float, delta_t: float | None) -> float:
+    """The time clamp: delta_t as given, or T / 64 by default."""
+    return T / 64.0 if delta_t is None else delta_t
+
+
 def fit_carleman_params(
     weight: TransmissionWeight,
     s: float,
@@ -347,11 +358,9 @@ def fit_carleman_params(
     if partner is not None:
         sup = max(sup, psi_grid_max(partner, n_grid=n_grid))
     alpha = headroom * float(np.exp(lam * sup))
-    if delta_t is None:
-        delta_t = T / 64.0
     return CarlemanParams(
         s=float(s), lam=float(lam), alpha=alpha, T=float(T),
-        delta_t=float(delta_t), psi_sup=sup,
+        delta_t=float(_delta_t(T, delta_t)), psi_sup=sup,
     )
 
 
@@ -549,8 +558,7 @@ def build_epsilon_pair(
     if d < 1e-12:
         raise DegeneratePair("weight centers must be distinct")
     for xk in (x1, x2):
-        if float(gauge(iface, xk)) >= 1.0:
-            raise GeometryError("both centers must lie strictly inside the inner region")
+        _check_center(iface, xk)
     alpha1, D1 = distance_extrema(iface, x1)
     alpha2, D2 = distance_extrema(iface, x2)
     eps = safety * min(d * alpha1 / D2, d * alpha2 / D1, d)
@@ -577,13 +585,3 @@ def build_epsilon_pair(
         D1=float(D1), D2=float(D2),
         h5_margin_1=margin1, h5_margin_2=margin2,
     )
-
-
-def sigma_plus(weight: TransmissionWeight, points, normals):
-    """Boolean mask of outer-boundary samples with grad psi . nu > 0."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    normals = np.asarray(normals, dtype=float).reshape(-1, 2)
-    if points.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    g = weight.grad(points)
-    return np.einsum("ij,ij->i", g, normals) > 0.0

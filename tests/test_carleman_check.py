@@ -206,7 +206,7 @@ class TestSplitOperators:
         lap = w.laplacian(pts).reshape(grid.shape)
         a = coeff.at(pts).reshape(grid.shape)
         div_ab = -a * lam * e_lp * (lam * g2 + lap)
-        cell = cc._cell_weights(grid)
+        cell = grid.cell_weights
         tau = wt._time_factor(params, v.times)
         p2 = np.empty_like(v.values)
         dens = np.empty((2, v.nt))
@@ -254,6 +254,31 @@ class TestSplitOperators:
             + q[None, :, :] * values
         )
         assert np.array_equal(got, want)
+
+    def test_P1_equals_its_formula_bit_for_bit(self):
+        # P1 is the Schrodinger stack of L v with the potential
+        # s^2 a |grad phi|^2, built in place; the operations and their order
+        # are those of the one-expression formula below
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=6)
+        w, s, lam = pair.w1, params.s, params.lam
+        pts = grid.points.reshape(-1, 2)
+        psi = w.psi(pts)
+        gpsi = w.grad(pts)
+        grad_sq = np.einsum("ij,ij->i", gpsi, gpsi)
+        e_lp = np.exp(lam * psi)
+        space = (s**2 * lam**2 * coeff.at(pts) * e_lp**2 * grad_sq).reshape(
+            grid.shape
+        )
+        tau = wt._time_factor(params, v.times)
+        k_int, k_bnd = pde._assemble_flux_matrix(grid, coeff)
+        dwdt = np.gradient(v.values, v.dt, axis=0, edge_order=2)
+        want = (
+            1j * dwdt
+            + cc._apply_flux(grid, k_int, k_bnd, v.values)
+            + space[None, :, :] * (tau**2)[:, None, None] * v.values
+        )
+        assert np.array_equal(cc.apply_P1(v, w, params, coeff).values, want)
 
 
 def space_time_l2(grid, times, values):

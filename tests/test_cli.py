@@ -20,6 +20,9 @@ TMPL = """
 [geometry]
 outer = rect -1.0 1.0 -1.0 1.0
 interface = {interface}
+x0 = 0.0 0.0
+x1 = -0.3 0.0
+x2 = 0.3 0.0
 
 [physics]
 a1 = {a1}
@@ -143,6 +146,11 @@ class TestErrorPaths:
         ("stability", "inverse", "r_lower", "5", "inverse.r_lower"),
         ("invert", "inverse", "q_bound", "0.5", "inverse.q0"),
         ("weight-verify", "carleman", "cutoff", "0.2 0.6", "carleman.cutoff"),
+        ("weight-verify", "geometry", "x0", "-1 0.0", "geometry.x0"),
+        ("carleman-sweep", "geometry", "x1", "-1 0.0", "geometry.x1"),
+        ("carleman-sweep", "geometry", "x2", "0.3 -1", "geometry.x2"),
+        # equal centres: each is inside, the pair is degenerate
+        ("carleman-sweep", "geometry", "x1", "0.3 0.0", "geometry.x2"),
     ])
     def test_geometry_dependent_errors_name_their_key(
             self, tmp_path, capsys, subcommand, section, key, value, named):
@@ -307,6 +315,14 @@ class TestCarlemanSweep:
         svg = (out / "carleman_ratios.svg").read_text()
         ET.fromstring(svg[svg.index("<svg"):])
 
+    def test_pair_centre_at_the_interface_centre(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), "geometry", "x1", "0 0.0"))
+        code = cli.main(["carleman-sweep", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert "carleman-sweep: fields=2" in capsys.readouterr().out
+
     def test_wrong_jump_sign_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, a1="0.05", a2="0.1", M2="0.05")
         out = tmp_path / "out"
@@ -440,6 +456,9 @@ class TestHostileInput:
     @example(mutation=("inverse", "r_lower", "5"))
     @example(mutation=("inverse", "q_bound", "0.5"))  # below q0 = constant 1.3
     @example(mutation=("geometry", "outer", "disk 0.0 0.0 2.0"))
+    @example(mutation=("geometry", "x1", "0.3 0.0"))  # equal to x2
+    @example(mutation=("geometry", "x1", "0 0.0"))  # the interface centre
+    @example(mutation=("geometry", "x1", "-1 0.0"))  # outside the disk
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation
         text = TMPL.format(**DEFAULTS)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from carleman_lab import carleman_check as cc
 from carleman_lab import cli
 from carleman_lab import config as cfgmod
 from carleman_lab import geometry as geo
@@ -69,6 +70,44 @@ class TestInstance:
         assert inst.p_inf == pytest.approx(float(np.max(np.abs(inst.p_true))))
         assert inst.y0_imaginary is False
         assert inst.data.values.shape[0] == inst.n_steps + 1
+
+    def test_callable_profile_is_sampled_like_its_array(self):
+        # one sampler serves make_instance, SchrodingerOperator and L v:
+        # a callable profile gives the array it describes on every path
+        inst = make_instance()
+        grid, coeff = inst.grid, inst.coeff
+
+        def p(pts):
+            assert pts.shape == (grid.nx * grid.ny, 2)
+            return 1.0 + 0.4 * np.sin(pts[:, 0]) * np.cos(pts[:, 1])
+
+        def y0(pts):
+            return (2.0 + 0.5 * np.cos(np.pi * pts[:, 0] / 2.0)).astype(complex)
+
+        from_callable = inv.make_instance(grid, coeff, p, y0, inst.T, inst.n_steps)
+        assert np.array_equal(from_callable.p_true, inst.p_true)
+        assert np.array_equal(from_callable.y0, inst.y0)
+        assert np.array_equal(from_callable.data.values, inst.data.values)
+        op = pde.SchrodingerOperator(grid, coeff, p, 0.01)
+        assert np.array_equal(op.potential, inst.p_true)
+        fld = pde.solve_forward(grid, coeff, inst.p_true, inst.y0, 0.0, inst.T,
+                                inst.n_steps, boundary=inst.boundary)
+        lv = cc.apply_transmission_operator(fld, coeff, p).values
+        assert np.array_equal(
+            lv, cc.apply_transmission_operator(fld, coeff, inst.p_true).values
+        )
+
+    def test_profile_of_wrong_shape_is_a_solver_error(self):
+        inst = make_instance()
+        with pytest.raises(pde.SolverError):
+            inv.make_instance(inst.grid, inst.coeff, np.ones(5), inst.y0,
+                              inst.T, inst.n_steps)
+
+    def test_default_dirichlet_data_holds_the_rim_of_y0(self):
+        inst = make_instance()
+        rim = inst.y0.ravel()[inst.grid.boundary_ids]
+        for t in (0.0, 0.5 * inst.T, inst.T):
+            assert np.array_equal(inst.boundary(inst.grid.boundary_points, t), rim)
 
     def test_noiseless_data_matches_forward_trace(self):
         inst = make_instance()

@@ -91,6 +91,31 @@ class TestGrid:
         assert np.allclose(back[1:-1, 1:-1], u[1:-1, 1:-1])
         assert np.allclose(back[0], 0.0) and np.allclose(back[:, -1], 0.0)
 
+    def test_sample_forms(self):
+        g = pde.Grid2D.from_layout(make_layout(), 11)
+        seen = []
+
+        def f(pts):
+            seen.append(pts.shape)
+            return pts[:, 0] - 2.0 * pts[:, 1]
+
+        want = g.points[..., 0] - 2.0 * g.points[..., 1]
+        assert np.array_equal(g.sample(f), want)
+        assert seen == [(121, 2)]  # callables get the flattened nodes
+        assert np.array_equal(g.sample(want.ravel()), want)
+        filled = g.sample(1.5j, complex)
+        assert filled.shape == g.shape and filled.dtype == complex
+        assert np.all(filled == 1.5j)
+        for bad in (np.zeros(7), np.zeros((11, 10)), lambda pts: np.zeros(3)):
+            with pytest.raises(pde.SolverError):
+                g.sample(bad)
+
+    def test_cell_weights_integrate_constants_exactly(self):
+        g = pde.Grid2D.from_layout(make_layout(), 11)
+        assert g.cell_weights is g.cell_weights  # built once per grid
+        assert g.cell_weights.shape == g.shape
+        assert float(np.sum(g.cell_weights)) == pytest.approx(4.0, rel=1e-14)
+
 
 class TestFaceCoefficients:
     def test_harmonic_faces(self):

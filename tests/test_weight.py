@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carleman_lab import carleman_check as cc
 from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
@@ -456,6 +457,17 @@ class TestEpsilonPair:
             wt.build_epsilon_pair(
                 unit_disk_layout(), (0.1, 0.0), (0.1, 0.0), 2.0, 1.0
             )
+        assert issubclass(wt.DegeneratePair, geo.GeometryError)
+
+    def test_interface_center_is_inside(self):
+        # the gauge is singular at the interface center, but the center is
+        # inside: the pair accepts it there, as build_weight does
+        layout = geo.DomainLayout(geo.RectangularDomain(-1.0, 1.0, -1.0, 1.0),
+                                  geo.disk_interface(0.5, n=256))
+        pair = wt.build_epsilon_pair(layout, (0.0, 0.0), (0.3, 0.0), 2.0, 1.0)
+        assert pair.eps > 0.0
+        assert pair.h5_margin_1 > 0.0 and pair.h5_margin_2 > 0.0
+        wt.build_weight(layout, (0.0, 0.0), 2.0, 1.0)
 
     def test_centers_must_be_inside(self):
         with pytest.raises(geo.GeometryError):
@@ -479,22 +491,22 @@ class TestEpsilonPair:
             )
 
 
-def grid_boundary(layout, nx):
-    """Boundary nodes and outward normals of a grid, the samples Sigma_+ is
-    taken over in the Carleman check."""
+def sigma_on_grid(weight, layout, nx):
+    """The Sigma_+ data of weight on the grid the Carleman check uses:
+    (mask over the boundary nodes, psi there, the nodes, their normals)."""
     grid = pde.Grid2D.from_layout(layout, nx)
-    return grid.boundary_points, grid.boundary_normals
+    mask, psi_plus = cc.WeightOnGrid(weight, grid).sigma
+    return mask, psi_plus, grid.boundary_points, grid.boundary_normals
 
 
 class TestSigmaPlus:
     def test_centered_disk_whole_boundary(self):
         layout = unit_disk_layout()
         w = wt.build_weight(layout, (0.0, 0.0), 2.0, 1.0)
-        pts, nrm = grid_boundary(layout, 65)
-        mask = wt.sigma_plus(w, pts, nrm)
+        mask, psi_plus, pts, _ = sigma_on_grid(w, layout, 65)
         assert mask.all()
-        # flipping the normals empties the observed set
-        assert not wt.sigma_plus(w, pts, -nrm).any()
+        # psi on Sigma_+ is the weight's psi at those boundary nodes
+        assert np.array_equal(psi_plus, w.psi(pts))
 
     def test_elongated_interface_gives_strict_subset(self):
         # oval stretched along y with the center pushed toward the top:
@@ -508,10 +520,10 @@ class TestSigmaPlus:
             geo.RectangularDomain(-2.4, 2.4, -1.3, 1.3), iface
         )
         w = wt.build_weight(layout, (0.0, 0.75), 2.0, 1.0)
-        pts, nrm = grid_boundary(layout, 193)
-        mask = wt.sigma_plus(w, pts, nrm)
+        mask, psi_plus, pts, _ = sigma_on_grid(w, layout, 193)
         assert mask.any() and not mask.all()
         assert mask.sum() > 0.9 * mask.size
+        assert np.array_equal(psi_plus, w.psi(pts[mask]))
 
     def test_mask_matches_directional_difference_quotient(self):
         th = geo.TWO_PI * np.arange(256) / 256
@@ -522,17 +534,11 @@ class TestSigmaPlus:
             geo.RectangularDomain(-2.4, 2.4, -1.3, 1.3), iface
         )
         w = wt.build_weight(layout, (0.0, 0.75), 2.0, 1.0)
-        pts, nrm = grid_boundary(layout, 97)
-        mask = wt.sigma_plus(w, pts, nrm)
+        mask, _, pts, nrm = sigma_on_grid(w, layout, 97)
         h = 1e-7
         slope = (w.psi(pts + h * nrm) - w.psi(pts - h * nrm)) / (2 * h)
         clear = np.abs(slope) > 1e-4  # skip near-tangency sign flips
         assert np.array_equal(mask[clear], slope[clear] > 0.0)
-
-    def test_empty_input(self):
-        w = wt.build_weight(unit_disk_layout(), (0.0, 0.0), 2.0, 1.0)
-        mask = wt.sigma_plus(w, np.zeros((0, 2)), np.zeros((0, 2)))
-        assert mask.shape == (0,) and mask.dtype == bool
 
 
 @settings(max_examples=25, deadline=None)

@@ -28,6 +28,12 @@ RUNS = (
     ("stability", "configs/default.ini", "out/default",
      ("stability_records.csv", "stability_summary.json",
       "stability_scatter.svg")),
+    ("geometry-check", "configs/default.ini", "out/default",
+     ("geometry_check.json",)),
+    ("weight-verify", "configs/default.ini", "out/default",
+     ("weight_verify.json",)),
+    ("solve-forward", "configs/default.ini", "out/default",
+     ("forward_trace.csv", "forward_summary.json")),
 )
 
 

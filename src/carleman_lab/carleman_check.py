@@ -58,7 +58,8 @@ from .weight import (
     TransmissionWeight,
     _delta_t,
     _time_factor,
-    fit_carleman_params,
+    params_from_sup,
+    psi_grid_max,
 )
 
 FLUSH_THRESHOLD = 1e-300
@@ -102,9 +103,6 @@ class SweepResult:
     stabilized: bool
     q_inf: float
     tail_bound: float
-
-    def summary(self) -> dict:
-        return {"sup_ratio": self.sup_ratio, "stabilized": self.stabilized}
 
 
 class _GradedField:
@@ -498,9 +496,10 @@ def constant_sweep(
     to T / 64, as in fit_carleman_params).  Stabilization means every
     consecutive relative change of the per-s sup over the upper half of
     the s-range stays below 10 percent.
-    Fields are visited one at a time, each over every (s, lambda), so the
-    pair's grid data is built once and L v once per field; rows come out
-    in (s, lambda, field) order.
+    psi of both weights is scanned once, and every (s, lambda) is fitted
+    to that one sup.  Fields are visited one at a time, each over every
+    (s, lambda), so the pair's grid data is built once and L v once per
+    field; rows come out in (s, lambda, field) order.
     """
     fields = list(test_fields)
     if not fields:
@@ -513,18 +512,11 @@ def constant_sweep(
             tail_bound=0.0,
         )
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
+    psi_sup = psi_grid_max((weight_pair.w1, weight_pair.w2), n_grid)
     fitted = []
     tail = 0.0
     for s, lam in s_lam:
-        params = fit_carleman_params(
-            weight_pair.w1,
-            s,
-            lam,
-            float(T),
-            delta_t=delta_t,
-            partner=weight_pair.w2,
-            n_grid=n_grid,
-        )
+        params = params_from_sup(psi_sup, s, lam, float(T), delta_t=delta_t)
         tail = max(tail, clamp_tail_bound(params))
         fitted.append(params)
 

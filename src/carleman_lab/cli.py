@@ -85,12 +85,15 @@ def _build_instance(cfg):
             f"inverse.r_lower: initial state must satisfy min|y0| >= "
             f"{cfg.inverse.r_lower}, got {lo:.3e}"
         )
-    return inv.make_instance(
-        grid, coeff, p, y0, cfg.physics.T, cfg.physics.n_steps,
-        boundary=_boundary_from_spec(cfg, grid, y0),
-        noise_level=cfg.inverse.noise, seed=cfg.inverse.seed,
-        r_lower=cfg.inverse.r_lower, q_bound=cfg.inverse.q_bound,
-    )
+    try:
+        return inv.make_instance(
+            grid, coeff, p, y0, cfg.physics.T, cfg.physics.n_steps,
+            boundary=_boundary_from_spec(cfg, grid, y0),
+            noise_level=cfg.inverse.noise, seed=cfg.inverse.seed,
+            r_lower=cfg.inverse.r_lower, q_bound=cfg.inverse.q_bound,
+        )
+    except inv.RimMismatch as exc:
+        raise ConfigError(f"physics.h: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -165,9 +168,13 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
             grid, coeff, p, y0, 0.0, cfg.physics.T, cfg.physics.n_steps,
             boundary=boundary,
         )
-        outputs.save_field_cache(cache_file, field, fkey)
 
     norms = np.array([grid.l2_norm(field.values[n]) for n in range(field.nt)])
+    if not norms[0] > 0.0:
+        raise ConfigError("physics.y0: the initial state has zero L2 norm, "
+                          "so the relative drift is undefined")
+    if not cached:
+        outputs.save_field_cache(cache_file, field, fkey)
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     trace = pde.neumann_trace(field, coeff)
     trace_l2 = np.sqrt((np.abs(trace.values) ** 2) @ trace.weights)

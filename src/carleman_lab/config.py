@@ -473,8 +473,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
-                    n: Optional[int] = None,
-                    output_dir: Optional[str] = None) -> ExperimentConfig:
+                    n: Optional[int] = None) -> ExperimentConfig:
     """Resolve CLI flags into a new config (so the hash reflects them)."""
     if seed is not None:
         if seed < 0:
@@ -491,10 +490,6 @@ def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
             cfg,
             carleman=dataclasses.replace(cfg.carleman, n_fields=max(n, 1)),
             inverse=dataclasses.replace(cfg.inverse, n_perturbations=n),
-        )
-    if output_dir is not None:
-        cfg = dataclasses.replace(
-            cfg, output=dataclasses.replace(cfg.output, directory=output_dir)
         )
     return cfg
 

@@ -16,7 +16,7 @@ and classifies points into the inner or the outer region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -173,35 +173,6 @@ def certify_strong_convexity(
     return kmin, kmin > 0.0
 
 
-def _relative(interface: RadialInterface, x):
-    x = np.asarray(x, dtype=float)
-    rel = x - interface.center
-    r = np.hypot(rel[..., 0], rel[..., 1])
-    if np.any(r < _CENTER_EPS):
-        raise GaugeSingular("gauge evaluated at the center")
-    theta = np.arctan2(rel[..., 1], rel[..., 0])
-    return rel, r, theta
-
-
-def gauge(interface: RadialInterface, x):
-    """mu(x) = |x - center| / rho(theta(x)); 1 on the curve, <1 inside."""
-    _, r, theta = _relative(interface, x)
-    return r / interface.rho(theta)
-
-
-def _gauge_filled(interface: RadialInterface, x):
-    """Gauge with the center singularity filled by its limit value 0.
-
-    The angle is undefined at the center but the gauge itself tends to 0
-    there, so classification queries need no special casing.
-    """
-    x = np.asarray(x, dtype=float)
-    rel = x - interface.center
-    r = np.hypot(rel[..., 0], rel[..., 1])
-    theta = np.arctan2(rel[..., 1], rel[..., 0])
-    return r / interface.rho(theta)
-
-
 def _polar_hessian_entries(rho, d1, d2):
     """Entries of the mu^2 Hessian in the (radial, tangential) frame.
 
@@ -226,15 +197,63 @@ def _polar_to_cartesian(c, s, h11, h12, h22):
     return out
 
 
+class _GaugeData(NamedTuple):
+    r: np.ndarray
+    er: np.ndarray | None
+    mu: np.ndarray
+    grad_mu2: np.ndarray | None
+    hess_mu2: np.ndarray | None
+
+
+def _gauge_data(interface: RadialInterface, x, center=None,
+                order: int = 0) -> _GaugeData:
+    """The polar frame of x about ``center`` (by default the interface's
+    own) and the gauge there: r = |x - center|, the unit radial direction
+    er, mu = r / rho(theta), and for order 1 and 2 the gradient and then
+    the Hessian of mu^2; entries beyond the order are None.
+
+    The center needs no special casing: theta is 0 there, mu and its
+    derivatives vanish, and er is 0 because r is floored at 1e-300 in the
+    division.  Callers that need an off-center point check r.
+    """
+    x = np.asarray(x, dtype=float)
+    rel = x - (interface.center if center is None else center)
+    r = np.hypot(rel[..., 0], rel[..., 1])
+    theta = np.arctan2(rel[..., 1], rel[..., 0])
+    rho = interface.rho(theta)
+    mu = r / rho
+    if order == 0:
+        return _GaugeData(r, None, mu, None, None)
+    er = rel / np.maximum(r, 1e-300)[..., None]
+    d1 = interface.rho_d1(theta)
+    et = np.stack((-er[..., 1], er[..., 0]), axis=-1)
+    grad = (2.0 * r / rho**2)[..., None] * er + (
+        -2.0 * r * d1 / rho**3
+    )[..., None] * et
+    hess = None
+    if order == 2:
+        hess = _polar_to_cartesian(
+            er[..., 0], er[..., 1],
+            *_polar_hessian_entries(rho, d1, interface.rho_d2(theta)),
+        )
+    return _GaugeData(r, er, mu, grad, hess)
+
+
+def _off_center(g: _GaugeData) -> _GaugeData:
+    """g, unless a point sits on the center, where the gauge is singular."""
+    if np.any(g.r < _CENTER_EPS):
+        raise GaugeSingular("gauge evaluated at the center")
+    return g
+
+
+def gauge(interface: RadialInterface, x):
+    """mu(x) = |x - center| / rho(theta(x)); 1 on the curve, <1 inside."""
+    return _off_center(_gauge_data(interface, x)).mu
+
+
 def gauge_hessian(interface: RadialInterface, x):
     """Cartesian Hessian of mu^2 at x, shape (..., 2, 2)."""
-    rel, r, theta = _relative(interface, x)
-    rho = interface.rho(theta)
-    d1 = interface.rho_d1(theta)
-    d2 = interface.rho_d2(theta)
-    return _polar_to_cartesian(
-        rel[..., 0] / r, rel[..., 1] / r, *_polar_hessian_entries(rho, d1, d2)
-    )
+    return _off_center(_gauge_data(interface, x, order=2)).hess_mu2
 
 
 def smallest_eigenvalue_2x2(mats):
@@ -353,14 +372,12 @@ class RectangularDomain:
     def bounds(self):
         return self.xmin, self.xmax, self.ymin, self.ymax
 
-    def contains(self, pts, margin: float = 0.0):
+    def contains(self, pts):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         return (
-            (x >= self.xmin + margin)
-            & (x <= self.xmax - margin)
-            & (y >= self.ymin + margin)
-            & (y <= self.ymax - margin)
+            (x >= self.xmin) & (x <= self.xmax)
+            & (y >= self.ymin) & (y <= self.ymax)
         )
 
     def boundary_clearance(self, pts):
@@ -390,13 +407,7 @@ class DomainLayout:
             raise GeometryError("interface must lie strictly inside the outer domain")
         object.__setattr__(self, "clearance", clear)
 
-    def gauge(self, pts):
-        return gauge(self.interface, pts)
-
     def classify(self, pts):
-        """OMEGA1 / OMEGA2 labels by the gauge value."""
-        mu = _gauge_filled(self.interface, pts)
+        """OMEGA1 / OMEGA2 labels by the gauge value (the center is OMEGA1)."""
+        mu = _gauge_data(self.interface, pts).mu
         return np.where(mu <= 1.0, OMEGA1, OMEGA2).astype(np.int8)
-
-    def contains(self, pts, margin: float = 0.0):
-        return self.outer.contains(pts, margin=margin)

@@ -46,6 +46,10 @@ class SingularR0(Exception):
     """The known factor R(0) comes too close to zero to divide by."""
 
 
+class RimMismatch(ValueError):
+    """Dirichlet data at t = 0 differs from the initial state on the rim."""
+
+
 class StalledReconstruction(Exception):
     """Descent could not make progress; returned (not raised) with the
     partial result attached."""
@@ -161,7 +165,7 @@ def make_instance(
         given = np.asarray(boundary(grid.boundary_points, 0.0), dtype=complex)
         gap = float(np.max(np.abs(given - rim0)))
         if gap > 1e-8 * max(1.0, float(np.max(np.abs(rim0)))):
-            raise ValueError(
+            raise RimMismatch(
                 f"Dirichlet data at t=0 differs from y0 on the rim by {gap:.3e}"
             )
 

@@ -348,10 +348,6 @@ class SpaceTimeField:
         return float(self.times[0])
 
     @property
-    def t1(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def dt(self) -> float:
         steps = np.diff(self.times)
         if steps.size and abs(steps.max() - steps.min()) > 1e-10 * abs(steps[0]):
@@ -470,16 +466,8 @@ class BoundaryTrace:
     values: np.ndarray
 
     @property
-    def nb(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def nt(self) -> int:
         return self.times.size
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 def trace_operator(grid: Grid2D, coeff: Coefficient):

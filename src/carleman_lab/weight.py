@@ -23,7 +23,7 @@ with alpha strictly above the grid maximum of exp(lam * psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,8 +36,7 @@ from .geometry import (
     RadialInterface,
     RectangularDomain,
     TWO_PI,
-    _polar_hessian_entries,
-    _polar_to_cartesian,
+    _gauge_data,
     distance_extrema,
     certify_strong_convexity,
     gauge,
@@ -62,6 +61,11 @@ class TimeSingular(Exception):
     """Time-weight evaluation outside the clamped interval."""
 
 
+def _by_side(side, inner, outer):
+    """inner where the label is OMEGA1, outer elsewhere."""
+    return np.where(side == OMEGA1, inner, outer)
+
+
 @dataclass(frozen=True)
 class PiecewiseCoefficient:
     """Principal coefficient: a1 on the inner region, a2 outside."""
@@ -75,8 +79,7 @@ class PiecewiseCoefficient:
             raise ValueError("coefficient values must be positive")
 
     def at(self, pts):
-        side = self.layout.classify(pts)
-        return np.where(side == OMEGA1, self.a1, self.a2)
+        return _by_side(self.layout.classify(pts), self.a1, self.a2)
 
 
 @dataclass(frozen=True)
@@ -129,55 +132,30 @@ class TransmissionWeight:
         return self.coeff.a2 + self.M1
 
     def _abar(self, side):
-        return np.where(side == OMEGA1, self.coeff.a2, self.coeff.a1)
+        return _by_side(side, self.coeff.a2, self.coeff.a1)
 
     def _offset(self, side):
-        return np.where(side == OMEGA1, self.M1, self.M2)
+        return _by_side(side, self.M1, self.M2)
 
     def side_of(self, pts):
         return self.coeff.layout.classify(pts)
 
-    def _polar(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        rel = pts - self.center
-        r = np.hypot(rel[..., 0], rel[..., 1])
-        r_safe = np.maximum(r, 1e-300)
-        er = rel / r_safe[..., None]
-        theta = np.arctan2(rel[..., 1], rel[..., 0])
-        return r, r_safe, er, theta
-
-    def _mu2_data(self, pts, want_hessian: bool):
-        """mu^2, grad mu^2 and (optionally) the mu^2 Hessian about center."""
-        r, r_safe, er, theta = self._polar(pts)
-        rho = self.interface.rho(theta)
-        d1 = self.interface.rho_d1(theta)
-        mu2 = (r / rho) ** 2
-        et = np.stack((-er[..., 1], er[..., 0]), axis=-1)
-        grad = (2.0 * r / rho**2)[..., None] * er + (
-            -2.0 * r * d1 / rho**3
-        )[..., None] * et
-        hess = None
-        if want_hessian:
-            d2 = self.interface.rho_d2(theta)
-            hess = _polar_to_cartesian(
-                er[..., 0], er[..., 1], *_polar_hessian_entries(rho, d1, d2)
-            )
-        return r, r_safe, er, mu2, grad, hess
-
-    # dead zone: eta and its derivatives vanish for r <= r_inner, so every
-    # formula below is evaluated with the singular factors masked out there.
+    # mu is the gauge about the weight's own center.  dead zone: eta and
+    # its derivatives vanish for r <= r_inner, so every formula below is
+    # evaluated with the singular factors masked out there.
     # side is one label (OMEGA1 or 2) applied to every point, or a label
     # array shaped like the points; psi/grad/hessian/laplacian pass the
     # classified sides so each point runs its own branch once.
 
     def psi_side(self, pts, side):
-        r, _, _, mu2, _, _ = self._mu2_data(pts, want_hessian=False)
+        r, _, mu, _, _ = _gauge_data(self.interface, pts, self.center)
         eta = self.cutoff.value(r)
-        out = self._abar(side) * eta * mu2 + self._offset(side)
+        out = self._abar(side) * eta * mu**2 + self._offset(side)
         return np.where(r <= self.cutoff.r_inner, self._offset(side), out)
 
     def grad_side(self, pts, side):
-        r, _, er, mu2, gmu2, _ = self._mu2_data(pts, want_hessian=False)
+        r, er, mu, gmu2, _ = _gauge_data(self.interface, pts, self.center, 1)
+        mu2 = mu**2
         eta = self.cutoff.value(r)
         deta = self.cutoff.d1(r)
         g = self._abar(side)[..., None] * (
@@ -187,7 +165,9 @@ class TransmissionWeight:
         return np.where(dead[..., None], 0.0, g)
 
     def hessian_side(self, pts, side):
-        r, r_safe, er, mu2, gmu2, hmu2 = self._mu2_data(pts, want_hessian=True)
+        r, er, mu, gmu2, hmu2 = _gauge_data(self.interface, pts, self.center, 2)
+        mu2 = mu**2
+        r_safe = np.maximum(r, 1e-300)
         eta = self.cutoff.value(r)
         deta = self.cutoff.d1(r)
         d2eta = self.cutoff.d2(r)
@@ -327,19 +307,36 @@ class CarlemanParams:
             raise ValueError("alpha must strictly dominate exp(lam * psi)")
 
 
-def psi_grid_max(weight: TransmissionWeight, n_grid: int = 192) -> float:
-    """Max of psi over a dense scan of the outer domain."""
-    xmin, xmax, ymin, ymax = weight.coeff.layout.outer.bounds
-    xs = np.linspace(xmin, xmax, n_grid)
-    ys = np.linspace(ymin, ymax, n_grid)
-    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    pts = pts[weight.coeff.layout.contains(pts)]
-    return float(np.max(weight.psi(pts)))
+def _scan_points(layout: DomainLayout, n: int) -> np.ndarray:
+    """The n x n grid spanning the outer rectangle, flattened to (n*n, 2)."""
+    xmin, xmax, ymin, ymax = layout.outer.bounds
+    xs = np.linspace(xmin, xmax, n)
+    ys = np.linspace(ymin, ymax, n)
+    return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+
+
+def psi_grid_max(weights, n_grid: int = 192) -> float:
+    """Max of psi over a dense scan of the outer domain, taken over every
+    weight in the sequence."""
+    return max(float(np.max(w.psi(_scan_points(w.coeff.layout, n_grid))))
+               for w in weights)
 
 
 def _delta_t(T: float, delta_t: float | None) -> float:
     """The time clamp: delta_t as given, or T / 64 by default."""
     return T / 64.0 if delta_t is None else delta_t
+
+
+def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
+                    delta_t: float | None = None,
+                    headroom: float = 1.05) -> CarlemanParams:
+    """alpha = headroom * exp(lam psi_sup) and a default time clamp, for
+    psi_sup from psi_grid_max."""
+    alpha = headroom * float(np.exp(lam * psi_sup))
+    return CarlemanParams(
+        s=float(s), lam=float(lam), alpha=alpha, T=float(T),
+        delta_t=float(_delta_t(T, delta_t)), psi_sup=psi_sup,
+    )
 
 
 def fit_carleman_params(
@@ -353,14 +350,11 @@ def fit_carleman_params(
     n_grid: int = 192,
     partner: TransmissionWeight | None = None,
 ) -> CarlemanParams:
-    """Pick alpha = headroom * max exp(lam psi) and a default time clamp."""
-    sup = psi_grid_max(weight, n_grid=n_grid)
-    if partner is not None:
-        sup = max(sup, psi_grid_max(partner, n_grid=n_grid))
-    alpha = headroom * float(np.exp(lam * sup))
-    return CarlemanParams(
-        s=float(s), lam=float(lam), alpha=alpha, T=float(T),
-        delta_t=float(_delta_t(T, delta_t)), psi_sup=sup,
+    """Scan psi of the weight (and partner) and build the parameters."""
+    weights = (weight,) if partner is None else (weight, partner)
+    return params_from_sup(
+        psi_grid_max(weights, n_grid), s, lam, T,
+        delta_t=delta_t, headroom=headroom,
     )
 
 
@@ -485,17 +479,13 @@ def verify_hypotheses(
         _worst(ipts, h2_sum, pick_max=True),
     )
 
-    # interior scan: inside the outer domain, outside the cutoff ball
-    xmin, xmax, ymin, ymax = weight.coeff.layout.outer.bounds
-    xs = np.linspace(xmin, xmax, grid_resolution)
-    ys = np.linspace(ymin, ymax, grid_resolution)
-    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    keep = weight.coeff.layout.contains(pts)
+    # interior scan: the outer domain outside the cutoff ball, classified once
+    pts = _scan_points(weight.coeff.layout, grid_resolution)
     rr = np.hypot(pts[:, 0] - weight.center[0], pts[:, 1] - weight.center[1])
-    keep &= rr >= weight.cutoff.r_outer
-    pts = pts[keep]
+    pts = pts[rr >= weight.cutoff.r_outer]
+    side = weight.side_of(pts)
 
-    grad_norm = np.linalg.norm(weight.grad(pts), axis=-1)
+    grad_norm = np.linalg.norm(weight.grad_side(pts, side), axis=-1)
     records["H3"] = HypothesisRecord(
         "H3",
         bool(np.min(grad_norm) > 0.0),
@@ -503,8 +493,8 @@ def verify_hypotheses(
         _worst(pts, grad_norm, pick_max=False),
     )
 
-    a_pts = weight.coeff.at(pts)
-    mats = 2.0 * (a_pts**2)[:, None, None] * weight.hessian(pts)
+    a_pts = _by_side(side, a1, a2)
+    mats = 2.0 * (a_pts**2)[:, None, None] * weight.hessian_side(pts, side)
     eigs = smallest_eigenvalue_2x2(mats)
     records["H4"] = HypothesisRecord(
         "H4",
@@ -573,8 +563,12 @@ def build_epsilon_pair(
     offs = offs[np.hypot(offs[:, 0], offs[:, 1]) <= eps]
     ball1 = x1 + offs
     ball2 = x2 + offs
-    margin1 = float(np.min(w2.psi(ball1) - w1.psi(ball1)))
-    margin2 = float(np.min(w1.psi(ball2) - w2.psi(ball2)))
+    side1 = layout.classify(ball1)
+    side2 = layout.classify(ball2)
+    margin1 = float(np.min(
+        w2.psi_side(ball1, side1) - w1.psi_side(ball1, side1)))
+    margin2 = float(np.min(
+        w1.psi_side(ball2, side2) - w2.psi_side(ball2, side2)))
     if margin1 <= 0.0 or margin2 <= 0.0:
         raise GeometryError(
             f"pair domination failed: margins {margin1:.3e}, {margin2:.3e}"

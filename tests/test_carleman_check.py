@@ -504,6 +504,22 @@ class TestSweep:
         ]
         return fields, pair, q, params.T
 
+    def test_psi_is_scanned_once_per_weight(self, monkeypatch):
+        # every (s, lambda) is fitted to one psi scan of each weight
+        fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        n_grid = 40
+        sizes = []
+        psi = wt.TransmissionWeight.psi
+
+        def counted(self, pts):
+            sizes.append(len(pts))
+            return psi(self, pts)
+
+        monkeypatch.setattr(wt.TransmissionWeight, "psi", counted)
+        cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0], pair, q, T=T,
+                          n_grid=n_grid)
+        assert sizes.count(n_grid**2) == 2
+
     def test_rows_equal_standalone_ratios_in_s_lambda_field_order(self):
         fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
         s_values, lam_values = [10.0, 20.0], [1.5]

@@ -145,6 +145,9 @@ class TestErrorPaths:
         ("invert", "inverse", "r_lower", "5", "inverse.r_lower"),
         ("stability", "inverse", "r_lower", "5", "inverse.r_lower"),
         ("invert", "inverse", "q_bound", "0.5", "inverse.q0"),
+        # zero Dirichlet data cannot meet y0 (|y0| >= r_lower) on the rim
+        ("invert", "physics", "h", "zero", "physics.h"),
+        ("stability", "physics", "h", "zero", "physics.h"),
         ("weight-verify", "carleman", "cutoff", "0.2 0.6", "carleman.cutoff"),
         ("weight-verify", "geometry", "x0", "-1 0.0", "geometry.x0"),
         ("carleman-sweep", "geometry", "x1", "-1 0.0", "geometry.x1"),
@@ -160,6 +163,19 @@ class TestErrorPaths:
                          "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+
+    def test_zero_initial_state_is_rejected_before_any_write(self, tmp_path,
+                                                             capsys):
+        # the forward drift is relative to the initial L2 norm
+        cfg = write_cfg(tmp_path, y0="constant 0")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve-forward", "--config", str(cfg),
+                             "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: physics.y0: ")
+        assert not out.exists()
 
     def test_negative_n_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -459,6 +475,7 @@ class TestHostileInput:
     @example(mutation=("geometry", "x1", "0.3 0.0"))  # equal to x2
     @example(mutation=("geometry", "x1", "0 0.0"))  # the interface centre
     @example(mutation=("geometry", "x1", "-1 0.0"))  # outside the disk
+    @example(mutation=("physics", "h", "zero"))
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation
         text = TMPL.format(**DEFAULTS)

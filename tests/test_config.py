@@ -253,12 +253,6 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=r"^--seed: "):
             cfgmod.apply_overrides(cfg, seed=-1)
 
-    def test_output_dir_override(self, tmp_path):
-        cfg = cfgmod.load_config(write_config(tmp_path))
-        out = cfgmod.apply_overrides(cfg, output_dir="alt")
-        assert out.output.directory == "alt"
-        assert cfgmod.config_hash(out) == cfgmod.config_hash(cfg)
-
 
 class TestBuilders:
     def test_build_layout_and_grid(self, tmp_path):

@@ -39,6 +39,19 @@ def oval_layout(c2=0.1, c3=0.05):
     )
 
 
+def count_classify(monkeypatch):
+    """Record the point count of every DomainLayout.classify call."""
+    calls = []
+    classify = geo.DomainLayout.classify
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return classify(self, pts)
+
+    monkeypatch.setattr(geo.DomainLayout, "classify", counted)
+    return calls
+
+
 class TestPiecewiseCoefficient:
     def test_side_values(self):
         coeff = wt.PiecewiseCoefficient(2.0, 1.0, unit_disk_layout())
@@ -287,7 +300,7 @@ class TestTimeWeights:
     def test_alpha_dominates_psi(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2.0, 2.0, size=(500, 2))
-        pts = pts[self.w.coeff.layout.contains(pts)]
+        pts = pts[self.w.coeff.layout.outer.contains(pts)]
         assert np.all(
             self.params.alpha > np.exp(self.params.lam * self.w.psi(pts))
         )
@@ -409,8 +422,25 @@ class TestVerifyHypotheses:
         with pytest.raises(ValueError):
             wt.verify_hypotheses(w, n_interface=100)
 
+    def test_scan_points_are_classified_once(self, monkeypatch):
+        # grad, Hessian and coefficient of the interior scan share one
+        # set of labels
+        w = wt.build_weight(oval_layout(0.08, 0.03), (0.1, -0.05), 2.0, 1.0)
+        calls = count_classify(monkeypatch)
+        assert wt.verify_hypotheses(w, tolerance=1e-6).all_ok
+        assert len(calls) == 1
+
 
 class TestEpsilonPair:
+    def test_each_h5_ball_is_classified_once(self, monkeypatch):
+        # both weights of the pair read one set of labels per ball
+        calls = count_classify(monkeypatch)
+        pair = wt.build_epsilon_pair(
+            oval_layout(0.08, 0.03), (-0.3, 0.0), (0.3, 0.1), 2.0, 1.0
+        )
+        assert pair.h5_margin_1 > 0.0 and pair.h5_margin_2 > 0.0
+        assert len(calls) == 2
+
     def test_disk_pair_frozen_value(self):
         pair = wt.build_epsilon_pair(
             unit_disk_layout(), (-0.3, 0.0), (0.3, 0.0), 2.0, 1.0

@@ -155,7 +155,9 @@ def run_weight_verify(cfg, out_dir: Path) -> int:
 
 def run_solve_forward(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
-    coeff = cfgmod.build_coefficient(cfg, grid.layout)
+    coeff = pde.CoefficientOnGrid(
+        cfgmod.build_coefficient(cfg, grid.layout), grid
+    )
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
     boundary = _boundary_from_spec(cfg, grid, y0)

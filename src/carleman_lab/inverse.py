@@ -8,7 +8,7 @@ potential.  The module provides
     optional seeded trace noise),
   * the algebraic initial-condition inversion ``bk_recover_f``,
   * a trace misfit with Tikhonov term, its exact discrete adjoint-state
-    gradient, and a monotone descent loop ``reconstruct``,
+    gradient, and ``reconstruct``, scipy's L-BFGS-B on that pair,
   * ``stability_sweep``: seeded smooth perturbations of the potential,
     the ratio of potential distance to trace distance for each, and a
     certificate tying the sweep to the weight hypotheses.
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 from .pde_solver import (
     BoundaryTrace,
@@ -65,20 +66,6 @@ class StalledReconstruction(Exception):
 # problem instances
 
 
-class InstanceOnGrid(CoefficientOnGrid):
-    """The instance coefficient's grid data plus one slot for the forward
-    solve of the last line-search trial.
-
-    ``last`` is None or (a copy of the trial potential, its operator with
-    the LU, its field, its conormal trace).  The copy, not the caller's
-    array, is the key, so a potential changed in place since is a miss.
-    """
-
-    def __init__(self, coeff: PiecewiseCoefficient, grid: Grid2D):
-        super().__init__(coeff, grid)
-        self.last = None
-
-
 @dataclass(frozen=True, eq=False)
 class InverseProblemInstance:
     """One synthetic measurement: geometry, true potential, and its trace.
@@ -102,7 +89,7 @@ class InverseProblemInstance:
     y0_imaginary: bool
     p_inf: float
     q_bound: float
-    on_grid: InstanceOnGrid
+    on_grid: CoefficientOnGrid
 
 
 def _rim_data(grid: Grid2D, y0: np.ndarray) -> Callable:
@@ -169,7 +156,7 @@ def make_instance(
                 f"Dirichlet data at t=0 differs from y0 on the rim by {gap:.3e}"
             )
 
-    on_grid = InstanceOnGrid(coeff, grid)
+    on_grid = CoefficientOnGrid(coeff, grid)
     field = solve_forward(grid, on_grid, p_full, y0_full, 0.0, T, n_steps,
                           boundary=boundary)
     clean = neumann_trace(field, on_grid)
@@ -230,28 +217,16 @@ def _check_q(q, instance: InverseProblemInstance) -> np.ndarray:
     return q
 
 
-def _forward(q: np.ndarray, instance: InverseProblemInstance, keep: bool):
-    """(operator, field, trace) of the forward solve at a checked q.
-
-    Served from the instance's slot when q equals the stored potential bit
-    for bit.  Otherwise the slot is emptied before the new factorization,
-    so at most one LU and one field are alive while it is built, and the
-    new solve is stored when keep is set.
-    """
+def _forward(q: np.ndarray, instance: InverseProblemInstance):
+    """(operator, field, trace) of the forward solve at a checked q."""
     on_grid = instance.on_grid
-    if on_grid.last is not None and on_grid.last[0].tobytes() == q.tobytes():
-        return on_grid.last[1:]
-    on_grid.last = None  # the only reference: this frees the old LU and field
     op = SchrodingerOperator(instance.grid, on_grid, q,
                              instance.T / instance.n_steps)
     field = solve_forward(
         instance.grid, on_grid, q, instance.y0, 0.0, instance.T,
         instance.n_steps, boundary=instance.boundary, operator=op,
     )
-    trace = neumann_trace(field, on_grid)
-    if keep:
-        on_grid.last = (q.copy(), op, field, trace)
-    return op, field, trace
+    return op, field, neumann_trace(field, on_grid)
 
 
 def _data_misfit(trace: BoundaryTrace, data: BoundaryTrace) -> float:
@@ -269,38 +244,13 @@ def _regularizer(q, q_ref, beta, h):
 def misfit(q, instance: InverseProblemInstance, beta: float = 0.0,
            q_ref=None) -> float:
     """0.5 ||a2 dnu y(q) - d||^2 in discrete H1(0,T; L2 boundary) plus
-    0.5 beta ||q - q_ref||^2 in discrete L2 over the grid.
-
-    The solve is kept on the instance, so a misfit_and_gradient at the
-    same q (the accepted line-search trial) does not repeat it."""
+    0.5 beta ||q - q_ref||^2 in discrete L2 over the grid."""
     q = _check_q(q, instance)
     ref = np.zeros(instance.grid.shape) if q_ref is None else np.asarray(q_ref, float)
-    _, _, tr = _forward(q, instance, keep=True)
+    _, _, tr = _forward(q, instance)
     return _data_misfit(tr, instance.data) + _regularizer(
         q, ref, beta, instance.grid.h
     )
-
-
-def _time_gradient_matrix(nt: int, dt: float) -> np.ndarray:
-    """Dense matrix reproducing np.gradient(..., edge_order=2) on a
-    uniform axis, so the adjoint differentiates exactly what the norm
-    computes."""
-    D = np.zeros((nt, nt))
-    inv2 = 1.0 / (2.0 * dt)
-    for n in range(1, nt - 1):
-        D[n, n - 1] = -inv2
-        D[n, n + 1] = inv2
-    D[0, 0:3] = np.array([-3.0, 4.0, -1.0]) * inv2
-    D[-1, -3:] = np.array([1.0, -4.0, 3.0]) * inv2
-    return D
-
-
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    w = np.zeros(times.size)
-    dt = np.diff(times)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w
 
 
 def misfit_and_gradient(q, instance: InverseProblemInstance,
@@ -308,8 +258,7 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     """Return (value, gradient) of the misfit at q.
 
     One forward solve and one adjoint solve sharing a single LU
-    factorization; the forward solve is the last misfit's when that was
-    at the same q.  The gradient is with respect to the nodal values of q
+    factorization.  The gradient is with respect to the nodal values of q
     under the discrete L2 pairing sum_j grad_j delta_j (plain sum, so it
     feeds finite-difference checks directly).
     """
@@ -317,14 +266,16 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     grid = instance.grid
     ref = np.zeros(grid.shape) if q_ref is None else np.asarray(q_ref, float)
     dt = instance.T / instance.n_steps
-    op, field, tr = _forward(q, instance, keep=False)
+    op, field, tr = _forward(q, instance)
     value = _data_misfit(tr, instance.data) + _regularizer(q, ref, beta, grid.h)
 
-    # derivative of the trace functional with respect to each time slice
+    # derivative of the trace functional with respect to each time slice;
+    # D and tau are the time stencil and quadrature of h1l2_boundary_norm,
+    # taken from the same numpy calls on the trace's own times
     residual = tr.values - instance.data.values          # (nt, nb)
-    nt = residual.shape[0]
-    D = _time_gradient_matrix(nt, dt)
-    tau = _trapezoid_weights(tr.times)                   # (nt,)
+    eye = np.eye(residual.shape[0])
+    D = np.gradient(eye, tr.times, axis=0, edge_order=2)
+    tau = np.trapezoid(eye, tr.times, axis=0)            # (nt,)
     rdot = D @ residual
     z = tau[:, None] * residual + D.T @ (tau[:, None] * rdot)
     z = z * tr.weights[None, :]
@@ -352,7 +303,6 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
 # --------------------------------------------------------------------------
 # reconstruction
 
-ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 GRAD_RTOL = 1e-4  # stop once |grad| <= GRAD_RTOL * |grad| at the initial guess
 
 
@@ -397,86 +347,97 @@ def reconstruct(
     max_iter: int = 100,
     *,
     q_ref=None,
-    max_backtracks: int = 30,
 ):
-    """Gradient descent on the misfit with monotone (Armijo) acceptance.
+    """Minimise the misfit from q0 with scipy's L-BFGS-B.
 
-    The first line search starts from the linear-model step misfit /
-    |grad|^2, later ones from the Barzilai-Borwein step of the last accepted
-    pair of iterates (the last accepted step when that pair shows no
-    positive curvature); each halves its step up to max_backtracks times
-    until the ARMIJO decrease holds.  Stops when |grad| has fallen to
-    GRAD_RTOL times its value at q0, or after max_iter steps.
-    Returns a ReconstructionResult, or a StalledReconstruction instance
-    (an Exception, returned rather than raised) when no acceptable step
-    exists; the partial result rides along in its .result attribute.
+    The objective is the misfit divided by its value at q0, so the
+    iterates do not depend on the scale of the data; a finite
+    instance.q_bound becomes box bounds.  Stops when |grad| has fallen to
+    GRAD_RTOL times its value at q0, or after max_iter iterations
+    ("iteration limit"); any other convergence L-BFGS-B reports gives its
+    own message as stop_reason.  Returns a ReconstructionResult, or a
+    StalledReconstruction instance (an Exception, returned rather than
+    raised) when the line search fails; the partial result at the last
+    accepted iterate rides along in its .result attribute.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     q = _check_q(q0, instance).copy()
     ref = q.copy() if q_ref is None else np.asarray(q_ref, float)
+    shape = instance.grid.shape
 
-    value, grad = misfit_and_gradient(q, instance, beta, ref)
-    initial = value
-    gnorm = float(np.linalg.norm(grad))
-    floor = GRAD_RTOL * gnorm
+    last = None  # (x, value, grad) at the last evaluated potential
 
-    def result(iterations, reason, converged):
+    def evaluate(x):
+        # scipy asks again for q0 after the scaling evaluation below, and
+        # the callback for the point the line search has just accepted:
+        # both are served from last
+        nonlocal last
+        if last is None or last[0].tobytes() != x.tobytes():
+            last = (x.copy(),) + misfit_and_gradient(x.reshape(shape), instance,
+                                                     beta, ref)
+        return last
+
+    accepted = evaluate(q.ravel())
+    initial = accepted[1]
+    floor = GRAD_RTOL * float(np.linalg.norm(accepted[2]))
+
+    def converged():
+        _, value, grad = accepted
+        return value == 0.0 or float(np.linalg.norm(grad)) <= floor
+
+    def result(iterations, reason, ok):
+        x, value, grad = accepted
         return ReconstructionResult(
-            q_hat=q.copy(), iterations=iterations, initial_misfit=initial,
-            final_misfit=value, beta=beta,
-            relative_error=_relative_error(q, instance),
-            grad_norm=gnorm, converged=converged, stop_reason=reason,
+            q_hat=x.reshape(shape), iterations=iterations,
+            initial_misfit=initial, final_misfit=value, beta=beta,
+            relative_error=_relative_error(x.reshape(shape), instance),
+            grad_norm=float(np.linalg.norm(grad)), converged=ok,
+            stop_reason=reason,
         )
 
-    if gnorm == 0.0 or initial == 0.0:
+    if converged():
         return result(0, "gradient below tolerance at the initial guess", True)
+    if max_iter == 0:
+        return result(0, "iteration limit", False)
 
-    step = value / (gnorm * gnorm)          # linear-model scale
-    prev_q = None
-    prev_grad = None
-    for it in range(1, max_iter + 1):
-        if prev_q is not None:
-            dq = q - prev_q
-            dg = grad - prev_grad
-            denom = float(np.sum(dq * dg))
-            if denom > 0.0:
-                step = float(np.sum(dq * dq)) / denom
+    def fun(x):
+        _, value, grad = evaluate(x)
+        return value / initial, grad.ravel() / initial
 
-        accepted = False
-        t = step
-        for _ in range(max_backtracks + 1):
-            trial = q - t * grad
-            if np.max(np.abs(trial)) > instance.q_bound:
-                trial = np.clip(trial, -instance.q_bound, instance.q_bound)
-            trial_value = misfit(trial, instance, beta, ref)
-            if trial_value <= value - ARMIJO * t * gnorm * gnorm:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            partial = result(it - 1, "line search failed", False)
-            return StalledReconstruction(
-                "no step satisfied the descent condition",
-                partial,
-                {
-                    "grad_norm": gnorm,
-                    "last_step": t,
-                    "backtracks": max_backtracks,
-                    "misfit": value,
-                    "iteration": it - 1,
-                },
-            )
+    def callback(intermediate_result):
+        nonlocal accepted
+        accepted = evaluate(intermediate_result.x)
+        if converged():
+            raise StopIteration
 
-        prev_q, prev_grad = q, grad
-        q = trial
-        step = t
-        value, grad = misfit_and_gradient(q, instance, beta, ref)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= floor or value == 0.0:
-            return result(it, "gradient below tolerance", True)
-
-    return result(max_iter, "iteration limit", False)
+    # ftol = gtol = 0 leave the callback's GRAD_RTOL test as the only stop
+    bound = instance.q_bound
+    res = minimize(
+        fun, q.ravel(), jac=True, method="L-BFGS-B", callback=callback,
+        bounds=Bounds(-bound, bound) if np.isfinite(bound) else None,
+        options={"maxiter": max_iter, "ftol": 0.0, "gtol": 0.0},
+    )
+    # when q_bound = 0 fixes every node, scipy returns at q0 with neither
+    # an iteration count nor a status
+    nit, status = res.get("nit", 0), res.get("status", 0)
+    if converged():
+        return result(nit, "gradient below tolerance", True)
+    if status == 1:
+        return result(nit, "iteration limit", False)
+    if status == 0:
+        return result(nit, res.message, True)
+    partial = result(nit, "line search failed", False)
+    return StalledReconstruction(
+        "no step satisfied the descent condition",
+        partial,
+        {
+            "grad_norm": partial.grad_norm,
+            "misfit": partial.final_misfit,
+            "iteration": partial.iterations,
+            "message": res.message,
+        },
+    )
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +483,7 @@ def trace_distance(instance: InverseProblemInstance, q) -> float:
     """Discrete H1(0,T; L2 boundary) distance between the conormal trace
     of y(q) and the noiseless trace of the true potential."""
     q = _check_q(q, instance)
-    _, _, tr = _forward(q, instance, keep=False)
+    _, _, tr = _forward(q, instance)
     diff = dataclasses.replace(tr, values=tr.values - instance.clean_data.values)
     return h1l2_boundary_norm(diff)
 

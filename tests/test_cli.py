@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carleman_lab import cli
+from carleman_lab import geometry as geo
 
 
 TMPL = """
@@ -259,6 +260,23 @@ class TestSolveForward:
         assert (out / "forward_trace.csv").read_bytes() == trace_a
         assert second["final_l2"] == first["final_l2"]
         assert "cached=True" in capsys.readouterr().out
+
+    def test_coefficient_classified_once(self, tmp_path, monkeypatch):
+        # the solve and the trace share one CoefficientOnGrid
+        calls = []
+        classify = geo.DomainLayout.classify
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return classify(self, pts)
+
+        monkeypatch.setattr(geo.DomainLayout, "classify", counted)
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["solve-forward", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert load_json(tmp_path / "out" / "forward_summary.json")[
+            "cached"] is False
+        assert calls == [9 * 9]
 
     def test_stale_cache_key_is_ignored(self, tmp_path):
         cfg_a = write_cfg(tmp_path, name="a.ini")

@@ -291,16 +291,64 @@ class TestReconstruct:
         assert res.relative_error < 0.5 * err0
         assert res.iterations <= 60
 
-    def test_stall_is_returned_not_raised(self):
+    def test_stall_is_returned_not_raised(self, monkeypatch):
+        # a gradient of the wrong sign leaves the line search no descent
+        # step along it
+        true_pair = inv.misfit_and_gradient
+
+        def uphill(*args, **kwargs):
+            value, grad = true_pair(*args, **kwargs)
+            return value, -grad
+
+        monkeypatch.setattr(inv, "misfit_and_gradient", uphill)
         inst = make_instance()
         q0 = inst.p_true + 0.2
-        res = inv.reconstruct(inst, q0, beta=0.0, max_iter=5, max_backtracks=0)
+        res = inv.reconstruct(inst, q0, beta=0.0, max_iter=5)
         assert isinstance(res, inv.StalledReconstruction)
         assert isinstance(res, Exception)
-        assert res.result.iterations < 5
+        assert res.result.iterations == 0
         assert res.result.stop_reason == "line search failed"
         assert res.result.final_misfit <= res.result.initial_misfit
         assert "grad_norm" in res.diagnostics
+        assert res.diagnostics["message"].startswith("ABNORMAL")
+
+    def test_bounded_iterates_stay_in_the_box(self, monkeypatch):
+        # the true potential reaches 1.34, so the bound is active
+        inst = make_instance(q_bound=1.2)
+        assert np.max(inst.p_true) > 1.2
+        sups = []
+        true_pair = inv.misfit_and_gradient
+
+        def recorded(q, *args, **kwargs):
+            sups.append(float(np.max(np.abs(q))))
+            return true_pair(q, *args, **kwargs)
+
+        monkeypatch.setattr(inv, "misfit_and_gradient", recorded)
+        res = inv.reconstruct(inst, np.full(inst.grid.shape, 1.0), beta=1e-6,
+                              max_iter=10)
+        assert isinstance(res, inv.ReconstructionResult)
+        assert len(sups) > res.iterations > 0
+        assert max(sups) <= 1.2
+        assert np.max(np.abs(res.q_hat)) <= 1.2
+        assert res.final_misfit <= res.initial_misfit
+
+    def test_zero_iterations_return_the_start(self):
+        inst = make_instance()
+        q0 = inst.p_true + 0.2
+        res = inv.reconstruct(inst, q0, beta=1e-6, max_iter=0)
+        assert res.iterations == 0
+        assert res.stop_reason == "iteration limit"
+        assert np.array_equal(res.q_hat, q0)
+
+    def test_zero_bound_returns_the_only_admissible_potential(self):
+        # q_bound = 0 fixes every node at 0: there is nothing to iterate on
+        inst = make_instance(q_bound=0.0)
+        res = inv.reconstruct(inst, np.zeros(inst.grid.shape), beta=1e-6,
+                              max_iter=5)
+        assert isinstance(res, inv.ReconstructionResult)
+        assert res.iterations == 0
+        assert not np.any(res.q_hat)
+        assert res.final_misfit == res.initial_misfit
 
     def test_noise_degrades_gracefully(self):
         # 1% trace noise should push the recovered potential to the noise
@@ -366,8 +414,8 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestSolveReuse:
-    """Stencils are built once per instance, and the gradient at the
-    accepted line-search trial reuses that trial's solve."""
+    """Stencils are built once per instance, and each evaluation in
+    reconstruct factors one operator and frees it before it returns."""
 
     def test_stencils_built_once_per_instance(self, monkeypatch):
         flux = count_calls(monkeypatch, pde, "_assemble_flux_matrix")
@@ -377,56 +425,39 @@ class TestSolveReuse:
         assert res.iterations == 4
         assert len(flux) == 1 and len(trace) == 1
 
-    def test_one_operator_per_trial_plus_the_start(self, monkeypatch):
+    def test_one_operator_per_evaluation(self, monkeypatch):
         inst = make_instance()
         ops = count_calls(monkeypatch, pde.SchrodingerOperator, "__init__")
-        trials = count_calls(monkeypatch, inv, "misfit")
+        evals = count_calls(monkeypatch, inv, "misfit_and_gradient")
         res = inv.reconstruct(inst, inst.p_true - 0.2, beta=1e-6, max_iter=8)
         assert res.iterations == 8
-        assert len(trials) > res.iterations  # some trials backtracked
-        assert len(ops) == 1 + len(trials)
+        assert len(evals) > res.iterations
+        assert len(ops) == len(evals)
 
-    def test_stored_solve_released_before_the_next_factorization(
-            self, monkeypatch):
-        # the LU lives outside Python's heap: two alive at once raise the
-        # peak resident memory of a reconstruction
+    def test_no_operator_alive_after_an_evaluation(self, monkeypatch):
+        # the LU lives outside Python's heap: one kept past its evaluation
+        # would be alive next to the next factorization
         inst = make_instance()
-        q = inst.p_true + 0.1
-        inv.misfit(q, inst)
-        inv.misfit_and_gradient(q, inst)  # served from the stored solve
-        stored = weakref.ref(inst.on_grid.last[1])
-        alive = []
+        ops = []
         init = pde.SchrodingerOperator.__init__
 
-        def checked(self, *args, **kwargs):
-            alive.append(stored() is not None)
+        def tracked(self, *args, **kwargs):
+            ops.append(weakref.ref(self))
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(pde.SchrodingerOperator, "__init__", checked)
-        inv.misfit(q + 0.1, inst)
-        assert alive == [False]
+        monkeypatch.setattr(pde.SchrodingerOperator, "__init__", tracked)
+        true_pair = inv.misfit_and_gradient
+        alive = []
 
-    def gradients(self, mutate):
-        inst, fresh = make_instance(), make_instance()
-        q = inst.p_true + 0.3 * smooth_direction(inst.grid, 5)
-        ref = np.zeros(inst.grid.shape)
-        inv.misfit(q, inst, beta=1e-3, q_ref=ref)
-        if mutate:
-            q += 0.1 * smooth_direction(inst.grid, 6)  # same array, new values
-        got = inv.misfit_and_gradient(q, inst, beta=1e-3, q_ref=ref)
-        want = inv.misfit_and_gradient(q, fresh, beta=1e-3, q_ref=ref)
-        return got, want
+        def checked(*args, **kwargs):
+            out = true_pair(*args, **kwargs)
+            alive.append(sum(ref() is not None for ref in ops))
+            return out
 
-    @pytest.mark.parametrize("mutate", [False, True])
-    def test_gradient_after_misfit_equals_a_fresh_instance(self, monkeypatch,
-                                                           mutate):
-        ops = count_calls(monkeypatch, pde.SchrodingerOperator, "__init__")
-        (v_got, g_got), (v_want, g_want) = self.gradients(mutate)
-        # two instances, one trial, then one solve per gradient unless the
-        # trial's was reused
-        assert len(ops) == 2 + 1 + (2 if mutate else 1)
-        assert v_got == v_want
-        assert np.array_equal(g_got, g_want)
+        monkeypatch.setattr(inv, "misfit_and_gradient", checked)
+        res = inv.reconstruct(inst, inst.p_true - 0.2, beta=1e-6, max_iter=8)
+        assert len(alive) == len(ops) > res.iterations
+        assert alive == [0] * len(alive)
 
 
 class TestStability:

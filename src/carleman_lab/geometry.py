@@ -20,7 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
+from scipy.optimize.elementwise import find_root
 
 TWO_PI = 2.0 * np.pi
 
@@ -298,14 +299,33 @@ def distance_extrema(interface: RadialInterface, point) -> tuple[float, float]:
     return dmin, dmax
 
 
+def _crossings(interface: RadialInterface, origin, direction, reach):
+    """Distances r in (0, reach) at which the lines origin + r * direction
+    cross the interface, where mu - 1 changes sign; NaN on lines where it
+    has the same sign at both ends or vanishes at one.  origin and
+    direction broadcast as (..., 2) arrays; one find_root call serves
+    every line."""
+    o = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    lines = (o[..., 0], o[..., 1], d[..., 0], d[..., 1])
+
+    def excess(r, ox, oy, dx, dy):
+        pts = np.stack((ox + r * dx, oy + r * dy), axis=-1)
+        return _gauge_data(interface, pts).mu - 1.0
+
+    res = find_root(excess, (0.0, reach), args=lines)
+    bracket = excess(0.0, *lines) * excess(reach, *lines) < 0.0
+    return np.where(bracket & res.success, res.x, np.nan)
+
+
 def resample_from_center(
     interface: RadialInterface, new_center, n_samples: int | None = None
 ) -> RadialInterface:
     """Radial description of the same curve about a different interior point.
 
-    For each target angle the ray from ``new_center`` is intersected with
-    the spline curve by root finding on the bearing, so the new samples lie
-    on the old curve to solver precision.
+    The ray from ``new_center`` at each target angle is intersected with
+    the spline curve, so the new samples lie on the old curve to solver
+    precision.
     """
     nc = np.asarray(new_center, dtype=float)
     if n_samples is None:
@@ -319,41 +339,11 @@ def resample_from_center(
         )
     if gauge(interface, nc) >= 1.0:
         raise GeometryError("new center must lie strictly inside the curve")
-
-    m_dense = max(4096, 16 * interface.n_samples)
-    th_dense = np.linspace(0.0, TWO_PI, m_dense + 1)
-    rel = interface.point(th_dense) - nc
-    bearing = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-    if bearing[-1] - bearing[0] < TWO_PI - 1e-9:
-        raise GeometryError("curve does not wind once about the new center")
-
-    def bearing_at(theta):
-        q = interface.point(theta) - nc
-        return np.arctan2(q[1], q[0])
-
     targets = TWO_PI * np.arange(n_samples) / n_samples
-    radii = np.empty(n_samples)
-    for j, target in enumerate(targets):
-        shifted = bearing[0] + np.mod(target - bearing[0], TWO_PI)
-        idx = int(np.searchsorted(bearing, shifted))
-        idx = min(max(idx, 1), m_dense)
-        lo, hi = th_dense[idx - 1], th_dense[idx]
-
-        def gap(theta, target=target):
-            d = bearing_at(theta) - target
-            return (d + np.pi) % TWO_PI - np.pi
-
-        glo, ghi = gap(lo), gap(hi)
-        if glo == 0.0:
-            theta_star = lo
-        elif ghi == 0.0:
-            theta_star = hi
-        elif glo * ghi < 0.0:
-            theta_star = brentq(gap, lo, hi, xtol=1e-14)
-        else:  # bracket polluted by wrap; widen once
-            theta_star = brentq(gap, lo - TWO_PI / m_dense, hi + TWO_PI / m_dense, xtol=1e-14)
-        q = interface.point(theta_star) - nc
-        radii[j] = np.hypot(q[0], q[1])
+    rel = interface.point(interface.angles) - nc
+    reach = 2.0 * np.max(np.hypot(rel[:, 0], rel[:, 1]))
+    rays = np.stack((np.cos(targets), np.sin(targets)), axis=-1)
+    radii = _crossings(interface, nc, rays, reach)
     return build_radial_interface(np.column_stack((targets, radii)), center=nc)
 
 

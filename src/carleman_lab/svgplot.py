@@ -12,12 +12,16 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _plotted(v, log):
+    """Data value in plotted coordinates (log10 on a log axis)."""
+    return math.log10(v) if log else float(v)
+
+
 def _transforms(xs, ys, logx, logy):
+    """Pixel transform on plotted coordinates, and the padded plotted
+    x and y ranges."""
     def prep(vals, log):
-        vals = [float(v) for v in vals]
-        if log:
-            vals = [math.log10(v) for v in vals if v > 0.0]
-        return vals
+        return [_plotted(v, log) for v in map(float, vals) if not log or v > 0.0]
 
     px = prep(xs, logx)
     py = prep(ys, logy)
@@ -36,9 +40,7 @@ def _transforms(xs, ys, logx, logy):
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def to_px(x, y):
-        ux = math.log10(x) if logx else float(x)
-        uy = math.log10(y) if logy else float(y)
+    def to_px(ux, uy):
         sx = MARGIN_L + plot_w * (ux - lo_x) / (hi_x - lo_x)
         sy = MARGIN_T + plot_h * (1.0 - (uy - lo_y) / (hi_y - lo_y))
         return sx, sy
@@ -77,7 +79,7 @@ def _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title):
         'fill="white" stroke="#444" stroke-width="1"/>'
     ]
     for tx, label in _ticks(*xr, logx):
-        px = MARGIN_L + (WIDTH - MARGIN_L - MARGIN_R) * (tx - xr[0]) / (xr[1] - xr[0])
+        px, _ = to_px(tx, yr[0])
         parts.append(
             f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="#444"/>'
         )
@@ -86,7 +88,7 @@ def _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title):
             f'text-anchor="middle">{label}</text>'
         )
     for ty, label in _ticks(*yr, logy):
-        py = MARGIN_T + (HEIGHT - MARGIN_T - MARGIN_B) * (1.0 - (ty - yr[0]) / (yr[1] - yr[0]))
+        _, py = to_px(xr[0], ty)
         parts.append(
             f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#444"/>'
         )
@@ -109,6 +111,14 @@ def _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title):
     return parts
 
 
+def _pixels(to_px, xs, ys, logx, logy):
+    """Pixel positions of the data points a log axis can show."""
+    for x, y in zip(xs, ys):
+        if (logx and x <= 0.0) or (logy and y <= 0.0):
+            continue
+        yield to_px(_plotted(x, logx), _plotted(y, logy))
+
+
 def _document(parts):
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -124,23 +134,15 @@ def scatter(xs, ys, *, logx=False, logy=False, xlabel="x", ylabel="y",
     y = slope*x + intercept in the plotted (possibly log10) coordinates."""
     to_px, xr, yr = _transforms(xs, ys, logx, logy)
     parts = _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title)
-    for x, y in zip(xs, ys):
-        if (logx and x <= 0.0) or (logy and y <= 0.0):
-            continue
-        px, py = to_px(x, y)
+    for px, py in _pixels(to_px, xs, ys, logx, logy):
         parts.append(
             f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="{PALETTE[0]}" '
             'fill-opacity="0.8"/>'
         )
     if fit_slope is not None and fit_intercept is not None:
-        u0, u1 = xr
         pts = []
-        for u in (u0, u1):
-            v = fit_slope * u + fit_intercept
-            px = MARGIN_L + (WIDTH - MARGIN_L - MARGIN_R) * (u - xr[0]) / (xr[1] - xr[0])
-            py = MARGIN_T + (HEIGHT - MARGIN_T - MARGIN_B) * (
-                1.0 - (v - yr[0]) / (yr[1] - yr[0])
-            )
+        for u in xr:
+            px, py = to_px(u, fit_slope * u + fit_intercept)
             pts.append(f"{px:.1f},{py:.1f}")
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" '
@@ -163,10 +165,7 @@ def lines(series, *, logx=False, logy=False, xlabel="x", ylabel="y",
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         pts = []
-        for x, y in zip(xs, ys):
-            if (logx and x <= 0.0) or (logy and y <= 0.0):
-                continue
-            px, py = to_px(x, y)
+        for px, py in _pixels(to_px, xs, ys, logx, logy):
             pts.append(f"{px:.1f},{py:.1f}")
             parts.append(
                 f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3.5" fill="{color}"/>'

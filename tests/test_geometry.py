@@ -238,6 +238,34 @@ class TestDistanceExtrema:
         np.testing.assert_allclose([dmin, dmax], [2.0, 2.0], atol=1e-11)
 
 
+class TestCrossings:
+    def test_horizontal_lines_cross_unit_disk(self):
+        iface = geo.disk_interface(1.0, n=64)
+        y = np.linspace(-0.99, 0.99, 45)
+        x0 = 0.9 * np.sqrt(1.0 - y**2) * np.cos(7.0 * y)  # inside the disk
+        r = geo._crossings(iface, np.stack((x0, y), axis=-1), (1.0, 0.0), 3.0)
+        np.testing.assert_allclose(r, np.sqrt(1.0 - y**2) - x0, rtol=0, atol=1e-14)
+
+    def test_nan_exactly_where_the_reach_brackets_no_crossing(self):
+        iface = geo.disk_interface(1.0, n=64)
+        origins = np.array([
+            [0.0, 0.5],    # crosses
+            [0.0, 1.5],    # misses the disk
+            [-2.0, 0.0],   # enters and leaves: same sign at both ends
+            [0.2, -0.3],   # crosses
+            [-0.5, 0.0],   # reach ends inside the disk
+            [-1.0, 0.0],   # starts on the curve
+            [0.9, 0.0],    # crosses
+        ])
+        r = geo._crossings(iface, origins, (1.0, 0.0), np.array(
+            [3.0, 3.0, 3.0, 3.0, 0.5, 3.0, 3.0]))
+        brackets = np.array([True, False, False, True, False, False, True])
+        np.testing.assert_array_equal(np.isnan(r), ~brackets)
+        x0, y = origins[brackets].T
+        np.testing.assert_allclose(r[brackets], np.sqrt(1.0 - y**2) - x0,
+                                   rtol=0, atol=1e-14)
+
+
 class TestResample:
     def test_circle_about_offset_center(self):
         iface = geo.disk_interface(1.0, n=64)

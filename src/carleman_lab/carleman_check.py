@@ -32,13 +32,23 @@ normalization e^{s phi_ref} (phi_ref depends only on the weight pair and
 the parameters, never on the field), which cancels exactly in the ratio
 and keeps both sides inside double-precision range; reported lhs/rhs
 components therefore carry that common normalization.
+
+Streaming: carleman_ratio builds each weight's phi factors once (tau over
+the whole time axis, the space arrays once) and then walks the field in
+slabs of SLAB time levels.  Each slab is conjugated with one extra level
+on each side, so the time derivative at its levels is the whole stack's;
+every term is reduced in space into its per-time density, and each
+density is integrated once over the whole time axis by the trapezoidal
+rule.  Every floating-point operation is the one the whole-stack
+operators perform, so the report is bit-identical to whole-stack
+evaluation, while the temporaries are slab-sized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +75,8 @@ from .weight import (
 FLUSH_THRESHOLD = 1e-300
 _LOG_FLUSH = float(np.log(FLUSH_THRESHOLD))
 _LOG_CLIP = 700.0
+# time levels per slab of a streamed carleman_ratio call
+SLAB = 32
 
 
 class InequalityViolation(Exception):
@@ -108,7 +120,7 @@ class SweepResult:
 class _GradedField:
     """A conjugated stack w whose spatial gradient is computed once.
 
-    carleman_ratio hands one instance first to weighted_norm_sq, whose
+    carleman_ratio hands one instance first to _norm_densities, whose
     first read computes the gradient (after its gradient-free term, as a
     plain field would), and then to apply_P2, which builds its terms in
     the gradient buffers and so must be the last reader.
@@ -122,6 +134,30 @@ class _GradedField:
         return _spatial_gradient(self.w)
 
 
+@dataclass(frozen=True)
+class _Slab(SpaceTimeField):
+    """Levels offset .. offset + nt of the stack ext, viewed as values.
+
+    ext also holds the whole stack's level on each side of the slab where
+    it has one, and stack_dt is the whole stack's dt, so the time
+    derivative at the slab's levels is the whole stack's bit for bit.
+    """
+
+    ext: np.ndarray
+    offset: int
+    stack_dt: float
+
+
+def _slabs(nt: int) -> list:
+    """(start, stop) of consecutive SLAB-level slabs covering nt levels; a
+    tail of fewer than 3 levels joins the slab before it, so every slab is
+    a stack the operators accept."""
+    starts = list(range(0, nt, SLAB))
+    if len(starts) > 1 and nt - starts[-1] < 3:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [nt]))
+
+
 def _as_field(w) -> SpaceTimeField:
     return w.w if isinstance(w, _GradedField) else w
 
@@ -132,6 +168,16 @@ def _spatial_gradient(w):
         return w.gradient
     field = _as_field(w)
     return np.gradient(field.values, field.grid.h, axis=(1, 2), edge_order=2)
+
+
+def _time_derivative(field: SpaceTimeField) -> np.ndarray:
+    """d/dt of the stack by np.gradient, second order at the ends; a _Slab
+    takes the whole stack's at its levels."""
+    if isinstance(field, _Slab):
+        dwdt = np.gradient(field.ext, field.stack_dt, axis=0, edge_order=2)
+        return dwdt[field.offset : field.offset + field.nt]
+    _require_time_resolution(field)
+    return np.gradient(field.values, field.dt, axis=0, edge_order=2)
 
 
 class WeightOnGrid(_OnGrid):
@@ -161,6 +207,88 @@ class WeightOnGrid(_OnGrid):
         return mask, self.psi[ids][mask]
 
 
+class _PhiSpace:
+    """The space factor beta = alpha - e^{lam psi} of phi = beta(x) tau(t)
+    for one weight at one params, and the arrays the operators build from
+    it, each made on first use.  a is the operators' coefficient (default:
+    the weight's own)."""
+
+    def __init__(self, weight: WeightOnGrid, params: CarlemanParams, a=None):
+        self.weight = weight
+        self.params = params
+        self._a = a
+
+    @property
+    def shape(self) -> tuple:
+        return self.weight.grid.shape
+
+    @cached_property
+    def coeff(self) -> CoefficientOnGrid:
+        a = self._a if self._a is not None else self.weight.source.coeff
+        return CoefficientOnGrid.of(a, self.weight.grid)
+
+    @cached_property
+    def e_lp(self) -> np.ndarray:
+        """e^{lam psi} at the nodes, flattened."""
+        return np.exp(self.params.lam * self.weight.psi)
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return (self.params.alpha - self.e_lp).reshape(self.shape)
+
+    @cached_property
+    def p1_potential(self) -> np.ndarray:
+        """s^2 a |grad phi|^2 / tau^2 = s^2 lam^2 a e^{2 lam psi} |grad psi|^2."""
+        p = self.params
+        return (
+            p.s**2 * p.lam**2 * self.coeff.at_nodes * self.e_lp**2 * self.weight.grad_sq
+        ).reshape(self.shape)
+
+    @cached_property
+    def grad_beta(self) -> tuple:
+        """(d/dx, d/dy) beta = -lam e^{lam psi} grad psi."""
+        gpsi = self.weight.grad
+        lam = self.params.lam
+        return (
+            (-lam * self.e_lp * gpsi[:, 0]).reshape(self.shape),
+            (-lam * self.e_lp * gpsi[:, 1]).reshape(self.shape),
+        )
+
+    @cached_property
+    def div_a_grad_beta(self) -> np.ndarray:
+        """div(a grad beta) = -a lam e^{lam psi} (lam |grad psi|^2 + lap psi)."""
+        lam = self.params.lam
+        gw = self.weight
+        return (
+            -self.coeff.at_nodes * lam * self.e_lp * (lam * gw.grad_sq + gw.laplacian)
+        ).reshape(self.shape)
+
+    @cached_property
+    def sigma_weights(self) -> np.ndarray:
+        """e^{lam psi} times the trace quadrature weight on Sigma_+."""
+        mask, psi_plus = self.weight.sigma
+        return np.exp(self.params.lam * psi_plus) * self.coeff.trace[2][mask]
+
+
+class _Phi(NamedTuple):
+    """A weight's phi factors at the time levels of a stack or slab."""
+
+    space: _PhiSpace
+    tau: np.ndarray
+
+    def slab(self, start: int, stop: int) -> "_Phi":
+        return _Phi(self.space, self.tau[start:stop])
+
+
+def _phi(weight, params: CarlemanParams, a, grid: Grid2D, times) -> _Phi:
+    """weight's phi factors at params over times; a _Phi, which carries its
+    own params and coefficient, is passed through."""
+    if isinstance(weight, _Phi):
+        return weight
+    space = _PhiSpace(WeightOnGrid.of(weight, grid), params, a)
+    return _Phi(space, _time_factor(params, times))
+
+
 class PairOnGrid(_OnGrid):
     """An epsilon pair on one grid: the coefficient data (the estimate uses
     the first weight's coefficient for both weights) and each weight's data.
@@ -184,19 +312,13 @@ class PairOnGrid(_OnGrid):
         return self._last[2]
 
 
-def _on_grid(weight, a, grid: Grid2D):
-    """The weight's grid data and that of a (default: the weight's own)."""
-    gw = WeightOnGrid.of(weight, grid)
-    return gw, CoefficientOnGrid.of(a if a is not None else gw.source.coeff, grid)
-
-
 def _require_time_resolution(field: SpaceTimeField):
     if field.nt < 3:
         raise SolverError("need at least 3 time levels for time derivatives")
 
 
 def _conjugation_factors(
-    weight: Union[TransmissionWeight, WeightOnGrid],
+    weight: Union[TransmissionWeight, WeightOnGrid, _Phi],
     params: CarlemanParams,
     grid: Grid2D,
     times: np.ndarray,
@@ -207,10 +329,8 @@ def _conjugation_factors(
     Evaluated in log space; exponents are clipped high so a malformed
     alpha (phi < 0 somewhere) yields huge finite factors instead of inf.
     """
-    psi = WeightOnGrid.of(weight, grid).psi.reshape(grid.shape)
-    beta = params.alpha - np.exp(params.lam * psi)
-    tau = _time_factor(params, np.asarray(times, dtype=float))
-    log_f = -params.s * beta * tau[:, None, None] + log_shift
+    phi = _phi(weight, params, None, grid, times)
+    log_f = -params.s * phi.space.beta * phi.tau[:, None, None] + log_shift
     np.minimum(log_f, _LOG_CLIP, out=log_f)
     flushed = log_f < _LOG_FLUSH
     f = np.exp(log_f, out=log_f)
@@ -235,13 +355,10 @@ def _schrodinger_stack(
 ) -> SpaceTimeField:
     """i w' + div(a grad w) + V w with the solver's flux stencils; V is
     potential, broadcast against the (nt, ny, nx) stack."""
-    _require_time_resolution(w)
     # a sweep keeps L v for all (s, lambda) of a field, so the stack is
     # built in its first buffer: left above the temporaries, it would keep
     # their heap memory resident
-    vals = np.gradient(w.values, w.dt, axis=0, edge_order=2).astype(
-        complex, copy=False
-    )
+    vals = _time_derivative(w).astype(complex, copy=False)
     np.multiply(1j, vals, out=vals)
     vals += _apply_flux(w.grid, *coeff.flux, w.values)
     vals += potential * w.values
@@ -262,29 +379,21 @@ def apply_transmission_operator(
 
 def apply_P1(
     w,
-    weight: Union[TransmissionWeight, WeightOnGrid],
+    weight: Union[TransmissionWeight, WeightOnGrid, _Phi],
     params: CarlemanParams,
     a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
 ) -> SpaceTimeField:
     """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w: the Schrodinger
     stack with the potential s^2 a |grad phi|^2."""
     field = _as_field(w)
-    grid = field.grid
-    gw, gc = _on_grid(weight, a, grid)
-    e_lp = np.exp(params.lam * gw.psi)
-    # |grad phi|^2 = lam^2 e^{2 lam psi} |grad psi|^2 tau(t)^2
-    space = (
-        params.s**2 * params.lam**2 * gc.at_nodes * e_lp**2 * gw.grad_sq
-    ).reshape(grid.shape)
-    tau = _time_factor(params, field.times)
-    return _schrodinger_stack(
-        field, gc, space[None, :, :] * (tau**2)[:, None, None]
-    )
+    phi = _phi(weight, params, a, field.grid, field.times)
+    potential = phi.space.p1_potential[None, :, :] * (phi.tau**2)[:, None, None]
+    return _schrodinger_stack(field, phi.space.coeff, potential)
 
 
 def apply_P2(
     w,
-    weight: Union[TransmissionWeight, WeightOnGrid],
+    weight: Union[TransmissionWeight, WeightOnGrid, _Phi],
     params: CarlemanParams,
     a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
 ) -> SpaceTimeField:
@@ -295,20 +404,12 @@ def apply_P2(
         zeros = np.zeros_like(np.asarray(field.values, dtype=complex))
         return SpaceTimeField(grid=grid, times=field.times, values=zeros)
     _require_time_resolution(field)
-    gw, gc = _on_grid(weight, a, grid)
-    e_lp = np.exp(params.lam * gw.psi)
-    gpsi = gw.grad
-    a_nodes = gc.at_nodes
-    beta = (params.alpha - e_lp).reshape(grid.shape)
-    # grad phi = tau grad beta with grad beta = -lam e^{lam psi} grad psi
-    gbx = (-params.lam * e_lp * gpsi[:, 0]).reshape(grid.shape)
-    gby = (-params.lam * e_lp * gpsi[:, 1]).reshape(grid.shape)
-    # div(a grad beta) = -a lam e^{lam psi} (lam |grad psi|^2 + lap psi)
-    div_ab = (
-        -a_nodes * params.lam * e_lp * (params.lam * gw.grad_sq + gw.laplacian)
-    ).reshape(grid.shape)
-    a2d = a_nodes.reshape(grid.shape)
-    tau = _time_factor(params, field.times)[:, None, None]
+    phi = _phi(weight, params, a, grid, field.times)
+    space = phi.space
+    # grad phi = tau grad beta
+    gbx, gby = space.grad_beta
+    a2d = space.coeff.at_nodes.reshape(grid.shape)
+    tau = phi.tau[:, None, None]
     tau_prime = 2.0 * np.asarray(field.times, dtype=float)[:, None, None] * tau**2
     s = params.s
     vals = field.values
@@ -319,53 +420,56 @@ def apply_P2(
         np.multiply(gbx, wx, out=wx), np.multiply(gby, wy, out=wy), out=wx
     )
     np.multiply(2.0 * s * tau * a2d, transport, out=transport)
-    divergence = np.multiply(s * tau * div_ab, vals, out=wy)
-    out = 1j * s * tau_prime * beta
+    divergence = np.multiply(s * tau * space.div_a_grad_beta, vals, out=wy)
+    out = 1j * s * tau_prime * space.beta
     np.multiply(out, vals, out=out)
     out += transport
     out += divergence
     return SpaceTimeField(grid=grid, times=field.times, values=out)
 
 
-def weighted_norm_sq(w, weight, params: CarlemanParams) -> float:
-    """s^3 lam^4 int theta^3 |w|^2 + s lam int theta |grad w|^2 over the
-    rectangle, by the trapezoidal rule in space and time."""
+def _norm_densities(w, phi: _Phi) -> tuple:
+    """int theta^3 |w|^2 and int theta |grad w|^2 over space, per time
+    level, by the trapezoidal rule."""
     field = _as_field(w)
     grid = field.grid
-    psi = WeightOnGrid.of(weight, grid).psi.reshape(grid.shape)
-    e_lp = np.exp(params.lam * psi)
     cell = grid.cell_weights
-    tau = _time_factor(params, field.times)
     vals = field.values
-    theta = e_lp * tau[:, None, None]
+    theta = phi.space.e_lp.reshape(grid.shape) * phi.tau[:, None, None]
     dens1 = np.sum(cell * theta**3 * (vals.real**2 + vals.imag**2), axis=(1, 2))
     wy, wx = _spatial_gradient(w)
     grad_sq = wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2
     del wx, wy
     dens2 = np.sum(cell * theta * grad_sq, axis=(1, 2))
-    term1 = params.s**3 * params.lam**4 * np.trapezoid(dens1, field.times)
-    term2 = params.s * params.lam * np.trapezoid(dens2, field.times)
+    return dens1, dens2
+
+
+def _norm_value(params: CarlemanParams, dens1, dens2, times) -> float:
+    term1 = params.s**3 * params.lam**4 * np.trapezoid(dens1, times)
+    term2 = params.s * params.lam * np.trapezoid(dens2, times)
     return float(term1 + term2)
 
 
-def _space_time_l2_sq(grid: Grid2D, times: np.ndarray, values: np.ndarray) -> float:
-    cell = grid.cell_weights
-    per = np.tensordot(values.real**2 + values.imag**2, cell, axes=([1, 2], [0, 1]))
-    return float(np.trapezoid(per, times))
+def weighted_norm_sq(w, weight, params: CarlemanParams) -> float:
+    """s^3 lam^4 int theta^3 |w|^2 + s lam int theta |grad w|^2 over the
+    rectangle, by the trapezoidal rule in space and time."""
+    field = _as_field(w)
+    phi = _phi(weight, params, None, field.grid, field.times)
+    return _norm_value(params, *_norm_densities(w, phi), field.times)
 
 
-def _common_log_shift(
-    weights: Sequence[Union[TransmissionWeight, WeightOnGrid]],
-    params: CarlemanParams,
-    grid: Grid2D,
-) -> float:
+def _l2_density(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """int |values|^2 over space per time level, by the trapezoidal rule."""
+    return np.tensordot(
+        values.real**2 + values.imag**2, grid.cell_weights, axes=([1, 2], [0, 1])
+    )
+
+
+def _common_log_shift(spaces: Sequence[_PhiSpace], params: CarlemanParams) -> float:
     """s * phi_ref with phi_ref <= min phi over the pair and the grid."""
     if params.s == 0.0:
         return 0.0
-    beta_min = np.inf
-    for wgt in weights:
-        e = np.exp(params.lam * WeightOnGrid.of(wgt, grid).psi)
-        beta_min = min(beta_min, float((params.alpha - e).min()))
+    beta_min = min(float(space.beta.min()) for space in spaces)
     if np.isfinite(params.psi_sup):
         beta_min = min(
             beta_min, params.alpha - float(np.exp(params.lam * params.psi_sup))
@@ -398,27 +502,19 @@ def assemble_report(
     )
 
 
-def _boundary_term(
-    wvals: np.ndarray,
-    times: np.ndarray,
-    weight: WeightOnGrid,
-    params: CarlemanParams,
-    coeff: CoefficientOnGrid,
-) -> float:
-    """s lam int over Sigma_+ of theta |a dw/dnu|^2."""
-    mask, psi_plus = weight.sigma
+def _boundary_term(wvals: np.ndarray, phi: _Phi) -> np.ndarray:
+    """int over Sigma_+ of theta |a dw/dnu|^2 per time level; the term is
+    s lam times its time integral."""
+    space = phi.space
+    mask, _ = space.weight.sigma
+    nt = len(phi.tau)
     if not mask.any():
-        return 0.0
-    _, _, tr_weights, tr_matrix = coeff.trace
-    nt = len(times)
+        return np.zeros(nt)
     flat = wvals.reshape(nt, -1)
-    flux = (tr_matrix @ flat.T).T[:, mask]
-    e_lp = np.exp(params.lam * psi_plus)
-    tau = _time_factor(params, np.asarray(times, dtype=float))
-    per_t = (
-        (flux.real**2 + flux.imag**2) * (e_lp * tr_weights[mask])[None, :]
-    ).sum(axis=1) * tau
-    return float(params.s * params.lam * np.trapezoid(per_t, times))
+    flux = (space.coeff.trace[3] @ flat.T).T[:, mask]
+    return (
+        (flux.real**2 + flux.imag**2) * space.sigma_weights[None, :]
+    ).sum(axis=1) * phi.tau
 
 
 def clamp_tail_bound(params: CarlemanParams) -> float:
@@ -445,37 +541,54 @@ def carleman_ratio(
     finite residual L v, and a computable boundary flux.  The report
     components carry one common positive normalization (see module notes);
     the ratio is exact.  A PairOnGrid built for v's grid lends its
-    field-independent data (and L v, when v was its last field).
+    field-independent data (and L v, when v was its last field).  Each
+    weight's phi factors are built once; the terms are streamed over
+    slabs of SLAB time levels (module notes).
     """
     _require_time_resolution(v)
-    grid = v.grid
+    grid, times, nt = v.grid, v.times, v.nt
     on_grid = PairOnGrid.of(weight_pair, grid)
-    lv = on_grid.residual(v, q)
-    shift = _common_log_shift(on_grid.weights, params, grid)
+    lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
+    tau = _time_factor(params, times)
+    phis = [_Phi(_PhiSpace(wgt, params, coeff), tau) for wgt in on_grid.weights]
+    shift = _common_log_shift([phi.space for phi in phis], params)
     lhs = 0.0
     rhs_residual = 0.0
     rhs_boundary = 0.0
-    for wgt in on_grid.weights:
-        fac = _conjugation_factors(wgt, params, grid, v.times, log_shift=shift)
-        wfield = SpaceTimeField(grid=grid, times=v.times, values=v.values * fac)
-        # each operator stack is reduced and dropped before the next is built
-        lhs += _space_time_l2_sq(
-            grid, v.times, apply_P1(wfield, wgt, params, coeff).values
-        )
-        graded = _GradedField(wfield)
-        # the norm reads the gradient before apply_P2 overwrites it; the
-        # sum keeps the order P1, P2, norm
-        norm = weighted_norm_sq(graded, wgt, params)
-        lhs += _space_time_l2_sq(
-            grid, v.times, apply_P2(graded, wgt, params, coeff).values
-        )
-        del graded
-        lhs += norm
-        rhs_residual += _space_time_l2_sq(grid, v.times, lv.values * fac)
-        rhs_boundary += _boundary_term(
-            wfield.values, v.times, wgt, params, coeff
-        )
+    for phi in phis:
+        # per time level: |P1 w|^2, |P2 w|^2, the norm's two integrands,
+        # |e^{-s phi} L v|^2 and the boundary integrand
+        dens = np.empty((6, nt))
+        for start, stop in _slabs(nt):
+            lo, hi = max(start - 1, 0), min(stop + 1, nt)
+            fac = _conjugation_factors(
+                phi.slab(lo, hi), params, grid, times[lo:hi], log_shift=shift
+            )
+            ext = v.values[lo:hi] * fac
+            core = slice(start - lo, stop - lo)
+            w = _Slab(grid=grid, times=times[start:stop], values=ext[core],
+                      ext=ext, offset=start - lo, stack_dt=v.dt)
+            part = phi.slab(start, stop)
+            # each operator stack is reduced and dropped before the next is built
+            dens[0, start:stop] = _l2_density(
+                grid, apply_P1(w, part, params, coeff).values
+            )
+            graded = _GradedField(w)
+            # the norm reads the gradient before apply_P2 overwrites it
+            dens[2:4, start:stop] = _norm_densities(graded, part)
+            dens[1, start:stop] = _l2_density(
+                grid, apply_P2(graded, part, params, coeff).values
+            )
+            del graded
+            dens[4, start:stop] = _l2_density(grid, lv[start:stop] * fac[core])
+            dens[5, start:stop] = _boundary_term(w.values, part)
+        # the sum keeps the order P1, P2, norm
+        lhs += float(np.trapezoid(dens[0], times))
+        lhs += float(np.trapezoid(dens[1], times))
+        lhs += _norm_value(params, dens[2], dens[3], times)
+        rhs_residual += float(np.trapezoid(dens[4], times))
+        rhs_boundary += float(params.s * params.lam * np.trapezoid(dens[5], times))
     return assemble_report(lhs, rhs_residual, rhs_boundary, params.s, params.lam)
 
 
@@ -483,7 +596,7 @@ def constant_sweep(
     test_fields: Sequence[SpaceTimeField],
     s_values: Sequence[float],
     lam_values: Sequence[float],
-    weight_pair: EpsilonPair,
+    weight_pair: Union[EpsilonPair, PairOnGrid],
     q,
     *,
     T: float,
@@ -498,8 +611,9 @@ def constant_sweep(
     the s-range stays below 10 percent.
     psi of both weights is scanned once, and every (s, lambda) is fitted
     to that one sup.  Fields are visited one at a time, each over every
-    (s, lambda), so the pair's grid data is built once and L v once per
-    field; rows come out in (s, lambda, field) order.
+    (s, lambda), so the pair's grid data is built once (a PairOnGrid for
+    the fields' grid is used as given) and L v once per field; rows come
+    out in (s, lambda, field) order.
     """
     fields = list(test_fields)
     if not fields:
@@ -512,7 +626,8 @@ def constant_sweep(
             tail_bound=0.0,
         )
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
-    psi_sup = psi_grid_max((weight_pair.w1, weight_pair.w2), n_grid)
+    pair = weight_pair.source if isinstance(weight_pair, PairOnGrid) else weight_pair
+    psi_sup = psi_grid_max((pair.w1, pair.w2), n_grid)
     fitted = []
     tail = 0.0
     for s, lam in s_lam:

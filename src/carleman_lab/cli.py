@@ -210,7 +210,6 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
 
 def run_carleman_sweep(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
-    coeff = cfgmod.build_coefficient(cfg, grid.layout)
     q = cfgmod.real_profile(cfg.physics.p, grid)
 
     for key in ("x1", "x2"):
@@ -245,14 +244,16 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
 
     n_solved = (cfg.carleman.n_fields + 1) // 2
     n_manufactured = cfg.carleman.n_fields - n_solved
+    # the suite's solves and the estimate share one flux matrix
+    on_grid = cc.PairOnGrid(pair, grid)
     fields = cc.build_test_suite(
-        grid, coeff, q, cfg.physics.T,
+        grid, on_grid.coeff, q, cfg.physics.T,
         delta_t=cfg.carleman.delta_t, n_steps=cfg.carleman.n_half,
         seed=cfg.carleman.seed, n_solved=n_solved,
         n_manufactured=n_manufactured,
     )
     sweep = cc.constant_sweep(
-        fields, cfg.carleman.s, cfg.carleman.lam, pair, q,
+        fields, cfg.carleman.s, cfg.carleman.lam, on_grid, q,
         T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
         n_grid=cfg.carleman.n_grid,
     )

@@ -10,6 +10,8 @@ Oracles used here:
   * exact quadratic homogeneity of every report component.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,6 +445,136 @@ class TestRatioReport:
         assert rep.ratio == 0.0
         rep = cc.assemble_report(2.0, 1.0, 1.0, 10.0, 1.0)
         assert rep.ratio == pytest.approx(1.0)
+
+
+def whole_stack_ratio(v, pair, params, q):
+    """Oracle: the whole-stack evaluation that carleman_ratio streams.
+
+    Every operator acts on the full (nt, ny, nx) conjugated stack and each
+    term is integrated in time as soon as it is reduced in space.
+    """
+    grid, times, nt = v.grid, v.times, v.nt
+    on_grid = cc.PairOnGrid(pair, grid)
+    coeff = on_grid.coeff
+    lv = cc.apply_transmission_operator(v, coeff, q)
+    shift = 0.0
+    if params.s != 0.0:
+        beta_min = min(
+            float((params.alpha - np.exp(params.lam * w.psi)).min())
+            for w in on_grid.weights
+        )
+        if np.isfinite(params.psi_sup):
+            beta_min = min(
+                beta_min, params.alpha - float(np.exp(params.lam * params.psi_sup))
+            )
+        shift = params.s * max(beta_min, 0.0) / (params.T * params.T)
+
+    def l2_sq(values):
+        per = np.tensordot(
+            values.real**2 + values.imag**2, grid.cell_weights, axes=([1, 2], [0, 1])
+        )
+        return float(np.trapezoid(per, times))
+
+    lhs = rhs_residual = rhs_boundary = 0.0
+    for wgt in on_grid.weights:
+        fac = cc._conjugation_factors(wgt, params, grid, times, log_shift=shift)
+        w = pde.SpaceTimeField(grid=grid, times=times, values=v.values * fac)
+        lhs += l2_sq(cc.apply_P1(w, wgt, params, coeff).values)
+        norm = cc.weighted_norm_sq(w, wgt, params)
+        lhs += l2_sq(cc.apply_P2(w, wgt, params, coeff).values)
+        lhs += norm
+        rhs_residual += l2_sq(lv.values * fac)
+        mask, psi_plus = wgt.sigma
+        if mask.any():
+            _, _, tr_weights, tr_matrix = coeff.trace
+            flux = (tr_matrix @ w.values.reshape(nt, -1).T).T[:, mask]
+            e_lp = np.exp(params.lam * psi_plus)
+            per_t = (
+                (flux.real**2 + flux.imag**2) * (e_lp * tr_weights[mask])[None, :]
+            ).sum(axis=1) * wt._time_factor(params, times)
+            rhs_boundary += float(params.s * params.lam * np.trapezoid(per_t, times))
+    return cc.assemble_report(lhs, rhs_residual, rhs_boundary, params.s, params.lam)
+
+
+def manufactured_field(grid, times, center=(0.2, -0.1), width=0.4, omega=1.5):
+    pts = grid.points
+    r2 = (pts[..., 0] - center[0]) ** 2 + (pts[..., 1] - center[1]) ** 2
+    profile = np.exp(-r2 / width**2) * boundary_taper(grid)
+    env = time_bump(times, 0.55 * times[-1]) * np.exp(1j * omega * times)
+    values = env[:, None, None] * profile[None, :, :]
+    return pde.SpaceTimeField(grid=grid, times=times, values=values.astype(complex))
+
+
+class TestStreamedRatio:
+    NT = (3, 4, cc.SLAB + 1, cc.SLAB + 2, 2 * cc.SLAB + 3, 129)
+
+    @pytest.mark.parametrize("nt", NT)
+    def test_streaming_equals_the_whole_stack_bit_for_bit(self, nt):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        t_max = params.T - params.delta_t
+        times = np.linspace(-t_max, t_max, nt)
+        y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
+        solved = pde.solve_forward(grid, coeff, q, y0, -t_max, t_max, nt - 1)
+        for v in (solved, manufactured_field(grid, times)):
+            got = cc.carleman_ratio(v, pair, params, q)
+            want = whole_stack_ratio(v, pair, params, q)
+            assert got.rhs_boundary > 0.0
+            assert got.lhs == want.lhs
+            assert got.rhs_residual == want.rhs_residual
+            assert got.rhs_boundary == want.rhs_boundary
+            assert got.ratio == want.ratio
+
+    def test_slabs_cover_the_levels_once(self):
+        for nt in self.NT:
+            slabs = cc._slabs(nt)
+            assert slabs[0][0] == 0 and slabs[-1][1] == nt
+            assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
+            assert all(3 <= stop - start <= cc.SLAB + 2 for start, stop in slabs)
+        assert len(cc._slabs(2 * cc.SLAB + 3)) == 3
+
+    def test_time_factor_once_per_weight_per_call(self, monkeypatch):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=40)
+        q = np.zeros(grid.shape)
+        calls = []
+        time_factor = cc._time_factor
+
+        def counted(p, t):
+            calls.append(len(t))
+            return time_factor(p, t)
+
+        monkeypatch.setattr(cc, "_time_factor", counted)
+        on_grid = cc.PairOnGrid(pair, grid)
+        for _ in range(2):
+            calls.clear()
+            cc.carleman_ratio(v, on_grid, params, q)
+            assert len(calls) <= len(on_grid.weights)
+
+    def test_warm_call_peaks_below_two_stacks(self):
+        # the sweep's shape: (129, 48, 48); the whole-stack evaluation
+        # peaks at about 5.5 complex stacks
+        layout = geo.DomainLayout(
+            geo.RectangularDomain(-1.1, 1.1, -1.1, 1.1), geo.disk_interface(1.0, n=64)
+        )
+        grid = pde.Grid2D.from_layout(layout, 48)
+        pair = wt.build_epsilon_pair(
+            layout, (-0.12, 0.0), (0.12, 0.0), 0.1, 0.05, M2=0.05
+        )
+        params = wt.fit_carleman_params(pair.w1, 80.0, 2.0, 1.0, partner=pair.w2)
+        v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=64)
+        assert v.values.shape == (129, 48, 48)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        on_grid = cc.PairOnGrid(pair, grid)
+        cold = cc.carleman_ratio(v, on_grid, params, q)  # grid data and L v
+        tracemalloc.start()
+        try:
+            warm = cc.carleman_ratio(v, on_grid, params, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert warm == cold
+        assert peak <= 2 * v.values.nbytes
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from carleman_lab import cli
 from carleman_lab import geometry as geo
+from carleman_lab import pde_solver as pde
 
 
 TMPL = """
@@ -348,6 +349,22 @@ class TestCarlemanSweep:
         assert header == "field_id,s,lambda,lhs,rhs_residual,rhs_boundary,ratio"
         svg = (out / "carleman_ratios.svg").read_text()
         ET.fromstring(svg[svg.index("<svg"):])
+
+    def test_one_flux_assembly_per_sweep(self, tmp_path, monkeypatch):
+        # the suite's solves and the estimate share one CoefficientOnGrid
+        calls = []
+        assemble = pde._assemble_flux_matrix
+
+        def counted(grid, coeff):
+            calls.append(grid)
+            return assemble(grid, coeff)
+
+        monkeypatch.setattr(pde, "_assemble_flux_matrix", counted)
+        cfg = write_cfg(tmp_path, a1="0.1", a2="0.05", M2="0.05")
+        code = cli.main(["carleman-sweep", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_pair_centre_at_the_interface_centre(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

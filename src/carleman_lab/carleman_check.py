@@ -36,19 +36,22 @@ components therefore carry that common normalization.
 Streaming: carleman_ratio builds each weight's phi factors once (tau over
 the whole time axis, the space arrays once) and then walks the field in
 slabs of SLAB time levels.  Each slab is conjugated with one extra level
-on each side, so the time derivative at its levels is the whole stack's;
-every term is reduced in space into its per-time density, and each
-density is integrated once over the whole time axis by the trapezoidal
-rule.  Every floating-point operation is the one the whole-stack
-operators perform, so the report is bit-identical to whole-stack
-evaluation, while the temporaries are slab-sized.
+on each side, so the time derivative taken over it is the whole stack's
+at the slab's levels.  carleman_ratio takes that derivative and the
+slab's spatial gradient once and hands them, as plain arrays, to the
+operators, which take the stack, its derivatives and the phi factors
+only.  Every term is reduced in space into its per-time density, and
+each density is integrated once over the whole time axis by the
+trapezoidal rule.  Every floating-point operation is the one the
+whole-stack operators perform, so the report is bit-identical to
+whole-stack evaluation, while the temporaries are slab-sized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +68,6 @@ from .weight import (
     CarlemanParams,
     EpsilonPair,
     PiecewiseCoefficient,
-    TransmissionWeight,
     _delta_t,
     _time_factor,
     params_from_sup,
@@ -117,67 +119,24 @@ class SweepResult:
     tail_bound: float
 
 
-class _GradedField:
-    """A conjugated stack w whose spatial gradient is computed once.
-
-    carleman_ratio hands one instance first to _norm_densities, whose
-    first read computes the gradient (after its gradient-free term, as a
-    plain field would), and then to apply_P2, which builds its terms in
-    the gradient buffers and so must be the last reader.
-    """
-
-    def __init__(self, w: SpaceTimeField):
-        self.w = w
-
-    @cached_property
-    def gradient(self) -> tuple:
-        return _spatial_gradient(self.w)
-
-
-@dataclass(frozen=True)
-class _Slab(SpaceTimeField):
-    """Levels offset .. offset + nt of the stack ext, viewed as values.
-
-    ext also holds the whole stack's level on each side of the slab where
-    it has one, and stack_dt is the whole stack's dt, so the time
-    derivative at the slab's levels is the whole stack's bit for bit.
-    """
-
-    ext: np.ndarray
-    offset: int
-    stack_dt: float
-
-
 def _slabs(nt: int) -> list:
     """(start, stop) of consecutive SLAB-level slabs covering nt levels; a
-    tail of fewer than 3 levels joins the slab before it, so every slab is
-    a stack the operators accept."""
+    tail of fewer than 3 levels joins the slab before it, so no slab is
+    shorter than the time derivative's 3-level stencil."""
     starts = list(range(0, nt, SLAB))
     if len(starts) > 1 and nt - starts[-1] < 3:
         starts.pop()
     return list(zip(starts, starts[1:] + [nt]))
 
 
-def _as_field(w) -> SpaceTimeField:
-    return w.w if isinstance(w, _GradedField) else w
+def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt of a (nt, ny, nx) stack by np.gradient, second order at the ends."""
+    return np.gradient(values, dt, axis=0, edge_order=2)
 
 
-def _spatial_gradient(w):
-    """(d/dy, d/dx) of the stack, shared when w is a _GradedField."""
-    if isinstance(w, _GradedField):
-        return w.gradient
-    field = _as_field(w)
-    return np.gradient(field.values, field.grid.h, axis=(1, 2), edge_order=2)
-
-
-def _time_derivative(field: SpaceTimeField) -> np.ndarray:
-    """d/dt of the stack by np.gradient, second order at the ends; a _Slab
-    takes the whole stack's at its levels."""
-    if isinstance(field, _Slab):
-        dwdt = np.gradient(field.ext, field.stack_dt, axis=0, edge_order=2)
-        return dwdt[field.offset : field.offset + field.nt]
-    _require_time_resolution(field)
-    return np.gradient(field.values, field.dt, axis=0, edge_order=2)
+def _spatial_gradient(values: np.ndarray, h: float) -> tuple:
+    """(d/dy, d/dx) of a (nt, ny, nx) stack by np.gradient."""
+    return np.gradient(values, h, axis=(1, 2), edge_order=2)
 
 
 class WeightOnGrid(_OnGrid):
@@ -210,22 +169,18 @@ class WeightOnGrid(_OnGrid):
 class _PhiSpace:
     """The space factor beta = alpha - e^{lam psi} of phi = beta(x) tau(t)
     for one weight at one params, and the arrays the operators build from
-    it, each made on first use.  a is the operators' coefficient (default:
-    the weight's own)."""
+    it with the coefficient coeff, each made on first use."""
 
-    def __init__(self, weight: WeightOnGrid, params: CarlemanParams, a=None):
+    def __init__(
+        self, weight: WeightOnGrid, params: CarlemanParams, coeff: CoefficientOnGrid
+    ):
         self.weight = weight
         self.params = params
-        self._a = a
+        self.coeff = coeff
 
     @property
     def shape(self) -> tuple:
         return self.weight.grid.shape
-
-    @cached_property
-    def coeff(self) -> CoefficientOnGrid:
-        a = self._a if self._a is not None else self.weight.source.coeff
-        return CoefficientOnGrid.of(a, self.weight.grid)
 
     @cached_property
     def e_lp(self) -> np.ndarray:
@@ -276,17 +231,23 @@ class _Phi(NamedTuple):
     space: _PhiSpace
     tau: np.ndarray
 
+    @classmethod
+    def of(
+        cls,
+        weight,
+        params: CarlemanParams,
+        coeff: CoefficientOnGrid,
+        grid: Grid2D,
+        times: np.ndarray,
+    ) -> "_Phi":
+        """weight's phi factors at params over times on grid, for operators
+        with the coefficient coeff; weight's grid data is reused when it is
+        already on grid."""
+        space = _PhiSpace(WeightOnGrid.of(weight, grid), params, coeff)
+        return cls(space, _time_factor(params, times))
+
     def slab(self, start: int, stop: int) -> "_Phi":
-        return _Phi(self.space, self.tau[start:stop])
-
-
-def _phi(weight, params: CarlemanParams, a, grid: Grid2D, times) -> _Phi:
-    """weight's phi factors at params over times; a _Phi, which carries its
-    own params and coefficient, is passed through."""
-    if isinstance(weight, _Phi):
-        return weight
-    space = _PhiSpace(WeightOnGrid.of(weight, grid), params, a)
-    return _Phi(space, _time_factor(params, times))
+        return self._replace(tau=self.tau[start:stop])
 
 
 class PairOnGrid(_OnGrid):
@@ -317,20 +278,13 @@ def _require_time_resolution(field: SpaceTimeField):
         raise SolverError("need at least 3 time levels for time derivatives")
 
 
-def _conjugation_factors(
-    weight: Union[TransmissionWeight, WeightOnGrid, _Phi],
-    params: CarlemanParams,
-    grid: Grid2D,
-    times: np.ndarray,
-    log_shift: float = 0.0,
-) -> np.ndarray:
-    """exp(-s phi + log_shift) per node and time, flushed below 1e-300.
+def _conjugation_factors(phi: _Phi, log_shift: float) -> np.ndarray:
+    """exp(-s phi + log_shift) per node and time level, flushed below 1e-300.
 
     Evaluated in log space; exponents are clipped high so a malformed
     alpha (phi < 0 somewhere) yields huge finite factors instead of inf.
     """
-    phi = _phi(weight, params, None, grid, times)
-    log_f = -params.s * phi.space.beta * phi.tau[:, None, None] + log_shift
+    log_f = -phi.space.params.s * phi.space.beta * phi.tau[:, None, None] + log_shift
     np.minimum(log_f, _LOG_CLIP, out=log_f)
     flushed = log_f < _LOG_FLUSH
     f = np.exp(log_f, out=log_f)
@@ -351,95 +305,80 @@ def _apply_flux(grid: Grid2D, k_int, k_bnd, values: np.ndarray) -> np.ndarray:
 
 
 def _schrodinger_stack(
-    w: SpaceTimeField, coeff: CoefficientOnGrid, potential: np.ndarray
-) -> SpaceTimeField:
-    """i w' + div(a grad w) + V w with the solver's flux stencils; V is
-    potential, broadcast against the (nt, ny, nx) stack."""
+    w: np.ndarray, dwdt: np.ndarray, coeff: CoefficientOnGrid, potential: np.ndarray
+) -> np.ndarray:
+    """i w' + div(a grad w) + V w with the solver's flux stencils, w' being
+    dwdt; V is potential, broadcast against the (nt, ny, nx) stack.  A
+    complex dwdt is overwritten."""
     # a sweep keeps L v for all (s, lambda) of a field, so the stack is
     # built in its first buffer: left above the temporaries, it would keep
     # their heap memory resident
-    vals = _time_derivative(w).astype(complex, copy=False)
+    vals = dwdt.astype(complex, copy=False)
     np.multiply(1j, vals, out=vals)
-    vals += _apply_flux(w.grid, *coeff.flux, w.values)
-    vals += potential * w.values
-    return SpaceTimeField(grid=w.grid, times=w.times, values=vals)
+    vals += _apply_flux(coeff.grid, *coeff.flux, w)
+    vals += potential * w
+    return vals
 
 
 def apply_transmission_operator(
-    v: SpaceTimeField,
-    coeff: Union[PiecewiseCoefficient, CoefficientOnGrid],
-    potential,
+    v: SpaceTimeField, coeff: PiecewiseCoefficient | CoefficientOnGrid, potential
 ) -> SpaceTimeField:
     """L v = i v' + div(a grad v) + q v with the solver's flux stencils."""
+    _require_time_resolution(v)
     grid = v.grid
-    return _schrodinger_stack(
-        v, CoefficientOnGrid.of(coeff, grid), grid.sample(potential)[None, :, :]
+    vals = _schrodinger_stack(
+        v.values,
+        _time_derivative(v.values, v.dt),
+        CoefficientOnGrid.of(coeff, grid),
+        grid.sample(potential)[None, :, :],
     )
+    return SpaceTimeField(grid=grid, times=v.times, values=vals)
 
 
-def apply_P1(
-    w,
-    weight: Union[TransmissionWeight, WeightOnGrid, _Phi],
-    params: CarlemanParams,
-    a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
-) -> SpaceTimeField:
-    """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w: the Schrodinger
-    stack with the potential s^2 a |grad phi|^2."""
-    field = _as_field(w)
-    phi = _phi(weight, params, a, field.grid, field.times)
+def apply_P1(w: np.ndarray, dwdt: np.ndarray, phi: _Phi) -> np.ndarray:
+    """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w, w' being dwdt:
+    the Schrodinger stack with the potential s^2 a |grad phi|^2.  A
+    complex dwdt is overwritten."""
     potential = phi.space.p1_potential[None, :, :] * (phi.tau**2)[:, None, None]
-    return _schrodinger_stack(field, phi.space.coeff, potential)
+    return _schrodinger_stack(w, dwdt, phi.space.coeff, potential)
 
 
-def apply_P2(
-    w,
-    weight: Union[TransmissionWeight, WeightOnGrid, _Phi],
-    params: CarlemanParams,
-    a: Optional[Union[PiecewiseCoefficient, CoefficientOnGrid]] = None,
-) -> SpaceTimeField:
-    """P2 w = i s phi' w + 2 s a grad phi . grad w + s div(a grad phi) w."""
-    field = _as_field(w)
-    grid = field.grid
-    if params.s == 0.0:
-        zeros = np.zeros_like(np.asarray(field.values, dtype=complex))
-        return SpaceTimeField(grid=grid, times=field.times, values=zeros)
-    _require_time_resolution(field)
-    phi = _phi(weight, params, a, grid, field.times)
+def apply_P2(w: np.ndarray, grad, phi: _Phi, times: np.ndarray) -> np.ndarray:
+    """P2 w = i s phi' w + 2 s a grad phi . grad w + s div(a grad phi) w,
+    grad w being grad = (d/dy, d/dx) w at the levels times.  The terms are
+    built in grad's buffers."""
     space = phi.space
+    s = space.params.s
+    if s == 0.0:
+        return np.zeros(w.shape, dtype=complex)
     # grad phi = tau grad beta
     gbx, gby = space.grad_beta
-    a2d = space.coeff.at_nodes.reshape(grid.shape)
+    a2d = space.coeff.at_nodes.reshape(space.shape)
     tau = phi.tau[:, None, None]
-    tau_prime = 2.0 * np.asarray(field.times, dtype=float)[:, None, None] * tau**2
-    s = params.s
-    vals = field.values
+    tau_prime = 2.0 * np.asarray(times, dtype=float)[:, None, None] * tau**2
     # the stacked terms reuse the gradient buffers, so at most three
     # complex (nt, ny, nx) temporaries are alive at once
-    wy, wx = _spatial_gradient(w)
+    wy, wx = grad
     transport = np.add(
         np.multiply(gbx, wx, out=wx), np.multiply(gby, wy, out=wy), out=wx
     )
     np.multiply(2.0 * s * tau * a2d, transport, out=transport)
-    divergence = np.multiply(s * tau * space.div_a_grad_beta, vals, out=wy)
+    divergence = np.multiply(s * tau * space.div_a_grad_beta, w, out=wy)
     out = 1j * s * tau_prime * space.beta
-    np.multiply(out, vals, out=out)
+    np.multiply(out, w, out=out)
     out += transport
     out += divergence
-    return SpaceTimeField(grid=grid, times=field.times, values=out)
+    return out
 
 
-def _norm_densities(w, phi: _Phi) -> tuple:
+def _norm_densities(w: np.ndarray, grad, phi: _Phi) -> tuple:
     """int theta^3 |w|^2 and int theta |grad w|^2 over space, per time
-    level, by the trapezoidal rule."""
-    field = _as_field(w)
-    grid = field.grid
-    cell = grid.cell_weights
-    vals = field.values
-    theta = phi.space.e_lp.reshape(grid.shape) * phi.tau[:, None, None]
-    dens1 = np.sum(cell * theta**3 * (vals.real**2 + vals.imag**2), axis=(1, 2))
-    wy, wx = _spatial_gradient(w)
+    level, by the trapezoidal rule; grad = (d/dy, d/dx) w."""
+    cell = phi.space.weight.grid.cell_weights
+    theta = phi.space.e_lp.reshape(phi.space.shape) * phi.tau[:, None, None]
+    dens1 = np.sum(cell * theta**3 * (w.real**2 + w.imag**2), axis=(1, 2))
+    wy, wx = grad
     grad_sq = wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2
-    del wx, wy
     dens2 = np.sum(cell * theta * grad_sq, axis=(1, 2))
     return dens1, dens2
 
@@ -450,12 +389,12 @@ def _norm_value(params: CarlemanParams, dens1, dens2, times) -> float:
     return float(term1 + term2)
 
 
-def weighted_norm_sq(w, weight, params: CarlemanParams) -> float:
+def weighted_norm_sq(w: SpaceTimeField, phi: _Phi) -> float:
     """s^3 lam^4 int theta^3 |w|^2 + s lam int theta |grad w|^2 over the
     rectangle, by the trapezoidal rule in space and time."""
-    field = _as_field(w)
-    phi = _phi(weight, params, None, field.grid, field.times)
-    return _norm_value(params, *_norm_densities(w, phi), field.times)
+    grad = _spatial_gradient(w.values, w.grid.h)
+    dens = _norm_densities(w.values, grad, phi)
+    return _norm_value(phi.space.params, *dens, w.times)
 
 
 def _l2_density(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -531,7 +470,7 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
 
 def carleman_ratio(
     v: SpaceTimeField,
-    weight_pair: Union[EpsilonPair, PairOnGrid],
+    weight_pair: EpsilonPair | PairOnGrid,
     params: CarlemanParams,
     q,
 ) -> CarlemanReport:
@@ -550,8 +489,7 @@ def carleman_ratio(
     on_grid = PairOnGrid.of(weight_pair, grid)
     lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
-    tau = _time_factor(params, times)
-    phis = [_Phi(_PhiSpace(wgt, params, coeff), tau) for wgt in on_grid.weights]
+    phis = [_Phi.of(wgt, params, coeff, grid, times) for wgt in on_grid.weights]
     shift = _common_log_shift([phi.space for phi in phis], params)
     lhs = 0.0
     rhs_residual = 0.0
@@ -562,27 +500,26 @@ def carleman_ratio(
         dens = np.empty((6, nt))
         for start, stop in _slabs(nt):
             lo, hi = max(start - 1, 0), min(stop + 1, nt)
-            fac = _conjugation_factors(
-                phi.slab(lo, hi), params, grid, times[lo:hi], log_shift=shift
-            )
+            fac = _conjugation_factors(phi.slab(lo, hi), shift)
             ext = v.values[lo:hi] * fac
             core = slice(start - lo, stop - lo)
-            w = _Slab(grid=grid, times=times[start:stop], values=ext[core],
-                      ext=ext, offset=start - lo, stack_dt=v.dt)
+            w = ext[core]
             part = phi.slab(start, stop)
-            # each operator stack is reduced and dropped before the next is built
-            dens[0, start:stop] = _l2_density(
-                grid, apply_P1(w, part, params, coeff).values
-            )
-            graded = _GradedField(w)
-            # the norm reads the gradient before apply_P2 overwrites it
-            dens[2:4, start:stop] = _norm_densities(graded, part)
+            # each operator stack is reduced and dropped before the next is
+            # built; d/dt over the halo is the whole stack's at the slab
+            dwdt = _time_derivative(ext, v.dt)[core]
+            dens[0, start:stop] = _l2_density(grid, apply_P1(w, dwdt, part))
+            del dwdt
+            grad = _spatial_gradient(w, grid.h)
+            # one ordering rule: the norm reads the gradient before apply_P2
+            # builds its terms in the gradient's buffers
+            dens[2:4, start:stop] = _norm_densities(w, grad, part)
             dens[1, start:stop] = _l2_density(
-                grid, apply_P2(graded, part, params, coeff).values
+                grid, apply_P2(w, grad, part, times[start:stop])
             )
-            del graded
+            del grad
             dens[4, start:stop] = _l2_density(grid, lv[start:stop] * fac[core])
-            dens[5, start:stop] = _boundary_term(w.values, part)
+            dens[5, start:stop] = _boundary_term(w, part)
         # the sum keeps the order P1, P2, norm
         lhs += float(np.trapezoid(dens[0], times))
         lhs += float(np.trapezoid(dens[1], times))
@@ -596,7 +533,7 @@ def constant_sweep(
     test_fields: Sequence[SpaceTimeField],
     s_values: Sequence[float],
     lam_values: Sequence[float],
-    weight_pair: Union[EpsilonPair, PairOnGrid],
+    weight_pair: EpsilonPair | PairOnGrid,
     q,
     *,
     T: float,
@@ -626,7 +563,8 @@ def constant_sweep(
             tail_bound=0.0,
         )
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
-    pair = weight_pair.source if isinstance(weight_pair, PairOnGrid) else weight_pair
+    on_grid = PairOnGrid.of(weight_pair, fields[0].grid)
+    pair = on_grid.source
     psi_sup = psi_grid_max((pair.w1, pair.w2), n_grid)
     fitted = []
     tail = 0.0
@@ -636,7 +574,6 @@ def constant_sweep(
         fitted.append(params)
 
     reports = [[None] * len(fields) for _ in fitted]
-    on_grid = weight_pair
     for fid, fld in enumerate(fields):
         on_grid = PairOnGrid.of(on_grid, fld.grid)
         for k, params in enumerate(fitted):

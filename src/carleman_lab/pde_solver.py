@@ -418,7 +418,6 @@ def solve_linearized(
     t0: float,
     t1: float,
     n_steps: int,
-    operator: Optional[SchrodingerOperator] = None,
 ) -> SpaceTimeField:
     """Zero-data solve with separable source f(x) R(x, t).
 
@@ -432,7 +431,7 @@ def solve_linearized(
 
     return solve_forward(
         grid, coeff, potential, np.zeros(grid.shape, dtype=complex),
-        t0, t1, n_steps, source=source, operator=operator,
+        t0, t1, n_steps, source=source,
     )
 
 

@@ -231,8 +231,12 @@ def test_criterion_5_conjugation_identity():
         for n, t in enumerate(w.times):
             phi = wt.eval_phi(w1, params, pts_flat, t).reshape(grid.shape)
             direct[n] = image.values[n] * np.exp(-params.s * phi)
-        split = (cc.apply_P1(w, w1, params, coeff).values
-                 + cc.apply_P2(w, w1, params, coeff).values
+        phi = cc._Phi.of(w1, params, pde.CoefficientOnGrid(coeff, grid), grid,
+                         w.times)
+        dwdt = cc._time_derivative(w.values, w.dt)
+        grad = cc._spatial_gradient(w.values, grid.h)
+        split = (cc.apply_P1(w.values, dwdt, phi)
+                 + cc.apply_P2(w.values, grad, phi, w.times)
                  + q[None] * w.values)
         dt = w.times[1] - w.times[0]
 

@@ -90,6 +90,32 @@ def solved_clamped_field(grid, coeff, q, params, n_half=16, seed=3):
     return pde.extend_time(fwd)
 
 
+def phi_of(weight, params, coeff, grid, times):
+    """weight's phi factors over times, for operators with coefficient coeff."""
+    return cc._Phi.of(weight, params, pde.CoefficientOnGrid(coeff, grid), grid, times)
+
+
+def factors(weight, params, coeff, grid, times):
+    return cc._conjugation_factors(phi_of(weight, params, coeff, grid, times), 0.0)
+
+
+def P1(v, weight, params, coeff):
+    """P1 v over the whole stack."""
+    phi = phi_of(weight, params, coeff, v.grid, v.times)
+    return cc.apply_P1(v.values, cc._time_derivative(v.values, v.dt), phi)
+
+
+def P2(v, weight, params, coeff):
+    """P2 v over the whole stack."""
+    phi = phi_of(weight, params, coeff, v.grid, v.times)
+    grad = cc._spatial_gradient(v.values, v.grid.h)
+    return cc.apply_P2(v.values, grad, phi, v.times)
+
+
+def norm_sq(v, weight, params, coeff):
+    return cc.weighted_norm_sq(v, phi_of(weight, params, coeff, v.grid, v.times))
+
+
 class ConstPsi:
     """Duck-typed stand-in weight with spatially constant psi."""
 
@@ -105,13 +131,13 @@ class TestConjugate:
     def test_s_zero_is_identity(self):
         layout, grid, coeff, pair, base = small_problem()
         params = wt.CarlemanParams(0.0, base.lam, base.alpha, base.T, base.delta_t)
-        fac = cc._conjugation_factors(pair.w1, params, grid, clamped_times(params, 6))
+        fac = factors(pair.w1, params, coeff, grid, clamped_times(params, 6))
         assert np.all(fac == 1.0)
 
     def test_multiply_back_recovers_field(self):
         layout, grid, coeff, pair, base = small_problem(s=2.0)
         v = bump_envelope_field(grid, base, (0.3, -0.2), 0.4, 2.0, n_half=8)
-        wvals = v.values * cc._conjugation_factors(pair.w1, base, grid, v.times)
+        wvals = v.values * factors(pair.w1, base, coeff, grid, v.times)
         pts = grid.points.reshape(-1, 2)
         for n, t in enumerate(v.times):
             phi = wt.eval_phi(pair.w1, base, pts, t).reshape(grid.shape)
@@ -131,7 +157,7 @@ class TestConjugate:
         w1 = wt.build_weight(layout, (0.05, 0.0), 2.0, 1.0, M2=1.0)
         params = wt.fit_carleman_params(w1, 20.0, 2.0, 1.0)
         times = clamped_times(params, 8)
-        fac = cc._conjugation_factors(w1, params, grid, times)
+        fac = factors(w1, params, w1.coeff, grid, times)
         assert np.all(fac[0] < 1e-100)
         assert np.all(fac[-1] < 1e-100)
         # far below the flush threshold the stored value is exactly zero
@@ -141,7 +167,7 @@ class TestConjugate:
         layout, grid, coeff, pair, base = small_problem()
         bad = wt.CarlemanParams(4.0, base.lam, 1e-6, base.T, base.delta_t)
         times = clamped_times(bad, 4)
-        fac = cc._conjugation_factors(pair.w1, bad, grid, times)  # must not raise
+        fac = factors(pair.w1, bad, coeff, grid, times)  # must not raise
         assert np.all(np.isfinite(fac))
 
 
@@ -154,20 +180,20 @@ class TestSplitOperators:
             times=times,
             values=np.zeros((times.size,) + grid.shape, dtype=complex),
         )
-        p1 = cc.apply_P1(zero, pair.w1, params, coeff)
-        p2 = cc.apply_P2(zero, pair.w1, params, coeff)
-        assert np.all(p1.values == 0.0)
-        assert np.all(p2.values == 0.0)
+        p1 = P1(zero, pair.w1, params, coeff)
+        p2 = P2(zero, pair.w1, params, coeff)
+        assert np.all(p1 == 0.0)
+        assert np.all(p2 == 0.0)
 
     def test_s_zero_kills_P2_and_reduces_P1(self):
         layout, grid, coeff, pair, base = small_problem()
         params = wt.CarlemanParams(0.0, base.lam, base.alpha, base.T, base.delta_t)
         v = bump_envelope_field(grid, params, (-0.3, 0.2), 0.35, 1.5, n_half=8)
-        p2 = cc.apply_P2(v, pair.w1, params, coeff)
-        assert np.all(p2.values == 0.0)
-        p1 = cc.apply_P1(v, pair.w1, params, coeff)
+        p2 = P2(v, pair.w1, params, coeff)
+        assert np.all(p2 == 0.0)
+        p1 = P1(v, pair.w1, params, coeff)
         free = cc.apply_transmission_operator(v, coeff, np.zeros(grid.shape))
-        np.testing.assert_allclose(p1.values, free.values, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(p1, free.values, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "center,width",
@@ -184,8 +210,8 @@ class TestSplitOperators:
             w = bump_envelope_field(grid, params, center, width, 2.0, n_half=n_half)
             direct = conjugated_operator_by_hand(w, pair.w1, params, coeff, q)
             split = (
-                cc.apply_P1(w, pair.w1, params, coeff).values
-                + cc.apply_P2(w, pair.w1, params, coeff).values
+                P1(w, pair.w1, params, coeff)
+                + P2(w, pair.w1, params, coeff)
                 + q[None, :, :] * w.values
             )
             num = space_time_l2(grid, w.times, direct - split)
@@ -227,12 +253,12 @@ class TestSplitOperators:
             dens[1, n] = np.sum(
                 cell * theta * (wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2)
             )
-        assert np.array_equal(cc.apply_P2(v, w, params, coeff).values, p2)
+        assert np.array_equal(P2(v, w, params, coeff), p2)
         norm = (
             s**3 * lam**4 * np.trapezoid(dens[0], v.times)
             + s * lam * np.trapezoid(dens[1], v.times)
         )
-        assert cc.weighted_norm_sq(v, w, params) == float(norm)
+        assert norm_sq(v, w, params, coeff) == float(norm)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_residual_equals_its_formula_bit_for_bit(self, dtype):
@@ -280,7 +306,7 @@ class TestSplitOperators:
             + cc._apply_flux(grid, k_int, k_bnd, v.values)
             + space[None, :, :] * (tau**2)[:, None, None] * v.values
         )
-        assert np.array_equal(cc.apply_P1(v, w, params, coeff).values, want)
+        assert np.array_equal(P1(v, w, params, coeff), want)
 
 
 def space_time_l2(grid, times, values):
@@ -315,7 +341,7 @@ class TestWeightedNorm:
             times=times,
             values=np.zeros((times.size,) + grid.shape, dtype=complex),
         )
-        assert cc.weighted_norm_sq(zero, pair.w1, params) == 0.0
+        assert norm_sq(zero, pair.w1, params, coeff) == 0.0
 
     def test_separable_oracle_constant_field(self):
         layout, grid, coeff, pair, params = small_problem(s=3.0, lam=1.5)
@@ -328,7 +354,7 @@ class TestWeightedNorm:
             times=times,
             values=np.full((times.size,) + grid.shape, value, dtype=complex),
         )
-        got = cc.weighted_norm_sq(const, duck, params)
+        got = norm_sq(const, duck, params, coeff)
         xmin, xmax, ymin, ymax = layout.outer.bounds
         area = (xmax - xmin) * (ymax - ymin)
         tau = 1.0 / ((params.T - times) * (params.T + times))
@@ -355,7 +381,7 @@ class TestWeightedNorm:
             times=times,
             values=(env[:, None, None] * g[None, :, :]).astype(complex),
         )
-        got = cc.weighted_norm_sq(field, duck, params)
+        got = norm_sq(field, duck, params, coeff)
         # 1-D factors computed independently
         h = grid.h
         wx = np.ones(grid.nx)
@@ -394,8 +420,8 @@ class TestWeightedNorm:
         v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.0, n_half=4)
         c = re + 1j * im
         scaled = pde.SpaceTimeField(grid=grid, times=v.times, values=c * v.values)
-        base = cc.weighted_norm_sq(v, pair.w1, params)
-        got = cc.weighted_norm_sq(scaled, pair.w1, params)
+        base = norm_sq(v, pair.w1, params, coeff)
+        got = norm_sq(scaled, pair.w1, params, coeff)
         assert got == pytest.approx(abs(c) ** 2 * base, rel=1e-10, abs=1e-12)
 
 
@@ -477,11 +503,13 @@ def whole_stack_ratio(v, pair, params, q):
 
     lhs = rhs_residual = rhs_boundary = 0.0
     for wgt in on_grid.weights:
-        fac = cc._conjugation_factors(wgt, params, grid, times, log_shift=shift)
+        phi = cc._Phi.of(wgt, params, coeff, grid, times)
+        fac = cc._conjugation_factors(phi, shift)
         w = pde.SpaceTimeField(grid=grid, times=times, values=v.values * fac)
-        lhs += l2_sq(cc.apply_P1(w, wgt, params, coeff).values)
-        norm = cc.weighted_norm_sq(w, wgt, params)
-        lhs += l2_sq(cc.apply_P2(w, wgt, params, coeff).values)
+        lhs += l2_sq(cc.apply_P1(w.values, cc._time_derivative(w.values, v.dt), phi))
+        norm = cc.weighted_norm_sq(w, phi)
+        grad = cc._spatial_gradient(w.values, grid.h)
+        lhs += l2_sq(cc.apply_P2(w.values, grad, phi, times))
         lhs += norm
         rhs_residual += l2_sq(lv.values * fac)
         mask, psi_plus = wgt.sigma
@@ -524,6 +552,24 @@ class TestStreamedRatio:
             assert got.rhs_residual == want.rhs_residual
             assert got.rhs_boundary == want.rhs_boundary
             assert got.ratio == want.ratio
+
+    def test_s_zero_leaves_the_residual_alone(self):
+        # at s = 0 with q = 0 the conjugation factors are 1, P2, the norm and
+        # the boundary term vanish, and P1 w is L v: the sides are equal
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        params = wt.CarlemanParams(0.0, base.lam, base.alpha, base.T, base.delta_t)
+        q = np.zeros(grid.shape)
+        t_max = params.T - params.delta_t
+        times = np.linspace(-t_max, t_max, 81)
+        assert len(cc._slabs(times.size)) == 3
+        y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
+        solved = pde.solve_forward(grid, coeff, q, y0, -t_max, t_max, times.size - 1)
+        for v in (solved, manufactured_field(grid, times)):
+            rep = cc.carleman_ratio(v, pair, params, q)
+            assert rep.lhs > 0.0
+            assert rep.lhs == rep.rhs_residual
+            assert rep.rhs_boundary == 0.0
+            assert rep.ratio == 1.0
 
     def test_slabs_cover_the_levels_once(self):
         for nt in self.NT:

@@ -45,6 +45,20 @@ each density is integrated once over the whole time axis by the
 trapezoidal rule.  Every floating-point operation is the one the
 whole-stack operators perform, so the report is bit-identical to
 whole-stack evaluation, while the temporaries are slab-sized.
+
+Mirror: a field that is odd-conjugate about t = 0, v(-t) = -conj v(t)
+exactly on an exactly antisymmetric time axis, with q real (every solved
+field extend_time returns), has each density at level nt-1-k equal to the
+one at level k bit for bit: the weight factors are even in t, tau' is odd,
+the stencils and q are real, and negation and conjugation are exact.  The
+end levels are the exception, as np.gradient's one-sided stencils sum
+their terms in opposite orders.  For such a field carleman_ratio
+evaluates the slabs that hold the levels from the middle up and a head
+slab that holds level 0, about half of the levels, and every level
+between them takes its mirror's densities.  The head slab starts at 0 and
+the others where the full path's slabs do, so BLAS reduces each level in
+the same row block, and the report stays bit-identical to whole-stack
+evaluation.
 """
 
 from __future__ import annotations
@@ -79,6 +93,9 @@ _LOG_FLUSH = float(np.log(FLUSH_THRESHOLD))
 _LOG_CLIP = 700.0
 # time levels per slab of a streamed carleman_ratio call
 SLAB = 32
+# levels of a mirrored call's head slab, which holds level 0; BLAS reduces
+# them in the same row blocks (of up to 8 rows) as the full path's first slab
+HEAD = SLAB // 4
 
 
 class InequalityViolation(Exception):
@@ -127,6 +144,32 @@ def _slabs(nt: int) -> list:
     if len(starts) > 1 and nt - starts[-1] < 3:
         starts.pop()
     return list(zip(starts, starts[1:] + [nt]))
+
+
+def _plan(nt: int, mirrored: bool) -> list:
+    """The slabs a carleman_ratio call evaluates: those of _slabs(nt), or,
+    for a mirrored field, the ones that hold a level at or above the middle
+    and a head slab of levels 0..HEAD-1 (module notes)."""
+    slabs = _slabs(nt)
+    upper = [(start, stop) for start, stop in slabs if 2 * stop > nt]
+    if not mirrored or upper == slabs:
+        return slabs
+    return [(0, HEAD)] + upper
+
+
+def _odd_conjugate(v: SpaceTimeField) -> bool:
+    """times[::-1] == -times and values[::-1] == -conj(values), exactly;
+    the values are compared slab by slab."""
+    nt, values = v.nt, v.values
+    if not np.array_equal(v.times[::-1], -v.times):
+        return False
+    for start, stop in _slabs((nt + 1) // 2):
+        low, high = values[start:stop], values[nt - stop : nt - start][::-1]
+        if not (
+            np.array_equal(high.real, -low.real) and np.array_equal(high.imag, low.imag)
+        ):
+            return False
+    return True
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
@@ -254,9 +297,9 @@ class PairOnGrid(_OnGrid):
     """An epsilon pair on one grid: the coefficient data (the estimate uses
     the first weight's coefficient for both weights) and each weight's data.
 
-    ``residual`` keeps L v of the last field asked for, so a caller that
-    visits all (s, lambda) of one field in a row computes it once per field
-    and holds one field's residual at a time.
+    ``mirrored`` and ``residual`` keep their answers for the last field
+    asked for, so a caller that visits all (s, lambda) of one field in a row
+    computes them once per field and holds one field's residual at a time.
     """
 
     def __init__(self, pair: EpsilonPair, grid: Grid2D):
@@ -265,12 +308,24 @@ class PairOnGrid(_OnGrid):
         self.weights = (WeightOnGrid(pair.w1, grid), WeightOnGrid(pair.w2, grid))
         self._last = None
 
-    def residual(self, v: SpaceTimeField, q) -> SpaceTimeField:
+    def _field(self, v: SpaceTimeField, q) -> tuple:
         last = self._last
         if last is None or last[0] is not v or last[1] is not q:
             self._last = None  # drop the previous field's residual first
-            self._last = (v, q, apply_transmission_operator(v, self.coeff, q))
-        return self._last[2]
+            q_nodes = self.grid.sample(q, dtype=complex)
+            mirrored = not q_nodes.imag.any() and _odd_conjugate(v)
+            lv = apply_transmission_operator(v, self.coeff, q_nodes)
+            self._last = (v, q, mirrored, lv)
+        return self._last
+
+    def mirrored(self, v: SpaceTimeField, q) -> bool:
+        """Whether v is odd-conjugate about t = 0 (_odd_conjugate) and q is
+        real at the nodes, so that carleman_ratio may mirror its densities
+        (module notes)."""
+        return self._field(v, q)[2]
+
+    def residual(self, v: SpaceTimeField, q) -> SpaceTimeField:
+        return self._field(v, q)[3]
 
 
 def _require_time_resolution(field: SpaceTimeField):
@@ -323,14 +378,15 @@ def _schrodinger_stack(
 def apply_transmission_operator(
     v: SpaceTimeField, coeff: PiecewiseCoefficient | CoefficientOnGrid, potential
 ) -> SpaceTimeField:
-    """L v = i v' + div(a grad v) + q v with the solver's flux stencils."""
+    """L v = i v' + div(a grad v) + q v with the solver's flux stencils; q
+    may be complex."""
     _require_time_resolution(v)
     grid = v.grid
     vals = _schrodinger_stack(
         v.values,
         _time_derivative(v.values, v.dt),
         CoefficientOnGrid.of(coeff, grid),
-        grid.sample(potential)[None, :, :],
+        grid.sample(potential, dtype=complex)[None, :, :],
     )
     return SpaceTimeField(grid=grid, times=v.times, values=vals)
 
@@ -482,11 +538,14 @@ def carleman_ratio(
     the ratio is exact.  A PairOnGrid built for v's grid lends its
     field-independent data (and L v, when v was its last field).  Each
     weight's phi factors are built once; the terms are streamed over
-    slabs of SLAB time levels (module notes).
+    slabs of SLAB time levels.  For a field on_grid.mirrored accepts,
+    about half of the levels are evaluated and the others take their
+    mirror's densities (module notes).
     """
     _require_time_resolution(v)
     grid, times, nt = v.grid, v.times, v.nt
     on_grid = PairOnGrid.of(weight_pair, grid)
+    plan = _plan(nt, on_grid.mirrored(v, q))
     lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
     phis = [_Phi.of(wgt, params, coeff, grid, times) for wgt in on_grid.weights]
@@ -498,7 +557,7 @@ def carleman_ratio(
         # per time level: |P1 w|^2, |P2 w|^2, the norm's two integrands,
         # |e^{-s phi} L v|^2 and the boundary integrand
         dens = np.empty((6, nt))
-        for start, stop in _slabs(nt):
+        for start, stop in plan:
             lo, hi = max(start - 1, 0), min(stop + 1, nt)
             fac = _conjugation_factors(phi.slab(lo, hi), shift)
             ext = v.values[lo:hi] * fac
@@ -520,6 +579,9 @@ def carleman_ratio(
             del grad
             dens[4, start:stop] = _l2_density(grid, lv[start:stop] * fac[core])
             dens[5, start:stop] = _boundary_term(w, part)
+        # a level between two slabs takes its mirror's densities
+        for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
+            dens[:, gap_lo:gap_hi] = dens[:, nt - 1 - gap_lo : nt - 1 - gap_hi : -1]
         # the sum keeps the order P1, P2, norm
         lhs += float(np.trapezoid(dens[0], times))
         lhs += float(np.trapezoid(dens[1], times))
@@ -543,9 +605,10 @@ def constant_sweep(
     """Max-over-fields ratio per (s, lambda) plus sup and stabilization.
 
     The fields are assumed clamped at |t| = T - delta_t (delta_t defaults
-    to T / 64, as in fit_carleman_params).  Stabilization means every
-    consecutive relative change of the per-s sup over the upper half of
-    the s-range stays below 10 percent.
+    to T / 64, as in fit_carleman_params).  Stabilization means the per-s
+    sups over the upper half of the s-range are positive and every
+    consecutive relative change of them stays below 10 percent; a sweep
+    whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
     to that one sup.  Fields are visited one at a time, each over every
     (s, lambda), so the pair's grid data is built once (a PairOnGrid for
@@ -603,9 +666,10 @@ def constant_sweep(
         max(e["max_ratio"] for e in table if e["s"] == s) for s in s_sorted
     ]
     upper = sups[len(s_sorted) // 2 :]
-    stabilized = len(upper) >= 2 and all(
-        abs(b - a) <= 0.1 * max(abs(a), FLUSH_THRESHOLD)
-        for a, b in zip(upper, upper[1:])
+    stabilized = (
+        len(upper) >= 2
+        and min(upper) > 0.0
+        and all(abs(b - a) <= 0.1 * a for a, b in zip(upper, upper[1:]))
     )
     sup_ratio = max((e["max_ratio"] for e in table), default=0.0)
     q_inf = float(np.max(np.abs(fields[0].grid.sample(q))))

@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carleman_lab import carleman_check as cc
+from carleman_lab import config as cfgmod
 from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
 
 TWO_PI = 2.0 * np.pi
+CARLEMAN_INI = Path(__file__).resolve().parents[1] / "configs" / "carleman.ini"
 
 
 def small_layout(half=1.3, radius=1.0, n=64):
@@ -282,6 +285,16 @@ class TestSplitOperators:
             + q[None, :, :] * values
         )
         assert np.array_equal(got, want)
+
+    def test_residual_takes_a_complex_potential(self):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=4)
+        q_re = 0.3 + grid.points[..., 0]
+        q_im = 0.2 * grid.points[..., 1]
+        got = cc.apply_transmission_operator(v, coeff, q_re + 1j * q_im).values
+        want = cc.apply_transmission_operator(v, coeff, q_re).values
+        want += 1j * q_im[None, :, :] * v.values
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_P1_equals_its_formula_bit_for_bit(self):
         # P1 is the Schrodinger stack of L v with the potential
@@ -623,6 +636,161 @@ class TestStreamedRatio:
         assert peak <= 2 * v.values.nbytes
 
 
+def extended_field(grid, coeff, q, params, nt):
+    """A solved field on [0, t_max] with (nt - 1) // 2 steps, reflected onto
+    [-t_max, t_max] by extend_time: nt levels, odd-conjugate about t = 0."""
+    t_max = params.T - params.delta_t
+    y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
+    fwd = pde.solve_forward(grid, coeff, q, y0, 0.0, t_max, (nt - 1) // 2)
+    return pde.extend_time(fwd)
+
+
+def odd_conjugate_field(grid, params, nt, seed=4, growth=1.0):
+    """A hand-built field with v(-t) = -conj v(t) exactly on exactly
+    antisymmetric times; nt is even, so no level sits at t = 0.  Its
+    amplitude grows by growth per level towards both ends."""
+    m = nt // 2
+    dt = 2.0 * (params.T - params.delta_t) / nt
+    t_pos = (np.arange(m) + 0.5) * dt
+    times = np.concatenate([-t_pos[::-1], t_pos])
+    rng = np.random.default_rng(seed)
+    taper = boundary_taper(grid)
+    upper = (
+        rng.standard_normal((m,) + grid.shape)
+        + 1j * rng.standard_normal((m,) + grid.shape)
+    ) * taper
+    upper *= (growth ** np.arange(1 - m, 1))[:, None, None]
+    values = np.concatenate([-np.conj(upper[::-1]), upper])
+    return pde.SpaceTimeField(grid=grid, times=times, values=values)
+
+
+def assert_same_report(got, want):
+    assert got.lhs == want.lhs
+    assert got.rhs_residual == want.rhs_residual
+    assert got.rhs_boundary == want.rhs_boundary
+    assert got.ratio == want.ratio
+
+
+class TestMirroredRatio:
+    # at s = 0 the conjugation factors are 1, so no level flushes and the
+    # end levels, whose one-sided d/dt is not the mirror of each other's,
+    # weigh in the sums
+    def params_and_zero(self, params):
+        zero = wt.CarlemanParams(0.0, params.lam, params.alpha, params.T, params.delta_t)
+        return (params, zero)
+
+    @pytest.mark.parametrize("nt", (3, 5, 2 * cc.SLAB + 1, 2 * cc.SLAB + 3, 129))
+    def test_extended_field_equals_the_whole_stack_bit_for_bit(self, nt):
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        v = extended_field(grid, coeff, q, base, nt)
+        assert v.nt == nt
+        on_grid = cc.PairOnGrid(pair, grid)
+        assert on_grid.mirrored(v, q)
+        assert cc.carleman_ratio(v, on_grid, base, q).rhs_boundary > 0.0
+        for params in self.params_and_zero(base):
+            got = cc.carleman_ratio(v, on_grid, params, q)
+            assert_same_report(got, whole_stack_ratio(v, pair, params, q))
+
+    @pytest.mark.parametrize("growth", (1.0, 4.0))
+    @pytest.mark.parametrize("nt", (4, 2 * cc.SLAB + 2))
+    def test_even_level_count_equals_the_whole_stack_bit_for_bit(self, nt, growth):
+        # with growth 4 the levels at the ends, which the head slab and the
+        # last slab evaluate, carry nearly all of every sum
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        v = odd_conjugate_field(grid, base, nt, growth=growth)
+        on_grid = cc.PairOnGrid(pair, grid)
+        assert on_grid.mirrored(v, q)
+        for params in self.params_and_zero(base):
+            got = cc.carleman_ratio(v, on_grid, params, q)
+            assert got.lhs > 0.0
+            assert_same_report(got, whole_stack_ratio(v, pair, params, q))
+
+    def count_levels(self, monkeypatch):
+        """Levels each _conjugation_factors call is given, in call order."""
+        levels = []
+        factors = cc._conjugation_factors
+
+        def counted(phi, log_shift):
+            levels.append(len(phi.tau))
+            return factors(phi, log_shift)
+
+        monkeypatch.setattr(cc, "_conjugation_factors", counted)
+        return levels
+
+    def test_mirror_conjugates_about_half_the_levels(self, monkeypatch):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        v = extended_field(grid, coeff, q, params, 129)
+        on_grid = cc.PairOnGrid(pair, grid)
+        levels = self.count_levels(monkeypatch)
+        cc.carleman_ratio(v, on_grid, params, q)
+        # per weight: the head slab 0..7 and its halo level (9), and the
+        # slabs 64..95 and 96..128 with theirs (34 each); the full path
+        # conjugates 33 + 34 + 34 + 34 levels
+        assert levels == [9, 34, 34] * 2
+
+    def test_symmetry_check_allocates_slabs_only(self):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        v = extended_field(grid, coeff, q, params, 129)
+        tracemalloc.start()
+        try:
+            assert cc._odd_conjugate(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # below one real stack, let alone the complex one -conj(values) makes
+        assert peak < v.values.nbytes // 2
+
+    def test_broken_symmetry_takes_the_full_path(self, monkeypatch):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        v = extended_field(grid, coeff, q, params, 129)
+        values = v.values.copy()
+        values[40, 6, 5] = np.nextafter(values[40, 6, 5].real, np.inf) + 1j * (
+            values[40, 6, 5].imag
+        )
+        times = v.times.copy()
+        times[20] = np.nextafter(times[20], 0.0)
+        cases = (
+            ("one ulp at one node", v.times, values, q),
+            ("complex q", v.times, v.values, q + 0.05j * grid.points[..., 1]),
+            ("times not antisymmetric", times, v.values, q),
+        )
+        levels = self.count_levels(monkeypatch)
+        for name, tms, vals, pot in cases:
+            fld = pde.SpaceTimeField(grid=grid, times=tms, values=vals)
+            on_grid = cc.PairOnGrid(pair, grid)
+            assert not on_grid.mirrored(fld, pot), name
+            levels.clear()
+            got = cc.carleman_ratio(fld, on_grid, params, pot)
+            assert levels == [33, 34, 34, 34] * 2, name
+            assert_same_report(got, whole_stack_ratio(fld, pair, params, pot))
+
+    def test_every_solved_field_of_the_sweep_suite_is_mirrored(self):
+        # the speed-up rests on extend_time giving every solved field the
+        # exact symmetry; the manufactured fields carry e^{i omega t}
+        cfg = cfgmod.load_config(CARLEMAN_INI)
+        grid = cfgmod.build_grid(cfg)
+        coeff = cfgmod.build_coefficient(cfg, grid.layout)
+        q = cfgmod.real_profile(cfg.physics.p, grid)
+        n_solved = (cfg.carleman.n_fields + 1) // 2
+        fields = cc.build_test_suite(
+            grid, coeff, q, cfg.physics.T, delta_t=cfg.carleman.delta_t,
+            n_steps=cfg.carleman.n_half, seed=cfg.carleman.seed,
+            n_solved=n_solved, n_manufactured=cfg.carleman.n_fields - n_solved,
+        )
+        pair = wt.build_epsilon_pair(
+            grid.layout, cfg.geometry.x1, cfg.geometry.x2,
+            cfg.physics.a1, cfg.physics.a2, M2=cfg.carleman.M2,
+        )
+        on_grid = cc.PairOnGrid(pair, grid)
+        mirrored = [on_grid.mirrored(fld, q) for fld in fields]
+        assert mirrored == [True] * n_solved + [False] * (len(fields) - n_solved)
+
+
 class TestSweep:
     def test_empty_field_list(self):
         layout, grid, coeff, pair, params = small_problem()
@@ -645,6 +813,23 @@ class TestSweep:
         )
         assert all(row["ratio"] == 0.0 for row in out.rows)
         assert out.sup_ratio == 0.0
+
+    def test_all_flushed_sweep_is_not_stabilized(self):
+        # every ratio is 0, so the upper-half sups do not change, but a
+        # sweep that measured nothing has not stabilized
+        layout, grid, coeff, pair, params = small_problem()
+        times = clamped_times(params, 6)
+        zero = pde.SpaceTimeField(
+            grid=grid,
+            times=times,
+            values=np.zeros((times.size,) + grid.shape, dtype=complex),
+        )
+        out = cc.constant_sweep(
+            [zero], [10.0, 20.0, 40.0, 80.0], [1.0], pair, np.zeros(grid.shape),
+            T=1.0,
+        )
+        assert out.sup_ratio == 0.0
+        assert out.stabilized is False
 
     def test_small_sweep_structure(self):
         layout, grid, coeff, pair, params = small_problem(nx=17)

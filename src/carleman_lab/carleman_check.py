@@ -82,6 +82,7 @@ from .weight import (
     CarlemanParams,
     EpsilonPair,
     PiecewiseCoefficient,
+    WeightJet,
     _delta_t,
     _time_factor,
     params_from_sup,
@@ -187,12 +188,17 @@ class WeightOnGrid(_OnGrid):
     the Sigma_+ mask of the boundary nodes with psi on Sigma_+."""
 
     @cached_property
-    def psi(self) -> np.ndarray:
-        return self.source.psi(self.grid.points.reshape(-1, 2))
+    def jet(self) -> WeightJet:
+        """psi, grad psi and D^2 psi at the nodes, from one evaluation."""
+        return self.source.jet(self.grid.points.reshape(-1, 2), order=2)
 
-    @cached_property
+    @property
+    def psi(self) -> np.ndarray:
+        return self.jet.psi
+
+    @property
     def grad(self) -> np.ndarray:
-        return self.source.grad(self.grid.points.reshape(-1, 2))
+        return self.jet.grad
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
@@ -200,7 +206,8 @@ class WeightOnGrid(_OnGrid):
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        return self.source.laplacian(self.grid.points.reshape(-1, 2))
+        hess = self.jet.hessian
+        return hess[..., 0, 0] + hess[..., 1, 1]
 
     @cached_property
     def sigma(self) -> tuple:
@@ -605,7 +612,7 @@ def constant_sweep(
     """Max-over-fields ratio per (s, lambda) plus sup and stabilization.
 
     The fields are assumed clamped at |t| = T - delta_t (delta_t defaults
-    to T / 64, as in fit_carleman_params).  Stabilization means the per-s
+    to T / 64, as in params_from_sup).  Stabilization means the per-s
     sups over the upper half of the s-range are positive and every
     consecutive relative change of them stays below 10 percent; a sweep
     whose ratios all flush to 0 is not stabilized.

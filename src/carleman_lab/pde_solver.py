@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .geometry import DomainLayout, OMEGA1, _crossings
+from .geometry import DomainLayout, _crossings
 from .weight import PiecewiseCoefficient
 
 
@@ -559,8 +559,8 @@ def interface_flux_jump(grid: Grid2D, coeff: PiecewiseCoefficient,
     rows, cols, xc = rows[found], cols[found], xc[found]
     stencil = cols[:, None] + np.arange(-2, 4)
     xs6, us6 = grid.xs[stencil].T, u[rows[:, None], stencil].T
-    a_left = np.where(side[rows, cols] == OMEGA1, coeff.a1, coeff.a2)
-    a_right = np.where(side[rows, cols + 1] == OMEGA1, coeff.a1, coeff.a2)
+    a_left = coeff.on_side(side[rows, cols])
+    a_right = coeff.on_side(side[rows, cols + 1])
     jumps = np.abs(a_left * _lagrange_d1(xs6[:3], us6[:3], xc)
                    - a_right * _lagrange_d1(xs6[3:], us6[3:], xc))
     if jumps.size == 0:

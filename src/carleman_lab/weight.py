@@ -24,7 +24,7 @@ with alpha strictly above the grid maximum of exp(lam * psi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .geometry import (
     GaugeSingular,
     GeometryError,
     OMEGA1,
+    OMEGA2,
     RadialInterface,
     RectangularDomain,
     TWO_PI,
@@ -78,8 +79,12 @@ class PiecewiseCoefficient:
         if self.a1 <= 0.0 or self.a2 <= 0.0:
             raise ValueError("coefficient values must be positive")
 
+    def on_side(self, side):
+        """a1 where the label is OMEGA1, a2 elsewhere."""
+        return _by_side(side, self.a1, self.a2)
+
     def at(self, pts):
-        return _by_side(self.layout.classify(pts), self.a1, self.a2)
+        return self.on_side(self.layout.classify(pts))
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,6 @@ class Cutoff:
     derivative all match at both ends.
     """
 
-    center: np.ndarray
     r_inner: float
     r_outer: float
 
@@ -98,21 +102,24 @@ class Cutoff:
         if not (0.0 < self.r_inner < self.r_outer):
             raise CutoffError("cutoff radii must satisfy 0 < r_inner < r_outer")
 
-    def _u(self, r):
+    def jet(self, r, order: int = 0) -> tuple:
+        """(eta, eta', eta'') at the radii r; the derivatives above order
+        are None."""
         w = self.r_outer - self.r_inner
-        return np.clip((np.asarray(r, dtype=float) - self.r_inner) / w, 0.0, 1.0), w
+        u = np.clip((np.asarray(r, dtype=float) - self.r_inner) / w, 0.0, 1.0)
+        value = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+        d1 = 30.0 * u * u * (1.0 - u) ** 2 / w if order >= 1 else None
+        d2 = 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) / (w * w) if order >= 2 else None
+        return value, d1, d2
 
-    def value(self, r):
-        u, _ = self._u(r)
-        return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
-    def d1(self, r):
-        u, w = self._u(r)
-        return 30.0 * u * u * (1.0 - u) ** 2 / w
+class WeightJet(NamedTuple):
+    """psi at some points, its gradient (..., 2) and its Hessian (..., 2, 2);
+    the entries above the order asked for are None."""
 
-    def d2(self, r):
-        u, w = self._u(r)
-        return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) / (w * w)
+    psi: np.ndarray
+    grad: Optional[np.ndarray]
+    hessian: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -140,67 +147,52 @@ class TransmissionWeight:
     def side_of(self, pts):
         return self.coeff.layout.classify(pts)
 
-    # mu is the gauge about the weight's own center.  dead zone: eta and
-    # its derivatives vanish for r <= r_inner, so every formula below is
-    # evaluated with the singular factors masked out there.
-    # side is one label (OMEGA1 or 2) applied to every point, or a label
-    # array shaped like the points; psi/grad/hessian/laplacian pass the
-    # classified sides so each point runs its own branch once.
+    def jet(self, pts, side=None, order: int = 0) -> WeightJet:
+        """psi and, up to order (0, 1 or 2), its gradient and Hessian at pts,
+        from one gauge and one cutoff evaluation.
 
-    def psi_side(self, pts, side):
-        r, _, mu, _, _ = _gauge_data(self.interface, pts, self.center)
-        eta = self.cutoff.value(r)
-        out = self._abar(side) * eta * mu**2 + self._offset(side)
-        return np.where(r <= self.cutoff.r_inner, self._offset(side), out)
-
-    def grad_side(self, pts, side):
-        r, er, mu, gmu2, _ = _gauge_data(self.interface, pts, self.center, 1)
+        side is one label (OMEGA1 or 2) applied to every point, a label
+        array that broadcasts against the points' leading shape, or None
+        to classify the points here; each point runs its own branch.
+        """
+        if side is None:
+            side = self.side_of(pts)
+        # mu is the gauge about the weight's own center.  dead zone: eta and
+        # its derivatives vanish for r <= r_inner, so every formula below is
+        # evaluated with the singular factors masked out there.
+        r, er, mu, gmu2, hmu2 = _gauge_data(self.interface, pts, self.center, order)
+        eta, deta, d2eta = self.cutoff.jet(r, order)
+        abar = self._abar(side)
+        offset = self._offset(side)
         mu2 = mu**2
-        eta = self.cutoff.value(r)
-        deta = self.cutoff.d1(r)
-        g = self._abar(side)[..., None] * (
-            eta[..., None] * gmu2 + (mu2 * deta)[..., None] * er
-        )
         dead = r <= self.cutoff.r_inner
-        return np.where(dead[..., None], 0.0, g)
-
-    def hessian_side(self, pts, side):
-        r, er, mu, gmu2, hmu2 = _gauge_data(self.interface, pts, self.center, 2)
-        mu2 = mu**2
-        r_safe = np.maximum(r, 1e-300)
-        eta = self.cutoff.value(r)
-        deta = self.cutoff.d1(r)
-        d2eta = self.cutoff.d2(r)
-        outer_sym = er[..., :, None] * gmu2[..., None, :]
-        outer_sym = outer_sym + np.swapaxes(outer_sym, -1, -2)
-        er_er = er[..., :, None] * er[..., None, :]
-        eye = np.broadcast_to(np.eye(2), er_er.shape)
-        hess_eta = d2eta[..., None, None] * er_er + (deta / r_safe)[
-            ..., None, None
-        ] * (eye - er_er)
-        h = self._abar(side)[..., None, None] * (
-            eta[..., None, None] * hmu2
-            + deta[..., None, None] * outer_sym
-            + mu2[..., None, None] * hess_eta
-        )
-        dead = r <= self.cutoff.r_inner
-        return np.where(dead[..., None, None], 0.0, h)
-
-    def laplacian_side(self, pts, side):
-        h = self.hessian_side(pts, side)
-        return h[..., 0, 0] + h[..., 1, 1]
+        psi = np.where(dead, offset, abar * eta * mu2 + offset)
+        grad = hess = None
+        if order >= 1:
+            g = abar[..., None] * (
+                eta[..., None] * gmu2 + (mu2 * deta)[..., None] * er
+            )
+            grad = np.where(dead[..., None], 0.0, g)
+        if order >= 2:
+            r_safe = np.maximum(r, 1e-300)
+            outer_sym = er[..., :, None] * gmu2[..., None, :]
+            outer_sym = outer_sym + np.swapaxes(outer_sym, -1, -2)
+            er_er = er[..., :, None] * er[..., None, :]
+            eye = np.broadcast_to(np.eye(2), er_er.shape)
+            hess_eta = d2eta[..., None, None] * er_er + (deta / r_safe)[
+                ..., None, None
+            ] * (eye - er_er)
+            h = abar[..., None, None] * (
+                eta[..., None, None] * hmu2
+                + deta[..., None, None] * outer_sym
+                + mu2[..., None, None] * hess_eta
+            )
+            hess = np.where(dead[..., None, None], 0.0, h)
+        return WeightJet(psi, grad, hess)
 
     def psi(self, pts):
-        return self.psi_side(pts, self.side_of(pts))
-
-    def grad(self, pts):
-        return self.grad_side(pts, self.side_of(pts))
-
-    def hessian(self, pts):
-        return self.hessian_side(pts, self.side_of(pts))
-
-    def laplacian(self, pts):
-        return self.laplacian_side(pts, self.side_of(pts))
+        """psi at pts, each point on its own side."""
+        return self.jet(pts).psi
 
 
 def _as_layout(domain) -> DomainLayout:
@@ -279,7 +271,7 @@ def build_weight(
         coeff=coeff,
         M1=float(M1),
         M2=float(M2),
-        cutoff=Cutoff(center=x0, r_inner=r_inner, r_outer=r_outer),
+        cutoff=Cutoff(r_inner=r_inner, r_outer=r_outer),
     )
 
 
@@ -336,25 +328,6 @@ def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
     return CarlemanParams(
         s=float(s), lam=float(lam), alpha=alpha, T=float(T),
         delta_t=float(_delta_t(T, delta_t)), psi_sup=psi_sup,
-    )
-
-
-def fit_carleman_params(
-    weight: TransmissionWeight,
-    s: float,
-    lam: float,
-    T: float,
-    *,
-    delta_t: float | None = None,
-    headroom: float = 1.05,
-    n_grid: int = 192,
-    partner: TransmissionWeight | None = None,
-) -> CarlemanParams:
-    """Scan psi of the weight (and partner) and build the parameters."""
-    weights = (weight,) if partner is None else (weight, partner)
-    return params_from_sup(
-        psi_grid_max(weights, n_grid), s, lam, T,
-        delta_t=delta_t, headroom=headroom,
     )
 
 
@@ -446,10 +419,10 @@ def verify_hypotheses(
     nu = weight.interface.outward_normal(thetas)
     a1, a2 = weight.coeff.a1, weight.coeff.a2
 
-    psi1 = weight.psi_side(ipts, 1)
-    psi2 = weight.psi_side(ipts, 2)
-    g1 = weight.grad_side(ipts, 1)
-    g2 = weight.grad_side(ipts, 2)
+    # both branches at once: labels of shape (2, 1) broadcast against the
+    # interface points, which are gauged once
+    both = np.array([[OMEGA1], [OMEGA2]])
+    (psi1, psi2), (g1, g2), _ = weight.jet(ipts, both, order=1)
     dn1 = np.einsum("ij,ij->i", g1, nu)       # dpsi1/dnu1
     dn2 = -np.einsum("ij,ij->i", g2, nu)      # dpsi2/dnu2, nu2 = -nu1
 
@@ -484,8 +457,9 @@ def verify_hypotheses(
     rr = np.hypot(pts[:, 0] - weight.center[0], pts[:, 1] - weight.center[1])
     pts = pts[rr >= weight.cutoff.r_outer]
     side = weight.side_of(pts)
+    _, grad, hess = weight.jet(pts, side, order=2)
 
-    grad_norm = np.linalg.norm(weight.grad_side(pts, side), axis=-1)
+    grad_norm = np.linalg.norm(grad, axis=-1)
     records["H3"] = HypothesisRecord(
         "H3",
         bool(np.min(grad_norm) > 0.0),
@@ -493,8 +467,8 @@ def verify_hypotheses(
         _worst(pts, grad_norm, pick_max=False),
     )
 
-    a_pts = _by_side(side, a1, a2)
-    mats = 2.0 * (a_pts**2)[:, None, None] * weight.hessian_side(pts, side)
+    a_pts = weight.coeff.on_side(side)
+    mats = 2.0 * (a_pts**2)[:, None, None] * hess
     eigs = smallest_eigenvalue_2x2(mats)
     records["H4"] = HypothesisRecord(
         "H4",
@@ -565,10 +539,8 @@ def build_epsilon_pair(
     ball2 = x2 + offs
     side1 = layout.classify(ball1)
     side2 = layout.classify(ball2)
-    margin1 = float(np.min(
-        w2.psi_side(ball1, side1) - w1.psi_side(ball1, side1)))
-    margin2 = float(np.min(
-        w1.psi_side(ball2, side2) - w2.psi_side(ball2, side2)))
+    margin1 = float(np.min(w2.jet(ball1, side1).psi - w1.jet(ball1, side1).psi))
+    margin2 = float(np.min(w1.jet(ball2, side2).psi - w2.jet(ball2, side2).psi))
     if margin1 <= 0.0 or margin2 <= 0.0:
         raise GeometryError(
             f"pair domination failed: margins {margin1:.3e}, {margin2:.3e}"

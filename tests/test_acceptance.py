@@ -162,8 +162,9 @@ def test_criterion_4_solver_convergence_and_conservation():
 
         def src(p, t):
             a = cf.at(p)
-            spatial = a * (2.0 * np.sum(w.grad(p) ** 2, axis=-1)
-                           + 2.0 * w.psi(p) * w.laplacian(p))
+            _, g, h = w.jet(p, order=2)
+            spatial = a * (2.0 * np.sum(g ** 2, axis=-1)
+                           + 2.0 * w.psi(p) * (h[..., 0, 0] + h[..., 1, 1]))
             return np.exp(-1j * t) * (w.psi(p) ** 2 + spatial)
 
         fld = pde.solve_forward(
@@ -188,8 +189,8 @@ def test_criterion_5_conjugation_identity():
         coeff = wt.PiecewiseCoefficient(0.2, 0.1, layout)
         pair = wt.build_epsilon_pair(layout, (-0.12, 0.0), (0.12, 0.0),
                                      0.2, 0.1, M2=0.1)
-        params = wt.fit_carleman_params(pair.w1, 1.0, 1.0, 1.0,
-                                        partner=pair.w2)
+        params = wt.params_from_sup(wt.psi_grid_max((pair.w1, pair.w2)),
+                                    1.0, 1.0, 1.0)
         return grid, coeff, pair.w1, params
 
     def taper(grid, margin=0.25):

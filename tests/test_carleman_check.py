@@ -38,7 +38,7 @@ def small_problem(nx=21, s=20.0, lam=2.0, T=1.0, a1=0.2, a2=0.1, M2=0.1):
     grid = pde.Grid2D.from_layout(layout, nx)
     coeff = wt.PiecewiseCoefficient(a1, a2, layout)
     pair = wt.build_epsilon_pair(layout, (-0.12, 0.0), (0.12, 0.0), a1, a2, M2=M2)
-    params = wt.fit_carleman_params(pair.w1, s, lam, T, partner=pair.w2)
+    params = wt.params_from_sup(wt.psi_grid_max((pair.w1, pair.w2)), s, lam, T)
     return layout, grid, coeff, pair, params
 
 
@@ -125,9 +125,13 @@ class ConstPsi:
     def __init__(self, value):
         self.value = float(value)
 
-    def psi(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.full(pts.shape[:-1], self.value)
+    def jet(self, pts, order=0):
+        shape = np.asarray(pts, dtype=float).shape[:-1]
+        return wt.WeightJet(
+            np.full(shape, self.value),
+            np.zeros(shape + (2,)) if order >= 1 else None,
+            np.zeros(shape + (2, 2)) if order >= 2 else None,
+        )
 
 
 class TestConjugate:
@@ -158,7 +162,7 @@ class TestConjugate:
         )
         grid = pde.Grid2D.from_layout(layout, 21)
         w1 = wt.build_weight(layout, (0.05, 0.0), 2.0, 1.0, M2=1.0)
-        params = wt.fit_carleman_params(w1, 20.0, 2.0, 1.0)
+        params = wt.params_from_sup(wt.psi_grid_max((w1,)), 20.0, 2.0, 1.0)
         times = clamped_times(params, 8)
         fac = factors(w1, params, w1.coeff, grid, times)
         assert np.all(fac[0] < 1e-100)
@@ -231,10 +235,11 @@ class TestSplitOperators:
         v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=6)
         w, s, lam = pair.w1, params.s, params.lam
         pts = grid.points.reshape(-1, 2)
-        e_lp = np.exp(lam * w.psi(pts)).reshape(grid.shape)
-        gpsi = w.grad(pts).reshape(grid.shape + (2,))
+        psi, gpsi, hpsi = w.jet(pts, order=2)
+        e_lp = np.exp(lam * psi).reshape(grid.shape)
+        gpsi = gpsi.reshape(grid.shape + (2,))
         g2 = gpsi[..., 0] ** 2 + gpsi[..., 1] ** 2
-        lap = w.laplacian(pts).reshape(grid.shape)
+        lap = (hpsi[..., 0, 0] + hpsi[..., 1, 1]).reshape(grid.shape)
         a = coeff.at(pts).reshape(grid.shape)
         div_ab = -a * lam * e_lp * (lam * g2 + lap)
         cell = grid.cell_weights
@@ -304,8 +309,7 @@ class TestSplitOperators:
         v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=6)
         w, s, lam = pair.w1, params.s, params.lam
         pts = grid.points.reshape(-1, 2)
-        psi = w.psi(pts)
-        gpsi = w.grad(pts)
+        psi, gpsi, _ = w.jet(pts, order=1)
         grad_sq = np.einsum("ij,ij->i", gpsi, gpsi)
         e_lp = np.exp(lam * psi)
         space = (s**2 * lam**2 * coeff.at(pts) * e_lp**2 * grad_sq).reshape(
@@ -592,6 +596,32 @@ class TestStreamedRatio:
             assert all(3 <= stop - start <= cc.SLAB + 2 for start, stop in slabs)
         assert len(cc._slabs(2 * cc.SLAB + 3)) == 3
 
+    @pytest.mark.parametrize("nx", (13, 48))
+    def test_slab_densities_equal_the_whole_stack_rows(self, nx):
+        # streaming and mirroring are bit-identical to the whole stack only
+        # while BLAS reduces every level of a planned slab as it does in the
+        # whole-stack call (module notes); a BLAS build whose row blocks do
+        # not divide the slab starts fails here, naming the density
+        layout, grid, coeff, pair, params = small_problem(nx=nx)
+        rng = np.random.default_rng(8)
+        shape = (129,) + grid.shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t_max = params.T - params.delta_t
+        for nt in (3, 4, 5, 33, 34, 65, 66, 67, 129):
+            values = stack[:nt]
+            phi = phi_of(pair.w1, params, coeff, grid, np.linspace(-t_max, t_max, nt))
+            assert phi.space.weight.sigma[0].any()
+            l2 = cc._l2_density(grid, values)
+            boundary = cc._boundary_term(values, phi)
+            for mirrored in (False, True):
+                for a, b in cc._plan(nt, mirrored):
+                    got = cc._l2_density(grid, values[a:b])
+                    assert np.array_equal(got, l2[a:b]), ("_l2_density", nt, a, b)
+                    got = cc._boundary_term(values[a:b], phi.slab(a, b))
+                    assert np.array_equal(got, boundary[a:b]), (
+                        "_boundary_term", nt, a, b,
+                    )
+
     def test_time_factor_once_per_weight_per_call(self, monkeypatch):
         layout, grid, coeff, pair, params = small_problem(nx=13)
         v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=40)
@@ -620,7 +650,9 @@ class TestStreamedRatio:
         pair = wt.build_epsilon_pair(
             layout, (-0.12, 0.0), (0.12, 0.0), 0.1, 0.05, M2=0.05
         )
-        params = wt.fit_carleman_params(pair.w1, 80.0, 2.0, 1.0, partner=pair.w2)
+        params = wt.params_from_sup(
+            wt.psi_grid_max((pair.w1, pair.w2)), 80.0, 2.0, 1.0
+        )
         v = bump_envelope_field(grid, params, (0.2, -0.1), 0.4, 1.5, n_half=64)
         assert v.values.shape == (129, 48, 48)
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
@@ -890,8 +922,9 @@ class TestSweep:
         expected = []
         for s in s_values:
             for lam in lam_values:
-                params = wt.fit_carleman_params(
-                    pair.w1, s, lam, T, delta_t=T / 64.0, partner=pair.w2
+                params = wt.params_from_sup(
+                    wt.psi_grid_max((pair.w1, pair.w2)), s, lam, T,
+                    delta_t=T / 64.0,
                 )
                 for fid, fld in enumerate(fields):
                     rep = cc.carleman_ratio(fld, pair, params, q)

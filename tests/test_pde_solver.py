@@ -288,9 +288,8 @@ def transmission_exact_and_source(w, coeff):
         return w.psi(pts) ** 2 * np.exp(-1j * t)
 
     def source(pts, t):
-        psi = w.psi(pts)
-        gpsi = w.grad(pts)
-        lpsi = w.laplacian(pts)
+        psi, gpsi, hpsi = w.jet(pts, order=2)
+        lpsi = hpsi[..., 0, 0] + hpsi[..., 1, 1]
         a = coeff.at(pts)
         spatial = a * (2.0 * np.sum(gpsi**2, axis=-1) + 2.0 * psi * lpsi)
         return np.exp(-1j * t) * (psi**2 + spatial)

@@ -9,6 +9,8 @@ Oracles used here:
     one-sided slope sum 2 (a2 - a1) / R.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,19 @@ def count_classify(monkeypatch):
     return calls
 
 
+def count_gauge_data(monkeypatch):
+    """Record the order of every gauge evaluation the weight module makes."""
+    calls = []
+    gauge_data = wt._gauge_data
+
+    def counted(interface, x, center=None, order=0):
+        calls.append(order)
+        return gauge_data(interface, x, center, order)
+
+    monkeypatch.setattr(wt, "_gauge_data", counted)
+    return calls
+
+
 class TestPiecewiseCoefficient:
     def test_side_values(self):
         coeff = wt.PiecewiseCoefficient(2.0, 1.0, unit_disk_layout())
@@ -71,43 +86,43 @@ class TestPiecewiseCoefficient:
 
 class TestCutoff:
     def test_plateau_values(self):
-        c = wt.Cutoff(np.zeros(2), 0.2, 0.5)
-        assert c.value(0.1) == 0.0
-        assert c.value(0.0) == 0.0
-        assert c.value(0.5) == 1.0
-        assert c.value(2.0) == 1.0
-        assert c.d1(0.1) == 0.0 and c.d1(0.9) == 0.0
-        assert c.d2(0.1) == 0.0 and c.d2(0.9) == 0.0
+        c = wt.Cutoff(0.2, 0.5)
+        assert c.jet(0.1)[0] == 0.0
+        assert c.jet(0.0)[0] == 0.0
+        assert c.jet(0.5)[0] == 1.0
+        assert c.jet(2.0)[0] == 1.0
+        assert c.jet(0.1, 1)[1] == 0.0 and c.jet(0.9, 1)[1] == 0.0
+        assert c.jet(0.1, 2)[2] == 0.0 and c.jet(0.9, 2)[2] == 0.0
 
     def test_c2_matching_at_ends(self):
         # value, slope and curvature continuous where the ramp meets the plateaus
-        c = wt.Cutoff(np.zeros(2), 0.2, 0.5)
+        c = wt.Cutoff(0.2, 0.5)
         for r, v in ((0.2, 0.0), (0.5, 1.0)):
-            assert c.value(r) == pytest.approx(v, abs=1e-15)
-            assert c.d1(r) == pytest.approx(0.0, abs=1e-15)
-            assert c.d2(r) == pytest.approx(0.0, abs=1e-15)
+            assert c.jet(r)[0] == pytest.approx(v, abs=1e-15)
+            assert c.jet(r, 1)[1] == pytest.approx(0.0, abs=1e-15)
+            assert c.jet(r, 2)[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_derivatives_match_finite_differences(self):
-        c = wt.Cutoff(np.zeros(2), 0.2, 0.5)
+        c = wt.Cutoff(0.2, 0.5)
         rs = np.linspace(0.22, 0.48, 9)
         h = 1e-6
-        fd1 = (c.value(rs + h) - c.value(rs - h)) / (2 * h)
-        fd2 = (c.d1(rs + h) - c.d1(rs - h)) / (2 * h)
-        assert np.allclose(c.d1(rs), fd1, atol=1e-7)
-        assert np.allclose(c.d2(rs), fd2, atol=1e-6)
+        fd1 = (c.jet(rs + h)[0] - c.jet(rs - h)[0]) / (2 * h)
+        fd2 = (c.jet(rs + h, 1)[1] - c.jet(rs - h, 1)[1]) / (2 * h)
+        assert np.allclose(c.jet(rs, 1)[1], fd1, atol=1e-7)
+        assert np.allclose(c.jet(rs, 2)[2], fd2, atol=1e-6)
 
     def test_monotone_ramp(self):
-        c = wt.Cutoff(np.zeros(2), 0.2, 0.5)
+        c = wt.Cutoff(0.2, 0.5)
         rs = np.linspace(0.0, 0.7, 200)
-        vals = c.value(rs)
+        vals = c.jet(rs)[0]
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_bad_radii(self):
         with pytest.raises(geo.GeometryError):
-            wt.Cutoff(np.zeros(2), 0.5, 0.2)
+            wt.Cutoff(0.5, 0.2)
         with pytest.raises(geo.GeometryError):
-            wt.Cutoff(np.zeros(2), 0.0, 0.2)
+            wt.Cutoff(0.0, 0.2)
 
 
 class TestDiskWeightValues:
@@ -125,8 +140,8 @@ class TestDiskWeightValues:
     def test_interface_continuity(self):
         th = np.linspace(0.0, geo.TWO_PI, 64, endpoint=False)
         pts = np.column_stack([np.cos(th), np.sin(th)])
-        psi1 = self.w.psi_side(pts, 1)
-        psi2 = self.w.psi_side(pts, 2)
+        psi1 = self.w.jet(pts, 1).psi
+        psi2 = self.w.jet(pts, 2).psi
         assert np.allclose(psi1, 3.0, atol=1e-12)
         assert np.allclose(psi2, 3.0, atol=1e-12)
 
@@ -134,8 +149,8 @@ class TestDiskWeightValues:
         # outside the cutoff ball eta = 1 and psi_j = abar_j r^2 + M_j
         rs = np.array([0.3, 0.6, 0.9, 1.2, 1.7])
         pts = np.column_stack([rs, np.zeros_like(rs)])
-        assert np.allclose(self.w.psi_side(pts, 1), 1.0 * rs**2 + 2.0, atol=1e-12)
-        assert np.allclose(self.w.psi_side(pts, 2), 2.0 * rs**2 + 1.0, atol=1e-12)
+        assert np.allclose(self.w.jet(pts, 1).psi, 1.0 * rs**2 + 2.0, atol=1e-12)
+        assert np.allclose(self.w.jet(pts, 2).psi, 2.0 * rs**2 + 1.0, atol=1e-12)
 
     def test_dispatch_picks_correct_side(self):
         pts = np.array([[0.5, 0.0], [1.5, 0.0]])
@@ -149,30 +164,32 @@ class TestDiskWeightValues:
         assert self.w.cutoff.r_outer == pytest.approx(0.25)
         inner = np.array([[0.0, 0.0], [0.05, 0.05], [0.0, -0.12]])
         assert np.allclose(self.w.psi(inner), self.w.M1)
-        assert np.allclose(self.w.grad(inner), 0.0)
-        assert np.allclose(self.w.hessian(inner), 0.0)
+        assert np.allclose(self.w.jet(inner, order=1).grad, 0.0)
+        assert np.allclose(self.w.jet(inner, order=2).hessian, 0.0)
 
     def test_disk_gradient_and_hessian(self):
         rs = np.array([0.4, 0.8, 1.4])
         pts = np.column_stack([rs / np.sqrt(2.0), rs / np.sqrt(2.0)])
         er = pts / rs[:, None]
-        g1 = self.w.grad_side(pts, 1)
+        g1 = self.w.jet(pts, 1, order=1).grad
         assert np.allclose(g1, (1.0 * 2.0 * rs)[:, None] * er, atol=1e-12)
-        h2 = self.w.hessian_side(pts, 2)
+        h2 = self.w.jet(pts, 2, order=2).hessian
         assert np.allclose(h2, 2.0 * 2.0 * np.eye(2), atol=1e-12)
 
     def test_laplacian_is_hessian_trace(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-1.8, 1.8, size=(40, 2))
-        h = self.w.hessian(pts)
-        assert np.allclose(self.w.laplacian(pts), h[..., 0, 0] + h[..., 1, 1])
+        h = self.w.jet(pts, order=2).hessian
+        # WeightOnGrid reads nothing of its grid but the points
+        lap = cc.WeightOnGrid(self.w, SimpleNamespace(points=pts)).laplacian
+        assert np.allclose(lap, h[..., 0, 0] + h[..., 1, 1])
 
     def test_grid_shaped_input(self):
         xs = np.linspace(-1.5, 1.5, 7)
         grid = np.stack(np.meshgrid(xs, xs), axis=-1)
         assert self.w.psi(grid).shape == (7, 7)
-        assert self.w.grad(grid).shape == (7, 7, 2)
-        assert self.w.hessian(grid).shape == (7, 7, 2, 2)
+        assert self.w.jet(grid, order=1).grad.shape == (7, 7, 2)
+        assert self.w.jet(grid, order=2).hessian.shape == (7, 7, 2, 2)
         flat = grid.reshape(-1, 2)
         assert np.allclose(self.w.psi(grid).reshape(-1), self.w.psi(flat))
 
@@ -200,13 +217,13 @@ class TestOvalWeightDerivatives:
         pts = self.sample_points()
         h = 1e-6
         for side in (1, 2):
-            g = self.w.grad_side(pts, side)
+            g = self.w.jet(pts, side, order=1).grad
             for k in range(2):
                 dp = np.zeros(2)
                 dp[k] = h
                 fd = (
-                    self.w.psi_side(pts + dp, side)
-                    - self.w.psi_side(pts - dp, side)
+                    self.w.jet(pts + dp, side).psi
+                    - self.w.jet(pts - dp, side).psi
                 ) / (2 * h)
                 assert np.allclose(g[:, k], fd, atol=2e-6), f"side {side} axis {k}"
 
@@ -214,42 +231,66 @@ class TestOvalWeightDerivatives:
         pts = self.sample_points()
         h = 1e-6
         for side in (1, 2):
-            hess = self.w.hessian_side(pts, side)
+            hess = self.w.jet(pts, side, order=2).hessian
             for k in range(2):
                 dp = np.zeros(2)
                 dp[k] = h
                 fd = (
-                    self.w.grad_side(pts + dp, side)
-                    - self.w.grad_side(pts - dp, side)
+                    self.w.jet(pts + dp, side, order=1).grad
+                    - self.w.jet(pts - dp, side, order=1).grad
                 ) / (2 * h)
                 assert np.allclose(hess[:, :, k], fd, atol=5e-6), (
                     f"side {side} axis {k}"
                 )
 
-    def test_evaluators_equal_their_side_branch_exactly(self):
+    def mixed_points(self):
         # center (0.15, -0.1), a dead-zone point and a ramp point lie inside
         # the cutoff ball of radius 0.45; the samples cover both sides
         ball = np.array([[0.15, -0.1], [0.25, -0.1], [0.15, 0.2]])
         pts = np.vstack([self.sample_points(), ball])
+        assert set(np.unique(self.w.side_of(pts))) == {1, 2}
+        return pts
+
+    def test_evaluators_equal_their_side_branch_exactly(self):
+        pts = self.mixed_points()
         side = self.w.side_of(pts)
-        assert set(np.unique(side)) == {1, 2}
-        for name in ("psi", "grad", "hessian", "laplacian"):
-            full = getattr(self.w, name)(pts)
-            for lab in (1, 2):
-                branch = getattr(self.w, f"{name}_side")(pts, lab)
-                mask = side == lab
-                assert np.array_equal(full[mask], branch[mask]), (name, lab)
+        full = self.w.jet(pts, order=2)
+        for lab in (1, 2):
+            branch = self.w.jet(pts, lab, order=2)
+            mask = side == lab
+            for name, got, want in zip(full._fields, full, branch):
+                assert np.array_equal(got[mask], want[mask]), (name, lab)
+
+    def test_lower_orders_equal_the_order_two_fields_exactly(self):
+        pts = self.mixed_points()
+        full = self.w.jet(pts, order=2)
+        psi, grad, hess = self.w.jet(pts, order=0)
+        assert np.array_equal(psi, full.psi)
+        assert grad is None and hess is None
+        psi, grad, hess = self.w.jet(pts, order=1)
+        assert np.array_equal(psi, full.psi)
+        assert np.array_equal(grad, full.grad)
+        assert hess is None
+
+    def test_stacked_labels_give_each_side_exactly(self):
+        # labels of shape (2, 1) evaluate both branches at every point
+        pts = self.mixed_points()
+        both = self.w.jet(pts, np.array([[1], [2]]), order=2)
+        for k, lab in enumerate((1, 2)):
+            branch = self.w.jet(pts, lab, order=2)
+            for name, got, want in zip(both._fields, both, branch):
+                assert np.array_equal(got[k], want), (name, lab)
 
     def test_hessian_symmetry(self):
         pts = self.sample_points()
-        hess = self.w.hessian(pts)
+        hess = self.w.jet(pts, order=2).hessian
         assert np.allclose(hess, np.swapaxes(hess, -1, -2))
 
     def test_interface_value_constant_despite_offset_center(self):
         th = np.linspace(0.0, geo.TWO_PI, 200, endpoint=False)
         iface = oval_interface()
         pts = iface.point(th)
-        psi1 = self.w.psi_side(pts, 1)
+        psi1 = self.w.jet(pts, 1).psi
         assert np.max(np.abs(psi1 - self.w.interface_value)) < 1e-7
 
 
@@ -295,7 +336,9 @@ class TestBuildWeight:
 class TestTimeWeights:
     def setup_method(self):
         self.w = wt.build_weight(unit_disk_layout(), (0.0, 0.0), 2.0, 1.0)
-        self.params = wt.fit_carleman_params(self.w, s=10.0, lam=1.0, T=1.0)
+        self.params = wt.params_from_sup(
+            wt.psi_grid_max((self.w,)), s=10.0, lam=1.0, T=1.0
+        )
 
     def test_alpha_dominates_psi(self):
         rng = np.random.default_rng(3)
@@ -355,9 +398,13 @@ class TestTimeWeights:
 
     def test_partner_shares_alpha(self):
         w2 = wt.build_weight(unit_disk_layout(), (0.3, 0.0), 2.0, 1.0)
-        p_solo = wt.fit_carleman_params(self.w, s=1.0, lam=1.0, T=1.0)
-        p_pair = wt.fit_carleman_params(self.w, s=1.0, lam=1.0, T=1.0, partner=w2)
-        q_pair = wt.fit_carleman_params(w2, s=1.0, lam=1.0, T=1.0, partner=self.w)
+        p_solo = wt.params_from_sup(wt.psi_grid_max((self.w,)), s=1.0, lam=1.0, T=1.0)
+        p_pair = wt.params_from_sup(
+            wt.psi_grid_max((self.w, w2)), s=1.0, lam=1.0, T=1.0
+        )
+        q_pair = wt.params_from_sup(
+            wt.psi_grid_max((w2, self.w)), s=1.0, lam=1.0, T=1.0
+        )
         assert p_pair.alpha == pytest.approx(q_pair.alpha, rel=1e-12)
         assert p_pair.alpha >= p_solo.alpha
 
@@ -429,6 +476,27 @@ class TestVerifyHypotheses:
         calls = count_classify(monkeypatch)
         assert wt.verify_hypotheses(w, tolerance=1e-6).all_ok
         assert len(calls) == 1
+
+
+class TestOneEvaluationPerPointSet:
+    def test_weight_on_grid_gauges_and_classifies_once(self, monkeypatch):
+        layout = oval_layout()
+        w = wt.build_weight(layout, (0.15, -0.1), 2.0, 1.0)
+        on_grid = cc.WeightOnGrid(w, pde.Grid2D.from_layout(layout, 17))
+        gauged = count_gauge_data(monkeypatch)
+        classified = count_classify(monkeypatch)
+        assert on_grid.psi.shape == (17 * 17,)
+        assert on_grid.grad.shape == (17 * 17, 2)
+        assert on_grid.laplacian.shape == (17 * 17,)
+        assert gauged == [2]
+        assert len(classified) == 1
+
+    def test_verify_hypotheses_gauges_each_point_set_once(self, monkeypatch):
+        # the interface samples (both branches) and the interior scan
+        w = wt.build_weight(oval_layout(0.08, 0.03), (0.1, -0.05), 2.0, 1.0)
+        gauged = count_gauge_data(monkeypatch)
+        assert wt.verify_hypotheses(w, tolerance=1e-6).all_ok
+        assert gauged == [1, 2]
 
 
 class TestEpsilonPair:
@@ -590,7 +658,7 @@ def test_interface_value_constant_property(c2, c3, a1, gap, m2, cx, cy):
     th = np.linspace(0.0, geo.TWO_PI, 64, endpoint=False)
     pts = iface.point(th)
     for side in (1, 2):
-        vals = w.psi_side(pts, side)
+        vals = w.jet(pts, side).psi
         assert np.max(np.abs(vals - (a2 + w.M1))) < 1e-6
 
 
@@ -603,7 +671,9 @@ def test_interface_value_constant_property(c2, c3, a1, gap, m2, cx, cy):
 )
 def test_time_weight_identities_property(lam, t, px, py):
     w = wt.build_weight(unit_disk_layout(), (0.0, 0.0), 2.0, 1.0)
-    params = wt.fit_carleman_params(w, s=1.0, lam=lam, T=1.0, delta_t=0.1)
+    params = wt.params_from_sup(
+        wt.psi_grid_max((w,)), s=1.0, lam=lam, T=1.0, delta_t=0.1
+    )
     pts = np.array([[px, py]])
     theta = np.exp(params.lam * w.psi(pts)) * wt._time_factor(params, t)
     phi = wt.eval_phi(w, params, pts, t)

@@ -72,6 +72,7 @@ import numpy as np
 from .pde_solver import (
     CoefficientOnGrid,
     Grid2D,
+    SchrodingerOperator,
     SolverError,
     SpaceTimeField,
     _OnGrid,
@@ -272,7 +273,8 @@ class _PhiSpace:
     def sigma_weights(self) -> np.ndarray:
         """e^{lam psi} times the trace quadrature weight on Sigma_+."""
         mask, psi_plus = self.weight.sigma
-        return np.exp(self.params.lam * psi_plus) * self.coeff.trace[2][mask]
+        quadrature = self.weight.grid.boundary_weights[mask]
+        return np.exp(self.params.lam * psi_plus) * quadrature
 
 
 class _Phi(NamedTuple):
@@ -284,17 +286,14 @@ class _Phi(NamedTuple):
     @classmethod
     def of(
         cls,
-        weight,
+        weight: WeightOnGrid,
         params: CarlemanParams,
         coeff: CoefficientOnGrid,
-        grid: Grid2D,
         times: np.ndarray,
     ) -> "_Phi":
-        """weight's phi factors at params over times on grid, for operators
-        with the coefficient coeff; weight's grid data is reused when it is
-        already on grid."""
-        space = _PhiSpace(WeightOnGrid.of(weight, grid), params, coeff)
-        return cls(space, _time_factor(params, times))
+        """weight's phi factors at params over times on its grid, for
+        operators with the coefficient coeff."""
+        return cls(_PhiSpace(weight, params, coeff), _time_factor(params, times))
 
     def slab(self, start: int, stop: int) -> "_Phi":
         return self._replace(tau=self.tau[start:stop])
@@ -513,7 +512,7 @@ def _boundary_term(wvals: np.ndarray, phi: _Phi) -> np.ndarray:
     if not mask.any():
         return np.zeros(nt)
     flat = wvals.reshape(nt, -1)
-    flux = (space.coeff.trace[3] @ flat.T).T[:, mask]
+    flux = (space.coeff.trace @ flat.T).T[:, mask]
     return (
         (flux.real**2 + flux.imag**2) * space.sigma_weights[None, :]
     ).sum(axis=1) * phi.tau
@@ -555,7 +554,7 @@ def carleman_ratio(
     plan = _plan(nt, on_grid.mirrored(v, q))
     lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
-    phis = [_Phi.of(wgt, params, coeff, grid, times) for wgt in on_grid.weights]
+    phis = [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
     shift = _common_log_shift([phi.space for phi in phis], params)
     lhs = 0.0
     rhs_residual = 0.0
@@ -728,7 +727,8 @@ def build_test_suite(
     """
     t_max = T - _delta_t(T, delta_t)
     rng = np.random.default_rng(seed)
-    on_grid = CoefficientOnGrid.of(coeff, grid)  # one flux matrix for all solves
+    # every solve has the same q and dt: one factored operator serves all
+    op = SchrodingerOperator(grid, coeff, q, t_max / n_steps)
     pts = grid.points
     interface = grid.layout.interface
     cx, cy = interface.center
@@ -746,7 +746,7 @@ def build_test_suite(
         amp = rng.uniform(0.5, 1.5)
         r2 = (pts[..., 0] - c[0]) ** 2 + (pts[..., 1] - c[1]) ** 2
         y0 = 1j * amp * np.exp(-r2 / width**2)
-        fwd = solve_forward(grid, on_grid, q, y0, 0.0, t_max, n_steps)
+        fwd = solve_forward(grid, coeff, q, y0, 0.0, t_max, n_steps, operator=op)
         fields.append(extend_time(fwd))
     times = np.linspace(-t_max, t_max, 2 * n_steps + 1)
     for _ in range(n_manufactured):

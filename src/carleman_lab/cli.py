@@ -118,19 +118,13 @@ def run_geometry_check(cfg, out_dir: Path) -> int:
     return 0
 
 
-def _effective_m2(cfg) -> float:
-    # keep the outer offset positive even for a wrong-way jump so the
-    # certifier can report the H2 failure instead of dying in the builder
-    a1, a2 = cfg.physics.a1, cfg.physics.a2
-    return cfg.carleman.M2 + max(0.0, a2 - a1)
-
-
 def run_weight_verify(cfg, out_dir: Path) -> int:
     layout = cfgmod.build_layout(cfg)
+    a1, a2 = cfg.physics.a1, cfg.physics.a2
     try:
         w = wt.build_weight(
-            layout, cfg.geometry.x0, cfg.physics.a1, cfg.physics.a2,
-            M2=_effective_m2(cfg),
+            layout, cfg.geometry.x0, a1, a2,
+            M2=wt.certifiable_m2(cfg.carleman.M2, a1, a2),
             cutoff_radii=cfg.carleman.cutoff,
             enforce_jump_sign=False,
         )
@@ -138,7 +132,7 @@ def run_weight_verify(cfg, out_dir: Path) -> int:
         raise ConfigError(f"carleman.cutoff: {exc}") from None
     except geo.GeometryError as exc:
         raise ConfigError(f"geometry.x0: {exc}") from None
-    report = wt.verify_hypotheses(w, grid_resolution=128)
+    report = wt.verify_hypotheses(w)
     payload = report.as_dict()
     meta = outputs.make_meta(cfgmod.config_hash(cfg), "weight-verify")
     if "json" in cfg.output.formats:
@@ -235,7 +229,7 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
         raise ConfigError(f"geometry.x2: {exc}") from None
     reports = {}
     for name, w in (("w1", pair.w1), ("w2", pair.w2)):
-        report = wt.verify_hypotheses(w, grid_resolution=128)
+        report = wt.verify_hypotheses(w)
         reports[name] = report.as_dict()
         if not report.all_ok:
             raise CertificationFailure(
@@ -296,8 +290,7 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
             ))
         outputs.write_svg(
             out_dir / "carleman_ratios.svg", meta,
-            svgplot.lines(series, logx=True, xlabel="s",
-                          ylabel="max ratio lhs/rhs",
+            svgplot.lines(series, xlabel="s", ylabel="max ratio lhs/rhs",
                           title="Carleman ratio across the sweep"),
         )
     print(
@@ -379,8 +372,7 @@ def run_stability(cfg, out_dir: Path) -> int:
         outputs.write_svg(
             out_dir / "stability_scatter.svg", meta,
             svgplot.scatter(
-                xs, ys, logx=True, logy=True,
-                xlabel="trace distance (H1 in time, L2 on the rim)",
+                xs, ys, xlabel="trace distance (H1 in time, L2 on the rim)",
                 ylabel="potential distance (L2)",
                 title=f"Stability sweep ({label})",
                 fit_slope=slope, fit_intercept=intercept,

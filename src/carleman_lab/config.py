@@ -246,8 +246,8 @@ class _Section:
             raise ConfigError(f"{self.path(key)}: must be >= {minimum}, got {val}")
         return val
 
-    def floats(self, key, count=None, default=None, required=False):
-        raw = self.get(key, required=required)
+    def floats(self, key, count=None, default=None):
+        raw = self.get(key)
         if raw is None:
             return default
         vals = tuple(_finite(tok, self.path(key)) for tok in raw.split())
@@ -520,7 +520,10 @@ def build_grid(cfg: ExperimentConfig) -> Grid2D:
     try:
         return Grid2D.from_layout(layout, cfg.physics.nx, cfg.physics.ny)
     except Exception as exc:
-        raise ConfigError(f"physics.nx: {exc}") from None
+        # nx and ny are each >= 5 here, so a given ny can only disagree
+        # with the square spacing nx sets
+        key = "nx" if cfg.physics.ny is None else "ny"
+        raise ConfigError(f"physics.{key}: {exc}") from None
 
 
 def build_coefficient(cfg: ExperimentConfig, layout: geo.DomainLayout):

@@ -163,12 +163,10 @@ def curvature(interface: RadialInterface, theta):
     return (r * r + 2.0 * d1 * d1 - r * d2) / np.power(r * r + d1 * d1, 1.5)
 
 
-def certify_strong_convexity(
-    interface: RadialInterface, n_scan: int = 4096
-) -> tuple[float, bool]:
-    """Scan curvature; the curve is strongly convex iff the min is positive."""
-    if n_scan < 4 * interface.n_samples:
-        raise ValueError("n_scan must be at least 4x the sample count")
+def certify_strong_convexity(interface: RadialInterface) -> tuple[float, bool]:
+    """Scan curvature at max(4096, 4 n_samples) uniform angles; the curve
+    is strongly convex iff the min is positive."""
+    n_scan = max(4096, 4 * interface.n_samples)
     thetas = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
     kmin = float(np.min(curvature(interface, thetas)))
     return kmin, kmin > 0.0
@@ -318,18 +316,16 @@ def _crossings(interface: RadialInterface, origin, direction, reach):
     return np.where(bracket & res.success, res.x, np.nan)
 
 
-def resample_from_center(
-    interface: RadialInterface, new_center, n_samples: int | None = None
-) -> RadialInterface:
-    """Radial description of the same curve about a different interior point.
+def resample_from_center(interface: RadialInterface, new_center) -> RadialInterface:
+    """Radial description of the same curve about a different interior
+    point, at max(256, interface.n_samples) uniform angles.
 
     The ray from ``new_center`` at each target angle is intersected with
     the spline curve, so the new samples lie on the old curve to solver
     precision.
     """
     nc = np.asarray(new_center, dtype=float)
-    if n_samples is None:
-        n_samples = max(256, interface.n_samples)
+    n_samples = max(256, interface.n_samples)
     if np.hypot(*(nc - interface.center)) < _CENTER_EPS:
         if n_samples == interface.n_samples:
             return interface

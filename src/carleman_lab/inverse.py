@@ -40,7 +40,12 @@ from .pde_solver import (
     neumann_trace,
     solve_forward,
 )
-from .weight import PiecewiseCoefficient, build_weight, verify_hypotheses
+from .weight import (
+    PiecewiseCoefficient,
+    build_weight,
+    certifiable_m2,
+    verify_hypotheses,
+)
 
 
 class SingularR0(Exception):
@@ -83,11 +88,6 @@ class InverseProblemInstance:
     n_steps: int
     data: BoundaryTrace
     clean_data: BoundaryTrace
-    noise_level: float
-    seed: int
-    r_lower: float
-    y0_imaginary: bool
-    p_inf: float
     q_bound: float
     on_grid: CoefficientOnGrid
 
@@ -137,11 +137,7 @@ def make_instance(
         )
     re = float(np.max(np.abs(y0_full.real)))
     im = float(np.max(np.abs(y0_full.imag)))
-    if im <= 1e-12 * max(re, 1.0):
-        y0_imaginary = False
-    elif re <= 1e-12 * max(im, 1.0):
-        y0_imaginary = True
-    else:
+    if im > 1e-12 * max(re, 1.0) and re > 1e-12 * max(im, 1.0):
         raise ValueError("initial state must be real or purely imaginary")
 
     rim = _rim_data(grid, y0_full)
@@ -171,8 +167,6 @@ def make_instance(
     return InverseProblemInstance(
         grid=grid, coeff=coeff, p_true=p_full, y0=y0_full, boundary=boundary,
         T=float(T), n_steps=int(n_steps), data=data, clean_data=clean,
-        noise_level=float(noise_level), seed=int(seed), r_lower=float(r_lower),
-        y0_imaginary=y0_imaginary, p_inf=float(np.max(np.abs(p_full))),
         q_bound=float(q_bound), on_grid=on_grid,
     )
 
@@ -181,18 +175,16 @@ def make_instance(
 # initial-condition inversion
 
 
-def bk_recover_f(v0: np.ndarray, R0: np.ndarray, r0_min: float = 0.5) -> np.ndarray:
+def bk_recover_f(v0: np.ndarray, R0: np.ndarray) -> np.ndarray:
     """Recover the real source factor from v(0) = -i f R(0).
 
-    Raises SingularR0 when min |R0| < r0_min, the lower bound the stability
+    Raises SingularR0 when min |R0| < 0.5, the lower bound the stability
     argument needs on the known factor.
     """
     R0 = np.asarray(R0)
     lo = float(np.min(np.abs(R0)))
-    if lo < r0_min:
-        raise SingularR0(
-            f"min |R(0)| = {lo:.3e} is below the required bound {r0_min}"
-        )
+    if lo < 0.5:
+        raise SingularR0(f"min |R(0)| = {lo:.3e} is below the required bound 0.5")
     return np.real(1j * np.asarray(v0, dtype=complex) / R0)
 
 
@@ -279,8 +271,7 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     rdot = D @ residual
     z = tau[:, None] * residual + D.T @ (tau[:, None] * rdot)
     z = z * tr.weights[None, :]
-    _, _, _, C = instance.on_grid.trace
-    C_int = C[:, grid.interior_ids]
+    C_int = instance.on_grid.trace[:, grid.interior_ids]
     rho = (C_int.T @ z.T).T                              # (nt, n_interior)
 
     # adjoint march: (I + i dt/2 A) lam^n = rho^n + (I - i dt/2 A) lam^{n+1}
@@ -345,10 +336,9 @@ def reconstruct(
     q0,
     beta: float = 1e-6,
     max_iter: int = 100,
-    *,
-    q_ref=None,
 ):
-    """Minimise the misfit from q0 with scipy's L-BFGS-B.
+    """Minimise the misfit from q0 with scipy's L-BFGS-B; the Tikhonov
+    term pulls towards q0.
 
     The objective is the misfit divided by its value at q0, so the
     iterates do not depend on the scale of the data; a finite
@@ -363,7 +353,7 @@ def reconstruct(
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     q = _check_q(q0, instance).copy()
-    ref = q.copy() if q_ref is None else np.asarray(q_ref, float)
+    ref = q.copy()
     shape = instance.grid.shape
 
     last = None  # (x, value, grad) at the last evaluated potential
@@ -523,18 +513,16 @@ def smooth_perturbation(grid: Grid2D, amplitude: float, rng) -> np.ndarray:
     return amplitude * out / sup
 
 
-def certify_instance(instance: InverseProblemInstance, *,
-                     grid_resolution: int = 128):
+def certify_instance(instance: InverseProblemInstance):
     """Build the weight for the instance geometry and run the hypothesis
     certifier.  Returns (certified, report).  The jump sign check is left
     to the certifier itself so a wrong-way coefficient produces a report
     with a negative H2 margin instead of an exception."""
     a1, a2 = instance.coeff.a1, instance.coeff.a2
     layout = instance.grid.layout
-    m2 = 1.0 + max(0.0, a2 - a1)
-    w = build_weight(layout, layout.interface.center, a1, a2, M2=m2,
-                     enforce_jump_sign=False)
-    report = verify_hypotheses(w, grid_resolution=grid_resolution)
+    w = build_weight(layout, layout.interface.center, a1, a2,
+                     M2=certifiable_m2(1.0, a1, a2), enforce_jump_sign=False)
+    report = verify_hypotheses(w)
     return bool(report.all_ok), report
 
 
@@ -543,8 +531,6 @@ def stability_sweep(
     n_perturbations: int = 30,
     amplitude_range: tuple = (1e-3, 1e-1),
     seed: int = 7,
-    *,
-    grid_resolution: int = 128,
 ) -> StabilitySweepResult:
     """Perturb the true potential with seeded smooth fields at log-spaced
     amplitudes, record (potential distance, trace distance, ratio) for
@@ -589,7 +575,7 @@ def stability_sweep(
             trace_distance=tr, ratio=float(ratio),
         ))
 
-    certified, report = certify_instance(instance, grid_resolution=grid_resolution)
+    certified, report = certify_instance(instance)
 
     finite = [r for r in records
               if np.isfinite(r.ratio) and r.trace_distance > 0.0]

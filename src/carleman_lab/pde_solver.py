@@ -143,6 +143,11 @@ class Grid2D:
         return self.points.reshape(-1, 2)[self.boundary_ids]
 
     @cached_property
+    def boundary_weights(self) -> np.ndarray:
+        """Quadrature weights h of the boundary nodes, matching boundary_ids."""
+        return np.full(self.boundary_ids.size, self.h)
+
+    @cached_property
     def cell_weights(self) -> np.ndarray:
         """Tensor trapezoid quadrature weights, shape (ny, nx)."""
         wx = np.ones(self.nx)
@@ -256,8 +261,8 @@ class _OnGrid:
 
 class CoefficientOnGrid(_OnGrid):
     """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
-    the boundary trace operator (points, normals, weights, C); both
-    stencils read a from at_nodes, so it is classified once per grid.
+    the boundary trace operator C; both stencils read a from at_nodes, so
+    it is classified once per grid.
 
     SchrodingerOperator, the solves and neumann_trace take this form in
     place of the plain coefficient; built once and passed along, it makes
@@ -274,7 +279,7 @@ class CoefficientOnGrid(_OnGrid):
         return _assemble_flux_matrix(self.grid, self)
 
     @cached_property
-    def trace(self) -> tuple:
+    def trace(self) -> sparse.csr_matrix:
         return trace_operator(self.grid, self)
 
 
@@ -295,7 +300,6 @@ class SchrodingerOperator:
             raise InvalidStep("dt must be positive")
         on_grid = CoefficientOnGrid.of(coeff, grid)
         self.grid = grid
-        self.coeff = on_grid.source
         self.dt = float(dt)
         self.potential = grid.sample(potential)
         self.k_int, self.k_bnd = on_grid.flux
@@ -455,10 +459,9 @@ def extend_time(field: SpaceTimeField) -> SpaceTimeField:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Conormal trace samples a dnu(u) on the outer boundary over time."""
+    """Conormal trace samples a dnu(u) at the boundary nodes over time,
+    with their quadrature weights."""
 
-    points: np.ndarray
-    normals: np.ndarray
     weights: np.ndarray
     times: np.ndarray
     values: np.ndarray
@@ -472,13 +475,12 @@ def trace_operator(grid: Grid2D, coeff: Coefficient):
     """Sparse map from a full grid slice to a dnu(u) at boundary nodes.
 
     One-sided three-point (second order) stencils per axis; corner nodes
-    combine both axes along the diagonal normal.  Returns (points,
-    normals, weights, C) with trace = C @ u.ravel().
+    combine both axes along the diagonal normal.  Returns the sparse C
+    with trace = C @ u.ravel(), rows in boundary_ids order.
     """
     ny, nx = grid.shape
     b_ids = grid.boundary_ids
     normals = grid.boundary_normals
-    pts = grid.boundary_points
     a_b = CoefficientOnGrid.of(coeff, grid).at_nodes[b_ids]
     inv2h = 1.0 / (2.0 * grid.h)
     k = np.arange(b_ids.size)
@@ -493,23 +495,20 @@ def trace_operator(grid: Grid2D, coeff: Coefficient):
             rows.append(k[sel])
             cols.append(b_ids[sel] + step * (m * stride))
             vals.append(a_b[sel] * normals[sel, axis] * step * cval * inv2h)
-    C = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(b_ids.size, nx * ny),
     ).tocsr()
-    weights = np.full(b_ids.size, grid.h)
-    return pts, normals, weights, C
 
 
 def neumann_trace(field: SpaceTimeField, coeff: Coefficient) -> BoundaryTrace:
     if field.nt < 3:
         raise InvalidTrace("trace extraction needs at least 3 time levels")
-    pts, normals, weights, C = CoefficientOnGrid.of(coeff, field.grid).trace
+    C = CoefficientOnGrid.of(coeff, field.grid).trace
     flat = field.values.reshape(field.nt, -1)
-    values = (C @ flat.T).T
     return BoundaryTrace(
-        points=pts, normals=normals, weights=weights,
-        times=field.times.copy(), values=values,
+        weights=field.grid.boundary_weights, times=field.times.copy(),
+        values=(C @ flat.T).T,
     )
 
 

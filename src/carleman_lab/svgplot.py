@@ -1,5 +1,5 @@
-"""Minimal self-contained SVG plots: scatter with an optional fitted
-line (linear or log-log axes) and multi-series line charts.  No
+"""Minimal self-contained SVG plots: a log-log scatter with an optional
+fitted line and multi-series line charts on a log x axis.  No
 dependencies, no styling beyond what the sweeps need, deterministic
 output for deterministic input."""
 
@@ -128,13 +128,13 @@ def _document(parts):
     )
 
 
-def scatter(xs, ys, *, logx=False, logy=False, xlabel="x", ylabel="y",
-            title="", fit_slope=None, fit_intercept=None) -> str:
-    """Scatter plot; if fit_slope is given, draw the fitted line
-    y = slope*x + intercept in the plotted (possibly log10) coordinates."""
-    to_px, xr, yr = _transforms(xs, ys, logx, logy)
-    parts = _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title)
-    for px, py in _pixels(to_px, xs, ys, logx, logy):
+def scatter(xs, ys, *, xlabel="x", ylabel="y", title="", fit_slope=None,
+            fit_intercept=None) -> str:
+    """Scatter plot on log-log axes; if fit_slope is given, draw the fitted
+    line log10 y = slope * log10 x + intercept."""
+    to_px, xr, yr = _transforms(xs, ys, True, True)
+    parts = _axes(to_px, xr, yr, True, True, xlabel, ylabel, title)
+    for px, py in _pixels(to_px, xs, ys, True, True):
         parts.append(
             f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="{PALETTE[0]}" '
             'fill-opacity="0.8"/>'
@@ -155,17 +155,17 @@ def scatter(xs, ys, *, logx=False, logy=False, xlabel="x", ylabel="y",
     return _document(parts)
 
 
-def lines(series, *, logx=False, logy=False, xlabel="x", ylabel="y",
-          title="") -> str:
-    """Multi-series line chart; series is a list of (label, xs, ys)."""
+def lines(series, *, xlabel="x", ylabel="y", title="") -> str:
+    """Multi-series line chart with a log x axis and a linear y axis;
+    series is a list of (label, xs, ys)."""
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
-    to_px, xr, yr = _transforms(all_x, all_y, logx, logy)
-    parts = _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title)
+    to_px, xr, yr = _transforms(all_x, all_y, True, False)
+    parts = _axes(to_px, xr, yr, True, False, xlabel, ylabel, title)
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         pts = []
-        for px, py in _pixels(to_px, xs, ys, logx, logy):
+        for px, py in _pixels(to_px, xs, ys, True, False):
             pts.append(f"{px:.1f},{py:.1f}")
             parts.append(
                 f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3.5" fill="{color}"/>'

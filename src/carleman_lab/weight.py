@@ -225,6 +225,13 @@ def _check_center(interface: RadialInterface, x) -> None:
         raise GeometryError("weight center must lie strictly inside the inner region")
 
 
+def certifiable_m2(M2: float, a1: float, a2: float) -> float:
+    """M2 raised by a2 - a1 for a wrong-way jump (a2 > a1), so that
+    M1 = M2 + a1 - a2 stays positive and the certifier can report the H2
+    failure instead of build_weight refusing the offsets."""
+    return M2 + max(0.0, a2 - a1)
+
+
 def build_weight(
     layout: DomainLayout,
     x0,
@@ -320,11 +327,10 @@ def _delta_t(T: float, delta_t: float | None) -> float:
 
 
 def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
-                    delta_t: float | None = None,
-                    headroom: float = 1.05) -> CarlemanParams:
-    """alpha = headroom * exp(lam psi_sup) and a default time clamp, for
-    psi_sup from psi_grid_max."""
-    alpha = headroom * float(np.exp(lam * psi_sup))
+                    delta_t: float | None = None) -> CarlemanParams:
+    """alpha = 1.05 exp(lam psi_sup) and a default time clamp, for psi_sup
+    from psi_grid_max."""
+    alpha = 1.05 * float(np.exp(lam * psi_sup))
     return CarlemanParams(
         s=float(s), lam=float(lam), alpha=alpha, T=float(T),
         delta_t=float(_delta_t(T, delta_t)), psi_sup=psi_sup,
@@ -383,38 +389,29 @@ def _worst(points, values, pick_max: bool) -> tuple[float, float]:
     return (float(points[idx, 0]), float(points[idx, 1]))
 
 
-def verify_hypotheses(
-    weight: TransmissionWeight,
-    grid_resolution: int = 128,
-    tolerance: float = 1e-8,
-    n_interface: int = 512,
-) -> HypothesisReport:
-    """Certify the interface and interior conditions of the weight.
+def verify_hypotheses(weight: TransmissionWeight) -> HypothesisReport:
+    """Certify the interface and interior conditions of the weight at 512
+    uniform interface angles and on a 128 x 128 scan of the outer domain.
 
     Records (margin > 0 means the condition holds):
       strong_convexity  min interface curvature
       Tr    transmission compatibility: value continuity and cancellation of
             a1 dpsi1/dnu1 + a2 dpsi2/dnu2 on the interface, margin =
-            tolerance - worst residual
+            1e-8 - worst residual
       H1    psi constant (= a2 + M1) along the interface, same convention
       H2    dpsi1/dnu1 + dpsi2/dnu2 < 0 on the interface, margin = -(worst sum)
-      H3    |grad psi| bounded below on the domain minus the cutoff ball
+      H3    |grad psi| bounded below on the scan minus the cutoff ball
       H4    smallest eigenvalue of 2 a^2 D^2 psi bounded below on the same set
     """
-    if grid_resolution < 64:
-        raise ValueError("grid_resolution must be at least 64")
-    if n_interface < 256:
-        raise ValueError("need at least 256 interface samples")
+    tolerance = 1e-8
     records: dict[str, HypothesisRecord] = {}
 
-    kmin, convex_ok = certify_strong_convexity(
-        weight.interface, n_scan=max(4096, 4 * weight.interface.n_samples)
-    )
+    kmin, convex_ok = certify_strong_convexity(weight.interface)
     records["strong_convexity"] = HypothesisRecord(
         "strong_convexity", convex_ok, kmin, (float("nan"), float("nan"))
     )
 
-    thetas = np.linspace(0.0, TWO_PI, n_interface, endpoint=False)
+    thetas = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     ipts = weight.interface.point(thetas)
     nu = weight.interface.outward_normal(thetas)
     a1, a2 = weight.coeff.a1, weight.coeff.a2
@@ -453,7 +450,7 @@ def verify_hypotheses(
     )
 
     # interior scan: the outer domain outside the cutoff ball, classified once
-    pts = _scan_points(weight.coeff.layout, grid_resolution)
+    pts = _scan_points(weight.coeff.layout, 128)
     rr = np.hypot(pts[:, 0] - weight.center[0], pts[:, 1] - weight.center[1])
     pts = pts[rr >= weight.cutoff.r_outer]
     side = weight.side_of(pts)
@@ -502,16 +499,13 @@ def build_epsilon_pair(
     a1: float,
     a2: float,
     M2: float = 1.0,
-    *,
-    h5_scan: int = 64,
-    safety: float = 0.9,
 ) -> EpsilonPair:
     """Construct the two-center weight pair with certified separation.
 
-    eps = safety * min(d * alpha1 / D2, d * alpha2 / D1, d) with
+    eps = 0.9 * min(d * alpha1 / D2, d * alpha2 / D1, d) with
     d = |x1 - x2| / 2, alpha_k = dist(x_k, interface), D_k the max distance,
     and each weight carries the cutoff radii (eps / 2, eps).  The pair
-    domination condition (H5) is verified by a grid scan over each ball.
+    domination condition (H5) is verified on a 64 x 64 scan of each ball.
     domain is a DomainLayout or a bare RadialInterface.
     """
     layout = _as_layout(domain)
@@ -525,14 +519,14 @@ def build_epsilon_pair(
         _check_center(iface, xk)
     alpha1, D1 = distance_extrema(iface, x1)
     alpha2, D2 = distance_extrema(iface, x2)
-    eps = safety * min(d * alpha1 / D2, d * alpha2 / D1, d)
+    eps = 0.9 * min(d * alpha1 / D2, d * alpha2 / D1, d)
     if eps >= min(alpha1, alpha2):
         raise GeometryError("separation balls do not fit inside the inner region")
     w1 = build_weight(layout, x1, a1, a2, M2, cutoff_radii=(0.5 * eps, eps))
     w2 = build_weight(layout, x2, a1, a2, M2, cutoff_radii=(0.5 * eps, eps))
 
     # (H5) scan: the opposite weight dominates on each ball
-    u = np.linspace(-1.0, 1.0, h5_scan)
+    u = np.linspace(-1.0, 1.0, 64)
     offs = np.stack(np.meshgrid(u, u), axis=-1).reshape(-1, 2) * eps
     offs = offs[np.hypot(offs[:, 0], offs[:, 1]) <= eps]
     ball1 = x1 + offs

@@ -77,7 +77,7 @@ def test_criterion_2_hypothesis_certification():
     for iface in interfaces:
         layout = geo.DomainLayout(geo.RectangularDomain(-1, 1, -1, 1), iface)
         w = wt.build_weight(layout, (0.0, 0.0), 2.0, 1.0, M2=1.0)
-        report = wt.verify_hypotheses(w, grid_resolution=128)
+        report = wt.verify_hypotheses(w)
         assert report.all_ok
         assert all(rec.margin > 0.0 for rec in report.records.values())
 
@@ -85,7 +85,7 @@ def test_criterion_2_hypothesis_certification():
     layout = make_layout()
     w_bad = wt.build_weight(layout, (0.0, 0.0), 1.0, 2.0, M2=2.0,
                             enforce_jump_sign=False)
-    report = wt.verify_hypotheses(w_bad, grid_resolution=128)
+    report = wt.verify_hypotheses(w_bad)
     assert not report.all_ok
     assert not report["H2"].ok
     predicted = -2.0 * (2.0 - 1.0) / 0.5
@@ -232,8 +232,8 @@ def test_criterion_5_conjugation_identity():
         for n, t in enumerate(w.times):
             phi = wt.eval_phi(w1, params, pts_flat, t).reshape(grid.shape)
             direct[n] = image.values[n] * np.exp(-params.s * phi)
-        phi = cc._Phi.of(w1, params, pde.CoefficientOnGrid(coeff, grid), grid,
-                         w.times)
+        phi = cc._Phi.of(cc.WeightOnGrid(w1, grid), params,
+                         pde.CoefficientOnGrid(coeff, grid), w.times)
         dwdt = cc._time_derivative(w.values, w.dt)
         grad = cc._spatial_gradient(w.values, grid.h)
         split = (cc.apply_P1(w.values, dwdt, phi)

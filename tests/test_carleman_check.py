@@ -95,7 +95,8 @@ def solved_clamped_field(grid, coeff, q, params, n_half=16, seed=3):
 
 def phi_of(weight, params, coeff, grid, times):
     """weight's phi factors over times, for operators with coefficient coeff."""
-    return cc._Phi.of(weight, params, pde.CoefficientOnGrid(coeff, grid), grid, times)
+    return cc._Phi.of(cc.WeightOnGrid(weight, grid), params,
+                      pde.CoefficientOnGrid(coeff, grid), times)
 
 
 def factors(weight, params, coeff, grid, times):
@@ -520,7 +521,7 @@ def whole_stack_ratio(v, pair, params, q):
 
     lhs = rhs_residual = rhs_boundary = 0.0
     for wgt in on_grid.weights:
-        phi = cc._Phi.of(wgt, params, coeff, grid, times)
+        phi = cc._Phi.of(wgt, params, coeff, times)
         fac = cc._conjugation_factors(phi, shift)
         w = pde.SpaceTimeField(grid=grid, times=times, values=v.values * fac)
         lhs += l2_sq(cc.apply_P1(w.values, cc._time_derivative(w.values, v.dt), phi))
@@ -531,11 +532,11 @@ def whole_stack_ratio(v, pair, params, q):
         rhs_residual += l2_sq(lv.values * fac)
         mask, psi_plus = wgt.sigma
         if mask.any():
-            _, _, tr_weights, tr_matrix = coeff.trace
-            flux = (tr_matrix @ w.values.reshape(nt, -1).T).T[:, mask]
+            flux = (coeff.trace @ w.values.reshape(nt, -1).T).T[:, mask]
             e_lp = np.exp(params.lam * psi_plus)
             per_t = (
-                (flux.real**2 + flux.imag**2) * (e_lp * tr_weights[mask])[None, :]
+                (flux.real**2 + flux.imag**2)
+                * (e_lp * grid.boundary_weights[mask])[None, :]
             ).sum(axis=1) * wt._time_factor(params, times)
             rhs_boundary += float(params.s * params.lam * np.trapezoid(per_t, times))
     return cc.assemble_report(lhs, rhs_residual, rhs_boundary, params.s, params.lam)

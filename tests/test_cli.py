@@ -17,6 +17,8 @@ from carleman_lab import cli
 from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 
+DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+
 
 TMPL = """
 [geometry]
@@ -165,6 +167,19 @@ class TestErrorPaths:
                          "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+
+    @pytest.mark.parametrize(
+        "subcommand", ["solve-forward", "carleman-sweep", "invert", "stability"]
+    )
+    def test_inconsistent_ny_names_its_key(self, tmp_path, capsys, subcommand):
+        # nx = 33 on [-1, 1]^2 sets the spacing 1/16, which needs ny = 33
+        path = tmp_path / "bad.ini"
+        path.write_text(set_key(DEFAULT_INI.read_text(), "physics", "ny", "20"))
+        code = cli.main([subcommand, "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: physics.ny: grid spacing must be square")
 
     def test_zero_initial_state_is_rejected_before_any_write(self, tmp_path,
                                                              capsys):

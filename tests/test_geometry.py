@@ -66,10 +66,20 @@ class TestCurvature:
         kmin, ok = geo.certify_strong_convexity(iface)
         assert not ok and kmin < 0
 
-    def test_scan_resolution_precondition(self):
-        iface = oval_interface(n=256)
-        with pytest.raises(ValueError):
-            geo.certify_strong_convexity(iface, n_scan=256)
+    @pytest.mark.parametrize("n, n_scan", [(256, 4096), (2048, 8192)])
+    def test_scan_resolution_rule(self, monkeypatch, n, n_scan):
+        # max(4096, 4 n) angles: at least four per sample
+        scanned = []
+        curvature = geo.curvature
+
+        def counted(interface, theta):
+            scanned.append(np.size(theta))
+            return curvature(interface, theta)
+
+        monkeypatch.setattr(geo, "curvature", counted)
+        _, ok = geo.certify_strong_convexity(oval_interface(n=n))
+        assert ok
+        assert scanned == [n_scan]
 
 
 class TestBuilder:
@@ -270,7 +280,7 @@ class TestResample:
     def test_circle_about_offset_center(self):
         iface = geo.disk_interface(1.0, n=64)
         p = np.array([0.3, 0.0])
-        res = geo.resample_from_center(iface, p, n_samples=128)
+        res = geo.resample_from_center(iface, p)
         # exact radial function of the unit circle about p
         ang = res.angles
         u = np.stack((np.cos(ang), np.sin(ang)), axis=-1)
@@ -282,13 +292,12 @@ class TestResample:
         np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-7)
 
     def test_identity_when_center_unchanged(self):
-        iface = oval_interface(n=64)
-        res = geo.resample_from_center(iface, (0.0, 0.0), n_samples=64)
-        np.testing.assert_allclose(res.rho_samples, iface.rho_samples, atol=1e-13)
+        iface = oval_interface(n=256)
+        assert geo.resample_from_center(iface, (0.0, 0.0)) is iface
 
     def test_oval_resample_stays_on_curve(self):
         iface = oval_interface(n=256, c2=0.1, c3=0.02)
-        res = geo.resample_from_center(iface, (0.25, -0.1), n_samples=256)
+        res = geo.resample_from_center(iface, (0.25, -0.1))
         thetas = np.linspace(0, 2 * np.pi, 500)
         pts = res.point(thetas)
         # implicit check: gauge of the original interface is 1 on the curve

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is read by its module, and
-every private module-level name is read somewhere in the package.
+"""Every module-level import in the package is read by its module, every
+private module-level name is read somewhere in the package, and every
+defaulted parameter the program can reach is passed by some call in it.
 
 No linter ships with the test environment, so the checks walk each
 module's syntax tree with the standard library's ast module.
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "carleman_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "carleman_lab"
+# the program: the package, its scripts and its benchmark
+PROGRAM = ("src", "scripts", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -107,3 +111,115 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def _callee(call: ast.Call):
+    """The name a call reaches its function by: f(...) or obj.f(...)."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _public_defs(tree, module: str):
+    """(qualified name, callee name, bound leading parameters, def) of each
+    public module-level function and public method of a module-level class;
+    an __init__ counts, reached by its class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, 0, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                qualified = f"{module}.{node.name}.{item.name}"
+                if item.name == "__init__":
+                    yield qualified, node.name, 1, item
+                elif not item.name.startswith("_"):
+                    yield qualified, item.name, 0 if static else 1, item
+
+
+def unpassed_defaults(package: dict, program: list) -> list:
+    """(qualified name, parameter) of each defaulted parameter of a public
+    function or method of the package (see _public_defs) that some call in
+    the program sources reaches by name, when no such call passes it, by
+    keyword or by position: a knob nothing turns."""
+    calls = {}
+    for source in program:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    found = []
+    for module, source in package.items():
+        for qualified, callee, bound, fn in _public_defs(ast.parse(source), module):
+            reaching = calls.get(callee, [])
+            if not reaching:
+                continue
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[bound:]
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d
+                          in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for index, name in defaulted:
+                if not any(_passes(call, index, name) for call in reaching):
+                    found.append((qualified, name))
+    return sorted(found)
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether call passes the parameter name, which is the index-th
+    positional one (None: keyword-only); a *args or **kwargs passes any."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_the_check_finds_a_knob_nothing_turns():
+    package = {
+        "m": (
+            "def f(a, b=1, *, c=2, d=3):\n"
+            "    return a\n"
+            "def _private(x=0):\n"
+            "    return x\n"
+            "def unreached(y=0):\n"
+            "    return y\n"
+            "class K:\n"
+            "    def __init__(self, p, q=0, r=1):\n"
+            "        pass\n"
+            "    def meth(self, s=0, t=1):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def build(u, v=0):\n"
+            "        pass\n"
+        ),
+    }
+    program = [
+        "import m\n"
+        "m.f(1, c=5)\n"
+        "m._private()\n"
+        "k = m.K(1, 2)\n"
+        "k.meth(0)\n"
+        "m.K.build(1, *rest)\n",
+        "from m import f\nf(0, 2, **opts)\n",
+    ]
+    assert unpassed_defaults(package, program) == [
+        ("m.K.__init__", "r"), ("m.K.meth", "t"),
+    ]
+    program[1] = "f(0)\n"
+    assert unpassed_defaults(package, program) == [
+        ("m.K.__init__", "r"), ("m.K.meth", "t"), ("m.f", "b"), ("m.f", "d"),
+    ]
+
+
+def test_every_reachable_default_is_passed():
+    package = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    program = [path.read_text() for top in PROGRAM
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert unpassed_defaults(package, program) == []

@@ -71,8 +71,8 @@ class TestJson:
 
 class TestSvg:
     def test_meta_comment_and_parseable(self, tmp_path):
-        body = svgplot.scatter([1.0, 10.0], [2.0, 20.0], logx=True, logy=True,
-                               xlabel="x", ylabel="y", title="demo",
+        body = svgplot.scatter([1.0, 10.0], [2.0, 20.0], xlabel="x",
+                               ylabel="y", title="demo",
                                fit_slope=1.0, fit_intercept=0.0)
         path = outputs.write_svg(tmp_path / "p.svg", META, body)
         text = path.read_text()
@@ -84,14 +84,13 @@ class TestSvg:
     def test_lines_multiseries_parseable(self):
         body = svgplot.lines(
             [("one", [1, 2, 4], [3, 1, 2]), ("two", [1, 2, 4], [5, 4, 6])],
-            logx=True, xlabel="s", ylabel="ratio", title="sweep",
+            xlabel="s", ylabel="ratio", title="sweep",
         )
         ET.fromstring(body)
         assert "one" in body and "two" in body
 
     def test_scatter_skips_nonpositive_log_values(self):
         body = svgplot.scatter([0.0, 1.0, 2.0], [1.0, 2.0, 3.0],
-                               logx=True, logy=False,
                                xlabel="x", ylabel="y", title="filtered")
         ET.fromstring(body)
         assert body.count("<circle") == 2

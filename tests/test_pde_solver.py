@@ -178,7 +178,6 @@ class TestOperator:
         ops = [pde.SchrodingerOperator(self.grid, on_grid, self.potential, 0.01)
                for _ in range(2)]
         assert ops[0].k_int is ops[1].k_int is on_grid.flux[0]
-        assert ops[0].coeff is self.coeff
         y0 = bump_ic(self.grid.points).astype(complex)
         fields = [
             pde.solve_forward(self.grid, c, self.potential, y0, 0.0, 0.04, 4)
@@ -532,7 +531,7 @@ class TestNeumannTrace:
         coeff = wt.PiecewiseCoefficient(2.0, 1.0, layout)
         field = self.quadratic_field(grid)
         tr = pde.neumann_trace(field, coeff)
-        pts, nrm = tr.points, tr.normals
+        pts, nrm = grid.boundary_points, grid.boundary_normals
         gx = 2.0 * pts[:, 0] - pts[:, 1]
         gy = 6.0 * pts[:, 1] - pts[:, 0]
         expect = 1.0 * (nrm[:, 0] * gx + nrm[:, 1] * gy)  # a2 = 1 on the boundary
@@ -588,14 +587,13 @@ class TestBoundaryNorms:
     def make_trace(self, g_of_t, nt=201, T=1.0):
         layout = make_layout()
         grid = pde.Grid2D.from_layout(layout, 17)
-        coeff = wt.PiecewiseCoefficient(2.0, 1.0, layout)
-        pts, nrm, wts, _ = pde.trace_operator(grid, coeff)
         times = np.linspace(0.0, T, nt)
         values = np.stack(
-            [np.full(pts.shape[0], g_of_t(t), dtype=complex) for t in times]
+            [np.full(grid.boundary_ids.size, g_of_t(t), dtype=complex)
+             for t in times]
         )
         return pde.BoundaryTrace(
-            points=pts, normals=nrm, weights=wts, times=times, values=values
+            weights=grid.boundary_weights, times=times, values=values
         )
 
     def test_constant_closed_form(self):
@@ -614,7 +612,7 @@ class TestBoundaryNorms:
     def test_homogeneity(self):
         tr = self.make_trace(lambda t: np.sin(2 * t) + 0.3, nt=41)
         scaled = pde.BoundaryTrace(
-            points=tr.points, normals=tr.normals, weights=tr.weights,
+            weights=tr.weights,
             times=tr.times, values=-2.5j * tr.values,
         )
         assert pde.h1l2_boundary_norm(scaled) == pytest.approx(
@@ -624,7 +622,7 @@ class TestBoundaryNorms:
     def test_needs_three_levels(self):
         tr = self.make_trace(lambda t: 1.0, nt=11)
         short = pde.BoundaryTrace(
-            points=tr.points, normals=tr.normals, weights=tr.weights,
+            weights=tr.weights,
             times=tr.times[:2], values=tr.values[:2],
         )
         with pytest.raises(pde.InvalidTrace):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carleman_lab import carleman_check as cc
@@ -55,12 +55,13 @@ def count_classify(monkeypatch):
 
 
 def count_gauge_data(monkeypatch):
-    """Record the order of every gauge evaluation the weight module makes."""
+    """Record (order, number of points) of every gauge evaluation the
+    weight module makes."""
     calls = []
     gauge_data = wt._gauge_data
 
     def counted(interface, x, center=None, order=0):
-        calls.append(order)
+        calls.append((order, np.shape(x)[:-1]))
         return gauge_data(interface, x, center, order)
 
     monkeypatch.setattr(wt, "_gauge_data", counted)
@@ -442,7 +443,7 @@ class TestVerifyHypotheses:
 
     def test_oval_offset_center_passes(self):
         w = wt.build_weight(oval_layout(0.08, 0.03), (0.1, -0.05), 2.0, 1.0)
-        report = wt.verify_hypotheses(w, tolerance=1e-6)
+        report = wt.verify_hypotheses(w)
         assert report.all_ok
         for rec in report.records.values():
             assert rec.margin > 0.0
@@ -462,19 +463,25 @@ class TestVerifyHypotheses:
         x, y = d["records"]["H3"]["worst_point"]
         assert 0.25 <= np.hypot(x, y) <= 0.32
 
-    def test_scan_preconditions(self):
-        w = wt.build_weight(unit_disk_layout(), (0.0, 0.0), 2.0, 1.0)
-        with pytest.raises(ValueError):
-            wt.verify_hypotheses(w, grid_resolution=32)
-        with pytest.raises(ValueError):
-            wt.verify_hypotheses(w, n_interface=100)
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_fixed_scan_sizes(self, monkeypatch, n):
+        # 512 interface angles for both branches at once, whatever the
+        # sample count, and the 128 x 128 scan outside the cutoff ball
+        layout = unit_disk_layout(n=n)
+        w = wt.build_weight(layout, (0.1, -0.2), 2.0, 1.0)
+        gauged = count_gauge_data(monkeypatch)
+        assert wt.verify_hypotheses(w).all_ok
+        xs = np.linspace(-2.0, 2.0, 128)
+        gx, gy = np.meshgrid(xs, xs)
+        outside = np.hypot(gx - 0.1, gy + 0.2) >= w.cutoff.r_outer
+        assert gauged == [(1, (512,)), (2, (int(outside.sum()),))]
 
     def test_scan_points_are_classified_once(self, monkeypatch):
         # grad, Hessian and coefficient of the interior scan share one
         # set of labels
         w = wt.build_weight(oval_layout(0.08, 0.03), (0.1, -0.05), 2.0, 1.0)
         calls = count_classify(monkeypatch)
-        assert wt.verify_hypotheses(w, tolerance=1e-6).all_ok
+        assert wt.verify_hypotheses(w).all_ok
         assert len(calls) == 1
 
 
@@ -488,15 +495,15 @@ class TestOneEvaluationPerPointSet:
         assert on_grid.psi.shape == (17 * 17,)
         assert on_grid.grad.shape == (17 * 17, 2)
         assert on_grid.laplacian.shape == (17 * 17,)
-        assert gauged == [2]
+        assert gauged == [(2, (17 * 17,))]
         assert len(classified) == 1
 
     def test_verify_hypotheses_gauges_each_point_set_once(self, monkeypatch):
         # the interface samples (both branches) and the interior scan
         w = wt.build_weight(oval_layout(0.08, 0.03), (0.1, -0.05), 2.0, 1.0)
         gauged = count_gauge_data(monkeypatch)
-        assert wt.verify_hypotheses(w, tolerance=1e-6).all_ok
-        assert gauged == [1, 2]
+        assert wt.verify_hypotheses(w).all_ok
+        assert [order for order, _ in gauged] == [1, 2]
 
 
 class TestEpsilonPair:
@@ -581,12 +588,20 @@ class TestEpsilonPair:
         assert isinstance(layout, geo.DomainLayout)
         assert layout.outer.contains(np.array([[1.3, 1.3]]))[0]
 
-    def test_oversized_safety_rejected(self):
-        with pytest.raises(geo.GeometryError):
-            wt.build_epsilon_pair(
-                unit_disk_layout(), (-0.3, 0.0), (0.3, 0.0), 2.0, 1.0,
-                safety=20.0,
-            )
+    @settings(max_examples=30, deadline=None)
+    @given(
+        oval=st.booleans(),
+        polar=st.tuples(*[st.floats(0.0, 0.9), st.floats(0.0, 2.0 * np.pi)] * 2),
+    )
+    def test_separation_balls_fit_with_a_factor_two(self, oval, polar):
+        # D2 >= 2 d + alpha1 (the curve lies beyond x1 on the ray from x2),
+        # so d alpha1 / D2 < alpha1 / 2, and likewise for alpha2
+        layout = oval_layout(0.08, 0.03) if oval else unit_disk_layout()
+        f1, t1, f2, t2 = polar
+        x1, x2 = (layout.interface.point(t) * f for f, t in ((f1, t1), (f2, t2)))
+        assume(np.hypot(*(x1 - x2)) >= 0.01)
+        pair = wt.build_epsilon_pair(layout, x1, x2, 2.0, 1.0)
+        assert pair.eps < 0.5 * min(pair.alpha1, pair.alpha2)
 
 
 def sigma_on_grid(weight, layout, nx):

@@ -59,6 +59,26 @@ between them takes its mirror's densities.  The head slab starts at 0 and
 the others where the full path's slabs do, so BLAS reduces each level in
 the same row block, and the report stays bit-identical to whole-stack
 evaluation.
+
+Support: a level's six densities are exactly 0 when v is 0 on every level
+its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
+k = nt-1): w = v e^{-s phi} is 0 there, as the factor is finite (clipped
+at e^700); the space stencils act within one level; and L v at level k
+reads the levels the time stencil reads.  PairOnGrid records each field's
+time support, the first and last level where v is not identically 0, and
+carleman_ratio evaluates only the part of each planned slab whose levels
+a stencil from the support reaches, with the one-level halo, so d/dt at
+every evaluated level is still the whole stack's; the other levels'
+densities are 0.  Two reductions give a level a result that depends on
+its place in the array they reduce: _l2_density (a BLAS gemv, by row
+blocks) and the row sums of _boundary_term (whose order follows the
+array's layout, which a one-level array does not share).  Both still
+reduce the slab's full row set, with zero rows for the levels not
+evaluated, so each level keeps its place and the report stays
+bit-identical to whole-stack evaluation; _norm_densities sums each level
+with np.sum and takes the evaluated levels alone.  Each compactly
+supported manufactured field of the sweep conjugates 87 of the full
+path's 135 slab levels per weight.
 """
 
 from __future__ import annotations
@@ -157,6 +177,24 @@ def _plan(nt: int, mirrored: bool) -> list:
     if not mirrored or upper == slabs:
         return slabs
     return [(0, HEAD)] + upper
+
+
+def _time_support(v: SpaceTimeField) -> Optional[tuple]:
+    """(first, last) level at which v is not identically 0; None when v is
+    0 at every level."""
+    nonzero = np.flatnonzero(v.values.reshape(v.nt, -1).any(axis=1))
+    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
+
+
+def _live_levels(nt: int, support: Optional[tuple]) -> tuple:
+    """[lo, hi): the levels whose time stencil reads a level of support,
+    the only ones whose densities can be nonzero (module notes)."""
+    if support is None:
+        return 0, 0
+    first, last = support
+    lo = 0 if first <= 2 else first - 1
+    hi = nt if last >= nt - 3 else last + 2
+    return lo, hi
 
 
 def _odd_conjugate(v: SpaceTimeField) -> bool:
@@ -303,9 +341,10 @@ class PairOnGrid(_OnGrid):
     """An epsilon pair on one grid: the coefficient data (the estimate uses
     the first weight's coefficient for both weights) and each weight's data.
 
-    ``mirrored`` and ``residual`` keep their answers for the last field
-    asked for, so a caller that visits all (s, lambda) of one field in a row
-    computes them once per field and holds one field's residual at a time.
+    ``mirrored``, ``support`` and ``residual`` keep their answers for the
+    last field asked for, so a caller that visits all (s, lambda) of one
+    field in a row computes them once per field and holds one field's
+    residual at a time.
     """
 
     def __init__(self, pair: EpsilonPair, grid: Grid2D):
@@ -321,7 +360,7 @@ class PairOnGrid(_OnGrid):
             q_nodes = self.grid.sample(q, dtype=complex)
             mirrored = not q_nodes.imag.any() and _odd_conjugate(v)
             lv = apply_transmission_operator(v, self.coeff, q_nodes)
-            self._last = (v, q, mirrored, lv)
+            self._last = (v, q, mirrored, _time_support(v), lv)
         return self._last
 
     def mirrored(self, v: SpaceTimeField, q) -> bool:
@@ -330,8 +369,13 @@ class PairOnGrid(_OnGrid):
         (module notes)."""
         return self._field(v, q)[2]
 
-    def residual(self, v: SpaceTimeField, q) -> SpaceTimeField:
+    def support(self, v: SpaceTimeField, q) -> Optional[tuple]:
+        """v's time support (_time_support), from which carleman_ratio
+        takes the levels it evaluates (module notes)."""
         return self._field(v, q)[3]
+
+    def residual(self, v: SpaceTimeField, q) -> SpaceTimeField:
+        return self._field(v, q)[4]
 
 
 def _require_time_resolution(field: SpaceTimeField):
@@ -459,11 +503,29 @@ def weighted_norm_sq(w: SpaceTimeField, phi: _Phi) -> float:
     return _norm_value(phi.space.params, *dens, w.times)
 
 
-def _l2_density(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    """int |values|^2 over space per time level, by the trapezoidal rule."""
-    return np.tensordot(
-        values.real**2 + values.imag**2, grid.cell_weights, axes=([1, 2], [0, 1])
-    )
+def _in_slab(part: np.ndarray, rows: Optional[tuple], axis: int = 0) -> tuple:
+    """part, the levels offset.. of an n-level slab along axis when
+    rows = (offset, n), set into zeros that hold all n levels, and the
+    slice of the levels part fills; part and every level for rows None."""
+    if rows is None:
+        return part, slice(None)
+    offset, n = rows
+    core = slice(offset, offset + part.shape[axis])
+    shape = list(part.shape)
+    shape[axis] = n
+    full = np.zeros(shape, dtype=part.dtype)
+    full[(slice(None),) * axis + (core,)] = part
+    return full, core
+
+
+def _l2_density(
+    grid: Grid2D, values: np.ndarray, rows: Optional[tuple] = None
+) -> np.ndarray:
+    """int |values|^2 over space per time level, by the trapezoidal rule;
+    values given at rows of a slab (_in_slab) are reduced with the slab's
+    full row set."""
+    integrand, core = _in_slab(values.real**2 + values.imag**2, rows)
+    return np.tensordot(integrand, grid.cell_weights, axes=([1, 2], [0, 1]))[core]
 
 
 def _common_log_shift(spaces: Sequence[_PhiSpace], params: CarlemanParams) -> float:
@@ -503,19 +565,24 @@ def assemble_report(
     )
 
 
-def _boundary_term(wvals: np.ndarray, phi: _Phi) -> np.ndarray:
+def _boundary_term(
+    wvals: np.ndarray, phi: _Phi, rows: Optional[tuple] = None
+) -> np.ndarray:
     """int over Sigma_+ of theta |a dw/dnu|^2 per time level; the term is
-    s lam times its time integral."""
+    s lam times its time integral.  wvals given at rows of a slab
+    (_in_slab) are summed with the slab's full row set."""
     space = phi.space
     mask, _ = space.weight.sigma
     nt = len(phi.tau)
     if not mask.any():
         return np.zeros(nt)
     flat = wvals.reshape(nt, -1)
-    flux = (space.coeff.trace @ flat.T).T[:, mask]
+    # padded before the transpose, so the row sums see the full path's layout
+    flux, core = _in_slab(space.coeff.trace @ flat.T, rows, axis=1)
+    flux = flux.T[:, mask]
     return (
         (flux.real**2 + flux.imag**2) * space.sigma_weights[None, :]
-    ).sum(axis=1) * phi.tau
+    ).sum(axis=1)[core] * phi.tau
 
 
 def clamp_tail_bound(params: CarlemanParams) -> float:
@@ -546,12 +613,14 @@ def carleman_ratio(
     weight's phi factors are built once; the terms are streamed over
     slabs of SLAB time levels.  For a field on_grid.mirrored accepts,
     about half of the levels are evaluated and the others take their
-    mirror's densities (module notes).
+    mirror's densities; only the levels a stencil from v's time support
+    reaches are evaluated (module notes).
     """
     _require_time_resolution(v)
     grid, times, nt = v.grid, v.times, v.nt
     on_grid = PairOnGrid.of(weight_pair, grid)
     plan = _plan(nt, on_grid.mirrored(v, q))
+    live_lo, live_hi = _live_levels(nt, on_grid.support(v, q))
     lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
     phis = [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
@@ -561,30 +630,33 @@ def carleman_ratio(
     rhs_boundary = 0.0
     for phi in phis:
         # per time level: |P1 w|^2, |P2 w|^2, the norm's two integrands,
-        # |e^{-s phi} L v|^2 and the boundary integrand
-        dens = np.empty((6, nt))
+        # |e^{-s phi} L v|^2 and the boundary integrand; 0 at the levels
+        # outside [live_lo, live_hi)
+        dens = np.zeros((6, nt))
         for start, stop in plan:
-            lo, hi = max(start - 1, 0), min(stop + 1, nt)
+            a, b = max(start, live_lo), min(stop, live_hi)
+            if a >= b:
+                continue
+            rows = None if (a, b) == (start, stop) else (a - start, stop - start)
+            lo, hi = max(a - 1, 0), min(b + 1, nt)
             fac = _conjugation_factors(phi.slab(lo, hi), shift)
             ext = v.values[lo:hi] * fac
-            core = slice(start - lo, stop - lo)
+            core = slice(a - lo, b - lo)
             w = ext[core]
-            part = phi.slab(start, stop)
+            part = phi.slab(a, b)
             # each operator stack is reduced and dropped before the next is
-            # built; d/dt over the halo is the whole stack's at the slab
+            # built; d/dt over the halo is the whole stack's at levels a..b-1
             dwdt = _time_derivative(ext, v.dt)[core]
-            dens[0, start:stop] = _l2_density(grid, apply_P1(w, dwdt, part))
+            dens[0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part), rows)
             del dwdt
             grad = _spatial_gradient(w, grid.h)
             # one ordering rule: the norm reads the gradient before apply_P2
             # builds its terms in the gradient's buffers
-            dens[2:4, start:stop] = _norm_densities(w, grad, part)
-            dens[1, start:stop] = _l2_density(
-                grid, apply_P2(w, grad, part, times[start:stop])
-            )
+            dens[2:4, a:b] = _norm_densities(w, grad, part)
+            dens[1, a:b] = _l2_density(grid, apply_P2(w, grad, part, times[a:b]), rows)
             del grad
-            dens[4, start:stop] = _l2_density(grid, lv[start:stop] * fac[core])
-            dens[5, start:stop] = _boundary_term(w, part)
+            dens[4, a:b] = _l2_density(grid, lv[a:b] * fac[core], rows)
+            dens[5, a:b] = _boundary_term(w, part, rows)
         # a level between two slabs takes its mirror's densities
         for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
             dens[:, gap_lo:gap_hi] = dens[:, nt - 1 - gap_lo : nt - 1 - gap_hi : -1]

@@ -79,12 +79,6 @@ def _build_instance(cfg):
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
-    lo = float(np.min(np.abs(y0)))
-    if lo < cfg.inverse.r_lower:
-        raise ConfigError(
-            f"inverse.r_lower: initial state must satisfy min|y0| >= "
-            f"{cfg.inverse.r_lower}, got {lo:.3e}"
-        )
     try:
         return inv.make_instance(
             grid, coeff, p, y0, cfg.physics.T, cfg.physics.n_steps,
@@ -92,6 +86,8 @@ def _build_instance(cfg):
             noise_level=cfg.inverse.noise, seed=cfg.inverse.seed,
             r_lower=cfg.inverse.r_lower, q_bound=cfg.inverse.q_bound,
         )
+    except inv.InitialStateTooSmall as exc:
+        raise ConfigError(f"inverse.r_lower: {exc}") from None
     except inv.RimMismatch as exc:
         raise ConfigError(f"physics.h: {exc}") from None
 

@@ -56,6 +56,10 @@ class RimMismatch(ValueError):
     """Dirichlet data at t = 0 differs from the initial state on the rim."""
 
 
+class InitialStateTooSmall(ValueError):
+    """min |y0| over the grid falls below the required lower bound r_lower."""
+
+
 class StalledReconstruction(Exception):
     """Descent could not make progress; returned (not raised) with the
     partial result attached."""
@@ -120,8 +124,9 @@ def make_instance(
     """Solve the forward problem for the true potential and package the
     measured conormal trace (with optional seeded complex Gaussian noise).
 
-    Invariants checked here: min |y0| >= r_lower > 0, y0 real or purely
-    imaginary, Dirichlet data compatible with y0 on the rim at t = 0.
+    Invariants checked here: min |y0| >= r_lower > 0 (else
+    InitialStateTooSmall), y0 real or purely imaginary, Dirichlet data
+    compatible with y0 on the rim at t = 0 (else RimMismatch).
     """
     if not r_lower > 0.0:
         raise ValueError("r_lower must be positive")
@@ -132,7 +137,7 @@ def make_instance(
 
     lo = float(np.min(np.abs(y0_full)))
     if lo < r_lower:
-        raise ValueError(
+        raise InitialStateTooSmall(
             f"initial state must satisfy min|y0| >= {r_lower}, got {lo:.3e}"
         )
     re = float(np.max(np.abs(y0_full.real)))

@@ -504,7 +504,9 @@ def build_epsilon_pair(
 
     eps = 0.9 * min(d * alpha1 / D2, d * alpha2 / D1, d) with
     d = |x1 - x2| / 2, alpha_k = dist(x_k, interface), D_k the max distance,
-    and each weight carries the cutoff radii (eps / 2, eps).  The pair
+    and each weight carries the cutoff radii (eps / 2, eps).  Since
+    D2 >= 2 d + alpha1 (and D1 >= 2 d + alpha2), eps < min(alpha1, alpha2) / 2,
+    so both balls of radius eps lie inside the interface.  The pair
     domination condition (H5) is verified on a 64 x 64 scan of each ball.
     domain is a DomainLayout or a bare RadialInterface.
     """
@@ -520,8 +522,6 @@ def build_epsilon_pair(
     alpha1, D1 = distance_extrema(iface, x1)
     alpha2, D2 = distance_extrema(iface, x2)
     eps = 0.9 * min(d * alpha1 / D2, d * alpha2 / D1, d)
-    if eps >= min(alpha1, alpha2):
-        raise GeometryError("separation balls do not fit inside the inner region")
     w1 = build_weight(layout, x1, a1, a2, M2, cutoff_radii=(0.5 * eps, eps))
     w2 = build_weight(layout, x2, a1, a2, M2, cutoff_radii=(0.5 * eps, eps))
 

@@ -1,8 +1,8 @@
 """The tracked artifacts of every subcommand are reproduced byte for byte.
 
 Uses the per-run comparison of scripts/check_artifacts.py, one test per
-subcommand; the Carleman sweep is the slowest (about 4 s at the reference
-CPU speed of perfbench/run.py).
+subcommand; the Carleman sweep is the slowest (about 2.8 s at the
+reference CPU speed of perfbench/run.py).
 """
 
 import importlib.util

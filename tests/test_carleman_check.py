@@ -542,11 +542,14 @@ def whole_stack_ratio(v, pair, params, q):
     return cc.assemble_report(lhs, rhs_residual, rhs_boundary, params.s, params.lam)
 
 
-def manufactured_field(grid, times, center=(0.2, -0.1), width=0.4, omega=1.5):
+def manufactured_field(grid, times, center=(0.2, -0.1), width=0.4, omega=1.5,
+                       reach=0.55):
+    """A bump profile times e^{i omega t} and an envelope that is exactly 0
+    for |t| >= reach * times[-1]."""
     pts = grid.points
     r2 = (pts[..., 0] - center[0]) ** 2 + (pts[..., 1] - center[1]) ** 2
     profile = np.exp(-r2 / width**2) * boundary_taper(grid)
-    env = time_bump(times, 0.55 * times[-1]) * np.exp(1j * omega * times)
+    env = time_bump(times, reach * times[-1]) * np.exp(1j * omega * times)
     values = env[:, None, None] * profile[None, :, :]
     return pde.SpaceTimeField(grid=grid, times=times, values=values.astype(complex))
 
@@ -822,6 +825,135 @@ class TestMirroredRatio:
         on_grid = cc.PairOnGrid(pair, grid)
         mirrored = [on_grid.mirrored(fld, q) for fld in fields]
         assert mirrored == [True] * n_solved + [False] * (len(fields) - n_solved)
+
+
+def supported_field(grid, times, support, seed=5):
+    """Random tapered values on the levels support = (first, last), exactly
+    0 on every other level; support None gives the zero field."""
+    shape = (times.size,) + grid.shape
+    values = np.zeros(shape, dtype=complex)
+    if support is not None:
+        first, last = support
+        rng = np.random.default_rng(seed)
+        n = last + 1 - first
+        values[first : last + 1] = (
+            rng.standard_normal((n,) + grid.shape)
+            + 1j * rng.standard_normal((n,) + grid.shape)
+        ) * boundary_taper(grid)
+    return pde.SpaceTimeField(grid=grid, times=times, values=values)
+
+
+def support_cases(nt):
+    """Supports whose edges fall inside a slab, on a slab start (and one
+    level either side of it), within 2 levels of either end, single
+    levels, and None for the zero field."""
+    cases = {(0, nt - 1), (1, nt - 2), (2, nt - 3), (3, nt - 4)}
+    cases |= {(k, k) for k in (0, 1, 2, nt // 2, nt - 3, nt - 2, nt - 1)}
+    for start, _ in cc._slabs(nt)[1:]:
+        for edge in (start - 1, start, start + 1):
+            cases |= {(edge, nt - 1), (0, edge), (edge, nt - 1 - edge)}
+        cases.add((start // 2 + 1, start + 3))
+    valid = sorted(
+        (first, last) for first, last in cases if 0 <= first <= last < nt
+    )
+    return valid + [None]
+
+
+class TestSupportedRatio:
+    # at s = 0 the conjugation factors are 1, so no level flushes and the
+    # levels at the ends of the time axis weigh in the sums
+    def params_and_zero(self, params):
+        zero = wt.CarlemanParams(0.0, params.lam, params.alpha, params.T, params.delta_t)
+        return (params, zero)
+
+    @pytest.mark.parametrize("nt", (3, 5, 2 * cc.SLAB + 3, 129))
+    def test_compact_support_equals_the_whole_stack_bit_for_bit(self, nt):
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        t_max = base.T - base.delta_t
+        times = np.linspace(-t_max, t_max, nt)
+        on_grid = cc.PairOnGrid(pair, grid)
+        for support in support_cases(nt):
+            v = supported_field(grid, times, support)
+            assert on_grid.support(v, q) == support
+            for params in self.params_and_zero(base):
+                got = cc.carleman_ratio(v, on_grid, params, q)
+                assert_same_report(got, whole_stack_ratio(v, pair, params, q))
+                if support is None:
+                    assert got.lhs == got.rhs_residual == got.rhs_boundary == 0.0
+                    assert got.ratio == 0.0
+                elif params.s == 0.0:
+                    assert got.lhs > 0.0, support
+
+    def test_mirrored_compact_support_equals_the_whole_stack(self):
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        full = odd_conjugate_field(grid, base, 2 * cc.SLAB + 2)
+        nt = full.nt
+        for k in (1, 3, cc.HEAD, cc.HEAD + 2, cc.SLAB - 1):
+            values = full.values.copy()
+            values[:k] = 0.0
+            values[nt - k :] = 0.0
+            v = pde.SpaceTimeField(grid=grid, times=full.times, values=values)
+            on_grid = cc.PairOnGrid(pair, grid)
+            assert on_grid.mirrored(v, q)
+            assert on_grid.support(v, q) == (k, nt - 1 - k)
+            for params in self.params_and_zero(base):
+                got = cc.carleman_ratio(v, on_grid, params, q)
+                assert got.lhs > 0.0
+                assert_same_report(got, whole_stack_ratio(v, pair, params, q))
+
+    @pytest.mark.parametrize("nx", (13, 48))
+    def test_padded_reductions_equal_the_slab_rows(self, nx):
+        # a one-level array reduces in another order than the same level
+        # inside a slab (row blocks, layout); given its rows, every
+        # sub-range is reduced with the slab's full row set
+        layout, grid, coeff, pair, params = small_problem(nx=nx)
+        rng = np.random.default_rng(9)
+        n = cc.SLAB
+        shape = (n,) + grid.shape
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t_max = params.T - params.delta_t
+        phi = phi_of(pair.w1, params, coeff, grid, np.linspace(-t_max, t_max, n))
+        l2 = cc._l2_density(grid, values)
+        boundary = cc._boundary_term(values, phi)
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                got = cc._l2_density(grid, values[a:b], (a, n))
+                assert np.array_equal(got, l2[a:b]), ("_l2_density", a, b)
+                got = cc._boundary_term(values[a:b], phi.slab(a, b), (a, n))
+                assert np.array_equal(got, boundary[a:b]), ("_boundary_term", a, b)
+
+    def test_live_levels_follow_the_time_stencil(self):
+        assert cc._live_levels(129, None) == (0, 0)
+        assert cc._live_levels(129, (26, 102)) == (25, 104)
+        # level 0 reads levels 0..2, level nt-1 reads nt-3..nt-1
+        assert cc._live_levels(129, (2, 126)) == (0, 129)
+        assert cc._live_levels(129, (3, 125)) == (2, 127)
+        assert cc._live_levels(3, (1, 1)) == (0, 3)
+
+    def test_manufactured_field_conjugates_its_support_only(self, monkeypatch):
+        # the sweep's envelope: 0 for |t| >= 0.6 t_max
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        t_max = params.T - params.delta_t
+        v = manufactured_field(grid, np.linspace(-t_max, t_max, 129), reach=0.6)
+        on_grid = cc.PairOnGrid(pair, grid)
+        assert on_grid.support(v, q) == (26, 102)
+        levels = []
+        factors = cc._conjugation_factors
+
+        def counted(phi, log_shift):
+            levels.append(len(phi.tau))
+            return factors(phi, log_shift)
+
+        monkeypatch.setattr(cc, "_conjugation_factors", counted)
+        got = cc.carleman_ratio(v, on_grid, params, q)
+        # per weight: levels 25..103 can have nonzero densities; with their
+        # halos the slabs conjugate 9, 34, 34 and 10 levels, where the full
+        # path conjugates 33 + 34 + 34 + 34
+        assert levels == [9, 34, 34, 10] * 2
+        assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
 
 class TestSweep:

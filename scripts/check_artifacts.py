@@ -3,13 +3,17 @@
 
 Each subcommand runs on its shipped config into a fresh temporary
 directory; every artifact it writes must equal the tracked copy under
-out/ byte for byte.  Prints one line per artifact and exits 1 if any
+out/ byte for byte.  Prints the OpenBLAS core that numpy's and scipy's
+bundled libraries run, since the bytes hold on one core only, then one
+line per artifact (the cores again on a DIFFERS line), and exits 1 if any
 differs or is missing, 0 otherwise.  Takes no arguments:
 
     PYTHONPATH=src python3 scripts/check_artifacts.py
 """
 
+import ctypes
 import filecmp
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,33 @@ RUNS = (
      ("forward_trace.csv", "forward_summary.json")),
 )
 
+# (package, exported function naming the core) of each bundled OpenBLAS
+BLAS = (("numpy", "scipy_openblas_get_corename64_"),
+        ("scipy", "scipy_openblas_get_corename"))
+
+
+def blas_core(package, symbol) -> str:
+    """The core named by symbol in the OpenBLAS under <package>.libs, or
+    'unknown' if the package, the library or the symbol is missing."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return "unknown"
+    libs = Path(spec.origin).parents[1] / f"{package}.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = getattr(ctypes.CDLL(str(lib)), symbol)
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def blas_cores() -> str:
+    return ", ".join(f"{package} {blas_core(package, symbol)}"
+                     for package, symbol in BLAS)
+
 
 def compare_run(subcommand, config, tracked, names) -> list:
     """Run subcommand on config into a fresh temporary directory and
@@ -54,13 +85,16 @@ def compare_run(subcommand, config, tracked, names) -> list:
             new = Path(tmp) / name
             same = (ref.is_file() and new.is_file()
                     and filecmp.cmp(ref, new, shallow=False))
-            print(f"{'same' if same else 'DIFFERS'} {tracked}/{name}")
-            if not same:
+            if same:
+                print(f"same {tracked}/{name}")
+            else:
+                print(f"DIFFERS {tracked}/{name} (blas: {blas_cores()})")
                 bad.append(f"{tracked}/{name}")
         return bad
 
 
 def main() -> int:
+    print(f"blas: {blas_cores()}")
     bad = [name for run in RUNS for name in compare_run(*run)]
     if bad:
         print("artifacts differ: " + ", ".join(bad))

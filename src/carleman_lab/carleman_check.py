@@ -33,17 +33,18 @@ the parameters, never on the field), which cancels exactly in the ratio
 and keeps both sides inside double-precision range; reported lhs/rhs
 components therefore carry that common normalization.
 
-Streaming: carleman_ratio builds each weight's phi factors once (tau over
-the whole time axis, the space arrays once) and then walks the field in
-slabs of SLAB time levels.  Each slab is conjugated with one extra level
-on each side, so the time derivative taken over it is the whole stack's
-at the slab's levels.  carleman_ratio takes that derivative and the
-slab's spatial gradient once and hands them, as plain arrays, to the
+Streaming: carleman_ratios builds each weight's phi factors once per
+params (tau over the whole time axis, the space arrays once) and then walks
+the field in slabs of SLAB time levels, evaluating each slab at every
+params before the next.  Each slab is conjugated with one extra level on
+each side, so the time derivative taken over it is the whole stack's at
+the slab's levels.  carleman_ratios takes that derivative and the slab's
+spatial gradient once per params and hands them, as plain arrays, to the
 operators, which take the stack, its derivatives and the phi factors
 only.  Every term is reduced in space into its per-time density, and
 each density is integrated once over the whole time axis by the
 trapezoidal rule.  Every floating-point operation is the one the
-whole-stack operators perform, so the report is bit-identical to
+whole-stack operators perform, so each report is bit-identical to
 whole-stack evaluation, while the temporaries are slab-sized.
 
 Mirror: a field that is odd-conjugate about t = 0, v(-t) = -conj v(t)
@@ -51,8 +52,8 @@ exactly on an exactly antisymmetric time axis, with q real (every solved
 field extend_time returns), has each density at level nt-1-k equal to the
 one at level k bit for bit: the weight factors are even in t, tau' is odd,
 the stencils and q are real, and negation and conjugation are exact.  The
-end levels are the exception, as np.gradient's one-sided stencils sum
-their terms in opposite orders.  For such a field carleman_ratio
+end levels are the exception, as the one-sided stencils of d/dt sum
+their terms in opposite orders.  For such a field carleman_ratios
 evaluates the slabs that hold the levels from the middle up and a head
 slab that holds level 0, about half of the levels, and every level
 between them takes its mirror's densities.  The head slab starts at 0 and
@@ -66,7 +67,7 @@ k = nt-1): w = v e^{-s phi} is 0 there, as the factor is finite (clipped
 at e^700); the space stencils act within one level; and L v at level k
 reads the levels the time stencil reads.  PairOnGrid records each field's
 time support, the first and last level where v is not identically 0, and
-carleman_ratio evaluates only the part of each planned slab whose levels
+carleman_ratios evaluates only the part of each planned slab whose levels
 a stencil from the support reaches, with the one-level halo, so d/dt at
 every evaluated level is still the whole stack's; the other levels'
 densities are 0.  Two reductions give a level a result that depends on
@@ -79,6 +80,24 @@ bit-identical to whole-stack evaluation; _norm_densities sums each level
 with np.sum and takes the evaluated levels alone.  Each compactly
 supported manufactured field of the sweep conjugates 87 of the full
 path's 135 slab levels per weight.
+
+Kernels: _derivative is np.gradient's uniform-spacing stencil with
+edge_order=2, operation for operation, but for one quotient.  numpy
+divides a complex by a real d by Smith's rule, ((re + im 0) r,
+(im - re 0) r) with r = 1/d, in a loop 3-4 times slower than a product,
+so a complex stack's interior quotient by d = 2h is the product with
+r - 0j, (re r - im (-0), re (-0) + im r).  For finite values the bits
+agree, signs of zero included, while no nonzero component rounds to 0,
+which r >= 1 rules out; for 2h > 1 the division is kept.  Non-finite
+values may differ (inf 0 is nan in the division), and a real quotient
+stays a division, which a product by r does not always round alike.
+_apply_flux multiplies the real stencils into the float64 view of the
+gathered columns, 2 nt real vectors for a complex stack, where scipy
+would multiply in complex arithmetic: each component's terms differ at
+most in the sign of a zero and are summed in the same order from +0, so
+for finite values the sums agree bit for bit.  The norm's weights
+cell theta^3 and cell theta (theta = e^{lam psi} tau(t), free of s) are
+built once per weight, slab and (lam, T) and dropped with the slab.
 """
 
 from __future__ import annotations
@@ -113,7 +132,7 @@ from .weight import (
 FLUSH_THRESHOLD = 1e-300
 _LOG_FLUSH = float(np.log(FLUSH_THRESHOLD))
 _LOG_CLIP = 700.0
-# time levels per slab of a streamed carleman_ratio call
+# time levels per slab of a streamed carleman_ratios call
 SLAB = 32
 # levels of a mirrored call's head slab, which holds level 0; BLAS reduces
 # them in the same row blocks (of up to 8 rows) as the full path's first slab
@@ -169,7 +188,7 @@ def _slabs(nt: int) -> list:
 
 
 def _plan(nt: int, mirrored: bool) -> list:
-    """The slabs a carleman_ratio call evaluates: those of _slabs(nt), or,
+    """The slabs a carleman_ratios call evaluates: those of _slabs(nt), or,
     for a mirrored field, the ones that hold a level at or above the middle
     and a head slab of levels 0..HEAD-1 (module notes)."""
     slabs = _slabs(nt)
@@ -212,14 +231,38 @@ def _odd_conjugate(v: SpaceTimeField) -> bool:
     return True
 
 
+def _derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """d/d(axis) of values at the spacing h: np.gradient's uniform-spacing
+    stencil with edge_order=2, operation for operation, except that a
+    complex interior quotient is a product (module notes, Kernels)."""
+    if values.shape[axis] < 3:
+        raise ValueError("the second-order stencil needs 3 points along axis")
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    out = np.empty_like(values)
+    inner = out[at(slice(1, -1))]
+    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=inner)
+    if np.iscomplexobj(values) and 2.0 * h <= 1.0:
+        inner *= complex(1.0 / (2.0 * h), -0.0)
+    else:
+        inner /= 2.0 * h
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+    out[at(0)] = a * values[at(0)] + b * values[at(1)] + c * values[at(2)]
+    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+    out[at(-1)] = a * values[at(-3)] + b * values[at(-2)] + c * values[at(-1)]
+    return out
+
+
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """d/dt of a (nt, ny, nx) stack by np.gradient, second order at the ends."""
-    return np.gradient(values, dt, axis=0, edge_order=2)
+    """d/dt of a (nt, ny, nx) stack, second order at the ends."""
+    return _derivative(values, dt, 0)
 
 
 def _spatial_gradient(values: np.ndarray, h: float) -> tuple:
-    """(d/dy, d/dx) of a (nt, ny, nx) stack by np.gradient."""
-    return np.gradient(values, h, axis=(1, 2), edge_order=2)
+    """(d/dy, d/dx) of a (nt, ny, nx) stack, second order at the edges."""
+    return _derivative(values, h, 1), _derivative(values, h, 2)
 
 
 class WeightOnGrid(_OnGrid):
@@ -365,12 +408,12 @@ class PairOnGrid(_OnGrid):
 
     def mirrored(self, v: SpaceTimeField, q) -> bool:
         """Whether v is odd-conjugate about t = 0 (_odd_conjugate) and q is
-        real at the nodes, so that carleman_ratio may mirror its densities
+        real at the nodes, so that carleman_ratios may mirror its densities
         (module notes)."""
         return self._field(v, q)[2]
 
     def support(self, v: SpaceTimeField, q) -> Optional[tuple]:
-        """v's time support (_time_support), from which carleman_ratio
+        """v's time support (_time_support), from which carleman_ratios
         takes the levels it evaluates (module notes)."""
         return self._field(v, q)[3]
 
@@ -398,13 +441,19 @@ def _conjugation_factors(phi: _Phi, log_shift: float) -> np.ndarray:
 
 
 def _apply_flux(grid: Grid2D, k_int, k_bnd, values: np.ndarray) -> np.ndarray:
-    """div(a grad .) slice by slice; boundary rows are zero."""
+    """div(a grad .) slice by slice; boundary rows are zero.  The real
+    stencils multiply the float64 view of the gathered columns, 2 nt real
+    vectors for a complex stack (module notes, Kernels)."""
     nt = values.shape[0]
     flat = values.reshape(nt, -1)
-    res = (k_int @ flat[:, grid.interior_ids].T).T
-    res += (k_bnd @ flat[:, grid.boundary_ids].T).T
+
+    def columns(ids):
+        return np.ascontiguousarray(flat.T[ids]).view(np.float64)
+
+    res = k_int @ columns(grid.interior_ids)
+    res += k_bnd @ columns(grid.boundary_ids)
     out = np.empty_like(flat)
-    out[:, grid.interior_ids] = res
+    out[:, grid.interior_ids] = res.view(flat.dtype).T
     out[:, grid.boundary_ids] = 0.0
     return out.reshape(values.shape)
 
@@ -477,15 +526,23 @@ def apply_P2(w: np.ndarray, grad, phi: _Phi, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_densities(w: np.ndarray, grad, phi: _Phi) -> tuple:
-    """int theta^3 |w|^2 and int theta |grad w|^2 over space, per time
-    level, by the trapezoidal rule; grad = (d/dy, d/dx) w."""
+def _theta_weights(phi: _Phi) -> tuple:
+    """cell theta^3 and cell theta at phi's levels, cell being the
+    trapezoidal weights: the norm's two weights, which do not depend on s."""
     cell = phi.space.weight.grid.cell_weights
     theta = phi.space.e_lp.reshape(phi.space.shape) * phi.tau[:, None, None]
-    dens1 = np.sum(cell * theta**3 * (w.real**2 + w.imag**2), axis=(1, 2))
+    return cell * theta**3, cell * theta
+
+
+def _norm_densities(w: np.ndarray, grad, weights: tuple) -> tuple:
+    """int theta^3 |w|^2 and int theta |grad w|^2 over space, per time
+    level, by the trapezoidal rule; grad = (d/dy, d/dx) w and weights is
+    _theta_weights at w's levels."""
+    cell_theta3, cell_theta = weights
+    dens1 = np.sum(cell_theta3 * (w.real**2 + w.imag**2), axis=(1, 2))
     wy, wx = grad
     grad_sq = wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2
-    dens2 = np.sum(cell * theta * grad_sq, axis=(1, 2))
+    dens2 = np.sum(cell_theta * grad_sq, axis=(1, 2))
     return dens1, dens2
 
 
@@ -499,7 +556,7 @@ def weighted_norm_sq(w: SpaceTimeField, phi: _Phi) -> float:
     """s^3 lam^4 int theta^3 |w|^2 + s lam int theta |grad w|^2 over the
     rectangle, by the trapezoidal rule in space and time."""
     grad = _spatial_gradient(w.values, w.grid.h)
-    dens = _norm_densities(w.values, grad, phi)
+    dens = _norm_densities(w.values, grad, _theta_weights(phi))
     return _norm_value(phi.space.params, *dens, w.times)
 
 
@@ -597,21 +654,24 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
     return float(np.exp(min(log_tail, _LOG_CLIP)))
 
 
-def carleman_ratio(
+def carleman_ratios(
     v: SpaceTimeField,
     weight_pair: EpsilonPair | PairOnGrid,
-    params: CarlemanParams,
+    params_list: Sequence[CarlemanParams],
     q,
-) -> CarlemanReport:
-    """Assemble both sides of the estimate for one field.
+) -> list:
+    """Assemble both sides of the estimate for one field at each params of
+    params_list, one report per params, in order.
 
     v must be a member of the discrete test class: zero Dirichlet trace,
     finite residual L v, and a computable boundary flux.  The report
     components carry one common positive normalization (see module notes);
     the ratio is exact.  A PairOnGrid built for v's grid lends its
     field-independent data (and L v, when v was its last field).  Each
-    weight's phi factors are built once; the terms are streamed over
-    slabs of SLAB time levels.  For a field on_grid.mirrored accepts,
+    weight's phi factors are built once per params; the terms are streamed
+    over slabs of SLAB time levels, and each slab is evaluated at every
+    params before the next, so the norm's theta weights are built once per
+    weight, slab and (lambda, T).  For a field on_grid.mirrored accepts,
     about half of the levels are evaluated and the others take their
     mirror's densities; only the levels a stencil from v's time support
     reaches are evaluated (module notes).
@@ -623,50 +683,80 @@ def carleman_ratio(
     live_lo, live_hi = _live_levels(nt, on_grid.support(v, q))
     lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
-    phis = [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
-    shift = _common_log_shift([phi.space for phi in phis], params)
-    lhs = 0.0
-    rhs_residual = 0.0
-    rhs_boundary = 0.0
-    for phi in phis:
-        # per time level: |P1 w|^2, |P2 w|^2, the norm's two integrands,
-        # |e^{-s phi} L v|^2 and the boundary integrand; 0 at the levels
-        # outside [live_lo, live_hi)
-        dens = np.zeros((6, nt))
+    params_list = list(params_list)
+    # phis[k][j]: weight j's phi factors at params k
+    phis = [
+        [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
+        for params in params_list
+    ]
+    shifts = [
+        _common_log_shift([phi.space for phi in row], params)
+        for row, params in zip(phis, params_list)
+    ]
+    # per params: lhs, rhs_residual, rhs_boundary
+    sums = [[0.0, 0.0, 0.0] for _ in params_list]
+    for j in range(len(on_grid.weights)):
+        # per params and time level: |P1 w|^2, |P2 w|^2, the norm's two
+        # integrands, |e^{-s phi} L v|^2 and the boundary integrand; 0 at
+        # the levels outside [live_lo, live_hi)
+        dens = np.zeros((len(params_list), 6, nt))
         for start, stop in plan:
             a, b = max(start, live_lo), min(stop, live_hi)
             if a >= b:
                 continue
             rows = None if (a, b) == (start, stop) else (a - start, stop - start)
             lo, hi = max(a - 1, 0), min(b + 1, nt)
-            fac = _conjugation_factors(phi.slab(lo, hi), shift)
-            ext = v.values[lo:hi] * fac
             core = slice(a - lo, b - lo)
-            w = ext[core]
-            part = phi.slab(a, b)
-            # each operator stack is reduced and dropped before the next is
-            # built; d/dt over the halo is the whole stack's at levels a..b-1
-            dwdt = _time_derivative(ext, v.dt)[core]
-            dens[0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part), rows)
-            del dwdt
-            grad = _spatial_gradient(w, grid.h)
-            # one ordering rule: the norm reads the gradient before apply_P2
-            # builds its terms in the gradient's buffers
-            dens[2:4, a:b] = _norm_densities(w, grad, part)
-            dens[1, a:b] = _l2_density(grid, apply_P2(w, grad, part, times[a:b]), rows)
-            del grad
-            dens[4, a:b] = _l2_density(grid, lv[a:b] * fac[core], rows)
-            dens[5, a:b] = _boundary_term(w, part, rows)
+            theta = {}  # (lam, T) -> _theta_weights at levels a..b-1
+            for k, params in enumerate(params_list):
+                phi = phis[k][j]
+                fac = _conjugation_factors(phi.slab(lo, hi), shifts[k])
+                ext = v.values[lo:hi] * fac
+                w = ext[core]
+                part = phi.slab(a, b)
+                # each operator stack is reduced and dropped before the next
+                # is built; d/dt over the halo is the whole stack's at a..b-1
+                dwdt = _time_derivative(ext, v.dt)[core]
+                dens[k, 0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part), rows)
+                del dwdt
+                grad = _spatial_gradient(w, grid.h)
+                key = (params.lam, params.T)
+                if key not in theta:
+                    theta[key] = _theta_weights(part)
+                # one ordering rule: the norm reads the gradient before
+                # apply_P2 builds its terms in the gradient's buffers
+                dens[k, 2:4, a:b] = _norm_densities(w, grad, theta[key])
+                dens[k, 1, a:b] = _l2_density(
+                    grid, apply_P2(w, grad, part, times[a:b]), rows
+                )
+                del grad
+                dens[k, 4, a:b] = _l2_density(grid, lv[a:b] * fac[core], rows)
+                dens[k, 5, a:b] = _boundary_term(w, part, rows)
         # a level between two slabs takes its mirror's densities
         for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
-            dens[:, gap_lo:gap_hi] = dens[:, nt - 1 - gap_lo : nt - 1 - gap_hi : -1]
-        # the sum keeps the order P1, P2, norm
-        lhs += float(np.trapezoid(dens[0], times))
-        lhs += float(np.trapezoid(dens[1], times))
-        lhs += _norm_value(params, dens[2], dens[3], times)
-        rhs_residual += float(np.trapezoid(dens[4], times))
-        rhs_boundary += float(params.s * params.lam * np.trapezoid(dens[5], times))
-    return assemble_report(lhs, rhs_residual, rhs_boundary, params.s, params.lam)
+            mirror = slice(nt - 1 - gap_lo, nt - 1 - gap_hi, -1)
+            dens[..., gap_lo:gap_hi] = dens[..., mirror]
+        for params, per, acc in zip(params_list, dens, sums):
+            # the sum keeps the order P1, P2, norm
+            acc[0] += float(np.trapezoid(per[0], times))
+            acc[0] += float(np.trapezoid(per[1], times))
+            acc[0] += _norm_value(params, per[2], per[3], times)
+            acc[1] += float(np.trapezoid(per[4], times))
+            acc[2] += float(params.s * params.lam * np.trapezoid(per[5], times))
+    return [
+        assemble_report(*acc, params.s, params.lam)
+        for params, acc in zip(params_list, sums)
+    ]
+
+
+def carleman_ratio(
+    v: SpaceTimeField,
+    weight_pair: EpsilonPair | PairOnGrid,
+    params: CarlemanParams,
+    q,
+) -> CarlemanReport:
+    """carleman_ratios at the one params."""
+    return carleman_ratios(v, weight_pair, [params], q)[0]
 
 
 def constant_sweep(
@@ -689,9 +779,9 @@ def constant_sweep(
     whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
     to that one sup.  Fields are visited one at a time, each over every
-    (s, lambda), so the pair's grid data is built once (a PairOnGrid for
-    the fields' grid is used as given) and L v once per field; rows come
-    out in (s, lambda, field) order.
+    (s, lambda) in one carleman_ratios call, so the pair's grid data is
+    built once (a PairOnGrid for the fields' grid is used as given) and L v
+    once per field; rows come out in (s, lambda, field) order.
     """
     fields = list(test_fields)
     if not fields:
@@ -714,11 +804,11 @@ def constant_sweep(
         tail = max(tail, clamp_tail_bound(params))
         fitted.append(params)
 
-    reports = [[None] * len(fields) for _ in fitted]
-    for fid, fld in enumerate(fields):
+    by_field = []
+    for fld in fields:
         on_grid = PairOnGrid.of(on_grid, fld.grid)
-        for k, params in enumerate(fitted):
-            reports[k][fid] = carleman_ratio(fld, on_grid, params, q)
+        by_field.append(carleman_ratios(fld, on_grid, fitted, q))
+    reports = list(zip(*by_field))
 
     rows = []
     table = []

@@ -1,8 +1,9 @@
 """The tracked artifacts of every subcommand are reproduced byte for byte.
 
 Uses the per-run comparison of scripts/check_artifacts.py, one test per
-subcommand; the Carleman sweep is the slowest (about 2.8 s at the
-reference CPU speed of perfbench/run.py).
+subcommand; the Carleman sweep is the slowest (about 2.3 s at the
+reference CPU speed of perfbench/run.py).  The script's BLAS core names
+are checked to be readable.
 """
 
 import importlib.util
@@ -22,3 +23,11 @@ RUNS = check_artifacts.RUNS
 def test_tracked_artifacts_are_byte_identical(run):
     assert len(RUNS) == 6
     assert check_artifacts.compare_run(*run) == []
+
+
+def test_blas_cores_are_named():
+    for package, symbol in check_artifacts.BLAS:
+        assert check_artifacts.blas_core(package, symbol)
+    assert check_artifacts.blas_cores().startswith("numpy ")
+    assert check_artifacts.blas_core("numpy", "no_such_symbol") == "unknown"
+    assert check_artifacts.blas_core("no_such_package", "x") == "unknown"

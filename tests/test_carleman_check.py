@@ -956,6 +956,138 @@ class TestSupportedRatio:
         assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
 
+
+# finite values whose quotients and products exercise the sign of zero,
+# subnormal results and magnitudes near overflow
+SPECIAL = np.array([0.0, -0.0, 1.5, -1.5, 0.1, -7.0, 1e300, -1e300, 9e299,
+                    5e-324, -5e-324, 2.2e-308, -3e-310])
+
+
+def special_stack(rng, shape, dtype):
+    """Values drawn from SPECIAL and a normal spread, exact -0 included."""
+    def draw():
+        return np.where(rng.random(shape) < 0.5, rng.choice(SPECIAL, shape),
+                        rng.standard_normal(shape))
+    if dtype is float:
+        return draw()
+    out = np.empty(shape, dtype=complex)
+    out.real = draw()
+    out.imag = draw()
+    return out
+
+
+class TestKernels:
+    # the library routines are the oracles: np.gradient for the stencil
+    # (a numpy whose complex division rounds otherwise fails here) and
+    # scipy's per-level sparse products for the flux
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("length", [3, 34, 129])
+    def test_derivative_equals_np_gradient_bit_for_bit(self, dtype, axis, length):
+        rng = np.random.default_rng(10 * axis + length)
+        shape = [4, 5, 6]
+        shape[axis] = length
+        values = special_stack(rng, tuple(shape), dtype)
+        # the sweep's dt and h, 2h = 1 and 2h > 1 (the quotient may round
+        # a nonzero to 0 there, and the division is kept)
+        for h in (1.0 / 64.0, 2.2 / 47.0, 0.5, 3.0):
+            want = np.gradient(values, h, axis=axis, edge_order=2)
+            got = cc._derivative(values, h, axis)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), h
+
+    def test_stack_derivatives_call_the_stencil_per_axis(self):
+        rng = np.random.default_rng(11)
+        values = special_stack(rng, (5, 6, 7), complex)
+        dt, h = 1.0 / 64.0, 0.05
+        want = np.gradient(values, dt, axis=0, edge_order=2)
+        assert np.array_equal(cc._time_derivative(values, dt).view(np.int64),
+                              want.view(np.int64))
+        got = cc._spatial_gradient(values, h)
+        want = np.gradient(values, h, axis=(1, 2), edge_order=2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_two_levels_raise_as_np_gradient_does(self, axis):
+        shape = [4, 4, 4]
+        shape[axis] = 2
+        values = np.ones(shape, dtype=complex)
+        with pytest.raises(ValueError):
+            np.gradient(values, 0.1, axis=axis, edge_order=2)
+        with pytest.raises(ValueError):
+            cc._derivative(values, 0.1, axis)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_flux_equals_the_per_level_sparse_products(self, dtype):
+        layout, grid, coeff, pair, params = small_problem(nx=21)
+        k_int, k_bnd = pde._assemble_flux_matrix(grid, coeff)
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((7,) + grid.shape).astype(dtype)
+        if dtype is complex:
+            values += 1j * rng.standard_normal(values.shape)
+        values[2] = 0.0
+        values[3, :, :4] = -0.0
+        got = cc._apply_flux(grid, k_int, k_bnd, values)
+        ii, bi = grid.interior_ids, grid.boundary_ids
+        want = np.zeros((7, grid.nx * grid.ny), dtype=dtype)
+        for k, level in enumerate(values.reshape(7, -1)):
+            want[k, ii] = k_int @ level[ii] + k_bnd @ level[bi]
+        assert got.dtype == values.dtype
+        assert np.array_equal(got.reshape(7, -1), want)
+
+
+class TestGroupedRatio:
+    def params_grid(self, base, pair):
+        """2 lambda x 2 s fitted to the pair's psi sup, and one more lambda
+        at a longer horizon T."""
+        psi_sup = wt.psi_grid_max((pair.w1, pair.w2))
+        grid = [wt.params_from_sup(psi_sup, s, lam, base.T)
+                for lam in (1.5, 2.0) for s in (10.0, 20.0)]
+        return grid + [wt.params_from_sup(psi_sup, 20.0, 2.0, 1.25 * base.T)]
+
+    def fields(self, grid, coeff, q, base):
+        t_max = base.T - base.delta_t
+        times = np.linspace(-t_max, t_max, 2 * cc.SLAB + 3)
+        y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
+        return {
+            "mirrored": extended_field(grid, coeff, q, base, 2 * cc.SLAB + 3),
+            "supported": manufactured_field(grid, times),
+            "plain": pde.solve_forward(grid, coeff, q, y0, -t_max, t_max,
+                                       times.size - 1),
+        }
+
+    def test_each_report_equals_the_whole_stack(self, monkeypatch):
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        params_list = self.params_grid(base, pair)
+        built = []
+        theta_weights = cc._theta_weights
+
+        def counted(phi):
+            built.append(len(phi.tau))
+            return theta_weights(phi)
+
+        monkeypatch.setattr(cc, "_theta_weights", counted)
+        on_grid = cc.PairOnGrid(pair, grid)
+        # the levels of each slab evaluated, per weight
+        levels = {
+            "mirrored": [8, 32, 3], "supported": [18, 21], "plain": [32, 32, 3],
+        }
+        for name, v in self.fields(grid, coeff, q, base).items():
+            assert on_grid.mirrored(v, q) == (name == "mirrored")
+            built.clear()
+            got = cc.carleman_ratios(v, on_grid, params_list, q)
+            # once per weight and evaluated slab for each of lambda 1.5 and
+            # 2.0 at T and 2.0 at 1.25 T, for the 4 + 1 params
+            assert built == [n for n in levels[name] * 2 for _ in range(3)]
+            assert len(got) == len(params_list)
+            for rep, params in zip(got, params_list):
+                assert rep.rhs_boundary > 0.0, name
+                assert rep == whole_stack_ratio(v, pair, params, q), (name, params)
+
+
 class TestSweep:
     def test_empty_field_list(self):
         layout, grid, coeff, pair, params = small_problem()

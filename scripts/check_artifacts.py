@@ -3,10 +3,12 @@
 
 Each subcommand runs on its shipped config into a fresh temporary
 directory; every artifact it writes must equal the tracked copy under
-out/ byte for byte.  Prints the OpenBLAS core that numpy's and scipy's
-bundled libraries run, since the bytes hold on one core only, then one
-line per artifact (the cores again on a DIFFERS line), and exits 1 if any
-differs or is missing, 0 otherwise.  Takes no arguments:
+out/ byte for byte, and it must write nothing else.  Prints the OpenBLAS
+core that numpy's and scipy's bundled libraries run, since the bytes hold
+on one core only, then one line per artifact (the cores again on a
+DIFFERS line) and an EXTRA line per file the run wrote that is not in its
+list, and exits 1 if any artifact differs, is missing or is extra, 0
+otherwise.  Takes no arguments:
 
     PYTHONPATH=src python3 scripts/check_artifacts.py
 """
@@ -71,8 +73,9 @@ def blas_cores() -> str:
 def compare_run(subcommand, config, tracked, names) -> list:
     """Run subcommand on config into a fresh temporary directory and
     return the artifacts among names that differ from their tracked copy
-    or are missing ([subcommand] if it exits non-zero); prints one line
-    per artifact."""
+    or are missing, then the files the run wrote that names does not list
+    ([subcommand] if it exits non-zero); prints one line per artifact and
+    per extra file."""
     with tempfile.TemporaryDirectory() as tmp:
         code = cli.main([subcommand, "--config", str(ROOT / config),
                          "--output-dir", tmp])
@@ -90,6 +93,12 @@ def compare_run(subcommand, config, tracked, names) -> list:
             else:
                 print(f"DIFFERS {tracked}/{name} (blas: {blas_cores()})")
                 bad.append(f"{tracked}/{name}")
+        written = sorted(path.relative_to(tmp).as_posix()
+                         for path in Path(tmp).rglob("*") if path.is_file())
+        for name in written:
+            if name not in names:
+                print(f"EXTRA {name}")
+                bad.append(name)
         return bad
 
 
@@ -97,7 +106,7 @@ def main() -> int:
     print(f"blas: {blas_cores()}")
     bad = [name for run in RUNS for name in compare_run(*run)]
     if bad:
-        print("artifacts differ: " + ", ".join(bad))
+        print("artifacts differ or are extra: " + ", ".join(bad))
         return 1
     print("all artifacts byte-identical")
     return 0

@@ -6,7 +6,9 @@ config.py for the schema), writes deterministic artifacts into the
 output directory, and prints a one-line summary.
 
 Exit codes: 0 success, 2 schema violation (message carries the
-section.key path), 3 certification failure (the hypothesis report is
+section.key path), a --config file that cannot be read, or an output
+directory that cannot be written (message names --config, --output-dir
+or output.directory), 3 certification failure (the hypothesis report is
 printed and written alongside).
 
 The output root can be set with the CARLEMAN_LAB_OUTPUT environment
@@ -150,30 +152,20 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
     )
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
-    boundary = _boundary_from_spec(cfg, grid, y0)
-    fkey = cfgmod.forward_hash(cfg)
-    cache_file = outputs.cache_path(out_dir, fkey)
-    field = outputs.load_field_cache(cache_file, grid, fkey)
-    cached = field is not None
-    if field is None:
-        field = pde.solve_forward(
-            grid, coeff, p, y0, 0.0, cfg.physics.T, cfg.physics.n_steps,
-            boundary=boundary,
-        )
-
-    norms = np.array([grid.l2_norm(field.values[n]) for n in range(field.nt)])
-    if not norms[0] > 0.0:
+    if not grid.l2_norm(y0) > 0.0:
         raise ConfigError("physics.y0: the initial state has zero L2 norm, "
                           "so the relative drift is undefined")
-    if not cached:
-        outputs.save_field_cache(cache_file, field, fkey)
+    field = pde.solve_forward(
+        grid, coeff, p, y0, 0.0, cfg.physics.T, cfg.physics.n_steps,
+        boundary=_boundary_from_spec(cfg, grid, y0),
+    )
+
+    norms = np.array([grid.l2_norm(field.values[n]) for n in range(field.nt)])
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     trace = pde.neumann_trace(field, coeff)
     trace_l2 = np.sqrt((np.abs(trace.values) ** 2) @ trace.weights)
 
-    meta = outputs.make_meta(
-        cfgmod.config_hash(cfg), "solve-forward", forward_hash=fkey
-    )
+    meta = outputs.make_meta(cfgmod.config_hash(cfg), "solve-forward")
     if "csv" in cfg.output.formats:
         rows = [
             (float(field.times[n]), float(norms[n]), float(trace_l2[n]))
@@ -186,15 +178,11 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
     if "json" in cfg.output.formats:
         outputs.write_json(out_dir / "forward_summary.json", meta, {
             "n_steps": cfg.physics.n_steps,
-            "cached": cached,
             "l2_drift": drift,
             "final_l2": float(norms[-1]),
             "trace_h1l2": pde.h1l2_boundary_norm(trace),
         })
-    print(
-        f"solve-forward: steps={cfg.physics.n_steps} drift={drift:.3e} "
-        f"cached={cached}"
-    )
+    print(f"solve-forward: steps={cfg.physics.n_steps} drift={drift:.3e}")
     return 0
 
 
@@ -411,38 +399,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(message: str) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
+def _run(subcommand: str, cfg, out_dir: Path) -> int:
+    try:
+        return HANDLERS[subcommand](cfg, out_dir)
+    except (ConfigError, ValueError, geo.GeometryError, pde.SolverError) as exc:
+        return _config_error(str(exc))
+    except CertificationFailure as exc:
+        print(f"certification failure: {exc}", file=sys.stderr)
+        print(json.dumps(outputs.jsonable(exc.report), sort_keys=True,
+                         indent=2), file=sys.stderr)
+        outputs.write_json(
+            out_dir / "certification_failure.json",
+            outputs.make_meta(cfgmod.config_hash(cfg), subcommand),
+            {"failure": str(exc), "report": exc.report},
+        )
+        return 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = cfgmod.load_config(args.config)
         cfg = cfgmod.apply_overrides(cfg, seed=args.seed, n=args.n)
-    except FileNotFoundError:
-        print(f"config error: file not found: {args.config}", file=sys.stderr)
-        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = ("file not found" if isinstance(exc, FileNotFoundError)
+                  else getattr(exc, "strerror", None) or exc)
+        return _config_error(f"--config: cannot read {args.config}: {reason}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(str(exc))
 
     out_dir = resolve_output_dir(cfg, args.output_dir)
     try:
-        return HANDLERS[args.subcommand](cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, geo.GeometryError, pde.SolverError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CertificationFailure as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        print(json.dumps(outputs.jsonable(exc.report), sort_keys=True,
-                         indent=2), file=sys.stderr)
-        report_path = out_dir / "certification_failure.json"
-        outputs.write_json(
-            report_path,
-            outputs.make_meta(cfgmod.config_hash(cfg), args.subcommand),
-            {"failure": str(exc), "report": exc.report},
-        )
-        return 3
+        return _run(args.subcommand, cfg, out_dir)
+    except OSError as exc:
+        # a subcommand's only I/O is writing its artifacts into out_dir
+        key = "--output-dir" if args.output_dir else "output.directory"
+        return _config_error(f"{key}: cannot write into {out_dir}: "
+                             f"{exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -55,8 +55,7 @@ both axes that equals BASE exactly on the rim (so Dirichlet data and
 initial state are compatible), and the optional leading ``imag``.
 
 The configuration hash covers the geometry, physics, carleman, and
-inverse blocks (not output paths), so cached forward solves survive a
-change of output directory.
+inverse blocks (not output paths).
 """
 
 from __future__ import annotations
@@ -175,16 +174,6 @@ def _canonical(value) -> str:
 def config_hash(cfg: ExperimentConfig) -> str:
     flat = cfg.flat()
     text = "\n".join(f"{k}={flat[k]}" for k in sorted(flat))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def forward_hash(cfg: ExperimentConfig) -> str:
-    """Hash of only the keys a forward solve depends on: the physics block
-    and the domain, not the weight centres x0, x1, x2."""
-    flat = cfg.flat()
-    keys = [k for k in sorted(flat) if k.startswith("physics.")
-            or k in ("geometry.outer", "geometry.interface")]
-    text = "\n".join(f"{k}={flat[k]}" for k in keys)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -344,7 +333,7 @@ def _parse_interface(sec: _Section) -> tuple:
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str          # keys are case-sensitive, as documented
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

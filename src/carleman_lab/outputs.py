@@ -7,25 +7,17 @@ key=value`` comment lines before the column header; JSON nests the same
 mapping under ``"_meta"``; SVG carries it in a leading XML comment.
 Each file is written to a temporary file beside it and moved into place,
 so a failed write leaves the previous file as it was.
-
-Forward solves are cached as ``cache/forward-<hash16>.npz`` inside the
-output directory; the stored hash and package version are checked on
-load so a stale cache is never silently reused, and a file that cannot
-be read back is a miss, recomputed and overwritten like any other.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zipfile
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .pde_solver import Grid2D, SolverError, SpaceTimeField
 
 
 def make_meta(cfg_hash: str, subcommand: str, **extra) -> dict:
@@ -108,35 +100,3 @@ def write_svg(path, meta: dict, svg_text: str) -> Path:
         path, svg_text.replace("<svg", f"<!-- {comment} -->\n<svg", 1)
     )
 
-
-# --------------------------------------------------------------------------
-# forward-solve cache
-
-
-def cache_path(output_dir, key: str) -> Path:
-    return Path(output_dir) / "cache" / f"forward-{key[:16]}.npz"
-
-
-def save_field_cache(path, field: SpaceTimeField, key: str) -> Path:
-    return _write_atomic(path, lambda f: np.savez_compressed(
-        f, times=field.times, values=field.values,
-        key=np.array(key), version=np.array(__version__),
-    ))
-
-
-def load_field_cache(path, grid: Grid2D, key: str) -> Optional[SpaceTimeField]:
-    """The cached field, or None on a miss: no file, another key or package
-    version, or a file that does not read back as a field on this grid."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if str(data["key"]) != key or str(data["version"]) != __version__:
-                return None
-            times = data["times"]
-            values = data["values"]
-        return SpaceTimeField(grid=grid, times=times, values=values)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
-            SolverError):
-        return None

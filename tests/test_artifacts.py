@@ -1,13 +1,15 @@
 """The tracked artifacts of every subcommand are reproduced byte for byte.
 
 Uses the per-run comparison of scripts/check_artifacts.py, one test per
-subcommand; the Carleman sweep is the slowest (about 2.3 s at the
-reference CPU speed of perfbench/run.py).  The script's BLAS core names
-are checked to be readable.
+subcommand, which also fails on any file a run writes beyond its list;
+the Carleman sweep is the slowest (about 2.3 s at the reference CPU speed
+of perfbench/run.py).  The script's BLAS core names are checked to be
+readable.
 """
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +25,23 @@ RUNS = check_artifacts.RUNS
 def test_tracked_artifacts_are_byte_identical(run):
     assert len(RUNS) == 6
     assert check_artifacts.compare_run(*run) == []
+
+
+def test_unlisted_file_is_reported(monkeypatch, capsys):
+    main = check_artifacts.cli.main
+
+    def main_and_stray(argv):
+        code = main(argv)
+        out = Path(argv[argv.index("--output-dir") + 1])
+        (out / "sub").mkdir()
+        (out / "sub" / "stray.bin").write_bytes(b"x")
+        return code
+
+    monkeypatch.setattr(check_artifacts, "cli",
+                        SimpleNamespace(main=main_and_stray))
+    run = next(run for run in RUNS if run[0] == "geometry-check")
+    assert check_artifacts.compare_run(*run) == ["sub/stray.bin"]
+    assert "\nEXTRA sub/stray.bin\n" in capsys.readouterr().out
 
 
 def test_blas_cores_are_named():

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: exit codes, artifacts, caching, determinism."""
+"""End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import contextlib
 import io
@@ -95,6 +95,12 @@ def load_json(path):
     return json.loads(path.read_text())
 
 
+def snapshot(directory):
+    """{relative path: bytes} of every file under directory."""
+    return {path.relative_to(directory).as_posix(): path.read_bytes()
+            for path in directory.rglob("*") if path.is_file()}
+
+
 class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -113,6 +119,49 @@ class TestErrorPaths:
         code = cli.main(["geometry-check", "--config", str(tmp_path / "no.ini")])
         assert code == 2
         assert "file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unreadable, reason", [
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"\xff\xfe[geometry]\n"), "utf-8"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_config_names_the_flag(self, tmp_path, capsys,
+                                              unreadable, reason):
+        path = tmp_path / "exp.ini"
+        unreadable(path)
+        code = cli.main(["geometry-check", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --config: cannot read {path}: ")
+        assert reason in err
+
+    @pytest.mark.parametrize("subcommand, how, key", [
+        ("geometry-check", "flag", "--output-dir"),
+        ("solve-forward", "flag", "--output-dir"),
+        ("geometry-check", "config", "output.directory"),
+        ("geometry-check", "env", "output.directory"),
+        # the exit-3 path writes certification_failure.json
+        ("weight-verify", "flag", "--output-dir"),
+    ])
+    def test_unwritable_output_directory_names_its_source(
+            self, tmp_path, capsys, monkeypatch, subcommand, how, key):
+        blocker = tmp_path / "blocker"  # a file where a directory belongs
+        blocker.write_text("kept\n")
+        overrides = {"directory": str(blocker)} if how == "config" else {}
+        if subcommand == "weight-verify":
+            overrides.update(a1="1.0", a2="2.0")  # fails H2
+        cfg = write_cfg(tmp_path, **overrides)
+        argv = [subcommand, "--config", str(cfg)]
+        if how == "flag":
+            argv += ["--output-dir", str(blocker)]
+        if how == "env":
+            monkeypatch.setenv(cli.ENV_OUTPUT, str(blocker))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: cannot write into {blocker}" in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker",
+                                                               "exp.ini"]
 
     def test_schema_error_carries_field_path(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -258,24 +307,17 @@ class TestWeightVerify:
 
 
 class TestSolveForward:
-    def test_artifacts_cache_and_determinism(self, tmp_path, capsys):
+    def test_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["solve-forward", "--config", str(cfg),
                          "--output-dir", str(out)]) == 0
-        first = load_json(out / "forward_summary.json")
-        assert first["cached"] is False
-        assert first["n_steps"] == 2
-        trace_a = (out / "forward_trace.csv").read_bytes()
-        assert trace_a.startswith(b"# config_hash=")
-
-        assert cli.main(["solve-forward", "--config", str(cfg),
-                         "--output-dir", str(out)]) == 0
-        second = load_json(out / "forward_summary.json")
-        assert second["cached"] is True
-        assert (out / "forward_trace.csv").read_bytes() == trace_a
-        assert second["final_l2"] == first["final_l2"]
-        assert "cached=True" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("solve-forward: steps=2 ")
+        assert load_json(out / "forward_summary.json")["n_steps"] == 2
+        trace = (out / "forward_trace.csv").read_bytes()
+        assert trace.startswith(b"# config_hash=")
+        assert sorted(snapshot(out)) == ["forward_summary.json",
+                                         "forward_trace.csv"]
 
     def test_coefficient_classified_once(self, tmp_path, monkeypatch):
         # the solve and the trace share one CoefficientOnGrid
@@ -290,35 +332,21 @@ class TestSolveForward:
         cfg = write_cfg(tmp_path)
         assert cli.main(["solve-forward", "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert load_json(tmp_path / "out" / "forward_summary.json")[
-            "cached"] is False
         assert calls == [9 * 9]
 
-    def test_stale_cache_key_is_ignored(self, tmp_path):
-        cfg_a = write_cfg(tmp_path, name="a.ini")
-        out = tmp_path / "out"
-        assert cli.main(["solve-forward", "--config", str(cfg_a),
-                         "--output-dir", str(out)]) == 0
-        cfg_b = write_cfg(tmp_path, name="b.ini", p="sine 1.0 0.2")
-        assert cli.main(["solve-forward", "--config", str(cfg_b),
-                         "--output-dir", str(out)]) == 0
-        doc = load_json(out / "forward_summary.json")
-        assert doc["cached"] is False  # different forward hash, fresh solve
 
-    def test_corrupt_cache_is_recomputed(self, tmp_path, capsys):
+class TestRerun:
+    @pytest.mark.parametrize("subcommand", list(cli.HANDLERS))
+    def test_rerun_rewrites_the_same_bytes(self, tmp_path, subcommand):
+        # a second run into the same directory leaves the same files
         cfg = write_cfg(tmp_path)
-        out = tmp_path / "out"
-        argv = ["solve-forward", "--config", str(cfg), "--output-dir", str(out)]
+        argv = [subcommand, "--config", str(cfg),
+                "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv) == 0
-        first = load_json(out / "forward_summary.json")
-        (cache,) = (out / "cache").glob("forward-*.npz")
-        cache.write_bytes(b"garbage" * 100)
-
+        first = snapshot(tmp_path / "out")
+        assert first
         assert cli.main(argv) == 0
-        assert load_json(out / "forward_summary.json") == first  # cached=False
-        assert cli.main(argv) == 0  # the rewritten file serves the next run
-        assert load_json(out / "forward_summary.json")["cached"] is True
-        assert "config error" not in capsys.readouterr().err
+        assert snapshot(tmp_path / "out") == first
 
 
 class TestOutputResolution:

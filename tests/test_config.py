@@ -189,35 +189,31 @@ class TestHash:
         cfg_a = cfgmod.load_config(write_config(tmp_path, name="a.ini"))
         cfg_b = cfgmod.load_config(write_config(tmp_path, name="b.ini"))
         assert cfgmod.config_hash(cfg_a) == cfgmod.config_hash(cfg_b)
-        assert cfgmod.forward_hash(cfg_a) == cfgmod.forward_hash(cfg_b)
 
-    def test_inverse_block_skips_forward_hash(self, tmp_path):
+    def test_inverse_block_moves_config_hash(self, tmp_path):
         base = cfgmod.load_config(write_config(tmp_path))
         text = BASE + "\n[inverse]\nseed = 99\n"
         tweaked = cfgmod.load_config(write_config(tmp_path, text))
         assert cfgmod.config_hash(base) != cfgmod.config_hash(tweaked)
-        assert cfgmod.forward_hash(base) == cfgmod.forward_hash(tweaked)
 
-    def test_weight_centres_skip_forward_hash(self, tmp_path):
+    def test_weight_centres_move_config_hash(self, tmp_path):
         base = cfgmod.load_config(write_config(tmp_path))
         text = BASE.replace("interface = disk 0.5\n",
                             "interface = disk 0.5\nx1 = -0.2 0.1\n")
         tweaked = cfgmod.load_config(write_config(tmp_path, text))
         assert cfgmod.config_hash(base) != cfgmod.config_hash(tweaked)
-        assert cfgmod.forward_hash(base) == cfgmod.forward_hash(tweaked)
 
-    def test_domain_change_moves_forward_hash(self, tmp_path):
+    def test_domain_change_moves_config_hash(self, tmp_path):
         base = cfgmod.load_config(write_config(tmp_path))
         text = amend(BASE, "interface = disk 0.5", "interface = disk 0.4")
         tweaked = cfgmod.load_config(write_config(tmp_path, text))
-        assert cfgmod.forward_hash(base) != cfgmod.forward_hash(tweaked)
+        assert cfgmod.config_hash(base) != cfgmod.config_hash(tweaked)
 
-    def test_physics_change_moves_both_hashes(self, tmp_path):
+    def test_physics_change_moves_config_hash(self, tmp_path):
         base = cfgmod.load_config(write_config(tmp_path))
         text = amend(BASE, "a2 = 1.0", "a2 = 1.5")
         tweaked = cfgmod.load_config(write_config(tmp_path, text))
         assert cfgmod.config_hash(base) != cfgmod.config_hash(tweaked)
-        assert cfgmod.forward_hash(base) != cfgmod.forward_hash(tweaked)
 
     def test_output_block_never_hashes(self, tmp_path):
         base = cfgmod.load_config(write_config(tmp_path))

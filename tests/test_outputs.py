@@ -1,4 +1,4 @@
-"""Artifact writers: deterministic bytes, metadata, cache, and SVG shape."""
+"""Artifact writers: deterministic bytes, metadata, and SVG shape."""
 
 import errno
 import json
@@ -7,9 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from carleman_lab import geometry as geo
 from carleman_lab import outputs, svgplot
-from carleman_lab import pde_solver as pde
 
 
 META = {"config_hash": "abc123", "version": "0.1.0", "subcommand": "demo"}
@@ -96,68 +94,6 @@ class TestSvg:
         assert body.count("<circle") == 2
 
 
-def small_field():
-    layout = geo.DomainLayout(geo.RectangularDomain(-1, 1, -1, 1),
-                              geo.disk_interface(0.5))
-    grid = pde.Grid2D.from_layout(layout, 9)
-    rng = np.random.default_rng(3)
-    times = np.linspace(0.0, 0.5, 4)
-    values = rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))
-    return grid, pde.SpaceTimeField(grid=grid, times=times, values=values)
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        grid, field = small_field()
-        path = outputs.cache_path(tmp_path, "f" * 64)
-        assert path.name == "forward-ffffffffffffffff.npz"
-        outputs.save_field_cache(path, field, "f" * 64)
-        loaded = outputs.load_field_cache(path, grid, "f" * 64)
-        assert loaded is not None
-        assert np.array_equal(loaded.times, field.times)
-        assert np.array_equal(loaded.values, field.values)
-
-    def test_missing_file_returns_none(self, tmp_path):
-        grid, _ = small_field()
-        assert outputs.load_field_cache(tmp_path / "nope.npz", grid, "k") is None
-
-    def test_stale_key_is_rejected(self, tmp_path):
-        grid, field = small_field()
-        path = outputs.cache_path(tmp_path, "a" * 64)
-        outputs.save_field_cache(path, field, "a" * 64)
-        assert outputs.load_field_cache(path, grid, "b" * 64) is None
-
-    def test_shape_mismatch_is_rejected(self, tmp_path):
-        grid, field = small_field()
-        path = outputs.cache_path(tmp_path, "c" * 64)
-        outputs.save_field_cache(path, field, "c" * 64)
-        other = pde.Grid2D.from_layout(grid.layout, 11)
-        assert outputs.load_field_cache(path, other, "c" * 64) is None
-
-    def test_other_version_is_a_miss(self, tmp_path, monkeypatch):
-        grid, field = small_field()
-        path = outputs.cache_path(tmp_path, "e" * 64)
-        outputs.save_field_cache(path, field, "e" * 64)
-        monkeypatch.setattr(outputs, "__version__", "0.0.0-other")
-        assert outputs.load_field_cache(path, grid, "e" * 64) is None
-
-    @pytest.mark.parametrize("damage", ["garbage", "empty", "truncated",
-                                        "missing_array"])
-    def test_unreadable_file_is_a_miss(self, tmp_path, damage):
-        grid, field = small_field()
-        path = outputs.cache_path(tmp_path, "d" * 64)
-        outputs.save_field_cache(path, field, "d" * 64)
-        if damage == "garbage":
-            path.write_bytes(b"not a cache file\n" * 8)
-        elif damage == "empty":
-            path.write_bytes(b"")
-        elif damage == "truncated":
-            path.write_bytes(path.read_bytes()[:200])
-        else:
-            np.savez_compressed(path, times=field.times, key=np.array("d" * 64))
-        assert outputs.load_field_cache(path, grid, "d" * 64) is None
-
-
 class _DiskFull:
     """A file whose writes store half their bytes, then fail."""
 
@@ -184,8 +120,6 @@ class TestAtomicWrites:
         "json": lambda path: outputs.write_json(path, META, {"v": 1.0}),
         "svg": lambda path: outputs.write_svg(
             path, META, svgplot.lines([("a", [1.0, 2.0], [1.0, 2.0])])),
-        "npz": lambda path: outputs.save_field_cache(
-            path, small_field()[1], "k" * 64),
     }
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))

@@ -35,17 +35,20 @@ components therefore carry that common normalization.
 
 Streaming: carleman_ratios builds each weight's phi factors once per
 params (tau over the whole time axis, the space arrays once) and then walks
-the field in slabs of SLAB time levels, evaluating each slab at every
-params before the next.  Each slab is conjugated with one extra level on
-each side, so the time derivative taken over it is the whole stack's at
-the slab's levels.  carleman_ratios takes that derivative and the slab's
-spatial gradient once per params and hands them, as plain arrays, to the
-operators, which take the stack, its derivatives and the phi factors
+the field in slabs of SLAB time levels, evaluating each slab for both
+weights at every params before the next.  Each slab reads one extra level
+of v on each side, so the time derivative taken over it is the whole
+stack's at the slab's levels: L v is built from it once per slab, and
+each conjugated slab takes it once per weight and params.  carleman_ratios
+hands the derivatives and the slab's spatial gradient, as plain arrays, to
+the operators, which take the stack, its derivatives and the phi factors
 only.  Every term is reduced in space into its per-time density, and
 each density is integrated once over the whole time axis by the
 trapezoidal rule.  Every floating-point operation is the one the
 whole-stack operators perform, so each report is bit-identical to
-whole-stack evaluation, while the temporaries are slab-sized.
+whole-stack evaluation, while the temporaries, L v included, are
+slab-sized: no whole-stack array but v itself is built.  Nothing of a
+field is kept once its call returns.
 
 Mirror: a field that is odd-conjugate about t = 0, v(-t) = -conj v(t)
 exactly on an exactly antisymmetric time axis, with q real (every solved
@@ -65,19 +68,19 @@ Support: a level's six densities are exactly 0 when v is 0 on every level
 its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
 k = nt-1): w = v e^{-s phi} is 0 there, as the factor is finite (clipped
 at e^700); the space stencils act within one level; and L v at level k
-reads the levels the time stencil reads.  PairOnGrid records each field's
-time support, the first and last level where v is not identically 0, and
-carleman_ratios evaluates only the part of each planned slab whose levels
-a stencil from the support reaches, with the one-level halo, so d/dt at
-every evaluated level is still the whole stack's; the other levels'
-densities are 0.  Two reductions give a level a result that depends on
-its place in the array they reduce: _l2_density (a BLAS gemv, by row
-blocks) and the row sums of _boundary_term (whose order follows the
-array's layout, which a one-level array does not share).  Both still
-reduce the slab's full row set, with zero rows for the levels not
-evaluated, so each level keeps its place and the report stays
-bit-identical to whole-stack evaluation; _norm_densities sums each level
-with np.sum and takes the evaluated levels alone.  Each compactly
+reads the levels the time stencil reads.  carleman_ratios finds the
+field's time support, the first and last level where v is not identically
+0 (_time_support), and evaluates, L v included, only the part of each
+planned slab whose levels a stencil from the support reaches, with the
+one-level halo, so d/dt at every evaluated level is still the whole
+stack's; the other levels' densities are 0.  Two reductions give a level
+a result that depends on its place in the array they reduce: _l2_density
+(a BLAS gemv, by row blocks) and the row sums of _boundary_term (whose
+order follows the array's layout, which a one-level array does not
+share).  Both still reduce the slab's full row set, with zero rows for
+the levels not evaluated, so each level keeps its place and the report
+stays bit-identical to whole-stack evaluation; _norm_densities sums each
+level with np.sum and takes the evaluated levels alone.  Each compactly
 supported manufactured field of the sweep conjugates 87 of the full
 path's 135 slab levels per weight.
 
@@ -92,10 +95,13 @@ which r >= 1 rules out; for 2h > 1 the division is kept.  Non-finite
 values may differ (inf 0 is nan in the division), and a real quotient
 stays a division, which a product by r does not always round alike.
 _apply_flux multiplies the real stencils into the float64 view of the
-gathered columns, 2 nt real vectors for a complex stack, where scipy
+node-major stack, 2 nt real vectors for a complex stack, where scipy
 would multiply in complex arithmetic: each component's terms differ at
 most in the sign of a zero and are summed in the same order from +0, so
-for finite values the sums agree bit for bit.  The norm's weights
+for finite values the sums agree bit for bit.  The stencils are the
+solver's, renumbered by node (CoefficientOnGrid.node_flux), so the
+products read every node's column in place of gathered interior and
+boundary columns and leave 0 in the boundary rows.  The norm's weights
 cell theta^3 and cell theta (theta = e^{lam psi} tau(t), free of s) are
 built once per weight, slab and (lam, T) and dropped with the slab.
 """
@@ -103,8 +109,8 @@ built once per weight, slab and (lam, T) and dropped with the slab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -383,42 +389,13 @@ class _Phi(NamedTuple):
 class PairOnGrid(_OnGrid):
     """An epsilon pair on one grid: the coefficient data (the estimate uses
     the first weight's coefficient for both weights) and each weight's data.
-
-    ``mirrored``, ``support`` and ``residual`` keep their answers for the
-    last field asked for, so a caller that visits all (s, lambda) of one
-    field in a row computes them once per field and holds one field's
-    residual at a time.
-    """
+    It holds nothing of a field, so a caller that keeps it across fields
+    keeps no field alive."""
 
     def __init__(self, pair: EpsilonPair, grid: Grid2D):
         super().__init__(pair, grid)
         self.coeff = CoefficientOnGrid(pair.w1.coeff, grid)
         self.weights = (WeightOnGrid(pair.w1, grid), WeightOnGrid(pair.w2, grid))
-        self._last = None
-
-    def _field(self, v: SpaceTimeField, q) -> tuple:
-        last = self._last
-        if last is None or last[0] is not v or last[1] is not q:
-            self._last = None  # drop the previous field's residual first
-            q_nodes = self.grid.sample(q, dtype=complex)
-            mirrored = not q_nodes.imag.any() and _odd_conjugate(v)
-            lv = apply_transmission_operator(v, self.coeff, q_nodes)
-            self._last = (v, q, mirrored, _time_support(v), lv)
-        return self._last
-
-    def mirrored(self, v: SpaceTimeField, q) -> bool:
-        """Whether v is odd-conjugate about t = 0 (_odd_conjugate) and q is
-        real at the nodes, so that carleman_ratios may mirror its densities
-        (module notes)."""
-        return self._field(v, q)[2]
-
-    def support(self, v: SpaceTimeField, q) -> Optional[tuple]:
-        """v's time support (_time_support), from which carleman_ratios
-        takes the levels it evaluates (module notes)."""
-        return self._field(v, q)[3]
-
-    def residual(self, v: SpaceTimeField, q) -> SpaceTimeField:
-        return self._field(v, q)[4]
 
 
 def _require_time_resolution(field: SpaceTimeField):
@@ -440,22 +417,16 @@ def _conjugation_factors(phi: _Phi, log_shift: float) -> np.ndarray:
     return f
 
 
-def _apply_flux(grid: Grid2D, k_int, k_bnd, values: np.ndarray) -> np.ndarray:
+def _apply_flux(coeff: CoefficientOnGrid, values: np.ndarray) -> np.ndarray:
     """div(a grad .) slice by slice; boundary rows are zero.  The real
-    stencils multiply the float64 view of the gathered columns, 2 nt real
-    vectors for a complex stack (module notes, Kernels)."""
+    node-numbered stencils multiply the float64 view of the transposed
+    stack, 2 nt real vectors for a complex stack (module notes, Kernels)."""
     nt = values.shape[0]
-    flat = values.reshape(nt, -1)
-
-    def columns(ids):
-        return np.ascontiguousarray(flat.T[ids]).view(np.float64)
-
-    res = k_int @ columns(grid.interior_ids)
-    res += k_bnd @ columns(grid.boundary_ids)
-    out = np.empty_like(flat)
-    out[:, grid.interior_ids] = res.view(flat.dtype).T
-    out[:, grid.boundary_ids] = 0.0
-    return out.reshape(values.shape)
+    nodes = np.ascontiguousarray(values.reshape(nt, -1).T).view(np.float64)
+    k_int, k_bnd = coeff.node_flux
+    res = k_int @ nodes
+    res += k_bnd @ nodes
+    return res.view(values.dtype).T.reshape(values.shape)
 
 
 def _schrodinger_stack(
@@ -464,12 +435,9 @@ def _schrodinger_stack(
     """i w' + div(a grad w) + V w with the solver's flux stencils, w' being
     dwdt; V is potential, broadcast against the (nt, ny, nx) stack.  A
     complex dwdt is overwritten."""
-    # a sweep keeps L v for all (s, lambda) of a field, so the stack is
-    # built in its first buffer: left above the temporaries, it would keep
-    # their heap memory resident
     vals = dwdt.astype(complex, copy=False)
     np.multiply(1j, vals, out=vals)
-    vals += _apply_flux(coeff.grid, *coeff.flux, w)
+    vals += _apply_flux(coeff, w)
     vals += potential * w
     return vals
 
@@ -667,22 +635,22 @@ def carleman_ratios(
     finite residual L v, and a computable boundary flux.  The report
     components carry one common positive normalization (see module notes);
     the ratio is exact.  A PairOnGrid built for v's grid lends its
-    field-independent data (and L v, when v was its last field).  Each
-    weight's phi factors are built once per params; the terms are streamed
-    over slabs of SLAB time levels, and each slab is evaluated at every
-    params before the next, so the norm's theta weights are built once per
-    weight, slab and (lambda, T).  For a field on_grid.mirrored accepts,
-    about half of the levels are evaluated and the others take their
-    mirror's densities; only the levels a stencil from v's time support
-    reaches are evaluated (module notes).
+    field-independent data.  Each weight's phi factors are built once per
+    params; the terms, L v included, are streamed over slabs of SLAB time
+    levels, and each slab is evaluated for both weights at every params
+    before the next, so L v is built once per slab and the norm's theta
+    weights once per weight, slab and (lambda, T).  For an odd-conjugate
+    field with q real at the nodes, about half of the levels are evaluated
+    and the others take their mirror's densities; only the levels a
+    stencil from v's time support reaches are evaluated (module notes).
     """
     _require_time_resolution(v)
     grid, times, nt = v.grid, v.times, v.nt
     on_grid = PairOnGrid.of(weight_pair, grid)
-    plan = _plan(nt, on_grid.mirrored(v, q))
-    live_lo, live_hi = _live_levels(nt, on_grid.support(v, q))
-    lv = on_grid.residual(v, q).values
     coeff = on_grid.coeff
+    q_nodes = grid.sample(q, dtype=complex)
+    plan = _plan(nt, not q_nodes.imag.any() and _odd_conjugate(v))
+    live_lo, live_hi = _live_levels(nt, _time_support(v))
     params_list = list(params_list)
     # phis[k][j]: weight j's phi factors at params k
     phis = [
@@ -693,31 +661,38 @@ def carleman_ratios(
         _common_log_shift([phi.space for phi in row], params)
         for row, params in zip(phis, params_list)
     ]
-    # per params: lhs, rhs_residual, rhs_boundary
-    sums = [[0.0, 0.0, 0.0] for _ in params_list]
-    for j in range(len(on_grid.weights)):
-        # per params and time level: |P1 w|^2, |P2 w|^2, the norm's two
-        # integrands, |e^{-s phi} L v|^2 and the boundary integrand; 0 at
-        # the levels outside [live_lo, live_hi)
-        dens = np.zeros((len(params_list), 6, nt))
-        for start, stop in plan:
-            a, b = max(start, live_lo), min(stop, live_hi)
-            if a >= b:
-                continue
-            rows = None if (a, b) == (start, stop) else (a - start, stop - start)
-            lo, hi = max(a - 1, 0), min(b + 1, nt)
-            core = slice(a - lo, b - lo)
+    # per weight, params and time level: |P1 w|^2, |P2 w|^2, the norm's two
+    # integrands, |e^{-s phi} L v|^2 and the boundary integrand; 0 at the
+    # levels outside [live_lo, live_hi)
+    dens = np.zeros((len(on_grid.weights), len(params_list), 6, nt))
+    for start, stop in plan:
+        a, b = max(start, live_lo), min(stop, live_hi)
+        if a >= b:
+            continue
+        rows = None if (a, b) == (start, stop) else (a - start, stop - start)
+        lo, hi = max(a - 1, 0), min(b + 1, nt)
+        core = slice(a - lo, b - lo)
+        # d/dt over the halo is the whole stack's at a..b-1, so L v is too
+        lv = _schrodinger_stack(
+            v.values[a:b],
+            _time_derivative(v.values[lo:hi], v.dt)[core],
+            coeff,
+            q_nodes[None, :, :],
+        )
+        for j in range(len(on_grid.weights)):
             theta = {}  # (lam, T) -> _theta_weights at levels a..b-1
             for k, params in enumerate(params_list):
                 phi = phis[k][j]
                 fac = _conjugation_factors(phi.slab(lo, hi), shifts[k])
+                dens[j, k, 4, a:b] = _l2_density(grid, lv * fac[core], rows)
                 ext = v.values[lo:hi] * fac
+                del fac
                 w = ext[core]
                 part = phi.slab(a, b)
                 # each operator stack is reduced and dropped before the next
-                # is built; d/dt over the halo is the whole stack's at a..b-1
+                # is built
                 dwdt = _time_derivative(ext, v.dt)[core]
-                dens[k, 0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part), rows)
+                dens[j, k, 0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part), rows)
                 del dwdt
                 grad = _spatial_gradient(w, grid.h)
                 key = (params.lam, params.T)
@@ -725,18 +700,21 @@ def carleman_ratios(
                     theta[key] = _theta_weights(part)
                 # one ordering rule: the norm reads the gradient before
                 # apply_P2 builds its terms in the gradient's buffers
-                dens[k, 2:4, a:b] = _norm_densities(w, grad, theta[key])
-                dens[k, 1, a:b] = _l2_density(
+                dens[j, k, 2:4, a:b] = _norm_densities(w, grad, theta[key])
+                dens[j, k, 1, a:b] = _l2_density(
                     grid, apply_P2(w, grad, part, times[a:b]), rows
                 )
                 del grad
-                dens[k, 4, a:b] = _l2_density(grid, lv[a:b] * fac[core], rows)
-                dens[k, 5, a:b] = _boundary_term(w, part, rows)
-        # a level between two slabs takes its mirror's densities
-        for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
-            mirror = slice(nt - 1 - gap_lo, nt - 1 - gap_hi, -1)
-            dens[..., gap_lo:gap_hi] = dens[..., mirror]
-        for params, per, acc in zip(params_list, dens, sums):
+                dens[j, k, 5, a:b] = _boundary_term(w, part, rows)
+        del lv
+    # a level between two slabs takes its mirror's densities
+    for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
+        mirror = slice(nt - 1 - gap_lo, nt - 1 - gap_hi, -1)
+        dens[..., gap_lo:gap_hi] = dens[..., mirror]
+    # per params: lhs, rhs_residual, rhs_boundary, summed weight by weight
+    sums = [[0.0, 0.0, 0.0] for _ in params_list]
+    for per_weight in dens:
+        for params, per, acc in zip(params_list, per_weight, sums):
             # the sum keeps the order P1, P2, norm
             acc[0] += float(np.trapezoid(per[0], times))
             acc[0] += float(np.trapezoid(per[1], times))
@@ -760,7 +738,7 @@ def carleman_ratio(
 
 
 def constant_sweep(
-    test_fields: Sequence[SpaceTimeField],
+    test_fields: Iterable[SpaceTimeField],
     s_values: Sequence[float],
     lam_values: Sequence[float],
     weight_pair: EpsilonPair | PairOnGrid,
@@ -778,13 +756,17 @@ def constant_sweep(
     consecutive relative change of them stays below 10 percent; a sweep
     whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
-    to that one sup.  Fields are visited one at a time, each over every
+    to that one sup.  test_fields is iterated once, and each field is
+    dropped before the next is asked for, so a lazy suite (build_test_suite)
+    has one field in memory at a time.  Each field is evaluated over every
     (s, lambda) in one carleman_ratios call, so the pair's grid data is
-    built once (a PairOnGrid for the fields' grid is used as given) and L v
-    once per field; rows come out in (s, lambda, field) order.
+    built once (a PairOnGrid for the fields' grid is used as given); the
+    grid and q_inf are taken from the first field, and rows come out in
+    (s, lambda, field) order.
     """
-    fields = list(test_fields)
-    if not fields:
+    fields = iter(test_fields)
+    fld = next(fields, None)
+    if fld is None:
         return SweepResult(
             rows=[],
             table=[],
@@ -793,8 +775,9 @@ def constant_sweep(
             q_inf=0.0,
             tail_bound=0.0,
         )
+    grid = fld.grid
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
-    on_grid = PairOnGrid.of(weight_pair, fields[0].grid)
+    on_grid = PairOnGrid.of(weight_pair, grid)
     pair = on_grid.source
     psi_sup = psi_grid_max((pair.w1, pair.w2), n_grid)
     fitted = []
@@ -805,9 +788,11 @@ def constant_sweep(
         fitted.append(params)
 
     by_field = []
-    for fld in fields:
+    while fld is not None:
         on_grid = PairOnGrid.of(on_grid, fld.grid)
         by_field.append(carleman_ratios(fld, on_grid, fitted, q))
+        fld = None  # dropped before the next field is built
+        fld = next(fields, None)
     reports = list(zip(*by_field))
 
     rows = []
@@ -840,7 +825,7 @@ def constant_sweep(
         and all(abs(b - a) <= 0.1 * a for a, b in zip(upper, upper[1:]))
     )
     sup_ratio = max((e["max_ratio"] for e in table), default=0.0)
-    q_inf = float(np.max(np.abs(fields[0].grid.sample(q))))
+    q_inf = float(np.max(np.abs(grid.sample(q))))
     return SweepResult(
         rows=rows,
         table=table,
@@ -868,9 +853,41 @@ def _boundary_taper(grid: Grid2D, margin: float) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class FieldSuite:
+    """A test-field suite that builds its fields on demand.
+
+    len() is the number of fields.  Each iteration builds them in order:
+    solve's forward solution from each initial state, extended to negative
+    times, then env(t) profile(x) for each (env, profile) of separable.
+    Every random draw was made with the suite, so every iteration yields
+    the same fields bit for bit.  The suite keeps none of them: a caller
+    that drops each field before asking for the next holds one at a time.
+    """
+
+    grid: Grid2D
+    solve: Callable[[np.ndarray], SpaceTimeField]
+    initial_states: list
+    times: np.ndarray
+    separable: list
+
+    def __len__(self) -> int:
+        return len(self.initial_states) + len(self.separable)
+
+    def __iter__(self) -> Iterator[SpaceTimeField]:
+        for y0 in self.initial_states:
+            yield extend_time(self.solve(y0))
+        for env, profile in self.separable:
+            yield SpaceTimeField(
+                grid=self.grid,
+                times=self.times,
+                values=env[:, None, None] * profile[None, :, :],
+            )
+
+
 def build_test_suite(
     grid: Grid2D,
-    coeff: PiecewiseCoefficient,
+    coeff: PiecewiseCoefficient | CoefficientOnGrid,
     q,
     T: float,
     *,
@@ -879,13 +896,15 @@ def build_test_suite(
     seed: int = 0,
     n_solved: int = 5,
     n_manufactured: int = 5,
-) -> list:
+) -> FieldSuite:
     """Default test-field suite on the clamped interval |t| <= T - delta_t.
 
     Solved fields run the forward solver from purely imaginary random
     bumps and extend to negative times by the conjugate reflection they
     satisfy; manufactured fields are interior bumps times smooth compactly
-    supported time envelopes, exercising the residual term.
+    supported time envelopes, exercising the residual term.  Every random
+    parameter is drawn here; the fields are built as the suite is iterated
+    (FieldSuite).
     """
     t_max = T - _delta_t(T, delta_t)
     rng = np.random.default_rng(seed)
@@ -898,7 +917,7 @@ def build_test_suite(
     xmin, xmax, ymin, ymax = grid.layout.outer.bounds
     margin = 0.15 * min(xmax - xmin, ymax - ymin)
     taper = _boundary_taper(grid, margin)
-    fields = []
+    initial_states = []
     for _ in range(n_solved):
         c = (
             cx + rng.uniform(-0.3, 0.3) * rmin,
@@ -907,10 +926,9 @@ def build_test_suite(
         width = rmin * rng.uniform(0.25, 0.4)
         amp = rng.uniform(0.5, 1.5)
         r2 = (pts[..., 0] - c[0]) ** 2 + (pts[..., 1] - c[1]) ** 2
-        y0 = 1j * amp * np.exp(-r2 / width**2)
-        fwd = solve_forward(grid, coeff, q, y0, 0.0, t_max, n_steps, operator=op)
-        fields.append(extend_time(fwd))
+        initial_states.append(1j * amp * np.exp(-r2 / width**2))
     times = np.linspace(-t_max, t_max, 2 * n_steps + 1)
+    separable = []
     for _ in range(n_manufactured):
         c = (
             rng.uniform(xmin + 2.0 * margin, xmax - 2.0 * margin),
@@ -929,8 +947,8 @@ def build_test_suite(
         env[inside] = np.exp(1.0 - 1.0 / (1.0 - u**2)) * np.exp(
             1j * (omega * times[inside] + phase)
         )
-        values = env[:, None, None] * profile[None, :, :]
-        fields.append(
-            SpaceTimeField(grid=grid, times=times, values=values.astype(complex))
-        )
-    return fields
+        separable.append((env, profile))
+    solve = partial(
+        solve_forward, grid, coeff, q, t0=0.0, t1=t_max, n_steps=n_steps, operator=op
+    )
+    return FieldSuite(grid, solve, initial_states, times, separable)

@@ -262,7 +262,8 @@ class _OnGrid:
 class CoefficientOnGrid(_OnGrid):
     """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
     the boundary trace operator C; both stencils read a from at_nodes, so
-    it is classified once per grid.
+    it is classified once per grid.  node_flux, the flux stencils numbered
+    by node for the Carleman operators, is built on its first use.
 
     SchrodingerOperator, the solves and neumann_trace take this form in
     place of the plain coefficient; built once and passed along, it makes
@@ -277,6 +278,26 @@ class CoefficientOnGrid(_OnGrid):
     @cached_property
     def flux(self) -> tuple:
         return _assemble_flux_matrix(self.grid, self)
+
+    @cached_property
+    def node_flux(self) -> tuple:
+        """flux's (k_int, k_bnd) with rows and columns numbered by node, so
+        each takes the values at every node and gives 0 on boundary rows.
+        Each row keeps its entries in flux's order, so a product sums them
+        in the same order."""
+        grid = self.grid
+        n = grid.nx * grid.ny
+
+        def by_node(k, col_ids):
+            counts = np.zeros(n + 1, dtype=np.int64)
+            counts[grid.interior_ids + 1] = np.diff(k.indptr)
+            indptr = np.cumsum(counts)
+            return sparse.csr_matrix(
+                (k.data, col_ids[k.indices], indptr), shape=(n, n)
+            )
+
+        k_int, k_bnd = self.flux
+        return by_node(k_int, grid.interior_ids), by_node(k_bnd, grid.boundary_ids)
 
     @cached_property
     def trace(self) -> sparse.csr_matrix:

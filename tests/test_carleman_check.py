@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -283,11 +284,10 @@ class TestSplitOperators:
         got = cc.apply_transmission_operator(
             pde.SpaceTimeField(grid=grid, times=times, values=values), coeff, q
         ).values
-        k_int, k_bnd = pde._assemble_flux_matrix(grid, coeff)
         dvdt = np.gradient(values, times[1] - times[0], axis=0, edge_order=2)
         want = (
             1j * dvdt
-            + cc._apply_flux(grid, k_int, k_bnd, values)
+            + cc._apply_flux(pde.CoefficientOnGrid(coeff, grid), values)
             + q[None, :, :] * values
         )
         assert np.array_equal(got, want)
@@ -317,11 +317,10 @@ class TestSplitOperators:
             grid.shape
         )
         tau = wt._time_factor(params, v.times)
-        k_int, k_bnd = pde._assemble_flux_matrix(grid, coeff)
         dwdt = np.gradient(v.values, v.dt, axis=0, edge_order=2)
         want = (
             1j * dwdt
-            + cc._apply_flux(grid, k_int, k_bnd, v.values)
+            + cc._apply_flux(pde.CoefficientOnGrid(coeff, grid), v.values)
             + space[None, :, :] * (tau**2)[:, None, None] * v.values
         )
         assert np.array_equal(P1(v, w, params, coeff), want)
@@ -644,9 +643,10 @@ class TestStreamedRatio:
             cc.carleman_ratio(v, on_grid, params, q)
             assert len(calls) <= len(on_grid.weights)
 
-    def test_warm_call_peaks_below_two_stacks(self):
+    def test_every_call_peaks_below_two_stacks(self):
         # the sweep's shape: (129, 48, 48); the whole-stack evaluation
-        # peaks at about 5.5 complex stacks
+        # peaks at about 5.5 complex stacks.  L v is built slab by slab, so
+        # the first call, which also builds the grid data, is bound as well
         layout = geo.DomainLayout(
             geo.RectangularDomain(-1.1, 1.1, -1.1, 1.1), geo.disk_interface(1.0, n=64)
         )
@@ -661,15 +661,16 @@ class TestStreamedRatio:
         assert v.values.shape == (129, 48, 48)
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         on_grid = cc.PairOnGrid(pair, grid)
-        cold = cc.carleman_ratio(v, on_grid, params, q)  # grid data and L v
-        tracemalloc.start()
-        try:
-            warm = cc.carleman_ratio(v, on_grid, params, q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert warm == cold
-        assert peak <= 2 * v.values.nbytes
+        reports = []
+        for call in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                reports.append(cc.carleman_ratio(v, on_grid, params, q))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * v.values.nbytes, call
+        assert reports[0] == reports[1]
 
 
 def extended_field(grid, coeff, q, params, nt):
@@ -722,7 +723,7 @@ class TestMirroredRatio:
         v = extended_field(grid, coeff, q, base, nt)
         assert v.nt == nt
         on_grid = cc.PairOnGrid(pair, grid)
-        assert on_grid.mirrored(v, q)
+        assert cc._odd_conjugate(v)
         assert cc.carleman_ratio(v, on_grid, base, q).rhs_boundary > 0.0
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
@@ -737,7 +738,7 @@ class TestMirroredRatio:
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         v = odd_conjugate_field(grid, base, nt, growth=growth)
         on_grid = cc.PairOnGrid(pair, grid)
-        assert on_grid.mirrored(v, q)
+        assert cc._odd_conjugate(v)
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
             assert got.lhs > 0.0
@@ -762,10 +763,10 @@ class TestMirroredRatio:
         on_grid = cc.PairOnGrid(pair, grid)
         levels = self.count_levels(monkeypatch)
         cc.carleman_ratio(v, on_grid, params, q)
-        # per weight: the head slab 0..7 and its halo level (9), and the
-        # slabs 64..95 and 96..128 with theirs (34 each); the full path
-        # conjugates 33 + 34 + 34 + 34 levels
-        assert levels == [9, 34, 34] * 2
+        # slab by slab, once per weight: the head slab 0..7 and its halo
+        # level (9), and the slabs 64..95 and 96..128 with theirs (34 each);
+        # the full path conjugates 33 + 34 + 34 + 34 levels
+        assert levels == [9, 9, 34, 34, 34, 34]
 
     def test_symmetry_check_allocates_slabs_only(self):
         layout, grid, coeff, pair, params = small_problem(nx=13)
@@ -799,10 +800,11 @@ class TestMirroredRatio:
         for name, tms, vals, pot in cases:
             fld = pde.SpaceTimeField(grid=grid, times=tms, values=vals)
             on_grid = cc.PairOnGrid(pair, grid)
-            assert not on_grid.mirrored(fld, pot), name
+            # a complex q alone breaks the symmetry of the densities
+            assert cc._odd_conjugate(fld) == (name == "complex q"), name
             levels.clear()
             got = cc.carleman_ratio(fld, on_grid, params, pot)
-            assert levels == [33, 34, 34, 34] * 2, name
+            assert levels == [33, 33, 34, 34, 34, 34, 34, 34], name
             assert_same_report(got, whole_stack_ratio(fld, pair, params, pot))
 
     def test_every_solved_field_of_the_sweep_suite_is_mirrored(self):
@@ -818,12 +820,8 @@ class TestMirroredRatio:
             n_steps=cfg.carleman.n_half, seed=cfg.carleman.seed,
             n_solved=n_solved, n_manufactured=cfg.carleman.n_fields - n_solved,
         )
-        pair = wt.build_epsilon_pair(
-            grid.layout, cfg.geometry.x1, cfg.geometry.x2,
-            cfg.physics.a1, cfg.physics.a2, M2=cfg.carleman.M2,
-        )
-        on_grid = cc.PairOnGrid(pair, grid)
-        mirrored = [on_grid.mirrored(fld, q) for fld in fields]
+        assert not np.iscomplexobj(q)
+        mirrored = [cc._odd_conjugate(fld) for fld in fields]
         assert mirrored == [True] * n_solved + [False] * (len(fields) - n_solved)
 
 
@@ -875,7 +873,7 @@ class TestSupportedRatio:
         on_grid = cc.PairOnGrid(pair, grid)
         for support in support_cases(nt):
             v = supported_field(grid, times, support)
-            assert on_grid.support(v, q) == support
+            assert cc._time_support(v) == support
             for params in self.params_and_zero(base):
                 got = cc.carleman_ratio(v, on_grid, params, q)
                 assert_same_report(got, whole_stack_ratio(v, pair, params, q))
@@ -896,8 +894,8 @@ class TestSupportedRatio:
             values[nt - k :] = 0.0
             v = pde.SpaceTimeField(grid=grid, times=full.times, values=values)
             on_grid = cc.PairOnGrid(pair, grid)
-            assert on_grid.mirrored(v, q)
-            assert on_grid.support(v, q) == (k, nt - 1 - k)
+            assert cc._odd_conjugate(v)
+            assert cc._time_support(v) == (k, nt - 1 - k)
             for params in self.params_and_zero(base):
                 got = cc.carleman_ratio(v, on_grid, params, q)
                 assert got.lhs > 0.0
@@ -939,7 +937,7 @@ class TestSupportedRatio:
         t_max = params.T - params.delta_t
         v = manufactured_field(grid, np.linspace(-t_max, t_max, 129), reach=0.6)
         on_grid = cc.PairOnGrid(pair, grid)
-        assert on_grid.support(v, q) == (26, 102)
+        assert cc._time_support(v) == (26, 102)
         levels = []
         factors = cc._conjugation_factors
 
@@ -949,10 +947,10 @@ class TestSupportedRatio:
 
         monkeypatch.setattr(cc, "_conjugation_factors", counted)
         got = cc.carleman_ratio(v, on_grid, params, q)
-        # per weight: levels 25..103 can have nonzero densities; with their
-        # halos the slabs conjugate 9, 34, 34 and 10 levels, where the full
-        # path conjugates 33 + 34 + 34 + 34
-        assert levels == [9, 34, 34, 10] * 2
+        # levels 25..103 can have nonzero densities; with their halos the
+        # slabs conjugate 9, 34, 34 and 10 levels, once per weight, where
+        # the full path conjugates 33 + 34 + 34 + 34
+        assert levels == [9, 9, 34, 34, 34, 34, 10, 10]
         assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
 
@@ -1029,7 +1027,7 @@ class TestKernels:
             values += 1j * rng.standard_normal(values.shape)
         values[2] = 0.0
         values[3, :, :4] = -0.0
-        got = cc._apply_flux(grid, k_int, k_bnd, values)
+        got = cc._apply_flux(pde.CoefficientOnGrid(coeff, grid), values)
         ii, bi = grid.interior_ids, grid.boundary_ids
         want = np.zeros((7, grid.nx * grid.ny), dtype=dtype)
         for k, level in enumerate(values.reshape(7, -1)):
@@ -1076,12 +1074,12 @@ class TestGroupedRatio:
             "mirrored": [8, 32, 3], "supported": [18, 21], "plain": [32, 32, 3],
         }
         for name, v in self.fields(grid, coeff, q, base).items():
-            assert on_grid.mirrored(v, q) == (name == "mirrored")
+            assert cc._odd_conjugate(v) == (name == "mirrored")
             built.clear()
             got = cc.carleman_ratios(v, on_grid, params_list, q)
-            # once per weight and evaluated slab for each of lambda 1.5 and
+            # once per evaluated slab and weight for each of lambda 1.5 and
             # 2.0 at T and 2.0 at 1.25 T, for the 4 + 1 params
-            assert built == [n for n in levels[name] * 2 for _ in range(3)]
+            assert built == [n for n in levels[name] for _ in range(2 * 3)]
             assert len(got) == len(params_list)
             for rep, params in zip(got, params_list):
                 assert rep.rhs_boundary > 0.0, name
@@ -1204,6 +1202,29 @@ class TestSweep:
         assert all(r["rhs_boundary"] > 0.0 for r in out.rows)
         assert out.rows == expected
 
+    def test_sweep_holds_one_field_at_a_time(self):
+        # each field, and its values, is dead by the time the next is asked
+        # for: the sweep keeps no field and the pair no memo of one
+        fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        refs = []  # to each field handed out and to its values
+
+        def handed_out(fld):
+            refs.extend((weakref.ref(fld), weakref.ref(fld.values)))
+            return fld
+
+        def suite():
+            for fid, fld in enumerate(fields):
+                assert all(ref() is None for ref in refs), fid
+                yield handed_out(pde.SpaceTimeField(
+                    grid=fld.grid, times=fld.times, values=fld.values.copy()
+                ))
+
+        out = cc.constant_sweep(suite(), [10.0, 20.0], [1.5], pair, q, T=T)
+        assert len(refs) == 2 * len(fields)
+        assert all(ref() is None for ref in refs)
+        want = cc.constant_sweep(fields, [10.0, 20.0], [1.5], pair, q, T=T)
+        assert out == want
+
     def run_sweep(self, nx, M2):
         fields, pair, q, T = self.sweep_inputs(nx=nx, M2=M2)
         return cc.constant_sweep(fields, [10.0, 20.0], [1.5], pair, q, T=T).rows
@@ -1230,8 +1251,10 @@ class TestSuiteBuilder:
             grid, coeff, q, params.T, delta_t=params.delta_t, n_steps=8, seed=7
         )
         assert len(fields) == 10
-        t_ref = fields[0].times
-        for f in fields:
+        t_ref = None
+        for k, f in enumerate(fields):
+            if t_ref is None:
+                t_ref = f.times
             np.testing.assert_allclose(f.times, t_ref)
             # discrete analogue of Z: zero Dirichlet trace
             edge = np.concatenate(
@@ -1243,11 +1266,36 @@ class TestSuiteBuilder:
                 ]
             )
             assert edge.max() < 1e-8
-        # the first five are solved fields carrying the extension symmetry
-        for f in fields[:5]:
-            np.testing.assert_allclose(
-                f.values[0], -np.conj(f.values[-1]), atol=1e-12
-            )
+            # the first five are solved fields carrying the extension symmetry
+            if k < 5:
+                np.testing.assert_allclose(
+                    f.values[0], -np.conj(f.values[-1]), atol=1e-12
+                )
+        assert k == 9
+
+    def test_every_pass_builds_the_same_fields(self):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=6, seed=11)
+        assert len(suite) == 10
+        first, second = list(suite), list(suite)
+        assert len(first) == len(second) == 10
+        for a, b in zip(first, second):
+            assert a is not b
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.values, b.values)
+
+    def test_suite_keeps_no_field_it_built(self):
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=6, seed=11)
+        refs = []
+        for fld in suite:
+            assert all(ref() is None for ref in refs), len(refs)
+            refs.append(weakref.ref(fld.values))
+            del fld
+        assert len(refs) == 10
+        assert all(ref() is None for ref in refs)
 
     def test_seed_reproducibility(self):
         layout, grid, coeff, pair, params = small_problem(nx=13)

@@ -6,9 +6,12 @@ directory; every artifact it writes must equal the tracked copy under
 out/ byte for byte, and it must write nothing else.  Prints the OpenBLAS
 core that numpy's and scipy's bundled libraries run, since the bytes hold
 on one core only, then one line per artifact (the cores again on a
-DIFFERS line) and an EXTRA line per file the run wrote that is not in its
-list, and exits 1 if any artifact differs, is missing or is extra, 0
-otherwise.  Takes no arguments:
+DIFFERS line, with the worst relative change over the two files' numeric
+tokens, or 'layout differs' when the tokens do not pair up) and an EXTRA
+line per file the run wrote that is not in its list, and exits 1 if any
+artifact differs, is missing or is extra, 0 otherwise.  The numeric
+change is a printout only; the verdict is byte identity.  Takes no
+arguments:
 
     PYTHONPATH=src python3 scripts/check_artifacts.py
 """
@@ -16,6 +19,7 @@ otherwise.  Takes no arguments:
 import ctypes
 import filecmp
 import importlib.util
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -70,6 +74,27 @@ def blas_cores() -> str:
                      for package, symbol in BLAS)
 
 
+# a decimal number, with optional sign, fraction and exponent
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def worst_relative_change(ref: Path, new: Path):
+    """max |a - b| / max(|a|, |b|) over the numeric tokens of two files that
+    agree outside their numbers, or None if either file is missing or the
+    text between the numbers, or the count of numbers, differs."""
+    if not (ref.is_file() and new.is_file()):
+        return None
+    ref_bytes, new_bytes = ref.read_bytes(), new.read_bytes()
+    if NUMBER.split(ref_bytes) != NUMBER.split(new_bytes):
+        return None
+    worst = 0.0
+    for a, b in zip(map(float, NUMBER.findall(ref_bytes)),
+                    map(float, NUMBER.findall(new_bytes))):
+        if a != b:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return worst
+
+
 def compare_run(subcommand, config, tracked, names) -> list:
     """Run subcommand on config into a fresh temporary directory and
     return the artifacts among names that differ from their tracked copy
@@ -91,7 +116,11 @@ def compare_run(subcommand, config, tracked, names) -> list:
             if same:
                 print(f"same {tracked}/{name}")
             else:
-                print(f"DIFFERS {tracked}/{name} (blas: {blas_cores()})")
+                worst = worst_relative_change(ref, new)
+                change = ("layout differs" if worst is None
+                          else f"worst relative change {worst:.2e}")
+                print(f"DIFFERS {tracked}/{name} ({change}; "
+                      f"blas: {blas_cores()})")
                 bad.append(f"{tracked}/{name}")
         written = sorted(path.relative_to(tmp).as_posix()
                          for path in Path(tmp).rglob("*") if path.is_file())

@@ -279,12 +279,14 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     C_int = instance.on_grid.trace[:, grid.interior_ids]
     rho = (C_int.T @ z.T).T                              # (nt, n_interior)
 
-    # adjoint march: (I + i dt/2 A) lam^n = rho^n + (I - i dt/2 A) lam^{n+1}
+    # adjoint march: M lam^n = rho^n + P lam^{n+1}, i.e. lam^n =
+    # M^{-1} (rho^n + 2 lam^{n+1}) - lam^{n+1} (P + M = 2I): no product with
+    # A, and M = P^H is a conjugate-transpose solve with the forward LU
     y_int = field.interior()                             # (nt, n_interior)
     grad_int = np.zeros(y_int.shape[1])
     lam_next = np.zeros(y_int.shape[1], dtype=complex)
     for n in range(instance.n_steps, 0, -1):
-        lam = op.solve_minus(rho[n] + op.apply_plus(lam_next))
+        lam = op.solve_minus(rho[n] + 2.0 * lam_next) - lam_next
         grad_int += 0.5 * dt * np.real(
             1j * np.conj(lam) * (y_int[n - 1] + y_int[n])
         )

@@ -4,7 +4,8 @@ Uses the per-run comparison of scripts/check_artifacts.py, one test per
 subcommand, which also fails on any file a run writes beyond its list;
 the Carleman sweep is the slowest (about 2.3 s at the reference CPU speed
 of perfbench/run.py).  The script's BLAS core names are checked to be
-readable.
+readable, and its numeric comparison to report a perturbation it is
+given.
 """
 
 import importlib.util
@@ -50,3 +51,18 @@ def test_blas_cores_are_named():
     assert check_artifacts.blas_cores().startswith("numpy ")
     assert check_artifacts.blas_core("numpy", "no_such_symbol") == "unknown"
     assert check_artifacts.blas_core("no_such_package", "x") == "unknown"
+
+
+def test_worst_relative_change_of_a_perturbed_copy(tmp_path):
+    ref = check_artifacts.ROOT / "out" / "default" / "invert.json"
+    data = ref.read_bytes()
+    key = b'"final_misfit": '
+    number = check_artifacts.NUMBER.match(data, data.index(key) + len(key))
+    perturbed = repr(float(number.group()) * (1.0 + 1e-9)).encode()
+    new = tmp_path / "invert.json"
+    new.write_bytes(data[:number.start()] + perturbed + data[number.end():])
+    worst = check_artifacts.worst_relative_change(ref, new)
+    assert worst == pytest.approx(1e-9, rel=1e-3)
+    new.write_bytes(data.replace(key, b'"final_misfit_x": '))
+    assert check_artifacts.worst_relative_change(ref, new) is None
+    assert check_artifacts.worst_relative_change(ref, tmp_path / "none") is None

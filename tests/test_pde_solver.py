@@ -11,12 +11,20 @@ Oracles:
   * closed-form time integrals for the boundary norms.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from carleman_lab import config as cfgmod
 from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_layout(half=1.0, radius=0.5, n=64):
@@ -24,6 +32,23 @@ def make_layout(half=1.0, radius=0.5, n=64):
         geo.RectangularDomain(-half, half, -half, half),
         geo.disk_interface(radius, n=n),
     )
+
+
+def config_operator(name):
+    """The operator of a shipped config's physics block."""
+    cfg = cfgmod.load_config(CONFIGS / name)
+    grid = cfgmod.build_grid(cfg)
+    coeff = cfgmod.build_coefficient(cfg, grid.layout)
+    p = cfgmod.real_profile(cfg.physics.p, grid)
+    return pde.SchrodingerOperator(grid, coeff, p,
+                                   cfg.physics.T / cfg.physics.n_steps)
+
+
+def cayley_pair(op):
+    """P = I - (i dt/2) A and M = I + (i dt/2) A, formed from op.a_matrix."""
+    eye = sparse.identity(op.a_matrix.shape[0], format="csc")
+    half = (0.5j * op.dt) * op.a_matrix.tocsc()
+    return eye - half, eye + half
 
 
 def bump_ic(pts, center=(0.0, 0.0), width=0.35):
@@ -152,26 +177,55 @@ class TestOperator:
         )
 
     def test_matrix_symmetric(self):
-        gap = self.op.a_matrix - self.op.a_matrix.T
-        assert np.max(np.abs(gap.data)) if gap.nnz else 0.0 < 1e-13
+        # exact symmetry: solve_minus is a conjugate-transpose solve, which
+        # equals solving with I + (i dt/2) A only for real symmetric A
+        ops = [self.op] + [config_operator(name)
+                           for name in ("default.ini", "carleman.ini")]
+        for op in ops:
+            assert np.isrealobj(op.a_matrix.data)
+            assert (op.a_matrix != op.a_matrix.T).nnz == 0
 
     def test_cayley_pair_identities(self):
         rng = np.random.default_rng(1)
         n = self.grid.interior_ids.size
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.allclose(self.op.apply_plus(v) + self.op.apply_minus(v), 2 * v)
-        assert np.allclose(self.op.solve_plus(self.op.apply_plus(v)), v)
-        assert np.allclose(self.op.solve_minus(self.op.apply_minus(v)), v)
+        plus, minus = cayley_pair(self.op)
+        assert np.allclose(self.op.solve_plus(plus @ v), v)
+        assert np.allclose(self.op.solve_minus(minus @ v), v)
 
     def test_adjoint_identity(self):
-        # (I - (i dt/2) A)^H = I + (i dt/2) A for real symmetric A
+        # (I - (i dt/2) A)^{-H} = (I + (i dt/2) A)^{-1} for real symmetric A
         rng = np.random.default_rng(2)
         n = self.grid.interior_ids.size
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs = np.vdot(self.op.apply_plus(u), v)
-        rhs = np.vdot(u, self.op.apply_minus(v))
+        lhs = np.vdot(self.op.solve_plus(u), v)
+        rhs = np.vdot(u, self.op.solve_minus(v))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_step_matches_textbook_form(self):
+        # step's u+ = P^{-1}(2u + c) - u against u+ = P^{-1}(M u + c)
+        rng = np.random.default_rng(3)
+        n = self.grid.interior_ids.size
+        nb = self.grid.boundary_ids.size
+        u, g = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+        h = rng.normal(size=nb) + 1j * rng.normal(size=nb)
+        _, minus = cayley_pair(self.op)
+        half_dt = 0.5j * self.op.dt
+        ref = self.op.solve_plus(
+            minus @ u + half_dt * (self.op.k_bnd @ h - g)
+        )
+        got = self.op.step(u, g, h)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_lu_fill_below_colamd(self):
+        # the stored factor's minimum-degree ordering against SuperLU's
+        # default COLAMD on the same matrix; a ratio, since the counts
+        # depend on the SuperLU version
+        op = config_operator("default.ini")
+        colamd = splu(cayley_pair(op)[0])
+        fill = op._lu.L.nnz + op._lu.U.nnz
+        assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
     def test_on_grid_coefficient_shares_stencils_and_bits(self):
         on_grid = pde.CoefficientOnGrid(self.coeff, self.grid)

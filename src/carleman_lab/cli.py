@@ -38,6 +38,10 @@ from .config import ConfigError
 
 ENV_OUTPUT = "CARLEMAN_LAB_OUTPUT"
 
+# Bound on the bytes of one forward field stack, (n_steps + 1) x nx x ny
+# complex values; a finer physics.dt exits 2 before allocating it.
+MAX_FIELD_BYTES = 2**30
+
 # The stability theory assumes the state is H1 in time with values in
 # L-infinity; no grid-level test certifies that, so smooth config data
 # stands in as a proxy and the gap is recorded in the run metadata.
@@ -76,8 +80,16 @@ def _boundary_from_spec(cfg, grid, y0):
     return inv._rim_data(grid, y0)  # "initial": y0's rim values held
 
 
+def _check_field_size(cfg, grid):
+    size = (cfg.physics.n_steps + 1) * grid.nx * grid.ny * 16
+    if size > MAX_FIELD_BYTES:
+        raise ConfigError(f"physics.dt: the field stack needs {size} bytes, "
+                          f"over the bound of {MAX_FIELD_BYTES}")
+
+
 def _build_instance(cfg):
     grid = cfgmod.build_grid(cfg)
+    _check_field_size(cfg, grid)
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
@@ -147,6 +159,7 @@ def run_weight_verify(cfg, out_dir: Path) -> int:
 
 def run_solve_forward(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
+    _check_field_size(cfg, grid)
     coeff = pde.CoefficientOnGrid(
         cfgmod.build_coefficient(cfg, grid.layout), grid
     )

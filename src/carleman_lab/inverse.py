@@ -18,8 +18,8 @@ not a discretization of a continuous formula: the Crank-Nicolson
 recursion (I - i dt/2 A) y^{n+1} = (I + i dt/2 A) y^n + lift is
 differentiated exactly, so adjoint and finite differences agree to
 rounding.  With A real symmetric, the adjoint recursion
-(I + i dt/2 A) lam^n = rho^n + (I - i dt/2 A) lam^{n+1} reuses the
-factorization of the forward step.
+(I + i dt/2 A) lam^n = rho^n + (I - i dt/2 A) lam^{n+1} is the forward
+march run backwards with trans="H" on the same factorization.
 """
 
 from __future__ import annotations
@@ -279,18 +279,16 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     C_int = instance.on_grid.trace[:, grid.interior_ids]
     rho = (C_int.T @ z.T).T                              # (nt, n_interior)
 
-    # adjoint march: M lam^n = rho^n + P lam^{n+1}, i.e. lam^n =
-    # M^{-1} (rho^n + 2 lam^{n+1}) - lam^{n+1} (P + M = 2I): no product with
-    # A, and M = P^H is a conjugate-transpose solve with the forward LU
+    # adjoint march: M lam^n = rho^n + P lam^{n+1} for n = N, ..., 1 from
+    # lam^{N+1} = 0, i.e. the trans "H" step lam^n = M^{-1} (2 lam^{n+1} +
+    # rho^n) - lam^{n+1} (P + M = 2I), M = P^H solved with the forward LU
     y_int = field.interior()                             # (nt, n_interior)
     grad_int = np.zeros(y_int.shape[1])
-    lam_next = np.zeros(y_int.shape[1], dtype=complex)
-    for n in range(instance.n_steps, 0, -1):
-        lam = op.solve_minus(rho[n] + 2.0 * lam_next) - lam_next
+    lams = op.march(np.zeros(y_int.shape[1], dtype=complex), rho[:0:-1], "H")
+    for n, lam in zip(range(instance.n_steps, 0, -1), lams):
         grad_int += 0.5 * dt * np.real(
             1j * np.conj(lam) * (y_int[n - 1] + y_int[n])
         )
-        lam_next = lam
 
     grad = np.real(grid.scatter_interior(grad_int))
     if beta != 0.0:

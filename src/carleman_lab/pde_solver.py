@@ -15,9 +15,10 @@ is conserved to rounding.
 
 The matrix P = I - (i dt / 2) A is factored once, in SuperLU's minimum
 degree MMD_AT_PLUS_A ordering (about 35 % less fill than COLAMD here).
-As P + M = 2I with M = I + (i dt / 2) A, a step P^{-1} M u = P^{-1} 2u - u
-needs no product with A; A is real symmetric, so M = P^H and adjoint
-solves are conjugate-transpose solves with the same factor.
+As P + M = 2I with M = I + (i dt / 2) A, a step P^{-1} (M u + c) =
+P^{-1} (2u + c) - u needs no product with A; A is real symmetric, so
+M = P^H and the same march with trans="H", a conjugate-transpose solve
+with the same factor, is the adjoint.
 """
 
 from __future__ import annotations
@@ -181,11 +182,9 @@ class Grid2D:
     def gather_interior(self, u_full: np.ndarray) -> np.ndarray:
         return u_full.reshape(-1)[self.interior_ids]
 
-    def scatter_interior(self, u_int: np.ndarray, boundary=0.0) -> np.ndarray:
+    def scatter_interior(self, u_int: np.ndarray) -> np.ndarray:
         out = np.zeros(self.nx * self.ny, dtype=complex)
         out[self.interior_ids] = u_int
-        if np.ndim(boundary) > 0 or boundary != 0.0:
-            out[self.boundary_ids] = boundary
         return out.reshape(self.shape)
 
     def l2_norm(self, u_full: np.ndarray) -> float:
@@ -311,12 +310,8 @@ Coefficient = Union[PiecewiseCoefficient, CoefficientOnGrid]
 
 
 class SchrodingerOperator:
-    """Spatial operator plus the factored Cayley step for a fixed dt.
-
-    solve_plus inverts P = I - (i dt / 2) A through the stored LU and
-    solve_minus inverts M = I + (i dt / 2) A = P^H by a conjugate-transpose
-    solve with the same LU; step uses P + M = 2I, not a product with A.
-    """
+    """Spatial operator A and the Cayley step for a fixed dt: _lu factors
+    P = I - (i dt / 2) A, and its trans "H" solve inverts M = P^H."""
 
     def __init__(self, grid: Grid2D, coeff: Coefficient,
                  potential: ArrayLike, dt: float):
@@ -333,18 +328,17 @@ class SchrodingerOperator:
         plus = sparse.identity(n, format="csr") - (0.5j * dt) * self.a_matrix
         self._lu = splu(plus.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    def solve_plus(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=complex))
+    def step(self, x: np.ndarray, c: np.ndarray, trans: str = "N") -> np.ndarray:
+        """One Cayley step x+ = S (2x + c) - x: S = P^{-1} for trans "N",
+        the forward step P^{-1} (M x + c), and S = M^{-1} for trans "H",
+        the adjoint step M^{-1} (P x + c)."""
+        return self._lu.solve(2.0 * x + c, trans=trans) - x
 
-    def solve_minus(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=complex), trans="H")
-
-    def step(self, u_int: np.ndarray, g_sum_int: np.ndarray,
-             h_sum_bnd: np.ndarray) -> np.ndarray:
-        """One Crank-Nicolson step u+ = P^{-1} (2u + c) - u, c the source and
-        boundary terms; sums are value(t_n) + value(t_{n+1})."""
-        c = (0.5j * self.dt) * (self.k_bnd @ h_sum_bnd - g_sum_int)
-        return self.solve_plus(2.0 * u_int + c) - u_int
+    def march(self, x: np.ndarray, c, trans: str):
+        """Yield the state after each step from x; step n is driven by c[n]."""
+        for c_n in c:
+            x = self.step(x, c_n, trans)
+            yield x
 
 
 @dataclass(frozen=True)
@@ -402,32 +396,26 @@ def solve_forward(
     if abs(op.dt - dt) > 1e-12 * dt:
         raise InvalidStep("operator dt does not match the requested step")
     times = t0 + dt * np.arange(n_steps + 1)
-    int_pts = grid.points.reshape(-1, 2)[grid.interior_ids]
-    bnd_pts = grid.boundary_points
-    u0_full = grid.sample(y0, complex)
-
-    def g_at(t):
-        if source is None:
-            return np.zeros(int_pts.shape[0], dtype=complex)
-        return np.asarray(source(int_pts, t), dtype=complex)
-
-    def h_at(t):
-        if boundary is None:
-            return np.zeros(bnd_pts.shape[0], dtype=complex)
-        return np.asarray(boundary(bnd_pts, t), dtype=complex)
-
+    h = _levels(boundary, grid.boundary_points, times)
+    g = _levels(source, grid.points.reshape(-1, 2)[grid.interior_ids], times)
+    # step n's source and boundary terms, from the sums of levels n and n+1
+    c = ((0.5j * op.dt) * (op.k_bnd @ (h[n] + h[n + 1]) - (g[n] + g[n + 1]))
+         for n in range(n_steps))
     values = np.empty((n_steps + 1,) + grid.shape, dtype=complex)
-    u_int = grid.gather_interior(u0_full)
-    h_n = h_at(times[0])
-    g_n = g_at(times[0])
-    values[0] = grid.scatter_interior(u_int, boundary=h_n)
-    for n in range(n_steps):
-        h_np1 = h_at(times[n + 1])
-        g_np1 = g_at(times[n + 1])
-        u_int = op.step(u_int, g_n + g_np1, h_n + h_np1)
-        values[n + 1] = grid.scatter_interior(u_int, boundary=h_np1)
-        h_n, g_n = h_np1, g_np1
+    values.reshape(n_steps + 1, -1)[:, grid.boundary_ids] = h
+    inner = values[:, 1:-1, 1:-1]
+    inner[0] = grid.sample(y0, complex)[1:-1, 1:-1]
+    for n, u in enumerate(op.march(inner[0].ravel(), c, "N"), 1):
+        inner[n] = u.reshape(inner.shape[1:])
     return SpaceTimeField(grid=grid, times=times, values=values)
+
+
+def _levels(data: Optional[Callable], pts, times) -> np.ndarray:
+    """data(pts, t) at each of times, an (nt, len(pts)) stack; with no data,
+    a read-only stack of zeros that holds one value."""
+    if data is None:
+        return np.broadcast_to(0j, (times.size, len(pts)))
+    return np.array([data(pts, t) for t in times], dtype=complex)
 
 
 def solve_linearized(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from carleman_lab import cli
 from carleman_lab import geometry as geo
+from carleman_lab import inverse as inv
 from carleman_lab import pde_solver as pde
 
 DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
@@ -242,6 +243,32 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: physics.y0: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand",
+                             ["solve-forward", "invert", "stability"])
+    def test_field_over_the_size_bound_names_the_time_step(
+            self, tmp_path, capsys, monkeypatch, subcommand):
+        # the template's field is 3 levels x 9 x 9 nodes x 16 bytes = 3888
+        # bytes; the bound is lowered, so nothing large is ever allocated
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the forward solve ran")
+
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 3887)
+        monkeypatch.setattr(pde, "solve_forward", no_solve)
+        monkeypatch.setattr(inv, "solve_forward", no_solve)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main([subcommand, "--config", str(cfg),
+                         "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: physics.dt: ")
+        assert not out.exists()
+
+    def test_field_at_the_size_bound_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 3888)
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["solve-forward", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_negative_n_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

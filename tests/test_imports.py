@@ -1,12 +1,15 @@
 """Every module-level import in the package is read by its module, every
-private module-level name is read somewhere in the package, and every
-defaulted parameter the program can reach is passed by some call in it.
+private module-level name is read somewhere in the package, every
+defaulted parameter the program can reach is passed by some call in it,
+and every solver and inverse name the benchmark tracer wraps exists.
 
 No linter ships with the test environment, so the checks walk each
 module's syntax tree with the standard library's ast module.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -223,3 +226,41 @@ def test_every_reachable_default_is_passed():
     program = [path.read_text() for top in PROGRAM
                for path in sorted((ROOT / top).rglob("*.py"))]
     assert unpassed_defaults(package, program) == []
+
+
+def dead_traced_names(methods: dict, groups: dict, layers) -> list:
+    """Each name "layer.attr[.attr]" of the tracer's methods and group
+    members, for a layer among layers, that reaches no attribute of the
+    package module carleman_lab.<layer>."""
+    names = {f"{layer}.{cls}.{meth}" for layer, classes in methods.items()
+             for cls, meths in classes.items() for meth in meths}
+    names.update(member for members in groups.values() for member in members)
+    dead = []
+    for name in sorted(names):
+        layer, *path = name.split(".")
+        if layer not in layers:
+            continue
+        obj = importlib.import_module(f"carleman_lab.{layer}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            dead.append(name)
+    return dead
+
+
+def test_the_check_finds_a_dead_traced_name():
+    methods = {"pde_solver": {"SchrodingerOperator": ("step", "gone")}}
+    groups = {"a": ("inverse.misfit", "inverse.gone"), "b": ("weight.gone",)}
+    assert dead_traced_names(methods, groups, ("pde_solver", "inverse")) == [
+        "inverse.gone", "pde_solver.SchrodingerOperator.gone",
+    ]
+
+
+def test_every_traced_solver_and_inverse_name_exists():
+    # a rename in the package would leave the benchmark's counter at 0
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert dead_traced_names(tracer.METHODS, tracer.GROUPS,
+                             ("pde_solver", "inverse")) == []

@@ -177,8 +177,8 @@ class TestOperator:
         )
 
     def test_matrix_symmetric(self):
-        # exact symmetry: solve_minus is a conjugate-transpose solve, which
-        # equals solving with I + (i dt/2) A only for real symmetric A
+        # exact symmetry: the trans "H" step is a conjugate-transpose solve,
+        # which equals solving with I + (i dt/2) A only for real symmetric A
         ops = [self.op] + [config_operator(name)
                            for name in ("default.ini", "carleman.ini")]
         for op in ops:
@@ -190,8 +190,9 @@ class TestOperator:
         n = self.grid.interior_ids.size
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         plus, minus = cayley_pair(self.op)
-        assert np.allclose(self.op.solve_plus(plus @ v), v)
-        assert np.allclose(self.op.solve_minus(minus @ v), v)
+        # step(0, b) is P^{-1} b, and M^{-1} b with trans "H"
+        assert np.allclose(self.op.step(0, plus @ v), v)
+        assert np.allclose(self.op.step(0, minus @ v, "H"), v)
 
     def test_adjoint_identity(self):
         # (I - (i dt/2) A)^{-H} = (I + (i dt/2) A)^{-1} for real symmetric A
@@ -199,8 +200,8 @@ class TestOperator:
         n = self.grid.interior_ids.size
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs = np.vdot(self.op.solve_plus(u), v)
-        rhs = np.vdot(u, self.op.solve_minus(v))
+        lhs = np.vdot(self.op.step(0, u), v)
+        rhs = np.vdot(u, self.op.step(0, v, "H"))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_step_matches_textbook_form(self):
@@ -211,11 +212,9 @@ class TestOperator:
         u, g = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
         h = rng.normal(size=nb) + 1j * rng.normal(size=nb)
         _, minus = cayley_pair(self.op)
-        half_dt = 0.5j * self.op.dt
-        ref = self.op.solve_plus(
-            minus @ u + half_dt * (self.op.k_bnd @ h - g)
-        )
-        got = self.op.step(u, g, h)
+        c = 0.5j * self.op.dt * (self.op.k_bnd @ h - g)
+        ref = self.op.step(0, minus @ u + c)
+        got = self.op.step(u, c)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_lu_fill_below_colamd(self):
@@ -321,6 +320,63 @@ class TestForwardSolve:
             pde.solve_forward(
                 grid, coeff, np.zeros(grid.shape), z, 0.0, 1.0, 100, operator=op
             )
+
+    @pytest.mark.parametrize("with_data", [False, True],
+                             ids=["no-data", "time-dependent-data"])
+    def test_march_matches_a_per_step_loop_bit_for_bit(self, with_data):
+        # no shipped config drives a time-dependent rim or a source; the
+        # reference forms c per step, solves with the LU and scatters each
+        # step into a zeroed full-grid slice
+        layout = make_layout()
+        grid = pde.Grid2D.from_layout(layout, 17)
+        coeff = wt.PiecewiseCoefficient(2.0, 1.0, layout)
+        pts = grid.points
+        potential = 0.7 * np.cos(2 * pts[..., 0] + pts[..., 1])
+        y0 = bump_ic(pts)
+
+        def boundary(bpts, t):
+            return (1.0 + 0.3 * t) * np.exp(1j * t) * np.cos(bpts[:, 0])
+
+        def source(ipts, t):
+            return np.sin(3.0 * t) * (1.0 + 0.5j) * np.exp(
+                -np.sum(ipts**2, axis=-1))
+
+        data = dict(source=source, boundary=boundary) if with_data else {}
+        n_steps, t1 = 12, 0.3
+        op = pde.SchrodingerOperator(grid, coeff, potential, t1 / n_steps)
+        field = pde.solve_forward(grid, coeff, potential, y0, 0.0, t1,
+                                  n_steps, operator=op, **data)
+
+        int_pts = pts.reshape(-1, 2)[grid.interior_ids]
+        bnd_pts = grid.boundary_points
+
+        def g_at(t):
+            if not with_data:
+                return np.zeros(int_pts.shape[0], dtype=complex)
+            return np.asarray(source(int_pts, t), dtype=complex)
+
+        def h_at(t):
+            if not with_data:
+                return np.zeros(bnd_pts.shape[0], dtype=complex)
+            return np.asarray(boundary(bnd_pts, t), dtype=complex)
+
+        def scatter(u_int, rim):
+            out = np.zeros(grid.nx * grid.ny, dtype=complex)
+            out[grid.interior_ids] = u_int
+            out[grid.boundary_ids] = rim
+            return out.reshape(grid.shape)
+
+        times = field.times
+        u = grid.sample(y0, complex).ravel()[grid.interior_ids]
+        h_n, g_n = h_at(times[0]), g_at(times[0])
+        ref = [scatter(u, h_n)]
+        for n in range(n_steps):
+            h_np1, g_np1 = h_at(times[n + 1]), g_at(times[n + 1])
+            c = (0.5j * op.dt) * (op.k_bnd @ (h_n + h_np1) - (g_n + g_np1))
+            u = op._lu.solve(2.0 * u + c) - u
+            ref.append(scatter(u, h_np1))
+            h_n, g_n = h_np1, g_np1
+        assert np.array_equal(field.values, np.array(ref))
 
 
 def transmission_setup(nx):

@@ -58,10 +58,9 @@ the stencils and q are real, and negation and conjugation are exact.  The
 end levels are the exception, as the one-sided stencils of d/dt sum
 their terms in opposite orders.  For such a field carleman_ratios
 evaluates the slabs that hold the levels from the middle up and a head
-slab that holds level 0, about half of the levels, and every level
-between them takes its mirror's densities.  The head slab starts at 0 and
-the others where the full path's slabs do, so BLAS reduces each level in
-the same row block, and the report stays bit-identical to whole-stack
+slab of levels 0..HEAD-1, about half of the levels, and every level
+between them takes its mirror's densities; each level is reduced on its
+own (Kernels), so the report stays bit-identical to whole-stack
 evaluation.
 
 Support: a level's six densities are exactly 0 when v is 0 on every level
@@ -73,21 +72,20 @@ field's time support, the first and last level where v is not identically
 0 (_time_support), and evaluates, L v included, only the part of each
 planned slab whose levels a stencil from the support reaches, with the
 one-level halo, so d/dt at every evaluated level is still the whole
-stack's; the other levels' densities are 0.  Two reductions give a level
-a result that depends on its place in the array they reduce: _l2_density
-(a BLAS gemv, by row blocks) and the row sums of _boundary_term (whose
-order follows the array's layout, which a one-level array does not
-share).  Both still reduce the slab's full row set, with zero rows for
-the levels not evaluated, so each level keeps its place and the report
-stays bit-identical to whole-stack evaluation; _norm_densities sums each
-level with np.sum and takes the evaluated levels alone.  Each compactly
-supported manufactured field of the sweep conjugates 87 of the full
-path's 135 slab levels per weight.
+stack's; the other levels' densities are 0.  As each level is reduced on
+its own (Kernels), the evaluated levels are reduced alone and the report
+stays bit-identical to whole-stack evaluation.  Each compactly supported
+manufactured field of the sweep conjugates 87 of the full path's 135
+slab levels per weight.
 
-Kernels: _derivative is np.gradient's uniform-spacing stencil with
-edge_order=2, operation for operation, but for one quotient.  numpy
-divides a complex by a real d by Smith's rule, ((re + im 0) r,
-(im - re 0) r) with r = 1/d, in a loop 3-4 times slower than a product,
+Kernels: every spatial integral has one rule: np.sum adds up each level's
+row of a C-contiguous integrand on its own (_space_integral, and the
+Sigma_+ rows in _boundary_term), so a level's density has the same bits
+wherever it sits in the array, and no BLAS kernel enters a density.
+_derivative is np.gradient's uniform-spacing stencil with edge_order=2,
+operation for operation, but for one quotient.  numpy divides a complex
+by a real d by Smith's rule, ((re + im 0) r, (im - re 0) r) with
+r = 1/d, in a loop 3-4 times slower than a product,
 so a complex stack's interior quotient by d = 2h is the product with
 r - 0j, (re r - im (-0), re (-0) + im r).  For finite values the bits
 agree, signs of zero included, while no nonzero component rounds to 0,
@@ -140,9 +138,9 @@ _LOG_FLUSH = float(np.log(FLUSH_THRESHOLD))
 _LOG_CLIP = 700.0
 # time levels per slab of a streamed carleman_ratios call
 SLAB = 32
-# levels of a mirrored call's head slab, which holds level 0; BLAS reduces
-# them in the same row blocks (of up to 8 rows) as the full path's first slab
-HEAD = SLAB // 4
+# levels of a mirrored call's head slab, which holds level 0: the fewest
+# whose one-level halo still gives d/dt its 3-level stencil
+HEAD = 2
 
 
 class InequalityViolation(Exception):
@@ -357,11 +355,12 @@ class _PhiSpace:
         ).reshape(self.shape)
 
     @cached_property
-    def sigma_weights(self) -> np.ndarray:
-        """e^{lam psi} times the trace quadrature weight on Sigma_+."""
+    def sigma(self) -> tuple:
+        """On Sigma_+: the rows of the sparse trace operator, and e^{lam psi}
+        times the trace quadrature weight."""
         mask, psi_plus = self.weight.sigma
         quadrature = self.weight.grid.boundary_weights[mask]
-        return np.exp(self.params.lam * psi_plus) * quadrature
+        return self.coeff.trace[mask], np.exp(self.params.lam * psi_plus) * quadrature
 
 
 class _Phi(NamedTuple):
@@ -502,16 +501,23 @@ def _theta_weights(phi: _Phi) -> tuple:
     return cell * theta**3, cell * theta
 
 
+def _space_integral(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The sum over space of integrand * weights per time level, integrand
+    being a C-contiguous (nt, ny, nx) array, which is overwritten; each
+    level is summed on its own (module notes, Kernels)."""
+    integrand *= weights
+    return np.sum(integrand, axis=(1, 2))
+
+
 def _norm_densities(w: np.ndarray, grad, weights: tuple) -> tuple:
     """int theta^3 |w|^2 and int theta |grad w|^2 over space, per time
     level, by the trapezoidal rule; grad = (d/dy, d/dx) w and weights is
     _theta_weights at w's levels."""
     cell_theta3, cell_theta = weights
-    dens1 = np.sum(cell_theta3 * (w.real**2 + w.imag**2), axis=(1, 2))
+    dens1 = _space_integral(w.real**2 + w.imag**2, cell_theta3)
     wy, wx = grad
     grad_sq = wx.real**2 + wx.imag**2 + wy.real**2 + wy.imag**2
-    dens2 = np.sum(cell_theta * grad_sq, axis=(1, 2))
-    return dens1, dens2
+    return dens1, _space_integral(grad_sq, cell_theta)
 
 
 def _norm_value(params: CarlemanParams, dens1, dens2, times) -> float:
@@ -528,29 +534,9 @@ def weighted_norm_sq(w: SpaceTimeField, phi: _Phi) -> float:
     return _norm_value(phi.space.params, *dens, w.times)
 
 
-def _in_slab(part: np.ndarray, rows: Optional[tuple], axis: int = 0) -> tuple:
-    """part, the levels offset.. of an n-level slab along axis when
-    rows = (offset, n), set into zeros that hold all n levels, and the
-    slice of the levels part fills; part and every level for rows None."""
-    if rows is None:
-        return part, slice(None)
-    offset, n = rows
-    core = slice(offset, offset + part.shape[axis])
-    shape = list(part.shape)
-    shape[axis] = n
-    full = np.zeros(shape, dtype=part.dtype)
-    full[(slice(None),) * axis + (core,)] = part
-    return full, core
-
-
-def _l2_density(
-    grid: Grid2D, values: np.ndarray, rows: Optional[tuple] = None
-) -> np.ndarray:
-    """int |values|^2 over space per time level, by the trapezoidal rule;
-    values given at rows of a slab (_in_slab) are reduced with the slab's
-    full row set."""
-    integrand, core = _in_slab(values.real**2 + values.imag**2, rows)
-    return np.tensordot(integrand, grid.cell_weights, axes=([1, 2], [0, 1]))[core]
+def _l2_density(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """int |values|^2 over space per time level, by the trapezoidal rule."""
+    return _space_integral(values.real**2 + values.imag**2, grid.cell_weights)
 
 
 def _common_log_shift(spaces: Sequence[_PhiSpace], params: CarlemanParams) -> float:
@@ -590,24 +576,14 @@ def assemble_report(
     )
 
 
-def _boundary_term(
-    wvals: np.ndarray, phi: _Phi, rows: Optional[tuple] = None
-) -> np.ndarray:
+def _boundary_term(wvals: np.ndarray, phi: _Phi) -> np.ndarray:
     """int over Sigma_+ of theta |a dw/dnu|^2 per time level; the term is
-    s lam times its time integral.  wvals given at rows of a slab
-    (_in_slab) are summed with the slab's full row set."""
-    space = phi.space
-    mask, _ = space.weight.sigma
-    nt = len(phi.tau)
-    if not mask.any():
-        return np.zeros(nt)
-    flat = wvals.reshape(nt, -1)
-    # padded before the transpose, so the row sums see the full path's layout
-    flux, core = _in_slab(space.coeff.trace @ flat.T, rows, axis=1)
-    flux = flux.T[:, mask]
-    return (
-        (flux.real**2 + flux.imag**2) * space.sigma_weights[None, :]
-    ).sum(axis=1)[core] * phi.tau
+    s lam times its time integral."""
+    trace, weights = phi.space.sigma
+    flux = trace @ wvals.reshape(len(phi.tau), -1).T
+    # C-contiguous (nt, n), so each level's row is summed on its own
+    flux = np.ascontiguousarray(flux.T)
+    return ((flux.real**2 + flux.imag**2) * weights).sum(axis=1) * phi.tau
 
 
 def clamp_tail_bound(params: CarlemanParams) -> float:
@@ -669,7 +645,6 @@ def carleman_ratios(
         a, b = max(start, live_lo), min(stop, live_hi)
         if a >= b:
             continue
-        rows = None if (a, b) == (start, stop) else (a - start, stop - start)
         lo, hi = max(a - 1, 0), min(b + 1, nt)
         core = slice(a - lo, b - lo)
         # d/dt over the halo is the whole stack's at a..b-1, so L v is too
@@ -684,7 +659,7 @@ def carleman_ratios(
             for k, params in enumerate(params_list):
                 phi = phis[k][j]
                 fac = _conjugation_factors(phi.slab(lo, hi), shifts[k])
-                dens[j, k, 4, a:b] = _l2_density(grid, lv * fac[core], rows)
+                dens[j, k, 4, a:b] = _l2_density(grid, lv * fac[core])
                 ext = v.values[lo:hi] * fac
                 del fac
                 w = ext[core]
@@ -692,7 +667,7 @@ def carleman_ratios(
                 # each operator stack is reduced and dropped before the next
                 # is built
                 dwdt = _time_derivative(ext, v.dt)[core]
-                dens[j, k, 0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part), rows)
+                dens[j, k, 0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part))
                 del dwdt
                 grad = _spatial_gradient(w, grid.h)
                 key = (params.lam, params.T)
@@ -702,10 +677,10 @@ def carleman_ratios(
                 # apply_P2 builds its terms in the gradient's buffers
                 dens[j, k, 2:4, a:b] = _norm_densities(w, grad, theta[key])
                 dens[j, k, 1, a:b] = _l2_density(
-                    grid, apply_P2(w, grad, part, times[a:b]), rows
+                    grid, apply_P2(w, grad, part, times[a:b])
                 )
                 del grad
-                dens[j, k, 5, a:b] = _boundary_term(w, part, rows)
+                dens[j, k, 5, a:b] = _boundary_term(w, part)
         del lv
     # a level between two slabs takes its mirror's densities
     for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
@@ -756,7 +731,8 @@ def constant_sweep(
     consecutive relative change of them stays below 10 percent; a sweep
     whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
-    to that one sup.  test_fields is iterated once, and each field is
+    to that one sup before any field is built (an overflow raises
+    ParamsOverflow).  test_fields is iterated once, and each field is
     dropped before the next is asked for, so a lazy suite (build_test_suite)
     has one field in memory at a time.  Each field is evaluated over every
     (s, lambda) in one carleman_ratios call, so the pair's grid data is
@@ -764,6 +740,16 @@ def constant_sweep(
     grid and q_inf are taken from the first field, and rows come out in
     (s, lambda, field) order.
     """
+    s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
+    pair = weight_pair.source if isinstance(weight_pair, PairOnGrid) else weight_pair
+    psi_sup = psi_grid_max((pair.w1, pair.w2), n_grid)
+    fitted = []
+    tail = 0.0
+    for s, lam in s_lam:
+        params = params_from_sup(psi_sup, s, lam, float(T), delta_t=delta_t)
+        tail = max(tail, clamp_tail_bound(params))
+        fitted.append(params)
+
     fields = iter(test_fields)
     fld = next(fields, None)
     if fld is None:
@@ -776,17 +762,7 @@ def constant_sweep(
             tail_bound=0.0,
         )
     grid = fld.grid
-    s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
     on_grid = PairOnGrid.of(weight_pair, grid)
-    pair = on_grid.source
-    psi_sup = psi_grid_max((pair.w1, pair.w2), n_grid)
-    fitted = []
-    tail = 0.0
-    for s, lam in s_lam:
-        params = params_from_sup(psi_sup, s, lam, float(T), delta_t=delta_t)
-        tail = max(tail, clamp_tail_bound(params))
-        fitted.append(params)
-
     by_field = []
     while fld is not None:
         on_grid = PairOnGrid.of(on_grid, fld.grid)

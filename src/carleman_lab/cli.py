@@ -38,8 +38,8 @@ from .config import ConfigError
 
 ENV_OUTPUT = "CARLEMAN_LAB_OUTPUT"
 
-# Bound on the bytes of one forward field stack, (n_steps + 1) x nx x ny
-# complex values; a finer physics.dt exits 2 before allocating it.
+# Bound on the bytes of one field stack, levels x nx x ny complex values,
+# checked before it is allocated (physics.dt, carleman.n_half).
 MAX_FIELD_BYTES = 2**30
 
 # The stability theory assumes the state is H1 in time with values in
@@ -80,16 +80,16 @@ def _boundary_from_spec(cfg, grid, y0):
     return inv._rim_data(grid, y0)  # "initial": y0's rim values held
 
 
-def _check_field_size(cfg, grid):
-    size = (cfg.physics.n_steps + 1) * grid.nx * grid.ny * 16
+def _check_field_size(levels, grid, key):
+    size = levels * grid.nx * grid.ny * 16
     if size > MAX_FIELD_BYTES:
-        raise ConfigError(f"physics.dt: the field stack needs {size} bytes, "
+        raise ConfigError(f"{key}: the field stack needs {size} bytes, "
                           f"over the bound of {MAX_FIELD_BYTES}")
 
 
 def _build_instance(cfg):
     grid = cfgmod.build_grid(cfg)
-    _check_field_size(cfg, grid)
+    _check_field_size(cfg.physics.n_steps + 1, grid, "physics.dt")
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
@@ -159,7 +159,7 @@ def run_weight_verify(cfg, out_dir: Path) -> int:
 
 def run_solve_forward(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
-    _check_field_size(cfg, grid)
+    _check_field_size(cfg.physics.n_steps + 1, grid, "physics.dt")
     coeff = pde.CoefficientOnGrid(
         cfgmod.build_coefficient(cfg, grid.layout), grid
     )
@@ -201,6 +201,7 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
 
 def run_carleman_sweep(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
+    _check_field_size(2 * cfg.carleman.n_half + 1, grid, "carleman.n_half")
     q = cfgmod.real_profile(cfg.physics.p, grid)
 
     for key in ("x1", "x2"):
@@ -243,11 +244,14 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
         seed=cfg.carleman.seed, n_solved=n_solved,
         n_manufactured=n_manufactured,
     )
-    sweep = cc.constant_sweep(
-        fields, cfg.carleman.s, cfg.carleman.lam, on_grid, q,
-        T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
-        n_grid=cfg.carleman.n_grid,
-    )
+    try:
+        sweep = cc.constant_sweep(
+            fields, cfg.carleman.s, cfg.carleman.lam, on_grid, q,
+            T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
+            n_grid=cfg.carleman.n_grid,
+        )
+    except wt.ParamsOverflow as exc:
+        raise ConfigError(f"carleman.{exc.name}: {exc}") from None
 
     meta = outputs.make_meta(
         cfgmod.config_hash(cfg), "carleman-sweep", seed=cfg.carleman.seed

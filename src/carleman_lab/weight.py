@@ -62,6 +62,14 @@ class TimeSingular(Exception):
     """Time-weight evaluation outside the clamped interval."""
 
 
+class ParamsOverflow(ValueError):
+    """alpha or s^3 lambda^4 overflows; name is the parameter blamed."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def _by_side(side, inner, outer):
     """inner where the label is OMEGA1, outer elsewhere."""
     return np.where(side == OMEGA1, inner, outer)
@@ -329,8 +337,17 @@ def _delta_t(T: float, delta_t: float | None) -> float:
 def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
                     delta_t: float | None = None) -> CarlemanParams:
     """alpha = 1.05 exp(lam psi_sup) and a default time clamp, for psi_sup
-    from psi_grid_max."""
-    alpha = 1.05 * float(np.exp(lam * psi_sup))
+    from psi_grid_max.  Raises ParamsOverflow when alpha or the norm's
+    scale s^3 lam^4 is not a finite double."""
+    with np.errstate(over="ignore"):
+        alpha = 1.05 * float(np.exp(lam * psi_sup))
+        scale = np.float64(s) ** 3 * np.float64(lam) ** 4
+    for name, value in (("lambda", alpha), ("s", scale)):
+        if not np.isfinite(value):
+            raise ParamsOverflow(name, (
+                f"overflow at s = {s:g}, lambda = {lam:g}, psi_sup = {psi_sup:.6g}: "
+                f"alpha = 1.05 e^(lambda psi_sup) = {alpha:g}, "
+                f"s^3 lambda^4 = {scale:g}"))
     return CarlemanParams(
         s=float(s), lam=float(lam), alpha=alpha, T=float(T),
         delta_t=float(_delta_t(T, delta_t)), psi_sup=psi_sup,

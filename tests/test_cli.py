@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carleman_lab import carleman_check as cc
 from carleman_lab import cli
 from carleman_lab import geometry as geo
 from carleman_lab import inverse as inv
@@ -268,6 +269,30 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 3888)
         cfg = write_cfg(tmp_path)
         assert cli.main(["solve-forward", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+
+    def test_suite_field_over_the_size_bound_names_n_half(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # each suite field is 2 x 4 + 1 levels x 9 x 9 nodes x 16 bytes =
+        # 11664 bytes; the bound is lowered, so nothing large is allocated
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the test suite was built")
+
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 11663)
+        monkeypatch.setattr(cc, "build_test_suite", no_suite)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["carleman-sweep", "--config", str(cfg),
+                         "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: carleman.n_half: ")
+        assert not out.exists()
+
+    def test_suite_field_at_the_size_bound_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 11664)
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["carleman-sweep", "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_negative_n_override(self, tmp_path, capsys):
@@ -581,6 +606,9 @@ class TestHostileInput:
     @example(mutation=("geometry", "x1", "0 0.0"))  # the interface centre
     @example(mutation=("geometry", "x1", "-1 0.0"))  # outside the disk
     @example(mutation=("physics", "h", "zero"))
+    @example(mutation=("carleman", "s", "1e300"))  # s^3 overflows
+    @example(mutation=("carleman", "lambda", "1e3"))  # e^{lambda psi_sup} overflows
+    @example(mutation=("geometry", "x1", "-0.49 0"))  # psi_sup 5596 near the interface
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation
         text = TMPL.format(**DEFAULTS)

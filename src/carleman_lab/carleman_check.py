@@ -50,18 +50,24 @@ whole-stack evaluation, while the temporaries, L v included, are
 slab-sized: no whole-stack array but v itself is built.  Nothing of a
 field is kept once its call returns.
 
-Mirror: a field that is odd-conjugate about t = 0, v(-t) = -conj v(t)
-exactly on an exactly antisymmetric time axis, with q real (every solved
-field extend_time returns), has each density at level nt-1-k equal to the
-one at level k bit for bit: the weight factors are even in t, tau' is odd,
-the stencils and q are real, and negation and conjugation are exact.  The
-end levels are the exception, as the one-sided stencils of d/dt sum
-their terms in opposite orders.  For such a field carleman_ratios
-evaluates the slabs that hold the levels from the middle up and a head
-slab of levels 0..HEAD-1, about half of the levels, and every level
-between them takes its mirror's densities; each level is reduced on its
-own (Kernels), so the report stays bit-identical to whole-stack
-evaluation.
+Mirror: phi is even in t, so for a field with v(-t) = c conj v(t), |c| = 1,
+on an exactly antisymmetric time axis with q real, each density at level
+nt-1-k equals the one at level k: w, P1 w, P2 w, grad w and L v at -t are
+c times the conjugates of theirs at t (the weight factors are even, tau'
+is odd, the stencils and q are real).  _mirror_phase reads c off v's
+largest-modulus entry.  For c = -1 (every solved field extend_time
+returns) and c = +1 the symmetry is checked exactly, and the densities
+then agree bit for bit, as negation and conjugation are exact.  Any other
+c (the manufactured fields, bump(t) e^{i (omega t + phase)}, have
+c = e^{2 i phase}) holds to within MIRROR_ULPS eps of the peak modulus,
+and the mirrored densities agree with the computed ones to rounding.  The
+end levels are the exception, as the one-sided stencils of d/dt sum their
+terms in opposite orders.  For a mirrored field carleman_ratios evaluates
+the slabs that hold the levels from the middle up and a head slab of
+levels 0..HEAD-1, about half of the levels, and every level between them
+takes its mirror's densities; each level is reduced on its own (Kernels),
+so for c = +-1 the report stays bit-identical to whole-stack evaluation,
+and for any other c it moves by rounding only.
 
 Support: a level's six densities are exactly 0 when v is 0 on every level
 its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
@@ -75,8 +81,9 @@ one-level halo, so d/dt at every evaluated level is still the whole
 stack's; the other levels' densities are 0.  As each level is reduced on
 its own (Kernels), the evaluated levels are reduced alone and the report
 stays bit-identical to whole-stack evaluation.  Each compactly supported
-manufactured field of the sweep conjugates 87 of the full path's 135
-slab levels per weight.
+manufactured field of the sweep has 87 live levels; as it is mirrored,
+it conjugates 44 of them (34 + 10 with their halos) of the full path's
+135 slab levels per weight.
 
 Kernels: every spatial integral has one rule: np.sum adds up each level's
 row of a C-contiguous integrand on its own (_space_integral, and the
@@ -141,10 +148,17 @@ SLAB = 32
 # levels of a mirrored call's head slab, which holds level 0: the fewest
 # whose one-level halo still gives d/dt its 3-level stencil
 HEAD = 2
+# a mirror phase c off +-1 holds to within this many eps of a field's peak
+# modulus, and |c| and a real c to within as many eps of 1
+MIRROR_ULPS = 8
 
 
 class InequalityViolation(Exception):
     """The assembled right-hand side vanished while the left side did not."""
+
+
+class NonFiniteReport(Exception):
+    """A component of the estimate is not a finite double."""
 
 
 @dataclass(frozen=True)
@@ -220,19 +234,48 @@ def _live_levels(nt: int, support: Optional[tuple]) -> tuple:
     return lo, hi
 
 
-def _odd_conjugate(v: SpaceTimeField) -> bool:
-    """times[::-1] == -times and values[::-1] == -conj(values), exactly;
-    the values are compared slab by slab."""
+def _mirror_phase(v: SpaceTimeField) -> Optional[complex]:
+    """The unit c with values[::-1] == c conj(values) on times[::-1] ==
+    -times, or None.  c is read off the largest-modulus entry; a c within
+    MIRROR_ULPS eps of +1 or -1 is that sign and must hold exactly, any
+    other c to within MIRROR_ULPS eps of the peak modulus (module notes,
+    Mirror).  The values are searched and compared slab by slab."""
     nt, values = v.nt, v.values
     if not np.array_equal(v.times[::-1], -v.times):
-        return False
+        return None
+    peak, at = 0.0, None
+    for start, stop in _slabs(nt):
+        modulus = np.abs(values[start:stop])
+        k = int(np.argmax(modulus))
+        if modulus.flat[k] > peak:
+            level, *node = np.unravel_index(k, modulus.shape)
+            peak, at = float(modulus.flat[k]), (start + level, *node)
+        del modulus
+    if at is None or not np.isfinite(peak):
+        return None
+    c = complex(values[(nt - 1 - at[0], *at[1:])] / np.conj(values[at]))
+    tol = MIRROR_ULPS * np.finfo(float).eps
+    if not abs(abs(c) - 1.0) <= tol:
+        return None
+    bound = tol * peak
+    for sign in (1.0, -1.0):
+        if abs(c - sign) <= tol:
+            # negation and conjugation are exact: the gap must be 0
+            c, bound = complex(sign), 0.0
     for start, stop in _slabs((nt + 1) // 2):
-        low, high = values[start:stop], values[nt - stop : nt - start][::-1]
-        if not (
-            np.array_equal(high.real, -low.real) and np.array_equal(high.imag, low.imag)
-        ):
-            return False
-    return True
+        # c conj(high) - low, the gap of high == c conj(low) for |c| = 1; a
+        # copy of the reversed view takes none of a ufunc's buffers
+        low = values[start:stop]
+        gap = np.empty_like(low)
+        gap[...] = values[nt - stop : nt - start][::-1]
+        np.conjugate(gap, out=gap)
+        gap *= c
+        gap -= low
+        worst = np.abs(gap).max()
+        del gap
+        if not worst <= bound:
+            return None
+    return c
 
 
 def _derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -555,7 +598,14 @@ def _common_log_shift(spaces: Sequence[_PhiSpace], params: CarlemanParams) -> fl
 def assemble_report(
     lhs: float, rhs_residual: float, rhs_boundary: float, s: float, lam: float
 ) -> CarlemanReport:
-    """Combine the accumulated components, guarding the impossible case."""
+    """Combine the accumulated components, guarding the impossible case and
+    a component that overflowed or is nan."""
+    if not np.isfinite([lhs, rhs_residual, rhs_boundary]).all():
+        raise NonFiniteReport(
+            f"the estimate at s = {s:g}, lambda = {lam:g} is not finite: "
+            f"lhs = {lhs:g}, rhs_residual = {rhs_residual:g}, "
+            f"rhs_boundary = {rhs_boundary:g}"
+        )
     rhs = rhs_residual + rhs_boundary
     if rhs == 0.0:
         if lhs > 0.0:
@@ -615,17 +665,19 @@ def carleman_ratios(
     params; the terms, L v included, are streamed over slabs of SLAB time
     levels, and each slab is evaluated for both weights at every params
     before the next, so L v is built once per slab and the norm's theta
-    weights once per weight, slab and (lambda, T).  For an odd-conjugate
-    field with q real at the nodes, about half of the levels are evaluated
-    and the others take their mirror's densities; only the levels a
-    stencil from v's time support reaches are evaluated (module notes).
+    weights once per weight, slab and (lambda, T).  For a field with
+    v(-t) = c conj v(t), |c| = 1 (_mirror_phase), and q real at the nodes,
+    about half of the levels are evaluated and the others take their
+    mirror's densities, bit for bit for c = +-1 and to rounding otherwise;
+    only the levels a stencil from v's time support reaches are evaluated
+    (module notes).  Raises NonFiniteReport when a component overflows.
     """
     _require_time_resolution(v)
     grid, times, nt = v.grid, v.times, v.nt
     on_grid = PairOnGrid.of(weight_pair, grid)
     coeff = on_grid.coeff
     q_nodes = grid.sample(q, dtype=complex)
-    plan = _plan(nt, not q_nodes.imag.any() and _odd_conjugate(v))
+    plan = _plan(nt, not q_nodes.imag.any() and _mirror_phase(v) is not None)
     live_lo, live_hi = _live_levels(nt, _time_support(v))
     params_list = list(params_list)
     # phis[k][j]: weight j's phi factors at params k
@@ -878,9 +930,12 @@ def build_test_suite(
     Solved fields run the forward solver from purely imaginary random
     bumps and extend to negative times by the conjugate reflection they
     satisfy; manufactured fields are interior bumps times smooth compactly
-    supported time envelopes, exercising the residual term.  Every random
-    parameter is drawn here; the fields are built as the suite is iterated
-    (FieldSuite).
+    supported time envelopes, exercising the residual term.  Both kinds
+    are mirrored by carleman_ratios: a solved field is odd-conjugate, and
+    a manufactured field's envelope bump(t) e^{i (omega t + phase)} gives
+    v(-t) = e^{2 i phase} conj v(t) to rounding (module notes, Mirror).
+    Every random parameter is drawn here; the fields are built as the
+    suite is iterated (FieldSuite).
     """
     t_max = T - _delta_t(T, delta_t)
     rng = np.random.default_rng(seed)

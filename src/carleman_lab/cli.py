@@ -104,6 +104,8 @@ def _build_instance(cfg):
         raise ConfigError(f"inverse.r_lower: {exc}") from None
     except inv.RimMismatch as exc:
         raise ConfigError(f"physics.h: {exc}") from None
+    except inv.TraceOverflow as exc:
+        raise ConfigError(f"physics.y0: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +254,9 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
         )
     except wt.ParamsOverflow as exc:
         raise ConfigError(f"carleman.{exc.name}: {exc}") from None
+    except cc.NonFiniteReport as exc:
+        # a weight factor e^(k lambda psi) tau^k overflowed at a node
+        raise ConfigError(f"carleman.lambda: {exc}") from None
 
     meta = outputs.make_meta(
         cfgmod.config_hash(cfg), "carleman-sweep", seed=cfg.carleman.seed

@@ -60,6 +60,10 @@ class InitialStateTooSmall(ValueError):
     """min |y0| over the grid falls below the required lower bound r_lower."""
 
 
+class TraceOverflow(ValueError):
+    """The clean trace's H1(0,T;L2) norm is not a finite double."""
+
+
 class StalledReconstruction(Exception):
     """Descent could not make progress; returned (not raised) with the
     partial result attached."""
@@ -126,7 +130,9 @@ def make_instance(
 
     Invariants checked here: min |y0| >= r_lower > 0 (else
     InitialStateTooSmall), y0 real or purely imaginary, Dirichlet data
-    compatible with y0 on the rim at t = 0 (else RimMismatch).
+    compatible with y0 on the rim at t = 0 (else RimMismatch), and a clean
+    trace whose H1(0,T;L2) norm, which every misfit and trace distance
+    squares, is finite (else TraceOverflow).
     """
     if not r_lower > 0.0:
         raise ValueError("r_lower must be positive")
@@ -161,6 +167,12 @@ def make_instance(
     field = solve_forward(grid, on_grid, p_full, y0_full, 0.0, T, n_steps,
                           boundary=boundary)
     clean = neumann_trace(field, on_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = h1l2_boundary_norm(clean)
+    if not np.isfinite(norm):
+        raise TraceOverflow(
+            f"the clean trace's H1(0,T;L2) norm is {norm:g}: the state overflows"
+        )
     data = clean
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)

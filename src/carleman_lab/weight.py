@@ -63,7 +63,8 @@ class TimeSingular(Exception):
 
 
 class ParamsOverflow(ValueError):
-    """alpha or s^3 lambda^4 overflows; name is the parameter blamed."""
+    """alpha, exp(2 lambda psi_sup) or s^3 lambda^4 overflows; name is the
+    parameter blamed."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -337,17 +338,20 @@ def _delta_t(T: float, delta_t: float | None) -> float:
 def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
                     delta_t: float | None = None) -> CarlemanParams:
     """alpha = 1.05 exp(lam psi_sup) and a default time clamp, for psi_sup
-    from psi_grid_max.  Raises ParamsOverflow when alpha or the norm's
-    scale s^3 lam^4 is not a finite double."""
+    from psi_grid_max.  Raises ParamsOverflow when alpha, P1's factor
+    exp(2 lam psi_sup) or the norm's scale s^3 lam^4 is not a finite
+    double."""
     with np.errstate(over="ignore"):
-        alpha = 1.05 * float(np.exp(lam * psi_sup))
+        e_lp = np.exp(np.float64(lam) * psi_sup)
+        alpha = 1.05 * float(e_lp)
+        e_2lp = e_lp * e_lp
         scale = np.float64(s) ** 3 * np.float64(lam) ** 4
-    for name, value in (("lambda", alpha), ("s", scale)):
+    for name, value in (("lambda", alpha), ("lambda", e_2lp), ("s", scale)):
         if not np.isfinite(value):
             raise ParamsOverflow(name, (
                 f"overflow at s = {s:g}, lambda = {lam:g}, psi_sup = {psi_sup:.6g}: "
                 f"alpha = 1.05 e^(lambda psi_sup) = {alpha:g}, "
-                f"s^3 lambda^4 = {scale:g}"))
+                f"e^(2 lambda psi_sup) = {e_2lp:g}, s^3 lambda^4 = {scale:g}"))
     return CarlemanParams(
         s=float(s), lam=float(lam), alpha=alpha, T=float(T),
         delta_t=float(_delta_t(T, delta_t)), psi_sup=psi_sup,

@@ -2,7 +2,7 @@
 
 Uses the per-run comparison of scripts/check_artifacts.py, one test per
 subcommand, which also fails on any file a run writes beyond its list;
-the Carleman sweep is the slowest (about 2.3 s at the reference CPU speed
+the Carleman sweep is the slowest (about 1.7 s at the reference CPU speed
 of perfbench/run.py).  The script's BLAS core names are checked to be
 readable, and its numeric comparison to report a perturbation it is
 given.

@@ -10,6 +10,7 @@ Oracles used here:
   * exact quadratic homogeneity of every report component.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -492,6 +493,15 @@ class TestRatioReport:
         rep = cc.assemble_report(2.0, 1.0, 1.0, 10.0, 1.0)
         assert rep.ratio == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("components", [
+        (np.nan, 0.0, 0.0), (np.inf, 1.0, 1.0), (1.0, np.inf, 0.0),
+        (1.0, 1.0, -np.inf), (0.0, 0.0, np.nan),
+    ])
+    def test_report_assembly_rejects_a_non_finite_component(self, components):
+        # a nan left side once read as ratio 0
+        with pytest.raises(cc.NonFiniteReport):
+            cc.assemble_report(*components, 10.0, 1.0)
+
 
 def whole_stack_ratio(v, pair, params, q):
     """Oracle: the whole-stack evaluation that carleman_ratio streams.
@@ -711,6 +721,21 @@ def assert_same_report(got, want):
     assert got.ratio == want.ratio
 
 
+def sweep_suite():
+    """configs/carleman.ini's grid, coefficient, q and test-field suite."""
+    cfg = cfgmod.load_config(CARLEMAN_INI)
+    grid = cfgmod.build_grid(cfg)
+    coeff = cfgmod.build_coefficient(cfg, grid.layout)
+    q = cfgmod.real_profile(cfg.physics.p, grid)
+    n_solved = (cfg.carleman.n_fields + 1) // 2
+    suite = cc.build_test_suite(
+        grid, coeff, q, cfg.physics.T, delta_t=cfg.carleman.delta_t,
+        n_steps=cfg.carleman.n_half, seed=cfg.carleman.seed,
+        n_solved=n_solved, n_manufactured=cfg.carleman.n_fields - n_solved,
+    )
+    return grid, coeff, q, suite
+
+
 class TestMirroredRatio:
     # at s = 0 the conjugation factors are 1, so no level flushes and the
     # end levels, whose one-sided d/dt is not the mirror of each other's,
@@ -726,7 +751,7 @@ class TestMirroredRatio:
         v = extended_field(grid, coeff, q, base, nt)
         assert v.nt == nt
         on_grid = cc.PairOnGrid(pair, grid)
-        assert cc._odd_conjugate(v)
+        assert cc._mirror_phase(v) == -1
         assert cc.carleman_ratio(v, on_grid, base, q).rhs_boundary > 0.0
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
@@ -741,7 +766,7 @@ class TestMirroredRatio:
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         v = odd_conjugate_field(grid, base, nt, growth=growth)
         on_grid = cc.PairOnGrid(pair, grid)
-        assert cc._odd_conjugate(v)
+        assert cc._mirror_phase(v) == -1
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
             assert got.lhs > 0.0
@@ -777,7 +802,7 @@ class TestMirroredRatio:
         v = extended_field(grid, coeff, q, params, 129)
         tracemalloc.start()
         try:
-            assert cc._odd_conjugate(v)
+            assert cc._mirror_phase(v) == -1
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -804,7 +829,7 @@ class TestMirroredRatio:
             fld = pde.SpaceTimeField(grid=grid, times=tms, values=vals)
             on_grid = cc.PairOnGrid(pair, grid)
             # a complex q alone breaks the symmetry of the densities
-            assert cc._odd_conjugate(fld) == (name == "complex q"), name
+            assert (cc._mirror_phase(fld) == -1) == (name == "complex q"), name
             levels.clear()
             got = cc.carleman_ratio(fld, on_grid, params, pot)
             assert levels == [33, 33, 34, 34, 34, 34, 34, 34], name
@@ -812,20 +837,131 @@ class TestMirroredRatio:
 
     def test_every_solved_field_of_the_sweep_suite_is_mirrored(self):
         # the speed-up rests on extend_time giving every solved field the
-        # exact symmetry; the manufactured fields carry e^{i omega t}
-        cfg = cfgmod.load_config(CARLEMAN_INI)
-        grid = cfgmod.build_grid(cfg)
-        coeff = cfgmod.build_coefficient(cfg, grid.layout)
-        q = cfgmod.real_profile(cfg.physics.p, grid)
-        n_solved = (cfg.carleman.n_fields + 1) // 2
-        fields = cc.build_test_suite(
-            grid, coeff, q, cfg.physics.T, delta_t=cfg.carleman.delta_t,
-            n_steps=cfg.carleman.n_half, seed=cfg.carleman.seed,
-            n_solved=n_solved, n_manufactured=cfg.carleman.n_fields - n_solved,
-        )
+        # exact symmetry; the manufactured fields, bump(t) e^{i (omega t +
+        # phase)}, hold it up to the unit phase e^{2 i phase}, to rounding
+        grid, coeff, q, suite = sweep_suite()
+        n_solved = len(suite.initial_states)
         assert not np.iscomplexobj(q)
-        mirrored = [cc._odd_conjugate(fld) for fld in fields]
-        assert mirrored == [True] * n_solved + [False] * (len(fields) - n_solved)
+        phases = [cc._mirror_phase(fld) for fld in suite]
+        assert phases[:n_solved] == [-1] * n_solved
+        for c in phases[n_solved:]:
+            assert c is not None
+            assert abs(abs(c) - 1.0) <= cc.MIRROR_ULPS * np.finfo(float).eps
+            assert abs(c.imag) > 1e-3
+
+    def test_even_conjugate_field_equals_the_whole_stack_bit_for_bit(self):
+        # the tests' manufactured field is exactly even-conjugate: c = +1
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        t_max = base.T - base.delta_t
+        v = manufactured_field(grid, np.linspace(-t_max, t_max, 129))
+        assert cc._mirror_phase(v) == 1
+        on_grid = cc.PairOnGrid(pair, grid)
+        for params in self.params_and_zero(base):
+            got = cc.carleman_ratio(v, on_grid, params, q)
+            assert got.lhs > 0.0
+            assert_same_report(got, whole_stack_ratio(v, pair, params, q))
+
+    def phase_fields(self):
+        """(name, v, pair, params list, q): fields that hold the mirror
+        symmetry with a non-real phase, to rounding."""
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        t_max = base.T - base.delta_t
+        v = manufactured_field(grid, np.linspace(-t_max, t_max, 129), reach=0.6)
+        turned = pde.SpaceTimeField(grid=grid, times=v.times,
+                                    values=v.values * np.exp(0.7j))
+        yield "e^{0.7 i} manufactured", turned, pair, self.params_and_zero(base), q
+        grid, coeff, q, suite = sweep_suite()
+        cfg = cfgmod.load_config(CARLEMAN_INI)
+        pair = wt.build_epsilon_pair(
+            grid.layout, cfg.geometry.x1, cfg.geometry.x2, cfg.physics.a1,
+            cfg.physics.a2, M2=cfg.carleman.M2,
+        )
+        psi_sup = wt.psi_grid_max((pair.w1, pair.w2), cfg.carleman.n_grid)
+        params = [
+            wt.params_from_sup(psi_sup, s, lam, cfg.physics.T,
+                               delta_t=cfg.carleman.delta_t)
+            for s in (cfg.carleman.s[0], cfg.carleman.s[-1])
+            for lam in cfg.carleman.lam
+        ]
+        field = next(itertools.islice(suite, len(suite.initial_states), None))
+        yield "sweep suite's first manufactured", field, pair, params, q
+
+    def test_phase_mirror_matches_the_whole_stack_to_rounding(self, monkeypatch):
+        levels = self.count_levels(monkeypatch)
+        for name, v, pair, params_list, q in self.phase_fields():
+            tracemalloc.start()
+            try:
+                c = cc._mirror_phase(v)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert c is not None and abs(c.imag) > 0.1, name
+            # the inexact comparison is made slab by slab too
+            assert peak < v.values.nbytes // 2, name
+            on_grid = cc.PairOnGrid(pair, v.grid)
+            levels.clear()
+            got = cc.carleman_ratios(v, on_grid, params_list, q)
+            # levels 25..103 are live: slab by slab, once per weight and
+            # params, 34 + 10 of their 87 levels are conjugated with their
+            # halos, where the full path conjugates 9 + 34 + 34 + 10
+            assert v.nt == 129 and cc._time_support(v) == (26, 102), name
+            per_slab = 2 * len(params_list)
+            assert levels == [n for n in (34, 10) for _ in range(per_slab)], name
+            for rep, params in zip(got, params_list):
+                want = whole_stack_ratio(v, pair, params, q)
+                assert rep.lhs > 0.0, name
+                for key in ("lhs", "rhs_residual", "rhs_boundary", "ratio"):
+                    assert getattr(rep, key) == pytest.approx(
+                        getattr(want, key), rel=1e-14, abs=0.0
+                    ), (name, key, params.s, params.lam)
+
+    def test_phase_broken_above_the_tolerance_takes_the_full_path(
+            self, monkeypatch):
+        levels = self.count_levels(monkeypatch)
+        for name, v, pair, params_list, q in self.phase_fields():
+            values = v.values.copy()
+            bound = cc.MIRROR_ULPS * np.finfo(float).eps * np.abs(values).max()
+            ny, nx = v.grid.shape
+            values[40, ny // 2, nx // 2] += 4 * bound
+            fld = pde.SpaceTimeField(grid=v.grid, times=v.times, values=values)
+            assert cc._mirror_phase(fld) is None, name
+            on_grid = cc.PairOnGrid(pair, v.grid)
+            levels.clear()
+            got = cc.carleman_ratios(fld, on_grid, params_list, q)
+            per_slab = 2 * len(params_list)
+            assert levels == [
+                n for n in (9, 34, 34, 10) for _ in range(per_slab)
+            ], name
+            for rep, params in zip(got, params_list):
+                assert_same_report(rep, whole_stack_ratio(fld, pair, params, q))
+
+    def test_a_phase_off_the_unit_circle_is_no_mirror(self):
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        t_max = base.T - base.delta_t
+        times = np.linspace(-t_max, t_max, 129)
+        turned = manufactured_field(grid, times).values * np.exp(0.7j)
+        growing = odd_conjugate_field(grid, base, 2 * cc.SLAB + 2, growth=4.0)
+        cases = (
+            # one half scaled: the peak moves into it, off the level t = 0
+            ("later half x 2", times, turned, slice(65, None), 2.0),
+            ("earlier half x 2", times, turned, slice(None, 64), 2.0),
+            # the peak sits at an end level
+            ("later half x (1 + 1e-9)", growing.times, growing.values,
+             slice(cc.SLAB + 1, None), 1.0 + 1e-9),
+        )
+        for name, tms, values, half, scale in cases:
+            unscaled = pde.SpaceTimeField(grid=grid, times=tms, values=values)
+            assert cc._mirror_phase(unscaled) is not None, name
+            scaled = values.copy()
+            scaled[half] *= scale
+            at = np.unravel_index(np.argmax(np.abs(scaled)), scaled.shape)
+            mirror = (scaled.shape[0] - 1 - at[0],) + at[1:]
+            c = scaled[mirror] / np.conj(scaled[at])
+            assert abs(abs(c) - 1.0) > 1e-10, name
+            fld = pde.SpaceTimeField(grid=grid, times=tms, values=scaled)
+            assert cc._mirror_phase(fld) is None, name
 
 
 def supported_field(grid, times, support, seed=5):
@@ -897,7 +1033,7 @@ class TestSupportedRatio:
             values[nt - k :] = 0.0
             v = pde.SpaceTimeField(grid=grid, times=full.times, values=values)
             on_grid = cc.PairOnGrid(pair, grid)
-            assert cc._odd_conjugate(v)
+            assert cc._mirror_phase(v) == -1
             assert cc._time_support(v) == (k, nt - 1 - k)
             for params in self.params_and_zero(base):
                 got = cc.carleman_ratio(v, on_grid, params, q)
@@ -949,10 +1085,13 @@ class TestSupportedRatio:
 
         monkeypatch.setattr(cc, "_conjugation_factors", counted)
         got = cc.carleman_ratio(v, on_grid, params, q)
-        # levels 25..103 can have nonzero densities; with their halos the
-        # slabs conjugate 9, 34, 34 and 10 levels, once per weight, where
-        # the full path conjugates 33 + 34 + 34 + 34
-        assert levels == [9, 9, 34, 34, 34, 34, 10, 10]
+        # levels 25..103 can have nonzero densities, and the field is
+        # even-conjugate, so the mirror evaluates the live levels from the
+        # middle up: with their halos the slabs conjugate 34 and 10 levels,
+        # once per weight, where the unmirrored path conjugates 9 + 34 + 34
+        # + 10 and the full path 33 + 34 + 34 + 34
+        assert cc._mirror_phase(v) == 1
+        assert levels == [34, 34, 10, 10]
         assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
 
@@ -1102,7 +1241,7 @@ class TestGroupedRatio:
             "mirrored": [2, 32, 3], "supported": [18, 21], "plain": [32, 32, 3],
         }
         for name, v in self.fields(grid, coeff, q, base).items():
-            assert cc._odd_conjugate(v) == (name == "mirrored")
+            assert (cc._mirror_phase(v) is not None) == (name == "mirrored")
             built.clear()
             got = cc.carleman_ratios(v, on_grid, params_list, q)
             # once per evaluated slab and weight for each of lambda 1.5 and

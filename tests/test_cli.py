@@ -209,6 +209,9 @@ class TestErrorPaths:
         ("carleman-sweep", "geometry", "x2", "0.3 -1", "geometry.x2"),
         # equal centres: each is inside, the pair is degenerate
         ("carleman-sweep", "geometry", "x1", "0.3 0.0", "geometry.x2"),
+        # the state overflows, so the clean trace's H1 norm is inf
+        ("invert", "physics", "y0", "constant 1e300", "physics.y0"),
+        ("stability", "physics", "y0", "constant 1e300", "physics.y0"),
     ])
     def test_geometry_dependent_errors_name_their_key(
             self, tmp_path, capsys, subcommand, section, key, value, named):
@@ -294,6 +297,39 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path)
         assert cli.main(["carleman-sweep", "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == 0
+
+    def test_overflowing_p1_factor_names_lambda_before_any_field(
+            self, tmp_path, capsys, monkeypatch):
+        # e^{lambda psi_sup} = e^{659} is finite, but P1's potential squares
+        # it: the sweep once wrote lhs nan, ratio 0 and exited 0
+        def no_fields(self):
+            raise AssertionError("a test field was built")
+
+        monkeypatch.setattr(cc.FieldSuite, "__iter__", no_fields)
+        path = tmp_path / "bad.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), "carleman", "lambda", "15"))
+        out = tmp_path / "out"
+        code = cli.main(["carleman-sweep", "--config", str(path),
+                         "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: carleman.lambda: overflow at ")
+        assert "e^(2 lambda psi_sup) = inf" in err
+        assert not out.exists()
+
+    def test_non_finite_estimate_names_lambda(self, tmp_path, capsys):
+        # at lambda = 6, e^{2 lambda psi_sup} is finite but the norm's
+        # weight theta^3 overflows at the clamp: the report check catches it
+        path = tmp_path / "bad.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), "carleman", "lambda", "6"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["carleman-sweep", "--config", str(path),
+                             "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: carleman.lambda: the estimate at ")
+        assert "is not finite" in err
 
     def test_negative_n_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -609,6 +645,8 @@ class TestHostileInput:
     @example(mutation=("carleman", "s", "1e300"))  # s^3 overflows
     @example(mutation=("carleman", "lambda", "1e3"))  # e^{lambda psi_sup} overflows
     @example(mutation=("geometry", "x1", "-0.49 0"))  # psi_sup 5596 near the interface
+    @example(mutation=("physics", "y0", "constant 1e300"))  # the state overflows
+    @example(mutation=("carleman", "lambda", "15"))  # e^{2 lambda psi_sup} overflows
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation
         text = TMPL.format(**DEFAULTS)

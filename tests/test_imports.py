@@ -256,11 +256,31 @@ def test_the_check_finds_a_dead_traced_name():
     ]
 
 
-def test_every_traced_solver_and_inverse_name_exists():
-    # a rename in the package would leave the benchmark's counter at 0
+def load_tracer():
+    """perfbench/tracer.py as a module, read only."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_solver_and_inverse_name_exists():
+    # a rename in the package would leave the benchmark's counter at 0
+    tracer = load_tracer()
     assert dead_traced_names(tracer.METHODS, tracer.GROUPS,
                              ("pde_solver", "inverse")) == []
+
+
+def test_the_dead_traced_carleman_names_are_the_known_five():
+    # these five were deleted or renamed before the tracer may change; any
+    # other dead name is a rename that would zero a sweep counter silently
+    tracer = load_tracer()
+    assert dead_traced_names(tracer.METHODS, tracer.GROUPS,
+                             ("carleman_check", "weight")) == [
+        "carleman_check.conjugate",
+        "weight.TransmissionWeight.grad",
+        "weight.TransmissionWeight.hessian",
+        "weight.TransmissionWeight.laplacian",
+        "weight.fit_carleman_params",
+    ]

@@ -397,6 +397,17 @@ class TestTimeWeights:
                 s=1.0, lam=1.0, alpha=1.0, T=1.0, delta_t=0.01, psi_sup=3.0
             )
 
+    def test_overflowing_factors_name_their_parameter(self):
+        # e^{lam psi_sup} = e^{400} is finite, but P1 squares it
+        for psi_sup, s, lam, name in ((1.0, 1.0, 800.0, "lambda"),
+                                      (1.0, 1.0, 400.0, "lambda"),
+                                      (1.0, 1e200, 1.0, "s")):
+            with pytest.raises(wt.ParamsOverflow) as caught:
+                wt.params_from_sup(psi_sup, s, lam, 1.0)
+            assert caught.value.name == name, (psi_sup, s, lam)
+        params = wt.params_from_sup(1.0, 1.0, 354.0, 1.0)
+        assert np.isfinite(np.exp(params.lam * params.psi_sup) ** 2)
+
     def test_partner_shares_alpha(self):
         w2 = wt.build_weight(unit_disk_layout(), (0.3, 0.0), 2.0, 1.0)
         p_solo = wt.params_from_sup(wt.psi_grid_max((self.w,)), s=1.0, lam=1.0, T=1.0)

@@ -134,6 +134,7 @@ from .weight import (
     EpsilonPair,
     PiecewiseCoefficient,
     WeightJet,
+    _clamp_tau,
     _delta_t,
     _time_factor,
     params_from_sup,
@@ -641,7 +642,7 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
     if not np.isfinite(params.psi_sup):
         return float("nan")
     beta_min = params.alpha - float(np.exp(params.lam * params.psi_sup))
-    tau_clamp = 1.0 / (params.delta_t * (2.0 * params.T - params.delta_t))
+    tau_clamp = _clamp_tau(params.T, params.delta_t)
     log_tail = -2.0 * params.s * beta_min * tau_clamp
     if log_tail < _LOG_FLUSH:
         return 0.0

@@ -38,6 +38,11 @@ from .config import ConfigError
 
 ENV_OUTPUT = "CARLEMAN_LAB_OUTPUT"
 
+# The config key of each parameter a ParamsOverflow can blame.
+BLAMED_KEYS = {"lambda": "carleman.lambda", "s": "carleman.s",
+               "delta_t": "carleman.delta_t", "a1": "physics.a1",
+               "a2": "physics.a2"}
+
 # Bound on the bytes of one field stack, levels x nx x ny complex values,
 # checked before it is allocated (physics.dt, carleman.n_half).
 MAX_FIELD_BYTES = 2**30
@@ -69,17 +74,6 @@ def resolve_output_dir(cfg, cli_dir) -> Path:
     return configured
 
 
-def _boundary_from_spec(cfg, grid, y0):
-    if cfg.physics.h == "zero":
-        nb = grid.boundary_points.shape[0]
-
-        def boundary(pts, t):
-            return np.zeros(nb, dtype=complex)
-
-        return boundary
-    return inv._rim_data(grid, y0)  # "initial": y0's rim values held
-
-
 def _check_field_size(levels, grid, key):
     size = levels * grid.nx * grid.ny * 16
     if size > MAX_FIELD_BYTES:
@@ -96,14 +90,11 @@ def _build_instance(cfg):
     try:
         return inv.make_instance(
             grid, coeff, p, y0, cfg.physics.T, cfg.physics.n_steps,
-            boundary=_boundary_from_spec(cfg, grid, y0),
             noise_level=cfg.inverse.noise, seed=cfg.inverse.seed,
             r_lower=cfg.inverse.r_lower, q_bound=cfg.inverse.q_bound,
         )
     except inv.InitialStateTooSmall as exc:
         raise ConfigError(f"inverse.r_lower: {exc}") from None
-    except inv.RimMismatch as exc:
-        raise ConfigError(f"physics.h: {exc}") from None
     except inv.TraceOverflow as exc:
         raise ConfigError(f"physics.y0: {exc}") from None
 
@@ -172,12 +163,18 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
                           "so the relative drift is undefined")
     field = pde.solve_forward(
         grid, coeff, p, y0, 0.0, cfg.physics.T, cfg.physics.n_steps,
-        boundary=_boundary_from_spec(cfg, grid, y0),
+        boundary=inv._rim_data(grid, y0),
     )
+    trace = pde.neumann_trace(field, coeff)
+    try:
+        trace_h1l2 = inv.finite_trace_norm(trace)
+    except inv.TraceOverflow as exc:
+        raise ConfigError(f"physics.y0: {exc}") from None
 
     norms = np.array([grid.l2_norm(field.values[n]) for n in range(field.nt)])
+    if not np.isfinite(norms).all():
+        raise ConfigError("physics.y0: the state's L2 norm overflows")
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
-    trace = pde.neumann_trace(field, coeff)
     trace_l2 = np.sqrt((np.abs(trace.values) ** 2) @ trace.weights)
 
     meta = outputs.make_meta(cfgmod.config_hash(cfg), "solve-forward")
@@ -195,7 +192,7 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
             "n_steps": cfg.physics.n_steps,
             "l2_drift": drift,
             "final_l2": float(norms[-1]),
-            "trace_h1l2": pde.h1l2_boundary_norm(trace),
+            "trace_h1l2": trace_h1l2,
         })
     print(f"solve-forward: steps={cfg.physics.n_steps} drift={drift:.3e}")
     return 0
@@ -252,8 +249,6 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
             T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
             n_grid=cfg.carleman.n_grid,
         )
-    except wt.ParamsOverflow as exc:
-        raise ConfigError(f"carleman.{exc.name}: {exc}") from None
     except cc.NonFiniteReport as exc:
         # a weight factor e^(k lambda psi) tau^k overflowed at a node
         raise ConfigError(f"carleman.lambda: {exc}") from None
@@ -372,8 +367,8 @@ def run_stability(cfg, out_dir: Path) -> int:
         xs = [r.trace_distance for r in finite]
         ys = [r.potential_distance for r in finite]
         slope = intercept = None
-        if np.isfinite(sweep.loglog_slope):
-            slope, intercept = np.polyfit(np.log10(xs), np.log10(ys), 1)
+        if np.isfinite(sweep.loglog_slope):  # the sweep's ln line on log10 axes
+            slope, intercept = sweep.loglog_slope, sweep.loglog_intercept / np.log(10.0)
         label = "certified" if sweep.certified else "uncertified"
         outputs.write_svg(
             out_dir / "stability_scatter.svg", meta,
@@ -429,6 +424,8 @@ def _config_error(message: str) -> int:
 def _run(subcommand: str, cfg, out_dir: Path) -> int:
     try:
         return HANDLERS[subcommand](cfg, out_dir)
+    except wt.ParamsOverflow as exc:
+        return _config_error(f"{BLAMED_KEYS[exc.name]}: {exc}")
     except (ConfigError, ValueError, geo.GeometryError, pde.SolverError) as exc:
         return _config_error(str(exc))
     except CertificationFailure as exc:

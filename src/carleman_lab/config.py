@@ -16,7 +16,7 @@ Schema (all keys shown; optional ones may be omitted):
     a2 = FLOAT             principal coefficient outside
     p  = PROFILE           potential (real profile grammar below)
     y0 = [imag] PROFILE    initial state; "imag" multiplies by i
-    h  = initial | zero    Dirichlet data on the outer boundary
+    h  = initial           Dirichlet data: y0's rim, held at every time
     T  = FLOAT             time horizon
     nx = INT               grid nodes along x
     ny = INT               optional; derived from square spacing if absent
@@ -364,9 +364,10 @@ def load_config(path) -> ExperimentConfig:
         )
     if round(steps) < 2:
         raise ConfigError("physics.dt: need at least 2 time steps")
+    # one rule; the key stays, as its value is part of the config hash
     h_spec = psec.get("h", default="initial")
-    if h_spec not in ("initial", "zero"):
-        raise ConfigError(f"physics.h: must be 'initial' or 'zero', got {h_spec!r}")
+    if h_spec != "initial":
+        raise ConfigError(f"physics.h: must be 'initial', got {h_spec!r}")
     physics = PhysicsBlock(
         a1=psec.floatval("a1", required=True, positive=True),
         a2=psec.floatval("a2", required=True, positive=True),

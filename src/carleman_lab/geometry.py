@@ -250,11 +250,6 @@ def gauge(interface: RadialInterface, x):
     return _off_center(_gauge_data(interface, x)).mu
 
 
-def gauge_hessian(interface: RadialInterface, x):
-    """Cartesian Hessian of mu^2 at x, shape (..., 2, 2)."""
-    return _off_center(_gauge_data(interface, x, order=2)).hess_mu2
-
-
 def smallest_eigenvalue_2x2(mats):
     """Smallest eigenvalue of symmetric (..., 2, 2) matrices, closed form."""
     a = mats[..., 0, 0]

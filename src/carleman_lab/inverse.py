@@ -5,8 +5,8 @@ potential.  The module provides
 
   * instance construction with the data invariants checked up front
     (initial state bounded away from zero and real or purely imaginary,
-    optional seeded trace noise),
-  * the algebraic initial-condition inversion ``bk_recover_f``,
+    a finite trace norm, optional seeded trace noise); the Dirichlet
+    data is y0's rim, held at every time,
   * a trace misfit with Tikhonov term, its exact discrete adjoint-state
     gradient, and ``reconstruct``, scipy's L-BFGS-B on that pair,
   * ``stability_sweep``: seeded smooth perturbations of the potential,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -46,14 +46,6 @@ from .weight import (
     certifiable_m2,
     verify_hypotheses,
 )
-
-
-class SingularR0(Exception):
-    """The known factor R(0) comes too close to zero to divide by."""
-
-
-class RimMismatch(ValueError):
-    """Dirichlet data at t = 0 differs from the initial state on the rim."""
 
 
 class InitialStateTooSmall(ValueError):
@@ -100,6 +92,18 @@ class InverseProblemInstance:
     on_grid: CoefficientOnGrid
 
 
+def finite_trace_norm(trace: BoundaryTrace) -> float:
+    """The trace's H1(0,T;L2) norm; raises TraceOverflow unless it is a
+    finite double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = h1l2_boundary_norm(trace)
+    if not np.isfinite(norm):
+        raise TraceOverflow(
+            f"the trace's H1(0,T;L2) norm is {norm:g}: the state overflows"
+        )
+    return norm
+
+
 def _rim_data(grid: Grid2D, y0: np.ndarray) -> Callable:
     """Dirichlet data holding the rim values of the (ny, nx) state y0 at
     every time."""
@@ -119,20 +123,19 @@ def make_instance(
     T: float,
     n_steps: int,
     *,
-    boundary: Optional[Callable] = None,
     noise_level: float = 0.0,
     seed: int = 0,
     r_lower: float = 0.5,
     q_bound: float = np.inf,
 ) -> InverseProblemInstance:
-    """Solve the forward problem for the true potential and package the
-    measured conormal trace (with optional seeded complex Gaussian noise).
+    """Solve the forward problem for the true potential, with y0's rim
+    held as Dirichlet data, and package the measured conormal trace (with
+    optional seeded complex Gaussian noise).
 
     Invariants checked here: min |y0| >= r_lower > 0 (else
-    InitialStateTooSmall), y0 real or purely imaginary, Dirichlet data
-    compatible with y0 on the rim at t = 0 (else RimMismatch), and a clean
-    trace whose H1(0,T;L2) norm, which every misfit and trace distance
-    squares, is finite (else TraceOverflow).
+    InitialStateTooSmall), y0 real or purely imaginary, and a clean trace
+    whose H1(0,T;L2) norm, which every misfit and trace distance squares,
+    is finite (else TraceOverflow, see finite_trace_norm).
     """
     if not r_lower > 0.0:
         raise ValueError("r_lower must be positive")
@@ -151,28 +154,12 @@ def make_instance(
     if im > 1e-12 * max(re, 1.0) and re > 1e-12 * max(im, 1.0):
         raise ValueError("initial state must be real or purely imaginary")
 
-    rim = _rim_data(grid, y0_full)
-    if boundary is None:
-        boundary = rim
-    else:
-        rim0 = rim(grid.boundary_points, 0.0)
-        given = np.asarray(boundary(grid.boundary_points, 0.0), dtype=complex)
-        gap = float(np.max(np.abs(given - rim0)))
-        if gap > 1e-8 * max(1.0, float(np.max(np.abs(rim0)))):
-            raise RimMismatch(
-                f"Dirichlet data at t=0 differs from y0 on the rim by {gap:.3e}"
-            )
-
+    boundary = _rim_data(grid, y0_full)
     on_grid = CoefficientOnGrid(coeff, grid)
     field = solve_forward(grid, on_grid, p_full, y0_full, 0.0, T, n_steps,
                           boundary=boundary)
     clean = neumann_trace(field, on_grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = h1l2_boundary_norm(clean)
-    if not np.isfinite(norm):
-        raise TraceOverflow(
-            f"the clean trace's H1(0,T;L2) norm is {norm:g}: the state overflows"
-        )
+    finite_trace_norm(clean)
     data = clean
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
@@ -186,23 +173,6 @@ def make_instance(
         T=float(T), n_steps=int(n_steps), data=data, clean_data=clean,
         q_bound=float(q_bound), on_grid=on_grid,
     )
-
-
-# --------------------------------------------------------------------------
-# initial-condition inversion
-
-
-def bk_recover_f(v0: np.ndarray, R0: np.ndarray) -> np.ndarray:
-    """Recover the real source factor from v(0) = -i f R(0).
-
-    Raises SingularR0 when min |R0| < 0.5, the lower bound the stability
-    argument needs on the known factor.
-    """
-    R0 = np.asarray(R0)
-    lo = float(np.min(np.abs(R0)))
-    if lo < 0.5:
-        raise SingularR0(f"min |R(0)| = {lo:.3e} is below the required bound 0.5")
-    return np.real(1j * np.asarray(v0, dtype=complex) / R0)
 
 
 # --------------------------------------------------------------------------
@@ -471,9 +441,13 @@ class StabilityRecord:
 
 @dataclass(frozen=True, eq=False)
 class StabilitySweepResult:
+    """loglog_slope and loglog_intercept are the least-squares line
+    ln(potential distance) = slope ln(trace distance) + intercept."""
+
     records: list
     empirical_C: float
     loglog_slope: float
+    loglog_intercept: float
     certified: bool
     hypothesis_report: object
 
@@ -556,8 +530,8 @@ def stability_sweep(
 
     Zero-amplitude perturbations are skipped (both distances vanish, the
     ratio is undefined).  Perturbed potentials are clipped to the
-    instance sup-norm bound when one is configured.  The log-log slope is
-    nan when the finite records have fewer than two distinct trace
+    instance sup-norm bound when one is configured.  The log-log slope and
+    intercept are nan when the finite records have fewer than two distinct trace
     distances (a tight bound can clip every perturbation to one
     potential): no line is fitted to a single point.
     """
@@ -600,16 +574,16 @@ def stability_sweep(
         empirical_C = max(r.ratio for r in records)
     else:
         empirical_C = float("nan")
+    slope = intercept = float("nan")
     if len({r.trace_distance for r in finite}) >= 2:
-        slope = float(np.polyfit(
+        slope, intercept = map(float, np.polyfit(
             np.log([r.trace_distance for r in finite]),
             np.log([r.potential_distance for r in finite]),
             1,
-        )[0])
-    else:
-        slope = float("nan")
+        ))
 
     return StabilitySweepResult(
         records=records, empirical_C=float(empirical_C), loglog_slope=slope,
-        certified=certified, hypothesis_report=report,
+        loglog_intercept=intercept, certified=certified,
+        hypothesis_report=report,
     )

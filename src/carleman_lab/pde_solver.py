@@ -2,7 +2,7 @@
 
 Conventions.  The equation solved is
 
-    i dy/dt + div(a grad y) + p y = g      on the rectangle, t in (t0, t1),
+    i dy/dt + div(a grad y) + p y = 0      on the rectangle, t in (t0, t1),
     y = h on the outer boundary,            y(t0) = y0,
 
 with a piecewise-constant a (one value inside the interface, one outside)
@@ -10,7 +10,7 @@ and a real potential p.  Space is discretised on a uniform square grid with
 five-point fluxes; the face coefficient between two nodes is the harmonic
 mean of the nodal values, which keeps the discrete flux continuous across
 the coefficient jump.  Time stepping is the Cayley form of Crank-Nicolson:
-the one-step map is exactly unitary when g = 0 and h = 0, so the L2 mass
+the one-step map is exactly unitary when h = 0, so the L2 mass
 is conserved to rounding.
 
 The matrix P = I - (i dt / 2) A is factored once, in SuperLU's minimum
@@ -31,8 +31,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .geometry import DomainLayout, _crossings
-from .weight import PiecewiseCoefficient
+from .geometry import DomainLayout
+from .weight import ParamsOverflow, PiecewiseCoefficient
 
 
 class SolverError(Exception):
@@ -201,14 +201,21 @@ def face_coefficients(grid: Grid2D, coeff: Coefficient) -> dict:
     Returned arrays have shape (ny - 2, nx - 2); keys are 'east', 'west',
     'north', 'south'.  Where both adjacent nodes lie on the same side of
     the interface the face value equals that side's coefficient exactly.
-    These are the face values of the flux matrix.
+    These are the face values of the flux matrix.  Raises ParamsOverflow,
+    blaming the larger coefficient, when a face value is not finite.
     """
-    a = CoefficientOnGrid.of(coeff, grid).at_nodes.reshape(grid.shape)
+    on_grid = CoefficientOnGrid.of(coeff, grid)
+    a = on_grid.at_nodes.reshape(grid.shape)
     c = a[1:-1, 1:-1]
     out = {}
-    for key, (dj, di) in _FACES:
-        q = a[1 + dj : a.shape[0] - 1 + dj, 1 + di : a.shape[1] - 1 + di]
-        out[key] = 2.0 * c * q / (c + q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, (dj, di) in _FACES:
+            q = a[1 + dj : a.shape[0] - 1 + dj, 1 + di : a.shape[1] - 1 + di]
+            out[key] = 2.0 * c * q / (c + q)
+    if not all(np.isfinite(face).all() for face in out.values()):
+        a1, a2 = on_grid.source.a1, on_grid.source.a2
+        raise ParamsOverflow("a1" if a1 >= a2 else "a2", f"a face coefficient "
+                             f"overflows at a1 = {a1:g}, a2 = {a2:g}")
     return out
 
 
@@ -380,7 +387,6 @@ def solve_forward(
     t0: float,
     t1: float,
     n_steps: int,
-    source: Optional[Callable] = None,
     boundary: Optional[Callable] = None,
     operator: Optional[SchrodingerOperator] = None,
 ) -> SpaceTimeField:
@@ -397,10 +403,8 @@ def solve_forward(
         raise InvalidStep("operator dt does not match the requested step")
     times = t0 + dt * np.arange(n_steps + 1)
     h = _levels(boundary, grid.boundary_points, times)
-    g = _levels(source, grid.points.reshape(-1, 2)[grid.interior_ids], times)
-    # step n's source and boundary terms, from the sums of levels n and n+1
-    c = ((0.5j * op.dt) * (op.k_bnd @ (h[n] + h[n + 1]) - (g[n] + g[n + 1]))
-         for n in range(n_steps))
+    # step n's boundary term, from the sum of levels n and n+1
+    c = ((0.5j * op.dt) * (op.k_bnd @ (h[n] + h[n + 1])) for n in range(n_steps))
     values = np.empty((n_steps + 1,) + grid.shape, dtype=complex)
     values.reshape(n_steps + 1, -1)[:, grid.boundary_ids] = h
     inner = values[:, 1:-1, 1:-1]
@@ -416,32 +420,6 @@ def _levels(data: Optional[Callable], pts, times) -> np.ndarray:
     if data is None:
         return np.broadcast_to(0j, (times.size, len(pts)))
     return np.array([data(pts, t) for t in times], dtype=complex)
-
-
-def solve_linearized(
-    grid: Grid2D,
-    coeff: Coefficient,
-    potential: ArrayLike,
-    f: ArrayLike,
-    r: Callable,
-    t0: float,
-    t1: float,
-    n_steps: int,
-) -> SpaceTimeField:
-    """Zero-data solve with separable source f(x) R(x, t).
-
-    This is the equation satisfied by the first-order difference of two
-    forward solutions whose potentials differ by f.
-    """
-    f_int = grid.gather_interior(grid.sample(f, complex))
-
-    def source(int_pts, t):
-        return f_int * np.asarray(r(int_pts, t), dtype=complex)
-
-    return solve_forward(
-        grid, coeff, potential, np.zeros(grid.shape, dtype=complex),
-        t0, t1, n_steps, source=source,
-    )
 
 
 def extend_time(field: SpaceTimeField) -> SpaceTimeField:
@@ -526,47 +504,3 @@ def h1l2_boundary_norm(trace: BoundaryTrace) -> float:
     dg = np.gradient(g, trace.times, axis=0, edge_order=2)
     density = (np.abs(g) ** 2 + np.abs(dg) ** 2) @ trace.weights
     return float(np.sqrt(np.trapezoid(density, trace.times)))
-
-
-def _lagrange_d1(xs3, fs3, x):
-    """Derivative at x of the quadratic through (xs3, fs3)."""
-    x0, x1, x2 = xs3
-    f0, f1, f2 = fs3
-    return (
-        f0 * (2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        + f1 * (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2))
-        + f2 * (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1))
-    )
-
-
-def interface_flux_jump(grid: Grid2D, coeff: PiecewiseCoefficient,
-                        u_slice: np.ndarray) -> float:
-    """Median conormal mismatch a1 du/dx|_in - a2 du/dx|_out at interface
-    crossings of horizontal grid lines; a convergence diagnostic for the
-    transmission conditions."""
-    u = np.asarray(u_slice)
-    if u.shape != grid.shape:
-        raise SolverError("slice shape does not match the grid")
-    side = grid.layout.classify(grid.points.reshape(-1, 2)).reshape(grid.shape)
-    # a label flip between columns i and i+1 with three like labels on
-    # each side, so both one-sided stencils stay on their own side
-    same = side[:, :-1] == side[:, 1:]
-    clean = (same[:, :-4] & same[:, 1:-3] & ~same[:, 2:-2]
-             & same[:, 3:-1] & same[:, 4:])
-    rows, cols = np.nonzero(clean)
-    cols = cols + 2
-    x_left = grid.xs[cols]
-    xc = x_left + _crossings(grid.layout.interface,
-                             np.stack((x_left, grid.ys[rows]), axis=-1),
-                             (1.0, 0.0), grid.h)
-    found = np.isfinite(xc)
-    rows, cols, xc = rows[found], cols[found], xc[found]
-    stencil = cols[:, None] + np.arange(-2, 4)
-    xs6, us6 = grid.xs[stencil].T, u[rows[:, None], stencil].T
-    a_left = coeff.on_side(side[rows, cols])
-    a_right = coeff.on_side(side[rows, cols + 1])
-    jumps = np.abs(a_left * _lagrange_d1(xs6[:3], us6[:3], xc)
-                   - a_right * _lagrange_d1(xs6[3:], us6[3:], xc))
-    if jumps.size == 0:
-        raise SolverError("no usable interface crossings on the grid")
-    return float(np.median(jumps))

@@ -35,7 +35,6 @@ from .geometry import (
     OMEGA1,
     OMEGA2,
     RadialInterface,
-    RectangularDomain,
     TWO_PI,
     _gauge_data,
     distance_extrema,
@@ -63,8 +62,10 @@ class TimeSingular(Exception):
 
 
 class ParamsOverflow(ValueError):
-    """alpha, exp(2 lambda psi_sup) or s^3 lambda^4 overflows; name is the
-    parameter blamed."""
+    """A parameter too large for a formula in doubles: alpha, e^(2 lambda
+    psi_sup), tau^3 or theta^3 at the clamp, s^3 lambda^4, a flux face
+    coefficient, or M1 = M2 + a1 - a2, which rounds to 0; name is the
+    parameter blamed (lambda, delta_t, s, a1 or a2)."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -204,25 +205,6 @@ class TransmissionWeight:
         return self.jet(pts).psi
 
 
-def _as_layout(domain) -> DomainLayout:
-    """A layout as given, or a bare interface padded by 0.6 of its largest
-    radius inside a bounding rectangle."""
-    if isinstance(domain, DomainLayout):
-        return domain
-    if isinstance(domain, RadialInterface):
-        thetas = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-        pts = domain.point(thetas)
-        pad = 0.6 * float(np.max(domain.rho_samples))
-        outer = RectangularDomain(
-            float(pts[:, 0].min() - pad),
-            float(pts[:, 0].max() + pad),
-            float(pts[:, 1].min() - pad),
-            float(pts[:, 1].max() + pad),
-        )
-        return DomainLayout(outer, domain)
-    raise TypeError("domain must be a DomainLayout or RadialInterface")
-
-
 def _check_center(interface: RadialInterface, x) -> None:
     """Raise GeometryError unless x lies strictly inside the inner region;
     the interface center, where the gauge tends to 0, is inside."""
@@ -237,8 +219,14 @@ def _check_center(interface: RadialInterface, x) -> None:
 def certifiable_m2(M2: float, a1: float, a2: float) -> float:
     """M2 raised by a2 - a1 for a wrong-way jump (a2 > a1), so that
     M1 = M2 + a1 - a2 stays positive and the certifier can report the H2
-    failure instead of build_weight refusing the offsets."""
-    return M2 + max(0.0, a2 - a1)
+    failure instead of build_weight refusing the offsets.  Raises
+    ParamsOverflow when a2 - a1 is so large that M1 rounds to 0."""
+    raised = M2 + max(0.0, a2 - a1)
+    if not raised + (a1 - a2) > 0.0:
+        raise ParamsOverflow("a2", (
+            f"M1 = M2 + a1 - a2 rounds to {raised + (a1 - a2):g} at "
+            f"a1 = {a1:g}, a2 = {a2:g}, M2 = {M2:g}"))
+    return raised
 
 
 def build_weight(
@@ -335,26 +323,40 @@ def _delta_t(T: float, delta_t: float | None) -> float:
     return T / 64.0 if delta_t is None else delta_t
 
 
+def _clamp_tau(T: float, delta_t: float):
+    """tau = 1 / ((T - t)(T + t)) at the clamp |t| = T - delta_t, its
+    largest value on the clamped interval."""
+    return 1.0 / (np.float64(delta_t) * (2.0 * T - delta_t))
+
+
 def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
                     delta_t: float | None = None) -> CarlemanParams:
     """alpha = 1.05 exp(lam psi_sup) and a default time clamp, for psi_sup
     from psi_grid_max.  Raises ParamsOverflow when alpha, P1's factor
-    exp(2 lam psi_sup) or the norm's scale s^3 lam^4 is not a finite
-    double."""
-    with np.errstate(over="ignore"):
+    exp(2 lam psi_sup), the norm's weight theta^3 = (exp(lam psi_sup) tau)^3
+    at the clamp, tau^3 there (then delta_t is blamed) or the norm's scale
+    s^3 lam^4 is not a finite double."""
+    delta_t = _delta_t(T, delta_t)
+    with np.errstate(over="ignore", divide="ignore"):
         e_lp = np.exp(np.float64(lam) * psi_sup)
         alpha = 1.05 * float(e_lp)
         e_2lp = e_lp * e_lp
+        tau = _clamp_tau(T, delta_t)
+        tau3, theta3 = tau**3, (e_lp * tau) ** 3
         scale = np.float64(s) ** 3 * np.float64(lam) ** 4
-    for name, value in (("lambda", alpha), ("lambda", e_2lp), ("s", scale)):
+    checks = (("lambda", alpha), ("lambda", e_2lp), ("delta_t", tau3),
+              ("lambda", theta3), ("s", scale))
+    for name, value in checks:
         if not np.isfinite(value):
             raise ParamsOverflow(name, (
                 f"overflow at s = {s:g}, lambda = {lam:g}, psi_sup = {psi_sup:.6g}: "
                 f"alpha = 1.05 e^(lambda psi_sup) = {alpha:g}, "
-                f"e^(2 lambda psi_sup) = {e_2lp:g}, s^3 lambda^4 = {scale:g}"))
+                f"e^(2 lambda psi_sup) = {e_2lp:g}, "
+                f"tau^3 at the clamp = {tau3:g}, theta^3 there = {theta3:g}, "
+                f"s^3 lambda^4 = {scale:g}"))
     return CarlemanParams(
         s=float(s), lam=float(lam), alpha=alpha, T=float(T),
-        delta_t=float(_delta_t(T, delta_t)), psi_sup=psi_sup,
+        delta_t=float(delta_t), psi_sup=psi_sup,
     )
 
 
@@ -363,12 +365,6 @@ def _time_factor(params: CarlemanParams, t):
     if np.any(np.abs(t) > params.T - params.delta_t + 1e-12):
         raise TimeSingular("time weight evaluated outside the clamped interval")
     return 1.0 / ((params.T - t) * (params.T + t))
-
-
-def eval_phi(weight: TransmissionWeight, params: CarlemanParams, x, t):
-    return (params.alpha - np.exp(params.lam * weight.psi(x))) * _time_factor(
-        params, t
-    )
 
 
 @dataclass(frozen=True)
@@ -514,7 +510,7 @@ class EpsilonPair:
 
 
 def build_epsilon_pair(
-    domain,
+    layout: DomainLayout,
     x1,
     x2,
     a1: float,
@@ -529,9 +525,7 @@ def build_epsilon_pair(
     D2 >= 2 d + alpha1 (and D1 >= 2 d + alpha2), eps < min(alpha1, alpha2) / 2,
     so both balls of radius eps lie inside the interface.  The pair
     domination condition (H5) is verified on a 64 x 64 scan of each ball.
-    domain is a DomainLayout or a bare RadialInterface.
     """
-    layout = _as_layout(domain)
     iface = layout.interface
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)

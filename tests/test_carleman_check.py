@@ -29,6 +29,8 @@ from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
 
+import oracles
+
 TWO_PI = 2.0 * np.pi
 CARLEMAN_INI = Path(__file__).resolve().parents[1] / "configs" / "carleman.ini"
 
@@ -153,7 +155,7 @@ class TestConjugate:
         wvals = v.values * factors(pair.w1, base, coeff, grid, v.times)
         pts = grid.points.reshape(-1, 2)
         for n, t in enumerate(v.times):
-            phi = wt.eval_phi(pair.w1, base, pts, t).reshape(grid.shape)
+            phi = oracles.eval_phi(pair.w1, base, pts, t).reshape(grid.shape)
             w = wvals[n]
             live = np.abs(w) > 1e-200
             if not live.any():
@@ -342,13 +344,13 @@ def conjugated_operator_by_hand(w, weight, params, coeff, q):
     pts = grid.points.reshape(-1, 2)
     lifted = np.empty_like(w.values)
     for n, t in enumerate(w.times):
-        phi = wt.eval_phi(weight, params, pts, t).reshape(grid.shape)
+        phi = oracles.eval_phi(weight, params, pts, t).reshape(grid.shape)
         lifted[n] = w.values[n] * np.exp(params.s * phi)
     lifted_field = pde.SpaceTimeField(grid=grid, times=w.times, values=lifted)
     image = cc.apply_transmission_operator(lifted_field, coeff, q)
     out = np.empty_like(image.values)
     for n, t in enumerate(w.times):
-        phi = wt.eval_phi(weight, params, pts, t).reshape(grid.shape)
+        phi = oracles.eval_phi(weight, params, pts, t).reshape(grid.shape)
         out[n] = image.values[n] * np.exp(-params.s * phi)
     return out
 

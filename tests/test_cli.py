@@ -9,6 +9,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from carleman_lab import cli
 from carleman_lab import geometry as geo
 from carleman_lab import inverse as inv
 from carleman_lab import pde_solver as pde
+from carleman_lab import weight as wt
 
 DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
 
@@ -200,7 +202,11 @@ class TestErrorPaths:
         ("invert", "inverse", "r_lower", "5", "inverse.r_lower"),
         ("stability", "inverse", "r_lower", "5", "inverse.r_lower"),
         ("invert", "inverse", "q_bound", "0.5", "inverse.q0"),
-        # zero Dirichlet data cannot meet y0 (|y0| >= r_lower) on the rim
+        # y0's rim, held at every time, is the one Dirichlet rule
+        ("geometry-check", "physics", "h", "zero", "physics.h"),
+        ("weight-verify", "physics", "h", "zero", "physics.h"),
+        ("solve-forward", "physics", "h", "zero", "physics.h"),
+        ("carleman-sweep", "physics", "h", "zero", "physics.h"),
         ("invert", "physics", "h", "zero", "physics.h"),
         ("stability", "physics", "h", "zero", "physics.h"),
         ("weight-verify", "carleman", "cutoff", "0.2 0.6", "carleman.cutoff"),
@@ -212,6 +218,16 @@ class TestErrorPaths:
         # the state overflows, so the clean trace's H1 norm is inf
         ("invert", "physics", "y0", "constant 1e300", "physics.y0"),
         ("stability", "physics", "y0", "constant 1e300", "physics.y0"),
+        ("solve-forward", "physics", "y0", "constant 1e300", "physics.y0"),
+        # the harmonic-mean face coefficient 2 a a / (a + a) overflows
+        ("solve-forward", "physics", "a1", "1e300", "physics.a1"),
+        ("invert", "physics", "a2", "1e300", "physics.a2"),
+        ("stability", "physics", "a1", "1e300", "physics.a1"),
+        # M1 = M2 + a1 - a2 rounds to 0 once M2 is raised by a2 - a1
+        ("weight-verify", "physics", "a2", "1e300", "physics.a2"),
+        # tau^3 = (delta_t (2 T - delta_t))^-3 overflows at the clamp
+        ("carleman-sweep", "carleman", "delta_t", "5e-324", "carleman.delta_t"),
+        ("carleman-sweep", "carleman", "delta_t", "1e-300", "carleman.delta_t"),
     ])
     def test_geometry_dependent_errors_name_their_key(
             self, tmp_path, capsys, subcommand, section, key, value, named):
@@ -317,9 +333,42 @@ class TestErrorPaths:
         assert "e^(2 lambda psi_sup) = inf" in err
         assert not out.exists()
 
-    def test_non_finite_estimate_names_lambda(self, tmp_path, capsys):
+    def test_overflowing_theta_cubed_names_lambda_before_any_field(
+            self, tmp_path, capsys, monkeypatch):
+        # at lambda = 6 to 8, e^{2 lambda psi_sup} is finite but the norm's
+        # weight theta^3 overflows at the clamp; it once warned and built
+        # every field before the report check fired
+        def no_fields(self):
+            raise AssertionError("a test field was built")
+
+        monkeypatch.setattr(cc.FieldSuite, "__iter__", no_fields)
+        for lam in ("6", "7", "8"):
+            path = tmp_path / "bad.ini"
+            path.write_text(
+                set_key(TMPL.format(**DEFAULTS), "carleman", "lambda", lam))
+            out = tmp_path / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["carleman-sweep", "--config", str(path),
+                                 "--output-dir", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: carleman.lambda: overflow at ")
+            assert "theta^3 there = inf" in err
+            assert not out.exists()
+
+    def test_non_finite_estimate_names_lambda(self, tmp_path, capsys,
+                                              monkeypatch):
         # at lambda = 6, e^{2 lambda psi_sup} is finite but the norm's
-        # weight theta^3 overflows at the clamp: the report check catches it
+        # weight theta^3 overflows at the clamp: with the fit's own check
+        # taken out, the report check catches it as the backstop
+        def unchecked(psi_sup, s, lam, T, *, delta_t=None):
+            return wt.CarlemanParams(
+                s=s, lam=lam, alpha=1.05 * float(np.exp(lam * psi_sup)), T=T,
+                delta_t=T / 64.0 if delta_t is None else delta_t,
+                psi_sup=psi_sup)
+
+        monkeypatch.setattr(cc, "params_from_sup", unchecked)
         path = tmp_path / "bad.ini"
         path.write_text(set_key(TMPL.format(**DEFAULTS), "carleman", "lambda", "6"))
         with warnings.catch_warnings():
@@ -559,6 +608,30 @@ class TestStability:
         svg = (out / "stability_scatter.svg").read_text()
         ET.fromstring(svg[svg.index("<svg"):])
 
+    def test_scatter_draws_the_sweeps_own_fit(self, tmp_path, monkeypatch):
+        # the sweep's line in ln, on log10 axes: the same slope and the
+        # intercept divided by ln 10
+        drawn, swept = {}, []
+        scatter, sweep = cli.svgplot.scatter, inv.stability_sweep
+
+        def spy_scatter(*args, **kwargs):
+            drawn.update(kwargs)
+            return scatter(*args, **kwargs)
+
+        def spy_sweep(*args, **kwargs):
+            swept.append(sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(cli.svgplot, "scatter", spy_scatter)
+        monkeypatch.setattr(inv, "stability_sweep", spy_sweep)
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["stability", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        result = swept[0]
+        assert np.isfinite(result.loglog_slope)
+        assert drawn["fit_slope"] == result.loglog_slope
+        assert drawn["fit_intercept"] == result.loglog_intercept / np.log(10.0)
+
     def test_clipped_records_report_no_slope(self, tmp_path, capsys):
         # q_bound = 0 clips every perturbed potential to zero, so all
         # records coincide and there is no line to fit through them
@@ -590,7 +663,8 @@ class TestStability:
 
 
 # hostile input: one key of the template (or a flag) set to drawn tokens
-HOSTILE_TOKENS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "junk", "1:x")
+HOSTILE_TOKENS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "junk", "1:x",
+                  "1e300", "1e-300")
 TEMPLATE_KEYS = [
     (section, line.split(" = ")[0], line.split(" = ")[1])
     for section, body in re.findall(r"\[(\w+)\]\n([^[]*)", TMPL.format(**DEFAULTS))
@@ -647,6 +721,9 @@ class TestHostileInput:
     @example(mutation=("geometry", "x1", "-0.49 0"))  # psi_sup 5596 near the interface
     @example(mutation=("physics", "y0", "constant 1e300"))  # the state overflows
     @example(mutation=("carleman", "lambda", "15"))  # e^{2 lambda psi_sup} overflows
+    @example(mutation=("carleman", "lambda", "7"))  # theta^3 overflows at the clamp
+    @example(mutation=("physics", "a1", "1e300"))  # a face coefficient overflows
+    @example(mutation=("physics", "a2", "1e300"))  # and M1 rounds to 0
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation
         text = TMPL.format(**DEFAULTS)

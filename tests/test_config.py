@@ -140,6 +140,12 @@ class TestErrors:
         with pytest.raises(ConfigError, match="physics.h"):
             cfgmod.load_config(write_config(tmp_path, text))
 
+    def test_zero_dirichlet_data_is_rejected(self, tmp_path):
+        # y0's rim, held at every time, is the one Dirichlet rule
+        text = amend(BASE, "p = sine 1.0 0.4", "p = sine 1.0 0.4\nh = zero")
+        with pytest.raises(ConfigError, match="physics.h: must be 'initial'"):
+            cfgmod.load_config(write_config(tmp_path, text))
+
     def test_carleman_values_are_validated(self, tmp_path):
         for extra, path in [
             ("s = 10 -20", "carleman.s"),

@@ -1,7 +1,8 @@
 """Every module-level import in the package is read by its module, every
-private module-level name is read somewhere in the package, every
-defaulted parameter the program can reach is passed by some call in it,
-and every solver and inverse name the benchmark tracer wraps exists.
+private module-level name is read somewhere in the package, every public
+module-level function and class is read by the program, every defaulted
+parameter the program can reach is passed by some call in it, and every
+solver and inverse name the benchmark tracer wraps exists.
 
 No linter ships with the test environment, so the checks walk each
 module's syntax tree with the standard library's ast module.
@@ -114,6 +115,80 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unread_public_defs(package: dict, program: dict, traced: set) -> list:
+    """(module, line, name) of each public module-level function or class
+    of the package that no statement of the program reads as a name, an
+    attribute or an import, its own definition aside, unless traced (the
+    (module, name) pairs the benchmark tracer names) holds it.  package
+    maps module names to sources; program maps keys to sources, the
+    package's modules under their own names."""
+    reads = {}  # (key, index of a top-level statement) -> names it reads
+    for key, source in program.items():
+        for index, stmt in enumerate(ast.parse(source).body):
+            read = names_read(stmt)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+            reads[key, index] = read
+    unread = []
+    for module, source in package.items():
+        for index, node in enumerate(ast.parse(source).body):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")
+                    or (module, node.name) in traced):
+                continue
+            if not any(node.name in read for where, read in reads.items()
+                       if where != (module, index)):
+                unread.append((module, node.lineno, node.name))
+    return sorted(unread)
+
+
+def test_the_check_finds_an_unread_public_def():
+    package = {
+        "m": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def traced():\n"
+            "    pass\n"
+            "class Unread:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    return used()\n"
+            "class Raised(Exception):\n"
+            "    pass\n"
+            "def raises():\n"
+            "    raise Raised\n"
+        ),
+    }
+    program = dict(package, script="import m\nm.raises()\n")
+    assert unread_public_defs(package, program, {("m", "traced")}) == [
+        ("m", 3, "recursive"), ("m", 7, "Unread"),
+    ]
+    program["script"] = "from m import recursive, raises\nraises()\n"
+    assert unread_public_defs(package, program, set()) == [
+        ("m", 5, "traced"), ("m", 7, "Unread"),
+    ]
+
+
+def test_every_public_def_is_read_by_the_program():
+    # a function or class only tests call belongs under tests/; the names
+    # the benchmark tracer wraps stay until it may change
+    tracer = load_tracer()
+    traced = {tuple(member.split(".")[:2])
+              for members in tracer.GROUPS.values() for member in members}
+    traced.update((layer, cls) for layer, classes in tracer.METHODS.items()
+                  for cls in classes)
+    package = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    program = dict(package)
+    program.update((str(path), path.read_text()) for top in PROGRAM[1:]
+                   for path in sorted((ROOT / top).rglob("*.py")))
+    assert unread_public_defs(package, program, traced) == []
 
 
 def _callee(call: ast.Call):

@@ -10,6 +10,7 @@ Oracles:
     log-log axes, local linearity of the measurement map).
 """
 
+import dataclasses
 import warnings
 import weakref
 from pathlib import Path
@@ -24,6 +25,8 @@ from carleman_lab import geometry as geo
 from carleman_lab import inverse as inv
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
+
+import oracles
 
 
 DEFAULT_INI = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
@@ -157,18 +160,18 @@ class TestBKRecovery:
         f = np.sin(pts[..., 0]) * np.cos(2.0 * pts[..., 1])
         r0 = 2.0 + 0.3 * np.cos(pts[..., 1])
         v0 = -1j * f * r0
-        got = inv.bk_recover_f(v0, r0)
+        got = oracles.bk_recover_f(v0, r0)
         np.testing.assert_allclose(got, f, atol=1e-12)
 
     def test_zero_maps_to_zero(self):
         r0 = np.full((7, 7), 1.5)
-        got = inv.bk_recover_f(np.zeros((7, 7), dtype=complex), r0)
+        got = oracles.bk_recover_f(np.zeros((7, 7), dtype=complex), r0)
         assert np.all(got == 0.0)
 
     def test_singular_r0_raises(self):
         r0 = np.full((5, 5), 0.4)
-        with pytest.raises(inv.SingularR0):
-            inv.bk_recover_f(np.zeros((5, 5), dtype=complex), r0)
+        with pytest.raises(oracles.SingularR0):
+            oracles.bk_recover_f(np.zeros((5, 5), dtype=complex), r0)
 
     def test_time_derivative_pipeline_is_exact_at_t0(self):
         # the time-derivative field starts at v(0) = -i f R(0)
@@ -177,7 +180,7 @@ class TestBKRecovery:
         pts = grid.points
         f = np.exp(-((pts[..., 0] - 0.1) ** 2 + pts[..., 1] ** 2) / 0.16)
         r0 = np.full(grid.shape, 2.0)
-        np.testing.assert_array_equal(inv.bk_recover_f(-1j * f * r0, r0), f)
+        np.testing.assert_array_equal(oracles.bk_recover_f(-1j * f * r0, r0), f)
 
     def test_linearized_pipeline_floor_decreases(self):
         # reconstruct v(0) from the one-sided derivative of the solved
@@ -195,10 +198,10 @@ class TestBKRecovery:
             def r(p, t):
                 return 2.0 * np.exp(-1.2j * t) * np.ones(p.shape[:-1])
 
-            u = pde.solve_linearized(grid, coeff, q, f, r, 0.0, 0.4, steps)
+            u = oracles.solve_linearized(grid, coeff, q, f, r, 0.0, 0.4, steps)
             dt = u.dt
             v0_hat = (4.0 * u.values[1] - u.values[2]) / (2.0 * dt)
-            f_hat = inv.bk_recover_f(v0_hat, r0)
+            f_hat = oracles.bk_recover_f(v0_hat, r0)
             mask = np.abs(f) > 1e-3
             errs.append(
                 float(np.linalg.norm((f_hat - f)[mask]) / np.linalg.norm(f[mask]))
@@ -261,15 +264,15 @@ class TestGradient:
             assert an == pytest.approx(fd, rel=1e-3), f"direction {k}"
 
     def test_adjoint_march_matches_a_per_step_loop_bit_for_bit(self):
-        # a time-dependent rim, which no shipped config drives; the
-        # reference forms rho as misfit_and_gradient does and marches the
-        # adjoint with the LU's trans "H" solve, one step at a time
+        # a time-dependent rim, which no config can drive, set on the
+        # instance (its data stays that of the held rim); the reference
+        # forms rho as misfit_and_gradient does and marches the adjoint
+        # with the LU's trans "H" solve, one step at a time
         base = make_instance(nx=15, n_steps=10)
         grid = base.grid
         rim = base.y0.ravel()[grid.boundary_ids]
-        inst = inv.make_instance(
-            grid, base.coeff, base.p_true, base.y0, base.T, base.n_steps,
-            boundary=lambda pts, t: (1.0 + t) * np.exp(-2j * t) * rim,
+        inst = dataclasses.replace(
+            base, boundary=lambda pts, t: (1.0 + t) * np.exp(-2j * t) * rim,
         )
         q = inst.p_true + 0.3 * smooth_direction(grid, 42)
         _, grad = inv.misfit_and_gradient(q, inst)

@@ -23,6 +23,8 @@ from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
 
+import oracles
+
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -324,9 +326,9 @@ class TestForwardSolve:
     @pytest.mark.parametrize("with_data", [False, True],
                              ids=["no-data", "time-dependent-data"])
     def test_march_matches_a_per_step_loop_bit_for_bit(self, with_data):
-        # no shipped config drives a time-dependent rim or a source; the
-        # reference forms c per step, solves with the LU and scatters each
-        # step into a zeroed full-grid slice
+        # no config can drive a time-dependent rim; the reference forms c
+        # per step, solves with the LU and scatters each step into a
+        # zeroed full-grid slice
         layout = make_layout()
         grid = pde.Grid2D.from_layout(layout, 17)
         coeff = wt.PiecewiseCoefficient(2.0, 1.0, layout)
@@ -337,23 +339,13 @@ class TestForwardSolve:
         def boundary(bpts, t):
             return (1.0 + 0.3 * t) * np.exp(1j * t) * np.cos(bpts[:, 0])
 
-        def source(ipts, t):
-            return np.sin(3.0 * t) * (1.0 + 0.5j) * np.exp(
-                -np.sum(ipts**2, axis=-1))
-
-        data = dict(source=source, boundary=boundary) if with_data else {}
+        data = dict(boundary=boundary) if with_data else {}
         n_steps, t1 = 12, 0.3
         op = pde.SchrodingerOperator(grid, coeff, potential, t1 / n_steps)
         field = pde.solve_forward(grid, coeff, potential, y0, 0.0, t1,
                                   n_steps, operator=op, **data)
 
-        int_pts = pts.reshape(-1, 2)[grid.interior_ids]
         bnd_pts = grid.boundary_points
-
-        def g_at(t):
-            if not with_data:
-                return np.zeros(int_pts.shape[0], dtype=complex)
-            return np.asarray(source(int_pts, t), dtype=complex)
 
         def h_at(t):
             if not with_data:
@@ -368,14 +360,14 @@ class TestForwardSolve:
 
         times = field.times
         u = grid.sample(y0, complex).ravel()[grid.interior_ids]
-        h_n, g_n = h_at(times[0]), g_at(times[0])
+        h_n = h_at(times[0])
         ref = [scatter(u, h_n)]
         for n in range(n_steps):
-            h_np1, g_np1 = h_at(times[n + 1]), g_at(times[n + 1])
-            c = (0.5j * op.dt) * (op.k_bnd @ (h_n + h_np1) - (g_n + g_np1))
+            h_np1 = h_at(times[n + 1])
+            c = (0.5j * op.dt) * (op.k_bnd @ (h_n + h_np1))
             u = op._lu.solve(2.0 * u + c) - u
             ref.append(scatter(u, h_np1))
-            h_n, g_n = h_np1, g_np1
+            h_n = h_np1
         assert np.array_equal(field.values, np.array(ref))
 
 
@@ -410,11 +402,11 @@ class TestTransmissionManufactured:
     def run_case(self, nx, steps):
         layout, grid, coeff, w = transmission_setup(nx)
         exact, source = transmission_exact_and_source(w, coeff)
-        field = pde.solve_forward(
+        field = oracles.solve_with_source(
             grid, coeff, np.zeros(grid.shape),
             lambda pts: exact(pts, 0.0),
             0.0, 0.3, steps,
-            source=source,
+            source,
             boundary=lambda pts, t: exact(pts, t),
         )
         ref = exact(grid.points, 0.3)
@@ -435,21 +427,21 @@ class TestTransmissionManufactured:
             layout, grid, coeff, w = transmission_setup(nx)
             exact, _ = transmission_exact_and_source(w, coeff)
             u = exact(grid.points, 0.0)
-            jumps.append(pde.interface_flux_jump(grid, coeff, u))
+            jumps.append(oracles.interface_flux_jump(grid, coeff, u))
         assert jumps[1] < jumps[0] / 2.5  # second-order stencils on smooth sides
 
     def test_flux_jump_decreases_for_solved_field(self):
         _, f1, g1, c1 = self.run_case(21, 15)
         _, f2, g2, c2 = self.run_case(41, 30)
-        j1 = pde.interface_flux_jump(g1, c1, f1.values[-1])
-        j2 = pde.interface_flux_jump(g2, c2, f2.values[-1])
+        j1 = oracles.interface_flux_jump(g1, c1, f1.values[-1])
+        j2 = oracles.interface_flux_jump(g2, c2, f2.values[-1])
         assert j2 < j1 / 1.4
 
     def test_flux_jump_needs_clean_crossings(self):
         layout, grid, coeff, _ = transmission_setup(21)
         tiny = pde.Grid2D.from_layout(layout, 5)
         with pytest.raises(pde.SolverError):
-            pde.interface_flux_jump(tiny, coeff, np.ones(tiny.shape))
+            oracles.interface_flux_jump(tiny, coeff, np.ones(tiny.shape))
 
 
 class TestLinearized:
@@ -473,7 +465,7 @@ class TestLinearized:
         return r
 
     def test_zero_f_zero_solution(self):
-        u = pde.solve_linearized(
+        u = oracles.solve_linearized(
             self.grid, self.coeff, self.p_true, np.zeros(self.grid.shape),
             lambda pts, t: np.ones(pts.shape[0]), 0.0, self.T, self.steps,
         )
@@ -486,10 +478,10 @@ class TestLinearized:
         def r(p, t):
             return np.exp(-1j * t) * np.ones(p.shape[0])
 
-        u1 = pde.solve_linearized(
+        u1 = oracles.solve_linearized(
             self.grid, self.coeff, self.p_true, f, r, 0.0, self.T, self.steps
         )
-        u2 = pde.solve_linearized(
+        u2 = oracles.solve_linearized(
             self.grid, self.coeff, self.p_true, 2.0 * f, r, 0.0, self.T, self.steps
         )
         assert np.allclose(u2.values, 2.0 * u1.values, atol=1e-12)
@@ -506,7 +498,7 @@ class TestLinearized:
         y_q = pde.solve_forward(
             self.grid, self.coeff, q, self.y0, 0.0, self.T, self.steps
         )
-        u = pde.solve_linearized(
+        u = oracles.solve_linearized(
             self.grid, self.coeff, q, f, self.field_lookup(y_p),
             0.0, self.T, self.steps,
         )
@@ -527,7 +519,7 @@ class TestLinearized:
             y_q = pde.solve_forward(
                 self.grid, self.coeff, q, self.y0, 0.0, self.T, self.steps
             )
-            u = pde.solve_linearized(
+            u = oracles.solve_linearized(
                 self.grid, self.coeff, self.p_true, f, self.field_lookup(y_p),
                 0.0, self.T, self.steps,
             )
@@ -565,12 +557,12 @@ class TestTimeDerivative:
         f_int = self.grid.gather_interior(self.f)
         mism = []
         for steps in (20, 40):
-            v = pde.solve_forward(
+            v = oracles.solve_with_source(
                 self.grid, self.coeff, self.q, -1j * self.f * self.r0,
                 0.0, 0.4, steps,
-                source=lambda pts, t: f_int * self.r_prime(pts, t),
+                lambda pts, t: f_int * self.r_prime(pts, t),
             )
-            u = pde.solve_linearized(
+            u = oracles.solve_linearized(
                 self.grid, self.coeff, self.q, self.f, self.r,
                 0.0, 0.4, steps,
             )

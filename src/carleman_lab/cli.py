@@ -95,8 +95,6 @@ def _build_instance(cfg):
         )
     except inv.InitialStateTooSmall as exc:
         raise ConfigError(f"inverse.r_lower: {exc}") from None
-    except inv.TraceOverflow as exc:
-        raise ConfigError(f"physics.y0: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -166,10 +164,7 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
         boundary=inv._rim_data(grid, y0),
     )
     trace = pde.neumann_trace(field, coeff)
-    try:
-        trace_h1l2 = inv.finite_trace_norm(trace)
-    except inv.TraceOverflow as exc:
-        raise ConfigError(f"physics.y0: {exc}") from None
+    trace_h1l2 = inv.finite_trace_norm(trace)
 
     norms = np.array([grid.l2_norm(field.values[n]) for n in range(field.nt)])
     if not np.isfinite(norms).all():
@@ -426,6 +421,9 @@ def _run(subcommand: str, cfg, out_dir: Path) -> int:
         return HANDLERS[subcommand](cfg, out_dir)
     except wt.ParamsOverflow as exc:
         return _config_error(f"{BLAMED_KEYS[exc.name]}: {exc}")
+    except inv.TraceOverflow as exc:
+        # every trace and misfit a subcommand squares grows with the state
+        return _config_error(f"physics.y0: {exc}")
     except (ConfigError, ValueError, geo.GeometryError, pde.SolverError) as exc:
         return _config_error(str(exc))
     except CertificationFailure as exc:

@@ -53,7 +53,8 @@ class InitialStateTooSmall(ValueError):
 
 
 class TraceOverflow(ValueError):
-    """The clean trace's H1(0,T;L2) norm is not a finite double."""
+    """A trace's H1(0,T;L2) norm, or the misfit 0.5 norm^2, is not a
+    finite double."""
 
 
 class StalledReconstruction(Exception):
@@ -209,8 +210,14 @@ def _forward(q: np.ndarray, instance: InverseProblemInstance):
 
 
 def _data_misfit(trace: BoundaryTrace, data: BoundaryTrace) -> float:
+    """0.5 ||trace - data||^2; raises TraceOverflow unless it is a finite
+    double."""
     diff = dataclasses.replace(trace, values=trace.values - data.values)
-    return 0.5 * h1l2_boundary_norm(diff) ** 2
+    norm = finite_trace_norm(diff)
+    try:
+        return 0.5 * norm**2
+    except OverflowError:
+        raise TraceOverflow(f"the misfit 0.5 * {norm:g}^2 overflows") from None
 
 
 def _regularizer(q, q_ref, beta, h):
@@ -430,14 +437,6 @@ class StabilityRecord:
     trace_distance: float
     ratio: float
 
-    def as_dict(self):
-        return {
-            "amplitude": float(self.amplitude),
-            "potential_distance": float(self.potential_distance),
-            "trace_distance": float(self.trace_distance),
-            "ratio": float(self.ratio),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class StabilitySweepResult:
@@ -462,11 +461,12 @@ class StabilitySweepResult:
 
 def trace_distance(instance: InverseProblemInstance, q) -> float:
     """Discrete H1(0,T; L2 boundary) distance between the conormal trace
-    of y(q) and the noiseless trace of the true potential."""
+    of y(q) and the noiseless trace of the true potential; raises
+    TraceOverflow unless it is a finite double."""
     q = _check_q(q, instance)
     _, _, tr = _forward(q, instance)
     diff = dataclasses.replace(tr, values=tr.values - instance.clean_data.values)
-    return h1l2_boundary_norm(diff)
+    return finite_trace_norm(diff)
 
 
 def potential_distance(instance: InverseProblemInstance, q) -> float:

@@ -219,8 +219,9 @@ def face_coefficients(grid: Grid2D, coeff: Coefficient) -> dict:
     return out
 
 
-def _assemble_flux_matrix(grid: Grid2D, coeff: Coefficient):
-    """Sparse div(a grad .) over all nodes, rows only for interior nodes."""
+def _assemble_flux_matrix(grid: Grid2D, coeff: Coefficient) -> sparse.csr_matrix:
+    """Sparse div(a grad .) numbered by node: a row at each interior node
+    and empty rows at the boundary nodes."""
     ny, nx = grid.shape
     faces = face_coefficients(grid, coeff)
     ids = np.arange(nx * ny).reshape(ny, nx)
@@ -238,13 +239,10 @@ def _assemble_flux_matrix(grid: Grid2D, coeff: Coefficient):
     cols.append(rows_2d.ravel())
     vals.append(diag.ravel())
     n = nx * ny
-    full = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    k_int = full[grid.interior_ids][:, grid.interior_ids]
-    k_bnd = full[grid.interior_ids][:, grid.boundary_ids]
-    return k_int.tocsr(), k_bnd.tocsr()
 
 
 class _OnGrid:
@@ -269,10 +267,10 @@ class _OnGrid:
 
 
 class CoefficientOnGrid(_OnGrid):
-    """The coefficient a at the nodes, its flux stencils (k_int, k_bnd) and
-    the boundary trace operator C; both stencils read a from at_nodes, so
-    it is classified once per grid.  node_flux, the flux stencils numbered
-    by node for the Carleman operators, is built on its first use.
+    """The coefficient a at the nodes, its flux stencil and the boundary
+    trace operator C; both read a from at_nodes, so it is classified once
+    per grid.  node_flux is the one flux stencil, numbered by node; flux
+    slices its interior rows into the solver's (k_int, k_bnd).
 
     SchrodingerOperator, the solves and neumann_trace take this form in
     place of the plain coefficient; built once and passed along, it makes
@@ -285,28 +283,17 @@ class CoefficientOnGrid(_OnGrid):
         return self.source.at(self.grid.points.reshape(-1, 2))
 
     @cached_property
-    def flux(self) -> tuple:
+    def node_flux(self) -> sparse.csr_matrix:
+        """div(a grad .) from the values at every node to every node, 0 at
+        the boundary nodes."""
         return _assemble_flux_matrix(self.grid, self)
 
     @cached_property
-    def node_flux(self) -> tuple:
-        """flux's (k_int, k_bnd) with rows and columns numbered by node, so
-        each takes the values at every node and gives 0 on boundary rows.
-        Each row keeps its entries in flux's order, so a product sums them
-        in the same order."""
-        grid = self.grid
-        n = grid.nx * grid.ny
-
-        def by_node(k, col_ids):
-            counts = np.zeros(n + 1, dtype=np.int64)
-            counts[grid.interior_ids + 1] = np.diff(k.indptr)
-            indptr = np.cumsum(counts)
-            return sparse.csr_matrix(
-                (k.data, col_ids[k.indices], indptr), shape=(n, n)
-            )
-
-        k_int, k_bnd = self.flux
-        return by_node(k_int, grid.interior_ids), by_node(k_bnd, grid.boundary_ids)
+    def flux(self) -> tuple:
+        """(k_int, k_bnd): node_flux's interior rows on the interior and on
+        the boundary columns."""
+        rows = self.node_flux[self.grid.interior_ids]
+        return rows[:, self.grid.interior_ids], rows[:, self.grid.boundary_ids]
 
     @cached_property
     def trace(self) -> sparse.csr_matrix:

@@ -391,9 +391,6 @@ class HypothesisReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.records.values())
 
-    def __getitem__(self, name: str) -> HypothesisRecord:
-        return self.records[name]
-
     def as_dict(self):
         return {
             "all_ok": self.all_ok,

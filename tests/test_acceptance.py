@@ -89,9 +89,9 @@ def test_criterion_2_hypothesis_certification():
                             enforce_jump_sign=False)
     report = wt.verify_hypotheses(w_bad)
     assert not report.all_ok
-    assert not report["H2"].ok
+    assert not report.records["H2"].ok
     predicted = -2.0 * (2.0 - 1.0) / 0.5
-    assert report["H2"].margin == pytest.approx(predicted, abs=1e-6)
+    assert report.records["H2"].margin == pytest.approx(predicted, abs=1e-6)
     assert time.monotonic() - start < 10.0
 
 
@@ -274,7 +274,7 @@ def test_criterion_6_carleman_inequality_sweep():
                                  n_solved=5, n_manufactured=5)
     assert len(fields) >= 10
     sweep = cc.constant_sweep(fields, (10.0, 20.0, 40.0, 80.0), (1.0, 2.0),
-                              pair, q, T=1.0)
+                              cc.PairOnGrid(pair, grid), q, T=1.0)
 
     ratios = [row["ratio"] for row in sweep.rows]
     assert all(np.isfinite(r) for r in ratios)

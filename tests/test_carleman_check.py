@@ -1189,20 +1189,32 @@ class TestKernels:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_flux_equals_the_per_level_sparse_products(self, dtype):
         layout, grid, coeff, pair, params = small_problem(nx=21)
-        k_int, k_bnd = pde._assemble_flux_matrix(grid, coeff)
+        on_grid = pde.CoefficientOnGrid(coeff, grid)
         rng = np.random.default_rng(12)
         values = rng.standard_normal((7,) + grid.shape).astype(dtype)
         if dtype is complex:
             values += 1j * rng.standard_normal(values.shape)
         values[2] = 0.0
         values[3, :, :4] = -0.0
-        got = cc._apply_flux(pde.CoefficientOnGrid(coeff, grid), values)
-        ii, bi = grid.interior_ids, grid.boundary_ids
-        want = np.zeros((7, grid.nx * grid.ny), dtype=dtype)
-        for k, level in enumerate(values.reshape(7, -1)):
-            want[k, ii] = k_int @ level[ii] + k_bnd @ level[bi]
+        got = cc._apply_flux(on_grid, values)
+        want = np.array([on_grid.node_flux @ level
+                         for level in values.reshape(7, -1)])
         assert got.dtype == values.dtype
         assert np.array_equal(got.reshape(7, -1), want)
+
+        # on a zero rim, +0 or -0 node by node, the one product has the bits
+        # of the solver's split k_int @ interior + k_bnd @ rim
+        ii, bi = grid.interior_ids, grid.boundary_ids
+        flat = values.reshape(7, -1)
+        flat[:, bi] *= 0.0
+        rim_signs = np.signbit(flat[:, bi].real)
+        assert rim_signs.any() and not rim_signs.all()
+        got = np.ascontiguousarray(cc._apply_flux(on_grid, values).reshape(7, -1))
+        k_int, k_bnd = on_grid.flux
+        want = np.zeros_like(flat)
+        for k, level in enumerate(flat):
+            want[k, ii] = k_int @ level[ii] + k_bnd @ level[bi]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestGroupedRatio:
@@ -1256,14 +1268,6 @@ class TestGroupedRatio:
 
 
 class TestSweep:
-    def test_empty_field_list(self):
-        layout, grid, coeff, pair, params = small_problem()
-        out = cc.constant_sweep([], [10.0, 20.0], [1.0], pair, np.zeros(grid.shape), T=1.0)
-        assert out.rows == []
-        assert out.table == []
-        assert out.sup_ratio == 0.0
-        assert out.stabilized is False
-
     def test_single_zero_field(self):
         layout, grid, coeff, pair, params = small_problem()
         times = clamped_times(params, 6)
@@ -1273,7 +1277,8 @@ class TestSweep:
             values=np.zeros((times.size,) + grid.shape, dtype=complex),
         )
         out = cc.constant_sweep(
-            [zero], [10.0, 20.0], [1.0], pair, np.zeros(grid.shape), T=1.0
+            [zero], [10.0, 20.0], [1.0], cc.PairOnGrid(pair, grid),
+            np.zeros(grid.shape), T=1.0,
         )
         assert all(row["ratio"] == 0.0 for row in out.rows)
         assert out.sup_ratio == 0.0
@@ -1289,8 +1294,8 @@ class TestSweep:
             values=np.zeros((times.size,) + grid.shape, dtype=complex),
         )
         out = cc.constant_sweep(
-            [zero], [10.0, 20.0, 40.0, 80.0], [1.0], pair, np.zeros(grid.shape),
-            T=1.0,
+            [zero], [10.0, 20.0, 40.0, 80.0], [1.0], cc.PairOnGrid(pair, grid),
+            np.zeros(grid.shape), T=1.0,
         )
         assert out.sup_ratio == 0.0
         assert out.stabilized is False
@@ -1304,7 +1309,8 @@ class TestSweep:
             bump_envelope_field(grid, params, (0.2, 0.1), 0.35, 1.0, n_half=8),
             bump_envelope_field(grid, params, (-0.25, 0.0), 0.3, -1.5, n_half=8),
         ]
-        out = cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0], pair, q, T=params.T)
+        out = cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0],
+                                cc.PairOnGrid(pair, grid), q, T=params.T)
         assert len(out.rows) == len(fields) * 4
         assert len(out.table) == 4
         for entry in out.table:
@@ -1329,11 +1335,11 @@ class TestSweep:
             solved_clamped_field(grid, coeff, q, params, n_half=6, seed=2),
             bump_envelope_field(grid, params, (0.2, 0.1), 0.35, 1.0, n_half=6),
         ]
-        return fields, pair, q, params.T
+        return fields, cc.PairOnGrid(pair, grid), q, params.T
 
     def test_psi_is_scanned_once_per_weight(self, monkeypatch):
         # every (s, lambda) is fitted to one psi scan of each weight
-        fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        fields, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
         n_grid = 40
         sizes = []
         psi = wt.TransmissionWeight.psi
@@ -1343,14 +1349,15 @@ class TestSweep:
             return psi(self, pts)
 
         monkeypatch.setattr(wt.TransmissionWeight, "psi", counted)
-        cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0], pair, q, T=T,
+        cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0], on_grid, q, T=T,
                           n_grid=n_grid)
         assert sizes.count(n_grid**2) == 2
 
     def test_rows_equal_standalone_ratios_in_s_lambda_field_order(self):
-        fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        fields, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        pair = on_grid.source
         s_values, lam_values = [10.0, 20.0], [1.5]
-        out = cc.constant_sweep(fields, s_values, lam_values, pair, q, T=T)
+        out = cc.constant_sweep(fields, s_values, lam_values, on_grid, q, T=T)
         expected = []
         for s in s_values:
             for lam in lam_values:
@@ -1374,7 +1381,7 @@ class TestSweep:
     def test_sweep_holds_one_field_at_a_time(self):
         # each field, and its values, is dead by the time the next is asked
         # for: the sweep keeps no field and the pair no memo of one
-        fields, pair, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        fields, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
         refs = []  # to each field handed out and to its values
 
         def handed_out(fld):
@@ -1388,15 +1395,15 @@ class TestSweep:
                     grid=fld.grid, times=fld.times, values=fld.values.copy()
                 ))
 
-        out = cc.constant_sweep(suite(), [10.0, 20.0], [1.5], pair, q, T=T)
+        out = cc.constant_sweep(suite(), [10.0, 20.0], [1.5], on_grid, q, T=T)
         assert len(refs) == 2 * len(fields)
         assert all(ref() is None for ref in refs)
-        want = cc.constant_sweep(fields, [10.0, 20.0], [1.5], pair, q, T=T)
+        want = cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid, q, T=T)
         assert out == want
 
     def run_sweep(self, nx, M2):
-        fields, pair, q, T = self.sweep_inputs(nx=nx, M2=M2)
-        return cc.constant_sweep(fields, [10.0, 20.0], [1.5], pair, q, T=T).rows
+        fields, on_grid, q, T = self.sweep_inputs(nx=nx, M2=M2)
+        return cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid, q, T=T).rows
 
     def test_back_to_back_sweeps_equal_each_sweep_alone(self):
         # each sweep has its own grid and weight pair: nothing built for one
@@ -1441,6 +1448,18 @@ class TestSuiteBuilder:
                     f.values[0], -np.conj(f.values[-1]), atol=1e-12
                 )
         assert k == 9
+
+    def test_every_sweep_field_is_exactly_zero_on_the_rim(self):
+        # _apply_flux's one product reads the rim columns: on the sweep's
+        # fields they hold +-0 only, so it has the solver's bits (module
+        # notes, Kernels)
+        grid, coeff, q, suite = sweep_suite()
+        rims = [f.values.reshape(f.nt, -1)[:, grid.boundary_ids] for f in suite]
+        assert len(rims) == len(suite) == 10
+        assert len(suite.initial_states) == 5 and len(suite.separable) == 5
+        for k, rim in enumerate(rims):
+            assert rim.shape == (2 * 64 + 1, grid.boundary_ids.size), k
+            assert not rim.any(), k
 
     def test_every_pass_builds_the_same_fields(self):
         layout, grid, coeff, pair, params = small_problem(nx=13)

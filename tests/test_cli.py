@@ -251,6 +251,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error: physics.ny: grid spacing must be square")
 
+    @pytest.mark.parametrize("subcommand", ["invert", "stability"])
+    def test_overflowing_trace_difference_names_y0(self, tmp_path, capsys,
+                                                   subcommand):
+        # with p = 0 a constant y0 is stationary, so the clean trace is 0
+        # and finite, while the misfit and every trace distance overflow
+        cfg = write_cfg(tmp_path, p="constant 0", y0="constant 1e160")
+        code = cli.main([subcommand, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: physics.y0: ")
+
     def test_zero_initial_state_is_rejected_before_any_write(self, tmp_path,
                                                              capsys):
         # the forward drift is relative to the initial L2 norm

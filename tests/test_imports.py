@@ -1,19 +1,30 @@
 """Every module-level import in the package is read by its module, every
 private module-level name is read somewhere in the package, every public
 module-level function and class is read by the program, every defaulted
-parameter the program can reach is passed by some call in it, and every
-solver and inverse name the benchmark tracer wraps exists.
+parameter the program can reach is passed by some call in it, every
+solver and inverse name the benchmark tracer wraps exists, and every
+public method and property of a package class is called by some run of
+the six subcommands.
 
-No linter ships with the test environment, so the checks walk each
-module's syntax tree with the standard library's ast module.
+No linter ships with the test environment, so the static checks walk each
+module's syntax tree with the standard library's ast module; the last
+check traces the calls of real runs with sys.setprofile.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+
+import test_cli
+from carleman_lab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "carleman_lab"
@@ -359,3 +370,115 @@ def test_the_dead_traced_carleman_names_are_the_known_five():
         "weight.TransmissionWeight.laplacian",
         "weight.fit_carleman_params",
     ]
+
+
+def called_codes(run) -> set:
+    """The code object of each Python function called while run() runs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def uncalled_members(classes, run, exempt) -> list:
+    """"module.Class.name" of each public method or property (a name with
+    no single leading underscore, so dunders count) that a class among
+    classes defines in its own source, exception classes aside, when no
+    call made while run() runs reaches it and exempt does not hold it."""
+    members = {}  # code object -> qualified name
+    for cls in classes:
+        if issubclass(cls, BaseException):
+            continue
+        source = sys.modules[cls.__module__].__file__
+        for name, attr in vars(cls).items():
+            if name.startswith("_") and not name.startswith("__"):
+                continue
+            fn = getattr(attr, "fget", None) or getattr(attr, "func", None) or attr
+            fn = getattr(fn, "__func__", fn)
+            code = getattr(fn, "__code__", None)
+            # generated methods (a dataclass's __init__, __eq__, ...) are
+            # compiled from strings, not from the class's source
+            if code is None or code.co_filename != source:
+                continue
+            qualified = f"{cls.__module__.rsplit('.', 1)[-1]}.{cls.__name__}.{name}"
+            if qualified not in exempt:
+                members[code] = qualified
+    called = called_codes(run)
+    return sorted(name for code, name in members.items() if code not in called)
+
+
+def test_the_check_finds_an_uncalled_member():
+    @dataclass(frozen=True)
+    class Record:
+        x: float
+
+        def as_dict(self):
+            return {"x": self.x}
+
+        def __getitem__(self, key):
+            return self.x
+
+        @property
+        def doubled(self):
+            return 2.0 * self.x
+
+        @cached_property
+        def halved(self):
+            return 0.5 * self.x
+
+        def _private(self):
+            return self.x
+
+        @staticmethod
+        def traced():
+            return None
+
+        @classmethod
+        def of(cls, x):
+            return cls(x)
+
+    class Raised(Exception):
+        def unused(self):
+            return None
+
+    def run():
+        record = Record.of(1.0)
+        return record.doubled, record._private()
+
+    assert uncalled_members([Record, Raised], run, {"test_imports.Record.traced"}) == [
+        "test_imports.Record.__getitem__", "test_imports.Record.as_dict",
+        "test_imports.Record.halved",
+    ]
+
+
+def test_every_public_member_is_called_by_a_subcommand(tmp_path):
+    # one run of each subcommand on the CLI tests' template; a method only
+    # tests call belongs under tests/, and the methods the benchmark tracer
+    # wraps stay until it may change
+    config = test_cli.write_cfg(tmp_path)
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for subcommand in cli.HANDLERS:
+                code = cli.main([subcommand, "--config", str(config),
+                                 "--output-dir", str(tmp_path / subcommand)])
+                assert code == 0, subcommand
+
+    tracer = load_tracer()
+    exempt = {f"{layer}.{cls}.{name}" for layer, classes in tracer.METHODS.items()
+              for cls, names in classes.items() for name in names}
+    classes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"carleman_lab.{path.stem}")
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and obj.__module__ == module.__name__]
+    assert uncalled_members(classes, run, exempt) == []

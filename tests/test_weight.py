@@ -434,16 +434,16 @@ class TestVerifyHypotheses:
         w = wt.build_weight(unit_disk_layout(), (0.0, 0.0), 2.0, 1.0, M2=1.0)
         report = wt.verify_hypotheses(w)
         assert report.all_ok
-        assert report["strong_convexity"].margin == pytest.approx(1.0, abs=1e-9)
+        assert report.records["strong_convexity"].margin == pytest.approx(1.0, abs=1e-9)
         # transmission residuals are exact zeros on the disk
-        assert report["Tr"].margin == pytest.approx(1e-8, abs=1e-12)
-        assert report["H1"].margin == pytest.approx(1e-8, abs=1e-12)
+        assert report.records["Tr"].margin == pytest.approx(1e-8, abs=1e-12)
+        assert report.records["H1"].margin == pytest.approx(1e-8, abs=1e-12)
         # one-sided slope sum is 2 (a2 - a1) / R = -2, margin = +2
-        assert report["H2"].margin == pytest.approx(2.0, abs=1e-9)
+        assert report.records["H2"].margin == pytest.approx(2.0, abs=1e-9)
         # |grad psi| bottoms out at the cutoff radius: 2 a2 r_outer / R^2 = 0.5
-        assert 0.5 - 1e-12 <= report["H3"].margin <= 0.62
+        assert 0.5 - 1e-12 <= report.records["H3"].margin <= 0.62
         # min eig of 2 a^2 D^2 psi: min(4 a2^2 a1, 4 a1^2 a2) / R^2 = 8
-        assert report["H4"].margin == pytest.approx(8.0, abs=1e-9)
+        assert report.records["H4"].margin == pytest.approx(8.0, abs=1e-9)
 
     def test_wrong_way_jump_fails_h2_with_predicted_margin(self):
         w = wt.build_weight(
@@ -452,13 +452,13 @@ class TestVerifyHypotheses:
         )
         report = wt.verify_hypotheses(w)
         assert not report.all_ok
-        assert not report["H2"].ok
-        assert report["H2"].margin == pytest.approx(-2.0, abs=1e-9)
+        assert not report.records["H2"].ok
+        assert report.records["H2"].margin == pytest.approx(-2.0, abs=1e-9)
         # the interior conditions and the transmission matching still hold
-        assert report["Tr"].ok
-        assert report["H1"].ok
-        assert report["H3"].ok
-        assert report["H4"].ok
+        assert report.records["Tr"].ok
+        assert report.records["H1"].ok
+        assert report.records["H3"].ok
+        assert report.records["H4"].ok
 
     def test_oval_offset_center_passes(self):
         w = wt.build_weight(oval_layout(0.08, 0.03), (0.1, -0.05), 2.0, 1.0)

@@ -33,57 +33,69 @@ the parameters, never on the field), which cancels exactly in the ratio
 and keeps both sides inside double-precision range; reported lhs/rhs
 components therefore carry that common normalization.
 
-Streaming: carleman_ratios builds each weight's phi factors once per
-params (tau over the whole time axis, the space arrays once) and then walks
-the field in slabs of SLAB time levels, evaluating each slab for both
-weights at every params before the next.  Each slab reads one extra level
-of v on each side, so the time derivative taken over it is the whole
-stack's at the slab's levels: L v is built from it once per slab, and
-each conjugated slab takes it once per weight and params.  carleman_ratios
-hands the derivatives and the slab's spatial gradient, as plain arrays, to
-the operators, which take the stack, its derivatives and the phi factors
-only.  Every term is reduced in space into its per-time density, and
-each density is integrated once over the whole time axis by the
-trapezoidal rule.  Every floating-point operation is the one the
-whole-stack operators perform, so each report is bit-identical to
-whole-stack evaluation, while the temporaries, L v included, are
-slab-sized: no whole-stack array but v itself is built.  Nothing of a
-field is kept once its call returns.
+Streaming: the fields that share a grid and a time axis are evaluated in
+one slab-major walk (_walk): carleman_ratios walks its one field, and
+constant_sweep a whole suite.  Each weight's phi factors are built once
+per params for the walk (tau over the whole time axis, the space arrays
+once).  The walk visits the planned slabs of SLAB time levels one at a
+time.  It reads each field that is live on the slab with one extra level
+on each side, so the time derivative taken over it is the whole stack's
+at the slab's levels, and builds the field's L v there once.  Then, for
+each weight and params, it builds the slab's field-independent arrays
+once, the conjugation factors, P1's potential, P2's three factors and the
+norm's weights (_Factors), and evaluates every field with them.  Every
+term is reduced in space into its per-time density, and each density is
+integrated once over the whole time axis by the trapezoidal rule.  Every
+floating-point operation is the one the whole-stack operators perform,
+so each report is bit-identical to whole-stack evaluation, while the
+temporaries are slab-sized.  No field is held whole that did not come
+whole: a FieldSuite's env(t) profile(x) is built a slab at a time, and
+its solved fields advance as one (n_int, k) block of interior states
+through SchrodingerOperator.march, in step with the slabs from the middle
+up (_Marched).  A negative time reads as -conj of its mirror level, the
+head slab reads the last HEAD + 1 levels the march reaches, and between
+slabs only the states of the last HEAD + 1 levels are kept.  SuperLU
+solves each column of the block on its own, so every column has the bits
+of its one-column march.
 
 Mirror: phi is even in t, so for a field with v(-t) = c conj v(t), |c| = 1,
 on an exactly antisymmetric time axis with q real, each density at level
 nt-1-k equals the one at level k: w, P1 w, P2 w, grad w and L v at -t are
 c times the conjugates of theirs at t (the weight factors are even, tau'
 is odd, the stencils and q are real).  _mirror_phase reads c off v's
-largest-modulus entry.  For c = -1 (every solved field extend_time
-returns) and c = +1 the symmetry is checked exactly, and the densities
-then agree bit for bit, as negation and conjugation are exact.  Any other
-c (the manufactured fields, bump(t) e^{i (omega t + phase)}, have
-c = e^{2 i phase}) holds to within MIRROR_ULPS eps of the peak modulus,
-and the mirrored densities agree with the computed ones to rounding.  The
-end levels are the exception, as the one-sided stencils of d/dt sum their
-terms in opposite orders.  For a mirrored field carleman_ratios evaluates
-the slabs that hold the levels from the middle up and a head slab of
-levels 0..HEAD-1, about half of the levels, and every level between them
-takes its mirror's densities; each level is reduced on its own (Kernels),
-so for c = +-1 the report stays bit-identical to whole-stack evaluation,
-and for any other c it moves by rounding only.
+largest-modulus entry.  For c = -1 (every solved field) and c = +1 the
+symmetry is checked exactly, and the densities then agree bit for bit, as
+negation and conjugation are exact.  Any other c (the manufactured fields,
+bump(t) e^{i (omega t + phase)}, have c = e^{2 i phase}) holds to within
+MIRROR_ULPS eps of the peak modulus, and the mirrored densities agree
+with the computed ones to rounding.  The end levels are the exception,
+as the one-sided stencils of d/dt sum their terms in opposite orders.
+For a mirrored field the walk evaluates a head slab of levels 0..HEAD-1
+and the slabs of levels nt // 2..nt-1, about half of the levels, and
+every level between them takes its mirror's densities; each level is
+reduced on its own (Kernels), so for c = +-1 the report stays
+bit-identical to whole-stack evaluation, and for any other c it moves by
+rounding only.  Mirroring starts at level nt // 2 whatever SLAB is, so
+no report depends on SLAB.  A solved field's levels are exact mirrors by
+construction, so _Marched.phase reads c = -1 off its initial state, where
+Re v(0) = 0 must hold exactly, and off the march, which must be finite
+and not 0, as _mirror_phase would read it off the field held whole.
 
 Support: a level's six densities are exactly 0 when v is 0 on every level
 its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
 k = nt-1): w = v e^{-s phi} is 0 there, as the factor is finite (clipped
 at e^700); the space stencils act within one level; and L v at level k
-reads the levels the time stencil reads.  carleman_ratios finds the
-field's time support, the first and last level where v is not identically
-0 (_time_support), and evaluates, L v included, only the part of each
-planned slab whose levels a stencil from the support reaches, with the
-one-level halo, so d/dt at every evaluated level is still the whole
-stack's; the other levels' densities are 0.  As each level is reduced on
-its own (Kernels), the evaluated levels are reduced alone and the report
-stays bit-identical to whole-stack evaluation.  Each compactly supported
-manufactured field of the sweep has 87 live levels; as it is mirrored,
-it conjugates 44 of them (34 + 10 with their halos) of the full path's
-135 slab levels per weight.
+reads the levels the time stencil reads.  The walk finds each field's
+time support, the first and last level where it is not identically 0
+(_time_support), evaluates a field only on the planned slabs that hold a
+level a stencil from the support reaches, and sets the densities at
+every other level to 0.  As each level is reduced on its own (Kernels),
+the report stays bit-identical to whole-stack evaluation.  A solved
+field's support is known once the march has reached the last level, so
+its slabs from the middle up are all evaluated before it applies; a
+nonzero initial state keeps every level live.  Each compactly supported
+manufactured field of the sweep has 79 live levels, 25..103; as it is
+mirrored, the walk evaluates it on the five slabs of 64..103 only.
 
 Kernels: every spatial integral has one rule: np.sum adds up each level's
 row of a C-contiguous integrand on its own (_space_integral, and the
@@ -106,20 +118,27 @@ most in the sign of a zero and are summed in the same order from +0, so
 for finite values the sums agree bit for bit.  The stencil is the
 solver's one flux matrix, numbered by node (CoefficientOnGrid.node_flux),
 so one product reads every node's column and leaves 0 in the boundary
-rows.  Every field carleman_ratios sees is exactly 0 on the rim (the
-solved fields have no Dirichlet data, extend_time mirrors their zeros,
-and _boundary_taper is exactly 0 there), so the rim columns add +-0 to a
-sum begun at +0, and each sum has the bits of the solver's
-k_int @ interior + k_bnd @ rim.  The norm's weights cell theta^3 and
-cell theta (theta = e^{lam psi} tau(t), free of s) are built once per
-weight, slab and (lam, T) and dropped with the slab.
+rows.  Every field of the sweep is exactly 0 on the rim (the solved
+fields have no Dirichlet data and the reflection mirrors their zeros, and
+_boundary_taper is exactly 0 there), so the rim columns add +-0 to a sum
+begun at +0, and each sum has the bits of the solver's
+k_int @ interior + k_bnd @ rim.  numpy multiplies a complex by a float64
+array by casting the real operand to (f, +0) and running the complex
+loop, so a factor that multiplies a complex stack, shared by every field
+of a slab (the conjugation factors, P1's potential, P2's factors and
+grad beta), is cast once, when it is built, and each product has the
+same bits without the cast.  The norm's weights cell theta^3 and
+cell theta (theta = e^{lam psi} tau(t), free of s), which multiply real
+integrands, stay real; they are built once per weight, slab and
+(lam, T) and dropped with the slab.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -130,8 +149,8 @@ from .pde_solver import (
     SolverError,
     SpaceTimeField,
     _OnGrid,
-    extend_time,
-    solve_forward,
+    _check_extension,
+    time_step,
 )
 from .weight import (
     CarlemanParams,
@@ -148,9 +167,10 @@ from .weight import (
 FLUSH_THRESHOLD = 1e-300
 _LOG_FLUSH = float(np.log(FLUSH_THRESHOLD))
 _LOG_CLIP = 700.0
-# time levels per slab of a streamed carleman_ratios call
-SLAB = 32
-# levels of a mirrored call's head slab, which holds level 0: the fewest
+# time levels per slab of a walk: ten fields' slabs, their L v and the
+# marched block's states stay well below one whole field
+SLAB = 8
+# levels of a mirrored field's head slab, which holds level 0: the fewest
 # whose one-level halo still gives d/dt its 3-level stencil
 HEAD = 2
 # a mirror phase c off +-1 holds to within this many eps of a field's peak
@@ -200,31 +220,39 @@ class SweepResult:
     tail_bound: float
 
 
-def _slabs(nt: int) -> list:
-    """(start, stop) of consecutive SLAB-level slabs covering nt levels; a
-    tail of fewer than 3 levels joins the slab before it, so no slab is
-    shorter than the time derivative's 3-level stencil."""
-    starts = list(range(0, nt, SLAB))
-    if len(starts) > 1 and nt - starts[-1] < 3:
+def _slabs(start: int, stop: int) -> list:
+    """(lo, hi) of consecutive SLAB-level slabs covering the levels
+    start..stop-1; a tail of fewer than 3 levels joins the slab before it,
+    so no slab at the end of the time axis is shorter than the time
+    derivative's 3-level stencil."""
+    starts = list(range(start, stop, SLAB))
+    if len(starts) > 1 and stop - starts[-1] < 3:
         starts.pop()
-    return list(zip(starts, starts[1:] + [nt]))
+    return list(zip(starts, starts[1:] + [stop]))
 
 
-def _plan(nt: int, mirrored: bool) -> list:
-    """The slabs a carleman_ratios call evaluates: those of _slabs(nt), or,
-    for a mirrored field, the ones that hold a level at or above the middle
-    and a head slab of levels 0..HEAD-1 (module notes)."""
-    slabs = _slabs(nt)
-    upper = [(start, stop) for start, stop in slabs if 2 * stop > nt]
-    if not mirrored or upper == slabs:
-        return slabs
-    return [(0, HEAD)] + upper
+def _plan(nt: int) -> tuple:
+    """(mirrored, lower), in the order a walk takes them: the slabs every
+    field evaluates, those of [nt // 2, nt) upwards and then a head slab of
+    levels 0..HEAD-1, which reads the last levels a march reaches, and the
+    slabs of [HEAD, nt // 2) between them, downwards, which only a field
+    that is not mirrored evaluates.  Mirroring starts at level nt // 2
+    whatever SLAB is (module notes, Mirror); with no level between the
+    two, every slab is of the first kind."""
+    mid = nt // 2
+    if mid <= HEAD:
+        return _slabs(0, nt), []
+    return _slabs(mid, nt) + [(0, HEAD)], _slabs(HEAD, mid)[::-1]
 
 
-def _time_support(v: SpaceTimeField) -> Optional[tuple]:
-    """(first, last) level at which v is not identically 0; None when v is
+def _time_support(nt: int, read: Callable) -> Optional[tuple]:
+    """(first, last) level at which a field is not identically 0, read
+    slab by slab (read(lo, hi) gives its levels lo..hi-1); None when it is
     0 at every level."""
-    nonzero = np.flatnonzero(v.values.reshape(v.nt, -1).any(axis=1))
+    nonzero = np.concatenate([
+        read(lo, hi).reshape(hi - lo, -1).any(axis=1) for lo, hi in _slabs(0, nt)
+    ])
+    nonzero = np.flatnonzero(nonzero)
     return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
 
 
@@ -239,18 +267,19 @@ def _live_levels(nt: int, support: Optional[tuple]) -> tuple:
     return lo, hi
 
 
-def _mirror_phase(v: SpaceTimeField) -> Optional[complex]:
+def _mirror_phase(times: np.ndarray, read: Callable) -> Optional[complex]:
     """The unit c with values[::-1] == c conj(values) on times[::-1] ==
-    -times, or None.  c is read off the largest-modulus entry; a c within
+    -times, or None, for the field that read(lo, hi) gives level range by
+    level range.  c is read off the largest-modulus entry; a c within
     MIRROR_ULPS eps of +1 or -1 is that sign and must hold exactly, any
     other c to within MIRROR_ULPS eps of the peak modulus (module notes,
     Mirror).  The values are searched and compared slab by slab."""
-    nt, values = v.nt, v.values
-    if not np.array_equal(v.times[::-1], -v.times):
+    nt = times.size
+    if not np.array_equal(times[::-1], -times):
         return None
     peak, at = 0.0, None
-    for start, stop in _slabs(nt):
-        modulus = np.abs(values[start:stop])
+    for start, stop in _slabs(0, nt):
+        modulus = np.abs(read(start, stop))
         k = int(np.argmax(modulus))
         if modulus.flat[k] > peak:
             level, *node = np.unravel_index(k, modulus.shape)
@@ -258,7 +287,9 @@ def _mirror_phase(v: SpaceTimeField) -> Optional[complex]:
         del modulus
     if at is None or not np.isfinite(peak):
         return None
-    c = complex(values[(nt - 1 - at[0], *at[1:])] / np.conj(values[at]))
+    level, *node = at
+    mirror = read(nt - 1 - level, nt - level)[(0, *node)]
+    c = complex(mirror / np.conj(read(level, level + 1)[(0, *node)]))
     tol = MIRROR_ULPS * np.finfo(float).eps
     if not abs(abs(c) - 1.0) <= tol:
         return None
@@ -267,12 +298,12 @@ def _mirror_phase(v: SpaceTimeField) -> Optional[complex]:
         if abs(c - sign) <= tol:
             # negation and conjugation are exact: the gap must be 0
             c, bound = complex(sign), 0.0
-    for start, stop in _slabs((nt + 1) // 2):
+    for start, stop in _slabs(0, (nt + 1) // 2):
         # c conj(high) - low, the gap of high == c conj(low) for |c| = 1; a
         # copy of the reversed view takes none of a ufunc's buffers
-        low = values[start:stop]
+        low = read(start, stop)
         gap = np.empty_like(low)
-        gap[...] = values[nt - stop : nt - start][::-1]
+        gap[...] = read(nt - stop, nt - start)[::-1]
         np.conjugate(gap, out=gap)
         gap *= c
         gap -= low
@@ -385,12 +416,13 @@ class _PhiSpace:
 
     @cached_property
     def grad_beta(self) -> tuple:
-        """(d/dx, d/dy) beta = -lam e^{lam psi} grad psi."""
+        """(d/dx, d/dy) beta = -lam e^{lam psi} grad psi, in complex form,
+        as they multiply the complex gradient (module notes, Kernels)."""
         gpsi = self.weight.grad
         lam = self.params.lam
         return (
-            (-lam * self.e_lp * gpsi[:, 0]).reshape(self.shape),
-            (-lam * self.e_lp * gpsi[:, 1]).reshape(self.shape),
+            (-lam * self.e_lp * gpsi[:, 0]).reshape(self.shape).astype(complex),
+            (-lam * self.e_lp * gpsi[:, 1]).reshape(self.shape).astype(complex),
         )
 
     @cached_property
@@ -495,44 +527,68 @@ def apply_transmission_operator(
     grid = v.grid
     vals = _schrodinger_stack(
         v.values,
-        _time_derivative(v.values, v.dt),
+        _time_derivative(v.values, time_step(v.times)),
         CoefficientOnGrid.of(coeff, grid),
         grid.sample(potential, dtype=complex)[None, :, :],
     )
     return SpaceTimeField(grid=grid, times=v.times, values=vals)
 
 
-def apply_P1(w: np.ndarray, dwdt: np.ndarray, phi: _Phi) -> np.ndarray:
+class _Factors(NamedTuple):
+    """What P1 and P2 multiply a conjugated stack by at one weight, params
+    and range of levels, built once for every field evaluated there, in
+    complex form (module notes, Kernels)."""
+
+    phi: _Phi
+    # s^2 a |grad phi|^2
+    potential: np.ndarray
+    # 2 s tau a, s tau div(a grad beta) and i s tau' beta; None at s = 0
+    p2: Optional[tuple]
+
+    @classmethod
+    def of(cls, phi: _Phi, times: np.ndarray) -> "_Factors":
+        """The factors at phi's levels, times."""
+        space = phi.space
+        s = space.params.s
+        tau = phi.tau[:, None, None]
+        potential = space.p1_potential[None, :, :] * (phi.tau**2)[:, None, None]
+        p2 = None
+        if s != 0.0:
+            # grad phi = tau grad beta
+            a2d = space.coeff.at_nodes.reshape(space.shape)
+            tau_prime = 2.0 * np.asarray(times, dtype=float)[:, None, None] * tau**2
+            p2 = (
+                (2.0 * s * tau * a2d).astype(complex),
+                (s * tau * space.div_a_grad_beta).astype(complex),
+                1j * s * tau_prime * space.beta,
+            )
+        return cls(phi, potential.astype(complex), p2)
+
+
+def apply_P1(w: np.ndarray, dwdt: np.ndarray, factors: _Factors) -> np.ndarray:
     """P1 w = i w' + div(a grad w) + s^2 a |grad phi|^2 w, w' being dwdt:
     the Schrodinger stack with the potential s^2 a |grad phi|^2.  A
     complex dwdt is overwritten."""
-    potential = phi.space.p1_potential[None, :, :] * (phi.tau**2)[:, None, None]
-    return _schrodinger_stack(w, dwdt, phi.space.coeff, potential)
+    return _schrodinger_stack(w, dwdt, factors.phi.space.coeff, factors.potential)
 
 
-def apply_P2(w: np.ndarray, grad, phi: _Phi, times: np.ndarray) -> np.ndarray:
+def apply_P2(w: np.ndarray, grad, factors: _Factors) -> np.ndarray:
     """P2 w = i s phi' w + 2 s a grad phi . grad w + s div(a grad phi) w,
-    grad w being grad = (d/dy, d/dx) w at the levels times.  The terms are
-    built in grad's buffers."""
-    space = phi.space
-    s = space.params.s
-    if s == 0.0:
+    grad w being grad = (d/dy, d/dx) w.  The terms are built in grad's
+    buffers."""
+    if factors.p2 is None:
         return np.zeros(w.shape, dtype=complex)
-    # grad phi = tau grad beta
-    gbx, gby = space.grad_beta
-    a2d = space.coeff.at_nodes.reshape(space.shape)
-    tau = phi.tau[:, None, None]
-    tau_prime = 2.0 * np.asarray(times, dtype=float)[:, None, None] * tau**2
+    gbx, gby = factors.phi.space.grad_beta
+    along, across, in_time = factors.p2
     # the stacked terms reuse the gradient buffers, so at most three
     # complex (nt, ny, nx) temporaries are alive at once
     wy, wx = grad
     transport = np.add(
         np.multiply(gbx, wx, out=wx), np.multiply(gby, wy, out=wy), out=wx
     )
-    np.multiply(2.0 * s * tau * a2d, transport, out=transport)
-    divergence = np.multiply(s * tau * space.div_a_grad_beta, w, out=wy)
-    out = 1j * s * tau_prime * space.beta
-    np.multiply(out, w, out=out)
+    np.multiply(along, transport, out=transport)
+    divergence = np.multiply(across, w, out=wy)
+    out = np.multiply(in_time, w)
     out += transport
     out += divergence
     return out
@@ -650,6 +706,275 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
     return float(np.exp(min(log_tail, _LOG_CLIP)))
 
 
+class _Field:
+    """A field of a walk, read level range by level range: read(lo, hi)
+    gives its values at the levels lo..hi-1 on grid, over the uniform
+    times.  Its mirror phase and live levels are read off those values
+    before any slab is evaluated."""
+
+    def __init__(self, grid: Grid2D, times: np.ndarray, read: Callable):
+        self.grid, self.times, self.read = grid, times, read
+        self.dt = time_step(times)
+        self.phase = _mirror_phase(times, read)
+        self.live = _live_levels(times.size, _time_support(times.size, read))
+
+
+def _stored(v: SpaceTimeField) -> _Field:
+    """v, held whole, as a field of a walk."""
+    _require_time_resolution(v)
+    values = v.values
+    return _Field(v.grid, v.times, lambda lo, hi: values[lo:hi])
+
+
+class _Marched:
+    """The solved fields of a suite as one (n_int, k) block of interior
+    states, which SchrodingerOperator.march advances from t = 0 as the
+    slabs read it.  Level n_steps + m holds the block after m steps, and a
+    level below the middle reads as -conj of its mirror level, by the
+    odd-conjugate reflection v(-t) = -conj v(t) that a solution from a
+    purely imaginary state satisfies.  The first read of a level range
+    builds every field's values there and hands each out once; it marches
+    on to the last level the range needs, and afterwards keeps only the
+    states of the last HEAD + 1 levels, the most a later read in plan
+    order goes back (the next slab's halo, or the head's levels at the
+    end).  A read of a level whose state was dropped marches again from
+    t = 0, which a walk asks for only when a solved field is not mirrored
+    (module notes, Streaming)."""
+
+    def __init__(self, suite: "FieldSuite"):
+        grid, op = suite.grid, suite.operator
+        self.grid, self.op = grid, op
+        self.n = n = (suite.times.size - 1) // 2
+        # solve_forward's levels from t = 0, reflected about t = 0
+        t = op.dt * np.arange(n + 1)
+        self.times = np.concatenate([-t[-1:0:-1], t])
+        self.dt = time_step(self.times)
+        self.x0 = np.column_stack([
+            grid.sample(y0, complex)[1:-1, 1:-1].ravel() for y0 in suite.initial_states
+        ])
+        # per step, whether each state is nonzero; each field's peak modulus
+        self.nonzero = np.zeros((n + 1, self.x0.shape[1]), dtype=bool)
+        self.nonzero[0] = self.x0.any(axis=0)
+        self.peak = np.abs(self.x0).max(axis=0)
+        self.done = False
+        # the level range last read, and each field's values there that
+        # are not handed out yet
+        self.range, self.handed = None, []
+        self._restart()
+
+    def _restart(self):
+        self.states = {0: self.x0}  # step -> block after that many steps
+        self.reached = 0
+        # the suite's solves have no Dirichlet data: every step's boundary
+        # term is +0, as solve_forward's is
+        zero = np.zeros((self.x0.shape[0], 1), dtype=complex)
+        self._steps = self.op.march(self.x0, itertools.repeat(zero, self.n), "N")
+
+    def _advance(self, first: int, last: int):
+        """Hold the states after first..last steps, and none before."""
+        if first < min(self.states):
+            self._restart()
+        for step in [step for step in self.states if step < first]:
+            del self.states[step]
+        while self.reached < last:
+            self.reached += 1
+            x = self.states[self.reached] = next(self._steps)
+            if not self.done:
+                self.nonzero[self.reached] = x.any(axis=0)
+                self.peak = np.maximum(self.peak, np.abs(x).max(axis=0))
+                self.done = self.reached == self.n
+                if self.done:
+                    for j, scale in enumerate(self.peak):
+                        _check_extension(self.x0[:, j], float(scale))
+
+    def read(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Solved field j at the levels lo..hi-1."""
+        if self.range != (lo, hi) or self.handed[j] is None:
+            steps = [abs(k - self.n) for k in range(lo, hi)]
+            self._advance(min(steps), max(steps))
+            ny, nx = self.grid.shape
+            levels = np.zeros((self.x0.shape[1], hi - lo, ny, nx), dtype=complex)
+            for i, (k, step) in enumerate(zip(range(lo, hi), steps)):
+                interior = self.states[step].T.reshape(-1, ny - 2, nx - 2)
+                levels[:, i, 1:-1, 1:-1] = interior
+                if k < self.n:
+                    levels[:, i] = -np.conj(levels[:, i])
+            for step in [step for step in self.states if step < max(steps) - HEAD]:
+                del self.states[step]
+            self.range, self.handed = (lo, hi), list(levels)
+        out, self.handed[j] = self.handed[j], None
+        return out
+
+    def phase(self, j: int) -> Optional[complex]:
+        """_mirror_phase of solved field j: -1 when Re v(0) = 0 at every
+        node, as the check at t = 0 needs, and the field is finite and not
+        0, as the peak needs; levels the reflection pairs are exact
+        mirrors.  Known once the march has reached the last level."""
+        if not self.done:
+            self._advance(self.reached, self.n)
+        if self.x0[:, j].real.any() or not 0.0 < self.peak[j] < np.inf:
+            return None
+        return complex(-1.0)
+
+    def live(self, j: int) -> tuple:
+        """_live_levels of solved field j's time support, which reflects
+        about the middle; all levels until the march has reached the
+        last one."""
+        nt = 2 * self.n + 1
+        if not self.done:
+            return 0, nt
+        steps = np.flatnonzero(self.nonzero[:, j])
+        if not steps.size:
+            return _live_levels(nt, None)
+        last = self.n + int(steps[-1])
+        return _live_levels(nt, (nt - 1 - last, last))
+
+
+class _Column:
+    """Solved field j of a _Marched block as a field of a walk."""
+
+    def __init__(self, block: _Marched, j: int):
+        self.block, self.j = block, j
+        self.grid, self.times, self.dt = block.grid, block.times, block.dt
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        return self.block.read(self.j, lo, hi)
+
+    @property
+    def phase(self) -> Optional[complex]:
+        return self.block.phase(self.j)
+
+    @property
+    def live(self) -> tuple:
+        return self.block.live(self.j)
+
+
+def _suite_fields(suite: "FieldSuite") -> list:
+    """The suite's fields as fields of a walk, in suite order: the solved
+    ones as the columns of one marched block, then each env(t) profile(x),
+    built a slab at a time."""
+    fields = []
+    if suite.initial_states:
+        block = _Marched(suite)
+        fields += [_Column(block, j) for j in range(len(suite.initial_states))]
+    times = suite.times
+    for env, profile in suite.separable:
+        fields.append(_Field(
+            suite.grid, times,
+            lambda lo, hi, env=env, profile=profile: (
+                env[lo:hi, None, None] * profile[None, :, :]
+            ),
+        ))
+    return fields
+
+
+def _slab_densities(v, lv, core: slice, fac, factors: _Factors, theta: tuple,
+                    dt: float, out):
+    """A field's six densities at one weight and params on one slab, into
+    out (see _walk): v is the field on the slab and its one-level halo,
+    core the slab's levels in it, lv its L v on the slab, fac the
+    conjugation factors over the halo, in complex form, and theta the
+    norm's weights on the slab."""
+    grid = factors.phi.space.weight.grid
+    out[4] = _l2_density(grid, lv * fac[core])
+    ext = v * fac
+    w = ext[core]
+    # each operator stack is reduced and dropped before the next is built
+    out[0] = _l2_density(grid, apply_P1(w, _time_derivative(ext, dt)[core], factors))
+    grad = _spatial_gradient(w, grid.h)
+    # one ordering rule: the norm reads the gradient before apply_P2 builds
+    # its terms in the gradient's buffers
+    out[2:4] = _norm_densities(w, grad, theta)
+    out[1] = _l2_density(grid, apply_P2(w, grad, factors))
+    out[5] = _boundary_term(w, factors.phi)
+
+
+def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q_nodes) -> list:
+    """Each field's reports at every params of params_list, in order, for
+    fields on on_grid's grid that share one time axis: the slab-major
+    core of carleman_ratios and constant_sweep (module notes, Streaming).
+    q_nodes is q at the nodes, in complex form."""
+    grid, coeff = on_grid.grid, on_grid.coeff
+    times, dt = fields[0].times, fields[0].dt
+    nt = times.size
+    q_real = not q_nodes.imag.any()
+    # phis[k][j]: weight j's phi factors at params k
+    phis = [
+        [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
+        for params in params_list
+    ]
+    shifts = [
+        _common_log_shift([phi.space for phi in row], params)
+        for row, params in zip(phis, params_list)
+    ]
+    # per field, weight, params and time level: |P1 w|^2, |P2 w|^2, the
+    # norm's two integrands, |e^{-s phi} L v|^2 and the boundary integrand
+    dens = np.zeros((len(fields), len(on_grid.weights), len(params_list), 6, nt))
+    mirrored, lower = _plan(nt)
+    slabs = [(slab, True) for slab in mirrored] + [(slab, False) for slab in lower]
+    for (start, stop), everyone in slabs:
+        takers = [
+            i for i, fld in enumerate(fields)
+            if max(start, fld.live[0]) < min(stop, fld.live[1])
+            and (everyone or not q_real or fld.phase is None)
+        ]
+        if not takers:
+            continue
+        lo, hi = max(start - 1, 0), min(stop + 1, nt)
+        core = slice(start - lo, stop - lo)
+        values = [fields[i].read(lo, hi) for i in takers]
+        # d/dt over the halo is the whole stack's at start..stop-1, so L v
+        # is too; it is built in a copy of the slab's levels, so no halo
+        # level is held with it
+        residuals = [
+            _schrodinger_stack(v[core], _time_derivative(v, dt)[core].copy(), coeff,
+                               q_nodes[None, :, :])
+            for v in values
+        ]
+        for j in range(len(on_grid.weights)):
+            theta = {}  # (lam, T) -> _theta_weights at the slab's levels
+            for k, params in enumerate(params_list):
+                part = phis[k][j].slab(start, stop)
+                key = (params.lam, params.T)
+                if key not in theta:
+                    theta[key] = _theta_weights(part)
+                factors = _Factors.of(part, times[start:stop])
+                fac = _conjugation_factors(phis[k][j].slab(lo, hi), shifts[k])
+                fac = fac.astype(complex)
+                for i, v, lv in zip(takers, values, residuals):
+                    _slab_densities(v, lv, core, fac, factors, theta[key], dt,
+                                    dens[i, j, k, :, start:stop])
+                # dropped before the next params' are built
+                del factors, fac
+        del values, residuals
+    reports = []
+    for fld, per_field in zip(fields, dens):
+        # a level no stencil from the support reaches has densities 0, and
+        # a level between the head and the middle of a mirrored field takes
+        # its mirror's
+        live_lo, live_hi = fld.live
+        per_field[..., :live_lo] = 0.0
+        per_field[..., live_hi:] = 0.0
+        if lower and q_real and fld.phase is not None:
+            mid = nt // 2
+            per_field[..., HEAD:mid] = per_field[..., nt - 1 - HEAD : nt - 1 - mid : -1]
+        # per params: lhs, rhs_residual, rhs_boundary, summed weight by weight
+        sums = [[0.0, 0.0, 0.0] for _ in params_list]
+        for per_weight in per_field:
+            for params, per, acc in zip(params_list, per_weight, sums):
+                # the sum keeps the order P1, P2, norm
+                acc[0] += float(np.trapezoid(per[0], times))
+                acc[0] += float(np.trapezoid(per[1], times))
+                acc[0] += _norm_value(params, per[2], per[3], times)
+                acc[1] += float(np.trapezoid(per[4], times))
+                acc[2] += float(params.s * params.lam * np.trapezoid(per[5], times))
+        reports.append([
+            assemble_report(*acc, params.s, params.lam)
+            for params, acc in zip(params_list, sums)
+        ])
+    return reports
+
+
 def carleman_ratios(
     v: SpaceTimeField,
     weight_pair: EpsilonPair | PairOnGrid,
@@ -663,97 +988,16 @@ def carleman_ratios(
     finite residual L v, and a computable boundary flux.  The report
     components carry one common positive normalization (see module notes);
     the ratio is exact.  A PairOnGrid built for v's grid lends its
-    field-independent data.  Each weight's phi factors are built once per
-    params; the terms, L v included, are streamed over slabs of SLAB time
-    levels, and each slab is evaluated for both weights at every params
-    before the next, so L v is built once per slab and the norm's theta
-    weights once per weight, slab and (lambda, T).  For a field with
-    v(-t) = c conj v(t), |c| = 1 (_mirror_phase), and q real at the nodes,
-    about half of the levels are evaluated and the others take their
-    mirror's densities, bit for bit for c = +-1 and to rounding otherwise;
-    only the levels a stencil from v's time support reaches are evaluated
-    (module notes).  Raises NonFiniteReport when a component overflows.
+    field-independent data.  This is constant_sweep's slab-major walk on
+    the one field: for a field with v(-t) = c conj v(t), |c| = 1
+    (_mirror_phase), and q real at the nodes, about half of the levels are
+    evaluated and the others take their mirror's densities, bit for bit
+    for c = +-1 and to rounding otherwise; only the slabs a stencil from
+    v's time support reaches are evaluated (module notes).  Raises
+    NonFiniteReport when a component overflows.
     """
-    _require_time_resolution(v)
-    grid, times, nt = v.grid, v.times, v.nt
-    on_grid = PairOnGrid.of(weight_pair, grid)
-    coeff = on_grid.coeff
-    q_nodes = grid.sample(q, dtype=complex)
-    plan = _plan(nt, not q_nodes.imag.any() and _mirror_phase(v) is not None)
-    live_lo, live_hi = _live_levels(nt, _time_support(v))
-    params_list = list(params_list)
-    # phis[k][j]: weight j's phi factors at params k
-    phis = [
-        [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
-        for params in params_list
-    ]
-    shifts = [
-        _common_log_shift([phi.space for phi in row], params)
-        for row, params in zip(phis, params_list)
-    ]
-    # per weight, params and time level: |P1 w|^2, |P2 w|^2, the norm's two
-    # integrands, |e^{-s phi} L v|^2 and the boundary integrand; 0 at the
-    # levels outside [live_lo, live_hi)
-    dens = np.zeros((len(on_grid.weights), len(params_list), 6, nt))
-    for start, stop in plan:
-        a, b = max(start, live_lo), min(stop, live_hi)
-        if a >= b:
-            continue
-        lo, hi = max(a - 1, 0), min(b + 1, nt)
-        core = slice(a - lo, b - lo)
-        # d/dt over the halo is the whole stack's at a..b-1, so L v is too
-        lv = _schrodinger_stack(
-            v.values[a:b],
-            _time_derivative(v.values[lo:hi], v.dt)[core],
-            coeff,
-            q_nodes[None, :, :],
-        )
-        for j in range(len(on_grid.weights)):
-            theta = {}  # (lam, T) -> _theta_weights at levels a..b-1
-            for k, params in enumerate(params_list):
-                phi = phis[k][j]
-                fac = _conjugation_factors(phi.slab(lo, hi), shifts[k])
-                dens[j, k, 4, a:b] = _l2_density(grid, lv * fac[core])
-                ext = v.values[lo:hi] * fac
-                del fac
-                w = ext[core]
-                part = phi.slab(a, b)
-                # each operator stack is reduced and dropped before the next
-                # is built
-                dwdt = _time_derivative(ext, v.dt)[core]
-                dens[j, k, 0, a:b] = _l2_density(grid, apply_P1(w, dwdt, part))
-                del dwdt
-                grad = _spatial_gradient(w, grid.h)
-                key = (params.lam, params.T)
-                if key not in theta:
-                    theta[key] = _theta_weights(part)
-                # one ordering rule: the norm reads the gradient before
-                # apply_P2 builds its terms in the gradient's buffers
-                dens[j, k, 2:4, a:b] = _norm_densities(w, grad, theta[key])
-                dens[j, k, 1, a:b] = _l2_density(
-                    grid, apply_P2(w, grad, part, times[a:b])
-                )
-                del grad
-                dens[j, k, 5, a:b] = _boundary_term(w, part)
-        del lv
-    # a level between two slabs takes its mirror's densities
-    for (_, gap_lo), (gap_hi, _) in zip(plan, plan[1:]):
-        mirror = slice(nt - 1 - gap_lo, nt - 1 - gap_hi, -1)
-        dens[..., gap_lo:gap_hi] = dens[..., mirror]
-    # per params: lhs, rhs_residual, rhs_boundary, summed weight by weight
-    sums = [[0.0, 0.0, 0.0] for _ in params_list]
-    for per_weight in dens:
-        for params, per, acc in zip(params_list, per_weight, sums):
-            # the sum keeps the order P1, P2, norm
-            acc[0] += float(np.trapezoid(per[0], times))
-            acc[0] += float(np.trapezoid(per[1], times))
-            acc[0] += _norm_value(params, per[2], per[3], times)
-            acc[1] += float(np.trapezoid(per[4], times))
-            acc[2] += float(params.s * params.lam * np.trapezoid(per[5], times))
-    return [
-        assemble_report(*acc, params.s, params.lam)
-        for params, acc in zip(params_list, sums)
-    ]
+    return _walk([_stored(v)], PairOnGrid.of(weight_pair, v.grid),
+                 list(params_list), v.grid.sample(q, dtype=complex))[0]
 
 
 def carleman_ratio(
@@ -786,13 +1030,14 @@ def constant_sweep(
     whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
     to that one sup before any field is built (an overflow raises
-    ParamsOverflow).  test_fields is iterated once, and each field is
-    dropped before the next is asked for, so a lazy suite (build_test_suite)
-    has one field in memory at a time.  Each field is evaluated over every
-    (s, lambda) in one carleman_ratios call on on_grid, the pair on the
-    fields' grid, so the pair's grid data is built once (a field on
-    another grid gets a pair of its own); q_inf is taken on on_grid's
-    grid, and rows come out in (s, lambda, field) order.
+    ParamsOverflow).  The fields that share a grid and a time axis are
+    evaluated in one slab-major walk on on_grid, the pair on their grid
+    (fields on another grid get a pair of their own): each slab's weight
+    factors are built once for all of them at every (s, lambda).  A
+    FieldSuite is never held whole: its solved fields advance as one
+    marched block in step with the slabs, and each separable field is
+    built a slab at a time (module notes, Streaming).  q_inf is taken on
+    on_grid's grid, and rows come out in (s, lambda, field) order.
     """
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
     pair = on_grid.source
@@ -804,14 +1049,20 @@ def constant_sweep(
         tail = max(tail, clamp_tail_bound(params))
         fitted.append(params)
 
-    fields = iter(test_fields)
-    fld = next(fields, None)
-    by_field = []
-    while fld is not None:
-        on_grid = PairOnGrid.of(on_grid, fld.grid)
-        by_field.append(carleman_ratios(fld, on_grid, fitted, q))
-        fld = None  # dropped before the next field is built
-        fld = next(fields, None)
+    if isinstance(test_fields, FieldSuite):
+        fields = _suite_fields(test_fields)
+    else:
+        fields = [_stored(fld) for fld in test_fields]
+    groups = {}  # (grid, time axis) -> indices of its fields
+    for index, fld in enumerate(fields):
+        groups.setdefault((id(fld.grid), fld.times.tobytes()), []).append(index)
+    by_field = [None] * len(fields)
+    for members in groups.values():
+        grid = fields[members[0]].grid
+        walked = _walk([fields[i] for i in members], PairOnGrid.of(on_grid, grid),
+                       fitted, grid.sample(q, dtype=complex))
+        for index, reports in zip(members, walked):
+            by_field[index] = reports
     reports = list(zip(*by_field))
 
     rows = []
@@ -864,34 +1115,24 @@ def _boundary_taper(grid: Grid2D, margin: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldSuite:
-    """A test-field suite that builds its fields on demand.
+    """A test-field suite, held as the draws that define its fields.
 
-    len() is the number of fields.  Each iteration builds them in order:
-    solve's forward solution from each initial state, extended to negative
-    times, then env(t) profile(x) for each (env, profile) of separable.
-    Every random draw was made with the suite, so every iteration yields
-    the same fields bit for bit.  The suite keeps none of them: a caller
-    that drops each field before asking for the next holds one at a time.
+    len() is the number of fields: first operator's forward solution on
+    [0, times[-1]] in (len(times) - 1) // 2 steps from each initial state,
+    extended to negative times by v(-t) = -conj v(t), then env(t)
+    profile(x) on times for each (env, profile) of separable.  Every random draw was
+    made with the suite, so every sweep over it sees the same fields bit
+    for bit; constant_sweep builds them slab by slab and holds none whole.
     """
 
     grid: Grid2D
-    solve: Callable[[np.ndarray], SpaceTimeField]
+    operator: SchrodingerOperator
     initial_states: list
     times: np.ndarray
     separable: list
 
     def __len__(self) -> int:
         return len(self.initial_states) + len(self.separable)
-
-    def __iter__(self) -> Iterator[SpaceTimeField]:
-        for y0 in self.initial_states:
-            yield extend_time(self.solve(y0))
-        for env, profile in self.separable:
-            yield SpaceTimeField(
-                grid=self.grid,
-                times=self.times,
-                values=env[:, None, None] * profile[None, :, :],
-            )
 
 
 def build_test_suite(
@@ -912,11 +1153,12 @@ def build_test_suite(
     bumps and extend to negative times by the conjugate reflection they
     satisfy; manufactured fields are interior bumps times smooth compactly
     supported time envelopes, exercising the residual term.  Both kinds
-    are mirrored by carleman_ratios: a solved field is odd-conjugate, and
-    a manufactured field's envelope bump(t) e^{i (omega t + phase)} gives
+    are mirrored: a solved field is odd-conjugate, and a manufactured
+    field's envelope bump(t) e^{i (omega t + phase)} gives
     v(-t) = e^{2 i phase} conj v(t) to rounding (module notes, Mirror).
-    Every random parameter is drawn here; the fields are built as the
-    suite is iterated (FieldSuite).
+    Every random parameter is drawn here, and one factored operator serves
+    every solve; the fields are built as constant_sweep walks the suite
+    (FieldSuite).
     """
     t_max = T - _delta_t(T, delta_t)
     rng = np.random.default_rng(seed)
@@ -960,7 +1202,4 @@ def build_test_suite(
             1j * (omega * times[inside] + phase)
         )
         separable.append((env, profile))
-    solve = partial(
-        solve_forward, grid, coeff, q, t0=0.0, t1=t_max, n_steps=n_steps, operator=op
-    )
-    return FieldSuite(grid, solve, initial_states, times, separable)
+    return FieldSuite(grid, op, initial_states, times, separable)

@@ -313,21 +313,17 @@ def _crossings(interface: RadialInterface, origin, direction, reach):
 
 def resample_from_center(interface: RadialInterface, new_center) -> RadialInterface:
     """Radial description of the same curve about a different interior
-    point, at max(256, interface.n_samples) uniform angles.
+    point, at max(256, interface.n_samples) uniform angles; interface
+    itself when new_center is its center.
 
     The ray from ``new_center`` at each target angle is intersected with
     the spline curve, so the new samples lie on the old curve to solver
     precision.
     """
     nc = np.asarray(new_center, dtype=float)
-    n_samples = max(256, interface.n_samples)
     if np.hypot(*(nc - interface.center)) < _CENTER_EPS:
-        if n_samples == interface.n_samples:
-            return interface
-        thetas = TWO_PI * np.arange(n_samples) / n_samples
-        return build_radial_interface(
-            np.column_stack((thetas, interface.rho(thetas))), center=interface.center
-        )
+        return interface
+    n_samples = max(256, interface.n_samples)
     if gauge(interface, nc) >= 1.0:
         raise GeometryError("new center must lie strictly inside the curve")
     targets = TWO_PI * np.arange(n_samples) / n_samples

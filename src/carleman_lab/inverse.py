@@ -53,8 +53,8 @@ class InitialStateTooSmall(ValueError):
 
 
 class TraceOverflow(ValueError):
-    """A trace's H1(0,T;L2) norm, or the misfit 0.5 norm^2, is not a
-    finite double."""
+    """A trace's H1(0,T;L2) norm, the misfit 0.5 norm^2, or the misfit's
+    gradient at the initial guess is not a finite double."""
 
 
 class StalledReconstruction(Exception):
@@ -342,7 +342,9 @@ def reconstruct(
     own message as stop_reason.  Returns a ReconstructionResult, or a
     StalledReconstruction instance (an Exception, returned rather than
     raised) when the line search fails; the partial result at the last
-    accepted iterate rides along in its .result attribute.
+    accepted iterate rides along in its .result attribute.  Raises
+    TraceOverflow when the gradient at q0 or its norm is not finite, as
+    no stop could then be measured against it.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -364,7 +366,13 @@ def reconstruct(
 
     accepted = evaluate(q.ravel())
     initial = accepted[1]
-    floor = GRAD_RTOL * float(np.linalg.norm(accepted[2]))
+    # an entry that is not finite makes the norm so too
+    grad_norm = float(np.linalg.norm(accepted[2]))
+    if not np.isfinite(grad_norm):
+        raise TraceOverflow(
+            f"the misfit gradient at q0 has norm {grad_norm:g}: the state overflows"
+        )
+    floor = GRAD_RTOL * grad_norm
 
     def converged():
         _, value, grad = accepted

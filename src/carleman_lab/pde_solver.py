@@ -164,15 +164,13 @@ class Grid2D:
         """data at every node as a (ny, nx) array of dtype.
 
         A callable is passed the (N, 2) node points and must return one
-        value per node; a scalar fills the grid; an array must have the
-        grid shape or one value per node in flattened order.
+        value per node; an array must have the grid shape or one value per
+        node in flattened order.
         """
         out = np.asarray(
             data(self.points.reshape(-1, 2)) if callable(data) else data,
             dtype=dtype,
         )
-        if out.ndim == 0:
-            return np.full(self.shape, out)
         if out.shape not in (self.shape, (self.nx * self.ny,)):
             raise SolverError(
                 f"profile shape {out.shape} does not match grid {self.shape}"
@@ -351,17 +349,6 @@ class SpaceTimeField:
     def nt(self) -> int:
         return self.times.size
 
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def dt(self) -> float:
-        steps = np.diff(self.times)
-        if steps.size and abs(steps.max() - steps.min()) > 1e-10 * abs(steps[0]):
-            raise SolverError("field time axis is not uniform")
-        return float(steps[0]) if steps.size else 0.0
-
     def interior(self) -> np.ndarray:
         return self.values.reshape(self.nt, -1)[:, self.grid.interior_ids]
 
@@ -409,22 +396,25 @@ def _levels(data: Optional[Callable], pts, times) -> np.ndarray:
     return np.array([data(pts, t) for t in times], dtype=complex)
 
 
-def extend_time(field: SpaceTimeField) -> SpaceTimeField:
-    """Reflect a solution from [0, T] onto [-T, T] by the odd-conjugate rule
-    v(-t) = -conj v(t), which a solution whose t = 0 modulator is real
-    satisfies; needs Re v(0) = 0."""
-    if abs(field.t0) > 1e-12:
-        raise ExtensionError("extension requires a field starting at t = 0")
-    scale = float(np.max(np.abs(field.values))) or 1.0
-    mismatch = float(np.max(np.abs(field.values[0].real)))
-    if mismatch > 1e-12 * scale:
+def time_step(times: np.ndarray) -> float:
+    """The step of a uniform time axis, 0 for a single level; raises
+    SolverError when the axis is not uniform."""
+    steps = np.diff(times)
+    if steps.size and abs(steps.max() - steps.min()) > 1e-10 * abs(steps[0]):
+        raise SolverError("field time axis is not uniform")
+    return float(steps[0]) if steps.size else 0.0
+
+
+def _check_extension(start: np.ndarray, scale: float):
+    """The guard of the odd-conjugate reflection v(-t) = -conj v(t) of a
+    solution from [0, T] onto [-T, T], which a solution whose t = 0
+    modulator is real satisfies: Re v(0) = 0, start being v(0), to within
+    1e-12 of scale, the field's largest modulus."""
+    mismatch = float(np.max(np.abs(start.real)))
+    if mismatch > 1e-12 * (scale or 1.0):
         raise ExtensionError(
             f"odd-conjugate extension needs Re v(0) = 0, got {mismatch:.3e}"
         )
-    mirrored = -np.conj(field.values[-1:0:-1])
-    times = np.concatenate([-field.times[-1:0:-1], field.times])
-    values = np.concatenate([mirrored, field.values], axis=0)
-    return SpaceTimeField(grid=field.grid, times=times, values=values)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Each is an independent check on the program: an exact Hessian of the
 gauge, the phi weight evaluated point by point, the forward march with an
 interior source (manufactured solutions and the linearized equation), the
-transmission flux mismatch at the interface, and the algebraic
-initial-condition inversion.  None of them is run by a subcommand, so they
-live here rather than in the package.
+transmission flux mismatch at the interface, the algebraic
+initial-condition inversion, and the Carleman test fields held whole (the
+odd-conjugate time reflection of a solution, and a suite's fields).  None
+of them is run by a subcommand, so they live here rather than in the
+package.
 """
 
 import numpy as np
@@ -14,11 +16,14 @@ from carleman_lab.geometry import RadialInterface, _crossings, _gauge_data, _off
 from carleman_lab.pde_solver import (
     ArrayLike,
     Coefficient,
+    ExtensionError,
     Grid2D,
     SchrodingerOperator,
     SolverError,
     SpaceTimeField,
+    _check_extension,
     _levels,
+    solve_forward,
 )
 from carleman_lab.weight import (
     CarlemanParams,
@@ -165,3 +170,36 @@ def bk_recover_f(v0: np.ndarray, R0: np.ndarray) -> np.ndarray:
     if lo < 0.5:
         raise SingularR0(f"min |R(0)| = {lo:.3e} is below the required bound 0.5")
     return np.real(1j * np.asarray(v0, dtype=complex) / R0)
+
+
+# --------------------------------------------------------------------------
+# Carleman test fields
+
+
+def extend_time(field: SpaceTimeField) -> SpaceTimeField:
+    """Reflect a solution from [0, T] onto [-T, T] by the odd-conjugate rule
+    v(-t) = -conj v(t), which a solution whose t = 0 modulator is real
+    satisfies; needs Re v(0) = 0.  The sweep's marched block reads its
+    solved fields' negative times by this rule."""
+    if abs(field.times[0]) > 1e-12:
+        raise ExtensionError("extension requires a field starting at t = 0")
+    _check_extension(field.values[0], float(np.max(np.abs(field.values))))
+    mirrored = -np.conj(field.values[-1:0:-1])
+    times = np.concatenate([-field.times[-1:0:-1], field.times])
+    values = np.concatenate([mirrored, field.values], axis=0)
+    return SpaceTimeField(grid=field.grid, times=times, values=values)
+
+
+def suite_fields(suite):
+    """Each field of a FieldSuite, held whole, in suite order: the forward
+    solution from each initial state, extended to negative times, then
+    env(t) profile(x) for each separable pair."""
+    n_steps = (suite.times.size - 1) // 2
+    for y0 in suite.initial_states:
+        yield extend_time(solve_forward(
+            suite.grid, None, None, y0, 0.0, float(suite.times[-1]), n_steps,
+            operator=suite.operator,
+        ))
+    for env, profile in suite.separable:
+        yield SpaceTimeField(grid=suite.grid, times=suite.times,
+                             values=env[:, None, None] * profile[None, :, :])

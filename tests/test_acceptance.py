@@ -238,10 +238,11 @@ def test_criterion_5_conjugation_identity():
             direct[n] = image.values[n] * np.exp(-params.s * phi)
         phi = cc._Phi.of(cc.WeightOnGrid(w1, grid), params,
                          pde.CoefficientOnGrid(coeff, grid), w.times)
-        dwdt = cc._time_derivative(w.values, w.dt)
+        dwdt = cc._time_derivative(w.values, pde.time_step(w.times))
         grad = cc._spatial_gradient(w.values, grid.h)
-        split = (cc.apply_P1(w.values, dwdt, phi)
-                 + cc.apply_P2(w.values, grad, phi, w.times)
+        factors = cc._Factors.of(phi, w.times)
+        split = (cc.apply_P1(w.values, dwdt, factors)
+                 + cc.apply_P2(w.values, grad, factors)
                  + q[None] * w.values)
         dt = w.times[1] - w.times[0]
 
@@ -309,7 +310,7 @@ def test_criterion_7_bk_initial_condition_oracle():
             return 2.0 * np.exp(-1.2j * t) * np.ones(p.shape[:-1])
 
         u = oracles.solve_linearized(grid, coeff, q, f, r, 0.0, 0.4, steps)
-        v0_hat = (4.0 * u.values[1] - u.values[2]) / (2.0 * u.dt)
+        v0_hat = (4.0 * u.values[1] - u.values[2]) / (2.0 * pde.time_step(u.times))
         f_hat = oracles.bk_recover_f(v0_hat, r0)
         mask = np.abs(f) > 1e-3
         errs.append(float(np.linalg.norm((f_hat - f)[mask])

@@ -10,6 +10,7 @@ Oracles used here:
   * exact quadratic homogeneity of every report component.
 """
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -97,7 +98,7 @@ def solved_clamped_field(grid, coeff, q, params, n_half=16, seed=3):
     y0 = 1j * np.exp(-r2 / 0.35**2)
     t_max = params.T - params.delta_t
     fwd = pde.solve_forward(grid, coeff, q, y0, 0.0, t_max, n_half)
-    return pde.extend_time(fwd)
+    return oracles.extend_time(fwd)
 
 
 def phi_of(weight, params, coeff, grid, times):
@@ -112,15 +113,29 @@ def factors(weight, params, coeff, grid, times):
 
 def P1(v, weight, params, coeff):
     """P1 v over the whole stack."""
-    phi = phi_of(weight, params, coeff, v.grid, v.times)
-    return cc.apply_P1(v.values, cc._time_derivative(v.values, v.dt), phi)
+    factors = cc._Factors.of(phi_of(weight, params, coeff, v.grid, v.times), v.times)
+    dvdt = cc._time_derivative(v.values, pde.time_step(v.times))
+    return cc.apply_P1(v.values, dvdt, factors)
 
 
 def P2(v, weight, params, coeff):
     """P2 v over the whole stack."""
-    phi = phi_of(weight, params, coeff, v.grid, v.times)
+    factors = cc._Factors.of(phi_of(weight, params, coeff, v.grid, v.times), v.times)
     grad = cc._spatial_gradient(v.values, v.grid.h)
-    return cc.apply_P2(v.values, grad, phi, v.times)
+    return cc.apply_P2(v.values, grad, factors)
+
+
+def read_levels(v):
+    """v's values as a walk reads them: read(lo, hi) is levels lo..hi-1."""
+    return lambda lo, hi: v.values[lo:hi]
+
+
+def mirror_phase(v):
+    return cc._mirror_phase(v.times, read_levels(v))
+
+
+def time_support(v):
+    return cc._time_support(v.nt, read_levels(v))
 
 
 def norm_sq(v, weight, params, coeff):
@@ -323,7 +338,7 @@ class TestSplitOperators:
             grid.shape
         )
         tau = wt._time_factor(params, v.times)
-        dwdt = np.gradient(v.values, v.dt, axis=0, edge_order=2)
+        dwdt = np.gradient(v.values, pde.time_step(v.times), axis=0, edge_order=2)
         want = (
             1j * dwdt
             + cc._apply_flux(pde.CoefficientOnGrid(coeff, grid), v.values)
@@ -537,10 +552,12 @@ def whole_stack_ratio(v, pair, params, q):
         phi = cc._Phi.of(wgt, params, coeff, times)
         fac = cc._conjugation_factors(phi, shift)
         w = pde.SpaceTimeField(grid=grid, times=times, values=v.values * fac)
-        lhs += l2_sq(cc.apply_P1(w.values, cc._time_derivative(w.values, v.dt), phi))
+        factors = cc._Factors.of(phi, times)
+        dwdt = cc._time_derivative(w.values, pde.time_step(times))
+        lhs += l2_sq(cc.apply_P1(w.values, dwdt, factors))
         norm = cc.weighted_norm_sq(w, phi)
         grad = cc._spatial_gradient(w.values, grid.h)
-        lhs += l2_sq(cc.apply_P2(w.values, grad, phi, times))
+        lhs += l2_sq(cc.apply_P2(w.values, grad, factors))
         lhs += norm
         rhs_residual += l2_sq(lv.values * fac)
         mask, psi_plus = wgt.sigma
@@ -596,7 +613,7 @@ class TestStreamedRatio:
         q = np.zeros(grid.shape)
         t_max = params.T - params.delta_t
         times = np.linspace(-t_max, t_max, 81)
-        assert len(cc._slabs(times.size)) == 3
+        assert len(cc._slabs(0, times.size)) >= 3
         y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
         solved = pde.solve_forward(grid, coeff, q, y0, -t_max, t_max, times.size - 1)
         for v in (solved, manufactured_field(grid, times)):
@@ -608,11 +625,11 @@ class TestStreamedRatio:
 
     def test_slabs_cover_the_levels_once(self):
         for nt in self.NT:
-            slabs = cc._slabs(nt)
+            slabs = cc._slabs(0, nt)
             assert slabs[0][0] == 0 and slabs[-1][1] == nt
             assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
             assert all(3 <= stop - start <= cc.SLAB + 2 for start, stop in slabs)
-        assert len(cc._slabs(2 * cc.SLAB + 3)) == 3
+        assert len(cc._slabs(0, 2 * cc.SLAB + 3)) == 3
 
     @pytest.mark.parametrize("nx", (13, 48))
     def test_slab_densities_equal_the_whole_stack_rows(self, nx):
@@ -631,14 +648,14 @@ class TestStreamedRatio:
             assert phi.space.weight.sigma[0].any()
             l2 = cc._l2_density(grid, values)
             boundary = cc._boundary_term(values, phi)
-            for mirrored in (False, True):
-                for a, b in cc._plan(nt, mirrored):
-                    got = cc._l2_density(grid, values[a:b])
-                    assert np.array_equal(got, l2[a:b]), ("_l2_density", nt, a, b)
-                    got = cc._boundary_term(values[a:b], phi.slab(a, b))
-                    assert np.array_equal(got, boundary[a:b]), (
-                        "_boundary_term", nt, a, b,
-                    )
+            mirrored, lower = cc._plan(nt)
+            for a, b in mirrored + lower:
+                got = cc._l2_density(grid, values[a:b])
+                assert np.array_equal(got, l2[a:b]), ("_l2_density", nt, a, b)
+                got = cc._boundary_term(values[a:b], phi.slab(a, b))
+                assert np.array_equal(got, boundary[a:b]), (
+                    "_boundary_term", nt, a, b,
+                )
 
     def test_time_factor_once_per_weight_per_call(self, monkeypatch):
         layout, grid, coeff, pair, params = small_problem(nx=13)
@@ -694,7 +711,7 @@ def extended_field(grid, coeff, q, params, nt):
     t_max = params.T - params.delta_t
     y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
     fwd = pde.solve_forward(grid, coeff, q, y0, 0.0, t_max, (nt - 1) // 2)
-    return pde.extend_time(fwd)
+    return oracles.extend_time(fwd)
 
 
 def odd_conjugate_field(grid, params, nt, seed=4, growth=1.0):
@@ -753,7 +770,7 @@ class TestMirroredRatio:
         v = extended_field(grid, coeff, q, base, nt)
         assert v.nt == nt
         on_grid = cc.PairOnGrid(pair, grid)
-        assert cc._mirror_phase(v) == -1
+        assert mirror_phase(v) == -1
         assert cc.carleman_ratio(v, on_grid, base, q).rhs_boundary > 0.0
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
@@ -768,7 +785,7 @@ class TestMirroredRatio:
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         v = odd_conjugate_field(grid, base, nt, growth=growth)
         on_grid = cc.PairOnGrid(pair, grid)
-        assert cc._mirror_phase(v) == -1
+        assert mirror_phase(v) == -1
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
             assert got.lhs > 0.0
@@ -793,10 +810,11 @@ class TestMirroredRatio:
         on_grid = cc.PairOnGrid(pair, grid)
         levels = self.count_levels(monkeypatch)
         cc.carleman_ratio(v, on_grid, params, q)
-        # slab by slab, once per weight: the head slab 0..1 and its halo
-        # level (3), and the slabs 64..95 and 96..128 with theirs (34 each);
-        # the full path conjugates 33 + 34 + 34 + 34 levels
-        assert levels == [3, 3, 34, 34, 34, 34]
+        # slab by slab, once per weight: the eight slabs of 64..128 with
+        # their halos (10 each: 64..71, ..., 112..119 and 120..128), then the
+        # head slab 0..1 and its halo level (3); the full path also
+        # conjugates the slabs of 2..63, downwards (8 for 58..63, 10 each)
+        assert levels == [10] * 16 + [3, 3]
 
     def test_symmetry_check_allocates_slabs_only(self):
         layout, grid, coeff, pair, params = small_problem(nx=13)
@@ -804,7 +822,7 @@ class TestMirroredRatio:
         v = extended_field(grid, coeff, q, params, 129)
         tracemalloc.start()
         try:
-            assert cc._mirror_phase(v) == -1
+            assert mirror_phase(v) == -1
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -831,10 +849,10 @@ class TestMirroredRatio:
             fld = pde.SpaceTimeField(grid=grid, times=tms, values=vals)
             on_grid = cc.PairOnGrid(pair, grid)
             # a complex q alone breaks the symmetry of the densities
-            assert (cc._mirror_phase(fld) == -1) == (name == "complex q"), name
+            assert (mirror_phase(fld) == -1) == (name == "complex q"), name
             levels.clear()
             got = cc.carleman_ratio(fld, on_grid, params, pot)
-            assert levels == [33, 33, 34, 34, 34, 34, 34, 34], name
+            assert levels == [10] * 16 + [3, 3] + [8, 8] + [10] * 14, name
             assert_same_report(got, whole_stack_ratio(fld, pair, params, pot))
 
     def test_every_solved_field_of_the_sweep_suite_is_mirrored(self):
@@ -844,12 +862,24 @@ class TestMirroredRatio:
         grid, coeff, q, suite = sweep_suite()
         n_solved = len(suite.initial_states)
         assert not np.iscomplexobj(q)
-        phases = [cc._mirror_phase(fld) for fld in suite]
+        held = list(oracles.suite_fields(suite))
+        phases = [mirror_phase(fld) for fld in held]
         assert phases[:n_solved] == [-1] * n_solved
         for c in phases[n_solved:]:
             assert c is not None
             assert abs(abs(c) - 1.0) <= cc.MIRROR_ULPS * np.finfo(float).eps
             assert abs(c.imag) > 1e-3
+        # the walk's fields, the solved ones marched as one block, read the
+        # values of the fields held whole and take their phases and live
+        # levels
+        walked = cc._suite_fields(suite)
+        for k, (fld, whole) in enumerate(zip(walked, held)):
+            for lo, hi in cc._slabs(0, whole.nt):
+                assert np.array_equal(fld.read(lo, hi), whole.values[lo:hi]), k
+        assert [fld.phase for fld in walked] == phases
+        assert [fld.live for fld in walked] == [
+            cc._live_levels(fld.nt, time_support(fld)) for fld in held
+        ]
 
     def test_even_conjugate_field_equals_the_whole_stack_bit_for_bit(self):
         # the tests' manufactured field is exactly even-conjugate: c = +1
@@ -857,7 +887,7 @@ class TestMirroredRatio:
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         t_max = base.T - base.delta_t
         v = manufactured_field(grid, np.linspace(-t_max, t_max, 129))
-        assert cc._mirror_phase(v) == 1
+        assert mirror_phase(v) == 1
         on_grid = cc.PairOnGrid(pair, grid)
         for params in self.params_and_zero(base):
             got = cc.carleman_ratio(v, on_grid, params, q)
@@ -887,7 +917,8 @@ class TestMirroredRatio:
             for s in (cfg.carleman.s[0], cfg.carleman.s[-1])
             for lam in cfg.carleman.lam
         ]
-        field = next(itertools.islice(suite, len(suite.initial_states), None))
+        field = next(itertools.islice(oracles.suite_fields(suite),
+                                      len(suite.initial_states), None))
         yield "sweep suite's first manufactured", field, pair, params, q
 
     def test_phase_mirror_matches_the_whole_stack_to_rounding(self, monkeypatch):
@@ -895,7 +926,7 @@ class TestMirroredRatio:
         for name, v, pair, params_list, q in self.phase_fields():
             tracemalloc.start()
             try:
-                c = cc._mirror_phase(v)
+                c = mirror_phase(v)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -906,11 +937,11 @@ class TestMirroredRatio:
             levels.clear()
             got = cc.carleman_ratios(v, on_grid, params_list, q)
             # levels 25..103 are live: slab by slab, once per weight and
-            # params, 34 + 10 of their 87 levels are conjugated with their
-            # halos, where the full path conjugates 9 + 34 + 34 + 10
-            assert v.nt == 129 and cc._time_support(v) == (26, 102), name
+            # params, the five slabs of 64..103 are conjugated with their
+            # halos, where the full path also conjugates six slabs of 18..63
+            assert v.nt == 129 and time_support(v) == (26, 102), name
             per_slab = 2 * len(params_list)
-            assert levels == [n for n in (34, 10) for _ in range(per_slab)], name
+            assert levels == [10] * (5 * per_slab), name
             for rep, params in zip(got, params_list):
                 want = whole_stack_ratio(v, pair, params, q)
                 assert rep.lhs > 0.0, name
@@ -918,6 +949,27 @@ class TestMirroredRatio:
                     assert getattr(rep, key) == pytest.approx(
                         getattr(want, key), rel=1e-14, abs=0.0
                     ), (name, key, params.s, params.lam)
+
+    def test_reports_do_not_depend_on_the_slab_size(self, monkeypatch):
+        # mirroring starts at level nt // 2 whatever SLAB is: the sweep
+        # suite's manufactured fields, whose phase c is off +-1, so that
+        # their mirrored densities match the computed ones to rounding
+        # only, give the same bits at every slab size.  Anchored at the
+        # slabs that reach past the middle, levels 60..63 were computed at
+        # SLAB = 12 and moved the rows of the first and last of them
+        grid, coeff, q, suite = sweep_suite()
+        *_, pair, params_list, _ = next(
+            case for case in self.phase_fields()
+            if case[0] == "sweep suite's first manufactured"
+        )
+        fields = list(oracles.suite_fields(suite))[len(suite.initial_states):]
+        on_grid = cc.PairOnGrid(pair, grid)
+        want = [cc.carleman_ratios(v, on_grid, params_list, q) for v in fields]
+        for slab in (3, 8, 12, 32):
+            monkeypatch.setattr(cc, "SLAB", slab)
+            for k, v in enumerate(fields):
+                got = cc.carleman_ratios(v, on_grid, params_list, q)
+                assert got == want[k], (slab, k)
 
     def test_phase_broken_above_the_tolerance_takes_the_full_path(
             self, monkeypatch):
@@ -928,13 +980,13 @@ class TestMirroredRatio:
             ny, nx = v.grid.shape
             values[40, ny // 2, nx // 2] += 4 * bound
             fld = pde.SpaceTimeField(grid=v.grid, times=v.times, values=values)
-            assert cc._mirror_phase(fld) is None, name
+            assert mirror_phase(fld) is None, name
             on_grid = cc.PairOnGrid(pair, v.grid)
             levels.clear()
             got = cc.carleman_ratios(fld, on_grid, params_list, q)
             per_slab = 2 * len(params_list)
             assert levels == [
-                n for n in (9, 34, 34, 10) for _ in range(per_slab)
+                n for n in (10,) * 5 + (8,) + (10,) * 5 for _ in range(per_slab)
             ], name
             for rep, params in zip(got, params_list):
                 assert_same_report(rep, whole_stack_ratio(fld, pair, params, q))
@@ -955,7 +1007,7 @@ class TestMirroredRatio:
         )
         for name, tms, values, half, scale in cases:
             unscaled = pde.SpaceTimeField(grid=grid, times=tms, values=values)
-            assert cc._mirror_phase(unscaled) is not None, name
+            assert mirror_phase(unscaled) is not None, name
             scaled = values.copy()
             scaled[half] *= scale
             at = np.unravel_index(np.argmax(np.abs(scaled)), scaled.shape)
@@ -963,7 +1015,7 @@ class TestMirroredRatio:
             c = scaled[mirror] / np.conj(scaled[at])
             assert abs(abs(c) - 1.0) > 1e-10, name
             fld = pde.SpaceTimeField(grid=grid, times=tms, values=scaled)
-            assert cc._mirror_phase(fld) is None, name
+            assert mirror_phase(fld) is None, name
 
 
 def supported_field(grid, times, support, seed=5):
@@ -988,7 +1040,7 @@ def support_cases(nt):
     levels, and None for the zero field."""
     cases = {(0, nt - 1), (1, nt - 2), (2, nt - 3), (3, nt - 4)}
     cases |= {(k, k) for k in (0, 1, 2, nt // 2, nt - 3, nt - 2, nt - 1)}
-    for start, _ in cc._slabs(nt)[1:]:
+    for start, _ in cc._slabs(0, nt)[1:]:
         for edge in (start - 1, start, start + 1):
             cases |= {(edge, nt - 1), (0, edge), (edge, nt - 1 - edge)}
         cases.add((start // 2 + 1, start + 3))
@@ -1014,7 +1066,7 @@ class TestSupportedRatio:
         on_grid = cc.PairOnGrid(pair, grid)
         for support in support_cases(nt):
             v = supported_field(grid, times, support)
-            assert cc._time_support(v) == support
+            assert time_support(v) == support
             for params in self.params_and_zero(base):
                 got = cc.carleman_ratio(v, on_grid, params, q)
                 assert_same_report(got, whole_stack_ratio(v, pair, params, q))
@@ -1035,8 +1087,8 @@ class TestSupportedRatio:
             values[nt - k :] = 0.0
             v = pde.SpaceTimeField(grid=grid, times=full.times, values=values)
             on_grid = cc.PairOnGrid(pair, grid)
-            assert cc._mirror_phase(v) == -1
-            assert cc._time_support(v) == (k, nt - 1 - k)
+            assert mirror_phase(v) == -1
+            assert time_support(v) == (k, nt - 1 - k)
             for params in self.params_and_zero(base):
                 got = cc.carleman_ratio(v, on_grid, params, q)
                 assert got.lhs > 0.0
@@ -1077,7 +1129,7 @@ class TestSupportedRatio:
         t_max = params.T - params.delta_t
         v = manufactured_field(grid, np.linspace(-t_max, t_max, 129), reach=0.6)
         on_grid = cc.PairOnGrid(pair, grid)
-        assert cc._time_support(v) == (26, 102)
+        assert time_support(v) == (26, 102)
         levels = []
         factors = cc._conjugation_factors
 
@@ -1088,12 +1140,12 @@ class TestSupportedRatio:
         monkeypatch.setattr(cc, "_conjugation_factors", counted)
         got = cc.carleman_ratio(v, on_grid, params, q)
         # levels 25..103 can have nonzero densities, and the field is
-        # even-conjugate, so the mirror evaluates the live levels from the
-        # middle up: with their halos the slabs conjugate 34 and 10 levels,
-        # once per weight, where the unmirrored path conjugates 9 + 34 + 34
-        # + 10 and the full path 33 + 34 + 34 + 34
-        assert cc._mirror_phase(v) == 1
-        assert levels == [34, 34, 10, 10]
+        # even-conjugate, so the mirror evaluates the live slabs from the
+        # middle up: the five slabs of 64..103, 10 levels each with their
+        # halos, once per weight; the unmirrored path adds six slabs of
+        # 18..63 and the full path the other eight slabs too
+        assert mirror_phase(v) == 1
+        assert levels == [10] * 10
         assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
 
@@ -1228,10 +1280,12 @@ class TestGroupedRatio:
 
     def fields(self, grid, coeff, q, base):
         t_max = base.T - base.delta_t
-        times = np.linspace(-t_max, t_max, 2 * cc.SLAB + 3)
+        # on 67 levels linspace is not exactly antisymmetric, so the
+        # supported field is not mirrored
+        times = np.linspace(-t_max, t_max, 67)
         y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
         return {
-            "mirrored": extended_field(grid, coeff, q, base, 2 * cc.SLAB + 3),
+            "mirrored": extended_field(grid, coeff, q, base, 67),
             "supported": manufactured_field(grid, times),
             "plain": pde.solve_forward(grid, coeff, q, y0, -t_max, t_max,
                                        times.size - 1),
@@ -1250,12 +1304,17 @@ class TestGroupedRatio:
 
         monkeypatch.setattr(cc, "_theta_weights", counted)
         on_grid = cc.PairOnGrid(pair, grid)
-        # the levels of each slab evaluated, per weight
+        # the levels of each slab evaluated, per weight: the slabs of
+        # 33..66, the head 0..1, then downwards the slabs of 2..32 that an
+        # unmirrored field evaluates; the supported field's live levels are
+        # 14..52
         levels = {
-            "mirrored": [2, 32, 3], "supported": [18, 21], "plain": [32, 32, 3],
+            "mirrored": [8, 8, 8, 10, 2],
+            "supported": [8, 8, 8, 7, 8, 8],
+            "plain": [8, 8, 8, 10, 2, 7, 8, 8, 8],
         }
         for name, v in self.fields(grid, coeff, q, base).items():
-            assert (cc._mirror_phase(v) is not None) == (name == "mirrored")
+            assert (mirror_phase(v) is not None) == (name == "mirrored")
             built.clear()
             got = cc.carleman_ratios(v, on_grid, params_list, q)
             # once per evaluated slab and weight for each of lambda 1.5 and
@@ -1378,28 +1437,64 @@ class TestSweep:
         assert all(r["rhs_boundary"] > 0.0 for r in out.rows)
         assert out.rows == expected
 
-    def test_sweep_holds_one_field_at_a_time(self):
-        # each field, and its values, is dead by the time the next is asked
-        # for: the sweep keeps no field and the pair no memo of one
-        fields, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
-        refs = []  # to each field handed out and to its values
+    def test_sweep_peaks_below_three_and_a_half_field_stacks(self):
+        # the sweep's ten (129, 48, 48) fields: the slab-major walk holds
+        # each field's slab, its L v and the marched block's last levels,
+        # never a whole field, and peaks near 3.2 stacks; streamed field by
+        # field, the sweep peaked at 3.6 (17.3 MB).  The call also builds
+        # the pair's grid data and scans psi
+        grid, coeff, q, suite = sweep_suite()
+        cfg = cfgmod.load_config(CARLEMAN_INI)
+        pair = wt.build_epsilon_pair(
+            grid.layout, cfg.geometry.x1, cfg.geometry.x2, cfg.physics.a1,
+            cfg.physics.a2, M2=cfg.carleman.M2,
+        )
+        stack = suite.times.size * grid.nx * grid.ny * np.dtype(complex).itemsize
+        assert len(suite) == 10 and stack == 129 * 48 * 48 * 16
+        tracemalloc.start()
+        try:
+            out = cc.constant_sweep(
+                suite, cfg.carleman.s, cfg.carleman.lam, cc.PairOnGrid(pair, grid),
+                q, T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
+                n_grid=cfg.carleman.n_grid,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"{out.sup_ratio:.6g}" == "38624.7"
+        assert peak < 3.5 * stack
 
-        def handed_out(fld):
-            refs.extend((weakref.ref(fld), weakref.ref(fld.values)))
-            return fld
+    # q_inf is taken of q's real part
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    def test_a_suite_sweeps_as_its_fields_held_whole(self):
+        # the walk's marched block and slab-built separable fields against
+        # the same fields held whole, bit for bit: with q real every field
+        # is mirrored; with q complex none is, and the block marches again
+        # for the slabs below the middle; a solved field whose Re v(0) is
+        # nonzero but within extend_time's tolerance is not mirrored, and
+        # one beyond it raises
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=12, seed=11)
+        on_grid = cc.PairOnGrid(pair, grid)
 
-        def suite():
-            for fid, fld in enumerate(fields):
-                assert all(ref() is None for ref in refs), fid
-                yield handed_out(pde.SpaceTimeField(
-                    grid=fld.grid, times=fld.times, values=fld.values.copy()
-                ))
+        def sweep(fields, pot):
+            return cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid, pot,
+                                     T=params.T)
 
-        out = cc.constant_sweep(suite(), [10.0, 20.0], [1.5], on_grid, q, T=T)
-        assert len(refs) == 2 * len(fields)
-        assert all(ref() is None for ref in refs)
-        want = cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid, q, T=T)
-        assert out == want
+        nudged = dataclasses.replace(
+            suite, initial_states=[suite.initial_states[0] + 1e-20]
+            + suite.initial_states[1:])
+        cases = ((suite, q), (suite, q + 0.05j * grid.points[..., 1]), (nudged, q))
+        for fields, pot in cases:
+            got = sweep(fields, pot)
+            assert got == sweep(list(oracles.suite_fields(fields)), pot)
+        phases = [fld.phase for fld in cc._suite_fields(nudged)]
+        assert phases[0] is None and phases[1] == -1
+        broken = dataclasses.replace(
+            suite, initial_states=[suite.initial_states[0] + 1e-3])
+        with pytest.raises(pde.ExtensionError):
+            sweep(broken, q)
 
     def run_sweep(self, nx, M2):
         fields, on_grid, q, T = self.sweep_inputs(nx=nx, M2=M2)
@@ -1428,7 +1523,7 @@ class TestSuiteBuilder:
         )
         assert len(fields) == 10
         t_ref = None
-        for k, f in enumerate(fields):
+        for k, f in enumerate(oracles.suite_fields(fields)):
             if t_ref is None:
                 t_ref = f.times
             np.testing.assert_allclose(f.times, t_ref)
@@ -1454,10 +1549,12 @@ class TestSuiteBuilder:
         # fields they hold +-0 only, so it has the solver's bits (module
         # notes, Kernels)
         grid, coeff, q, suite = sweep_suite()
-        rims = [f.values.reshape(f.nt, -1)[:, grid.boundary_ids] for f in suite]
-        assert len(rims) == len(suite) == 10
+        walked = cc._suite_fields(suite)
+        assert len(walked) == len(suite) == 10
         assert len(suite.initial_states) == 5 and len(suite.separable) == 5
-        for k, rim in enumerate(rims):
+        for k, fld in enumerate(walked):
+            nt = fld.times.size
+            rim = fld.read(0, nt).reshape(nt, -1)[:, grid.boundary_ids]
             assert rim.shape == (2 * 64 + 1, grid.boundary_ids.size), k
             assert not rim.any(), k
 
@@ -1466,29 +1563,41 @@ class TestSuiteBuilder:
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=6, seed=11)
         assert len(suite) == 10
-        first, second = list(suite), list(suite)
+        first, second = cc._suite_fields(suite), cc._suite_fields(suite)
         assert len(first) == len(second) == 10
         for a, b in zip(first, second):
             assert a is not b
             assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.values, b.values)
+            nt = a.times.size
+            assert np.array_equal(a.read(0, nt), b.read(0, nt))
 
-    def test_suite_keeps_no_field_it_built(self):
+    def test_a_sweep_keeps_nothing_of_its_fields(self):
+        # the suite holds its draws, and the pair grid data only: once a
+        # sweep has returned, nothing built from a field is left
         layout, grid, coeff, pair, params = small_problem(nx=13)
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=6, seed=11)
-        refs = []
-        for fld in suite:
-            assert all(ref() is None for ref in refs), len(refs)
-            refs.append(weakref.ref(fld.values))
-            del fld
-        assert len(refs) == 10
-        assert all(ref() is None for ref in refs)
+        on_grid = cc.PairOnGrid(pair, grid)
+
+        def sweep():
+            return cc.constant_sweep(suite, [10.0, 20.0], [1.5], on_grid, q,
+                                     T=params.T)
+
+        want = sweep()  # builds the pair's grid data
+        tracemalloc.start()
+        try:
+            same = sweep() == want
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same
+        # below one slab of one field's levels
+        assert kept < cc.SLAB * grid.nx * grid.ny * np.dtype(complex).itemsize
 
     def test_seed_reproducibility(self):
         layout, grid, coeff, pair, params = small_problem(nx=13)
         q = np.zeros(grid.shape)
         a = cc.build_test_suite(grid, coeff, q, params.T, n_steps=6, seed=11)
         b = cc.build_test_suite(grid, coeff, q, params.T, n_steps=6, seed=11)
-        for fa, fb in zip(a, b):
+        for fa, fb in zip(oracles.suite_fields(a), oracles.suite_fields(b)):
             np.testing.assert_array_equal(fa.values, fb.values)

@@ -251,6 +251,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error: physics.ny: grid spacing must be square")
 
+    def test_overflowing_initial_gradient_names_y0(self, tmp_path, capsys):
+        # with p = 0 a constant y0 is stationary: the clean trace, the data
+        # and the misfit are finite, but the gradient at q0 overflows, and
+        # its infinite norm once made the stop floor inf and the descent
+        # "converged" at the initial guess
+        cfg = write_cfg(tmp_path, p="constant 0", y0="constant 1e150")
+        out = tmp_path / "out"
+        code = cli.main(["invert", "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: physics.y0: the misfit gradient at q0 ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["invert", "stability"])
     def test_overflowing_trace_difference_names_y0(self, tmp_path, capsys,
                                                    subcommand):
@@ -329,10 +342,10 @@ class TestErrorPaths:
             self, tmp_path, capsys, monkeypatch):
         # e^{lambda psi_sup} = e^{659} is finite, but P1's potential squares
         # it: the sweep once wrote lhs nan, ratio 0 and exited 0
-        def no_fields(self):
+        def no_fields(suite):
             raise AssertionError("a test field was built")
 
-        monkeypatch.setattr(cc.FieldSuite, "__iter__", no_fields)
+        monkeypatch.setattr(cc, "_suite_fields", no_fields)
         path = tmp_path / "bad.ini"
         path.write_text(set_key(TMPL.format(**DEFAULTS), "carleman", "lambda", "15"))
         out = tmp_path / "out"
@@ -349,10 +362,10 @@ class TestErrorPaths:
         # at lambda = 6 to 8, e^{2 lambda psi_sup} is finite but the norm's
         # weight theta^3 overflows at the clamp; it once warned and built
         # every field before the report check fired
-        def no_fields(self):
+        def no_fields(suite):
             raise AssertionError("a test field was built")
 
-        monkeypatch.setattr(cc.FieldSuite, "__iter__", no_fields)
+        monkeypatch.setattr(cc, "_suite_fields", no_fields)
         for lam in ("6", "7", "8"):
             path = tmp_path / "bad.ini"
             path.write_text(

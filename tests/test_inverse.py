@@ -199,7 +199,7 @@ class TestBKRecovery:
                 return 2.0 * np.exp(-1.2j * t) * np.ones(p.shape[:-1])
 
             u = oracles.solve_linearized(grid, coeff, q, f, r, 0.0, 0.4, steps)
-            dt = u.dt
+            dt = pde.time_step(u.times)
             v0_hat = (4.0 * u.values[1] - u.values[2]) / (2.0 * dt)
             f_hat = oracles.bk_recover_f(v0_hat, r0)
             mask = np.abs(f) > 1e-3

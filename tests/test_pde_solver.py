@@ -130,10 +130,8 @@ class TestGrid:
         assert np.array_equal(g.sample(f), want)
         assert seen == [(121, 2)]  # callables get the flattened nodes
         assert np.array_equal(g.sample(want.ravel()), want)
-        filled = g.sample(1.5j, complex)
-        assert filled.shape == g.shape and filled.dtype == complex
-        assert np.all(filled == 1.5j)
-        for bad in (np.zeros(7), np.zeros((11, 10)), lambda pts: np.zeros(3)):
+        # a scalar is no profile: a constant is passed as a grid-shaped array
+        for bad in (1.5, np.zeros(7), np.zeros((11, 10)), lambda pts: np.zeros(3)):
             with pytest.raises(pde.SolverError):
                 g.sample(bad)
 
@@ -218,6 +216,26 @@ class TestOperator:
         ref = self.op.step(0, minus @ u + c)
         got = self.op.step(u, c)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("trans", ["N", "H"])
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_block_march_equals_each_column_bit_for_bit(self, k, trans):
+        # the sweep marches its solved fields as one (n_int, k) block: each
+        # column must have the bits of its own one-column march
+        rng = np.random.default_rng(k)
+        n = self.grid.interior_ids.size
+        x = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        c = rng.normal(size=(4, n, k)) + 1j * rng.normal(size=(4, n, k))
+        x[0] = -0.0
+        c[:, 1] = 0.0
+        block = list(self.op.march(x, c, trans))
+        assert len(block) == 4 and block[0].shape == (n, k)
+        for j in range(k):
+            column = self.op.march(x[:, j].copy(), c[:, :, j].copy(), trans)
+            for step, (got, want) in enumerate(zip(block, column)):
+                got = np.ascontiguousarray(got[:, j])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                    j, step)
 
     def test_lu_fill_below_colamd(self):
         # the stored factor's minimum-degree ordering against SuperLU's
@@ -455,10 +473,10 @@ class TestLinearized:
         self.T, self.steps = 0.4, 20
 
     def field_lookup(self, field):
-        dt = field.dt
+        dt = pde.time_step(field.times)
 
         def r(pts, t):
-            n = int(round((t - field.t0) / dt))
+            n = int(round((t - field.times[0]) / dt))
             flat = field.values[n].reshape(-1)
             return flat[self.grid.interior_ids]
 
@@ -566,7 +584,7 @@ class TestTimeDerivative:
                 self.grid, self.coeff, self.q, self.f, self.r,
                 0.0, 0.4, steps,
             )
-            du = (u.values[2:] - u.values[:-2]) / (2.0 * u.dt)
+            du = (u.values[2:] - u.values[:-2]) / (2.0 * pde.time_step(u.times))
             gap = np.max(np.abs(v.values[1:-1] - du))
             mism.append(gap / np.max(np.abs(v.values)))
         ratio = mism[0] / mism[1]
@@ -584,7 +602,7 @@ class TestExtendTime:
 
     def test_real_r0_solution_is_even_for_imaginary_profile(self):
         fld = self.make_field(lambda t: 1j * (1.0 + t))
-        ext = pde.extend_time(fld)
+        ext = oracles.extend_time(fld)
         assert ext.nt == 11
         assert np.allclose(ext.times, np.linspace(-1.0, 1.0, 11))
         # v(t) = i g(t) with g real extends to i g(-t): even in t
@@ -595,18 +613,18 @@ class TestExtendTime:
 
     def test_real_r0_solution_rule(self):
         fld = self.make_field(lambda t: 1j * np.exp(0.3 * t))
-        ext = pde.extend_time(fld)
+        ext = oracles.extend_time(fld)
         for k in range(1, 6):
             assert np.allclose(ext.values[5 - k], -np.conj(ext.values[5 + k]))
 
     def test_inconsistent_t0_data_rejected(self):
         fld = self.make_field(lambda t: 1.0 + t)  # real at t = 0
         with pytest.raises(pde.ExtensionError):
-            pde.extend_time(fld)
+            oracles.extend_time(fld)
 
     def test_zero_field(self):
         fld = self.make_field(lambda t: 0.0)
-        ext = pde.extend_time(fld)
+        ext = oracles.extend_time(fld)
         assert np.all(ext.values == 0.0)
 
     def test_must_start_at_zero(self):
@@ -616,7 +634,7 @@ class TestExtendTime:
         values = np.zeros((4,) + grid.shape, complex)
         fld = pde.SpaceTimeField(grid=grid, times=times, values=values)
         with pytest.raises(pde.ExtensionError):
-            pde.extend_time(fld)
+            oracles.extend_time(fld)
 
 
 class TestNeumannTrace:
@@ -741,15 +759,13 @@ class TestSpaceTimeField:
                 values=np.zeros((3,) + grid.shape, complex),
             )
 
-    def test_nonuniform_times_rejected_by_dt(self):
+    def test_nonuniform_times_rejected_by_time_step(self):
         layout = make_layout()
         grid = pde.Grid2D.from_layout(layout, 9)
-        f = pde.SpaceTimeField(
-            grid=grid, times=np.array([0.0, 0.1, 0.3]),
-            values=np.zeros((3,) + grid.shape, complex),
-        )
         with pytest.raises(pde.SolverError):
-            _ = f.dt
+            pde.time_step(np.array([0.0, 0.1, 0.3]))
+        assert pde.time_step(np.linspace(0.0, 1.0, 5)) == 0.25
+        assert pde.time_step(np.zeros(1)) == 0.0
 
 
 if __name__ == "__main__":

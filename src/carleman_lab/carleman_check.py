@@ -314,33 +314,44 @@ def _mirror_phase(times: np.ndarray, read: Callable) -> Optional[complex]:
     return c
 
 
-def _derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """d/d(axis) of values at the spacing h: np.gradient's uniform-spacing
-    stencil with edge_order=2, operation for operation, except that a
-    complex interior quotient is a product (module notes, Kernels)."""
-    if values.shape[axis] < 3:
+def _derivative(values: np.ndarray, h: float, axis: int,
+                part: slice = slice(None)) -> np.ndarray:
+    """d/d(axis) of values at the spacing h, at the indices part along axis:
+    np.gradient's uniform-spacing stencil with edge_order=2, operation for
+    operation, except that a complex interior quotient is a product
+    (module notes, Kernels).  An end's one-sided stencil is built only
+    when part holds that end."""
+    n = values.shape[axis]
+    if n < 3:
         raise ValueError("the second-order stencil needs 3 points along axis")
+    lo, hi, _ = part.indices(n)
 
     def at(index):
         return (slice(None),) * axis + (index,)
 
-    out = np.empty_like(values)
-    inner = out[at(slice(1, -1))]
-    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=inner)
+    out = np.empty_like(values[at(slice(lo, hi))])
+    first, stop = max(lo, 1), min(hi, n - 1)  # the central indices
+    inner = out[at(slice(first - lo, stop - lo))]
+    np.subtract(values[at(slice(first + 1, stop + 1))],
+                values[at(slice(first - 1, stop - 1))], out=inner)
     if np.iscomplexobj(values) and 2.0 * h <= 1.0:
         inner *= complex(1.0 / (2.0 * h), -0.0)
     else:
         inner /= 2.0 * h
-    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
-    out[at(0)] = a * values[at(0)] + b * values[at(1)] + c * values[at(2)]
-    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
-    out[at(-1)] = a * values[at(-3)] + b * values[at(-2)] + c * values[at(-1)]
+    if lo == 0:
+        a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+        out[at(0)] = a * values[at(0)] + b * values[at(1)] + c * values[at(2)]
+    if hi == n:
+        a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+        out[at(-1)] = a * values[at(-3)] + b * values[at(-2)] + c * values[at(-1)]
     return out
 
 
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """d/dt of a (nt, ny, nx) stack, second order at the ends."""
-    return _derivative(values, dt, 0)
+def _time_derivative(values: np.ndarray, dt: float,
+                     part: slice = slice(None)) -> np.ndarray:
+    """d/dt of a (nt, ny, nx) stack at its levels part, second order at
+    the ends."""
+    return _derivative(values, dt, 0, part)
 
 
 def _spatial_gradient(values: np.ndarray, h: float) -> tuple:
@@ -880,7 +891,7 @@ def _slab_densities(v, lv, core: slice, fac, factors: _Factors, theta: tuple,
     ext = v * fac
     w = ext[core]
     # each operator stack is reduced and dropped before the next is built
-    out[0] = _l2_density(grid, apply_P1(w, _time_derivative(ext, dt)[core], factors))
+    out[0] = _l2_density(grid, apply_P1(w, _time_derivative(ext, dt, core), factors))
     grad = _spatial_gradient(w, grid.h)
     # one ordering rule: the norm reads the gradient before apply_P2 builds
     # its terms in the gradient's buffers
@@ -923,11 +934,10 @@ def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q_nodes) -> list
         lo, hi = max(start - 1, 0), min(stop + 1, nt)
         core = slice(start - lo, stop - lo)
         values = [fields[i].read(lo, hi) for i in takers]
-        # d/dt over the halo is the whole stack's at start..stop-1, so L v
-        # is too; it is built in a copy of the slab's levels, so no halo
-        # level is held with it
+        # d/dt at the slab's levels, from the halo, is the whole stack's at
+        # start..stop-1, so L v is too
         residuals = [
-            _schrodinger_stack(v[core], _time_derivative(v, dt)[core].copy(), coeff,
+            _schrodinger_stack(v[core], _time_derivative(v, dt, core), coeff,
                                q_nodes[None, :, :])
             for v in values
         ]

@@ -39,12 +39,12 @@ from .config import ConfigError
 ENV_OUTPUT = "CARLEMAN_LAB_OUTPUT"
 
 # The config key of each parameter a ParamsOverflow can blame.
-BLAMED_KEYS = {"lambda": "carleman.lambda", "s": "carleman.s",
-               "delta_t": "carleman.delta_t", "a1": "physics.a1",
-               "a2": "physics.a2"}
+BLAMED_KEYS = {key.name: key.path for key in cfgmod.KEYS
+               if key.name in ("lambda", "s", "delta_t", "a1", "a2")}
 
 # Bound on the bytes of one field stack, levels x nx x ny complex values,
-# checked before it is allocated (physics.dt, carleman.n_half).
+# checked before it is allocated (physics.dt, carleman.n_half,
+# carleman.n_fields).
 MAX_FIELD_BYTES = 2**30
 
 # The stability theory assumes the state is H1 in time with values in
@@ -74,16 +74,27 @@ def resolve_output_dir(cfg, cli_dir) -> Path:
     return configured
 
 
-def _check_field_size(levels, grid, key):
+def _check_field_size(cfg, grid, levels, fewest, key):
+    """A ConfigError unless a stack of levels x nx x ny complex values fits
+    MAX_FIELD_BYTES.  It names key, which sets levels, unless the stack is
+    over the bound even at key's fewest levels: then it names the grid
+    key, physics.ny when it is set, else physics.nx."""
     size = levels * grid.nx * grid.ny * 16
     if size > MAX_FIELD_BYTES:
+        if fewest * grid.nx * grid.ny * 16 > MAX_FIELD_BYTES:
+            key = "physics.nx" if cfg.physics.ny is None else "physics.ny"
         raise ConfigError(f"{key}: the field stack needs {size} bytes, "
                           f"over the bound of {MAX_FIELD_BYTES}")
 
 
+def _check_forward_size(cfg, grid):
+    """The forward field has T/dt + 1 levels, at least 3."""
+    _check_field_size(cfg, grid, cfg.physics.n_steps + 1, 3, "physics.dt")
+
+
 def _build_instance(cfg):
     grid = cfgmod.build_grid(cfg)
-    _check_field_size(cfg.physics.n_steps + 1, grid, "physics.dt")
+    _check_forward_size(cfg, grid)
     coeff = cfgmod.build_coefficient(cfg, grid.layout)
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
@@ -150,7 +161,7 @@ def run_weight_verify(cfg, out_dir: Path) -> int:
 
 def run_solve_forward(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
-    _check_field_size(cfg.physics.n_steps + 1, grid, "physics.dt")
+    _check_forward_size(cfg, grid)
     coeff = pde.CoefficientOnGrid(
         cfgmod.build_coefficient(cfg, grid.layout), grid
     )
@@ -195,7 +206,13 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
 
 def run_carleman_sweep(cfg, out_dir: Path) -> int:
     grid = cfgmod.build_grid(cfg)
-    _check_field_size(2 * cfg.carleman.n_half + 1, grid, "carleman.n_half")
+    # a suite field has 2 n_half + 1 levels, at least 5; the walk holds
+    # every field's slab with its halo at once
+    levels = 2 * cfg.carleman.n_half + 1
+    _check_field_size(cfg, grid, levels, 5, "carleman.n_half")
+    window = min(cc.SLAB + 2, levels)
+    _check_field_size(cfg, grid, cfg.carleman.n_fields * window, window,
+                      "carleman.n_fields")
     q = cfgmod.real_profile(cfg.physics.p, grid)
 
     for key in ("x1", "x2"):
@@ -337,10 +354,17 @@ def run_invert(cfg, out_dir: Path) -> int:
 
 def run_stability(cfg, out_dir: Path) -> int:
     instance = _build_instance(cfg)
-    sweep = inv.stability_sweep(
-        instance, n_perturbations=cfg.inverse.n_perturbations,
-        amplitude_range=cfg.inverse.amplitudes, seed=cfg.inverse.seed,
-    )
+    try:
+        sweep = inv.stability_sweep(
+            instance, n_perturbations=cfg.inverse.n_perturbations,
+            amplitude_range=cfg.inverse.amplitudes, seed=cfg.inverse.seed,
+        )
+    except inv.DegenerateSweep as exc:
+        # with perturbations drawn, the amplitudes are what moved the
+        # potential too little, or too little for the trace to see
+        key = ("inverse.n_perturbations" if cfg.inverse.n_perturbations == 0
+               else "inverse.amplitudes")
+        raise ConfigError(f"{key}: {exc}") from None
     meta = outputs.make_meta(
         cfgmod.config_hash(cfg), "stability", seed=cfg.inverse.seed
     )
@@ -357,10 +381,8 @@ def run_stability(cfg, out_dir: Path) -> int:
         payload["regularity_note"] = REGULARITY_NOTE
         outputs.write_json(out_dir / "stability_summary.json", meta, payload)
     if "svg" in cfg.output.formats:
-        finite = [r for r in sweep.records
-                  if r.trace_distance > 0.0 and np.isfinite(r.ratio)]
-        xs = [r.trace_distance for r in finite]
-        ys = [r.potential_distance for r in finite]
+        xs = [r.trace_distance for r in sweep.records]
+        ys = [r.potential_distance for r in sweep.records]
         slope = intercept = None
         if np.isfinite(sweep.loglog_slope):  # the sweep's ln line on log10 axes
             slope, intercept = sweep.loglog_slope, sweep.loglog_intercept / np.log(10.0)

@@ -2,51 +2,12 @@
 field-path error messages, plus builders that turn the parsed blocks
 into geometry, grids, and field profiles.
 
-Schema (all keys shown; optional ones may be omitted):
-
-    [geometry]
-    outer     = rect XMIN XMAX YMIN YMAX   (the outer domain is a rectangle)
-    interface = disk R [CX CY]             | fourier C0 K:EPS[,K:EPS...] [CX CY]
-    x0        = X Y        weight center for single-weight operations
-    x1        = X Y        epsilon-pair centers for the sweep
-    x2        = X Y
-
-    [physics]
-    a1 = FLOAT             principal coefficient inside the interface
-    a2 = FLOAT             principal coefficient outside
-    p  = PROFILE           potential (real profile grammar below)
-    y0 = [imag] PROFILE    initial state; "imag" multiplies by i
-    h  = initial           Dirichlet data: y0's rim, held at every time
-    T  = FLOAT             time horizon
-    nx = INT               grid nodes along x
-    ny = INT               optional; derived from square spacing if absent
-    dt = FLOAT             forward time step; T/dt must be an integer
-
-    [carleman]
-    s       = FLOAT...     list of s values for the sweep
-    lambda  = FLOAT...     list of lambda values
-    M2      = FLOAT        outer weight offset
-    delta_t = FLOAT        weight time margin; default T/64
-    cutoff  = R1 R2        optional dead-zone radii, 0 < R1 < R2
-    n_fields = INT         test suite size (half solved, half manufactured)
-    n_half  = INT          forward steps per half time axis for the suite
-    n_grid  = INT          headroom scan resolution for alpha
-    seed    = INT          suite randomness, >= 0
-
-    [inverse]
-    beta = FLOAT           Tikhonov weight
-    max_iter = INT
-    n_perturbations = INT
-    amplitudes = LO HI     log-spaced perturbation sizes, 0 < LO <= HI
-    seed = INT             >= 0
-    noise = FLOAT          relative trace noise level
-    q0 = PROFILE           initial guess for reconstruction
-    r_lower = FLOAT        lower bound required of |y0|
-    q_bound = FLOAT        sup-norm box for potentials, >= 0 (inf: no box)
-
-    [output]
-    directory = PATH
-    formats = csv json svg (any subset)
+The schema is one table, KEYS: a row per key gives its section and INI
+name, the rule that parses its value and checks its domain, its default
+(or REQUIRED), a one-line doc, and the block field it fills.  load_config
+loops over the table; only the two rules that read two keys follow it:
+T/dt is an integer of at least 2 steps, and delta_t < T.  Every error
+message starts with the section.key path.
 
 Real profile grammar: ``constant C`` | ``sine BASE AMP`` (BASE +
 AMP sin(x)cos(y)) | ``gaussian BASE AMP CX CY WIDTH``.  Complex profiles
@@ -66,7 +27,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -178,7 +139,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 # --------------------------------------------------------------------------
-# low-level readers
+# parse rules: each takes (raw, path), the stripped value and its
+# section.key, and returns the value or raises a ConfigError naming path
 
 
 def _finite(token: str, path: str) -> float:
@@ -192,97 +154,91 @@ def _finite(token: str, path: str) -> float:
     return val
 
 
-class _Section:
-    """Reads one INI section with field-path errors and typo detection."""
+def _floats(raw: str, path: str) -> tuple:
+    return tuple(_finite(tok, path) for tok in raw.split())
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
-        self.seen = set()
 
-    def path(self, key: str) -> str:
-        return f"{self.name}.{key}"
+def _pair(raw: str, path: str) -> tuple:
+    vals = _floats(raw, path)
+    if len(vals) != 2:
+        raise ConfigError(f"{path}: expected 2 numbers, got {len(vals)}")
+    return vals
 
-    def get(self, key: str, default=None, required: bool = False) -> Optional[str]:
-        self.seen.add(key)
-        val = self.raw.get(key)
-        if val is not None:
-            val = val.strip()
-        if not val:
-            if required:
-                raise ConfigError(f"{self.path(key)}: required key is missing")
-            return default
-        return val
 
-    def floatval(self, key, default=None, required=False, positive=False):
-        raw = self.get(key, required=required)
-        if raw is None:
-            return default
-        val = _finite(raw, self.path(key))
-        if positive and not val > 0.0:
-            raise ConfigError(f"{self.path(key)}: must be positive, got {val}")
-        return val
+def _text(raw: str, path: str) -> str:
+    return raw
 
-    def intval(self, key, default=None, required=False, minimum=None):
-        raw = self.get(key, required=required)
-        if raw is None:
-            return default
+
+def _checked(parse, ok, why: str, each: bool = False):
+    """parse, then a ConfigError "path: why" unless ok(value), or unless
+    ok(v) for each v of the value's list; why is formatted with the value
+    (or the v) that fails."""
+    def rule(raw: str, path: str):
+        value = parse(raw, path)
+        for v in (value if each else (value,)):
+            if not ok(v):
+                raise ConfigError(f"{path}: " + why.format(v))
+        return value
+    return rule
+
+
+_positive = _checked(_finite, lambda v: v > 0.0, "must be positive, got {}")
+_nonnegative = _checked(_finite, lambda v: v >= 0.0, "must be nonnegative")
+
+
+def _integer(minimum: int, maximum: Optional[int] = None):
+    def rule(raw: str, path: str) -> int:
         try:
             val = int(raw)
         except ValueError:
-            raise ConfigError(f"{self.path(key)}: not an integer: {raw!r}") from None
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{self.path(key)}: must be >= {minimum}, got {val}")
+            raise ConfigError(f"{path}: not an integer: {raw!r}") from None
+        if val < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise ConfigError(f"{path}: must be <= {maximum}, got {val}")
         return val
+    return rule
 
-    def floats(self, key, count=None, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        vals = tuple(_finite(tok, self.path(key)) for tok in raw.split())
-        if count is not None and len(vals) != count:
-            raise ConfigError(
-                f"{self.path(key)}: expected {count} numbers, got {len(vals)}"
-            )
-        if not vals:
-            raise ConfigError(f"{self.path(key)}: empty list")
-        return vals
 
-    def finish(self):
-        unknown = set(self.raw) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(f"{self.path(key)}: unknown key")
+def _bound_or_inf(raw: str, path: str) -> float:
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: not a number: {raw!r}") from None
+    # inf switches the box off; nan would switch it off silently
+    if not val >= 0.0:
+        raise ConfigError(f"{path}: must be nonnegative or inf, got {raw!r}")
+    return val
 
 
 _PROFILE_ARITY = {"constant": 1, "sine": 2, "gaussian": 5, "cosine": 2}
 
 
-def _check_profile(spec: str, path: str, complex_ok: bool) -> str:
-    tokens = spec.split()
-    if complex_ok and tokens and tokens[0] == "imag":
-        tokens = tokens[1:]
-    if not tokens:
-        raise ConfigError(f"{path}: empty profile")
-    kind = tokens[0]
-    if kind not in _PROFILE_ARITY or (kind == "cosine" and not complex_ok):
-        raise ConfigError(f"{path}: unknown profile kind {kind!r}")
-    want = _PROFILE_ARITY[kind]
-    args = tokens[1:]
-    if len(args) != want:
-        raise ConfigError(
-            f"{path}: profile {kind!r} takes {want} numbers, got {len(args)}"
-        )
-    for tok in args:
-        _finite(tok, path)
-    return " ".join(spec.split())
+def _profile(complex_ok: bool):
+    def rule(raw: str, path: str) -> str:
+        tokens = raw.split()
+        if complex_ok and tokens[0] == "imag":
+            tokens = tokens[1:]
+        if not tokens:
+            raise ConfigError(f"{path}: empty profile")
+        kind = tokens[0]
+        if kind not in _PROFILE_ARITY or (kind == "cosine" and not complex_ok):
+            raise ConfigError(f"{path}: unknown profile kind {kind!r}")
+        want = _PROFILE_ARITY[kind]
+        args = tokens[1:]
+        if len(args) != want:
+            raise ConfigError(
+                f"{path}: profile {kind!r} takes {want} numbers, got {len(args)}"
+            )
+        for tok in args:
+            _finite(tok, path)
+        return " ".join(raw.split())
+    return rule
 
 
-def _parse_outer(sec: _Section) -> tuple:
-    raw = sec.get("outer", required=True)
+def _outer(raw: str, path: str) -> tuple:
     tokens = raw.split()
     kind = tokens[0]
-    path = sec.path("outer")
     if kind != "rect":
         raise ConfigError(f"{path}: unknown outer kind {kind!r}")
     if len(tokens) != 5:
@@ -293,11 +249,9 @@ def _parse_outer(sec: _Section) -> tuple:
     return ("rect", xmin, xmax, ymin, ymax)
 
 
-def _parse_interface(sec: _Section) -> tuple:
-    raw = sec.get("interface", required=True)
+def _interface(raw: str, path: str) -> tuple:
     tokens = raw.split()
     kind = tokens[0]
-    path = sec.path("interface")
     if kind == "disk":
         if len(tokens) not in (2, 4):
             raise ConfigError(f"{path}: disk takes R [CX CY]")
@@ -326,6 +280,119 @@ def _parse_interface(sec: _Section) -> tuple:
     raise ConfigError(f"{path}: unknown interface kind {kind!r}")
 
 
+def _formats(raw: str, path: str) -> tuple:
+    formats = tuple(raw.split())
+    for fmt in formats:
+        if fmt not in ("csv", "json", "svg"):
+            raise ConfigError(f"{path}: unknown format {fmt!r}")
+    return formats
+
+
+# --------------------------------------------------------------------------
+# the key table
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its section and INI name, the rule that parses a
+    value and checks its domain, the default (REQUIRED: none), a one-line
+    doc, and the block field it fills, the name unless given."""
+
+    section: str
+    name: str
+    parse: Callable[[str, str], object]
+    default: object
+    doc: str
+    field: str = ""
+
+    @property
+    def path(self) -> str:
+        return f"{self.section}.{self.name}"
+
+    @property
+    def attr(self) -> str:
+        return self.field or self.name
+
+
+# the psi scan for alpha holds about 82 bytes per point of its
+# n_grid x n_grid grid: 344 MB at this bound
+N_GRID_MAX = 2048
+
+KEYS = (
+    Key("geometry", "outer", _outer, REQUIRED,
+        "rect XMIN XMAX YMIN YMAX, the outer domain"),
+    Key("geometry", "interface", _interface, REQUIRED,
+        "disk R [CX CY] | fourier C0 K:EPS[,K:EPS...] [CX CY]"),
+    Key("geometry", "x0", _pair, (0.0, 0.0),
+        "X Y, the weight centre of single-weight operations"),
+    Key("geometry", "x1", _pair, (-0.3, 0.0), "X Y, the sweep's first centre"),
+    Key("geometry", "x2", _pair, (0.3, 0.0), "X Y, the sweep's second centre"),
+    Key("physics", "a1", _positive, REQUIRED,
+        "principal coefficient inside the interface, > 0"),
+    Key("physics", "a2", _positive, REQUIRED, "principal coefficient outside, > 0"),
+    Key("physics", "p", _profile(False), "constant 1.0",
+        "true potential, a real profile"),
+    Key("physics", "y0", _profile(True), "cosine 2.0 0.5",
+        "initial state, [imag] profile"),
+    Key("physics", "h", _checked(_text, lambda h: h == "initial",
+                                 "must be 'initial', got {!r}"),
+        "initial", "Dirichlet data: y0's rim, held at every time"),
+    Key("physics", "T", _positive, REQUIRED, "time horizon, > 0"),
+    Key("physics", "nx", _integer(5), REQUIRED, "grid nodes along x, >= 5"),
+    Key("physics", "ny", _integer(5), None,
+        "grid nodes along y, >= 5; derived from square spacing if absent"),
+    Key("physics", "dt", _positive, REQUIRED,
+        "forward time step; T/dt an integer >= 2"),
+    Key("carleman", "s", _checked(_floats, lambda v: v >= 0.0,
+                                  "values must be nonnegative, got {}", each=True),
+        (10.0, 20.0, 40.0, 80.0), "the sweep's s values, >= 0"),
+    Key("carleman", "lambda", _checked(_floats, lambda v: v > 0.0,
+                                       "values must be positive, got {}", each=True),
+        (1.0, 2.0), "the sweep's lambda values, > 0", field="lam"),
+    Key("carleman", "M2", _positive, 1.0, "outer weight offset, > 0"),
+    Key("carleman", "delta_t", _positive, None,
+        "weight time margin, 0 < delta_t < T; T/64 if absent"),
+    Key("carleman", "cutoff", _checked(
+            _pair, lambda r: 0.0 < r[0] < r[1],
+            "radii must satisfy 0 < r_inner < r_outer, got {0[0]} {0[1]}"),
+        None, "R1 R2, dead-zone radii, 0 < R1 < R2; the eps rule if absent"),
+    Key("carleman", "n_fields", _integer(1), 10,
+        "test suite size, half solved and half manufactured, >= 1"),
+    Key("carleman", "n_half", _integer(2), 16,
+        "forward steps per half time axis of the suite, >= 2"),
+    Key("carleman", "n_grid", _integer(16, N_GRID_MAX), 192,
+        f"psi scan resolution for alpha, 16 to {N_GRID_MAX}"),
+    Key("carleman", "seed", _integer(0), 0, "suite randomness, >= 0"),
+    Key("inverse", "beta", _nonnegative, 1e-6, "Tikhonov weight, >= 0"),
+    Key("inverse", "max_iter", _integer(0), 100, "descent iterations, >= 0"),
+    Key("inverse", "n_perturbations", _integer(0), 30,
+        "stability sweep size, >= 0 (stability needs >= 1)"),
+    Key("inverse", "amplitudes", _checked(
+            _pair, lambda a: 0.0 < a[0] <= a[1],
+            "need 0 < LO <= HI, got {0[0]} {0[1]}"),
+        (1e-3, 1e-1), "LO HI, log-spaced perturbation sizes, 0 < LO <= HI"),
+    Key("inverse", "seed", _integer(0), 7, "perturbation and noise seed, >= 0"),
+    Key("inverse", "noise", _nonnegative, 0.0,
+        "relative trace noise level, >= 0"),
+    Key("inverse", "q0", _profile(False), "constant 1.0",
+        "initial guess of the reconstruction, a real profile"),
+    Key("inverse", "r_lower", _positive, 0.5,
+        "lower bound required of |y0|, > 0"),
+    Key("inverse", "q_bound", _bound_or_inf, math.inf,
+        "sup-norm box for potentials, >= 0 (inf: no box)"),
+    Key("output", "directory", _text, "out", "output directory"),
+    Key("output", "formats", _formats, ("csv", "json", "svg"),
+        "any subset of csv json svg"),
+)
+
+BLOCKS = {"geometry": GeometryBlock, "physics": PhysicsBlock,
+          "carleman": CarlemanBlock, "inverse": InverseBlock,
+          "output": OutputBlock}
+
+
 # --------------------------------------------------------------------------
 # loading
 
@@ -339,24 +406,29 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"file: not parseable as INI ({exc})") from None
 
-    known = {"geometry", "physics", "carleman", "inverse", "output"}
     for section in parser.sections():
-        if section not in known:
+        if section not in BLOCKS:
             raise ConfigError(f"{section}: unknown section")
+    raw = {name: dict(parser[name]) if parser.has_section(name) else {}
+           for name in BLOCKS}
+    for name, given in raw.items():
+        unknown = set(given) - {key.name for key in KEYS if key.section == name}
+        if unknown:
+            raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
 
-    gsec = _Section(parser, "geometry")
-    geometry = GeometryBlock(
-        outer=_parse_outer(gsec),
-        interface=_parse_interface(gsec),
-        x0=gsec.floats("x0", count=2, default=(0.0, 0.0)),
-        x1=gsec.floats("x1", count=2, default=(-0.3, 0.0)),
-        x2=gsec.floats("x2", count=2, default=(0.3, 0.0)),
-    )
-    gsec.finish()
+    values = {name: {} for name in BLOCKS}
+    for key in KEYS:
+        value = (raw[key.section].get(key.name) or "").strip()
+        if value:
+            value = key.parse(value, key.path)
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{key.path}: required key is missing")
+        else:
+            value = key.default
+        values[key.section][key.attr] = value
 
-    psec = _Section(parser, "physics")
-    T = psec.floatval("T", required=True, positive=True)
-    dt = psec.floatval("dt", required=True, positive=True)
+    # the two rules that read two keys
+    T, dt = values["physics"]["T"], values["physics"]["dt"]
     steps = T / dt
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         raise ConfigError(
@@ -364,103 +436,13 @@ def load_config(path) -> ExperimentConfig:
         )
     if round(steps) < 2:
         raise ConfigError("physics.dt: need at least 2 time steps")
-    # one rule; the key stays, as its value is part of the config hash
-    h_spec = psec.get("h", default="initial")
-    if h_spec != "initial":
-        raise ConfigError(f"physics.h: must be 'initial', got {h_spec!r}")
-    physics = PhysicsBlock(
-        a1=psec.floatval("a1", required=True, positive=True),
-        a2=psec.floatval("a2", required=True, positive=True),
-        p=_check_profile(psec.get("p", default="constant 1.0"), "physics.p", False),
-        y0=_check_profile(psec.get("y0", default="cosine 2.0 0.5"), "physics.y0", True),
-        h=h_spec,
-        T=T,
-        nx=psec.intval("nx", required=True, minimum=5),
-        ny=psec.intval("ny", default=None, minimum=5),
-        dt=dt,
-    )
-    psec.finish()
-
-    csec = _Section(parser, "carleman")
-    carleman = CarlemanBlock(
-        s=csec.floats("s", default=(10.0, 20.0, 40.0, 80.0)),
-        lam=csec.floats("lambda", default=(1.0, 2.0)),
-        M2=csec.floatval("M2", default=1.0, positive=True),
-        delta_t=csec.floatval("delta_t", default=None, positive=True),
-        cutoff=csec.floats("cutoff", count=2, default=None),
-        n_fields=csec.intval("n_fields", default=10, minimum=1),
-        n_half=csec.intval("n_half", default=16, minimum=2),
-        n_grid=csec.intval("n_grid", default=192, minimum=16),
-        seed=csec.intval("seed", default=0, minimum=0),
-    )
-    for s_val in carleman.s:
-        if s_val < 0.0:
-            raise ConfigError(f"carleman.s: values must be nonnegative, got {s_val}")
-    for lam in carleman.lam:
-        if not lam > 0.0:
-            raise ConfigError(f"carleman.lambda: values must be positive, got {lam}")
-    if carleman.delta_t is not None and not carleman.delta_t < T:
+    delta_t = values["carleman"]["delta_t"]
+    if delta_t is not None and not delta_t < T:
         raise ConfigError("carleman.delta_t: must be smaller than physics.T")
-    cutoff = carleman.cutoff
-    if cutoff is not None and not 0.0 < cutoff[0] < cutoff[1]:
-        raise ConfigError(
-            "carleman.cutoff: radii must satisfy 0 < r_inner < r_outer, "
-            f"got {cutoff[0]} {cutoff[1]}"
-        )
-    csec.finish()
 
-    isec = _Section(parser, "inverse")
-    amplitudes = isec.floats("amplitudes", count=2, default=(1e-3, 1e-1))
-    if not 0.0 < amplitudes[0] <= amplitudes[1]:
-        raise ConfigError(
-            "inverse.amplitudes: need 0 < LO <= HI, "
-            f"got {amplitudes[0]} {amplitudes[1]}"
-        )
-    noise = isec.floatval("noise", default=0.0)
-    if noise < 0.0:
-        raise ConfigError("inverse.noise: must be nonnegative")
-    q_bound_raw = isec.get("q_bound", default="inf")
-    try:
-        q_bound = float(q_bound_raw)
-    except ValueError:
-        raise ConfigError(f"inverse.q_bound: not a number: {q_bound_raw!r}") from None
-    # inf switches the box off; nan would switch it off silently
-    if not q_bound >= 0.0:
-        raise ConfigError(
-            f"inverse.q_bound: must be nonnegative or inf, got {q_bound_raw!r}"
-        )
-    inverse = InverseBlock(
-        beta=isec.floatval("beta", default=1e-6),
-        max_iter=isec.intval("max_iter", default=100, minimum=0),
-        n_perturbations=isec.intval("n_perturbations", default=30, minimum=0),
-        amplitudes=amplitudes,
-        seed=isec.intval("seed", default=7, minimum=0),
-        noise=noise,
-        q0=_check_profile(isec.get("q0", default="constant 1.0"), "inverse.q0", False),
-        r_lower=isec.floatval("r_lower", default=0.5, positive=True),
-        q_bound=q_bound,
-    )
-    if inverse.beta < 0.0:
-        raise ConfigError("inverse.beta: must be nonnegative")
-    isec.finish()
-
-    osec = _Section(parser, "output")
-    formats_raw = osec.get("formats", default="csv json svg")
-    formats = tuple(formats_raw.split())
-    for fmt in formats:
-        if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"output.formats: unknown format {fmt!r}")
-    output = OutputBlock(
-        directory=osec.get("directory", default="out"),
-        formats=formats,
-    )
-    osec.finish()
-
-    return ExperimentConfig(
-        geometry=geometry, physics=physics, carleman=carleman,
-        inverse=inverse, output=output,
-    )
-
+    return ExperimentConfig(**{
+        name: block(**values[name]) for name, block in BLOCKS.items()
+    })
 
 def apply_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
                     n: Optional[int] = None) -> ExperimentConfig:

@@ -57,6 +57,11 @@ class TraceOverflow(ValueError):
     gradient at the initial guess is not a finite double."""
 
 
+class DegenerateSweep(ValueError):
+    """The stability sweep has no finite constant to report: it kept no
+    record, or a perturbation moved the potential but not the trace."""
+
+
 class StalledReconstruction(Exception):
     """Descent could not make progress; returned (not raised) with the
     partial result attached."""
@@ -536,12 +541,15 @@ def stability_sweep(
     each, and report the empirical stability constant max ratio together
     with the hypothesis certificate for the instance geometry.
 
-    Zero-amplitude perturbations are skipped (both distances vanish, the
-    ratio is undefined).  Perturbed potentials are clipped to the
-    instance sup-norm bound when one is configured.  The log-log slope and
-    intercept are nan when the finite records have fewer than two distinct trace
-    distances (a tight bound can clip every perturbation to one
-    potential): no line is fitted to a single point.
+    A perturbation that leaves the potential unchanged is skipped (both
+    distances vanish, the ratio is undefined).  Perturbed potentials are
+    clipped to the instance sup-norm bound when one is configured.  A
+    record whose ratio is not finite (the trace distance is 0, or the
+    ratio overflows) raises DegenerateSweep, and so does a sweep that
+    keeps no record.  The log-log slope and intercept are nan when the
+    records have fewer than two distinct trace distances (a tight bound
+    can clip every perturbation to one potential): no line is fitted to
+    a single point.
     """
     if n_perturbations < 0:
         raise ValueError("n_perturbations must be nonnegative")
@@ -568,30 +576,36 @@ def stability_sweep(
         if pot == 0.0:
             continue
         tr = trace_distance(instance, q)
-        ratio = pot / tr if tr > 0.0 else np.inf
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = float(np.float64(pot) / tr)
+        if not np.isfinite(ratio):
+            raise DegenerateSweep(
+                f"the perturbation of amplitude {amp:g} moves the potential by "
+                f"{pot:.6g} and the trace by {tr:.6g}, so their ratio is not finite"
+            )
         records.append(StabilityRecord(
             amplitude=float(amp), potential_distance=pot,
-            trace_distance=tr, ratio=float(ratio),
+            trace_distance=tr, ratio=ratio,
         ))
+    if not records:
+        raise DegenerateSweep(
+            f"none of the {n_perturbations} perturbations moves the potential, "
+            "so the sweep has no record"
+        )
 
     certified, report = certify_instance(instance)
 
-    finite = [r for r in records
-              if np.isfinite(r.ratio) and r.trace_distance > 0.0]
-    if finite:
-        empirical_C = max(r.ratio for r in records)
-    else:
-        empirical_C = float("nan")
     slope = intercept = float("nan")
-    if len({r.trace_distance for r in finite}) >= 2:
+    if len({r.trace_distance for r in records}) >= 2:
         slope, intercept = map(float, np.polyfit(
-            np.log([r.trace_distance for r in finite]),
-            np.log([r.potential_distance for r in finite]),
+            np.log([r.trace_distance for r in records]),
+            np.log([r.potential_distance for r in records]),
             1,
         ))
 
     return StabilitySweepResult(
-        records=records, empirical_C=float(empirical_C), loglog_slope=slope,
+        records=records, empirical_C=max(r.ratio for r in records),
+        loglog_slope=slope,
         loglog_intercept=intercept, certified=certified,
         hypothesis_report=report,
     )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from carleman_lab import carleman_check as cc
 from carleman_lab import cli
+from carleman_lab import config as cfgmod
 from carleman_lab import geometry as geo
 from carleman_lab import inverse as inv
 from carleman_lab import pde_solver as pde
@@ -292,21 +293,58 @@ class TestErrorPaths:
                              ["solve-forward", "invert", "stability"])
     def test_field_over_the_size_bound_names_the_time_step(
             self, tmp_path, capsys, monkeypatch, subcommand):
-        # the template's field is 3 levels x 9 x 9 nodes x 16 bytes = 3888
-        # bytes; the bound is lowered, so nothing large is ever allocated
+        # at dt = 0.025 the field is 5 levels x 9 x 9 nodes x 16 bytes =
+        # 6480 bytes, and at the fewest levels, 3, it is 3888 bytes; the
+        # bound is lowered, so nothing large is ever allocated
         def no_solve(*args, **kwargs):
             raise AssertionError("the forward solve ran")
 
-        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 3887)
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 6479)
         monkeypatch.setattr(pde, "solve_forward", no_solve)
         monkeypatch.setattr(inv, "solve_forward", no_solve)
-        cfg = write_cfg(tmp_path)
+        path = tmp_path / "exp.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), "physics", "dt", "0.025"))
         out = tmp_path / "out"
-        code = cli.main([subcommand, "--config", str(cfg),
+        code = cli.main([subcommand, "--config", str(path),
                          "--output-dir", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: physics.dt: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("ny", [None, "9"])
+    @pytest.mark.parametrize("subcommand", ["solve-forward", "carleman-sweep",
+                                            "invert", "stability"])
+    def test_stack_over_the_bound_at_the_fewest_levels_names_the_grid(
+            self, tmp_path, capsys, monkeypatch, subcommand, ny):
+        # the template's forward field has the fewest levels T/dt allows, 3,
+        # and 3 x 9 x 9 x 16 = 3888 bytes; a suite field has at least 5
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 3887)
+        text = TMPL.format(**DEFAULTS)
+        if ny:
+            text = set_key(text, "physics", "ny", ny)
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main([subcommand, "--config", str(path),
+                         "--output-dir", str(out)])
+        assert code == 2
+        key = "physics.ny" if ny else "physics.nx"
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["solve-forward", "carleman-sweep",
+                                            "invert", "stability"])
+    def test_huge_grid_names_nx(self, tmp_path, capsys, subcommand):
+        # 3 levels of 100000 x 100000 nodes (5 for a suite field) need at
+        # least 480 GB; the grid, not the time step or the suite size, is
+        # what is too large
+        path = tmp_path / "exp.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), "physics", "nx", "100000"))
+        code = cli.main([subcommand, "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: physics.nx: the field stack needs ")
 
     def test_field_at_the_size_bound_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 3888)
@@ -332,11 +370,49 @@ class TestErrorPaths:
             "config error: carleman.n_half: ")
         assert not out.exists()
 
+    def test_suite_over_the_size_bound_names_n_fields(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the walk holds each of the 2 fields' slab with its halo, here all
+        # 9 levels: 2 x 9 x 9 x 9 x 16 bytes = 23328 bytes
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the test suite was built")
+
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 23327)
+        monkeypatch.setattr(cc, "build_test_suite", no_suite)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["carleman-sweep", "--config", str(cfg),
+                         "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: carleman.n_fields: ")
+        assert not out.exists()
+
     def test_suite_field_at_the_size_bound_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 11664)
+        # at the bound of the larger stack, the 2 fields' slabs
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 23328)
         cfg = write_cfg(tmp_path)
         assert cli.main(["carleman-sweep", "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("how", ["key", "flag"])
+    def test_huge_suite_names_n_fields(self, tmp_path, capsys, how):
+        # 10^8 fields' slabs need 1.2 TB; --n sets n_fields too
+        text = TMPL.format(**DEFAULTS)
+        flags = ["--n", "100000000"] if how == "flag" else []
+        if how == "key":
+            text = set_key(text, "carleman", "n_fields", "100000000")
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        code = cli.main(["carleman-sweep", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: carleman.n_fields: ")
+
+    def test_blamed_keys_are_table_rows(self):
+        paths = {key.path for key in cfgmod.KEYS}
+        assert set(cli.BLAMED_KEYS) == {"lambda", "s", "delta_t", "a1", "a2"}
+        assert set(cli.BLAMED_KEYS.values()) <= paths
 
     def test_overflowing_p1_factor_names_lambda_before_any_field(
             self, tmp_path, capsys, monkeypatch):
@@ -674,6 +750,34 @@ class TestStability:
         svg = (out / "stability_scatter.svg").read_text()
         assert "<polyline" not in svg and "slope" not in svg
 
+    @pytest.mark.parametrize("keys, flags, named", [
+        # every trace distance is 0: the potential's change is below what
+        # the trace resolves, at p = 0 for tiny amplitudes, and at a huge
+        # coefficient for any amplitude up to the template's 0.1
+        ({("physics", "p"): "constant 0",
+          ("inverse", "amplitudes"): "1e-150 1e-150"}, [], "inverse.amplitudes"),
+        ({("physics", "a1"): "1e150", ("physics", "a2"): "1e150"}, [],
+         "inverse.amplitudes"),
+        # every perturbation underflows, so none moves the potential
+        ({("inverse", "amplitudes"): "1e-300 1e-300"}, [], "inverse.amplitudes"),
+        ({("inverse", "n_perturbations"): "0"}, [], "inverse.n_perturbations"),
+        ({}, ["--n", "0"], "inverse.n_perturbations"),
+    ], ids=["zero-p-tiny-amplitudes", "huge-coefficients", "underflow",
+            "no-perturbation", "n-flag-0"])
+    def test_degenerate_sweep_names_a_key(self, tmp_path, capsys, keys, flags,
+                                          named):
+        text = TMPL.format(**DEFAULTS)
+        for (section, key), value in keys.items():
+            text = set_key(text, section, key, value)
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["stability", "--config", str(path),
+                         "--output-dir", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+        assert not out.exists()
+
     def test_negative_control_reports_uncertified(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, a1="1.0", a2="2.0")
         out = tmp_path / "out"
@@ -686,14 +790,24 @@ class TestStability:
         assert doc["hypothesis_report"]["records"]["H2"]["ok"] is False
 
 
-# hostile input: one key of the template (or a flag) set to drawn tokens
+# hostile input: one key of the table (or a flag) set to drawn tokens,
+# in place of its value in the template or, for a key the template leaves
+# out, of its base value here
 HOSTILE_TOKENS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "junk", "1:x",
                   "1e300", "1e-300")
-TEMPLATE_KEYS = [
-    (section, line.split(" = ")[0], line.split(" = ")[1])
+TEMPLATE_VALUES = {
+    f"{section}.{line.split(' = ')[0]}": line.split(" = ")[1]
     for section, body in re.findall(r"\[(\w+)\]\n([^[]*)", TMPL.format(**DEFAULTS))
     for line in body.strip().splitlines()
-    if " = " in line and not line.startswith("directory")
+    if " = " in line
+}
+BASE_VALUES = {"physics.ny": "9", "carleman.delta_t": "0.0015625",
+               "carleman.cutoff": "0.1 0.2", "carleman.n_grid": "192",
+               "inverse.q_bound": "10"}
+NOT_FUZZED = {"output.directory"}  # a drawn path could point anywhere
+FUZZED_KEYS = [
+    (key.section, key.name, {**TEMPLATE_VALUES, **BASE_VALUES}.get(key.path))
+    for key in cfgmod.KEYS if key.path not in NOT_FUZZED
 ]
 FLAGS = [("", "--seed", ""), ("", "--n", "")]
 
@@ -713,7 +827,7 @@ def set_key(text, section, key, value):
 
 @st.composite
 def mutations(draw):
-    section, key, value = draw(st.sampled_from(TEMPLATE_KEYS + FLAGS))
+    section, key, value = draw(st.sampled_from(FUZZED_KEYS + FLAGS))
     if not section:  # flags take integers, anything else is a usage error
         return section, key, draw(st.sampled_from(("-1", "0", "-7")))
     tokens = value.split()
@@ -725,6 +839,12 @@ def mutations(draw):
 
 
 class TestHostileInput:
+    def test_every_table_key_has_a_base_value(self):
+        missing = [(section, key) for section, key, value in FUZZED_KEYS
+                   if value is None]
+        assert missing == []
+        assert not set(BASE_VALUES) & set(TEMPLATE_VALUES)
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(mutation=mutations())
     @example(mutation=("carleman", "seed", "-1"))
@@ -748,6 +868,11 @@ class TestHostileInput:
     @example(mutation=("carleman", "lambda", "7"))  # theta^3 overflows at the clamp
     @example(mutation=("physics", "a1", "1e300"))  # a face coefficient overflows
     @example(mutation=("physics", "a2", "1e300"))  # and M1 rounds to 0
+    @example(mutation=("carleman", "n_grid", "100000"))  # the psi scan: 820 GB
+    @example(mutation=("carleman", "n_fields", "100000000"))  # the suite's slabs
+    @example(mutation=("physics", "nx", "100000"))  # the grid, at any T/dt
+    @example(mutation=("inverse", "n_perturbations", "0"))  # no record
+    @example(mutation=("", "--n", "0"))
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation
         text = TMPL.format(**DEFAULTS)
@@ -764,6 +889,10 @@ class TestHostileInput:
                     code = cli.main([sub, "--config", str(path), "--output-dir",
                                      str(Path(tmp) / sub), *flags])
                 assert code in (0, 2, 3), (sub, mutation)
+                if code == 0 and sub == "stability":
+                    summary = load_json(Path(tmp) / sub / "stability_summary.json")
+                    # a non-finite float is written as a string
+                    assert isinstance(summary["empirical_C"], float), mutation
                 if code == 2:
                     assert re.match(
                         r"config error: ([a-z]+\.\w+|--[a-z]+): ", err.getvalue()

@@ -1,6 +1,8 @@
 """Config parsing, validation, hashing, overrides, and profile builders."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +345,67 @@ class TestFlat:
         cfg = cfgmod.load_config(write_config(tmp_path))
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.physics.a1 = 3.0
+
+
+class TestKeyTable:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_block_fields_are_the_table_rows(self):
+        for section, block in cfgmod.BLOCKS.items():
+            rows = [key.attr for key in cfgmod.KEYS if key.section == section]
+            assert rows == [f.name for f in dataclasses.fields(block)]
+        assert [f.name for f in dataclasses.fields(cfgmod.ExperimentConfig)] \
+            == list(cfgmod.BLOCKS)
+
+    def test_each_key_is_one_row_with_a_doc(self):
+        paths = [key.path for key in cfgmod.KEYS]
+        assert len(paths) == len(set(paths)) == 34
+        assert all(key.doc for key in cfgmod.KEYS)
+        assert [key.path for key in cfgmod.KEYS if key.attr != key.name] \
+            == ["carleman.lambda"]
+
+    def test_readme_lists_exactly_the_table_keys(self):
+        # the annotated INI under "## Configuration"; an optional key
+        # without a default value is a commented "# key = ..." line
+        text = self.README.read_text()
+        block = text[text.index("## Configuration"):]
+        block = block[block.index("```ini\n") + 7:]
+        block = block[:block.index("```")]
+        listed, section = [], None
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]$", line)
+            if header:
+                section = header.group(1)
+            key = re.match(r"#? ?(\w+) = ", line)
+            if key:
+                listed.append(f"{section}.{key.group(1)}")
+        assert listed == [key.path for key in cfgmod.KEYS]
+
+    def test_docstring_lists_no_key(self):
+        # the table is the schema; the module docstring points to it
+        assert "KEYS" in cfgmod.__doc__
+        assert re.findall(r"^\s*(\w+)\s*=", cfgmod.__doc__, re.M) == []
+
+    def test_defaults_keep_their_parsed_types(self):
+        for key in cfgmod.KEYS:
+            if key.default is cfgmod.REQUIRED or key.default is None:
+                continue
+            if isinstance(key.default, str):
+                raw = key.default
+            elif isinstance(key.default, tuple):
+                raw = " ".join(str(v) for v in key.default)
+            else:
+                raw = str(key.default)
+            parsed = key.parse(raw, key.path)
+            assert parsed == key.default and type(parsed) is type(key.default), key.path
+
+    @pytest.mark.parametrize("value, ok", [("2048", True), ("2049", False),
+                                           ("100000", False)])
+    def test_n_grid_is_bounded(self, tmp_path, value, ok):
+        # the psi scan holds about 82 bytes per point of its n_grid^2 grid
+        path = write_config(tmp_path, BASE + f"\n[carleman]\nn_grid = {value}\n")
+        if ok:
+            assert cfgmod.load_config(path).carleman.n_grid == 2048
+        else:
+            with pytest.raises(ConfigError, match=r"^carleman\.n_grid: must be <= 2048, "):
+                cfgmod.load_config(path)

@@ -548,11 +548,26 @@ class TestStability:
             assert ra.trace_distance == rb.trace_distance
 
     def test_zero_amplitude_records_skipped(self):
+        # every record is skipped, and a sweep with no record has no constant
         inst = make_instance(nx=13, n_steps=8)
-        out = inv.stability_sweep(
-            inst, n_perturbations=3, amplitude_range=(0.0, 0.0), seed=1
-        )
-        assert out.records == []
+        with pytest.raises(inv.DegenerateSweep, match="has no record"):
+            inv.stability_sweep(
+                inst, n_perturbations=3, amplitude_range=(0.0, 0.0), seed=1
+            )
+
+    def test_no_perturbation_has_no_record(self):
+        inst = make_instance(nx=13, n_steps=8)
+        with pytest.raises(inv.DegenerateSweep, match="none of the 0 "):
+            inv.stability_sweep(inst, n_perturbations=0, seed=1)
+
+    @pytest.mark.parametrize("trace", [0.0, 5e-324])
+    def test_non_finite_ratio_is_degenerate(self, monkeypatch, trace):
+        # a potential change the trace does not see, or sees too little
+        # for the ratio to be a double, gives no stability constant
+        inst = make_instance(nx=13, n_steps=8)
+        monkeypatch.setattr(inv, "trace_distance", lambda instance, q: trace)
+        with pytest.raises(inv.DegenerateSweep, match="ratio is not finite"):
+            inv.stability_sweep(inst, n_perturbations=3, seed=1)
 
     def test_local_linearity_of_measurement(self):
         inst = make_instance(nx=17, n_steps=12)

@@ -108,6 +108,20 @@ def _build_instance(cfg):
         raise ConfigError(f"inverse.r_lower: {exc}") from None
 
 
+def _write(cfg, out_dir: Path, subcommand: str, artifacts: dict, **meta) -> None:
+    """Write, under one meta stamp, each artifact of artifacts (a file name
+    mapped to its content) whose suffix output.formats lists: a csv is
+    (columns, rows), a json its payload, an svg its document."""
+    stamp = outputs.make_meta(cfgmod.config_hash(cfg), subcommand, **meta)
+    for name, content in artifacts.items():
+        fmt = name.rpartition(".")[2]
+        if fmt in cfg.output.formats:
+            args = content if fmt == "csv" else (content,)
+            # looked up per call, so a wrapper bound over a writer (the
+            # benchmark's tracer) sees every write
+            getattr(outputs, f"write_{fmt}")(out_dir / name, stamp, *args)
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers; each returns the exit status
 
@@ -121,9 +135,7 @@ def run_geometry_check(cfg, out_dir: Path) -> int:
         "clearance": float(layout.clearance),
         "n_samples": int(layout.interface.n_samples),
     }
-    meta = outputs.make_meta(cfgmod.config_hash(cfg), "geometry-check")
-    if "json" in cfg.output.formats:
-        outputs.write_json(out_dir / "geometry_check.json", meta, payload)
+    _write(cfg, out_dir, "geometry-check", {"geometry_check.json": payload})
     print(f"geometry-check: min_curvature={min_curv:.6g} ok={ok}")
     if not ok:
         raise CertificationFailure("interface is not strongly convex", payload)
@@ -146,9 +158,7 @@ def run_weight_verify(cfg, out_dir: Path) -> int:
         raise ConfigError(f"geometry.x0: {exc}") from None
     report = wt.verify_hypotheses(w)
     payload = report.as_dict()
-    meta = outputs.make_meta(cfgmod.config_hash(cfg), "weight-verify")
-    if "json" in cfg.output.formats:
-        outputs.write_json(out_dir / "weight_verify.json", meta, payload)
+    _write(cfg, out_dir, "weight-verify", {"weight_verify.json": payload})
     worst = min(payload["records"].values(), key=lambda r: r["margin"])
     print(
         f"weight-verify: all_ok={payload['all_ok']} "
@@ -183,23 +193,17 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     trace_l2 = np.sqrt((np.abs(trace.values) ** 2) @ trace.weights)
 
-    meta = outputs.make_meta(cfgmod.config_hash(cfg), "solve-forward")
-    if "csv" in cfg.output.formats:
-        rows = [
-            (float(field.times[n]), float(norms[n]), float(trace_l2[n]))
-            for n in range(field.nt)
-        ]
-        outputs.write_csv(
-            out_dir / "forward_trace.csv", meta,
-            ("t", "solution_l2", "trace_l2"), rows,
-        )
-    if "json" in cfg.output.formats:
-        outputs.write_json(out_dir / "forward_summary.json", meta, {
+    columns = ("t", "solution_l2", "trace_l2")
+    rows = [tuple(map(float, row)) for row in zip(field.times, norms, trace_l2)]
+    _write(cfg, out_dir, "solve-forward", {
+        "forward_trace.csv": (columns, rows),
+        "forward_summary.json": {
             "n_steps": cfg.physics.n_steps,
             "l2_drift": drift,
             "final_l2": float(norms[-1]),
             "trace_h1l2": trace_h1l2,
-        })
+        },
+    })
     print(f"solve-forward: steps={cfg.physics.n_steps} drift={drift:.3e}")
     return 0
 
@@ -265,47 +269,36 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
         # a weight factor e^(k lambda psi) tau^k overflowed at a node
         raise ConfigError(f"carleman.lambda: {exc}") from None
 
-    meta = outputs.make_meta(
-        cfgmod.config_hash(cfg), "carleman-sweep", seed=cfg.carleman.seed
-    )
-    if "csv" in cfg.output.formats:
-        outputs.write_csv(
-            out_dir / "carleman_rows.csv", meta,
-            ("field_id", "s", "lambda", "lhs", "rhs_residual",
-             "rhs_boundary", "ratio"),
-            [(r["field_id"], r["s"], r["lambda"], r["lhs"],
-              r["rhs_residual"], r["rhs_boundary"], r["ratio"])
-             for r in sweep.rows],
+    row_columns = ("field_id", "s", "lambda", "lhs", "rhs_residual",
+                   "rhs_boundary", "ratio")
+    table_columns = ("s", "lambda", "max_ratio")
+    series = []
+    for lam in sorted({r["lambda"] for r in sweep.table}):
+        pts = sorted(
+            (r["s"], r["max_ratio"]) for r in sweep.table if r["lambda"] == lam
         )
-        outputs.write_csv(
-            out_dir / "carleman_table.csv", meta,
-            ("s", "lambda", "max_ratio"),
-            [(r["s"], r["lambda"], r["max_ratio"]) for r in sweep.table],
-        )
-    if "json" in cfg.output.formats:
-        outputs.write_json(out_dir / "carleman_summary.json", meta, {
+        series.append((
+            f"lambda={lam:g}", [p[0] for p in pts], [p[1] for p in pts]
+        ))
+    _write(cfg, out_dir, "carleman-sweep", {
+        "carleman_rows.csv": (
+            row_columns,
+            [tuple(r[c] for c in row_columns) for r in sweep.rows]),
+        "carleman_table.csv": (
+            table_columns,
+            [tuple(r[c] for c in table_columns) for r in sweep.table]),
+        "carleman_summary.json": {
             "sup_ratio": sweep.sup_ratio,
             "stabilized": sweep.stabilized,
             "q_inf": sweep.q_inf,
             "tail_bound": sweep.tail_bound,
             "n_fields": len(fields),
             "certificates": reports,
-        })
-    if "svg" in cfg.output.formats:
-        series = []
-        for lam in sorted({r["lambda"] for r in sweep.table}):
-            pts = sorted(
-                (r["s"], r["max_ratio"]) for r in sweep.table
-                if r["lambda"] == lam
-            )
-            series.append((
-                f"lambda={lam:g}", [p[0] for p in pts], [p[1] for p in pts]
-            ))
-        outputs.write_svg(
-            out_dir / "carleman_ratios.svg", meta,
-            svgplot.lines(series, xlabel="s", ylabel="max ratio lhs/rhs",
-                          title="Carleman ratio across the sweep"),
-        )
+        },
+        "carleman_ratios.svg": svgplot.lines(
+            series, xlabel="s", ylabel="max ratio lhs/rhs",
+            title="Carleman ratio across the sweep"),
+    }, seed=cfg.carleman.seed)
     print(
         f"carleman-sweep: fields={len(fields)} sup_ratio={sweep.sup_ratio:.6g} "
         f"stabilized={sweep.stabilized}"
@@ -333,17 +326,13 @@ def run_invert(cfg, out_dir: Path) -> int:
             k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
             for k, v in res.diagnostics.items()
         }
-    meta = outputs.make_meta(
-        cfgmod.config_hash(cfg), "invert", seed=cfg.inverse.seed
-    )
-    if "json" in cfg.output.formats:
-        outputs.write_json(out_dir / "invert.json", meta, payload)
-    if "csv" in cfg.output.formats:
-        cols = ("iterations", "initial_misfit", "final_misfit", "beta",
-                "relative_error", "grad_norm", "converged", "stop_reason",
-                "stalled")
-        outputs.write_csv(out_dir / "invert.csv", meta, cols,
-                          [tuple(payload[c] for c in cols)])
+    columns = ("iterations", "initial_misfit", "final_misfit", "beta",
+               "relative_error", "grad_norm", "converged", "stop_reason",
+               "stalled")
+    _write(cfg, out_dir, "invert", {
+        "invert.json": payload,
+        "invert.csv": (columns, [tuple(payload[c] for c in columns)]),
+    }, seed=cfg.inverse.seed)
     print(
         f"invert: iterations={result.iterations} "
         f"relative_error={result.relative_error:.4g} "
@@ -353,49 +342,44 @@ def run_invert(cfg, out_dir: Path) -> int:
 
 
 def run_stability(cfg, out_dir: Path) -> int:
+    # --n sets the sweep size past the table's bound on the key
+    n = cfg.inverse.n_perturbations
+    if n > cfgmod.N_PERTURBATIONS_MAX:
+        raise ConfigError(f"inverse.n_perturbations: must be <= "
+                          f"{cfgmod.N_PERTURBATIONS_MAX}, got {n}")
     instance = _build_instance(cfg)
     try:
         sweep = inv.stability_sweep(
-            instance, n_perturbations=cfg.inverse.n_perturbations,
+            instance, n_perturbations=n,
             amplitude_range=cfg.inverse.amplitudes, seed=cfg.inverse.seed,
         )
     except inv.DegenerateSweep as exc:
         # with perturbations drawn, the amplitudes are what moved the
         # potential too little, or too little for the trace to see
-        key = ("inverse.n_perturbations" if cfg.inverse.n_perturbations == 0
-               else "inverse.amplitudes")
+        key = "inverse.n_perturbations" if n == 0 else "inverse.amplitudes"
         raise ConfigError(f"{key}: {exc}") from None
-    meta = outputs.make_meta(
-        cfgmod.config_hash(cfg), "stability", seed=cfg.inverse.seed
-    )
-    if "csv" in cfg.output.formats:
-        outputs.write_csv(
-            out_dir / "stability_records.csv", meta,
-            ("amplitude", "potential_distance", "trace_distance", "ratio"),
-            [(r.amplitude, r.potential_distance, r.trace_distance, r.ratio)
-             for r in sweep.records],
-        )
-    if "json" in cfg.output.formats:
-        payload = sweep.summary()
-        payload["hypothesis_report"] = sweep.hypothesis_report.as_dict()
-        payload["regularity_note"] = REGULARITY_NOTE
-        outputs.write_json(out_dir / "stability_summary.json", meta, payload)
-    if "svg" in cfg.output.formats:
-        xs = [r.trace_distance for r in sweep.records]
-        ys = [r.potential_distance for r in sweep.records]
-        slope = intercept = None
-        if np.isfinite(sweep.loglog_slope):  # the sweep's ln line on log10 axes
-            slope, intercept = sweep.loglog_slope, sweep.loglog_intercept / np.log(10.0)
-        label = "certified" if sweep.certified else "uncertified"
-        outputs.write_svg(
-            out_dir / "stability_scatter.svg", meta,
-            svgplot.scatter(
-                xs, ys, xlabel="trace distance (H1 in time, L2 on the rim)",
-                ylabel="potential distance (L2)",
-                title=f"Stability sweep ({label})",
-                fit_slope=slope, fit_intercept=intercept,
-            ),
-        )
+    columns = ("amplitude", "potential_distance", "trace_distance", "ratio")
+    payload = sweep.summary()
+    payload["hypothesis_report"] = sweep.hypothesis_report.as_dict()
+    payload["regularity_note"] = REGULARITY_NOTE
+    slope = intercept = None
+    if np.isfinite(sweep.loglog_slope):  # the sweep's ln line on log10 axes
+        slope, intercept = sweep.loglog_slope, sweep.loglog_intercept / np.log(10.0)
+    label = "certified" if sweep.certified else "uncertified"
+    _write(cfg, out_dir, "stability", {
+        "stability_records.csv": (
+            columns,
+            [tuple(getattr(r, c) for c in columns) for r in sweep.records]),
+        "stability_summary.json": payload,
+        "stability_scatter.svg": svgplot.scatter(
+            [r.trace_distance for r in sweep.records],
+            [r.potential_distance for r in sweep.records],
+            xlabel="trace distance (H1 in time, L2 on the rim)",
+            ylabel="potential distance (L2)",
+            title=f"Stability sweep ({label})",
+            fit_slope=slope, fit_intercept=intercept,
+        ),
+    }, seed=cfg.inverse.seed)
     print(
         f"stability: n={len(sweep.records)} empirical_C={sweep.empirical_C:.6g} "
         f"slope={sweep.loglog_slope:.3f} certified={sweep.certified}"

@@ -4,10 +4,11 @@ into geometry, grids, and field profiles.
 
 The schema is one table, KEYS: a row per key gives its section and INI
 name, the rule that parses its value and checks its domain, its default
-(or REQUIRED), a one-line doc, and the block field it fills.  load_config
-loops over the table; only the two rules that read two keys follow it:
-T/dt is an integer of at least 2 steps, and delta_t < T.  Every error
-message starts with the section.key path.
+(or REQUIRED), a one-line doc, and the block field it fills; each
+section's block, BLOCKS[section], is a frozen dataclass made from its
+rows.  load_config loops over the table; only the two rules that read
+two keys follow it: T/dt is an integer of at least 2 steps, and
+delta_t < T.  Every error message starts with the section.key path.
 
 Real profile grammar: ``constant C`` | ``sine BASE AMP`` (BASE +
 AMP sin(x)cos(y)) | ``gaussian BASE AMP CX CY WIDTH``.  Complex profiles
@@ -41,74 +42,18 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# parsed blocks
-
-
-@dataclass(frozen=True)
-class GeometryBlock:
-    outer: tuple          # ("rect", xmin, xmax, ymin, ymax)
-    interface: tuple      # ("disk", r, cx, cy) | ("fourier", c0, ((k, eps), ...), cx, cy)
-    x0: tuple
-    x1: tuple
-    x2: tuple
-
-
-@dataclass(frozen=True)
-class PhysicsBlock:
-    a1: float
-    a2: float
-    p: str
-    y0: str
-    h: str
-    T: float
-    nx: int
-    ny: Optional[int]
-    dt: float
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
-
-
-@dataclass(frozen=True)
-class CarlemanBlock:
-    s: tuple
-    lam: tuple
-    M2: float
-    delta_t: Optional[float]
-    cutoff: Optional[tuple]
-    n_fields: int
-    n_half: int
-    n_grid: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class InverseBlock:
-    beta: float
-    max_iter: int
-    n_perturbations: int
-    amplitudes: tuple
-    seed: int
-    noise: float
-    q0: str
-    r_lower: float
-    q_bound: float
-
-
-@dataclass(frozen=True)
-class OutputBlock:
-    directory: str
-    formats: tuple
+# the parsed config
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    geometry: GeometryBlock
-    physics: PhysicsBlock
-    carleman: CarlemanBlock
-    inverse: InverseBlock
-    output: OutputBlock
+    """One parsed block per section, an instance of BLOCKS[section]."""
+
+    geometry: object
+    physics: object
+    carleman: object
+    inverse: object
+    output: object
 
     def flat(self) -> dict:
         """Canonical flat mapping of the hashed blocks."""
@@ -321,6 +266,11 @@ class Key:
 # n_grid x n_grid grid: 344 MB at this bound
 N_GRID_MAX = 2048
 
+# each perturbation of the stability sweep is one forward solve, about
+# 18 ms on configs/default.ini, and keeps a record of about 640 bytes:
+# 30 minutes and 64 MB at this bound
+N_PERTURBATIONS_MAX = 100_000
+
 KEYS = (
     Key("geometry", "outer", _outer, REQUIRED,
         "rect XMIN XMAX YMIN YMAX, the outer domain"),
@@ -368,8 +318,9 @@ KEYS = (
     Key("carleman", "seed", _integer(0), 0, "suite randomness, >= 0"),
     Key("inverse", "beta", _nonnegative, 1e-6, "Tikhonov weight, >= 0"),
     Key("inverse", "max_iter", _integer(0), 100, "descent iterations, >= 0"),
-    Key("inverse", "n_perturbations", _integer(0), 30,
-        "stability sweep size, >= 0 (stability needs >= 1)"),
+    Key("inverse", "n_perturbations", _integer(0, N_PERTURBATIONS_MAX), 30,
+        f"stability sweep size, 0 to {N_PERTURBATIONS_MAX} "
+        "(stability needs >= 1)"),
     Key("inverse", "amplitudes", _checked(
             _pair, lambda a: 0.0 < a[0] <= a[1],
             "need 0 < LO <= HI, got {0[0]} {0[1]}"),
@@ -388,9 +339,24 @@ KEYS = (
         "any subset of csv json svg"),
 )
 
-BLOCKS = {"geometry": GeometryBlock, "physics": PhysicsBlock,
-          "carleman": CarlemanBlock, "inverse": InverseBlock,
-          "output": OutputBlock}
+
+def _n_steps(physics) -> int:
+    """PhysicsBlock.n_steps: the number of forward time steps, T/dt."""
+    return int(round(physics.T / physics.dt))
+
+
+# One frozen dataclass per section, with a field per KEYS row of the
+# section in table order and the members _MEMBERS adds; make_dataclass
+# takes the module only through the namespace before Python 3.12.
+_MEMBERS = {"physics": {"n_steps": property(_n_steps)}}
+BLOCKS = {
+    section: dataclasses.make_dataclass(
+        f"{section.capitalize()}Block",
+        [key.attr for key in KEYS if key.section == section], frozen=True,
+        namespace={"__module__": __name__, **_MEMBERS.get(section, {})},
+    )
+    for section in dict.fromkeys(key.section for key in KEYS)
+}
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .pde_solver import (
     solve_forward,
 )
 from .weight import (
+    ParamsOverflow,
     PiecewiseCoefficient,
     build_weight,
     certifiable_m2,
@@ -347,9 +348,10 @@ def reconstruct(
     own message as stop_reason.  Returns a ReconstructionResult, or a
     StalledReconstruction instance (an Exception, returned rather than
     raised) when the line search fails; the partial result at the last
-    accepted iterate rides along in its .result attribute.  Raises
-    TraceOverflow when the gradient at q0 or its norm is not finite, as
-    no stop could then be measured against it.
+    accepted iterate rides along in its .result attribute.  When the
+    gradient at q0 or its norm is not finite, as no stop could then be
+    measured against it, raises ParamsOverflow naming a1 or a2 if the
+    larger coefficient exceeds max |y0|, else TraceOverflow.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -374,9 +376,13 @@ def reconstruct(
     # an entry that is not finite makes the norm so too
     grad_norm = float(np.linalg.norm(accepted[2]))
     if not np.isfinite(grad_norm):
-        raise TraceOverflow(
-            f"the misfit gradient at q0 has norm {grad_norm:g}: the state overflows"
-        )
+        # the gradient scales like a^2 |y0|^2: blame the larger factor
+        a1, a2 = instance.coeff.a1, instance.coeff.a2
+        message = f"the misfit gradient at q0 has norm {grad_norm:g}"
+        if max(a1, a2) > np.max(np.abs(instance.y0)):
+            raise ParamsOverflow("a1" if a1 >= a2 else "a2",
+                                 f"{message}: the coefficient overflows it")
+        raise TraceOverflow(f"{message}: the state overflows")
     floor = GRAD_RTOL * grad_norm
 
     def converged():

@@ -17,11 +17,17 @@ def _plotted(v, log):
     return math.log10(v) if log else float(v)
 
 
+def _shown(v, log) -> bool:
+    """Whether an axis can show the data value v: a finite one, positive
+    on a log axis."""
+    return math.isfinite(v) and (not log or v > 0.0)
+
+
 def _transforms(xs, ys, logx, logy):
     """Pixel transform on plotted coordinates, and the padded plotted
     x and y ranges."""
     def prep(vals, log):
-        return [_plotted(v, log) for v in map(float, vals) if not log or v > 0.0]
+        return [_plotted(v, log) for v in map(float, vals) if _shown(v, log)]
 
     px = prep(xs, logx)
     py = prep(ys, logy)
@@ -112,11 +118,10 @@ def _axes(to_px, xr, yr, logx, logy, xlabel, ylabel, title):
 
 
 def _pixels(to_px, xs, ys, logx, logy):
-    """Pixel positions of the data points a log axis can show."""
+    """Pixel positions of the data points both axes can show."""
     for x, y in zip(xs, ys):
-        if (logx and x <= 0.0) or (logy and y <= 0.0):
-            continue
-        yield to_px(_plotted(x, logx), _plotted(y, logy))
+        if _shown(x, logx) and _shown(y, logy):
+            yield to_px(_plotted(x, logx), _plotted(y, logy))
 
 
 def _document(parts):

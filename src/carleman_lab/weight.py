@@ -64,8 +64,9 @@ class TimeSingular(Exception):
 class ParamsOverflow(ValueError):
     """A parameter too large for a formula in doubles: alpha, e^(2 lambda
     psi_sup), tau^3 or theta^3 at the clamp, s^3 lambda^4, a flux face
-    coefficient, or M1 = M2 + a1 - a2, which rounds to 0; name is the
-    parameter blamed (lambda, delta_t, s, a1 or a2)."""
+    coefficient, the misfit gradient at the initial guess, or M1 = M2 +
+    a1 - a2, which rounds to 0; name is the parameter blamed (lambda,
+    delta_t, s, a1 or a2)."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)

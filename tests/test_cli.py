@@ -265,6 +265,21 @@ class TestErrorPaths:
         assert err.startswith("config error: physics.y0: the misfit gradient at q0 ")
         assert not out.exists()
 
+    def test_overflowing_initial_gradient_names_the_coefficient(
+            self, tmp_path, capsys):
+        # the gradient scales like a^2 |y0|^2, and here a2 = 1e150 is far
+        # above max |y0| = 2.5: the coefficient is named, not the state
+        cfg = write_cfg(tmp_path, a2="1e150")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["invert", "--config", str(cfg),
+                             "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: physics.a2: the misfit gradient at q0 ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["invert", "stability"])
     def test_overflowing_trace_difference_names_y0(self, tmp_path, capsys,
                                                    subcommand):
@@ -408,6 +423,30 @@ class TestErrorPaths:
                          "--output-dir", str(tmp_path / "out"), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: carleman.n_fields: ")
+
+    @pytest.mark.parametrize("how", ["key", "flag"])
+    def test_huge_sweep_names_n_perturbations(self, tmp_path, capsys,
+                                              monkeypatch, how):
+        # 10^9 log-spaced amplitudes alone take 8 GB; --n sets the size
+        # past the table, so stability checks it before any allocation
+        def no_instance(cfg):
+            raise AssertionError("the instance was built")
+
+        monkeypatch.setattr(cli, "_build_instance", no_instance)
+        text = TMPL.format(**DEFAULTS)
+        flags = ["--n", "1000000000"] if how == "flag" else []
+        if how == "key":
+            text = set_key(text, "inverse", "n_perturbations", "1000000000")
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["stability", "--config", str(path),
+                         "--output-dir", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: inverse.n_perturbations: must be <= 100000, "
+            "got 1000000000\n")
+        assert not out.exists()
 
     def test_blamed_keys_are_table_rows(self):
         paths = {key.path for key in cfgmod.KEYS}
@@ -584,6 +623,61 @@ class TestRerun:
         assert first
         assert cli.main(argv) == 0
         assert snapshot(tmp_path / "out") == first
+
+
+# the artifacts each subcommand writes with every format listed
+ARTIFACTS = {
+    "geometry-check": ("geometry_check.json",),
+    "weight-verify": ("weight_verify.json",),
+    "solve-forward": ("forward_trace.csv", "forward_summary.json"),
+    "carleman-sweep": ("carleman_rows.csv", "carleman_table.csv",
+                       "carleman_summary.json", "carleman_ratios.svg"),
+    "invert": ("invert.json", "invert.csv"),
+    "stability": ("stability_records.csv", "stability_summary.json",
+                  "stability_scatter.svg"),
+}
+
+
+class TestFormats:
+    def test_every_subcommand_lists_its_artifacts(self):
+        assert list(ARTIFACTS) == list(cli.HANDLERS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("subcommand", list(cli.HANDLERS))
+    def test_one_format_writes_exactly_its_artifacts(self, tmp_path, subcommand,
+                                                     fmt):
+        path = tmp_path / "exp.ini"
+        path.write_text(set_key(TMPL.format(**DEFAULTS), "output", "formats", fmt))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([subcommand, "--config", str(path),
+                             "--output-dir", str(out)])
+        assert code == 0
+        assert sorted(snapshot(out)) == sorted(
+            name for name in ARTIFACTS[subcommand] if name.endswith(f".{fmt}"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("subcommand, overrides", [
+        ("geometry-check", {"interface": "fourier 0.5 7:0.04"}),
+        ("weight-verify", {"a1": "1.0", "a2": "2.0"}),
+        ("carleman-sweep", {"a1": "1.0", "a2": "2.0"}),
+    ])
+    def test_certification_failure_is_written_whatever_the_formats(
+            self, tmp_path, subcommand, overrides, fmt):
+        values = dict(DEFAULTS, **overrides)
+        path = tmp_path / "exp.ini"
+        path.write_text(set_key(TMPL.format(**values), "output", "formats", fmt))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([subcommand, "--config", str(path),
+                             "--output-dir", str(out)])
+        assert code == 3
+        written = set(snapshot(out))
+        assert "certification_failure.json" in written
+        # beside it, only the subcommand's own artifacts of that format
+        assert written - {"certification_failure.json"} <= {
+            name for name in ARTIFACTS[subcommand] if name.endswith(f".{fmt}")}
 
 
 class TestOutputResolution:
@@ -872,6 +966,8 @@ class TestHostileInput:
     @example(mutation=("carleman", "n_fields", "100000000"))  # the suite's slabs
     @example(mutation=("physics", "nx", "100000"))  # the grid, at any T/dt
     @example(mutation=("inverse", "n_perturbations", "0"))  # no record
+    @example(mutation=("inverse", "n_perturbations", "1000000000"))  # 8 GB
+    @example(mutation=("", "--n", "1000000000"))
     @example(mutation=("", "--n", "0"))
     def test_every_subcommand_exits_cleanly_naming_the_key(self, mutation):
         section, key, value = mutation

@@ -409,3 +409,23 @@ class TestKeyTable:
         else:
             with pytest.raises(ConfigError, match=r"^carleman\.n_grid: must be <= 2048, "):
                 cfgmod.load_config(path)
+
+    @pytest.mark.parametrize("value, ok", [("100000", True), ("100001", False),
+                                           ("1000000000", False)])
+    def test_n_perturbations_is_bounded(self, tmp_path, value, ok):
+        # 10^9 log-spaced amplitudes alone take 8 GB before the first solve
+        path = write_config(tmp_path, BASE + f"\n[inverse]\nn_perturbations = {value}\n")
+        if ok:
+            assert cfgmod.load_config(path).inverse.n_perturbations == 100000
+        else:
+            with pytest.raises(
+                    ConfigError, match=r"^inverse\.n_perturbations: must be <= 100000, "):
+                cfgmod.load_config(path)
+
+    def test_blocks_are_frozen_dataclasses_of_this_module(self):
+        for section, block in cfgmod.BLOCKS.items():
+            assert block.__name__ == f"{section.capitalize()}Block"
+            assert block.__module__ == cfgmod.__name__
+            assert block.__dataclass_params__.frozen
+        assert [name for name, member in vars(cfgmod.BLOCKS["physics"]).items()
+                if isinstance(member, property)] == ["n_steps"]

@@ -93,6 +93,21 @@ class TestSvg:
         ET.fromstring(body)
         assert body.count("<circle") == 2
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_are_skipped(self, bad):
+        # the plot of the finite points, byte for byte; the bad point's
+        # other coordinate lies within its axis's range, which each axis
+        # takes over its own shown values
+        xs, ys = [1.0, 10.0, 100.0], [2.0, 3.0, 5.0]
+        for i in range(3):
+            for axis in (0, 1):
+                data = [list(xs), list(ys)]
+                data[axis].insert(i, bad)
+                data[1 - axis].insert(i, data[1 - axis][1])
+                assert svgplot.scatter(*data) == svgplot.scatter(xs, ys)
+                assert svgplot.lines([("a", *data)]) \
+                    == svgplot.lines([("a", xs, ys)])
+
 
 class _DiskFull:
     """A file whose writes store half their bytes, then fail."""

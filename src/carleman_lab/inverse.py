@@ -373,8 +373,10 @@ def reconstruct(
 
     accepted = evaluate(q.ravel())
     initial = accepted[1]
-    # an entry that is not finite makes the norm so too
-    grad_norm = float(np.linalg.norm(accepted[2]))
+    # an entry that is not finite makes the norm so too, and so does an
+    # overflow, which is reported below rather than warned about
+    with np.errstate(over="ignore"):
+        grad_norm = float(np.linalg.norm(accepted[2]))
     if not np.isfinite(grad_norm):
         # the gradient scales like a^2 |y0|^2: blame the larger factor
         a1, a2 = instance.coeff.a1, instance.coeff.a2

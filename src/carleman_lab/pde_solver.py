@@ -13,12 +13,18 @@ the coefficient jump.  Time stepping is the Cayley form of Crank-Nicolson:
 the one-step map is exactly unitary when h = 0, so the L2 mass
 is conserved to rounding.
 
-The matrix P = I - (i dt / 2) A is factored once, in SuperLU's minimum
-degree MMD_AT_PLUS_A ordering (about 35 % less fill than COLAMD here).
-As P + M = 2I with M = I + (i dt / 2) A, a step P^{-1} (M u + c) =
-P^{-1} (2u + c) - u needs no product with A; A is real symmetric, so
-M = P^H and the same march with trans="H", a conjugate-transpose solve
-with the same factor, is the adjoint.
+The matrix P = I - (i dt / 2) A is factored once per potential.  Its
+pattern is the flux stencil's, whatever the potential and dt, so the
+column order is found once per CoefficientOnGrid: the first factor takes
+SuperLU's minimum degree MMD_AT_PLUS_A ordering (about 35 % less fill
+than COLAMD here), and every later P is written straight into that
+column order and factored in the NATURAL one, which gives the same
+factors, to the bit, without the ordering pass.  This is SuperLU's
+SamePattern reuse, which scipy does not expose.  As P + M = 2I with
+M = I + (i dt / 2) A, a step P^{-1} (M u + c) = P^{-1} (2u + c) - u
+needs no product with A; A is real symmetric, so M = P^H and the same
+march with trans="H", a conjugate-transpose solve with the same factor,
+is the adjoint.
 """
 
 from __future__ import annotations
@@ -272,8 +278,8 @@ class CoefficientOnGrid(_OnGrid):
 
     SchrodingerOperator, the solves and neumann_trace take this form in
     place of the plain coefficient; built once and passed along, it makes
-    the stencils once per grid instead of once per solve.  Nothing here
-    depends on the potential.
+    the stencils once per grid, and the column order of P once, instead
+    of once per solve.  Nothing here depends on the potential.
     """
 
     @cached_property
@@ -297,13 +303,78 @@ class CoefficientOnGrid(_OnGrid):
     def trace(self) -> sparse.csr_matrix:
         return trace_operator(self.grid, self)
 
+    @cached_property
+    def _cayley(self) -> "_CayleyPattern":
+        return _CayleyPattern(self.flux[0])
+
+
+class _CayleyPattern:
+    """P = I - (i dt / 2)(k_int + diag q) on k_int's CSC pattern, written
+    into a reused complex buffer and factored by SuperLU.
+
+    perm_c is None until the first factor, which orders the columns by
+    MMD_AT_PLUS_A; that order depends on the pattern only, so every later
+    P is written with its columns in it (order = argsort(perm_c)) and
+    factored in the NATURAL order.  The buffer is free for the next P
+    once splu returns, as a factor keeps its own L and U.  The first
+    factor's buffer, in the natural order, is dropped and the second
+    factor lays one out in the kept order, so a grid with a single
+    potential holds no buffer.
+    """
+
+    def __init__(self, k_int: sparse.csr_matrix):
+        self._k_int = k_int
+        self.perm_c = self.order = None
+        self._layout = None
+
+    def _lay_out(self) -> tuple:
+        """k_int's values with its columns in self.order (the natural
+        order before the first factor), the positions and nodes of its
+        diagonal, I's values, and the buffer matrix on that pattern."""
+        k = self._k_int.tocsc()
+        order = np.arange(k.shape[1]) if self.order is None else self.order
+        k = k[:, order]
+        diag = np.flatnonzero(k.indices == np.repeat(order, np.diff(k.indptr)))
+        eye = np.zeros(k.nnz)
+        eye[diag] = 1.0
+        buffer = sparse.csc_matrix(
+            (np.empty(k.nnz, dtype=complex), k.indices, k.indptr), shape=k.shape)
+        return k.data, diag, k.indices[diag], eye, buffer
+
+    def factor(self, q_int: np.ndarray, dt: float):
+        """(factor, order) for the potential q_int at the interior nodes;
+        order is None when the factor is of P itself, and else the column
+        order of the P it factors.  Each entry is formed as scipy's
+        identity, scale and add chain forms it, so P has the same bits."""
+        if self._layout is None:
+            self._layout = self._lay_out()
+        k_data, diag, diag_ids, eye, buffer = self._layout
+        a = k_data.copy()
+        a[diag] += q_int[diag_ids]
+        np.multiply(a, 0.5j * dt, out=buffer.data)
+        np.subtract(eye, buffer.data, out=buffer.data)
+        if self.order is not None:
+            return splu(buffer, permc_spec="NATURAL"), self.order
+        lu = splu(buffer, permc_spec="MMD_AT_PLUS_A")
+        # a copy: lu.perm_c is a view that would keep the first factor alive
+        self.perm_c = lu.perm_c.copy()
+        self.order = np.argsort(self.perm_c)
+        self._layout = None
+        return lu, None
+
 
 Coefficient = Union[PiecewiseCoefficient, CoefficientOnGrid]
 
 
 class SchrodingerOperator:
-    """Spatial operator A and the Cayley step for a fixed dt: _lu factors
-    P = I - (i dt / 2) A, and its trans "H" solve inverts M = P^H."""
+    """Spatial operator A = k_int + diag(potential) and the Cayley step
+    for a fixed dt: _lu factors P = I - (i dt / 2) A, and its trans "H"
+    solve inverts M = P^H.
+
+    The first operator on a CoefficientOnGrid factors P in SuperLU's
+    MMD_AT_PLUS_A order; every later one factors P's columns in that
+    order, kept as _order, with no ordering pass (see _CayleyPattern).
+    """
 
     def __init__(self, grid: Grid2D, coeff: Coefficient,
                  potential: ArrayLike, dt: float):
@@ -314,17 +385,23 @@ class SchrodingerOperator:
         self.dt = float(dt)
         self.potential = grid.sample(potential)
         self.k_int, self.k_bnd = on_grid.flux
-        p_int = grid.gather_interior(self.potential)
-        self.a_matrix = (self.k_int + sparse.diags(p_int)).tocsr()
-        n = self.a_matrix.shape[0]
-        plus = sparse.identity(n, format="csr") - (0.5j * dt) * self.a_matrix
-        self._lu = splu(plus.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        pattern = on_grid._cayley
+        self._lu, self._order = pattern.factor(
+            grid.gather_interior(self.potential), self.dt)
+        self._perm_c = pattern.perm_c
 
     def step(self, x: np.ndarray, c: np.ndarray, trans: str = "N") -> np.ndarray:
         """One Cayley step x+ = S (2x + c) - x: S = P^{-1} for trans "N",
         the forward step P^{-1} (M x + c), and S = M^{-1} for trans "H",
-        the adjoint step M^{-1} (P x + c)."""
-        return self._lu.solve(2.0 * x + c, trans=trans) - x
+        the adjoint step M^{-1} (P x + c).  A factor of P's columns in
+        _order solves for x+ in that order with trans "N", and takes its
+        right-hand side in it with trans "H"."""
+        b = 2.0 * x + c
+        if self._order is None:
+            return self._lu.solve(b, trans=trans) - x
+        if trans == "N":
+            return self._lu.solve(b)[self._perm_c] - x
+        return self._lu.solve(b[self._order], trans="H") - x
 
     def march(self, x: np.ndarray, c, trans: str):
         """Yield the state after each step from x; step n is driven by c[n]."""

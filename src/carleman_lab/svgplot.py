@@ -6,6 +6,7 @@ output for deterministic input."""
 from __future__ import annotations
 
 import math
+import sys
 
 WIDTH, HEIGHT = 560, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
@@ -23,6 +24,21 @@ def _shown(v, log) -> bool:
     return math.isfinite(v) and (not log or v > 0.0)
 
 
+def _half_span(lo, hi):
+    """(hi - lo) / 2, which stays finite for any finite lo and hi; a span
+    halved is exact, so ratios of half spans are those of the spans."""
+    return 0.5 * hi - 0.5 * lo
+
+
+def _padded(lo, hi):
+    """The plotted range [lo, hi] widened by 6 % of its span on each side
+    (a single point by 0.5 first), held within the finite doubles."""
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.12 * _half_span(lo, hi)
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
 def _transforms(xs, ys, logx, logy):
     """Pixel transform on plotted coordinates, and the padded plotted
     x and y ranges."""
@@ -33,22 +49,15 @@ def _transforms(xs, ys, logx, logy):
     py = prep(ys, logy)
     if not px or not py:
         px, py = [0.0, 1.0], [0.0, 1.0]
-    lo_x, hi_x = min(px), max(px)
-    lo_y, hi_y = min(py), max(py)
-    if hi_x == lo_x:
-        lo_x, hi_x = lo_x - 0.5, hi_x + 0.5
-    if hi_y == lo_y:
-        lo_y, hi_y = lo_y - 0.5, hi_y + 0.5
-    pad_x = 0.06 * (hi_x - lo_x)
-    pad_y = 0.06 * (hi_y - lo_y)
-    lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
-    lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
+    lo_x, hi_x = _padded(min(px), max(px))
+    lo_y, hi_y = _padded(min(py), max(py))
+    half_x, half_y = _half_span(lo_x, hi_x), _half_span(lo_y, hi_y)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def to_px(ux, uy):
-        sx = MARGIN_L + plot_w * (ux - lo_x) / (hi_x - lo_x)
-        sy = MARGIN_T + plot_h * (1.0 - (uy - lo_y) / (hi_y - lo_y))
+        sx = MARGIN_L + plot_w * (0.5 * ux - 0.5 * lo_x) / half_x
+        sy = MARGIN_T + plot_h * (1.0 - (0.5 * uy - 0.5 * lo_y) / half_y)
         return sx, sy
 
     return to_px, (lo_x, hi_x), (lo_y, hi_y)
@@ -62,16 +71,18 @@ def _ticks(lo, hi, log):
             return [(float(k), f"1e{k}") for k in range(first, last + 1)]
         mid = 0.5 * (lo + hi)
         return [(mid, f"1e{mid:.1f}")]
-    span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / 3.0))
+    # a step of 1, 2 or 5 times a power of ten, for at most 6 steps
+    half = _half_span(lo, hi)
+    step = 10.0 ** math.floor(math.log10(half / 1.5))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= 6:
+        if half / (step * mult) <= 3:
             step = step * mult
             break
     first = math.ceil(lo / step) * step
     out = []
     t = first
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
+    # past the largest double, t + step is inf and ends the walk
+    while t <= min(hi + 1e-12 * max(1.0, abs(hi)), sys.float_info.max):
         out.append((t, f"{t:g}"))
         t += step
     return out

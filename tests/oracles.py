@@ -1,8 +1,9 @@
 """Reference routines that only tests call.
 
 Each is an independent check on the program: an exact Hessian of the
-gauge, the phi weight evaluated point by point, the forward march with an
-interior source (manufactured solutions and the linearized equation), the
+gauge, the phi weight evaluated point by point, an operator's matrices
+and the MMD factor of its own P, the forward march with an interior
+source (manufactured solutions and the linearized equation), the
 transmission flux mismatch at the interface, the algebraic
 initial-condition inversion, and the Carleman test fields held whole (the
 odd-conjugate time reflection of a solution, and a suite's fields).  None
@@ -11,6 +12,8 @@ package.
 """
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from carleman_lab.geometry import RadialInterface, _crossings, _gauge_data, _off_center
 from carleman_lab.pde_solver import (
@@ -50,6 +53,22 @@ def eval_phi(weight: TransmissionWeight, params: CarlemanParams, x, t):
 
 # --------------------------------------------------------------------------
 # solver
+
+
+def cayley_matrices(op: SchrodingerOperator):
+    """(A, P, M) of op: A = k_int + diag(potential) on the interior nodes,
+    P = I - (i dt/2) A and M = I + (i dt/2) A, each formed by scipy's
+    sparse add, identity and scale, with P and M in CSC."""
+    p_int = op.grid.gather_interior(op.potential)
+    a = (op.k_int + sparse.diags(p_int)).tocsr()
+    eye = sparse.identity(a.shape[0], format="csr")
+    half = (0.5j * op.dt) * a
+    return a, (eye - half).tocsc(), (eye + half).tocsc()
+
+
+def own_factor(op: SchrodingerOperator):
+    """A fresh SuperLU factor of op's own P in the MMD_AT_PLUS_A order."""
+    return splu(cayley_matrices(op)[1], permc_spec="MMD_AT_PLUS_A")
 
 
 def solve_with_source(

@@ -268,11 +268,12 @@ class TestErrorPaths:
     def test_overflowing_initial_gradient_names_the_coefficient(
             self, tmp_path, capsys):
         # the gradient scales like a^2 |y0|^2, and here a2 = 1e150 is far
-        # above max |y0| = 2.5: the coefficient is named, not the state
+        # above max |y0| = 2.5: the coefficient is named, not the state,
+        # and no numpy warning comes before the message
         cfg = write_cfg(tmp_path, a2="1e150")
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code = cli.main(["invert", "--config", str(cfg),
                              "--output-dir", str(out)])
         assert code == 2

@@ -10,7 +10,9 @@ Oracles:
     log-log axes, local linearity of the measurement map).
 """
 
+import contextlib
 import dataclasses
+import io
 import warnings
 import weakref
 from pathlib import Path
@@ -312,8 +314,9 @@ class TestGradient:
         dt = inst.T / inst.n_steps
         grad_int = np.zeros(y_int.shape[1])
         lam_next = np.zeros(y_int.shape[1], dtype=complex)
+        lu = oracles.own_factor(op)
         for n in range(inst.n_steps, 0, -1):
-            lam = op._lu.solve(rho[n] + 2.0 * lam_next, trans="H") - lam_next
+            lam = lu.solve(rho[n] + 2.0 * lam_next, trans="H") - lam_next
             grad_int += 0.5 * dt * np.real(
                 1j * np.conj(lam) * (y_int[n - 1] + y_int[n])
             )
@@ -489,6 +492,26 @@ class TestSolveReuse:
         assert res.iterations == 8
         assert len(evals) > res.iterations
         assert len(ops) == len(evals)
+
+    def test_invert_orders_the_columns_once(self, monkeypatch, tmp_path):
+        # the instance's forward solve orders P's columns by minimum degree
+        # and every operator of the descent reuses that order; no operator
+        # factors twice
+        specs = []
+        factor = pde.splu
+
+        def counted(matrix, permc_spec):
+            specs.append(permc_spec)
+            return factor(matrix, permc_spec=permc_spec)
+
+        monkeypatch.setattr(pde, "splu", counted)
+        ops = count_calls(monkeypatch, pde.SchrodingerOperator, "__init__")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["invert", "--config", str(DEFAULT_INI),
+                             "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert len(ops) > 2
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(ops) - 1)
 
     def test_no_operator_alive_after_an_evaluation(self, monkeypatch):
         # the LU lives outside Python's heap: one kept past its evaluation

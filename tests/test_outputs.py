@@ -2,6 +2,7 @@
 
 import errno
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -107,6 +108,19 @@ class TestSvg:
                 assert svgplot.scatter(*data) == svgplot.scatter(xs, ys)
                 assert svgplot.lines([("a", *data)]) \
                     == svgplot.lines([("a", xs, ys)])
+
+    @pytest.mark.parametrize("ys", [[0.0, 1.7e308], [-1e308, 1e308]])
+    def test_lines_on_a_range_near_the_largest_double(self, ys):
+        # the padded range, or the span alone, is past the largest double;
+        # both points and every tick must still land inside the plot box
+        body = svgplot.lines([("a", [1.0, 2.0], ys)])
+        ET.fromstring(body)
+        cy = [float(v) for v in re.findall(r'<circle cx="[^"]+" cy="([^"]+)"', body)]
+        assert len(cy) == 2
+        assert svgplot.MARGIN_T < cy[1] < cy[0] < svgplot.HEIGHT - svgplot.MARGIN_B
+        labels = re.findall(r'text-anchor="end">([^<]+)</text>', body)
+        assert len(labels) >= 3
+        assert all(np.isfinite(float(label)) for label in labels)
 
 
 class _DiskFull:

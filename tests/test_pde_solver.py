@@ -11,11 +11,11 @@ Oracles:
   * closed-form time integrals for the boundary norms.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from carleman_lab import config as cfgmod
@@ -44,13 +44,6 @@ def config_operator(name):
     p = cfgmod.real_profile(cfg.physics.p, grid)
     return pde.SchrodingerOperator(grid, coeff, p,
                                    cfg.physics.T / cfg.physics.n_steps)
-
-
-def cayley_pair(op):
-    """P = I - (i dt/2) A and M = I + (i dt/2) A, formed from op.a_matrix."""
-    eye = sparse.identity(op.a_matrix.shape[0], format="csc")
-    half = (0.5j * op.dt) * op.a_matrix.tocsc()
-    return eye - half, eye + half
 
 
 def bump_ic(pts, center=(0.0, 0.0), width=0.35):
@@ -182,14 +175,15 @@ class TestOperator:
         ops = [self.op] + [config_operator(name)
                            for name in ("default.ini", "carleman.ini")]
         for op in ops:
-            assert np.isrealobj(op.a_matrix.data)
-            assert (op.a_matrix != op.a_matrix.T).nnz == 0
+            a = oracles.cayley_matrices(op)[0]
+            assert np.isrealobj(a.data)
+            assert (a != a.T).nnz == 0
 
     def test_cayley_pair_identities(self):
         rng = np.random.default_rng(1)
         n = self.grid.interior_ids.size
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        plus, minus = cayley_pair(self.op)
+        _, plus, minus = oracles.cayley_matrices(self.op)
         # step(0, b) is P^{-1} b, and M^{-1} b with trans "H"
         assert np.allclose(self.op.step(0, plus @ v), v)
         assert np.allclose(self.op.step(0, minus @ v, "H"), v)
@@ -211,7 +205,7 @@ class TestOperator:
         nb = self.grid.boundary_ids.size
         u, g = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
         h = rng.normal(size=nb) + 1j * rng.normal(size=nb)
-        _, minus = cayley_pair(self.op)
+        _, _, minus = oracles.cayley_matrices(self.op)
         c = 0.5j * self.op.dt * (self.op.k_bnd @ h - g)
         ref = self.op.step(0, minus @ u + c)
         got = self.op.step(u, c)
@@ -242,7 +236,7 @@ class TestOperator:
         # default COLAMD on the same matrix; a ratio, since the counts
         # depend on the SuperLU version
         op = config_operator("default.ini")
-        colamd = splu(cayley_pair(op)[0])
+        colamd = splu(oracles.cayley_matrices(op)[1])
         fill = op._lu.L.nnz + op._lu.U.nnz
         assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
@@ -268,6 +262,77 @@ class TestOperator:
             pde.SchrodingerOperator(self.grid, self.coeff, self.potential, dt=0.0)
         with pytest.raises(pde.SolverError):
             pde.SchrodingerOperator(self.grid, self.coeff, np.zeros(7), dt=0.01)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestNumericOnlyOperators:
+    """Operators built on one CoefficientOnGrid after the first take the
+    first factor's column order and skip the ordering pass: each must
+    still solve with the bits of a fresh MMD factor of its own P."""
+
+    def setup_method(self):
+        layout = make_layout()
+        self.grid = pde.Grid2D.from_layout(layout, 21)
+        self.on_grid = pde.CoefficientOnGrid(
+            wt.PiecewiseCoefficient(2.0, 1.0, layout), self.grid)
+
+    def potentials(self):
+        rng = np.random.default_rng(8)
+        pts = self.grid.points
+        return [
+            np.cos(pts[..., 0]) * np.sin(pts[..., 1]),
+            50.0 * rng.normal(size=self.grid.shape),
+            # cancels every diagonal entry of A, which scipy's sparse add drops
+            -self.grid.scatter_interior(self.on_grid.flux[0].diagonal()).real,
+            np.zeros(self.grid.shape),
+        ]
+
+    def test_later_operators_solve_with_the_bits_of_their_own_mmd_factor(
+            self, monkeypatch):
+        specs = []
+        factor = pde.splu
+
+        def counted(matrix, permc_spec):
+            specs.append(permc_spec)
+            return factor(matrix, permc_spec=permc_spec)
+
+        monkeypatch.setattr(pde, "splu", counted)
+        potentials = self.potentials()
+        cases = [(dt, k) for dt in (0.01, 0.07) for k in range(len(potentials))]
+        ops = [pde.SchrodingerOperator(self.grid, self.on_grid, potentials[k], dt)
+               for dt, k in cases]
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(ops) - 1)
+        # every operator is stepped after the last one was built, so each
+        # factor but the last has seen the shared buffer rewritten
+        rng = np.random.default_rng(9)
+        n = self.grid.interior_ids.size
+        fill = ops[0]._lu.L.nnz + ops[0]._lu.U.nnz
+        for case, op in zip(cases, ops):
+            own = oracles.own_factor(op)
+            assert op._lu.L.nnz + op._lu.U.nnz == own.L.nnz + own.U.nnz
+            # with A's diagonal cancelled, P's diagonal stops dominating at
+            # the larger dt, and row pivoting adds fill to P's own factor
+            if case != (0.07, 2):
+                assert op._lu.L.nnz + op._lu.U.nnz == fill, case
+            for shape in ((n,), (n, 5)):
+                x, c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                        for _ in range(2))
+                for trans in ("N", "H"):
+                    want = own.solve(2.0 * x + c, trans=trans) - x
+                    assert same_bits(op.step(x, c, trans), want), (shape, trans)
+
+    def test_the_first_factor_dies_with_its_operator(self):
+        # the pattern keeps a copy of the first factor's column permutation;
+        # SuperLU's perm_c is a view that would keep the factor alive
+        op = pde.SchrodingerOperator(self.grid, self.on_grid,
+                                     np.zeros(self.grid.shape), 0.01)
+        lu = op._lu
+        del op
+        assert sys.getrefcount(lu) == 2  # lu and the call's argument
 
 
 class TestForwardSolve:
@@ -377,13 +442,14 @@ class TestForwardSolve:
             return out.reshape(grid.shape)
 
         times = field.times
+        lu = oracles.own_factor(op)
         u = grid.sample(y0, complex).ravel()[grid.interior_ids]
         h_n = h_at(times[0])
         ref = [scatter(u, h_n)]
         for n in range(n_steps):
             h_np1 = h_at(times[n + 1])
             c = (0.5j * op.dt) * (op.k_bnd @ (h_n + h_np1))
-            u = op._lu.solve(2.0 * u + c) - u
+            u = lu.solve(2.0 * u + c) - u
             ref.append(scatter(u, h_np1))
             h_n = h_np1
         assert np.array_equal(field.values, np.array(ref))
@@ -557,7 +623,7 @@ class TestTimeDerivative:
         pts = self.grid.points
         self.q = 1.0 + 0.3 * np.sin(pts[..., 0] + pts[..., 1])
         op = pde.SchrodingerOperator(self.grid, self.coeff, self.q, 0.1)
-        evals, evecs = np.linalg.eigh(op.a_matrix.toarray())
+        evals, evecs = np.linalg.eigh(oracles.cayley_matrices(op)[0].toarray())
         sel = np.argsort(-evals)[:3]
         f_int = evecs[:, sel] @ np.array([1.0, 0.7, 0.4])
         self.f = self.grid.scatter_interior(f_int).real

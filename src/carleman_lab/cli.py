@@ -39,8 +39,8 @@ from .config import ConfigError
 ENV_OUTPUT = "CARLEMAN_LAB_OUTPUT"
 
 # The config key of each parameter a ParamsOverflow can blame.
-BLAMED_KEYS = {key.name: key.path for key in cfgmod.KEYS
-               if key.name in ("lambda", "s", "delta_t", "a1", "a2")}
+BLAMED_KEYS = {key.name: key.path for key in cfgmod.KEYS if key.name
+               in ("lambda", "s", "delta_t", "a1", "a2", "p", "q0")}
 
 # Bound on the bytes of one field stack, levels x nx x ny complex values,
 # checked before it is allocated (physics.dt, carleman.n_half,
@@ -177,9 +177,10 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
     )
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
-    if not grid.l2_norm(y0) > 0.0:
-        raise ConfigError("physics.y0: the initial state has zero L2 norm, "
-                          "so the relative drift is undefined")
+    norm0 = grid.l2_norm(y0)
+    if not 0.0 < norm0 < np.inf:
+        raise ConfigError(f"physics.y0: the initial state's L2 norm is "
+                          f"{norm0:g}, so the relative drift is undefined")
     field = pde.solve_forward(
         grid, coeff, p, y0, 0.0, cfg.physics.T, cfg.physics.n_steps,
         boundary=inv._rim_data(grid, y0),

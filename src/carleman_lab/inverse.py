@@ -325,10 +325,16 @@ class ReconstructionResult:
 
 
 def _relative_error(q, instance: InverseProblemInstance) -> float:
-    denom = float(np.linalg.norm(instance.p_true))
-    if denom == 0.0:
-        return float(np.linalg.norm(q))
-    return float(np.linalg.norm(q - instance.p_true) / denom)
+    """|q - p_true| / |p_true|, or |q| when p_true = 0; raises
+    ParamsOverflow, naming p, else q0, when a norm overflows."""
+    with np.errstate(over="ignore"):
+        denom = float(np.linalg.norm(instance.p_true))
+        num = float(np.linalg.norm(q - instance.p_true))
+    if not np.isfinite(denom):
+        raise ParamsOverflow("p", "the true potential's norm overflows")
+    if not np.isfinite(num):
+        raise ParamsOverflow("q0", "the norm of q - p overflows")
+    return num / denom if denom else num
 
 
 def reconstruct(
@@ -351,11 +357,14 @@ def reconstruct(
     accepted iterate rides along in its .result attribute.  When the
     gradient at q0 or its norm is not finite, as no stop could then be
     measured against it, raises ParamsOverflow naming a1 or a2 if the
-    larger coefficient exceeds max |y0|, else TraceOverflow.
+    larger coefficient exceeds max |y0|, else TraceOverflow; a relative
+    error that overflows at q0 raises before the descent (see
+    _relative_error).
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     q = _check_q(q0, instance).copy()
+    _relative_error(q, instance)
     ref = q.copy()
     shape = instance.grid.shape
 

@@ -15,12 +15,12 @@ is conserved to rounding.
 
 The matrix P = I - (i dt / 2) A is factored once per potential.  Its
 pattern is the flux stencil's, whatever the potential and dt, so the
-column order is found once per CoefficientOnGrid: the first factor takes
-SuperLU's minimum degree MMD_AT_PLUS_A ordering (about 35 % less fill
-than COLAMD here), and every later P is written straight into that
-column order and factored in the NATURAL one, which gives the same
-factors, to the bit, without the ordering pass.  This is SuperLU's
-SamePattern reuse, which scipy does not expose.  As P + M = 2I with
+column order is found once per CoefficientOnGrid, by SuperLU's minimum
+degree MMD_AT_PLUS_A ordering (about 35 % less fill than COLAMD here),
+and every P is written straight into that column order and factored in
+the NATURAL one, which gives the factors of P's own MMD factor, to the
+bit, without an ordering pass.  This is SuperLU's SamePattern reuse,
+which scipy does not expose.  As P + M = 2I with
 M = I + (i dt / 2) A, a step P^{-1} (M u + c) = P^{-1} (2u + c) - u
 needs no product with A; A is real symmetric, so M = P^H and the same
 march with trans="H", a conjugate-transpose solve with the same factor,
@@ -192,8 +192,10 @@ class Grid2D:
         return out.reshape(self.shape)
 
     def l2_norm(self, u_full: np.ndarray) -> float:
-        """Discrete L2 norm h ||u||_2 over all nodes."""
-        return float(self.h * np.linalg.norm(np.asarray(u_full).ravel()))
+        """Discrete L2 norm h ||u||_2 over all nodes, inf, with no warning,
+        when its square overflows."""
+        with np.errstate(over="ignore"):
+            return float(self.h * np.linalg.norm(np.asarray(u_full).ravel()))
 
 
 _FACES = (("east", (0, 1)), ("west", (0, -1)), ("north", (1, 0)), ("south", (-1, 0)))
@@ -304,63 +306,50 @@ class CoefficientOnGrid(_OnGrid):
         return trace_operator(self.grid, self)
 
     @cached_property
-    def _cayley(self) -> "_CayleyPattern":
-        return _CayleyPattern(self.flux[0])
+    def _cayley(self) -> tuple:
+        """(layout, perm_c, order): P's pattern with its columns in the
+        grid's one order, laid out once (see _lay_out), that order's
+        column permutation perm_c, and order = argsort(perm_c).
+
+        The order is that of one MMD_AT_PLUS_A factor of I - (i / 2)
+        k_int, which is on P's pattern and never singular: k_int is real
+        symmetric, so its eigenvalues are 1 - i lambda / 2.  The order
+        depends on the pattern only, so a NATURAL factor of any P written
+        in it has the bits of that P's own MMD factor.
+        """
+        k = self.flux[0].tocsc()
+        n = k.shape[1]
+        unit = _write_p(_lay_out(k, np.arange(n)), np.zeros(n), 1.0)
+        # a copy: perm_c is a view that would keep the factor alive
+        perm_c = splu(unit, permc_spec="MMD_AT_PLUS_A").perm_c.copy()
+        order = np.argsort(perm_c)
+        return _lay_out(k, order), perm_c, order
 
 
-class _CayleyPattern:
-    """P = I - (i dt / 2)(k_int + diag q) on k_int's CSC pattern, written
-    into a reused complex buffer and factored by SuperLU.
+def _lay_out(k: sparse.csc_matrix, order: np.ndarray) -> tuple:
+    """k's values with its columns in order, the positions and nodes of
+    its diagonal, I's values, and a complex buffer matrix on that
+    pattern."""
+    k = k[:, order]
+    diag = np.flatnonzero(k.indices == np.repeat(order, np.diff(k.indptr)))
+    eye = np.zeros(k.nnz)
+    eye[diag] = 1.0
+    buffer = sparse.csc_matrix(
+        (np.empty(k.nnz, dtype=complex), k.indices, k.indptr), shape=k.shape)
+    return k.data, diag, k.indices[diag], eye, buffer
 
-    perm_c is None until the first factor, which orders the columns by
-    MMD_AT_PLUS_A; that order depends on the pattern only, so every later
-    P is written with its columns in it (order = argsort(perm_c)) and
-    factored in the NATURAL order.  The buffer is free for the next P
-    once splu returns, as a factor keeps its own L and U.  The first
-    factor's buffer, in the natural order, is dropped and the second
-    factor lays one out in the kept order, so a grid with a single
-    potential holds no buffer.
-    """
 
-    def __init__(self, k_int: sparse.csr_matrix):
-        self._k_int = k_int
-        self.perm_c = self.order = None
-        self._layout = None
-
-    def _lay_out(self) -> tuple:
-        """k_int's values with its columns in self.order (the natural
-        order before the first factor), the positions and nodes of its
-        diagonal, I's values, and the buffer matrix on that pattern."""
-        k = self._k_int.tocsc()
-        order = np.arange(k.shape[1]) if self.order is None else self.order
-        k = k[:, order]
-        diag = np.flatnonzero(k.indices == np.repeat(order, np.diff(k.indptr)))
-        eye = np.zeros(k.nnz)
-        eye[diag] = 1.0
-        buffer = sparse.csc_matrix(
-            (np.empty(k.nnz, dtype=complex), k.indices, k.indptr), shape=k.shape)
-        return k.data, diag, k.indices[diag], eye, buffer
-
-    def factor(self, q_int: np.ndarray, dt: float):
-        """(factor, order) for the potential q_int at the interior nodes;
-        order is None when the factor is of P itself, and else the column
-        order of the P it factors.  Each entry is formed as scipy's
-        identity, scale and add chain forms it, so P has the same bits."""
-        if self._layout is None:
-            self._layout = self._lay_out()
-        k_data, diag, diag_ids, eye, buffer = self._layout
-        a = k_data.copy()
-        a[diag] += q_int[diag_ids]
-        np.multiply(a, 0.5j * dt, out=buffer.data)
-        np.subtract(eye, buffer.data, out=buffer.data)
-        if self.order is not None:
-            return splu(buffer, permc_spec="NATURAL"), self.order
-        lu = splu(buffer, permc_spec="MMD_AT_PLUS_A")
-        # a copy: lu.perm_c is a view that would keep the first factor alive
-        self.perm_c = lu.perm_c.copy()
-        self.order = np.argsort(self.perm_c)
-        self._layout = None
-        return lu, None
+def _write_p(layout: tuple, q_int: np.ndarray, dt: float) -> sparse.csc_matrix:
+    """P = I - (i dt / 2)(k_int + diag q_int) in layout's buffer, each
+    entry formed as scipy's identity, scale and add chain forms it, so P
+    has the same bits.  The buffer is free for the next P once splu
+    returns, as a factor keeps its own L and U."""
+    k_data, diag, diag_ids, eye, buffer = layout
+    a = k_data.copy()
+    a[diag] += q_int[diag_ids]
+    np.multiply(a, 0.5j * dt, out=buffer.data)
+    np.subtract(eye, buffer.data, out=buffer.data)
+    return buffer
 
 
 Coefficient = Union[PiecewiseCoefficient, CoefficientOnGrid]
@@ -368,13 +357,9 @@ Coefficient = Union[PiecewiseCoefficient, CoefficientOnGrid]
 
 class SchrodingerOperator:
     """Spatial operator A = k_int + diag(potential) and the Cayley step
-    for a fixed dt: _lu factors P = I - (i dt / 2) A, and its trans "H"
-    solve inverts M = P^H.
-
-    The first operator on a CoefficientOnGrid factors P in SuperLU's
-    MMD_AT_PLUS_A order; every later one factors P's columns in that
-    order, kept as _order, with no ordering pass (see _CayleyPattern).
-    """
+    for a fixed dt: _lu is the NATURAL factor of P = I - (i dt / 2) A with
+    its columns in the grid's order, and its trans "H" solve inverts
+    M = P^H."""
 
     def __init__(self, grid: Grid2D, coeff: Coefficient,
                  potential: ArrayLike, dt: float):
@@ -385,20 +370,17 @@ class SchrodingerOperator:
         self.dt = float(dt)
         self.potential = grid.sample(potential)
         self.k_int, self.k_bnd = on_grid.flux
-        pattern = on_grid._cayley
-        self._lu, self._order = pattern.factor(
-            grid.gather_interior(self.potential), self.dt)
-        self._perm_c = pattern.perm_c
+        layout, self._perm_c, self._order = on_grid._cayley
+        p = _write_p(layout, grid.gather_interior(self.potential), self.dt)
+        self._lu = splu(p, permc_spec="NATURAL")
 
     def step(self, x: np.ndarray, c: np.ndarray, trans: str = "N") -> np.ndarray:
         """One Cayley step x+ = S (2x + c) - x: S = P^{-1} for trans "N",
         the forward step P^{-1} (M x + c), and S = M^{-1} for trans "H",
-        the adjoint step M^{-1} (P x + c).  A factor of P's columns in
+        the adjoint step M^{-1} (P x + c).  The factor of P's columns in
         _order solves for x+ in that order with trans "N", and takes its
         right-hand side in it with trans "H"."""
         b = 2.0 * x + c
-        if self._order is None:
-            return self._lu.solve(b, trans=trans) - x
         if trans == "N":
             return self._lu.solve(b)[self._perm_c] - x
         return self._lu.solve(b[self._order], trans="H") - x

@@ -31,10 +31,15 @@ def _half_span(lo, hi):
 
 
 def _padded(lo, hi):
-    """The plotted range [lo, hi] widened by 6 % of its span on each side
-    (a single point by 0.5 first), held within the finite doubles."""
-    if hi == lo:
-        lo, hi = lo - 0.5, hi + 0.5
+    """The plotted range [lo, hi] widened by 6 % of its span on each side,
+    held within the finite doubles.  A range whose half span is at most
+    1e-12 of its magnitude, where the ticks could not step, is first made
+    max(0.5, 1e-12 magnitude) wide on each side of its middle: a single
+    point below 5e11 by 0.5."""
+    magnitude = max(abs(lo), abs(hi))
+    if _half_span(lo, hi) <= 1e-12 * magnitude:
+        mid, half = lo + _half_span(lo, hi), max(0.5, 1e-12 * magnitude)
+        lo, hi = mid - half, mid + half
     pad = 0.12 * _half_span(lo, hi)
     return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
 

@@ -220,6 +220,10 @@ class TestErrorPaths:
         ("invert", "physics", "y0", "constant 1e300", "physics.y0"),
         ("stability", "physics", "y0", "constant 1e300", "physics.y0"),
         ("solve-forward", "physics", "y0", "constant 1e300", "physics.y0"),
+        # a norm of the relative error |q - p| / |p| overflows: p's, else
+        # that of q0 - p
+        ("invert", "physics", "p", "constant 1e300", "physics.p"),
+        ("invert", "inverse", "q0", "constant 1e300", "inverse.q0"),
         # the harmonic-mean face coefficient 2 a a / (a + a) overflows
         ("solve-forward", "physics", "a1", "1e300", "physics.a1"),
         ("invert", "physics", "a2", "1e300", "physics.a2"),
@@ -232,10 +236,14 @@ class TestErrorPaths:
     ])
     def test_geometry_dependent_errors_name_their_key(
             self, tmp_path, capsys, subcommand, section, key, value, named):
+        # the config error is the first line of stderr: no numpy warning
+        # comes before it
         path = tmp_path / "bad.ini"
         path.write_text(set_key(TMPL.format(**DEFAULTS), section, key, value))
-        code = cli.main([subcommand, "--config", str(path),
-                         "--output-dir", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([subcommand, "--config", str(path),
+                             "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}: ")
 
@@ -451,7 +459,8 @@ class TestErrorPaths:
 
     def test_blamed_keys_are_table_rows(self):
         paths = {key.path for key in cfgmod.KEYS}
-        assert set(cli.BLAMED_KEYS) == {"lambda", "s", "delta_t", "a1", "a2"}
+        assert set(cli.BLAMED_KEYS) == {"lambda", "s", "delta_t", "a1", "a2",
+                                        "p", "q0"}
         assert set(cli.BLAMED_KEYS.values()) <= paths
 
     def test_overflowing_p1_factor_names_lambda_before_any_field(
@@ -595,6 +604,19 @@ class TestSolveForward:
         assert trace.startswith(b"# config_hash=")
         assert sorted(snapshot(out)) == ["forward_summary.json",
                                          "forward_trace.csv"]
+
+    def test_underflowing_coefficients_run(self, tmp_path, capsys):
+        # every face coefficient underflows to 0, so k_int is all zeros on
+        # its pattern; the column order comes from I - (i/2) k_int, which
+        # is never singular
+        text = DEFAULT_INI.read_text()
+        for key in ("a1", "a2"):
+            text = set_key(text, "physics", key, "5e-324")
+        path = tmp_path / "tiny.ini"
+        path.write_text(text)
+        assert cli.main(["solve-forward", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("solve-forward: steps=32 ")
 
     def test_coefficient_classified_once(self, tmp_path, monkeypatch):
         # the solve and the trace share one CoefficientOnGrid

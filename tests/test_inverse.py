@@ -494,9 +494,9 @@ class TestSolveReuse:
         assert len(ops) == len(evals)
 
     def test_invert_orders_the_columns_once(self, monkeypatch, tmp_path):
-        # the instance's forward solve orders P's columns by minimum degree
-        # and every operator of the descent reuses that order; no operator
-        # factors twice
+        # the grid's columns are ordered by minimum degree once, and every
+        # operator, the instance's forward solve's first, factors P in that
+        # order; no operator factors twice
         specs = []
         factor = pde.splu
 
@@ -511,7 +511,7 @@ class TestSolveReuse:
                              "--output-dir", str(tmp_path)])
         assert code == 0
         assert len(ops) > 2
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(ops) - 1)
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * len(ops)
 
     def test_no_operator_alive_after_an_evaluation(self, monkeypatch):
         # the LU lives outside Python's heap: one kept past its evaluation

@@ -122,6 +122,25 @@ class TestSvg:
         assert len(labels) >= 3
         assert all(np.isfinite(float(label)) for label in labels)
 
+    @pytest.mark.parametrize("y", [1e20, -1e20, 1e300])
+    def test_lines_on_a_single_large_value(self, y):
+        # widening the point by 0.5 rounds away past 2^53, which left a
+        # zero span to divide by
+        body = svgplot.lines([("a", [1.0, 2.0], [y, y])])
+        ET.fromstring(body)
+        cy = [float(v) for v in re.findall(r'<circle cx="[^"]+" cy="([^"]+)"', body)]
+        assert cy[0] == cy[1]
+        assert svgplot.MARGIN_T < cy[0] < svgplot.HEIGHT - svgplot.MARGIN_B
+
+    @pytest.mark.parametrize("lo, hi", [(4e15, 4e15), (1e16, 1e16 + 2.0),
+                                        (-3e12, -3e12 + 1e-3)])
+    def test_a_narrow_range_is_widened_until_the_ticks_step(self, lo, hi):
+        # a tick step below half the spacing of the doubles near the range
+        # leaves the tick walk where it is; the half span must be far wider
+        padded = svgplot._padded(lo, hi)
+        assert svgplot._half_span(*padded) >= 1e-12 * max(abs(lo), abs(hi))
+        assert 2 <= len(svgplot._ticks(*padded, False)) <= 7
+
 
 class _DiskFull:
     """A file whose writes store half their bytes, then fail."""

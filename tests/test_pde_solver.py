@@ -270,9 +270,9 @@ def same_bits(a, b) -> bool:
 
 
 class TestNumericOnlyOperators:
-    """Operators built on one CoefficientOnGrid after the first take the
-    first factor's column order and skip the ordering pass: each must
-    still solve with the bits of a fresh MMD factor of its own P."""
+    """Operators built on one CoefficientOnGrid take the column order the
+    grid found once and skip the ordering pass: each must still solve
+    with the bits of a fresh MMD factor of its own P."""
 
     def setup_method(self):
         layout = make_layout()
@@ -305,7 +305,7 @@ class TestNumericOnlyOperators:
         cases = [(dt, k) for dt in (0.01, 0.07) for k in range(len(potentials))]
         ops = [pde.SchrodingerOperator(self.grid, self.on_grid, potentials[k], dt)
                for dt, k in cases]
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(ops) - 1)
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * len(ops)
         # every operator is stepped after the last one was built, so each
         # factor but the last has seen the shared buffer rewritten
         rng = np.random.default_rng(9)
@@ -325,14 +325,23 @@ class TestNumericOnlyOperators:
                     want = own.solve(2.0 * x + c, trans=trans) - x
                     assert same_bits(op.step(x, c, trans), want), (shape, trans)
 
-    def test_the_first_factor_dies_with_its_operator(self):
-        # the pattern keeps a copy of the first factor's column permutation;
+    def test_no_factor_outlives_its_user(self, monkeypatch):
+        # the grid keeps a copy of the ordering factor's column permutation;
         # SuperLU's perm_c is a view that would keep the factor alive
+        factors = []
+        factor = pde.splu
+
+        def kept(matrix, permc_spec):
+            factors.append(factor(matrix, permc_spec=permc_spec))
+            return factors[-1]
+
+        monkeypatch.setattr(pde, "splu", kept)
         op = pde.SchrodingerOperator(self.grid, self.on_grid,
                                      np.zeros(self.grid.shape), 0.01)
-        lu = op._lu
+        assert len(factors) == 2 and factors[1] is op._lu
         del op
-        assert sys.getrefcount(lu) == 2  # lu and the call's argument
+        for lu in factors:
+            assert sys.getrefcount(lu) == 3  # the list, lu and the argument
 
 
 class TestForwardSolve:

@@ -39,12 +39,12 @@ from .config import ConfigError
 ENV_OUTPUT = "CARLEMAN_LAB_OUTPUT"
 
 # The config key of each parameter a ParamsOverflow can blame.
-BLAMED_KEYS = {key.name: key.path for key in cfgmod.KEYS if key.name
-               in ("lambda", "s", "delta_t", "a1", "a2", "p", "q0")}
+BLAMED_KEYS = {key.name: key.path for key in cfgmod.KEYS
+               if key.name in ("lambda", "s", "delta_t", "a2")}
 
-# Bound on the bytes of one field stack, levels x nx x ny complex values,
-# checked before it is allocated (physics.dt, carleman.n_half,
-# carleman.n_fields).
+# Bound on the bytes of one field stack, levels x nx x ny complex values
+# (physics.dt, carleman.n_half, carleman.n_fields), and of invert's dense
+# time stencil (physics.dt), checked before either is allocated.
 MAX_FIELD_BYTES = 2**30
 
 # The stability theory assumes the state is H1 in time with values in
@@ -74,17 +74,23 @@ def resolve_output_dir(cfg, cli_dir) -> Path:
     return configured
 
 
+def _check_bytes(size, key, what):
+    """A ConfigError naming key unless the size bytes of what fit
+    MAX_FIELD_BYTES."""
+    if size > MAX_FIELD_BYTES:
+        raise ConfigError(f"{key}: {what} needs {size} bytes, "
+                          f"over the bound of {MAX_FIELD_BYTES}")
+
+
 def _check_field_size(cfg, grid, levels, fewest, key):
     """A ConfigError unless a stack of levels x nx x ny complex values fits
     MAX_FIELD_BYTES.  It names key, which sets levels, unless the stack is
     over the bound even at key's fewest levels: then it names the grid
     key, physics.ny when it is set, else physics.nx."""
-    size = levels * grid.nx * grid.ny * 16
-    if size > MAX_FIELD_BYTES:
-        if fewest * grid.nx * grid.ny * 16 > MAX_FIELD_BYTES:
-            key = "physics.nx" if cfg.physics.ny is None else "physics.ny"
-        raise ConfigError(f"{key}: the field stack needs {size} bytes, "
-                          f"over the bound of {MAX_FIELD_BYTES}")
+    nodes = grid.nx * grid.ny
+    if fewest * nodes * 16 > MAX_FIELD_BYTES:
+        key = "physics.nx" if cfg.physics.ny is None else "physics.ny"
+    _check_bytes(levels * nodes * 16, key, "the field stack")
 
 
 def _check_forward_size(cfg, grid):
@@ -178,19 +184,17 @@ def run_solve_forward(cfg, out_dir: Path) -> int:
     p = cfgmod.real_profile(cfg.physics.p, grid)
     y0 = cfgmod.complex_profile(cfg.physics.y0, grid)
     norm0 = grid.l2_norm(y0)
-    if not 0.0 < norm0 < np.inf:
-        raise ConfigError(f"physics.y0: the initial state's L2 norm is "
-                          f"{norm0:g}, so the relative drift is undefined")
+    if norm0 == 0.0:
+        raise ConfigError("physics.y0: the initial state's L2 norm is 0, "
+                          "so the relative drift is undefined")
     field = pde.solve_forward(
         grid, coeff, p, y0, 0.0, cfg.physics.T, cfg.physics.n_steps,
         boundary=inv._rim_data(grid, y0),
     )
     trace = pde.neumann_trace(field, coeff)
-    trace_h1l2 = inv.finite_trace_norm(trace)
+    trace_h1l2 = pde.h1l2_boundary_norm(trace)
 
     norms = np.array([grid.l2_norm(field.values[n]) for n in range(field.nt)])
-    if not np.isfinite(norms).all():
-        raise ConfigError("physics.y0: the state's L2 norm overflows")
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     trace_l2 = np.sqrt((np.abs(trace.values) ** 2) @ trace.weights)
 
@@ -308,6 +312,10 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
 
 
 def run_invert(cfg, out_dir: Path) -> int:
+    # the misfit gradient holds two dense levels x levels real matrices,
+    # the identity and the time stencil made from it
+    _check_bytes(2 * (cfg.physics.n_steps + 1) ** 2 * 8, "physics.dt",
+                 "the misfit gradient's time stencil")
     instance = _build_instance(cfg)
     q0 = cfgmod.real_profile(cfg.inverse.q0, instance.grid)
     try:
@@ -428,9 +436,6 @@ def _run(subcommand: str, cfg, out_dir: Path) -> int:
         return HANDLERS[subcommand](cfg, out_dir)
     except wt.ParamsOverflow as exc:
         return _config_error(f"{BLAMED_KEYS[exc.name]}: {exc}")
-    except inv.TraceOverflow as exc:
-        # every trace and misfit a subcommand squares grows with the state
-        return _config_error(f"physics.y0: {exc}")
     except (ConfigError, ValueError, geo.GeometryError, pde.SolverError) as exc:
         return _config_error(str(exc))
     except CertificationFailure as exc:

@@ -88,14 +88,43 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # section.key, and returns the value or raises a ConfigError naming path
 
 
+# The magnitude domain: every real token of every key (_finite reads
+# each) has |v| <= MAGNITUDE_MAX = V, and each side of geometry.outer (it
+# sets h) and physics.dt, the two scales the program divides by, is at
+# least SCALE_MIN.  No product the solver, the trace, the misfit or its
+# gradient forms can then overflow on a grid cli.MAX_FIELD_BYTES admits:
+# a stack of 3 or more levels fits 2^30 bytes, so the grid has N < 2.3e7
+# nodes, fewer than sqrt(N) < 4800 along its shorter side, and h > 2e-10.
+# With a <= V and |p|, |y0| <= 2 V (a profile adds two numbers):
+#   - the flux entries are below 4 a / h^2 < 1e26;
+#   - a Cayley step is unitary plus the lift dt k_bnd g, |k_bnd| <=
+#     sqrt(2) a / h^2, so over T <= V the state stays below
+#     2 V sqrt(N) (1 + sqrt(2) T a / h^2) < 1e42;
+#   - the trace a dnu y is below 6 a |y| / h < 3e58, its time derivative
+#     below 4 / dt <= 4e6 times that, and with noise <= V the residual r
+#     below 1e7 times it, 3e65;
+#   - the misfit gradient, like a^2 |y|^2, is below 8 n_t^2 sqrt(N) a |y|
+#     |r| (dt^2 + 32) < 1e138 at a node over invert's n_t <= 8192 levels
+#     (its time stencil's bound), so its squared norm is below 1e282.
+# The limits that are relative or depend on the geometry keep their own
+# checks: s, lambda and delta_t (weight.params_from_sup), and the offset
+# M1 = M2 + a1 - a2 (weight.certifiable_m2).
+MAGNITUDE_MAX = 1e6
+SCALE_MIN = 1e-6
+
+
 def _finite(token: str, path: str) -> float:
-    """token as a finite float, or a ConfigError naming the field path."""
+    """token as a finite float in the magnitude domain, or a ConfigError
+    naming the field path."""
     try:
         val = float(token)
     except ValueError:
         raise ConfigError(f"{path}: not a number: {token!r}") from None
     if not math.isfinite(val):
         raise ConfigError(f"{path}: must be finite, got {token!r}")
+    if abs(val) > MAGNITUDE_MAX:
+        raise ConfigError(f"{path}: {token!r} is outside the magnitude "
+                          f"domain |v| <= {MAGNITUDE_MAX:g}")
     return val
 
 
@@ -189,8 +218,9 @@ def _outer(raw: str, path: str) -> tuple:
     if len(tokens) != 5:
         raise ConfigError(f"{path}: rect takes 4 numbers")
     xmin, xmax, ymin, ymax = (_finite(t, path) for t in tokens[1:])
-    if not (xmax > xmin and ymax > ymin):
-        raise ConfigError(f"{path}: degenerate rectangle")
+    if not min(xmax - xmin, ymax - ymin) >= SCALE_MIN:
+        raise ConfigError(f"{path}: each side must be at least {SCALE_MIN:g}, "
+                          f"got {xmax - xmin:g} by {ymax - ymin:g}")
     return ("rect", xmin, xmax, ymin, ymax)
 
 
@@ -273,42 +303,49 @@ N_PERTURBATIONS_MAX = 100_000
 
 KEYS = (
     Key("geometry", "outer", _outer, REQUIRED,
-        "rect XMIN XMAX YMIN YMAX, the outer domain"),
+        "rect XMIN XMAX YMIN YMAX, the outer domain; |v| <= 1e6, each "
+        "side >= 1e-6"),
     Key("geometry", "interface", _interface, REQUIRED,
-        "disk R [CX CY] | fourier C0 K:EPS[,K:EPS...] [CX CY]"),
+        "disk R [CX CY] | fourier C0 K:EPS[,K:EPS...] [CX CY]; |v| <= 1e6 "
+        "but K"),
     Key("geometry", "x0", _pair, (0.0, 0.0),
-        "X Y, the weight centre of single-weight operations"),
-    Key("geometry", "x1", _pair, (-0.3, 0.0), "X Y, the sweep's first centre"),
-    Key("geometry", "x2", _pair, (0.3, 0.0), "X Y, the sweep's second centre"),
+        "X Y, the weight centre of single-weight operations; |v| <= 1e6"),
+    Key("geometry", "x1", _pair, (-0.3, 0.0),
+        "X Y, the sweep's first centre; |v| <= 1e6"),
+    Key("geometry", "x2", _pair, (0.3, 0.0),
+        "X Y, the sweep's second centre; |v| <= 1e6"),
     Key("physics", "a1", _positive, REQUIRED,
-        "principal coefficient inside the interface, > 0"),
-    Key("physics", "a2", _positive, REQUIRED, "principal coefficient outside, > 0"),
+        "principal coefficient inside the interface, 0 < a1 <= 1e6"),
+    Key("physics", "a2", _positive, REQUIRED,
+        "principal coefficient outside, 0 < a2 <= 1e6"),
     Key("physics", "p", _profile(False), "constant 1.0",
-        "true potential, a real profile"),
+        "true potential, a real profile; |v| <= 1e6"),
     Key("physics", "y0", _profile(True), "cosine 2.0 0.5",
-        "initial state, [imag] profile"),
+        "initial state, [imag] profile; |v| <= 1e6"),
     Key("physics", "h", _checked(_text, lambda h: h == "initial",
                                  "must be 'initial', got {!r}"),
         "initial", "Dirichlet data: y0's rim, held at every time"),
-    Key("physics", "T", _positive, REQUIRED, "time horizon, > 0"),
+    Key("physics", "T", _positive, REQUIRED, "time horizon, 0 < T <= 1e6"),
     Key("physics", "nx", _integer(5), REQUIRED, "grid nodes along x, >= 5"),
     Key("physics", "ny", _integer(5), None,
         "grid nodes along y, >= 5; derived from square spacing if absent"),
-    Key("physics", "dt", _positive, REQUIRED,
-        "forward time step; T/dt an integer >= 2"),
+    Key("physics", "dt", _checked(_finite, lambda v: v >= SCALE_MIN,
+                                  f"must be at least {SCALE_MIN:g}, got {{}}"),
+        REQUIRED, "forward time step, 1e-6 <= dt <= 1e6; T/dt an integer >= 2"),
     Key("carleman", "s", _checked(_floats, lambda v: v >= 0.0,
                                   "values must be nonnegative, got {}", each=True),
-        (10.0, 20.0, 40.0, 80.0), "the sweep's s values, >= 0"),
+        (10.0, 20.0, 40.0, 80.0), "the sweep's s values, 0 <= s <= 1e6"),
     Key("carleman", "lambda", _checked(_floats, lambda v: v > 0.0,
                                        "values must be positive, got {}", each=True),
-        (1.0, 2.0), "the sweep's lambda values, > 0", field="lam"),
-    Key("carleman", "M2", _positive, 1.0, "outer weight offset, > 0"),
+        (1.0, 2.0), "the sweep's lambda values, 0 < lambda <= 1e6",
+        field="lam"),
+    Key("carleman", "M2", _positive, 1.0, "outer weight offset, 0 < M2 <= 1e6"),
     Key("carleman", "delta_t", _positive, None,
         "weight time margin, 0 < delta_t < T; T/64 if absent"),
     Key("carleman", "cutoff", _checked(
             _pair, lambda r: 0.0 < r[0] < r[1],
             "radii must satisfy 0 < r_inner < r_outer, got {0[0]} {0[1]}"),
-        None, "R1 R2, dead-zone radii, 0 < R1 < R2; the eps rule if absent"),
+        None, "R1 R2, dead-zone radii, 0 < R1 < R2 <= 1e6; eps rule if absent"),
     Key("carleman", "n_fields", _integer(1), 10,
         "test suite size, half solved and half manufactured, >= 1"),
     Key("carleman", "n_half", _integer(2), 16,
@@ -316,7 +353,8 @@ KEYS = (
     Key("carleman", "n_grid", _integer(16, N_GRID_MAX), 192,
         f"psi scan resolution for alpha, 16 to {N_GRID_MAX}"),
     Key("carleman", "seed", _integer(0), 0, "suite randomness, >= 0"),
-    Key("inverse", "beta", _nonnegative, 1e-6, "Tikhonov weight, >= 0"),
+    Key("inverse", "beta", _nonnegative, 1e-6,
+        "Tikhonov weight, 0 <= beta <= 1e6"),
     Key("inverse", "max_iter", _integer(0), 100, "descent iterations, >= 0"),
     Key("inverse", "n_perturbations", _integer(0, N_PERTURBATIONS_MAX), 30,
         f"stability sweep size, 0 to {N_PERTURBATIONS_MAX} "
@@ -324,14 +362,15 @@ KEYS = (
     Key("inverse", "amplitudes", _checked(
             _pair, lambda a: 0.0 < a[0] <= a[1],
             "need 0 < LO <= HI, got {0[0]} {0[1]}"),
-        (1e-3, 1e-1), "LO HI, log-spaced perturbation sizes, 0 < LO <= HI"),
+        (1e-3, 1e-1),
+        "LO HI, log-spaced perturbation sizes, 0 < LO <= HI <= 1e6"),
     Key("inverse", "seed", _integer(0), 7, "perturbation and noise seed, >= 0"),
     Key("inverse", "noise", _nonnegative, 0.0,
-        "relative trace noise level, >= 0"),
+        "relative trace noise level, 0 <= noise <= 1e6"),
     Key("inverse", "q0", _profile(False), "constant 1.0",
-        "initial guess of the reconstruction, a real profile"),
+        "initial guess of the reconstruction, a real profile; |v| <= 1e6"),
     Key("inverse", "r_lower", _positive, 0.5,
-        "lower bound required of |y0|, > 0"),
+        "lower bound required of |y0|, 0 < r_lower <= 1e6"),
     Key("inverse", "q_bound", _bound_or_inf, math.inf,
         "sup-norm box for potentials, >= 0 (inf: no box)"),
     Key("output", "directory", _text, "out", "output directory"),
@@ -396,7 +435,7 @@ def load_config(path) -> ExperimentConfig:
     # the two rules that read two keys
     T, dt = values["physics"]["T"], values["physics"]["dt"]
     steps = T / dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         raise ConfigError(
             f"physics.dt: T/dt must be an integer number of steps, got {steps}"
         )

@@ -163,12 +163,18 @@ def curvature(interface: RadialInterface, theta):
     return (r * r + 2.0 * d1 * d1 - r * d2) / np.power(r * r + d1 * d1, 1.5)
 
 
-def certify_strong_convexity(interface: RadialInterface) -> tuple[float, bool]:
-    """Scan curvature at max(4096, 4 n_samples) uniform angles; the curve
-    is strongly convex iff the min is positive."""
+def curvature_scan(interface: RadialInterface) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, kappa): the curvature at max(4096, 4 n_samples) uniform
+    angles."""
     n_scan = max(4096, 4 * interface.n_samples)
     thetas = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-    kmin = float(np.min(curvature(interface, thetas)))
+    return thetas, curvature(interface, thetas)
+
+
+def certify_strong_convexity(interface: RadialInterface) -> tuple[float, bool]:
+    """The curve is strongly convex iff the min of its curvature scan is
+    positive."""
+    kmin = float(np.min(curvature_scan(interface)[1]))
     return kmin, kmin > 0.0
 
 

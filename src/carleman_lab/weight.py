@@ -37,8 +37,8 @@ from .geometry import (
     RadialInterface,
     TWO_PI,
     _gauge_data,
+    curvature_scan,
     distance_extrema,
-    certify_strong_convexity,
     gauge,
     resample_from_center,
     smallest_eigenvalue_2x2,
@@ -62,11 +62,11 @@ class TimeSingular(Exception):
 
 
 class ParamsOverflow(ValueError):
-    """A parameter too large for a formula in doubles: alpha, e^(2 lambda
-    psi_sup), tau^3 or theta^3 at the clamp, s^3 lambda^4, a flux face
-    coefficient, the misfit gradient at the initial guess, the norms of a
-    relative error, or M1 = M2 + a1 - a2, which rounds to 0; name is the
-    parameter blamed (lambda, delta_t, s, a1, a2, p or q0)."""
+    """A parameter too large for a formula in doubles, where the limit is
+    relative or depends on the geometry: alpha, e^(2 lambda psi_sup),
+    tau^3 or theta^3 at the clamp, s^3 lambda^4, or M1 = M2 + a1 - a2,
+    which rounds to 0; name is the parameter blamed (lambda, s, delta_t
+    or a2)."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -409,7 +409,7 @@ def verify_hypotheses(weight: TransmissionWeight) -> HypothesisReport:
     uniform interface angles and on a 128 x 128 scan of the outer domain.
 
     Records (margin > 0 means the condition holds):
-      strong_convexity  min interface curvature
+      strong_convexity  min interface curvature, at the scan's sample
       Tr    transmission compatibility: value continuity and cancellation of
             a1 dpsi1/dnu1 + a2 dpsi2/dnu2 on the interface, margin =
             1e-8 - worst residual
@@ -421,9 +421,11 @@ def verify_hypotheses(weight: TransmissionWeight) -> HypothesisReport:
     tolerance = 1e-8
     records: dict[str, HypothesisRecord] = {}
 
-    kmin, convex_ok = certify_strong_convexity(weight.interface)
+    scan, kappa = curvature_scan(weight.interface)
+    kmin = float(np.min(kappa))
     records["strong_convexity"] = HypothesisRecord(
-        "strong_convexity", convex_ok, kmin, (float("nan"), float("nan"))
+        "strong_convexity", kmin > 0.0, kmin,
+        _worst(weight.interface.point(scan), kappa, pick_max=False),
     )
 
     thetas = np.linspace(0.0, TWO_PI, 512, endpoint=False)

@@ -95,7 +95,7 @@ class TestErrors:
         ("T = 0.5", "", "physics.T"),
         ("dt = 0.125", "dt = 0.13", "physics.dt"),
         ("dt = 0.125", "dt = 0.5", "physics.dt"),
-        ("dt = 0.125", "dt = 1e-320", "physics.dt"),  # T/dt overflows
+        ("dt = 0.125", "dt = 1e-320", "physics.dt"),  # below the smallest step
         ("a1 = 2.0", "a1 = -2.0", "physics.a1"),
         ("a1 = 2.0", "a1 = two", "physics.a1"),
         ("p = sine 1.0 0.4", "p = wiggle 1.0", "physics.p"),

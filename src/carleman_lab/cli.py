@@ -43,8 +43,8 @@ BLAMED_KEYS = {key.name: key.path for key in cfgmod.KEYS
                if key.name in ("lambda", "s", "delta_t", "a2")}
 
 # Bound on the bytes of one field stack, levels x nx x ny complex values
-# (physics.dt, carleman.n_half, carleman.n_fields), and of invert's dense
-# time stencil (physics.dt), checked before either is allocated.
+# (physics.dt, carleman.n_half, carleman.n_fields), checked before it is
+# allocated.
 MAX_FIELD_BYTES = 2**30
 
 # The stability theory assumes the state is H1 in time with values in
@@ -74,14 +74,6 @@ def resolve_output_dir(cfg, cli_dir) -> Path:
     return configured
 
 
-def _check_bytes(size, key, what):
-    """A ConfigError naming key unless the size bytes of what fit
-    MAX_FIELD_BYTES."""
-    if size > MAX_FIELD_BYTES:
-        raise ConfigError(f"{key}: {what} needs {size} bytes, "
-                          f"over the bound of {MAX_FIELD_BYTES}")
-
-
 def _check_field_size(cfg, grid, levels, fewest, key):
     """A ConfigError unless a stack of levels x nx x ny complex values fits
     MAX_FIELD_BYTES.  It names key, which sets levels, unless the stack is
@@ -90,7 +82,10 @@ def _check_field_size(cfg, grid, levels, fewest, key):
     nodes = grid.nx * grid.ny
     if fewest * nodes * 16 > MAX_FIELD_BYTES:
         key = "physics.nx" if cfg.physics.ny is None else "physics.ny"
-    _check_bytes(levels * nodes * 16, key, "the field stack")
+    size = levels * nodes * 16
+    if size > MAX_FIELD_BYTES:
+        raise ConfigError(f"{key}: the field stack needs {size} bytes, "
+                          f"over the bound of {MAX_FIELD_BYTES}")
 
 
 def _check_forward_size(cfg, grid):
@@ -312,10 +307,6 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
 
 
 def run_invert(cfg, out_dir: Path) -> int:
-    # the misfit gradient holds two dense levels x levels real matrices,
-    # the identity and the time stencil made from it
-    _check_bytes(2 * (cfg.physics.n_steps + 1) ** 2 * 8, "physics.dt",
-                 "the misfit gradient's time stencil")
     instance = _build_instance(cfg)
     q0 = cfgmod.real_profile(cfg.inverse.q0, instance.grid)
     try:

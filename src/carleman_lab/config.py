@@ -104,13 +104,26 @@ def config_hash(cfg: ExperimentConfig) -> str:
 #     below 4 / dt <= 4e6 times that, and with noise <= V the residual r
 #     below 1e7 times it, 3e65;
 #   - the misfit gradient, like a^2 |y|^2, is below 8 n_t^2 sqrt(N) a |y|
-#     |r| (dt^2 + 32) < 1e138 at a node over invert's n_t <= 8192 levels
-#     (its time stencil's bound), so its squared norm is below 1e282.
+#     |r| (dt^2 + 32) < 3e126 n_t^2 sqrt(N) at a node; its n_t levels of
+#     N >= 25 nodes fit the bound, n_t N <= 2^26, so that is below 2e140,
+#     and its squared norm, below 1e253 (n_t N)^2 n_t^2, is below 1e282.
 # The limits that are relative or depend on the geometry keep their own
 # checks: s, lambda and delta_t (weight.params_from_sup), and the offset
 # M1 = M2 + a1 - a2 (weight.certifiable_m2).
 MAGNITUDE_MAX = 1e6
 SCALE_MIN = 1e-6
+
+# Three more lengths are divided by, each squared: the interface radius
+# (disk R, fourier C0), the gaussian profile width and the gap R2 - R1 of
+# the cutoff radii.  Each is at least LENGTH_MIN, a SCALE_MIN part of the
+# smallest outer side, so a distance in the outer domain (below 2 sqrt(2)
+# V < 3e6) is less than 3e18 times it, and that ratio's square less than
+# 1e37: the curvature's r^2 stays above 1e-24, the gaussian's exponent
+# -d^2 / width^2 stays finite (its exp underflows to 0 quietly), and the
+# cutoff's second derivative, 60 u (1 - u)(1 - 2u) / gap^2, stays below
+# 6e25.  LENGTH_MIN is below SCALE_MIN because an outer domain of sides
+# SCALE_MIN holds an interface of radius 2.5e-7, and a smaller cutoff gap.
+LENGTH_MIN = SCALE_MIN * SCALE_MIN
 
 
 def _finite(token: str, path: str) -> float:
@@ -206,6 +219,9 @@ def _profile(complex_ok: bool):
             )
         for tok in args:
             _finite(tok, path)
+        if kind == "gaussian" and not abs(float(args[4])) >= LENGTH_MIN:
+            raise ConfigError(f"{path}: the gaussian width must be at least "
+                              f"{LENGTH_MIN:g} in magnitude, got {args[4]}")
         return " ".join(raw.split())
     return rule
 
@@ -233,13 +249,17 @@ def _interface(raw: str, path: str) -> tuple:
         r, cx, cy = _finite(tokens[1], path), 0.0, 0.0
         if len(tokens) == 4:
             cx, cy = (_finite(t, path) for t in tokens[2:4])
-        if not r > 0.0:
-            raise ConfigError(f"{path}: radius must be positive")
+        if not r >= LENGTH_MIN:
+            raise ConfigError(f"{path}: radius must be at least "
+                              f"{LENGTH_MIN:g}, got {tokens[1]}")
         return ("disk", r, cx, cy)
     if kind == "fourier":
         if len(tokens) not in (3, 5):
             raise ConfigError(f"{path}: fourier takes C0 K:EPS[,K:EPS...] [CX CY]")
         c0 = _finite(tokens[1], path)
+        if not c0 >= LENGTH_MIN:
+            raise ConfigError(f"{path}: C0 must be at least {LENGTH_MIN:g}, "
+                              f"got {tokens[1]}")
         harmonics = []
         for item in tokens[2].split(","):
             k_str, _, eps_str = item.partition(":")
@@ -307,7 +327,7 @@ KEYS = (
         "side >= 1e-6"),
     Key("geometry", "interface", _interface, REQUIRED,
         "disk R [CX CY] | fourier C0 K:EPS[,K:EPS...] [CX CY]; |v| <= 1e6 "
-        "but K"),
+        "but K, R and C0 >= 1e-12"),
     Key("geometry", "x0", _pair, (0.0, 0.0),
         "X Y, the weight centre of single-weight operations; |v| <= 1e6"),
     Key("geometry", "x1", _pair, (-0.3, 0.0),
@@ -319,9 +339,9 @@ KEYS = (
     Key("physics", "a2", _positive, REQUIRED,
         "principal coefficient outside, 0 < a2 <= 1e6"),
     Key("physics", "p", _profile(False), "constant 1.0",
-        "true potential, a real profile; |v| <= 1e6"),
+        "true potential, a real profile; |v| <= 1e6, |WIDTH| >= 1e-12"),
     Key("physics", "y0", _profile(True), "cosine 2.0 0.5",
-        "initial state, [imag] profile; |v| <= 1e6"),
+        "initial state, [imag] profile; |v| <= 1e6, |WIDTH| >= 1e-12"),
     Key("physics", "h", _checked(_text, lambda h: h == "initial",
                                  "must be 'initial', got {!r}"),
         "initial", "Dirichlet data: y0's rim, held at every time"),
@@ -343,9 +363,11 @@ KEYS = (
     Key("carleman", "delta_t", _positive, None,
         "weight time margin, 0 < delta_t < T; T/64 if absent"),
     Key("carleman", "cutoff", _checked(
-            _pair, lambda r: 0.0 < r[0] < r[1],
-            "radii must satisfy 0 < r_inner < r_outer, got {0[0]} {0[1]}"),
-        None, "R1 R2, dead-zone radii, 0 < R1 < R2 <= 1e6; eps rule if absent"),
+            _pair, lambda r: 0.0 < r[0] and r[1] - r[0] >= LENGTH_MIN,
+            f"radii must satisfy 0 < r_inner and r_outer - r_inner >= "
+            f"{LENGTH_MIN:g}, got {{0[0]}} {{0[1]}}"),
+        None, "R1 R2, dead-zone radii, 0 < R1, R2 - R1 >= 1e-12, R2 <= 1e6; eps "
+        "rule if absent"),
     Key("carleman", "n_fields", _integer(1), 10,
         "test suite size, half solved and half manufactured, >= 1"),
     Key("carleman", "n_half", _integer(2), 16,
@@ -368,7 +390,8 @@ KEYS = (
     Key("inverse", "noise", _nonnegative, 0.0,
         "relative trace noise level, 0 <= noise <= 1e6"),
     Key("inverse", "q0", _profile(False), "constant 1.0",
-        "initial guess of the reconstruction, a real profile; |v| <= 1e6"),
+        "initial guess of the reconstruction, a real profile; |v| <= 1e6, "
+        "|WIDTH| >= 1e-12"),
     Key("inverse", "r_lower", _positive, 0.5,
         "lower bound required of |y0|, 0 < r_lower <= 1e6"),
     Key("inverse", "q_bound", _bound_or_inf, math.inf,

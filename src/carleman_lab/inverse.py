@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, minimize
 
 from .pde_solver import (
@@ -219,6 +220,30 @@ def misfit(q, instance: InverseProblemInstance, beta: float = 0.0,
     )
 
 
+def _time_stencil(times: np.ndarray) -> tuple:
+    """(D, tau): the time derivative and quadrature of h1l2_boundary_norm
+    as maps of a stack of levels, for three or more times.  D is the
+    sparse matrix of np.gradient(., times, axis=0, edge_order=2), three
+    entries a row, and tau the trapezoid weights, np.trapezoid(f, times,
+    axis=0) = tau @ f."""
+    nt = times.size
+    # row i's entries sit in columns first[i] to first[i] + 2, one in each
+    # class mod 3, so np.gradient of the three indicators of j % 3 == k
+    # gives each entry, with the bits np.gradient forms it with
+    first = np.clip(np.arange(nt) - 1, 0, nt - 3)
+    cols = first[:, None] + np.arange(3)
+    combs = (np.arange(nt)[:, None] % 3 == np.arange(3)).astype(float)
+    band = np.gradient(combs, times, axis=0, edge_order=2)
+    D = sparse.csr_matrix(
+        (np.take_along_axis(band, cols % 3, axis=1).ravel(), cols.ravel(),
+         np.arange(0, 3 * nt + 1, 3)), shape=(nt, nt))
+    half = np.diff(times) / 2.0
+    tau = np.zeros(nt)
+    tau[1:] += half
+    tau[:-1] += half
+    return D, tau
+
+
 def misfit_and_gradient(q, instance: InverseProblemInstance,
                         beta: float = 0.0, q_ref=None):
     """Return (value, gradient) of the misfit at q.
@@ -236,12 +261,10 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     value = _data_misfit(tr, instance.data) + _regularizer(q, ref, beta, grid.h)
 
     # derivative of the trace functional with respect to each time slice;
-    # D and tau are the time stencil and quadrature of h1l2_boundary_norm,
-    # taken from the same numpy calls on the trace's own times
+    # D and tau are the time stencil and quadrature of h1l2_boundary_norm
+    # on the trace's own times
     residual = tr.values - instance.data.values          # (nt, nb)
-    eye = np.eye(residual.shape[0])
-    D = np.gradient(eye, tr.times, axis=0, edge_order=2)
-    tau = np.trapezoid(eye, tr.times, axis=0)            # (nt,)
+    D, tau = _time_stencil(tr.times)
     rdot = D @ residual
     z = tau[:, None] * residual + D.T @ (tau[:, None] * rdot)
     z = z * tr.weights[None, :]

@@ -67,8 +67,11 @@ def cayley_matrices(op: SchrodingerOperator):
 
 
 def own_factor(op: SchrodingerOperator):
-    """A fresh SuperLU factor of op's own P in the MMD_AT_PLUS_A order."""
-    return splu(cayley_matrices(op)[1], permc_spec="MMD_AT_PLUS_A")
+    """A fresh SuperLU factor of op's own P in the MMD_AT_PLUS_A order,
+    with the supernode options of the operator's factor: a panel of one
+    column, and fundamental supernodes relaxed up to 4 columns."""
+    return splu(cayley_matrices(op)[1], permc_spec="MMD_AT_PLUS_A",
+                panel_size=1, relax=4)
 
 
 def solve_with_source(

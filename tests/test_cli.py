@@ -376,24 +376,22 @@ class TestErrorPaths:
         assert cli.main(["solve-forward", "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == 0
 
-    def test_stencil_over_the_size_bound_names_the_time_step(
+    def test_time_stencil_is_not_bounded_apart_from_the_field(
             self, tmp_path, capsys, monkeypatch):
         # at dt = 0.001 the forward field is 101 levels x 9 x 9 nodes x 16
-        # bytes = 130896 bytes, and the misfit gradient's two dense
-        # 101 x 101 matrices are 163216 bytes
-        def no_instance(cfg):
-            raise AssertionError("the instance was built")
-
+        # bytes = 130896 bytes; the misfit gradient's time stencil, once two
+        # dense 101 x 101 matrices of 163216 bytes, has 3 entries a level
         monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 150000)
-        monkeypatch.setattr(cli, "_build_instance", no_instance)
         path = tmp_path / "exp.ini"
         path.write_text(set_key(TMPL.format(**DEFAULTS), "physics", "dt", "0.001"))
-        out = tmp_path / "out"
-        code = cli.main(["invert", "--config", str(path), "--output-dir", str(out)])
-        assert code == 2
+        args = ["invert", "--config", str(path), "--output-dir"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(args + [str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(cli, "MAX_FIELD_BYTES", 130895)
+        out = tmp_path / "over"
+        assert cli.main(args + [str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            "config error: physics.dt: the misfit gradient's time stencil needs "
-            "163216 bytes")
+            "config error: physics.dt: the field stack needs 130896 bytes")
         assert not out.exists()
 
     def test_suite_field_over_the_size_bound_names_n_half(self, tmp_path, capsys,
@@ -1180,6 +1178,25 @@ class TestMagnitudeDomain:
             keys[("physics", "T")], keys[("physics", "dt")] = horizon
             keys[("carleman", "delta_t")] = "1e4"
         run_clean(config_text(keys))
+
+    @pytest.mark.parametrize("key, at_bound, below", [
+        (("geometry", "interface"), "disk 1e-12", "disk 1e-300"),
+        (("geometry", "interface"), "fourier 1e-12 2:1e-13",
+         "fourier 1e-300 2:1e-301"),
+        (("physics", "p"), "gaussian 1 1 0 0 1e-12", "gaussian 1 1 0 0 0"),
+        (("physics", "y0"), "imag gaussian 2 1 0 0 -1e-12",
+         "imag gaussian 2 1 0 0 0"),
+        (("inverse", "q0"), "gaussian 1 1 0 0 1e-12", "gaussian 1 1 0 0 0"),
+        (("carleman", "cutoff"), "0.2 0.200000000001", "1e-200 2e-200"),
+    ], ids=["disk-radius", "fourier-radius", "p-width", "y0-width", "q0-width",
+            "cutoff-gap"])
+    def test_length_below_its_bound_names_its_key(self, key, at_bound, below):
+        # below the bound, each once made numpy warn as r^2, the width^2 or
+        # the gap^2 rounded to 0; at it, every subcommand runs clean
+        run_clean(config_text({key: at_bound}))
+        for sub, (code, err) in run_clean(config_text({key: below})).items():
+            assert code == 2, sub
+            assert err.startswith(f"config error: {'.'.join(key)}: "), (sub, err)
 
     @pytest.mark.parametrize("subcommands, keys, named", [
         (("solve-forward", "invert", "stability"),

@@ -265,6 +265,25 @@ class TestGradient:
             an = float(np.sum(grad * d))
             assert an == pytest.approx(fd, rel=1e-3), f"direction {k}"
 
+    @pytest.mark.parametrize("nt", [3, 4, 5, 33])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_time_stencil_is_the_dense_one(self, nt, uniform):
+        # the banded D and its transpose against the dense matrices the
+        # gradient once formed from the identity, on random residuals
+        rng = np.random.default_rng(nt)
+        times = (0.1 + 0.5 / (nt - 1) * np.arange(nt) if uniform
+                 else np.cumsum(rng.uniform(0.5, 1.5, nt)))
+        eye = np.eye(nt)
+        dense = np.gradient(eye, times, axis=0, edge_order=2)
+        D, tau = inv._time_stencil(times)
+        assert D.nnz == 3 * nt
+        assert np.array_equal(D.toarray(), dense)
+        assert np.array_equal(tau, np.trapezoid(eye, times, axis=0))
+        r = rng.normal(size=(nt, 7)) + 1j * rng.normal(size=(nt, 7))
+        for got, want in ((D @ r, dense @ r), (D.T @ r, dense.T @ r),
+                          (D @ r, np.gradient(r, times, axis=0, edge_order=2))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_adjoint_march_matches_a_per_step_loop_bit_for_bit(self):
         # a time-dependent rim, which no config can drive, set on the
         # instance (its data stays that of the held rim); the reference
@@ -281,9 +300,7 @@ class TestGradient:
 
         op, field, tr = inv._forward(q, inst)
         residual = tr.values - inst.data.values
-        eye = np.eye(residual.shape[0])
-        D = np.gradient(eye, tr.times, axis=0, edge_order=2)
-        tau = np.trapezoid(eye, tr.times, axis=0)
+        D, tau = inv._time_stencil(tr.times)
         rdot = D @ residual
         z = tau[:, None] * residual + D.T @ (tau[:, None] * rdot)
         z = z * tr.weights[None, :]
@@ -475,12 +492,12 @@ class TestSolveReuse:
         # the grid's columns are ordered by minimum degree once, and every
         # operator, the instance's forward solve's first, factors P in that
         # order; no operator factors twice
-        specs = []
+        calls = []
         factor = pde.splu
 
-        def counted(matrix, permc_spec):
-            specs.append(permc_spec)
-            return factor(matrix, permc_spec=permc_spec)
+        def counted(matrix, permc_spec, **kw):
+            calls.append((permc_spec, kw))
+            return factor(matrix, permc_spec=permc_spec, **kw)
 
         monkeypatch.setattr(pde, "splu", counted)
         ops = count_calls(monkeypatch, pde.SchrodingerOperator, "__init__")
@@ -489,7 +506,17 @@ class TestSolveReuse:
                              "--output-dir", str(tmp_path)])
         assert code == 0
         assert len(ops) > 2
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * len(ops)
+        specs, options = zip(*calls)
+        assert specs == ("MMD_AT_PLUS_A",) + ("NATURAL",) * len(ops)
+        # every numeric factor takes the supernode options of the own MMD
+        # factor that the bit-for-bit tests compare its solves with
+        monkeypatch.setattr(oracles, "splu", counted)
+        inst = make_instance()
+        oracles.own_factor(pde.SchrodingerOperator(
+            inst.grid, inst.on_grid, inst.p_true, inst.T / inst.n_steps))
+        own = calls[-1][1]
+        assert {"panel_size", "relax"} <= own.keys()
+        assert all(kw == own for kw in options[1:])
 
     def test_no_operator_alive_after_an_evaluation(self, monkeypatch):
         # the LU lives outside Python's heap: one kept past its evaluation

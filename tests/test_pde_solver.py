@@ -296,9 +296,9 @@ class TestNumericOnlyOperators:
         specs = []
         factor = pde.splu
 
-        def counted(matrix, permc_spec):
+        def counted(matrix, permc_spec, **kw):
             specs.append(permc_spec)
-            return factor(matrix, permc_spec=permc_spec)
+            return factor(matrix, permc_spec=permc_spec, **kw)
 
         monkeypatch.setattr(pde, "splu", counted)
         potentials = self.potentials()
@@ -331,8 +331,8 @@ class TestNumericOnlyOperators:
         factors = []
         factor = pde.splu
 
-        def kept(matrix, permc_spec):
-            factors.append(factor(matrix, permc_spec=permc_spec))
+        def kept(matrix, permc_spec, **kw):
+            factors.append(factor(matrix, permc_spec=permc_spec, **kw))
             return factors[-1]
 
         monkeypatch.setattr(pde, "splu", kept)

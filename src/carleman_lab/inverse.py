@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,6 +93,12 @@ class InverseProblemInstance:
     clean_data: BoundaryTrace
     q_bound: float
     on_grid: CoefficientOnGrid
+
+    @cached_property
+    def time_stencil(self) -> tuple:
+        """(D, tau) of _time_stencil on the levels of every solve on the
+        instance, those of its data."""
+        return _time_stencil(self.data.times)
 
 
 def _rim_data(grid: Grid2D, y0: np.ndarray) -> Callable:
@@ -264,23 +271,28 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     # D and tau are the time stencil and quadrature of h1l2_boundary_norm
     # on the trace's own times
     residual = tr.values - instance.data.values          # (nt, nb)
-    D, tau = _time_stencil(tr.times)
+    D, tau = instance.time_stencil
     rdot = D @ residual
     z = tau[:, None] * residual + D.T @ (tau[:, None] * rdot)
     z = z * tr.weights[None, :]
-    C_int = instance.on_grid.trace[:, grid.interior_ids]
-    rho = (C_int.T @ z.T).T                              # (nt, n_interior)
+    rho = (instance.on_grid.trace_interior.T @ z.T).T    # (nt, n_interior)
 
     # adjoint march: M lam^n = rho^n + P lam^{n+1} for n = N, ..., 1 from
     # lam^{N+1} = 0, i.e. the trans "H" step lam^n = M^{-1} (2 lam^{n+1} +
-    # rho^n) - lam^{n+1} (P + M = 2I), M = P^H solved with the forward LU
+    # rho^n) - lam^{n+1} (P + M = 2I), M = P^H solved with the forward LU;
+    # each step's term 0.5 dt Re(i conj(lam^n) (y^{n-1} + y^n)) is formed
+    # in the buffers, one operation at a time
     y_int = field.interior()                             # (nt, n_interior)
-    grad_int = np.zeros(y_int.shape[1])
-    lams = op.march(np.zeros(y_int.shape[1], dtype=complex), rho[:0:-1], "H")
+    n_int = y_int.shape[1]
+    grad_int = np.zeros(n_int)
+    term, pair, real = np.empty(n_int, complex), np.empty(n_int, complex), np.empty(n_int)
+    half_dt = 0.5 * dt
+    lams = op.march(np.zeros(n_int, dtype=complex), rho[:0:-1], "H")
     for n, lam in zip(range(instance.n_steps, 0, -1), lams):
-        grad_int += 0.5 * dt * np.real(
-            1j * np.conj(lam) * (y_int[n - 1] + y_int[n])
-        )
+        np.conjugate(lam, out=term)
+        np.multiply(1j, term, out=term)
+        np.multiply(term, np.add(y_int[n - 1], y_int[n], out=pair), out=term)
+        grad_int += np.multiply(half_dt, term.real, out=real)
 
     grad = np.real(grid.scatter_interior(grad_int))
     if beta != 0.0:

@@ -301,8 +301,21 @@ class CoefficientOnGrid(_OnGrid):
         return rows[:, self.grid.interior_ids], rows[:, self.grid.boundary_ids]
 
     @cached_property
+    def rim_rows(self) -> tuple:
+        """(near, k_bnd[near]): the interior rows next to the rim, the only
+        rows k_bnd fills, and k_bnd on them."""
+        k_bnd = self.flux[1]
+        near = np.flatnonzero(np.diff(k_bnd.indptr))
+        return near, k_bnd[near]
+
+    @cached_property
     def trace(self) -> sparse.csr_matrix:
         return trace_operator(self.grid, self)
+
+    @cached_property
+    def trace_interior(self) -> sparse.csr_matrix:
+        """trace's columns at the interior nodes."""
+        return self.trace[:, self.grid.interior_ids]
 
     @cached_property
     def _cayley(self) -> tuple:
@@ -373,6 +386,7 @@ class SchrodingerOperator:
         self.dt = float(dt)
         self.potential = grid.sample(potential)
         self.k_int, self.k_bnd = on_grid.flux
+        self.rim_rows = on_grid.rim_rows
         layout, self._perm_c, self._order = on_grid._cayley
         p = _write_p(layout, grid.gather_interior(self.potential), self.dt)
         self._lu = splu(p, permc_spec="NATURAL", panel_size=1, relax=4)
@@ -439,7 +453,7 @@ def solve_forward(
         raise InvalidStep("operator dt does not match the requested step")
     times = t0 + dt * np.arange(n_steps + 1)
     h = _levels(boundary, grid.boundary_points, times)
-    c = _lifts(op.k_bnd, h, op.dt)
+    c = _lifts(op, h)
     values = np.empty((n_steps + 1,) + grid.shape, dtype=complex)
     values.reshape(n_steps + 1, -1)[:, grid.boundary_ids] = h
     inner = values[:, 1:-1, 1:-1]
@@ -449,14 +463,14 @@ def solve_forward(
     return SpaceTimeField(grid=grid, times=times, values=values)
 
 
-def _lifts(k_bnd: sparse.csr_matrix, h: np.ndarray, dt: float):
-    """Yield each step's boundary term (i dt / 2) k_bnd (h[n] + h[n + 1]),
-    taken for every step in one product on the rows next to the rim, the
+def _lifts(op: SchrodingerOperator, h: np.ndarray):
+    """Yield each of op's steps' boundary term (i dt / 2) k_bnd (h[n] +
+    h[n + 1]), taken for every step in one product on op.rim_rows, the
     only rows k_bnd fills; each has the bits of its own step's product."""
-    near = np.flatnonzero(np.diff(k_bnd.indptr))
-    lift = (0.5j * dt) * (k_bnd[near] @ np.ascontiguousarray((h[:-1] + h[1:]).T))
+    near, rows = op.rim_rows
+    lift = (0.5j * op.dt) * (rows @ np.ascontiguousarray((h[:-1] + h[1:]).T))
     for column in lift.T:
-        c = np.zeros(k_bnd.shape[0], dtype=complex)
+        c = np.zeros(op.k_bnd.shape[0], dtype=complex)
         c[near] = column
         yield c
 

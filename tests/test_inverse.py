@@ -318,6 +318,22 @@ class TestGradient:
             lam_next = lam
         assert np.array_equal(grad, np.real(grid.scatter_interior(grad_int)))
 
+    def test_gradient_invariants_are_built_once_per_instance(self):
+        # the time stencil of every solve's trace and the interior columns
+        # of the trace operator depend on the instance only
+        inst = make_instance(nx=15, n_steps=10)
+        _, _, tr = inv._forward(inst.p_true, inst)
+        D, tau = inst.time_stencil
+        want_D, want_tau = inv._time_stencil(tr.times)
+        assert np.array_equal(D.toarray(), want_D.toarray())
+        assert np.array_equal(tau, want_tau)
+        inv.misfit_and_gradient(inst.p_true, inst)
+        assert inst.time_stencil[0] is D
+        c_int = inst.on_grid.trace_interior
+        assert (c_int != inst.on_grid.trace[:, inst.grid.interior_ids]).nnz == 0
+        inv.misfit_and_gradient(inst.p_true, inst)
+        assert inst.on_grid.trace_interior is c_int
+
     def test_misfit_value_consistency(self):
         inst = make_instance(nx=15, n_steps=10)
         q = inst.p_true + 0.2 * smooth_direction(inst.grid, 3)

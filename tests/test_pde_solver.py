@@ -245,6 +245,7 @@ class TestOperator:
         ops = [pde.SchrodingerOperator(self.grid, on_grid, self.potential, 0.01)
                for _ in range(2)]
         assert ops[0].k_int is ops[1].k_int is on_grid.flux[0]
+        assert ops[0].rim_rows is ops[1].rim_rows is on_grid.rim_rows
         y0 = bump_ic(self.grid.points).astype(complex)
         fields = [
             pde.solve_forward(self.grid, c, self.potential, y0, 0.0, 0.04, 4)

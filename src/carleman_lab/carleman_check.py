@@ -54,9 +54,11 @@ its solved fields advance as one (n_int, k) block of interior states
 through SchrodingerOperator.march, in step with the slabs from the middle
 up (_Marched).  A negative time reads as -conj of its mirror level, the
 head slab reads the last HEAD + 1 levels the march reaches, and between
-slabs only the states of the last HEAD + 1 levels are kept.  SuperLU
-solves each column of the block on its own, so every column has the bits
-of its one-column march.
+slabs only the states of the last HEAD + 1 levels are kept.  Every step
+is SuperLU's transpose solve, which gives each column of the block the
+bits of its one-column march on OpenBLAS's SkylakeX, Haswell and
+Prescott kernels alike; its plain solve does so on SkylakeX only, as its
+block and one-column solves round apart on the other two.
 
 Mirror: phi is even in t, so for a field with v(-t) = c conj v(t), |c| = 1,
 on an exactly antisymmetric time axis with q real, each density at level
@@ -779,7 +781,7 @@ class _Marched:
         # the suite's solves have no Dirichlet data: every step's boundary
         # term is +0, as solve_forward's is
         zero = np.zeros((self.x0.shape[0], 1), dtype=complex)
-        self._steps = self.op.march(self.x0, itertools.repeat(zero, self.n), "N")
+        self._steps = self.op.march(self.x0, itertools.repeat(zero, self.n))
 
     def _advance(self, first: int, last: int):
         """Hold the states after first..last steps, and none before."""

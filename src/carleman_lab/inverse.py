@@ -18,8 +18,9 @@ not a discretization of a continuous formula: the Crank-Nicolson
 recursion (I - i dt/2 A) y^{n+1} = (I + i dt/2 A) y^n + lift is
 differentiated exactly, so adjoint and finite differences agree to
 rounding.  With A real symmetric, the adjoint recursion
-(I + i dt/2 A) lam^n = rho^n + (I - i dt/2 A) lam^{n+1} is the forward
-march run backwards with trans="H" on the same factorization.
+(I + i dt/2 A) lam^n = rho^n + (I - i dt/2 A) lam^{n+1} is the conjugate
+of the forward recursion: mu = conj(lam) runs the forward march
+backwards, on conj(rho), with the same factorization.
 """
 
 from __future__ import annotations
@@ -278,19 +279,21 @@ def misfit_and_gradient(q, instance: InverseProblemInstance,
     rho = (instance.on_grid.trace_interior.T @ z.T).T    # (nt, n_interior)
 
     # adjoint march: M lam^n = rho^n + P lam^{n+1} for n = N, ..., 1 from
-    # lam^{N+1} = 0, i.e. the trans "H" step lam^n = M^{-1} (2 lam^{n+1} +
-    # rho^n) - lam^{n+1} (P + M = 2I), M = P^H solved with the forward LU;
-    # each step's term 0.5 dt Re(i conj(lam^n) (y^{n-1} + y^n)) is formed
-    # in the buffers, one operation at a time
+    # lam^{N+1} = 0.  M = conj(P), so mu = conj(lam) solves P mu^n =
+    # conj(rho^n) + M mu^{n+1}: the forward step mu^n = P^{-1} (2 mu^{n+1}
+    # + conj(rho^n)) - mu^{n+1} (P + M = 2I).  Each step's term
+    # 0.5 dt Re(i mu^n (y^{n-1} + y^n)) is formed in the buffers, one
+    # operation at a time
     y_int = field.interior()                             # (nt, n_interior)
     n_int = y_int.shape[1]
     grad_int = np.zeros(n_int)
-    term, pair, real = np.empty(n_int, complex), np.empty(n_int, complex), np.empty(n_int)
+    term, pair = np.empty(n_int, complex), np.empty(n_int, complex)
+    real = np.empty(n_int)
     half_dt = 0.5 * dt
-    lams = op.march(np.zeros(n_int, dtype=complex), rho[:0:-1], "H")
-    for n, lam in zip(range(instance.n_steps, 0, -1), lams):
-        np.conjugate(lam, out=term)
-        np.multiply(1j, term, out=term)
+    np.conjugate(rho, out=rho)
+    mus = op.march(np.zeros(n_int, dtype=complex), rho[:0:-1])
+    for n, mu in zip(range(instance.n_steps, 0, -1), mus):
+        np.multiply(1j, mu, out=term)
         np.multiply(term, np.add(y_int[n - 1], y_int[n], out=pair), out=term)
         grad_int += np.multiply(half_dt, term.real, out=real)
 

@@ -98,7 +98,7 @@ def solve_with_source(
     values.reshape(n_steps + 1, -1)[:, grid.boundary_ids] = h
     inner = values[:, 1:-1, 1:-1]
     inner[0] = grid.sample(y0, complex)[1:-1, 1:-1]
-    for n, u in enumerate(op.march(inner[0].ravel(), c, "N"), 1):
+    for n, u in enumerate(op.march(inner[0].ravel(), c), 1):
         inner[n] = u.reshape(inner.shape[1:])
     return SpaceTimeField(grid=grid, times=times, values=values)
 

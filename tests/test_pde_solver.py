@@ -11,6 +11,8 @@ Oracles:
   * closed-form time integrals for the boundary norms.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +29,9 @@ import oracles
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# the column counts of the marched blocks checked against their columns
+BLOCK_WIDTHS = (2, 5, 8)
 
 
 def make_layout(half=1.0, radius=0.5, n=64):
@@ -170,8 +175,9 @@ class TestOperator:
         )
 
     def test_matrix_symmetric(self):
-        # exact symmetry: the trans "H" step is a conjugate-transpose solve,
-        # which equals solving with I + (i dt/2) A only for real symmetric A
+        # exact symmetry: P = I - (i dt/2) A equals its transpose, so a step
+        # is a transpose solve, and M = I + (i dt/2) A equals conj(P), so
+        # the adjoint is the conjugate march; both only for real symmetric A
         ops = [self.op] + [config_operator(name)
                            for name in ("default.ini", "carleman.ini")]
         for op in ops:
@@ -184,18 +190,20 @@ class TestOperator:
         n = self.grid.interior_ids.size
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         _, plus, minus = oracles.cayley_matrices(self.op)
-        # step(0, b) is P^{-1} b, and M^{-1} b with trans "H"
+        assert (plus != plus.T).nnz == 0 and (minus != plus.conj()).nnz == 0
+        # step(0, b) is P^{-1} b, and conj(step(0, conj b)) is M^{-1} b
         assert np.allclose(self.op.step(0, plus @ v), v)
-        assert np.allclose(self.op.step(0, minus @ v, "H"), v)
+        assert np.allclose(np.conj(self.op.step(0, np.conj(minus @ v))), v)
 
     def test_adjoint_identity(self):
-        # (I - (i dt/2) A)^{-H} = (I + (i dt/2) A)^{-1} for real symmetric A
+        # (I - (i dt/2) A)^{-H} = (I + (i dt/2) A)^{-1} for real symmetric A,
+        # the conjugate march of the step
         rng = np.random.default_rng(2)
         n = self.grid.interior_ids.size
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         lhs = np.vdot(self.op.step(0, u), v)
-        rhs = np.vdot(u, self.op.step(0, v, "H"))
+        rhs = np.vdot(u, np.conj(self.op.step(0, np.conj(v))))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_step_matches_textbook_form(self):
@@ -211,25 +219,27 @@ class TestOperator:
         got = self.op.step(u, c)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("trans", ["N", "H"])
-    @pytest.mark.parametrize("k", [2, 5, 8])
-    def test_block_march_equals_each_column_bit_for_bit(self, k, trans):
+    @pytest.mark.parametrize("k", BLOCK_WIDTHS)
+    def test_block_march_equals_each_column_bit_for_bit(self, k):
         # the sweep marches its solved fields as one (n_int, k) block: each
         # column must have the bits of its own one-column march
-        rng = np.random.default_rng(k)
-        n = self.grid.interior_ids.size
-        x = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-        c = rng.normal(size=(4, n, k)) + 1j * rng.normal(size=(4, n, k))
-        x[0] = -0.0
-        c[:, 1] = 0.0
-        block = list(self.op.march(x, c, trans))
-        assert len(block) == 4 and block[0].shape == (n, k)
-        for j in range(k):
-            column = self.op.march(x[:, j].copy(), c[:, :, j].copy(), trans)
-            for step, (got, want) in enumerate(zip(block, column)):
-                got = np.ascontiguousarray(got[:, j])
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
-                    j, step)
+        assert block_march_mismatches(self.op, k) == []
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_block_march_keeps_column_bits_on_other_blas_kernels(self, core):
+        """The same check in a fresh process under OPENBLAS_CORETYPE=core,
+        which picks the BLAS kernels that SuperLU's solves call.
+        Where the variable has no effect (another BLAS, an OpenBLAS built
+        without DYNAMIC_ARCH), this repeats the check above."""
+        paths = [str(Path(pde.__file__).parents[1]), str(Path(__file__).parent)]
+        if os.environ.get("PYTHONPATH"):
+            paths.append(os.environ["PYTHONPATH"])
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=os.pathsep.join(paths))
+        script = "import test_pde_solver as t; print(t.block_march_report())"
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == f"{4 * sum(BLOCK_WIDTHS)} []"
 
     def test_lu_fill_below_colamd(self):
         # the stored factor's minimum-degree ordering against SuperLU's
@@ -268,6 +278,35 @@ class TestOperator:
 def same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def block_march_mismatches(op, k) -> list:
+    """(column, step) of every column and step of a four-step march of a
+    random (n_int, k) block, signed zeros included, whose bits differ
+    from the column's own one-column march."""
+    rng = np.random.default_rng(k)
+    n = op.grid.interior_ids.size
+    x = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    c = rng.normal(size=(4, n, k)) + 1j * rng.normal(size=(4, n, k))
+    x[0] = -0.0
+    c[:, 1] = 0.0
+    block = list(op.march(x, c))
+    assert len(block) == 4 and block[0].shape == (n, k)
+    return [(j, step)
+            for j in range(k)
+            for step, (got, want) in enumerate(zip(
+                block, op.march(x[:, j].copy(), c[:, :, j].copy())))
+            if not same_bits(got[:, j], want)]
+
+
+def block_march_report() -> str:
+    """The number of column-step checks of block_march_mismatches over
+    BLOCK_WIDTHS on TestOperator's operator, then the list of the
+    (k, column, step) of each that fails."""
+    case = TestOperator()
+    case.setup_method()
+    bad = [(k,) + m for k in BLOCK_WIDTHS for m in block_march_mismatches(case.op, k)]
+    return f"{4 * sum(BLOCK_WIDTHS)} {bad}"
 
 
 class TestNumericOnlyOperators:
@@ -322,9 +361,8 @@ class TestNumericOnlyOperators:
             for shape in ((n,), (n, 5)):
                 x, c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
                         for _ in range(2))
-                for trans in ("N", "H"):
-                    want = own.solve(2.0 * x + c, trans=trans) - x
-                    assert same_bits(op.step(x, c, trans), want), (shape, trans)
+                want = own.solve(2.0 * x + c, trans="T") - x
+                assert same_bits(op.step(x, c), want), (case, shape)
 
     def test_no_factor_outlives_its_user(self, monkeypatch):
         # the grid keeps a copy of the ordering factor's column permutation;
@@ -420,8 +458,8 @@ class TestForwardSolve:
                              ids=["no-data", "time-dependent-data"])
     def test_march_matches_a_per_step_loop_bit_for_bit(self, with_data):
         # no config can drive a time-dependent rim; the reference forms c
-        # per step, solves with the LU and scatters each step into a
-        # zeroed full-grid slice
+        # per step, solves with the LU (trans "T", as P = P^T) and scatters
+        # each step into a zeroed full-grid slice
         layout = make_layout()
         grid = pde.Grid2D.from_layout(layout, 17)
         coeff = wt.PiecewiseCoefficient(2.0, 1.0, layout)
@@ -459,7 +497,7 @@ class TestForwardSolve:
         for n in range(n_steps):
             h_np1 = h_at(times[n + 1])
             c = (0.5j * op.dt) * (op.k_bnd @ (h_n + h_np1))
-            u = lu.solve(2.0 * u + c) - u
+            u = lu.solve(2.0 * u + c, trans="T") - u
             ref.append(scatter(u, h_np1))
             h_n = h_np1
         assert np.array_equal(field.values, np.array(ref))

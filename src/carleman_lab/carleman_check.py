@@ -54,17 +54,19 @@ its solved fields advance as one (n_int, k) block of interior states
 through SchrodingerOperator.march, in step with the slabs from the middle
 up (_Marched).  A negative time reads as -conj of its mirror level, the
 head slab reads the last HEAD + 1 levels the march reaches, and between
-slabs only the states of the last HEAD + 1 levels are kept.  Every step
-is SuperLU's transpose solve, which gives each column of the block the
-bits of its one-column march on OpenBLAS's SkylakeX, Haswell and
-Prescott kernels alike; its plain solve does so on SkylakeX only, as its
-block and one-column solves round apart on the other two.
+slabs only the states of the last HEAD + 1 levels are kept.  Every
+solved field is mirrored, so the walk reads the block forwards only.
+Every step is SuperLU's transpose solve, which gives each column of the
+block the bits of its one-column march on OpenBLAS's SkylakeX, Haswell
+and Prescott kernels alike; its plain solve does so on SkylakeX only, as
+its block and one-column solves round apart on the other two.
 
 Mirror: phi is even in t, so for a field with v(-t) = c conj v(t), |c| = 1,
-on an exactly antisymmetric time axis with q real, each density at level
-nt-1-k equals the one at level k: w, P1 w, P2 w, grad w and L v at -t are
+on an exactly antisymmetric time axis, each density at level nt-1-k
+equals the one at level k: w, P1 w, P2 w, grad w and L v at -t are
 c times the conjugates of theirs at t (the weight factors are even, tau'
-is odd, the stencils and q are real).  _mirror_phase reads c off v's
+is odd, the stencils are real, and q, the potential p, is real: it is
+sampled as floats).  _mirror_phase reads c off v's
 largest-modulus entry.  For c = -1 (every solved field) and c = +1 the
 symmetry is checked exactly, and the densities then agree bit for bit, as
 negation and conjugation are exact.  Any other c (the manufactured fields,
@@ -78,10 +80,10 @@ every level between them takes its mirror's densities; each level is
 reduced on its own (Kernels), so for c = +-1 the report stays
 bit-identical to whole-stack evaluation, and for any other c it moves by
 rounding only.  Mirroring starts at level nt // 2 whatever SLAB is, so
-no report depends on SLAB.  A solved field's levels are exact mirrors by
-construction, so _Marched.phase reads c = -1 off its initial state, where
-Re v(0) = 0 must hold exactly, and off the march, which must be finite
-and not 0, as _mirror_phase would read it off the field held whole.
+no report depends on SLAB.  A suite's time axis is the march's levels
+reflected about t = 0, so exactly antisymmetric, and every solved field
+is mirrored with c = -1: its levels are exact mirrors by construction,
+as _Marched requires Re v(0) = 0 exactly of every initial state.
 
 Support: a level's six densities are exactly 0 when v is 0 on every level
 its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
@@ -140,18 +142,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .pde_solver import (
     CoefficientOnGrid,
+    ExtensionError,
     Grid2D,
     SchrodingerOperator,
     SolverError,
     SpaceTimeField,
     _OnGrid,
-    _check_extension,
     time_step,
 )
 from .weight import (
@@ -657,11 +659,10 @@ def _common_log_shift(spaces: Sequence[_PhiSpace], params: CarlemanParams) -> fl
     """s * phi_ref with phi_ref <= min phi over the pair and the grid."""
     if params.s == 0.0:
         return 0.0
-    beta_min = min(float(space.beta.min()) for space in spaces)
-    if np.isfinite(params.psi_sup):
-        beta_min = min(
-            beta_min, params.alpha - float(np.exp(params.lam * params.psi_sup))
-        )
+    beta_min = min(
+        min(float(space.beta.min()) for space in spaces),
+        params.alpha - float(np.exp(params.lam * params.psi_sup)),
+    )
     beta_min = max(beta_min, 0.0)
     return params.s * beta_min / (params.T * params.T)
 
@@ -709,8 +710,6 @@ def _boundary_term(wvals: np.ndarray, phi: _Phi) -> np.ndarray:
 
 def clamp_tail_bound(params: CarlemanParams) -> float:
     """e^{-2 s phi} at the time clamp, bounding the discarded tail mass."""
-    if not np.isfinite(params.psi_sup):
-        return float("nan")
     beta_min = params.alpha - float(np.exp(params.lam * params.psi_sup))
     tau_clamp = _clamp_tau(params.T, params.delta_t)
     log_tail = -2.0 * params.s * beta_min * tau_clamp
@@ -745,66 +744,51 @@ class _Marched:
     slabs read it.  Level n_steps + m holds the block after m steps, and a
     level below the middle reads as -conj of its mirror level, by the
     odd-conjugate reflection v(-t) = -conj v(t) that a solution from a
-    purely imaginary state satisfies.  The first read of a level range
-    builds every field's values there and hands each out once; it marches
-    on to the last level the range needs, and afterwards keeps only the
-    states of the last HEAD + 1 levels, the most a later read in plan
-    order goes back (the next slab's halo, or the head's levels at the
-    end).  A read of a level whose state was dropped marches again from
-    t = 0, which a walk asks for only when a solved field is not mirrored
+    purely imaginary state satisfies; a state with a nonzero real part
+    raises ExtensionError.  The first read of a level range builds every
+    field's values there and hands each out once; it marches on to the
+    last level the range needs, and afterwards keeps only the states of
+    the last HEAD + 1 levels, the most a later read in plan order goes
+    back (the next slab's halo, or the head's levels at the end).  Every
+    solved field is mirrored, so a walk reads the block forwards only
     (module notes, Streaming)."""
 
     def __init__(self, suite: "FieldSuite"):
         grid, op = suite.grid, suite.operator
-        self.grid, self.op = grid, op
-        self.n = n = (suite.times.size - 1) // 2
-        # solve_forward's levels from t = 0, reflected about t = 0
-        t = op.dt * np.arange(n + 1)
-        self.times = np.concatenate([-t[-1:0:-1], t])
+        self.grid, self.times = grid, suite.times
         self.dt = time_step(self.times)
+        self.n = n = (suite.times.size - 1) // 2
         self.x0 = np.column_stack([
             grid.sample(y0, complex)[1:-1, 1:-1].ravel() for y0 in suite.initial_states
         ])
-        # per step, whether each state is nonzero; each field's peak modulus
+        if self.x0.real.any():
+            raise ExtensionError(
+                "the odd-conjugate reflection v(-t) = -conj v(t) needs "
+                "Re v(0) = 0 at every interior node"
+            )
+        # per step, whether each state is nonzero
         self.nonzero = np.zeros((n + 1, self.x0.shape[1]), dtype=bool)
         self.nonzero[0] = self.x0.any(axis=0)
-        self.peak = np.abs(self.x0).max(axis=0)
-        self.done = False
-        # the level range last read, and each field's values there that
-        # are not handed out yet
-        self.range, self.handed = None, []
-        self._restart()
-
-    def _restart(self):
         self.states = {0: self.x0}  # step -> block after that many steps
         self.reached = 0
         # the suite's solves have no Dirichlet data: every step's boundary
         # term is +0, as solve_forward's is
         zero = np.zeros((self.x0.shape[0], 1), dtype=complex)
-        self._steps = self.op.march(self.x0, itertools.repeat(zero, self.n))
-
-    def _advance(self, first: int, last: int):
-        """Hold the states after first..last steps, and none before."""
-        if first < min(self.states):
-            self._restart()
-        for step in [step for step in self.states if step < first]:
-            del self.states[step]
-        while self.reached < last:
-            self.reached += 1
-            x = self.states[self.reached] = next(self._steps)
-            if not self.done:
-                self.nonzero[self.reached] = x.any(axis=0)
-                self.peak = np.maximum(self.peak, np.abs(x).max(axis=0))
-                self.done = self.reached == self.n
-                if self.done:
-                    for j, scale in enumerate(self.peak):
-                        _check_extension(self.x0[:, j], float(scale))
+        self._steps = op.march(self.x0, itertools.repeat(zero, n))
+        # the level range last read, and each field's values there that
+        # are not handed out yet
+        self.range, self.handed = None, []
 
     def read(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Solved field j at the levels lo..hi-1."""
         if self.range != (lo, hi) or self.handed[j] is None:
             steps = [abs(k - self.n) for k in range(lo, hi)]
-            self._advance(min(steps), max(steps))
+            for step in [step for step in self.states if step < min(steps)]:
+                del self.states[step]
+            while self.reached < max(steps):
+                self.reached += 1
+                x = self.states[self.reached] = next(self._steps)
+                self.nonzero[self.reached] = x.any(axis=0)
             ny, nx = self.grid.shape
             levels = np.zeros((self.x0.shape[1], hi - lo, ny, nx), dtype=complex)
             for i, (k, step) in enumerate(zip(range(lo, hi), steps)):
@@ -818,23 +802,12 @@ class _Marched:
         out, self.handed[j] = self.handed[j], None
         return out
 
-    def phase(self, j: int) -> Optional[complex]:
-        """_mirror_phase of solved field j: -1 when Re v(0) = 0 at every
-        node, as the check at t = 0 needs, and the field is finite and not
-        0, as the peak needs; levels the reflection pairs are exact
-        mirrors.  Known once the march has reached the last level."""
-        if not self.done:
-            self._advance(self.reached, self.n)
-        if self.x0[:, j].real.any() or not 0.0 < self.peak[j] < np.inf:
-            return None
-        return complex(-1.0)
-
     def live(self, j: int) -> tuple:
         """_live_levels of solved field j's time support, which reflects
         about the middle; all levels until the march has reached the
         last one."""
         nt = 2 * self.n + 1
-        if not self.done:
+        if self.reached < self.n:
             return 0, nt
         steps = np.flatnonzero(self.nonzero[:, j])
         if not steps.size:
@@ -846,16 +819,16 @@ class _Marched:
 class _Column:
     """Solved field j of a _Marched block as a field of a walk."""
 
+    # _mirror_phase of every solved field: its levels are exact
+    # odd-conjugate mirrors (module notes, Mirror)
+    phase = complex(-1.0)
+
     def __init__(self, block: _Marched, j: int):
         self.block, self.j = block, j
         self.grid, self.times, self.dt = block.grid, block.times, block.dt
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         return self.block.read(self.j, lo, hi)
-
-    @property
-    def phase(self) -> Optional[complex]:
-        return self.block.phase(self.j)
 
     @property
     def live(self) -> tuple:
@@ -902,15 +875,16 @@ def _slab_densities(v, lv, core: slice, fac, factors: _Factors, theta: tuple,
     out[5] = _boundary_term(w, factors.phi)
 
 
-def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q_nodes) -> list:
+def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q) -> list:
     """Each field's reports at every params of params_list, in order, for
-    fields on on_grid's grid that share one time axis: the slab-major
-    core of carleman_ratios and constant_sweep (module notes, Streaming).
-    q_nodes is q at the nodes, in complex form."""
+    fields on on_grid's grid that share one time axis, with the real
+    potential q: the slab-major core of carleman_ratios and constant_sweep
+    (module notes, Streaming)."""
     grid, coeff = on_grid.grid, on_grid.coeff
     times, dt = fields[0].times, fields[0].dt
     nt = times.size
-    q_real = not q_nodes.imag.any()
+    # sampled as floats and cast once, as it multiplies complex stacks
+    q_nodes = grid.sample(q).astype(complex)
     # phis[k][j]: weight j's phi factors at params k
     phis = [
         [_Phi.of(wgt, params, coeff, times) for wgt in on_grid.weights]
@@ -929,7 +903,7 @@ def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q_nodes) -> list
         takers = [
             i for i, fld in enumerate(fields)
             if max(start, fld.live[0]) < min(stop, fld.live[1])
-            and (everyone or not q_real or fld.phase is None)
+            and (everyone or fld.phase is None)
         ]
         if not takers:
             continue
@@ -967,7 +941,7 @@ def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q_nodes) -> list
         live_lo, live_hi = fld.live
         per_field[..., :live_lo] = 0.0
         per_field[..., live_hi:] = 0.0
-        if lower and q_real and fld.phase is not None:
+        if lower and fld.phase is not None:
             mid = nt // 2
             per_field[..., HEAD:mid] = per_field[..., nt - 1 - HEAD : nt - 1 - mid : -1]
         # per params: lhs, rhs_residual, rhs_boundary, summed weight by weight
@@ -1000,16 +974,16 @@ def carleman_ratios(
     finite residual L v, and a computable boundary flux.  The report
     components carry one common positive normalization (see module notes);
     the ratio is exact.  A PairOnGrid built for v's grid lends its
-    field-independent data.  This is constant_sweep's slab-major walk on
-    the one field: for a field with v(-t) = c conj v(t), |c| = 1
-    (_mirror_phase), and q real at the nodes, about half of the levels are
-    evaluated and the others take their mirror's densities, bit for bit
-    for c = +-1 and to rounding otherwise; only the slabs a stencil from
-    v's time support reaches are evaluated (module notes).  Raises
+    field-independent data, and the potential q is real.  This is
+    constant_sweep's slab-major walk on the one field: for a field with
+    v(-t) = c conj v(t), |c| = 1 (_mirror_phase), about half of the levels
+    are evaluated and the others take their mirror's densities, bit for
+    bit for c = +-1 and to rounding otherwise; only the slabs a stencil
+    from v's time support reaches are evaluated (module notes).  Raises
     NonFiniteReport when a component overflows.
     """
     return _walk([_stored(v)], PairOnGrid.of(weight_pair, v.grid),
-                 list(params_list), v.grid.sample(q, dtype=complex))[0]
+                 list(params_list), q)[0]
 
 
 def carleman_ratio(
@@ -1023,7 +997,7 @@ def carleman_ratio(
 
 
 def constant_sweep(
-    test_fields: Iterable[SpaceTimeField],
+    suite: "FieldSuite",
     s_values: Sequence[float],
     lam_values: Sequence[float],
     on_grid: PairOnGrid,
@@ -1035,21 +1009,20 @@ def constant_sweep(
 ) -> SweepResult:
     """Max-over-fields ratio per (s, lambda) plus sup and stabilization.
 
-    The fields are assumed clamped at |t| = T - delta_t (delta_t defaults
-    to T / 64, as in params_from_sup).  Stabilization means the per-s
-    sups over the upper half of the s-range are positive and every
+    The suite's fields are assumed clamped at |t| = T - delta_t (delta_t
+    defaults to T / 64, as in params_from_sup).  Stabilization means the
+    per-s sups over the upper half of the s-range are positive and every
     consecutive relative change of them stays below 10 percent; a sweep
     whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
     to that one sup before any field is built (an overflow raises
-    ParamsOverflow).  The fields that share a grid and a time axis are
-    evaluated in one slab-major walk on on_grid, the pair on their grid
-    (fields on another grid get a pair of their own): each slab's weight
-    factors are built once for all of them at every (s, lambda).  A
-    FieldSuite is never held whole: its solved fields advance as one
-    marched block in step with the slabs, and each separable field is
-    built a slab at a time (module notes, Streaming).  q_inf is taken on
-    on_grid's grid, and rows come out in (s, lambda, field) order.
+    ParamsOverflow).  The whole suite is evaluated in one slab-major walk
+    on on_grid, the pair on the suite's grid, with the real potential q:
+    each slab's weight factors are built once for every field at every
+    (s, lambda).  The suite is never held whole: its solved fields advance
+    as one marched block in step with the slabs, and each separable field
+    is built a slab at a time (module notes, Streaming).  q_inf is max |q|
+    on the suite's grid, and rows come out in (s, lambda, field) order.
     """
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
     pair = on_grid.source
@@ -1061,21 +1034,9 @@ def constant_sweep(
         tail = max(tail, clamp_tail_bound(params))
         fitted.append(params)
 
-    if isinstance(test_fields, FieldSuite):
-        fields = _suite_fields(test_fields)
-    else:
-        fields = [_stored(fld) for fld in test_fields]
-    groups = {}  # (grid, time axis) -> indices of its fields
-    for index, fld in enumerate(fields):
-        groups.setdefault((id(fld.grid), fld.times.tobytes()), []).append(index)
-    by_field = [None] * len(fields)
-    for members in groups.values():
-        grid = fields[members[0]].grid
-        walked = _walk([fields[i] for i in members], PairOnGrid.of(on_grid, grid),
-                       fitted, grid.sample(q, dtype=complex))
-        for index, reports in zip(members, walked):
-            by_field[index] = reports
-    reports = list(zip(*by_field))
+    grid = suite.grid
+    reports = list(zip(*_walk(_suite_fields(suite), PairOnGrid.of(on_grid, grid),
+                              fitted, q)))
 
     rows = []
     table = []
@@ -1097,7 +1058,7 @@ def constant_sweep(
         and all(abs(b - a) <= 0.1 * a for a, b in zip(upper, upper[1:]))
     )
     sup_ratio = max((e["max_ratio"] for e in table), default=0.0)
-    q_inf = float(np.max(np.abs(on_grid.grid.sample(q))))
+    q_inf = float(np.max(np.abs(grid.sample(q))))
     return SweepResult(
         rows=rows,
         table=table,
@@ -1129,12 +1090,14 @@ def _boundary_taper(grid: Grid2D, margin: float) -> np.ndarray:
 class FieldSuite:
     """A test-field suite, held as the draws that define its fields.
 
-    len() is the number of fields: first operator's forward solution on
-    [0, times[-1]] in (len(times) - 1) // 2 steps from each initial state,
-    extended to negative times by v(-t) = -conj v(t), then env(t)
-    profile(x) on times for each (env, profile) of separable.  Every random draw was
-    made with the suite, so every sweep over it sees the same fields bit
-    for bit; constant_sweep builds them slab by slab and holds none whole.
+    times is the one time axis of every field: operator's levels
+    dt k, k = 0..n, reflected about t = 0, so exactly antisymmetric.
+    len() is the number of fields: first operator's forward solution at
+    those n steps from each purely imaginary initial state, extended to
+    negative times by v(-t) = -conj v(t), then env(t) profile(x) on times
+    for each (env, profile) of separable.  Every random draw was made with
+    the suite, so every sweep over it sees the same fields bit for bit;
+    constant_sweep builds them slab by slab and holds none whole.
     """
 
     grid: Grid2D
@@ -1168,9 +1131,10 @@ def build_test_suite(
     are mirrored: a solved field is odd-conjugate, and a manufactured
     field's envelope bump(t) e^{i (omega t + phase)} gives
     v(-t) = e^{2 i phase} conj v(t) to rounding (module notes, Mirror).
-    Every random parameter is drawn here, and one factored operator serves
-    every solve; the fields are built as constant_sweep walks the suite
-    (FieldSuite).
+    Every field shares one time axis, the march's levels reflected about
+    t = 0, which is exactly antisymmetric.  Every random parameter is
+    drawn here, and one factored operator serves every solve; the fields
+    are built as constant_sweep walks the suite (FieldSuite).
     """
     t_max = T - _delta_t(T, delta_t)
     rng = np.random.default_rng(seed)
@@ -1193,7 +1157,8 @@ def build_test_suite(
         amp = rng.uniform(0.5, 1.5)
         r2 = (pts[..., 0] - c[0]) ** 2 + (pts[..., 1] - c[1]) ** 2
         initial_states.append(1j * amp * np.exp(-r2 / width**2))
-    times = np.linspace(-t_max, t_max, 2 * n_steps + 1)
+    t = op.dt * np.arange(n_steps + 1)
+    times = np.concatenate([-t[:0:-1], t])
     separable = []
     for _ in range(n_manufactured):
         c = (

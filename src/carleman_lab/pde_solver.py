@@ -37,9 +37,10 @@ the right-hand side in that order and gives the solution in the natural
 one, with no gather.  It is also the fastest of SuperLU's three solves
 here: one column takes 43.7 us against 52.4 us for trans="N" and 50.0 us
 for trans="H" at nx = 33 (111 us, 134 us and 129 us at nx = 48), one
-BLAS thread on a 2-vCPU x86-64 host.  M = P^H = conj(P), so the adjoint step M^{-1} (2 lam + rho) - lam
-is the conjugate of the same step on conj(lam) and conj(rho): the
-adjoint marches mu = conj(lam) through step, on conj(rho).
+BLAS thread on a 2-vCPU x86-64 host.  M = P^H = conj(P), so the adjoint
+step M^{-1} (2 lam + rho) - lam is the conjugate of the same step on
+conj(lam) and conj(rho): the adjoint marches mu = conj(lam) through step,
+on conj(rho).
 """
 
 from __future__ import annotations
@@ -489,18 +490,6 @@ def time_step(times: np.ndarray) -> float:
     if steps.size and abs(steps.max() - steps.min()) > 1e-10 * abs(steps[0]):
         raise SolverError("field time axis is not uniform")
     return float(steps[0]) if steps.size else 0.0
-
-
-def _check_extension(start: np.ndarray, scale: float):
-    """The guard of the odd-conjugate reflection v(-t) = -conj v(t) of a
-    solution from [0, T] onto [-T, T], which a solution whose t = 0
-    modulator is real satisfies: Re v(0) = 0, start being v(0), to within
-    1e-12 of scale, the field's largest modulus."""
-    mismatch = float(np.max(np.abs(start.real)))
-    if mismatch > 1e-12 * (scale or 1.0):
-        raise ExtensionError(
-            f"odd-conjugate extension needs Re v(0) = 0, got {mismatch:.3e}"
-        )
 
 
 @dataclass(frozen=True)

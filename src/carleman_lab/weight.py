@@ -284,8 +284,10 @@ def build_weight(
 class CarlemanParams:
     """Scalar parameters of the weighted estimate.
 
-    alpha must dominate the grid maximum of exp(lam * psi); delta_t is the
-    clamp that keeps the time factor finite near t = +-T.
+    alpha must dominate the grid maximum of exp(lam * psi), and strictly
+    exp(lam * psi_sup), psi_sup being the scanned sup of psi it was fitted
+    to (psi_grid_max); delta_t is the clamp that keeps the time factor
+    finite near t = +-T.
     """
 
     s: float
@@ -293,14 +295,14 @@ class CarlemanParams:
     alpha: float
     T: float
     delta_t: float
-    psi_sup: float = float("nan")
+    psi_sup: float
 
     def __post_init__(self):
         if self.s < 0.0 or self.lam <= 0.0:
             raise ValueError("need s >= 0 and lam > 0")
         if self.T <= 0.0 or not (0.0 < self.delta_t < self.T):
             raise ValueError("need 0 < delta_t < T")
-        if np.isfinite(self.psi_sup) and self.alpha <= np.exp(self.lam * self.psi_sup):
+        if self.alpha <= np.exp(self.lam * self.psi_sup):
             raise ValueError("alpha must strictly dominate exp(lam * psi)")
 
 
@@ -363,7 +365,10 @@ def params_from_sup(psi_sup: float, s: float, lam: float, T: float, *,
 
 def _time_factor(params: CarlemanParams, t):
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > params.T - params.delta_t + 1e-12):
+    # a march's last level dt n rounds past T - delta_t by up to about
+    # eps T, so the slack scales with T
+    slack = max(1e-12, 4.0 * np.finfo(float).eps * params.T)
+    if np.any(np.abs(t) > params.T - params.delta_t + slack):
         raise TimeSingular("time weight evaluated outside the clamped interval")
     return 1.0 / ((params.T - t) * (params.T + t))
 

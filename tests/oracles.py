@@ -24,7 +24,6 @@ from carleman_lab.pde_solver import (
     SchrodingerOperator,
     SolverError,
     SpaceTimeField,
-    _check_extension,
     _levels,
     solve_forward,
 )
@@ -198,6 +197,18 @@ def bk_recover_f(v0: np.ndarray, R0: np.ndarray) -> np.ndarray:
 # Carleman test fields
 
 
+def _check_extension(start: np.ndarray, scale: float):
+    """The guard of the odd-conjugate reflection v(-t) = -conj v(t) of a
+    solution from [0, T] onto [-T, T], which a solution whose t = 0
+    modulator is real satisfies: Re v(0) = 0, start being v(0), to within
+    1e-12 of scale, the field's largest modulus."""
+    mismatch = float(np.max(np.abs(start.real)))
+    if mismatch > 1e-12 * (scale or 1.0):
+        raise ExtensionError(
+            f"odd-conjugate extension needs Re v(0) = 0, got {mismatch:.3e}"
+        )
+
+
 def extend_time(field: SpaceTimeField) -> SpaceTimeField:
     """Reflect a solution from [0, T] onto [-T, T] by the odd-conjugate rule
     v(-t) = -conj v(t), which a solution whose t = 0 modulator is real
@@ -213,15 +224,20 @@ def extend_time(field: SpaceTimeField) -> SpaceTimeField:
 
 
 def suite_fields(suite):
-    """Each field of a FieldSuite, held whole, in suite order: the forward
-    solution from each initial state, extended to negative times, then
-    env(t) profile(x) for each separable pair."""
+    """Each field of a FieldSuite, held whole, in suite order, on the
+    suite's time axis: the forward solution from each initial state,
+    extended to negative times, then env(t) profile(x) for each separable
+    pair."""
     n_steps = (suite.times.size - 1) // 2
     for y0 in suite.initial_states:
-        yield extend_time(solve_forward(
+        extended = extend_time(solve_forward(
             suite.grid, None, None, y0, 0.0, float(suite.times[-1]), n_steps,
             operator=suite.operator,
         ))
+        # solve_forward's levels, (times[-1] / n) k, may round apart from
+        # the suite's dt k; the values do not depend on them
+        yield SpaceTimeField(grid=suite.grid, times=suite.times,
+                             values=extended.values)
     for env, profile in suite.separable:
         yield SpaceTimeField(grid=suite.grid, times=suite.times,
                              values=env[:, None, None] * profile[None, :, :])

@@ -160,7 +160,7 @@ class ConstPsi:
 class TestConjugate:
     def test_s_zero_is_identity(self):
         layout, grid, coeff, pair, base = small_problem()
-        params = wt.CarlemanParams(0.0, base.lam, base.alpha, base.T, base.delta_t)
+        params = dataclasses.replace(base, s=0.0)
         fac = factors(pair.w1, params, coeff, grid, clamped_times(params, 6))
         assert np.all(fac == 1.0)
 
@@ -194,8 +194,12 @@ class TestConjugate:
         assert np.all(fac[0] == 0.0)
 
     def test_never_signals_on_undersized_alpha(self):
+        # alpha fitted to a psi sup below the grid's maximum: phi < 0 at
+        # the nodes where psi exceeds it
         layout, grid, coeff, pair, base = small_problem()
-        bad = wt.CarlemanParams(4.0, base.lam, 1e-6, base.T, base.delta_t)
+        low = wt.psi_grid_max((pair.w1, pair.w2)) - 2.0
+        bad = wt.params_from_sup(low, 4.0, base.lam, base.T)
+        assert bad.alpha < np.exp(base.lam * cc.WeightOnGrid(pair.w1, grid).psi).max()
         times = clamped_times(bad, 4)
         fac = factors(pair.w1, bad, coeff, grid, times)  # must not raise
         assert np.all(np.isfinite(fac))
@@ -217,7 +221,7 @@ class TestSplitOperators:
 
     def test_s_zero_kills_P2_and_reduces_P1(self):
         layout, grid, coeff, pair, base = small_problem()
-        params = wt.CarlemanParams(0.0, base.lam, base.alpha, base.T, base.delta_t)
+        params = dataclasses.replace(base, s=0.0)
         v = bump_envelope_field(grid, params, (-0.3, 0.2), 0.35, 1.5, n_half=8)
         p2 = P2(v, pair.w1, params, coeff)
         assert np.all(p2 == 0.0)
@@ -536,10 +540,9 @@ def whole_stack_ratio(v, pair, params, q):
             float((params.alpha - np.exp(params.lam * w.psi)).min())
             for w in on_grid.weights
         )
-        if np.isfinite(params.psi_sup):
-            beta_min = min(
-                beta_min, params.alpha - float(np.exp(params.lam * params.psi_sup))
-            )
+        beta_min = min(
+            beta_min, params.alpha - float(np.exp(params.lam * params.psi_sup))
+        )
         shift = params.s * max(beta_min, 0.0) / (params.T * params.T)
 
     def l2_sq(values):
@@ -609,7 +612,7 @@ class TestStreamedRatio:
         # at s = 0 with q = 0 the conjugation factors are 1, P2, the norm and
         # the boundary term vanish, and P1 w is L v: the sides are equal
         layout, grid, coeff, pair, base = small_problem(nx=13)
-        params = wt.CarlemanParams(0.0, base.lam, base.alpha, base.T, base.delta_t)
+        params = dataclasses.replace(base, s=0.0)
         q = np.zeros(grid.shape)
         t_max = params.T - params.delta_t
         times = np.linspace(-t_max, t_max, 81)
@@ -760,7 +763,7 @@ class TestMirroredRatio:
     # end levels, whose one-sided d/dt is not the mirror of each other's,
     # weigh in the sums
     def params_and_zero(self, params):
-        zero = wt.CarlemanParams(0.0, params.lam, params.alpha, params.T, params.delta_t)
+        zero = dataclasses.replace(params, s=0.0)
         return (params, zero)
 
     @pytest.mark.parametrize("nt", (3, 5, 2 * cc.SLAB + 1, 2 * cc.SLAB + 3, 129))
@@ -840,20 +843,18 @@ class TestMirroredRatio:
         times = v.times.copy()
         times[20] = np.nextafter(times[20], 0.0)
         cases = (
-            ("one ulp at one node", v.times, values, q),
-            ("complex q", v.times, v.values, q + 0.05j * grid.points[..., 1]),
-            ("times not antisymmetric", times, v.values, q),
+            ("one ulp at one node", v.times, values),
+            ("times not antisymmetric", times, v.values),
         )
         levels = self.count_levels(monkeypatch)
-        for name, tms, vals, pot in cases:
+        for name, tms, vals in cases:
             fld = pde.SpaceTimeField(grid=grid, times=tms, values=vals)
             on_grid = cc.PairOnGrid(pair, grid)
-            # a complex q alone breaks the symmetry of the densities
-            assert (mirror_phase(fld) == -1) == (name == "complex q"), name
+            assert mirror_phase(fld) is None, name
             levels.clear()
-            got = cc.carleman_ratio(fld, on_grid, params, pot)
+            got = cc.carleman_ratio(fld, on_grid, params, q)
             assert levels == [10] * 16 + [3, 3] + [8, 8] + [10] * 14, name
-            assert_same_report(got, whole_stack_ratio(fld, pair, params, pot))
+            assert_same_report(got, whole_stack_ratio(fld, pair, params, q))
 
     def test_every_solved_field_of_the_sweep_suite_is_mirrored(self):
         # the speed-up rests on extend_time giving every solved field the
@@ -869,12 +870,15 @@ class TestMirroredRatio:
             assert c is not None
             assert abs(abs(c) - 1.0) <= cc.MIRROR_ULPS * np.finfo(float).eps
             assert abs(c.imag) > 1e-3
-        # the walk's fields, the solved ones marched as one block, read the
-        # values of the fields held whole and take their phases and live
-        # levels
+        # the walk's fields, the solved ones marched as one block, read in
+        # the walk's order, slab by slab with their halos, the values of
+        # the fields held whole and take their phases and live levels
         walked = cc._suite_fields(suite)
-        for k, (fld, whole) in enumerate(zip(walked, held)):
-            for lo, hi in cc._slabs(0, whole.nt):
+        nt = suite.times.size
+        mirrored, _ = cc._plan(nt)
+        for start, stop in mirrored:
+            lo, hi = max(start - 1, 0), min(stop + 1, nt)
+            for k, (fld, whole) in enumerate(zip(walked, held)):
                 assert np.array_equal(fld.read(lo, hi), whole.values[lo:hi]), k
         assert [fld.phase for fld in walked] == phases
         assert [fld.live for fld in walked] == [
@@ -1054,7 +1058,7 @@ class TestSupportedRatio:
     # at s = 0 the conjugation factors are 1, so no level flushes and the
     # levels at the ends of the time axis weigh in the sums
     def params_and_zero(self, params):
-        zero = wt.CarlemanParams(0.0, params.lam, params.alpha, params.T, params.delta_t)
+        zero = dataclasses.replace(params, s=0.0)
         return (params, zero)
 
     @pytest.mark.parametrize("nt", (3, 5, 2 * cc.SLAB + 3, 129))
@@ -1326,36 +1330,38 @@ class TestGroupedRatio:
                 assert rep == whole_stack_ratio(v, pair, params, q), (name, params)
 
 
+def small_suite(grid, coeff, q, params, n_steps, n_solved, n_manufactured,
+                seed=1):
+    """build_test_suite on the clamped interval of params."""
+    return cc.build_test_suite(
+        grid, coeff, q, params.T, delta_t=params.delta_t, n_steps=n_steps,
+        seed=seed, n_solved=n_solved, n_manufactured=n_manufactured,
+    )
+
+
 class TestSweep:
-    def test_single_zero_field(self):
+    def zero_suite(self):
+        """A suite whose one field, solved from the zero state, is 0."""
         layout, grid, coeff, pair, params = small_problem()
-        times = clamped_times(params, 6)
-        zero = pde.SpaceTimeField(
-            grid=grid,
-            times=times,
-            values=np.zeros((times.size,) + grid.shape, dtype=complex),
-        )
-        out = cc.constant_sweep(
-            [zero], [10.0, 20.0], [1.0], cc.PairOnGrid(pair, grid),
-            np.zeros(grid.shape), T=1.0,
-        )
+        q = np.zeros(grid.shape)
+        suite = small_suite(grid, coeff, q, params, 6, 1, 0)
+        suite = dataclasses.replace(
+            suite, initial_states=[np.zeros(grid.shape, dtype=complex)])
+        return suite, cc.PairOnGrid(pair, grid), q
+
+    def test_single_zero_field(self):
+        suite, on_grid, q = self.zero_suite()
+        out = cc.constant_sweep(suite, [10.0, 20.0], [1.0], on_grid, q, T=1.0)
+        assert len(out.rows) == 2
         assert all(row["ratio"] == 0.0 for row in out.rows)
         assert out.sup_ratio == 0.0
 
     def test_all_flushed_sweep_is_not_stabilized(self):
         # every ratio is 0, so the upper-half sups do not change, but a
         # sweep that measured nothing has not stabilized
-        layout, grid, coeff, pair, params = small_problem()
-        times = clamped_times(params, 6)
-        zero = pde.SpaceTimeField(
-            grid=grid,
-            times=times,
-            values=np.zeros((times.size,) + grid.shape, dtype=complex),
-        )
-        out = cc.constant_sweep(
-            [zero], [10.0, 20.0, 40.0, 80.0], [1.0], cc.PairOnGrid(pair, grid),
-            np.zeros(grid.shape), T=1.0,
-        )
+        suite, on_grid, q = self.zero_suite()
+        out = cc.constant_sweep(suite, [10.0, 20.0, 40.0, 80.0], [1.0], on_grid,
+                                q, T=1.0)
         assert out.sup_ratio == 0.0
         assert out.stabilized is False
 
@@ -1363,14 +1369,10 @@ class TestSweep:
         layout, grid, coeff, pair, params = small_problem(nx=17)
         pts = grid.points
         q = 0.3 + 0.1 * np.sin(pts[..., 0])
-        fields = [
-            solved_clamped_field(grid, coeff, q, params, n_half=8, seed=1),
-            bump_envelope_field(grid, params, (0.2, 0.1), 0.35, 1.0, n_half=8),
-            bump_envelope_field(grid, params, (-0.25, 0.0), 0.3, -1.5, n_half=8),
-        ]
-        out = cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0],
+        suite = small_suite(grid, coeff, q, params, 8, 1, 2)
+        out = cc.constant_sweep(suite, [10.0, 20.0], [1.0, 2.0],
                                 cc.PairOnGrid(pair, grid), q, T=params.T)
-        assert len(out.rows) == len(fields) * 4
+        assert len(out.rows) == len(suite) * 4
         assert len(out.table) == 4
         for entry in out.table:
             matching = [
@@ -1390,15 +1392,12 @@ class TestSweep:
         layout, grid, coeff, pair, params = small_problem(nx=nx, M2=M2)
         pts = grid.points
         q = 0.3 + 0.1 * np.sin(pts[..., 0])
-        fields = [
-            solved_clamped_field(grid, coeff, q, params, n_half=6, seed=2),
-            bump_envelope_field(grid, params, (0.2, 0.1), 0.35, 1.0, n_half=6),
-        ]
-        return fields, cc.PairOnGrid(pair, grid), q, params.T
+        suite = small_suite(grid, coeff, q, params, 6, 1, 1, seed=2)
+        return suite, cc.PairOnGrid(pair, grid), q, params.T
 
     def test_psi_is_scanned_once_per_weight(self, monkeypatch):
         # every (s, lambda) is fitted to one psi scan of each weight
-        fields, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        suite, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
         n_grid = 40
         sizes = []
         psi = wt.TransmissionWeight.psi
@@ -1408,15 +1407,16 @@ class TestSweep:
             return psi(self, pts)
 
         monkeypatch.setattr(wt.TransmissionWeight, "psi", counted)
-        cc.constant_sweep(fields, [10.0, 20.0], [1.0, 2.0], on_grid, q, T=T,
+        cc.constant_sweep(suite, [10.0, 20.0], [1.0, 2.0], on_grid, q, T=T,
                           n_grid=n_grid)
         assert sizes.count(n_grid**2) == 2
 
     def test_rows_equal_standalone_ratios_in_s_lambda_field_order(self):
-        fields, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        suite, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
         pair = on_grid.source
         s_values, lam_values = [10.0, 20.0], [1.5]
-        out = cc.constant_sweep(fields, s_values, lam_values, on_grid, q, T=T)
+        out = cc.constant_sweep(suite, s_values, lam_values, on_grid, q, T=T)
+        held = list(oracles.suite_fields(suite))
         expected = []
         for s in s_values:
             for lam in lam_values:
@@ -1424,7 +1424,7 @@ class TestSweep:
                     wt.psi_grid_max((pair.w1, pair.w2)), s, lam, T,
                     delta_t=T / 64.0,
                 )
-                for fid, fld in enumerate(fields):
+                for fid, fld in enumerate(held):
                     rep = cc.carleman_ratio(fld, pair, params, q)
                     expected.append({
                         "field_id": fid, "s": s, "lambda": lam,
@@ -1464,37 +1464,36 @@ class TestSweep:
         assert f"{out.sup_ratio:.6g}" == "38624.7"
         assert peak < 3.5 * stack
 
-    # q_inf is taken of q's real part
-    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
     def test_a_suite_sweeps_as_its_fields_held_whole(self):
         # the walk's marched block and slab-built separable fields against
-        # the same fields held whole, bit for bit: with q real every field
-        # is mirrored; with q complex none is, and the block marches again
-        # for the slabs below the middle; a solved field whose Re v(0) is
-        # nonzero but within extend_time's tolerance is not mirrored, and
-        # one beyond it raises
+        # the same fields held whole, bit for bit; a solved field whose
+        # Re v(0) is not exactly 0 has no exact mirror and raises
         layout, grid, coeff, pair, params = small_problem(nx=13)
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=12, seed=11)
         on_grid = cc.PairOnGrid(pair, grid)
+        s_values, lam_values = [10.0, 20.0], [1.5]
 
-        def sweep(fields, pot):
-            return cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid, pot,
+        def sweep(fields):
+            return cc.constant_sweep(fields, s_values, lam_values, on_grid, q,
                                      T=params.T)
 
-        nudged = dataclasses.replace(
-            suite, initial_states=[suite.initial_states[0] + 1e-20]
-            + suite.initial_states[1:])
-        cases = ((suite, q), (suite, q + 0.05j * grid.points[..., 1]), (nudged, q))
-        for fields, pot in cases:
-            got = sweep(fields, pot)
-            assert got == sweep(list(oracles.suite_fields(fields)), pot)
-        phases = [fld.phase for fld in cc._suite_fields(nudged)]
-        assert phases[0] is None and phases[1] == -1
-        broken = dataclasses.replace(
-            suite, initial_states=[suite.initial_states[0] + 1e-3])
-        with pytest.raises(pde.ExtensionError):
-            sweep(broken, q)
+        psi_sup = wt.psi_grid_max((pair.w1, pair.w2))
+        params_list = [wt.params_from_sup(psi_sup, s, lam, params.T)
+                       for s in s_values for lam in lam_values]
+        held = [cc.carleman_ratios(fld, on_grid, params_list, q)
+                for fld in oracles.suite_fields(suite)]
+        want = [
+            {"field_id": fid, **reports[k].as_dict()}
+            for k in range(len(params_list)) for fid, reports in enumerate(held)
+        ]
+        assert len(want) == 2 * len(suite) == 20
+        assert sweep(suite).rows == want
+        for nudge in (1e-20, 1e-3):
+            broken = dataclasses.replace(
+                suite, initial_states=[suite.initial_states[0] + nudge])
+            with pytest.raises(pde.ExtensionError):
+                sweep(broken)
 
     def run_sweep(self, nx, M2):
         fields, on_grid, q, T = self.sweep_inputs(nx=nx, M2=M2)

@@ -788,6 +788,46 @@ class TestCarlemanSweep:
         assert code == 0
         assert "carleman-sweep: fields=2" in capsys.readouterr().out
 
+    def test_the_suite_is_walked_once_with_every_field_mirrored(
+            self, tmp_path, monkeypatch):
+        # at the template's T = 0.1 and n_half = 4, np.linspace's levels
+        # and the march's dt k round apart; the suite has the march's
+        # levels as its one exactly antisymmetric axis and is walked once
+        walks = []
+        walk = cc._walk
+
+        def recorded(fields, *args):
+            walks.append(fields)
+            return walk(fields, *args)
+
+        monkeypatch.setattr(cc, "_walk", recorded)
+        code = cli.main(["carleman-sweep", "--config", str(write_cfg(tmp_path)),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert len(walks) == 1
+        fields = walks[0]
+        assert len(fields) == 2
+        times = fields[0].times
+        assert np.array_equal(times[::-1], -times)
+        for fld in fields:
+            assert np.array_equal(fld.times, times)
+            assert fld.phase is not None
+
+    def test_long_horizon_sweep_exits_0(self, tmp_path, capsys):
+        # at T = 1e6 the march's last level (t_max / 23) 23 rounds 1.16e-10
+        # past the clamp t_max = T - delta_t, beyond an absolute 1e-12
+        text = TMPL.format(**DEFAULTS)
+        for section, key, value in (("physics", "T", "1000000"),
+                                    ("physics", "dt", "500000"),
+                                    ("carleman", "n_half", "23")):
+            text = set_key(text, section, key, value)
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        code = cli.main(["carleman-sweep", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert "carleman-sweep: fields=2" in capsys.readouterr().out
+
     def test_wrong_jump_sign_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, a1="0.05", a2="0.1", M2="0.05")
         out = tmp_path / "out"

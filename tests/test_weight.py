@@ -384,16 +384,31 @@ class TestTimeWeights:
         with pytest.raises(wt.TimeSingular):
             oracles.eval_phi(self.w, self.params, pts, -(edge + 1e-6))
 
+    def test_time_clamp_slack_scales_with_T(self):
+        # a march's last level (t_max / n) n may round past t_max = T -
+        # delta_t: at T = 1e6, the default clamp and n = 23 by 1.16e-10,
+        # far above 1e-12
+        params = wt.params_from_sup(1.0, 10.0, 1.0, 1e6)
+        t_max = params.T - params.delta_t
+        last = (t_max / 23) * 23
+        assert last - t_max > 1e-10
+        assert np.isfinite(wt._time_factor(params, [-last, last])).all()
+        with pytest.raises(wt.TimeSingular):
+            wt._time_factor(params, t_max + 1e-6)
+
     def test_default_clamp(self):
         assert self.params.delta_t == pytest.approx(1.0 / 64.0)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            wt.CarlemanParams(s=-1.0, lam=1.0, alpha=10.0, T=1.0, delta_t=0.01)
+            wt.CarlemanParams(s=-1.0, lam=1.0, alpha=10.0, T=1.0, delta_t=0.01,
+                             psi_sup=0.0)
         with pytest.raises(ValueError):
-            wt.CarlemanParams(s=1.0, lam=0.0, alpha=10.0, T=1.0, delta_t=0.01)
+            wt.CarlemanParams(s=1.0, lam=0.0, alpha=10.0, T=1.0, delta_t=0.01,
+                             psi_sup=0.0)
         with pytest.raises(ValueError):
-            wt.CarlemanParams(s=1.0, lam=1.0, alpha=10.0, T=1.0, delta_t=2.0)
+            wt.CarlemanParams(s=1.0, lam=1.0, alpha=10.0, T=1.0, delta_t=2.0,
+                             psi_sup=0.0)
         with pytest.raises(ValueError):
             wt.CarlemanParams(
                 s=1.0, lam=1.0, alpha=1.0, T=1.0, delta_t=0.01, psi_sup=3.0

@@ -54,8 +54,10 @@ its solved fields advance as one (n_int, k) block of interior states
 through SchrodingerOperator.march, in step with the slabs from the middle
 up (_Marched).  A negative time reads as -conj of its mirror level, the
 head slab reads the last HEAD + 1 levels the march reaches, and between
-slabs only the states of the last HEAD + 1 levels are kept.  Every
-solved field is mirrored, so the walk reads the block forwards only.
+slabs only the states of the last HEAD + 1 levels are kept.  The block
+serves every read of the level range it built last, and drops that
+range's levels before it builds the next.  Every solved field is
+mirrored, so the walk reads the block forwards only.
 Every step is SuperLU's transpose solve, which gives each column of the
 block the bits of its one-column march on OpenBLAS's SkylakeX, Haswell
 and Prescott kernels alike; its plain solve does so on SkylakeX only, as
@@ -95,11 +97,11 @@ time support, the first and last level where it is not identically 0
 level a stencil from the support reaches, and sets the densities at
 every other level to 0.  As each level is reduced on its own (Kernels),
 the report stays bit-identical to whole-stack evaluation.  A solved
-field's support is known once the march has reached the last level, so
-its slabs from the middle up are all evaluated before it applies; a
-nonzero initial state keeps every level live.  Each compactly supported
-manufactured field of the sweep has 79 live levels, 25..103; as it is
-mirrored, the walk evaluates it on the five slabs of 64..103 only.
+field is live on every level, as its unitary march from a nonzero state
+never reaches a level that is 0 (a zero state's densities are exactly 0
+everywhere).  Each compactly supported manufactured field of the sweep
+has 79 live levels, 25..103; as it is mirrored, the walk evaluates it on
+the five slabs of 64..103 only.
 
 Kernels: every spatial integral has one rule: np.sum adds up each level's
 row of a C-contiguous integrand on its own (_space_integral, and the
@@ -718,24 +720,21 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
     return float(np.exp(min(log_tail, _LOG_CLIP)))
 
 
-class _Field:
-    """A field of a walk, read level range by level range: read(lo, hi)
-    gives its values at the levels lo..hi-1 on grid, over the uniform
-    times.  Its mirror phase and live levels are read off those values
-    before any slab is evaluated."""
+class _Field(NamedTuple):
+    """A field of a walk: read(lo, hi) gives its values at the levels
+    lo..hi-1 of the uniform times, with its mirror phase and live levels."""
 
-    def __init__(self, grid: Grid2D, times: np.ndarray, read: Callable):
-        self.grid, self.times, self.read = grid, times, read
-        self.dt = time_step(times)
-        self.phase = _mirror_phase(times, read)
-        self.live = _live_levels(times.size, _time_support(times.size, read))
+    times: np.ndarray
+    read: Callable
+    phase: Optional[complex]
+    live: tuple
 
-
-def _stored(v: SpaceTimeField) -> _Field:
-    """v, held whole, as a field of a walk."""
-    _require_time_resolution(v)
-    values = v.values
-    return _Field(v.grid, v.times, lambda lo, hi: values[lo:hi])
+    @classmethod
+    def of(cls, times: np.ndarray, read: Callable) -> "_Field":
+        """The field read gives, its phase and live levels read off it."""
+        nt = times.size
+        return cls(times, read, _mirror_phase(times, read),
+                   _live_levels(nt, _time_support(nt, read)))
 
 
 class _Marched:
@@ -745,52 +744,46 @@ class _Marched:
     level below the middle reads as -conj of its mirror level, by the
     odd-conjugate reflection v(-t) = -conj v(t) that a solution from a
     purely imaginary state satisfies; a state with a nonzero real part
-    raises ExtensionError.  The first read of a level range builds every
-    field's values there and hands each out once; it marches on to the
-    last level the range needs, and afterwards keeps only the states of
-    the last HEAD + 1 levels, the most a later read in plan order goes
-    back (the next slab's halo, or the head's levels at the end).  Every
-    solved field is mirrored, so a walk reads the block forwards only
-    (module notes, Streaming)."""
+    raises ExtensionError.  Every read of the level range built last is
+    served from its levels; a read of another range drops them, marches
+    on to the last level it needs and builds its levels, and then keeps
+    only the states of the last HEAD + 1 levels, the most a later read in
+    plan order goes back (module notes, Streaming)."""
 
     def __init__(self, suite: "FieldSuite"):
-        grid, op = suite.grid, suite.operator
-        self.grid, self.times = grid, suite.times
-        self.dt = time_step(self.times)
+        grid = suite.grid
+        self.shape = grid.shape
         self.n = n = (suite.times.size - 1) // 2
-        self.x0 = np.column_stack([
+        x0 = np.column_stack([
             grid.sample(y0, complex)[1:-1, 1:-1].ravel() for y0 in suite.initial_states
         ])
-        if self.x0.real.any():
+        if x0.real.any():
             raise ExtensionError(
                 "the odd-conjugate reflection v(-t) = -conj v(t) needs "
                 "Re v(0) = 0 at every interior node"
             )
-        # per step, whether each state is nonzero
-        self.nonzero = np.zeros((n + 1, self.x0.shape[1]), dtype=bool)
-        self.nonzero[0] = self.x0.any(axis=0)
-        self.states = {0: self.x0}  # step -> block after that many steps
+        self.width = x0.shape[1]
+        self.states = {0: x0}  # step -> block after that many steps
         self.reached = 0
         # the suite's solves have no Dirichlet data: every step's boundary
         # term is +0, as solve_forward's is
-        zero = np.zeros((self.x0.shape[0], 1), dtype=complex)
-        self._steps = op.march(self.x0, itertools.repeat(zero, n))
-        # the level range last read, and each field's values there that
-        # are not handed out yet
-        self.range, self.handed = None, []
+        zero = np.zeros((x0.shape[0], 1), dtype=complex)
+        self._steps = suite.operator.march(x0, itertools.repeat(zero, n))
+        # the level range built last, and every field's values there
+        self.range, self.levels = None, None
 
     def read(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Solved field j at the levels lo..hi-1."""
-        if self.range != (lo, hi) or self.handed[j] is None:
+        if self.range != (lo, hi):
+            self.range, self.levels = None, None
             steps = [abs(k - self.n) for k in range(lo, hi)]
             for step in [step for step in self.states if step < min(steps)]:
                 del self.states[step]
             while self.reached < max(steps):
                 self.reached += 1
-                x = self.states[self.reached] = next(self._steps)
-                self.nonzero[self.reached] = x.any(axis=0)
-            ny, nx = self.grid.shape
-            levels = np.zeros((self.x0.shape[1], hi - lo, ny, nx), dtype=complex)
+                self.states[self.reached] = next(self._steps)
+            ny, nx = self.shape
+            levels = np.zeros((self.width, hi - lo, ny, nx), dtype=complex)
             for i, (k, step) in enumerate(zip(range(lo, hi), steps)):
                 interior = self.states[step].T.reshape(-1, ny - 2, nx - 2)
                 levels[:, i, 1:-1, 1:-1] = interior
@@ -798,55 +791,27 @@ class _Marched:
                     levels[:, i] = -np.conj(levels[:, i])
             for step in [step for step in self.states if step < max(steps) - HEAD]:
                 del self.states[step]
-            self.range, self.handed = (lo, hi), list(levels)
-        out, self.handed[j] = self.handed[j], None
-        return out
-
-    def live(self, j: int) -> tuple:
-        """_live_levels of solved field j's time support, which reflects
-        about the middle; all levels until the march has reached the
-        last one."""
-        nt = 2 * self.n + 1
-        if self.reached < self.n:
-            return 0, nt
-        steps = np.flatnonzero(self.nonzero[:, j])
-        if not steps.size:
-            return _live_levels(nt, None)
-        last = self.n + int(steps[-1])
-        return _live_levels(nt, (nt - 1 - last, last))
-
-
-class _Column:
-    """Solved field j of a _Marched block as a field of a walk."""
-
-    # _mirror_phase of every solved field: its levels are exact
-    # odd-conjugate mirrors (module notes, Mirror)
-    phase = complex(-1.0)
-
-    def __init__(self, block: _Marched, j: int):
-        self.block, self.j = block, j
-        self.grid, self.times, self.dt = block.grid, block.times, block.dt
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        return self.block.read(self.j, lo, hi)
-
-    @property
-    def live(self) -> tuple:
-        return self.block.live(self.j)
+            self.range, self.levels = (lo, hi), levels
+        return self.levels[j]
 
 
 def _suite_fields(suite: "FieldSuite") -> list:
     """The suite's fields as fields of a walk, in suite order: the solved
-    ones as the columns of one marched block, then each env(t) profile(x),
-    built a slab at a time."""
+    ones as the columns of one marched block, each mirrored with c = -1
+    and live on every level (module notes, Mirror and Support), then each
+    env(t) profile(x), built a slab at a time."""
+    times = suite.times
     fields = []
     if suite.initial_states:
         block = _Marched(suite)
-        fields += [_Column(block, j) for j in range(len(suite.initial_states))]
-    times = suite.times
+        fields += [
+            _Field(times, lambda lo, hi, j=j: block.read(j, lo, hi),
+                   complex(-1.0), (0, times.size))
+            for j in range(len(suite.initial_states))
+        ]
     for env, profile in suite.separable:
-        fields.append(_Field(
-            suite.grid, times,
+        fields.append(_Field.of(
+            times,
             lambda lo, hi, env=env, profile=profile: (
                 env[lo:hi, None, None] * profile[None, :, :]
             ),
@@ -881,7 +846,8 @@ def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q) -> list:
     potential q: the slab-major core of carleman_ratios and constant_sweep
     (module notes, Streaming)."""
     grid, coeff = on_grid.grid, on_grid.coeff
-    times, dt = fields[0].times, fields[0].dt
+    times = fields[0].times
+    dt = time_step(times)
     nt = times.size
     # sampled as floats and cast once, as it multiplies complex stacks
     q_nodes = grid.sample(q).astype(complex)
@@ -982,8 +948,10 @@ def carleman_ratios(
     from v's time support reaches are evaluated (module notes).  Raises
     NonFiniteReport when a component overflows.
     """
-    return _walk([_stored(v)], PairOnGrid.of(weight_pair, v.grid),
-                 list(params_list), q)[0]
+    _require_time_resolution(v)
+    field = _Field.of(v.times, lambda lo, hi: v.values[lo:hi])
+    return _walk([field], PairOnGrid.of(weight_pair, v.grid), list(params_list),
+                 q)[0]
 
 
 def carleman_ratio(

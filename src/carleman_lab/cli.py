@@ -313,19 +313,11 @@ def run_invert(cfg, out_dir: Path) -> int:
         inv._check_q(q0, instance)
     except ValueError as exc:
         raise ConfigError(f"inverse.q0: {exc}") from None
-    res = inv.reconstruct(
+    result = inv.reconstruct(
         instance, q0, beta=cfg.inverse.beta, max_iter=cfg.inverse.max_iter
     )
-    stalled = isinstance(res, inv.StalledReconstruction)
-    result = res.result if stalled else res
     payload = result.as_dict()
-    payload["stalled"] = stalled
     payload["regularity_note"] = REGULARITY_NOTE
-    if stalled:
-        payload["diagnostics"] = {
-            k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-            for k, v in res.diagnostics.items()
-        }
     columns = ("iterations", "initial_misfit", "final_misfit", "beta",
                "relative_error", "grad_norm", "converged", "stop_reason",
                "stalled")

@@ -60,17 +60,6 @@ class DegenerateSweep(ValueError):
     record, or a perturbation moved the potential but not the trace."""
 
 
-class StalledReconstruction(Exception):
-    """Descent could not make progress; returned (not raised) with the
-    partial result attached."""
-
-    def __init__(self, message: str, result: "ReconstructionResult",
-                 diagnostics: dict):
-        super().__init__(message)
-        self.result = result
-        self.diagnostics = diagnostics
-
-
 # --------------------------------------------------------------------------
 # problem instances
 
@@ -322,6 +311,7 @@ class ReconstructionResult:
     grad_norm: float
     converged: bool
     stop_reason: str
+    stalled: bool
 
     def as_dict(self):
         return {
@@ -333,6 +323,7 @@ class ReconstructionResult:
             "grad_norm": float(self.grad_norm),
             "converged": bool(self.converged),
             "stop_reason": self.stop_reason,
+            "stalled": bool(self.stalled),
         }
 
 
@@ -357,10 +348,9 @@ def reconstruct(
     instance.q_bound becomes box bounds.  Stops when |grad| has fallen to
     GRAD_RTOL times its value at q0, or after max_iter iterations
     ("iteration limit"); any other convergence L-BFGS-B reports gives its
-    own message as stop_reason.  Returns a ReconstructionResult, or a
-    StalledReconstruction instance (an Exception, returned rather than
-    raised) when the line search fails; the partial result at the last
-    accepted iterate rides along in its .result attribute.
+    own message as stop_reason.  When the line search fails, the result
+    at the last accepted iterate is returned with stalled set and scipy's
+    message in stop_reason.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -388,14 +378,14 @@ def reconstruct(
         _, value, grad = accepted
         return value == 0.0 or float(np.linalg.norm(grad)) <= floor
 
-    def result(iterations, reason, ok):
+    def result(iterations, reason, ok, stalled=False):
         x, value, grad = accepted
         return ReconstructionResult(
             q_hat=x.reshape(shape), iterations=iterations,
             initial_misfit=initial, final_misfit=value, beta=beta,
             relative_error=_relative_error(x.reshape(shape), instance),
             grad_norm=float(np.linalg.norm(grad)), converged=ok,
-            stop_reason=reason,
+            stop_reason=reason, stalled=stalled,
         )
 
     if converged():
@@ -429,17 +419,7 @@ def reconstruct(
         return result(nit, "iteration limit", False)
     if status == 0:
         return result(nit, res.message, True)
-    partial = result(nit, "line search failed", False)
-    return StalledReconstruction(
-        "no step satisfied the descent condition",
-        partial,
-        {
-            "grad_norm": partial.grad_norm,
-            "misfit": partial.final_misfit,
-            "iteration": partial.iterations,
-            "message": res.message,
-        },
-    )
+    return result(nit, f"line search failed ({res.message})", False, True)
 
 
 # --------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_criterion_9_gradient_and_reconstruction():
     bump = 0.35 * np.exp(-((pts[..., 0] + 0.1) ** 2 + pts[..., 1] ** 2) / 0.18)
     q0 = inst.p_true - bump
     result = inv.reconstruct(inst, q0, beta=1e-6, max_iter=100)
-    assert not isinstance(result, inv.StalledReconstruction)
+    assert not result.stalled
     assert result.iterations <= 100
     assert result.relative_error <= 0.05, (
         f"reconstruction error {result.relative_error:.4f}"

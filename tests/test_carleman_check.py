@@ -885,6 +885,25 @@ class TestMirroredRatio:
             cc._live_levels(fld.nt, time_support(fld)) for fld in held
         ]
 
+    def test_a_marched_column_reads_alike_however_often_it_is_read(self):
+        # the block serves every read of the range it built last: columns
+        # read in reverse order, and one read twice, on each range of the
+        # walk's plan, give the values of the fields held whole
+        layout, grid, coeff, pair, params = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        suite = cc.build_test_suite(grid, coeff, q, params.T, n_steps=20, seed=11)
+        n_solved = len(suite.initial_states)
+        walked = cc._suite_fields(suite)[:n_solved]
+        held = list(oracles.suite_fields(suite))[:n_solved]
+        nt = suite.times.size
+        mirrored, _ = cc._plan(nt)
+        assert len(mirrored) > 2
+        for start, stop in mirrored:
+            lo, hi = max(start - 1, 0), min(stop + 1, nt)
+            for k in [*range(n_solved)][::-1] + [0]:
+                assert np.array_equal(walked[k].read(lo, hi),
+                                      held[k].values[lo:hi]), (start, k)
+
     def test_even_conjugate_field_equals_the_whole_stack_bit_for_bit(self):
         # the tests' manufactured field is exactly even-conjugate: c = +1
         layout, grid, coeff, pair, base = small_problem(nx=13)

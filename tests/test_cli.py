@@ -853,6 +853,24 @@ class TestInvert:
         rows = (out / "invert.csv").read_text().splitlines()
         assert rows[4].count(",") == 8  # one data row, nine columns
 
+    def test_stalled_descent_is_flagged(self, tmp_path, capsys, monkeypatch):
+        # no trial step lowers the misfit: the run still writes its result,
+        # flagged, with scipy's message as the stop reason
+        def nowhere_lower(q, instance, beta, ref):
+            return (1.0 if np.array_equal(q, ref) else 2.0), np.ones_like(q)
+
+        monkeypatch.setattr(inv, "misfit_and_gradient", nowhere_lower)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["invert", "--config", str(cfg),
+                         "--output-dir", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        doc = load_json(out / "invert.json")
+        assert doc["stalled"] is True and doc["converged"] is False
+        assert doc["stop_reason"].startswith("line search failed (ABNORMAL")
+        assert "diagnostics" not in doc
+
 
 class TestStability:
     def test_deterministic_and_seed_sensitive(self, tmp_path):

@@ -374,13 +374,12 @@ class TestReconstruct:
         inst = make_instance()
         q0 = inst.p_true + 0.2
         res = inv.reconstruct(inst, q0, beta=0.0, max_iter=5)
-        assert isinstance(res, inv.StalledReconstruction)
-        assert isinstance(res, Exception)
-        assert res.result.iterations == 0
-        assert res.result.stop_reason == "line search failed"
-        assert res.result.final_misfit <= res.result.initial_misfit
-        assert "grad_norm" in res.diagnostics
-        assert res.diagnostics["message"].startswith("ABNORMAL")
+        assert isinstance(res, inv.ReconstructionResult)
+        assert res.stalled and not res.converged
+        assert res.iterations == 0
+        assert res.stop_reason.startswith("line search failed (ABNORMAL")
+        assert res.final_misfit <= res.initial_misfit
+        assert res.as_dict()["stalled"] is True
 
     def test_bounded_iterates_stay_in_the_box(self, monkeypatch):
         # the true potential reaches 1.34, so the bound is active
@@ -430,9 +429,8 @@ class TestReconstruct:
             bump = 0.3 * np.exp(-((pts[..., 0] + 0.1) ** 2 + pts[..., 1] ** 2) / 0.18)
             q0 = inst.p_true - bump
             res = inv.reconstruct(inst, q0, beta=1e-5, max_iter=40)
-            result = res.result if isinstance(res, inv.StalledReconstruction) else res
-            assert result.final_misfit <= result.initial_misfit
-            errors[noise] = result.relative_error
+            assert res.final_misfit <= res.initial_misfit
+            errors[noise] = res.relative_error
         assert errors[0.0] <= 0.01
         assert errors[0.01] <= 0.12
 

@@ -69,7 +69,8 @@ equals the one at level k: w, P1 w, P2 w, grad w and L v at -t are
 c times the conjugates of theirs at t (the weight factors are even, tau'
 is odd, the stencils are real, and q, the potential p, is real: it is
 sampled as floats).  _mirror_phase reads c off v's
-largest-modulus entry.  For c = -1 (every solved field) and c = +1 the
+largest-modulus entry; the walk asks only whether a field is mirrored,
+and c enters no density.  For c = -1 (every solved field) and c = +1 the
 symmetry is checked exactly, and the densities then agree bit for bit, as
 negation and conjugation are exact.  Any other c (the manufactured fields,
 bump(t) e^{i (omega t + phase)}, have c = e^{2 i phase}) holds to within
@@ -85,7 +86,10 @@ rounding only.  Mirroring starts at level nt // 2 whatever SLAB is, so
 no report depends on SLAB.  A suite's time axis is the march's levels
 reflected about t = 0, so exactly antisymmetric, and every solved field
 is mirrored with c = -1: its levels are exact mirrors by construction,
-as _Marched requires Re v(0) = 0 exactly of every initial state.
+as _Marched requires Re v(0) = 0 exactly of every initial state.  A
+separable field env(t) profile(x) has a real profile that is not 0, so
+v(-t) = c conj v(t) holds when env(-t) = c conj env(t) does: its verdict
+is read off the 1-D env, not off the (nt, ny, nx) stack.
 
 Support: a level's six densities are exactly 0 when v is 0 on every level
 its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
@@ -95,13 +99,16 @@ reads the levels the time stencil reads.  The walk finds each field's
 time support, the first and last level where it is not identically 0
 (_time_support), evaluates a field only on the planned slabs that hold a
 level a stencil from the support reaches, and sets the densities at
-every other level to 0.  As each level is reduced on its own (Kernels),
-the report stays bit-identical to whole-stack evaluation.  A solved
-field is live on every level, as its unitary march from a nonzero state
-never reaches a level that is 0 (a zero state's densities are exactly 0
-everywhere).  Each compactly supported manufactured field of the sweep
-has 79 live levels, 25..103; as it is mirrored, the walk evaluates it on
-the five slabs of 64..103 only.
+every other level to 0.  A separable field of a suite is 0 at a level
+where its env is and, as its profile is not 0, nowhere else short of an
+underflow in env profile, which would only add levels whose densities
+are 0: its support is read off env.  As each level is reduced on its
+own (Kernels), the report stays bit-identical to whole-stack evaluation.
+A solved field is live on every level, as its unitary march from a
+nonzero state never reaches a level that is 0 (a zero state's densities
+are exactly 0 everywhere).  Each compactly supported manufactured field
+of the sweep has 79 live levels, 25..103; as it is mirrored, the walk
+evaluates it on the five slabs of 64..103 only.
 
 Kernels: every spatial integral has one rule: np.sum adds up each level's
 row of a C-contiguous integrand on its own (_space_integral, and the
@@ -117,6 +124,18 @@ agree, signs of zero included, while no nonzero component rounds to 0,
 which r >= 1 rules out; for 2h > 1 the division is kept.  Non-finite
 values may differ (inf 0 is nan in the division), and a real quotient
 stays a division, which a product by r does not always round alike.
+Over a whole axis of a C-contiguous stack the central differences are
+one pass over the flattened array at the axis's stride s, flat[2s:] -
+flat[:-2s] into the flat range [s, size - s) of the result, where the
+strided views (..., 1:-1) would take them row by row.  Each interior
+entry is the same difference of the same two values, so its bits are
+np.gradient's.  Where the flat range crosses a row or a level, a seam
+pairs values of two rows; every seam lies on a rim row or column, which
+the one-sided end stencils then overwrite.  A seam difference is
+bounded as an interior one is: both are at most 2 max|w| r in modulus,
+and |w| <= e^700 max|v| (the clip), so neither overflows while
+max|v| r < 8.8e3.  The time derivative's slabs, which take part of
+their axis, and non-contiguous input keep the strided views.
 _apply_flux multiplies the real stencil into the float64 view of the
 node-major stack, 2 nt real vectors for a complex stack, where scipy
 would multiply in complex arithmetic: each component's terms differ at
@@ -325,8 +344,10 @@ def _derivative(values: np.ndarray, h: float, axis: int,
     """d/d(axis) of values at the spacing h, at the indices part along axis:
     np.gradient's uniform-spacing stencil with edge_order=2, operation for
     operation, except that a complex interior quotient is a product
-    (module notes, Kernels).  An end's one-sided stencil is built only
-    when part holds that end."""
+    (module notes, Kernels).  Over a whole axis of a C-contiguous stack
+    the central differences are one pass over the flattened array at the
+    axis's stride, and the end stencils overwrite its seams.  An end's
+    one-sided stencil is built only when part holds that end."""
     n = values.shape[axis]
     if n < 3:
         raise ValueError("the second-order stencil needs 3 points along axis")
@@ -336,10 +357,16 @@ def _derivative(values: np.ndarray, h: float, axis: int,
         return (slice(None),) * axis + (index,)
 
     out = np.empty_like(values[at(slice(lo, hi))])
-    first, stop = max(lo, 1), min(hi, n - 1)  # the central indices
-    inner = out[at(slice(first - lo, stop - lo))]
-    np.subtract(values[at(slice(first + 1, stop + 1))],
-                values[at(slice(first - 1, stop - 1))], out=inner)
+    if (lo, hi) == (0, n) and values.flags.c_contiguous:
+        s = values.strides[axis] // values.itemsize
+        flat = values.reshape(-1)
+        inner = out.reshape(-1)[s:-s]
+        np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
+    else:
+        first, stop = max(lo, 1), min(hi, n - 1)  # the central indices
+        inner = out[at(slice(first - lo, stop - lo))]
+        np.subtract(values[at(slice(first + 1, stop + 1))],
+                    values[at(slice(first - 1, stop - 1))], out=inner)
     if np.iscomplexobj(values) and 2.0 * h <= 1.0:
         inner *= complex(1.0 / (2.0 * h), -0.0)
     else:
@@ -722,18 +749,20 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
 
 class _Field(NamedTuple):
     """A field of a walk: read(lo, hi) gives its values at the levels
-    lo..hi-1 of the uniform times, with its mirror phase and live levels."""
+    lo..hi-1 of the uniform times, with whether it is mirrored and its
+    live levels."""
 
     times: np.ndarray
     read: Callable
-    phase: Optional[complex]
+    mirrored: bool
     live: tuple
 
     @classmethod
     def of(cls, times: np.ndarray, read: Callable) -> "_Field":
-        """The field read gives, its phase and live levels read off it."""
+        """The field read gives, with its mirror verdict and live levels
+        read off it."""
         nt = times.size
-        return cls(times, read, _mirror_phase(times, read),
+        return cls(times, read, _mirror_phase(times, read) is not None,
                    _live_levels(nt, _time_support(nt, read)))
 
 
@@ -798,21 +827,23 @@ class _Marched:
 def _suite_fields(suite: "FieldSuite") -> list:
     """The suite's fields as fields of a walk, in suite order: the solved
     ones as the columns of one marched block, each mirrored with c = -1
-    and live on every level (module notes, Mirror and Support), then each
-    env(t) profile(x), built a slab at a time."""
+    and live on every level, then each env(t) profile(x), built a slab at
+    a time, its mirror verdict and live levels read off env (module notes,
+    Mirror and Support)."""
     times = suite.times
     fields = []
     if suite.initial_states:
         block = _Marched(suite)
         fields += [
             _Field(times, lambda lo, hi, j=j: block.read(j, lo, hi),
-                   complex(-1.0), (0, times.size))
+                   True, (0, times.size))
             for j in range(len(suite.initial_states))
         ]
     for env, profile in suite.separable:
-        fields.append(_Field.of(
-            times,
-            lambda lo, hi, env=env, profile=profile: (
+        # the profile is real and not 0, so env's facts are the field's
+        facts = _Field.of(times, lambda lo, hi, env=env: env[lo:hi])
+        fields.append(facts._replace(
+            read=lambda lo, hi, env=env, profile=profile: (
                 env[lo:hi, None, None] * profile[None, :, :]
             ),
         ))
@@ -869,7 +900,7 @@ def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q) -> list:
         takers = [
             i for i, fld in enumerate(fields)
             if max(start, fld.live[0]) < min(stop, fld.live[1])
-            and (everyone or fld.phase is None)
+            and (everyone or not fld.mirrored)
         ]
         if not takers:
             continue
@@ -907,7 +938,7 @@ def _walk(fields: list, on_grid: PairOnGrid, params_list: list, q) -> list:
         live_lo, live_hi = fld.live
         per_field[..., :live_lo] = 0.0
         per_field[..., live_hi:] = 0.0
-        if lower and fld.phase is not None:
+        if lower and fld.mirrored:
             mid = nt // 2
             per_field[..., HEAD:mid] = per_field[..., nt - 1 - HEAD : nt - 1 - mid : -1]
         # per params: lhs, rhs_residual, rhs_boundary, summed weight by weight

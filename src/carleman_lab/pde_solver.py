@@ -34,13 +34,18 @@ needs no product with A.  A is real symmetric, so P is complex
 symmetric, P = P^T to the bit, and every step is one transpose solve
 (trans="T") with the factor of P's columns in the grid's order: it takes
 the right-hand side in that order and gives the solution in the natural
-one, with no gather.  It is also the fastest of SuperLU's three solves
-here: one column takes 43.7 us against 52.4 us for trans="N" and 50.0 us
-for trans="H" at nx = 33 (111 us, 134 us and 129 us at nx = 48), one
-BLAS thread on a 2-vCPU x86-64 host.  M = P^H = conj(P), so the adjoint
-step M^{-1} (2 lam + rho) - lam is the conjugate of the same step on
-conj(lam) and conj(rho): the adjoint marches mu = conj(lam) through step,
-on conj(rho).
+one, with no gather.  On one column it is also the fastest of SuperLU's
+three solves: 43.7 us against 52.4 us for trans="N" and 50.0 us for
+trans="H" at nx = 33 (111 us, 134 us and 129 us at nx = 48), one BLAS
+thread on a 2-vCPU x86-64 host.  On a k-column block it is not: SuperLU
+takes a transpose solve's block column by column, so the sweep's
+five-column march of 64 steps takes 41-45 ms against 35-37 ms for "N" at
+nx = 48.  The transpose solve is kept there because it gives each column
+of a block the bits of its one-column march on every BLAS kernel
+(carleman_check module notes, Streaming).  M = P^H = conj(P), so the
+adjoint step M^{-1} (2 lam + rho) - lam is the conjugate of the same
+step on conj(lam) and conj(rho): the adjoint marches mu = conj(lam)
+through step, on conj(rho).
 """
 
 from __future__ import annotations

@@ -857,9 +857,10 @@ class TestMirroredRatio:
             assert_same_report(got, whole_stack_ratio(fld, pair, params, q))
 
     def test_every_solved_field_of_the_sweep_suite_is_mirrored(self):
-        # the speed-up rests on extend_time giving every solved field the
-        # exact symmetry; the manufactured fields, bump(t) e^{i (omega t +
-        # phase)}, hold it up to the unit phase e^{2 i phase}, to rounding
+        # the march mirrors every solved field by construction, c = -1
+        # exactly; the manufactured fields, bump(t) e^{i (omega t +
+        # phase)}, hold the symmetry up to the unit phase e^{2 i phase},
+        # to rounding
         grid, coeff, q, suite = sweep_suite()
         n_solved = len(suite.initial_states)
         assert not np.iscomplexobj(q)
@@ -872,7 +873,8 @@ class TestMirroredRatio:
             assert abs(c.imag) > 1e-3
         # the walk's fields, the solved ones marched as one block, read in
         # the walk's order, slab by slab with their halos, the values of
-        # the fields held whole and take their phases and live levels
+        # the fields held whole and take their mirror verdicts and live
+        # levels
         walked = cc._suite_fields(suite)
         nt = suite.times.size
         mirrored, _ = cc._plan(nt)
@@ -880,10 +882,50 @@ class TestMirroredRatio:
             lo, hi = max(start - 1, 0), min(stop + 1, nt)
             for k, (fld, whole) in enumerate(zip(walked, held)):
                 assert np.array_equal(fld.read(lo, hi), whole.values[lo:hi]), k
-        assert [fld.phase for fld in walked] == phases
+        assert [fld.mirrored for fld in walked] == [
+            c is not None for c in phases
+        ]
         assert [fld.live for fld in walked] == [
             cc._live_levels(fld.nt, time_support(fld)) for fld in held
         ]
+
+    @pytest.mark.parametrize("shipped", [True, False])
+    def test_walked_suite_facts_equal_the_stack_detector(self, shipped,
+                                                         monkeypatch):
+        # a separable field's mirror verdict and live levels are read off
+        # its 1-D env: they equal the detector's verdict on the field held
+        # whole, and no detector reads an (nt, ny, nx) level range
+        if shipped:
+            grid, coeff, q, suite = sweep_suite()
+        else:
+            layout, grid, coeff, pair, params = small_problem(nx=13)
+            q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+            suite = small_suite(grid, coeff, q, params, n_steps=20, n_solved=2,
+                                n_manufactured=4, seed=11)
+        want = [
+            (mirror_phase(fld) is not None,
+             cc._live_levels(fld.nt, time_support(fld)))
+            for fld in oracles.suite_fields(suite)
+        ]
+        calls = {"_mirror_phase": [], "_time_support": []}
+
+        def counted(name):
+            detector = getattr(cc, name)
+
+            def wrapper(first, read):
+                def counting(lo, hi):
+                    levels = read(lo, hi)
+                    calls[name].append(levels.ndim)
+                    return levels
+                return detector(first, counting)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cc, name, counted(name))
+        walked = cc._suite_fields(suite)
+        assert [(fld.mirrored, fld.live) for fld in walked] == want
+        for name, ndims in calls.items():
+            assert ndims and set(ndims) == {1}, name
 
     def test_a_marched_column_reads_alike_however_often_it_is_read(self):
         # the block serves every read of the range it built last: columns
@@ -1192,6 +1234,12 @@ def special_stack(rng, shape, dtype):
     return out
 
 
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
 def manufactured_report_hex():
     """float.hex of lhs, rhs_residual and rhs_boundary of carleman_ratios
     on a 129-level manufactured field at nx = 13."""
@@ -1216,6 +1264,10 @@ class TestKernels:
         shape = [4, 5, 6]
         shape[axis] = length
         values = special_stack(rng, tuple(shape), dtype)
+        # a whole axis of a C-contiguous stack takes its central
+        # differences in one pass over the flattened stack, and the end
+        # stencils overwrite every seam where it crosses a row or a level
+        assert values.flags.c_contiguous
         # the sweep's dt and h, 2h = 1 and 2h > 1 (the quotient may round
         # a nonzero to 0 there, and the division is kept)
         for h in (1.0 / 64.0, 2.2 / 47.0, 0.5, 3.0):
@@ -1223,6 +1275,32 @@ class TestKernels:
             got = cc._derivative(values, h, axis)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), h
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_strided_fallback_on_a_non_contiguous_view(self, dtype):
+        # no flat pass over a view whose flat order is not its memory's
+        rng = np.random.default_rng(13)
+        values = special_stack(rng, (5, 34, 7), dtype)[:, :, ::-1]
+        assert not values.flags.c_contiguous
+        for axis in (0, 1, 2):
+            for h in (1.0 / 64.0, 2.2 / 47.0, 3.0):
+                want = np.gradient(values, h, axis=axis, edge_order=2)
+                assert_same_bits(cc._derivative(values, h, axis), want)
+
+    @pytest.mark.parametrize("nt", [2 * cc.SLAB + 3, 129])
+    def test_time_derivative_of_each_slab_as_the_walk_takes_it(self, nt):
+        # each planned slab read with its one-level halo, d/dt at the
+        # slab's levels only: the whole stack's at those levels
+        rng = np.random.default_rng(nt)
+        values = special_stack(rng, (nt, 5, 6), complex)
+        dt = 1.0 / 64.0
+        want = np.gradient(values, dt, axis=0, edge_order=2)
+        mirrored, lower = cc._plan(nt)
+        for start, stop in mirrored + lower:
+            lo, hi = max(start - 1, 0), min(stop + 1, nt)
+            core = slice(start - lo, stop - lo)
+            got = cc._derivative(values[lo:hi], dt, 0, core)
+            assert_same_bits(got, want[start:stop])
 
     def test_stack_derivatives_call_the_stencil_per_axis(self):
         rng = np.random.default_rng(11)

@@ -811,7 +811,7 @@ class TestCarlemanSweep:
         assert np.array_equal(times[::-1], -times)
         for fld in fields:
             assert np.array_equal(fld.times, times)
-            assert fld.phase is not None
+            assert fld.mirrored
 
     def test_long_horizon_sweep_exits_0(self, tmp_path, capsys):
         # at T = 1e6 the march's last level (t_max / 23) 23 rounds 1.16e-10

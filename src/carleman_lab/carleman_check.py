@@ -34,16 +34,18 @@ and keeps both sides inside double-precision range; reported lhs/rhs
 components therefore carry that common normalization.
 
 Streaming: the fields that share a grid and a time axis are evaluated in
-one slab-major walk (_walk): carleman_ratios walks its one field, and
-constant_sweep a whole suite.  Each weight's phi factors are built once
-per params for the walk (tau over the whole time axis, the space arrays
-once).  The walk visits the planned slabs of SLAB time levels one at a
-time.  It reads each field that is live on the slab with one extra level
-on each side, so the time derivative taken over it is the whole stack's
-at the slab's levels, and builds the field's L v there once.  Then, for
-each weight and params, it builds the slab's field-independent arrays
-once, the conjugation factors, P1's potential, P2's three factors and the
-norm's weights (_Factors), and evaluates every field with them.  Every
+one slab-major walk (_walk): carleman_ratios walks its one field, whose
+mirror verdict and live levels its caller declares, and constant_sweep a
+whole suite, which declares them for each of its fields (Mirror,
+Support).  Each weight's phi factors are built once per params for the
+walk (tau over the whole time axis, the space arrays once).  The walk
+visits the planned slabs of SLAB time levels one at a time.  It reads
+each field that is live on the slab with one extra level on each side,
+so the time derivative taken over it is the whole stack's at the slab's
+levels, and builds the field's L v there once.  Then, for each weight
+and params, it builds the slab's field-independent arrays once, the
+conjugation factors, P1's potential, P2's three factors and the norm's
+weights (_Factors), and evaluates every field with them.  Every
 term is reduced in space into its per-time density, and each density is
 integrated once over the whole time axis by the trapezoidal rule.  Every
 floating-point operation is the one the whole-stack operators perform,
@@ -68,13 +70,11 @@ on an exactly antisymmetric time axis, each density at level nt-1-k
 equals the one at level k: w, P1 w, P2 w, grad w and L v at -t are
 c times the conjugates of theirs at t (the weight factors are even, tau'
 is odd, the stencils are real, and q, the potential p, is real: it is
-sampled as floats).  _mirror_phase reads c off v's
-largest-modulus entry; the walk asks only whether a field is mirrored,
-and c enters no density.  For c = -1 (every solved field) and c = +1 the
-symmetry is checked exactly, and the densities then agree bit for bit, as
-negation and conjugation are exact.  Any other c (the manufactured fields,
-bump(t) e^{i (omega t + phase)}, have c = e^{2 i phase}) holds to within
-MIRROR_ULPS eps of the peak modulus, and the mirrored densities agree
+sampled as floats).  The walk asks only whether a field is mirrored, and
+c enters no density.  For c = -1 (every solved field) and c = +1 the
+densities agree bit for bit, as negation and conjugation are exact.  Any
+other c (the manufactured fields, bump(t) e^{i (omega t + phase)}, have
+c = e^{2 i phase}) holds to rounding, and the mirrored densities agree
 with the computed ones to rounding.  The end levels are the exception,
 as the one-sided stencils of d/dt sum their terms in opposite orders.
 For a mirrored field the walk evaluates a head slab of levels 0..HEAD-1
@@ -83,32 +83,36 @@ every level between them takes its mirror's densities; each level is
 reduced on its own (Kernels), so for c = +-1 the report stays
 bit-identical to whole-stack evaluation, and for any other c it moves by
 rounding only.  Mirroring starts at level nt // 2 whatever SLAB is, so
-no report depends on SLAB.  A suite's time axis is the march's levels
-reflected about t = 0, so exactly antisymmetric, and every solved field
-is mirrored with c = -1: its levels are exact mirrors by construction,
-as _Marched requires Re v(0) = 0 exactly of every initial state.  A
-separable field env(t) profile(x) has a real profile that is not 0, so
-v(-t) = c conj v(t) holds when env(-t) = c conj env(t) does: its verdict
-is read off the 1-D env, not off the (nt, ny, nx) stack.
+no report depends on SLAB.  A suite declares every field mirrored: its
+time axis is the march's levels reflected about t = 0, so exactly
+antisymmetric; each solved field's levels are exact mirrors with c = -1,
+as _Marched requires Re v(0) = 0 exactly of every initial state; and
+each separable field, bump(t) e^{i (omega t + phase)} times a real
+profile, has c = e^{2 i phase}.  carleman_ratios takes the verdict from
+its caller, and a detector in tests/ (oracles.mirror_phase) checks every
+declaration.
 
 Support: a level's six densities are exactly 0 when v is 0 on every level
 its time stencil reads (k-1..k+1 inside, 0..2 at k = 0, nt-3..nt-1 at
 k = nt-1): w = v e^{-s phi} is 0 there, as the factor is finite (clipped
 at e^700); the space stencils act within one level; and L v at level k
-reads the levels the time stencil reads.  The walk finds each field's
-time support, the first and last level where it is not identically 0
-(_time_support), evaluates a field only on the planned slabs that hold a
-level a stencil from the support reaches, and sets the densities at
-every other level to 0.  A separable field of a suite is 0 at a level
-where its env is and, as its profile is not 0, nowhere else short of an
-underflow in env profile, which would only add levels whose densities
-are 0: its support is read off env.  As each level is reduced on its
-own (Kernels), the report stays bit-identical to whole-stack evaluation.
-A solved field is live on every level, as its unitary march from a
-nonzero state never reaches a level that is 0 (a zero state's densities
-are exactly 0 everywhere).  Each compactly supported manufactured field
-of the sweep has 79 live levels, 25..103; as it is mirrored, the walk
-evaluates it on the five slabs of 64..103 only.
+reads the levels the time stencil reads.  A field's live levels are
+those a stencil from its time support, the first and last level where
+it is not identically 0, reaches (_live_levels).  The walk evaluates a
+field only on the planned slabs that hold a live level, and sets the
+densities at every other level to 0; as each level is reduced on its own
+(Kernels), the report stays bit-identical to whole-stack evaluation.  A
+suite declares each field's live levels: a solved field is live on every
+level, as its unitary march from a nonzero state never reaches a level
+that is 0 (a zero state's densities are exactly 0 everywhere); a
+separable field is 0 at a level where its env is and, as its profile is
+not 0, nowhere else short of an underflow in env profile, which would
+only add levels whose densities are 0, so its support is env's.
+carleman_ratios takes the live levels from its caller, and the detector
+in tests/ (oracles.time_support) checks every declaration.  Each
+compactly supported manufactured field of the sweep has 79 live levels,
+25..103; as it is mirrored, the walk evaluates it on the five slabs of
+64..103 only.
 
 Kernels: every spatial integral has one rule: np.sum adds up each level's
 row of a C-contiguous integrand on its own (_space_integral, and the
@@ -198,9 +202,6 @@ SLAB = 8
 # levels of a mirrored field's head slab, which holds level 0: the fewest
 # whose one-level halo still gives d/dt its 3-level stencil
 HEAD = 2
-# a mirror phase c off +-1 holds to within this many eps of a field's peak
-# modulus, and |c| and a real c to within as many eps of 1
-MIRROR_ULPS = 8
 
 
 class InequalityViolation(Exception):
@@ -270,17 +271,6 @@ def _plan(nt: int) -> tuple:
     return _slabs(mid, nt) + [(0, HEAD)], _slabs(HEAD, mid)[::-1]
 
 
-def _time_support(nt: int, read: Callable) -> Optional[tuple]:
-    """(first, last) level at which a field is not identically 0, read
-    slab by slab (read(lo, hi) gives its levels lo..hi-1); None when it is
-    0 at every level."""
-    nonzero = np.concatenate([
-        read(lo, hi).reshape(hi - lo, -1).any(axis=1) for lo, hi in _slabs(0, nt)
-    ])
-    nonzero = np.flatnonzero(nonzero)
-    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
-
-
 def _live_levels(nt: int, support: Optional[tuple]) -> tuple:
     """[lo, hi): the levels whose time stencil reads a level of support,
     the only ones whose densities can be nonzero (module notes)."""
@@ -290,53 +280,6 @@ def _live_levels(nt: int, support: Optional[tuple]) -> tuple:
     lo = 0 if first <= 2 else first - 1
     hi = nt if last >= nt - 3 else last + 2
     return lo, hi
-
-
-def _mirror_phase(times: np.ndarray, read: Callable) -> Optional[complex]:
-    """The unit c with values[::-1] == c conj(values) on times[::-1] ==
-    -times, or None, for the field that read(lo, hi) gives level range by
-    level range.  c is read off the largest-modulus entry; a c within
-    MIRROR_ULPS eps of +1 or -1 is that sign and must hold exactly, any
-    other c to within MIRROR_ULPS eps of the peak modulus (module notes,
-    Mirror).  The values are searched and compared slab by slab."""
-    nt = times.size
-    if not np.array_equal(times[::-1], -times):
-        return None
-    peak, at = 0.0, None
-    for start, stop in _slabs(0, nt):
-        modulus = np.abs(read(start, stop))
-        k = int(np.argmax(modulus))
-        if modulus.flat[k] > peak:
-            level, *node = np.unravel_index(k, modulus.shape)
-            peak, at = float(modulus.flat[k]), (start + level, *node)
-        del modulus
-    if at is None or not np.isfinite(peak):
-        return None
-    level, *node = at
-    mirror = read(nt - 1 - level, nt - level)[(0, *node)]
-    c = complex(mirror / np.conj(read(level, level + 1)[(0, *node)]))
-    tol = MIRROR_ULPS * np.finfo(float).eps
-    if not abs(abs(c) - 1.0) <= tol:
-        return None
-    bound = tol * peak
-    for sign in (1.0, -1.0):
-        if abs(c - sign) <= tol:
-            # negation and conjugation are exact: the gap must be 0
-            c, bound = complex(sign), 0.0
-    for start, stop in _slabs(0, (nt + 1) // 2):
-        # c conj(high) - low, the gap of high == c conj(low) for |c| = 1; a
-        # copy of the reversed view takes none of a ufunc's buffers
-        low = read(start, stop)
-        gap = np.empty_like(low)
-        gap[...] = read(nt - stop, nt - start)[::-1]
-        np.conjugate(gap, out=gap)
-        gap *= c
-        gap -= low
-        worst = np.abs(gap).max()
-        del gap
-        if not worst <= bound:
-            return None
-    return c
 
 
 def _derivative(values: np.ndarray, h: float, axis: int,
@@ -586,8 +529,8 @@ class _Factors(NamedTuple):
     phi: _Phi
     # s^2 a |grad phi|^2
     potential: np.ndarray
-    # 2 s tau a, s tau div(a grad beta) and i s tau' beta; None at s = 0
-    p2: Optional[tuple]
+    # 2 s tau a, s tau div(a grad beta) and i s tau' beta
+    p2: tuple
 
     @classmethod
     def of(cls, phi: _Phi, times: np.ndarray) -> "_Factors":
@@ -596,16 +539,14 @@ class _Factors(NamedTuple):
         s = space.params.s
         tau = phi.tau[:, None, None]
         potential = space.p1_potential[None, :, :] * (phi.tau**2)[:, None, None]
-        p2 = None
-        if s != 0.0:
-            # grad phi = tau grad beta
-            a2d = space.coeff.at_nodes.reshape(space.shape)
-            tau_prime = 2.0 * np.asarray(times, dtype=float)[:, None, None] * tau**2
-            p2 = (
-                (2.0 * s * tau * a2d).astype(complex),
-                (s * tau * space.div_a_grad_beta).astype(complex),
-                1j * s * tau_prime * space.beta,
-            )
+        # grad phi = tau grad beta
+        a2d = space.coeff.at_nodes.reshape(space.shape)
+        tau_prime = 2.0 * np.asarray(times, dtype=float)[:, None, None] * tau**2
+        p2 = (
+            (2.0 * s * tau * a2d).astype(complex),
+            (s * tau * space.div_a_grad_beta).astype(complex),
+            1j * s * tau_prime * space.beta,
+        )
         return cls(phi, potential.astype(complex), p2)
 
 
@@ -620,8 +561,6 @@ def apply_P2(w: np.ndarray, grad, factors: _Factors) -> np.ndarray:
     """P2 w = i s phi' w + 2 s a grad phi . grad w + s div(a grad phi) w,
     grad w being grad = (d/dy, d/dx) w.  The terms are built in grad's
     buffers."""
-    if factors.p2 is None:
-        return np.zeros(w.shape, dtype=complex)
     gbx, gby = factors.phi.space.grad_beta
     along, across, in_time = factors.p2
     # the stacked terms reuse the gradient buffers, so at most three
@@ -684,13 +623,15 @@ def _l2_density(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     return _space_integral(values.real**2 + values.imag**2, grid.cell_weights)
 
 
+def _beta_floor(params: CarlemanParams) -> float:
+    """beta = alpha - e^{lam psi} at psi_sup, the scanned sup of psi."""
+    return params.alpha - float(np.exp(params.lam * params.psi_sup))
+
+
 def _common_log_shift(spaces: Sequence[_PhiSpace], params: CarlemanParams) -> float:
     """s * phi_ref with phi_ref <= min phi over the pair and the grid."""
-    if params.s == 0.0:
-        return 0.0
     beta_min = min(
-        min(float(space.beta.min()) for space in spaces),
-        params.alpha - float(np.exp(params.lam * params.psi_sup)),
+        min(float(space.beta.min()) for space in spaces), _beta_floor(params)
     )
     beta_min = max(beta_min, 0.0)
     return params.s * beta_min / (params.T * params.T)
@@ -739,9 +680,8 @@ def _boundary_term(wvals: np.ndarray, phi: _Phi) -> np.ndarray:
 
 def clamp_tail_bound(params: CarlemanParams) -> float:
     """e^{-2 s phi} at the time clamp, bounding the discarded tail mass."""
-    beta_min = params.alpha - float(np.exp(params.lam * params.psi_sup))
     tau_clamp = _clamp_tau(params.T, params.delta_t)
-    log_tail = -2.0 * params.s * beta_min * tau_clamp
+    log_tail = -2.0 * params.s * _beta_floor(params) * tau_clamp
     if log_tail < _LOG_FLUSH:
         return 0.0
     return float(np.exp(min(log_tail, _LOG_CLIP)))
@@ -749,21 +689,13 @@ def clamp_tail_bound(params: CarlemanParams) -> float:
 
 class _Field(NamedTuple):
     """A field of a walk: read(lo, hi) gives its values at the levels
-    lo..hi-1 of the uniform times, with whether it is mirrored and its
-    live levels."""
+    lo..hi-1 of the uniform times, with its declared mirror verdict and
+    live levels (module notes, Mirror and Support)."""
 
     times: np.ndarray
     read: Callable
     mirrored: bool
     live: tuple
-
-    @classmethod
-    def of(cls, times: np.ndarray, read: Callable) -> "_Field":
-        """The field read gives, with its mirror verdict and live levels
-        read off it."""
-        nt = times.size
-        return cls(times, read, _mirror_phase(times, read) is not None,
-                   _live_levels(nt, _time_support(nt, read)))
 
 
 class _Marched:
@@ -826,9 +758,9 @@ class _Marched:
 
 def _suite_fields(suite: "FieldSuite") -> list:
     """The suite's fields as fields of a walk, in suite order: the solved
-    ones as the columns of one marched block, each mirrored with c = -1
-    and live on every level, then each env(t) profile(x), built a slab at
-    a time, its mirror verdict and live levels read off env (module notes,
+    ones as the columns of one marched block, each live on every level,
+    then each env(t) profile(x), built a slab at a time and live where
+    env is not 0.  Every field is mirrored by construction (module notes,
     Mirror and Support)."""
     times = suite.times
     fields = []
@@ -840,12 +772,15 @@ def _suite_fields(suite: "FieldSuite") -> list:
             for j in range(len(suite.initial_states))
         ]
     for env, profile in suite.separable:
-        # the profile is real and not 0, so env's facts are the field's
-        facts = _Field.of(times, lambda lo, hi, env=env: env[lo:hi])
-        fields.append(facts._replace(
-            read=lambda lo, hi, env=env, profile=profile: (
+        # the profile is real and not 0, and env(0) is not 0
+        support = np.flatnonzero(env)
+        fields.append(_Field(
+            times,
+            lambda lo, hi, env=env, profile=profile: (
                 env[lo:hi, None, None] * profile[None, :, :]
             ),
+            True,
+            _live_levels(times.size, (int(support[0]), int(support[-1]))),
         ))
     return fields
 
@@ -963,6 +898,9 @@ def carleman_ratios(
     weight_pair: EpsilonPair | PairOnGrid,
     params_list: Sequence[CarlemanParams],
     q,
+    *,
+    mirrored: bool,
+    live: tuple,
 ) -> list:
     """Assemble both sides of the estimate for one field at each params of
     params_list, one report per params, in order.
@@ -972,15 +910,17 @@ def carleman_ratios(
     components carry one common positive normalization (see module notes);
     the ratio is exact.  A PairOnGrid built for v's grid lends its
     field-independent data, and the potential q is real.  This is
-    constant_sweep's slab-major walk on the one field: for a field with
-    v(-t) = c conj v(t), |c| = 1 (_mirror_phase), about half of the levels
-    are evaluated and the others take their mirror's densities, bit for
-    bit for c = +-1 and to rounding otherwise; only the slabs a stencil
-    from v's time support reaches are evaluated (module notes).  Raises
-    NonFiniteReport when a component overflows.
+    constant_sweep's slab-major walk on the one field, whose two walk
+    facts the caller declares: mirrored, that v(-t) = c conj v(t) with
+    |c| = 1 on an exactly antisymmetric time axis, and live, the [lo, hi)
+    of _live_levels of v's time support.  Only the slabs that hold a live
+    level are evaluated, and for a mirrored field about half of the
+    levels, the others taking their mirror's densities, bit for bit for
+    c = +-1 and to rounding otherwise (module notes, Mirror and Support).
+    Raises NonFiniteReport when a component overflows.
     """
     _require_time_resolution(v)
-    field = _Field.of(v.times, lambda lo, hi: v.values[lo:hi])
+    field = _Field(v.times, lambda lo, hi: v.values[lo:hi], mirrored, live)
     return _walk([field], PairOnGrid.of(weight_pair, v.grid), list(params_list),
                  q)[0]
 
@@ -990,9 +930,13 @@ def carleman_ratio(
     weight_pair: EpsilonPair | PairOnGrid,
     params: CarlemanParams,
     q,
+    *,
+    mirrored: bool,
+    live: tuple,
 ) -> CarlemanReport:
     """carleman_ratios at the one params."""
-    return carleman_ratios(v, weight_pair, [params], q)[0]
+    return carleman_ratios(v, weight_pair, [params], q, mirrored=mirrored,
+                           live=live)[0]
 
 
 def constant_sweep(
@@ -1000,28 +944,26 @@ def constant_sweep(
     s_values: Sequence[float],
     lam_values: Sequence[float],
     on_grid: PairOnGrid,
-    q,
     *,
-    T: float,
-    delta_t: Optional[float] = None,
     n_grid: int = 192,
 ) -> SweepResult:
     """Max-over-fields ratio per (s, lambda) plus sup and stabilization.
 
-    The suite's fields are assumed clamped at |t| = T - delta_t (delta_t
-    defaults to T / 64, as in params_from_sup).  Stabilization means the
+    Every (s, lambda) is fitted at the suite's horizon T and clamp
+    delta_t, the ones its fields were built on.  Stabilization means the
     per-s sups over the upper half of the s-range are positive and every
     consecutive relative change of them stays below 10 percent; a sweep
     whose ratios all flush to 0 is not stabilized.
     psi of both weights is scanned once, and every (s, lambda) is fitted
     to that one sup before any field is built (an overflow raises
     ParamsOverflow).  The whole suite is evaluated in one slab-major walk
-    on on_grid, the pair on the suite's grid, with the real potential q:
-    each slab's weight factors are built once for every field at every
-    (s, lambda).  The suite is never held whole: its solved fields advance
-    as one marched block in step with the slabs, and each separable field
-    is built a slab at a time (module notes, Streaming).  q_inf is max |q|
-    on the suite's grid, and rows come out in (s, lambda, field) order.
+    on on_grid, the pair on the suite's grid, with the suite's real
+    potential: each slab's weight factors are built once for every field
+    at every (s, lambda).  The suite is never held whole: its solved
+    fields advance as one marched block in step with the slabs, and each
+    separable field is built a slab at a time (module notes, Streaming).
+    q_inf is max |q| of the suite's potential, and rows come out in
+    (s, lambda, field) order.
     """
     s_lam = [(float(s), float(lam)) for s in s_values for lam in lam_values]
     pair = on_grid.source
@@ -1029,11 +971,12 @@ def constant_sweep(
     fitted = []
     tail = 0.0
     for s, lam in s_lam:
-        params = params_from_sup(psi_sup, s, lam, float(T), delta_t=delta_t)
+        params = params_from_sup(psi_sup, s, lam, suite.T, delta_t=suite.delta_t)
         tail = max(tail, clamp_tail_bound(params))
         fitted.append(params)
 
     grid = suite.grid
+    q = suite.operator.potential
     reports = list(zip(*_walk(_suite_fields(suite), PairOnGrid.of(on_grid, grid),
                               fitted, q)))
 
@@ -1057,7 +1000,7 @@ def constant_sweep(
         and all(abs(b - a) <= 0.1 * a for a, b in zip(upper, upper[1:]))
     )
     sup_ratio = max((e["max_ratio"] for e in table), default=0.0)
-    q_inf = float(np.max(np.abs(grid.sample(q))))
+    q_inf = float(np.max(np.abs(q)))
     return SweepResult(
         rows=rows,
         table=table,
@@ -1090,13 +1033,15 @@ class FieldSuite:
     """A test-field suite, held as the draws that define its fields.
 
     times is the one time axis of every field: operator's levels
-    dt k, k = 0..n, reflected about t = 0, so exactly antisymmetric.
+    dt k, k = 0..n, reflected about t = 0, so exactly antisymmetric, with
+    times[-1] = T - delta_t to rounding, delta_t being the time clamp.
     len() is the number of fields: first operator's forward solution at
     those n steps from each purely imaginary initial state, extended to
     negative times by v(-t) = -conj v(t), then env(t) profile(x) on times
-    for each (env, profile) of separable.  Every random draw was made with
-    the suite, so every sweep over it sees the same fields bit for bit;
-    constant_sweep builds them slab by slab and holds none whole.
+    for each (env, profile) of separable.  operator.potential is the real
+    q of every field.  Every random draw was made with the suite, so every
+    sweep over it sees the same fields bit for bit; constant_sweep builds
+    them slab by slab, holds none whole, and reads q, T and delta_t here.
     """
 
     grid: Grid2D
@@ -1104,6 +1049,8 @@ class FieldSuite:
     initial_states: list
     times: np.ndarray
     separable: list
+    T: float
+    delta_t: float
 
     def __len__(self) -> int:
         return len(self.initial_states) + len(self.separable)
@@ -1133,9 +1080,11 @@ def build_test_suite(
     Every field shares one time axis, the march's levels reflected about
     t = 0, which is exactly antisymmetric.  Every random parameter is
     drawn here, and one factored operator serves every solve; the fields
-    are built as constant_sweep walks the suite (FieldSuite).
+    are built as constant_sweep walks the suite, at the suite's q, T and
+    delta_t (FieldSuite), resolved here once.
     """
-    t_max = T - _delta_t(T, delta_t)
+    delta_t = _delta_t(T, delta_t)
+    t_max = T - delta_t
     rng = np.random.default_rng(seed)
     # every solve has the same q and dt: one factored operator serves all
     op = SchrodingerOperator(grid, coeff, q, t_max / n_steps)
@@ -1178,4 +1127,5 @@ def build_test_suite(
             1j * (omega * times[inside] + phase)
         )
         separable.append((env, profile))
-    return FieldSuite(grid, op, initial_states, times, separable)
+    return FieldSuite(grid, op, initial_states, times, separable, float(T),
+                      float(delta_t))

@@ -261,8 +261,7 @@ def run_carleman_sweep(cfg, out_dir: Path) -> int:
     )
     try:
         sweep = cc.constant_sweep(
-            fields, cfg.carleman.s, cfg.carleman.lam, on_grid, q,
-            T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
+            fields, cfg.carleman.s, cfg.carleman.lam, on_grid,
             n_grid=cfg.carleman.n_grid,
         )
     except cc.NonFiniteReport as exc:

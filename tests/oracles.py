@@ -5,16 +5,20 @@ gauge, the phi weight evaluated point by point, an operator's matrices
 and the MMD factor of its own P, the forward march with an interior
 source (manufactured solutions and the linearized equation), the
 transmission flux mismatch at the interface, the algebraic
-initial-condition inversion, and the Carleman test fields held whole (the
-odd-conjugate time reflection of a solution, and a suite's fields).  None
-of them is run by a subcommand, so they live here rather than in the
-package.
+initial-condition inversion, the Carleman test fields held whole (the
+odd-conjugate time reflection of a solution, and a suite's fields), and
+the detector of the two facts the Carleman walk reads of a field: its
+mirror phase and its time support.  The program declares those facts
+where it builds a field, and the tests check each declaration against
+the detector.  None of them is run by a subcommand, so they live here
+rather than in the package.
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from carleman_lab.carleman_check import _live_levels, _slabs
 from carleman_lab.geometry import RadialInterface, _crossings, _gauge_data, _off_center
 from carleman_lab.pde_solver import (
     ArrayLike,
@@ -241,3 +245,77 @@ def suite_fields(suite):
     for env, profile in suite.separable:
         yield SpaceTimeField(grid=suite.grid, times=suite.times,
                              values=env[:, None, None] * profile[None, :, :])
+
+
+# a mirror phase c off +-1 holds to within this many eps of a field's peak
+# modulus, and |c| and a real c to within as many eps of 1
+MIRROR_ULPS = 8
+
+
+def time_support(nt: int, read):
+    """(first, last) level at which a field is not identically 0, read
+    slab by slab (read(lo, hi) gives its levels lo..hi-1); None when it is
+    0 at every level."""
+    nonzero = np.concatenate([
+        read(lo, hi).reshape(hi - lo, -1).any(axis=1) for lo, hi in _slabs(0, nt)
+    ])
+    nonzero = np.flatnonzero(nonzero)
+    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
+
+
+def mirror_phase(times: np.ndarray, read):
+    """The unit c with values[::-1] == c conj(values) on times[::-1] ==
+    -times, or None, for the field that read(lo, hi) gives level range by
+    level range.  c is read off the largest-modulus entry; a c within
+    MIRROR_ULPS eps of +1 or -1 is that sign and must hold exactly, any
+    other c to within MIRROR_ULPS eps of the peak modulus.  The values are
+    searched and compared slab by slab."""
+    nt = times.size
+    if not np.array_equal(times[::-1], -times):
+        return None
+    peak, at = 0.0, None
+    for start, stop in _slabs(0, nt):
+        modulus = np.abs(read(start, stop))
+        k = int(np.argmax(modulus))
+        if modulus.flat[k] > peak:
+            level, *node = np.unravel_index(k, modulus.shape)
+            peak, at = float(modulus.flat[k]), (start + level, *node)
+        del modulus
+    if at is None or not np.isfinite(peak):
+        return None
+    level, *node = at
+    mirror = read(nt - 1 - level, nt - level)[(0, *node)]
+    c = complex(mirror / np.conj(read(level, level + 1)[(0, *node)]))
+    tol = MIRROR_ULPS * np.finfo(float).eps
+    if not abs(abs(c) - 1.0) <= tol:
+        return None
+    bound = tol * peak
+    for sign in (1.0, -1.0):
+        if abs(c - sign) <= tol:
+            # negation and conjugation are exact: the gap must be 0
+            c, bound = complex(sign), 0.0
+    for start, stop in _slabs(0, (nt + 1) // 2):
+        # c conj(high) - low, the gap of high == c conj(low) for |c| = 1; a
+        # copy of the reversed view takes none of a ufunc's buffers
+        low = read(start, stop)
+        gap = np.empty_like(low)
+        gap[...] = read(nt - stop, nt - start)[::-1]
+        np.conjugate(gap, out=gap)
+        gap *= c
+        gap -= low
+        worst = np.abs(gap).max()
+        del gap
+        if not worst <= bound:
+            return None
+    return c
+
+
+def walk_facts(v: SpaceTimeField) -> dict:
+    """The walk facts of a field held whole, as carleman_ratio(s) takes
+    them: mirrored, whether mirror_phase finds a phase, and live, the
+    live levels of its time_support."""
+    def read(lo, hi):
+        return v.values[lo:hi]
+
+    return {"mirrored": mirror_phase(v.times, read) is not None,
+            "live": _live_levels(v.nt, time_support(v.nt, read))}

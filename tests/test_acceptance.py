@@ -275,7 +275,7 @@ def test_criterion_6_carleman_inequality_sweep():
                                  n_solved=5, n_manufactured=5)
     assert len(fields) >= 10
     sweep = cc.constant_sweep(fields, (10.0, 20.0, 40.0, 80.0), (1.0, 2.0),
-                              cc.PairOnGrid(pair, grid), q, T=1.0)
+                              cc.PairOnGrid(pair, grid))
 
     ratios = [row["ratio"] for row in sweep.rows]
     assert all(np.isfinite(r) for r in ratios)

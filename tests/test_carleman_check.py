@@ -131,11 +131,11 @@ def read_levels(v):
 
 
 def mirror_phase(v):
-    return cc._mirror_phase(v.times, read_levels(v))
+    return oracles.mirror_phase(v.times, read_levels(v))
 
 
 def time_support(v):
-    return cc._time_support(v.nt, read_levels(v))
+    return oracles.time_support(v.nt, read_levels(v))
 
 
 def norm_sq(v, weight, params, coeff):
@@ -476,7 +476,8 @@ class TestRatioReport:
             times=times,
             values=np.zeros((times.size,) + grid.shape, dtype=complex),
         )
-        rep = cc.carleman_ratio(zero, pair, params, np.zeros(grid.shape))
+        rep = cc.carleman_ratio(zero, pair, params, np.zeros(grid.shape),
+                                **oracles.walk_facts(zero))
         assert rep.lhs == rep.rhs_residual == rep.rhs_boundary == 0.0
         assert rep.ratio == 0.0
 
@@ -488,8 +489,9 @@ class TestRatioReport:
         doubled = pde.SpaceTimeField(
             grid=grid, times=v.times, values=2.0 * v.values
         )
-        r1 = cc.carleman_ratio(v, pair, params, q)
-        r2 = cc.carleman_ratio(doubled, pair, params, q)
+        r1 = cc.carleman_ratio(v, pair, params, q, **oracles.walk_facts(v))
+        r2 = cc.carleman_ratio(doubled, pair, params, q,
+                               **oracles.walk_facts(doubled))
         assert r2.lhs == pytest.approx(4.0 * r1.lhs, rel=1e-10)
         assert r2.rhs_residual == pytest.approx(4.0 * r1.rhs_residual, rel=1e-10)
         assert r2.rhs_boundary == pytest.approx(4.0 * r1.rhs_boundary, rel=1e-10)
@@ -500,7 +502,7 @@ class TestRatioReport:
         pts = grid.points
         q = 0.4 + 0.1 * np.cos(pts[..., 0])
         v = solved_clamped_field(grid, coeff, q, params, n_half=16)
-        rep = cc.carleman_ratio(v, pair, params, q)
+        rep = cc.carleman_ratio(v, pair, params, q, **oracles.walk_facts(v))
         assert np.isfinite(rep.ratio)
         assert rep.ratio > 0.0
         assert rep.lhs > 0.0
@@ -600,7 +602,7 @@ class TestStreamedRatio:
         y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
         solved = pde.solve_forward(grid, coeff, q, y0, -t_max, t_max, nt - 1)
         for v in (solved, manufactured_field(grid, times)):
-            got = cc.carleman_ratio(v, pair, params, q)
+            got = cc.carleman_ratio(v, pair, params, q, **oracles.walk_facts(v))
             want = whole_stack_ratio(v, pair, params, q)
             assert got.rhs_boundary > 0.0
             assert got.lhs == want.lhs
@@ -620,7 +622,7 @@ class TestStreamedRatio:
         y0 = 1j * np.exp(-(grid.points[..., 0] ** 2 + grid.points[..., 1] ** 2) / 0.12)
         solved = pde.solve_forward(grid, coeff, q, y0, -t_max, t_max, times.size - 1)
         for v in (solved, manufactured_field(grid, times)):
-            rep = cc.carleman_ratio(v, pair, params, q)
+            rep = cc.carleman_ratio(v, pair, params, q, **oracles.walk_facts(v))
             assert rep.lhs > 0.0
             assert rep.lhs == rep.rhs_residual
             assert rep.rhs_boundary == 0.0
@@ -675,7 +677,7 @@ class TestStreamedRatio:
         on_grid = cc.PairOnGrid(pair, grid)
         for _ in range(2):
             calls.clear()
-            cc.carleman_ratio(v, on_grid, params, q)
+            cc.carleman_ratio(v, on_grid, params, q, **oracles.walk_facts(v))
             assert len(calls) <= len(on_grid.weights)
 
     def test_every_call_peaks_below_two_stacks(self):
@@ -696,11 +698,12 @@ class TestStreamedRatio:
         assert v.values.shape == (129, 48, 48)
         q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
         on_grid = cc.PairOnGrid(pair, grid)
+        facts = oracles.walk_facts(v)
         reports = []
         for call in ("cold", "warm"):
             tracemalloc.start()
             try:
-                reports.append(cc.carleman_ratio(v, on_grid, params, q))
+                reports.append(cc.carleman_ratio(v, on_grid, params, q, **facts))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -774,9 +777,10 @@ class TestMirroredRatio:
         assert v.nt == nt
         on_grid = cc.PairOnGrid(pair, grid)
         assert mirror_phase(v) == -1
-        assert cc.carleman_ratio(v, on_grid, base, q).rhs_boundary > 0.0
+        facts = oracles.walk_facts(v)
+        assert cc.carleman_ratio(v, on_grid, base, q, **facts).rhs_boundary > 0.0
         for params in self.params_and_zero(base):
-            got = cc.carleman_ratio(v, on_grid, params, q)
+            got = cc.carleman_ratio(v, on_grid, params, q, **facts)
             assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
     @pytest.mark.parametrize("growth", (1.0, 4.0))
@@ -789,8 +793,9 @@ class TestMirroredRatio:
         v = odd_conjugate_field(grid, base, nt, growth=growth)
         on_grid = cc.PairOnGrid(pair, grid)
         assert mirror_phase(v) == -1
+        facts = oracles.walk_facts(v)
         for params in self.params_and_zero(base):
-            got = cc.carleman_ratio(v, on_grid, params, q)
+            got = cc.carleman_ratio(v, on_grid, params, q, **facts)
             assert got.lhs > 0.0
             assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
@@ -812,7 +817,7 @@ class TestMirroredRatio:
         v = extended_field(grid, coeff, q, params, 129)
         on_grid = cc.PairOnGrid(pair, grid)
         levels = self.count_levels(monkeypatch)
-        cc.carleman_ratio(v, on_grid, params, q)
+        cc.carleman_ratio(v, on_grid, params, q, **oracles.walk_facts(v))
         # slab by slab, once per weight: the eight slabs of 64..128 with
         # their halos (10 each: 64..71, ..., 112..119 and 120..128), then the
         # head slab 0..1 and its halo level (3); the full path also
@@ -852,7 +857,8 @@ class TestMirroredRatio:
             on_grid = cc.PairOnGrid(pair, grid)
             assert mirror_phase(fld) is None, name
             levels.clear()
-            got = cc.carleman_ratio(fld, on_grid, params, q)
+            got = cc.carleman_ratio(fld, on_grid, params, q,
+                                    **oracles.walk_facts(fld))
             assert levels == [10] * 16 + [3, 3] + [8, 8] + [10] * 14, name
             assert_same_report(got, whole_stack_ratio(fld, pair, params, q))
 
@@ -869,7 +875,7 @@ class TestMirroredRatio:
         assert phases[:n_solved] == [-1] * n_solved
         for c in phases[n_solved:]:
             assert c is not None
-            assert abs(abs(c) - 1.0) <= cc.MIRROR_ULPS * np.finfo(float).eps
+            assert abs(abs(c) - 1.0) <= oracles.MIRROR_ULPS * np.finfo(float).eps
             assert abs(c.imag) > 1e-3
         # the walk's fields, the solved ones marched as one block, read in
         # the walk's order, slab by slab with their halos, the values of
@@ -892,9 +898,10 @@ class TestMirroredRatio:
     @pytest.mark.parametrize("shipped", [True, False])
     def test_walked_suite_facts_equal_the_stack_detector(self, shipped,
                                                          monkeypatch):
-        # a separable field's mirror verdict and live levels are read off
-        # its 1-D env: they equal the detector's verdict on the field held
-        # whole, and no detector reads an (nt, ny, nx) level range
+        # the suite declares each field's mirror verdict and live levels:
+        # they equal the detector's verdict on the field held whole, and
+        # carleman_check runs no detector, so building the walk's fields
+        # marches no step and builds no level of a separable field
         if shipped:
             grid, coeff, q, suite = sweep_suite()
         else:
@@ -902,30 +909,36 @@ class TestMirroredRatio:
             q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
             suite = small_suite(grid, coeff, q, params, n_steps=20, n_solved=2,
                                 n_manufactured=4, seed=11)
-        want = [
-            (mirror_phase(fld) is not None,
-             cc._live_levels(fld.nt, time_support(fld)))
-            for fld in oracles.suite_fields(suite)
-        ]
-        calls = {"_mirror_phase": [], "_time_support": []}
+        want = [oracles.walk_facts(fld) for fld in oracles.suite_fields(suite)]
+        steps, profile_reads = [], []
+        march = pde.SchrodingerOperator.march
 
-        def counted(name):
-            detector = getattr(cc, name)
+        def counted(self, x, c):
+            for state in march(self, x, c):
+                steps.append(1)
+                yield state
 
-            def wrapper(first, read):
-                def counting(lo, hi):
-                    levels = read(lo, hi)
-                    calls[name].append(levels.ndim)
-                    return levels
-                return detector(first, counting)
-            return wrapper
+        class Logged(np.ndarray):
+            def __getitem__(self, index):
+                profile_reads.append(index)
+                return np.asarray(self)[index]
 
-        for name in calls:
-            monkeypatch.setattr(cc, name, counted(name))
+        monkeypatch.setattr(pde.SchrodingerOperator, "march", counted)
+        suite = dataclasses.replace(suite, separable=[
+            (env, profile.view(Logged)) for env, profile in suite.separable
+        ])
         walked = cc._suite_fields(suite)
-        assert [(fld.mirrored, fld.live) for fld in walked] == want
-        for name, ndims in calls.items():
-            assert ndims and set(ndims) == {1}, name
+        assert not steps and not profile_reads
+        assert [{"mirrored": fld.mirrored, "live": fld.live}
+                for fld in walked] == want
+        for name in ("_mirror_phase", "_time_support", "MIRROR_ULPS"):
+            assert not hasattr(cc, name), name
+        # the logs see the reads: each field is built only when read
+        nt = suite.times.size
+        for fld in walked:
+            fld.read(nt - 3, nt)
+        assert len(steps) == nt // 2
+        assert len(profile_reads) == len(suite.separable)
 
     def test_a_marched_column_reads_alike_however_often_it_is_read(self):
         # the block serves every read of the range it built last: columns
@@ -954,8 +967,9 @@ class TestMirroredRatio:
         v = manufactured_field(grid, np.linspace(-t_max, t_max, 129))
         assert mirror_phase(v) == 1
         on_grid = cc.PairOnGrid(pair, grid)
+        facts = oracles.walk_facts(v)
         for params in self.params_and_zero(base):
-            got = cc.carleman_ratio(v, on_grid, params, q)
+            got = cc.carleman_ratio(v, on_grid, params, q, **facts)
             assert got.lhs > 0.0
             assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
@@ -1000,7 +1014,8 @@ class TestMirroredRatio:
             assert peak < v.values.nbytes // 2, name
             on_grid = cc.PairOnGrid(pair, v.grid)
             levels.clear()
-            got = cc.carleman_ratios(v, on_grid, params_list, q)
+            got = cc.carleman_ratios(v, on_grid, params_list, q,
+                                     **oracles.walk_facts(v))
             # levels 25..103 are live: slab by slab, once per weight and
             # params, the five slabs of 64..103 are conjugated with their
             # halos, where the full path also conjugates six slabs of 18..63
@@ -1029,11 +1044,13 @@ class TestMirroredRatio:
         )
         fields = list(oracles.suite_fields(suite))[len(suite.initial_states):]
         on_grid = cc.PairOnGrid(pair, grid)
-        want = [cc.carleman_ratios(v, on_grid, params_list, q) for v in fields]
+        want = [cc.carleman_ratios(v, on_grid, params_list, q,
+                                   **oracles.walk_facts(v)) for v in fields]
         for slab in (3, 8, 12, 32):
             monkeypatch.setattr(cc, "SLAB", slab)
             for k, v in enumerate(fields):
-                got = cc.carleman_ratios(v, on_grid, params_list, q)
+                got = cc.carleman_ratios(v, on_grid, params_list, q,
+                                         **oracles.walk_facts(v))
                 assert got == want[k], (slab, k)
 
     def test_phase_broken_above_the_tolerance_takes_the_full_path(
@@ -1041,14 +1058,15 @@ class TestMirroredRatio:
         levels = self.count_levels(monkeypatch)
         for name, v, pair, params_list, q in self.phase_fields():
             values = v.values.copy()
-            bound = cc.MIRROR_ULPS * np.finfo(float).eps * np.abs(values).max()
+            bound = oracles.MIRROR_ULPS * np.finfo(float).eps * np.abs(values).max()
             ny, nx = v.grid.shape
             values[40, ny // 2, nx // 2] += 4 * bound
             fld = pde.SpaceTimeField(grid=v.grid, times=v.times, values=values)
             assert mirror_phase(fld) is None, name
             on_grid = cc.PairOnGrid(pair, v.grid)
             levels.clear()
-            got = cc.carleman_ratios(fld, on_grid, params_list, q)
+            got = cc.carleman_ratios(fld, on_grid, params_list, q,
+                                     **oracles.walk_facts(fld))
             per_slab = 2 * len(params_list)
             assert levels == [
                 n for n in (10,) * 5 + (8,) + (10,) * 5 for _ in range(per_slab)
@@ -1132,8 +1150,9 @@ class TestSupportedRatio:
         for support in support_cases(nt):
             v = supported_field(grid, times, support)
             assert time_support(v) == support
+            facts = oracles.walk_facts(v)
             for params in self.params_and_zero(base):
-                got = cc.carleman_ratio(v, on_grid, params, q)
+                got = cc.carleman_ratio(v, on_grid, params, q, **facts)
                 assert_same_report(got, whole_stack_ratio(v, pair, params, q))
                 if support is None:
                     assert got.lhs == got.rhs_residual == got.rhs_boundary == 0.0
@@ -1154,8 +1173,9 @@ class TestSupportedRatio:
             on_grid = cc.PairOnGrid(pair, grid)
             assert mirror_phase(v) == -1
             assert time_support(v) == (k, nt - 1 - k)
+            facts = oracles.walk_facts(v)
             for params in self.params_and_zero(base):
-                got = cc.carleman_ratio(v, on_grid, params, q)
+                got = cc.carleman_ratio(v, on_grid, params, q, **facts)
                 assert got.lhs > 0.0
                 assert_same_report(got, whole_stack_ratio(v, pair, params, q))
 
@@ -1203,7 +1223,7 @@ class TestSupportedRatio:
             return factors(phi, log_shift)
 
         monkeypatch.setattr(cc, "_conjugation_factors", counted)
-        got = cc.carleman_ratio(v, on_grid, params, q)
+        got = cc.carleman_ratio(v, on_grid, params, q, **oracles.walk_facts(v))
         # levels 25..103 can have nonzero densities, and the field is
         # even-conjugate, so the mirror evaluates the live slabs from the
         # middle up: the five slabs of 64..103, 10 levels each with their
@@ -1247,7 +1267,7 @@ def manufactured_report_hex():
     q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
     t_max = params.T - params.delta_t
     v = manufactured_field(grid, np.linspace(-t_max, t_max, 129))
-    rep = cc.carleman_ratios(v, pair, [params], q)[0]
+    rep = cc.carleman_ratios(v, pair, [params], q, **oracles.walk_facts(v))[0]
     return [x.hex() for x in (rep.lhs, rep.rhs_residual, rep.rhs_boundary)]
 
 
@@ -1417,7 +1437,8 @@ class TestGroupedRatio:
         for name, v in self.fields(grid, coeff, q, base).items():
             assert (mirror_phase(v) is not None) == (name == "mirrored")
             built.clear()
-            got = cc.carleman_ratios(v, on_grid, params_list, q)
+            got = cc.carleman_ratios(v, on_grid, params_list, q,
+                                     **oracles.walk_facts(v))
             # once per evaluated slab and weight for each of lambda 1.5 and
             # 2.0 at T and 2.0 at 1.25 T, for the 4 + 1 params
             assert built == [n for n in levels[name] for _ in range(2 * 3)]
@@ -1444,11 +1465,11 @@ class TestSweep:
         suite = small_suite(grid, coeff, q, params, 6, 1, 0)
         suite = dataclasses.replace(
             suite, initial_states=[np.zeros(grid.shape, dtype=complex)])
-        return suite, cc.PairOnGrid(pair, grid), q
+        return suite, cc.PairOnGrid(pair, grid)
 
     def test_single_zero_field(self):
-        suite, on_grid, q = self.zero_suite()
-        out = cc.constant_sweep(suite, [10.0, 20.0], [1.0], on_grid, q, T=1.0)
+        suite, on_grid = self.zero_suite()
+        out = cc.constant_sweep(suite, [10.0, 20.0], [1.0], on_grid)
         assert len(out.rows) == 2
         assert all(row["ratio"] == 0.0 for row in out.rows)
         assert out.sup_ratio == 0.0
@@ -1456,9 +1477,8 @@ class TestSweep:
     def test_all_flushed_sweep_is_not_stabilized(self):
         # every ratio is 0, so the upper-half sups do not change, but a
         # sweep that measured nothing has not stabilized
-        suite, on_grid, q = self.zero_suite()
-        out = cc.constant_sweep(suite, [10.0, 20.0, 40.0, 80.0], [1.0], on_grid,
-                                q, T=1.0)
+        suite, on_grid = self.zero_suite()
+        out = cc.constant_sweep(suite, [10.0, 20.0, 40.0, 80.0], [1.0], on_grid)
         assert out.sup_ratio == 0.0
         assert out.stabilized is False
 
@@ -1468,7 +1488,7 @@ class TestSweep:
         q = 0.3 + 0.1 * np.sin(pts[..., 0])
         suite = small_suite(grid, coeff, q, params, 8, 1, 2)
         out = cc.constant_sweep(suite, [10.0, 20.0], [1.0, 2.0],
-                                cc.PairOnGrid(pair, grid), q, T=params.T)
+                                cc.PairOnGrid(pair, grid))
         assert len(out.rows) == len(suite) * 4
         assert len(out.table) == 4
         for entry in out.table:
@@ -1494,7 +1514,7 @@ class TestSweep:
 
     def test_psi_is_scanned_once_per_weight(self, monkeypatch):
         # every (s, lambda) is fitted to one psi scan of each weight
-        suite, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
+        suite, on_grid, _, _ = self.sweep_inputs(nx=13, M2=0.1)
         n_grid = 40
         sizes = []
         psi = wt.TransmissionWeight.psi
@@ -1504,15 +1524,14 @@ class TestSweep:
             return psi(self, pts)
 
         monkeypatch.setattr(wt.TransmissionWeight, "psi", counted)
-        cc.constant_sweep(suite, [10.0, 20.0], [1.0, 2.0], on_grid, q, T=T,
-                          n_grid=n_grid)
+        cc.constant_sweep(suite, [10.0, 20.0], [1.0, 2.0], on_grid, n_grid=n_grid)
         assert sizes.count(n_grid**2) == 2
 
     def test_rows_equal_standalone_ratios_in_s_lambda_field_order(self):
         suite, on_grid, q, T = self.sweep_inputs(nx=13, M2=0.1)
         pair = on_grid.source
         s_values, lam_values = [10.0, 20.0], [1.5]
-        out = cc.constant_sweep(suite, s_values, lam_values, on_grid, q, T=T)
+        out = cc.constant_sweep(suite, s_values, lam_values, on_grid)
         held = list(oracles.suite_fields(suite))
         expected = []
         for s in s_values:
@@ -1522,7 +1541,8 @@ class TestSweep:
                     delta_t=T / 64.0,
                 )
                 for fid, fld in enumerate(held):
-                    rep = cc.carleman_ratio(fld, pair, params, q)
+                    rep = cc.carleman_ratio(fld, pair, params, q,
+                                            **oracles.walk_facts(fld))
                     expected.append({
                         "field_id": fid, "s": s, "lambda": lam,
                         "lhs": rep.lhs, "rhs_residual": rep.rhs_residual,
@@ -1552,7 +1572,6 @@ class TestSweep:
         try:
             out = cc.constant_sweep(
                 suite, cfg.carleman.s, cfg.carleman.lam, cc.PairOnGrid(pair, grid),
-                q, T=cfg.physics.T, delta_t=cfg.carleman.delta_t,
                 n_grid=cfg.carleman.n_grid,
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -1572,13 +1591,13 @@ class TestSweep:
         s_values, lam_values = [10.0, 20.0], [1.5]
 
         def sweep(fields):
-            return cc.constant_sweep(fields, s_values, lam_values, on_grid, q,
-                                     T=params.T)
+            return cc.constant_sweep(fields, s_values, lam_values, on_grid)
 
         psi_sup = wt.psi_grid_max((pair.w1, pair.w2))
         params_list = [wt.params_from_sup(psi_sup, s, lam, params.T)
                        for s in s_values for lam in lam_values]
-        held = [cc.carleman_ratios(fld, on_grid, params_list, q)
+        held = [cc.carleman_ratios(fld, on_grid, params_list, q,
+                                   **oracles.walk_facts(fld))
                 for fld in oracles.suite_fields(suite)]
         want = [
             {"field_id": fid, **reports[k].as_dict()}
@@ -1592,9 +1611,41 @@ class TestSweep:
             with pytest.raises(pde.ExtensionError):
                 sweep(broken)
 
+    @pytest.mark.parametrize("divisor", [16.0, 128.0])
+    def test_a_sweep_fits_at_its_suite_clamp(self, divisor):
+        # every other sweep here runs at the default clamp T / 64; at T / 16
+        # and T / 128 the rows are the standalone ratios at the suite's own
+        # clamp, and q_inf is the suite's potential
+        layout, grid, coeff, pair, base = small_problem(nx=13)
+        q = 0.3 + 0.1 * np.sin(grid.points[..., 0])
+        T = base.T
+        suite = cc.build_test_suite(grid, coeff, q, T, delta_t=T / divisor,
+                                    n_steps=8, seed=5, n_solved=1,
+                                    n_manufactured=2)
+        assert (suite.T, suite.delta_t) == (T, T / divisor)
+        s_values, lam_values = [10.0, 20.0], [1.5]
+        out = cc.constant_sweep(suite, s_values, lam_values,
+                                cc.PairOnGrid(pair, grid))
+        psi_sup = wt.psi_grid_max((pair.w1, pair.w2))
+        params_list = [
+            wt.params_from_sup(psi_sup, s, lam, T, delta_t=T / divisor)
+            for s in s_values for lam in lam_values
+        ]
+        held = list(oracles.suite_fields(suite))
+        want = [
+            {"field_id": fid, **cc.carleman_ratio(
+                fld, pair, params, q, **oracles.walk_facts(fld)).as_dict()}
+            for params in params_list for fid, fld in enumerate(held)
+        ]
+        assert all(row["rhs_boundary"] > 0.0 for row in out.rows)
+        assert out.rows == want
+        assert out.tail_bound == max(cc.clamp_tail_bound(p) for p in params_list)
+        assert out.q_inf == float(np.max(np.abs(suite.operator.potential)))
+        assert out.q_inf == float(np.max(np.abs(q)))
+
     def run_sweep(self, nx, M2):
-        fields, on_grid, q, T = self.sweep_inputs(nx=nx, M2=M2)
-        return cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid, q, T=T).rows
+        fields, on_grid, _, _ = self.sweep_inputs(nx=nx, M2=M2)
+        return cc.constant_sweep(fields, [10.0, 20.0], [1.5], on_grid).rows
 
     def test_back_to_back_sweeps_equal_each_sweep_alone(self):
         # each sweep has its own grid and weight pair: nothing built for one
@@ -1676,8 +1727,7 @@ class TestSuiteBuilder:
         on_grid = cc.PairOnGrid(pair, grid)
 
         def sweep():
-            return cc.constant_sweep(suite, [10.0, 20.0], [1.5], on_grid, q,
-                                     T=params.T)
+            return cc.constant_sweep(suite, [10.0, 20.0], [1.5], on_grid)
 
         want = sweep()  # builds the pair's grid data
         tracemalloc.start()
